@@ -24,6 +24,9 @@ from .topology import (
     build_space,
     find_cycle_in,
     preorder,
+    _kahn,
+    _key_order,
+    _nearest_kept,
     _require_keys,
 )
 
@@ -45,35 +48,45 @@ def open_reduction(
     relations have no unique reduction.  The result is the covering
     relation of the generated order: exactly those strict pairs that no
     longer path can replace.
+
+    Reachability sets are bitsets (Python ints) filled in reverse
+    topological order, after Aho, Garey and Ullman, "The transitive
+    reduction of a directed graph" (SIAM J. Comput. 1972).
     """
     normal = (p if isinstance(p, BoundedByPair) else BoundedByPair(p[0], p[1]) for p in pairs)
     rel = {(p.ida, p.idb) for p in normal if p.ida != p.idb}
-    nodes = {a for a, _ in rel} | {b for _, b in rel}
-    adj: dict[ElementId, set[ElementId]] = {n: set() for n in nodes}
+    pos: dict[ElementId, int] = {}
+    for pair in rel:
+        for k in pair:
+            pos.setdefault(k, len(pos))
+    succ: list[list[int]] = [[] for _ in pos]
     for a, b in rel:
-        adj[a].add(b)
-    cycle = find_cycle_in(adj)
-    if cycle is not None:
+        succ[pos[a]].append(pos[b])
+    return _reduction(list(pos), succ)
+
+
+def _reduction(nodes: list[ElementId], succ: list[list[int]]) -> frozenset[BoundedByPair]:
+    """Covering pairs of the order that ``succ`` (position -> successors,
+    no repeats) generates over ``nodes``."""
+    order = _kahn(succ)
+    if len(order) < len(nodes):
+        adj = {nodes[i]: {nodes[j] for j in succ[i]} for i in range(len(nodes))}
+        cycle = find_cycle_in({k: adj[k] for k in sorted(adj)})
         raise T0ViolationError(
             f"cannot reduce a cyclic relation: {[str(k) for k in cycle]}",
             cycle=cycle,
         )
-    strict: dict[ElementId, frozenset[ElementId]] = {}
-    for n in nodes:
-        seen: set[ElementId] = set()
-        queue = deque(adj[n])
-        while queue:
-            cur = queue.popleft()
-            if cur in seen:
-                continue
-            seen.add(cur)
-            queue.extend(adj[cur])
-        strict[n] = frozenset(seen)
-    out = set()
-    for a in nodes:
-        for b in strict[a]:
-            if not any(b in strict[w] for w in strict[a] if w != b):
-                out.add(BoundedByPair(a, b))
+    # below[i]: bits of every position strictly below i
+    below = [0] * len(nodes)
+    out = []
+    for a in reversed(order):
+        longer = 0  # reachable from a in two or more steps
+        for b in succ[a]:
+            longer |= below[b]
+        for b in succ[a]:
+            if not longer >> b & 1:
+                out.append(BoundedByPair(nodes[a], nodes[b]))
+        below[a] = longer | sum(1 << b for b in succ[a])
     return frozenset(out)
 
 
@@ -85,17 +98,18 @@ def select_subspace(space: Space, keep: Iterable[ElementId]) -> Space:
     """Subspace on ``keep``: restrict the preorder, then reduce.
 
     Comparabilities that pass through dropped elements survive as direct
-    pairs, so the result carries the genuine subspace topology.
+    pairs, so the result carries the genuine subspace topology.  Only pairs
+    from each kept element to its nearest kept descendants are candidates
+    for the reduced relation.
     """
-    keys = _require_keys(space, keep)
-    pre = preorder(space)
-    strict = [
-        BoundedByPair(a, b)
-        for (a, b) in pre.pairs
-        if a != b and a in keys and b in keys
-    ]
-    rel = open_reduction(strict)
-    return build_space([space.elements[k] for k in sorted(keys)], rel, t0_check=False)
+    keys = sorted(_require_keys(space, keep), key=_key_order)
+    idx = space.index
+    local = {idx.pos[k]: i for i, k in enumerate(keys)}
+    succ: list[list[int]] = [[] for _ in keys]
+    for a, below in _nearest_kept(idx.out, local.keys()):
+        succ[local[a]] = [local[b] for b in below]
+    # keys, pairs and acyclicity hold by construction: no re-validation
+    return Space({k: space.elements[k] for k in keys}, _reduction(keys, succ))
 
 
 def product_key(a: ElementId, b: ElementId, separator: str = PRODUCT_SEPARATOR) -> ElementId:

@@ -31,8 +31,8 @@ from .topology import (
     ElementId,
     Space,
     build_space,
+    closure,
     components_within,
-    preorder,
     simple_space,
     _require_keys,
 )
@@ -291,13 +291,18 @@ def telescope(store: "VersionStore", v: str, edge_matching: bool = True) -> Spac
                 attributes={**e.attributes, "lod_edge": w.id},
             )
         )
-    pre_a = preorder(augmented)
-    pre_b = preorder(edge_graph)
-    strict = []
-    for ka, wa in matches:
-        for kb, wb in matches:
-            if (ka, wa) != (kb, wb) and pre_a.holds(ka, kb) and pre_b.holds(wa, wb):
-                strict.append(BoundedByPair(product_key(ka, wa), product_key(kb, wb)))
+    # (ka, wa) is bounded by (kb, wb) when kb is in the closure of ka and wb
+    # in that of wa: enumerate those candidates and keep the matched ones
+    matched = set(matches)
+    below_a = {k: closure(augmented, [k]) for k in augmented.elements}
+    below_b = {w: closure(edge_graph, [w]) for w in edge_graph.elements}
+    strict = [
+        BoundedByPair(product_key(ka, wa), product_key(kb, wb))
+        for ka, wa in matches
+        for kb in below_a[ka]
+        for wb in below_b[wa]
+        if (kb, wb) in matched and (kb, wb) != (ka, wa)
+    ]
     return build_space(els, open_reduction(strict), t0_check=False)
 
 

@@ -1,6 +1,7 @@
 """A small composable query language over spaces and stores.
 
-Queries are written in function-call form and nest arbitrarily::
+Queries are written in function-call form and nest up to ``MAX_NESTING``
+levels deep::
 
     dim(load("lineland"))
     slice(load("lineland"), t=0.5)
@@ -155,11 +156,18 @@ def _unquote(raw: str, pos: int) -> str:
 # parser
 
 
+#: Deepest nesting of calls and set literals a query may have.  Parsing,
+#: printing and evaluating all recurse once per level, so this keeps each
+#: of them well below the interpreter's recursion limit.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -191,6 +199,14 @@ class _Parser:
             return PairLit(left, right)
         return left
 
+    def nest(self) -> None:
+        """Enter one more call or set literal, refusing excessive depth."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise QueryParseError(
+                f"query nested deeper than {MAX_NESTING} levels", self.peek().pos
+            )
+
     def operand(self) -> Expr:
         tok = self.peek()
         if tok.kind == "ident":
@@ -209,6 +225,7 @@ class _Parser:
         raise QueryParseError(f"expected a value, found {tok.text or 'end of input'!r}", tok.pos)
 
     def call(self) -> Expr:
+        self.nest()
         op = self.take().text
         self.expect("punct", "(")
         args: list[Expr] = []
@@ -234,6 +251,7 @@ class _Parser:
                     continue
                 break
         self.expect("punct", ")")
+        self.depth -= 1
         return Call(op, tuple(args), tuple(kwargs))
 
     def atom(self) -> Expr:
@@ -258,6 +276,7 @@ class _Parser:
         raise QueryParseError(f"expected a value, found {tok.text!r}", tok.pos)
 
     def set_literal(self) -> Expr:
+        self.nest()
         self.expect("punct", "{")
         items: list[Expr] = []
         if not (self.peek().kind == "punct" and self.peek().text == "}"):
@@ -268,6 +287,7 @@ class _Parser:
                     continue
                 break
         self.expect("punct", "}")
+        self.depth -= 1
         return SetLit(tuple(items))
 
     @staticmethod

@@ -10,6 +10,7 @@ are alive at a time value, using per-vertex coordinate rows.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -28,9 +29,8 @@ from .topology import (
     ElementId,
     Space,
     build_space,
-    out_adjacency,
-    preorder,
     simple_space,
+    _topological_order,
 )
 
 
@@ -170,22 +170,33 @@ def time_slice(
     relational formulation; pick slice values accordingly.
 
     An element whose closure has no vertex with a coordinate row raises
-    ``MissingGeometryError`` naming it.
+    ``MissingGeometryError`` naming it (the smallest such key), and a
+    cyclic relation raises ``T0ViolationError``.
     """
     if isinstance(points, Mapping):
         pts = dict(points)
     else:
         pts = {p.key: p for p in points}
-    adj = out_adjacency(space)
-    pre = preorder(space)
-    kept = []
-    for k in sorted(space.elements):
-        times = [pts[v].t for v in pre.descendants(k) if not adj[v] and v in pts]
-        if not times:
-            raise MissingGeometryError(
-                f"element {k} has no closure vertex with a coordinate row"
-            )
-        tmin, tmax = min(times), max(times)
-        if (tmin < t < tmax) or (tmin == t == tmax):
-            kept.append(k)
+    idx = space.index
+    out = idx.out
+    # life intervals bottom-up; an empty interval (inf, -inf) means no vertex
+    # with a coordinate row lies below
+    tmin = [math.inf] * len(out)
+    tmax = [-math.inf] * len(out)
+    for i in reversed(_topological_order(space)):
+        if out[i]:
+            tmin[i] = min(tmin[j] for j in out[i])
+            tmax[i] = max(tmax[j] for j in out[i])
+        elif idx.keys[i] in pts:
+            tmin[i] = tmax[i] = pts[idx.keys[i]].t
+    missing = [k for k, lo, hi in zip(idx.keys, tmin, tmax) if lo > hi]
+    if missing:
+        raise MissingGeometryError(
+            f"element {min(missing)} has no closure vertex with a coordinate row"
+        )
+    kept = [
+        k
+        for k, lo, hi in zip(idx.keys, tmin, tmax)
+        if (lo < t < hi) or (lo == t == hi)
+    ]
     return select_subspace(space, kept)

@@ -13,6 +13,13 @@ closure of ``R``) and all queries below reduce to reachability.
 The space is T0 (distinct points have distinct neighbourhood filters)
 exactly when ``R`` is acyclic; ``build_space`` enforces that by default.
 
+Every query answers from one reachability kernel: ``Space.index``, an
+integer-indexed out/in adjacency plus a topological order.  It is built on
+the first query that needs it (``build_space``'s T0 check is one) and
+cached on the space.  The cache relies on a contract: a ``Space`` is
+immutable.  Never mutate its ``elements`` mapping or its relation; build a
+new space instead.
+
 Conventions used throughout:
 
 * ``closure(A)``  = everything reachable from ``A`` along ``R``;
@@ -23,9 +30,10 @@ Conventions used throughout:
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Literal, Mapping, Union
+from functools import cached_property
+from operator import attrgetter
+from typing import AbstractSet, Iterable, Iterator, Literal, Mapping, Union
 
 from .errors import (
     DanglingPairError,
@@ -48,6 +56,11 @@ class ElementId:
 
     def __str__(self) -> str:
         return self.id if self.lod == 0 else f"{self.id}:{self.lod}"
+
+
+# Sort key giving ElementId's own order, compared in C rather than through
+# the dataclass's generated ``__lt__``: sorting thousands of keys is hot.
+_key_order = attrgetter("id", "lod")
 
 
 @dataclass(frozen=True)
@@ -95,6 +108,13 @@ class Space:
 
     def __len__(self) -> int:
         return len(self.elements)
+
+    @cached_property
+    def index(self) -> SpaceIndex:
+        """Integer-indexed adjacency and topological order of the relation,
+        built on the first query that needs it and kept for the life of
+        this (immutable) space."""
+        return SpaceIndex(self)
 
 
 @dataclass(frozen=True)
@@ -158,12 +178,7 @@ def build_space(
         rel.add(p)
     space = Space(elements=table, relation=frozenset(rel))
     if t0_check:
-        cycle = find_cycle(space)
-        if cycle is not None:
-            raise T0ViolationError(
-                f"relation has a cycle, space is not T0: {[str(k) for k in cycle]}",
-                cycle=cycle,
-            )
+        _topological_order(space)
     return space
 
 
@@ -189,40 +204,119 @@ def simple_space(
 
 
 # ---------------------------------------------------------------------------
-# adjacency / reachability plumbing
+# the reachability kernel
 
 
-def out_adjacency(space: Space) -> dict[ElementId, set[ElementId]]:
-    """key -> set of keys it is bounded by (one relation step)."""
-    adj: dict[ElementId, set[ElementId]] = {k: set() for k in space.elements}
-    for p in space.relation:
-        adj[p.ida].add(p.idb)
-    return adj
+def _walk(adj: list[list[int]], starts: Iterable[int]) -> set[int]:
+    """Positions reachable from ``starts`` along ``adj``, starts included."""
+    seen = set(starts)
+    stack = list(seen)
+    while stack:
+        for j in adj[stack.pop()]:
+            if j not in seen:
+                seen.add(j)
+                stack.append(j)
+    return seen
 
 
-def in_adjacency(space: Space) -> dict[ElementId, set[ElementId]]:
-    """key -> set of keys bounded by it (one relation step)."""
-    adj: dict[ElementId, set[ElementId]] = {k: set() for k in space.elements}
-    for p in space.relation:
-        adj[p.idb].add(p.ida)
-    return adj
+def _kahn(out: list[list[int]]) -> list[int]:
+    """Kahn's topological order of ``out``: each position before its
+    successors.  Positions on or below a cycle are missing from it."""
+    indegree = [0] * len(out)
+    for below in out:
+        for j in below:
+            indegree[j] += 1
+    order = [i for i, d in enumerate(indegree) if d == 0]
+    for i in order:  # the list grows while it is walked
+        for j in out[i]:
+            indegree[j] -= 1
+            if indegree[j] == 0:
+                order.append(j)
+    return order
 
 
-def _reach(adj: Mapping[ElementId, set[ElementId]], start: ElementId) -> frozenset[ElementId]:
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        cur = queue.popleft()
-        for nxt in adj[cur]:
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return frozenset(seen)
+def _nearest_kept(
+    out: list[list[int]], kept: AbstractSet[int]
+) -> Iterator[tuple[int, set[int]]]:
+    """Each kept position with its nearest kept descendants: those reached by
+    a downward path whose intermediate positions are all dropped.
+
+    Each walk passes through dropped positions only and stops at the first
+    kept ones it meets.  The pairs found generate the restriction of the
+    preorder to ``kept``, so subspace connectivity and the subspace's
+    reduced relation need no other pairs.
+    """
+    for a in kept:
+        found: set[int] = set()
+        seen: set[int] = set()
+        stack = list(out[a])
+        while stack:
+            j = stack.pop()
+            if j in kept:
+                found.add(j)
+            elif j not in seen:
+                seen.add(j)
+                stack.extend(out[j])
+        found.discard(a)
+        yield a, found
+
+
+def _partition(
+    keys: list[ElementId], members: Iterable[int], links: Iterable[tuple[int, int]]
+) -> tuple[frozenset[ElementId], ...]:
+    """Classes of ``members`` under the equivalence that ``links`` generate,
+    ordered by their smallest key (union-find)."""
+    parent = {i: i for i in members}
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for a, b in links:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    groups: dict[int, list[ElementId]] = {}
+    for i in parent:
+        groups.setdefault(find(i), []).append(keys[i])
+    comps = [frozenset(g) for g in groups.values()]
+    return tuple(sorted(comps, key=lambda c: _key_order(min(c, key=_key_order))))
+
+
+class SpaceIndex:
+    """Integer-indexed adjacency of a space's relation.
+
+    Position ``i`` stands for ``keys[i]`` (the space's element order);
+    ``out[i]`` lists the positions ``i`` is bounded by and ``inn[i]`` those
+    bounded by ``i``, one relation step each.  ``order`` is a topological
+    order, every position before those it is bounded by, found by Kahn's
+    algorithm; it is None when the relation has a cycle.
+    """
+
+    __slots__ = ("keys", "pos", "out", "inn", "order")
+
+    def __init__(self, space: Space):
+        self.keys = list(space.elements)
+        self.pos = {k: i for i, k in enumerate(self.keys)}
+        self.out: list[list[int]] = [[] for _ in self.keys]
+        self.inn: list[list[int]] = [[] for _ in self.keys]
+        for p in space.relation:
+            a, b = self.pos[p.ida], self.pos[p.idb]
+            self.out[a].append(b)
+            self.inn[b].append(a)
+        order = _kahn(self.out)
+        self.order = order if len(order) == len(self.keys) else None
 
 
 def find_cycle(space: Space) -> list[ElementId] | None:
     """Return one directed cycle of the relation, or None when acyclic."""
-    return find_cycle_in(out_adjacency(space))
+    idx = space.index
+    if idx.order is not None:
+        return None
+    keys = idx.keys
+    return find_cycle_in({k: {keys[j] for j in idx.out[i]} for i, k in enumerate(keys)})
 
 
 def find_cycle_in(adj: Mapping[ElementId, set[ElementId]]) -> list[ElementId] | None:
@@ -260,26 +354,35 @@ def find_cycle_in(adj: Mapping[ElementId, set[ElementId]]) -> list[ElementId] | 
     return None
 
 
+def _topological_order(space: Space) -> list[int]:
+    """The index's topological order; raises ``T0ViolationError`` when cyclic."""
+    order = space.index.order
+    if order is None:
+        cycle = find_cycle(space)
+        raise T0ViolationError(
+            f"relation has a cycle, space is not T0: {[str(k) for k in cycle]}",
+            cycle=cycle,
+        )
+    return order
+
+
 def preorder(space: Space) -> Preorder:
-    """Reflexive-transitive closure of the space's relation."""
-    adj = out_adjacency(space)
-    down = {k: _reach(adj, k) for k in adj}
-    up: dict[ElementId, set[ElementId]] = {k: set() for k in adj}
-    pairs = set()
-    for a, reach in down.items():
-        for b in reach:
-            pairs.add((a, b))
-            up[b].add(a)
-    return Preorder(
-        pairs=frozenset(pairs),
-        _down=down,
-        _up={k: frozenset(v) for k, v in up.items()},
-    )
+    """Reflexive-transitive closure of the space's relation.
+
+    Materialises every related pair; the queries in this module answer from
+    the index directly and never need it.
+    """
+    idx = space.index
+    keys = idx.keys
+    down = {k: frozenset(keys[j] for j in _walk(idx.out, [i])) for i, k in enumerate(keys)}
+    up = {k: frozenset(keys[j] for j in _walk(idx.inn, [i])) for i, k in enumerate(keys)}
+    pairs = frozenset((a, b) for a, reach in down.items() for b in reach)
+    return Preorder(pairs=pairs, _down=down, _up=up)
 
 
 def _require_keys(space: Space, keys: Iterable[ElementId]) -> frozenset[ElementId]:
     ks = frozenset(keys)
-    missing = ks - space.keys()
+    missing = [k for k in ks if k not in space.elements]
     if missing:
         raise NotFoundError(f"unknown element keys: {sorted(str(k) for k in missing)}")
     return ks
@@ -289,24 +392,21 @@ def _require_keys(space: Space, keys: Iterable[ElementId]) -> frozenset[ElementI
 # topological queries
 
 
+def _hull(space: Space, a_set: Iterable[ElementId], downward: bool) -> frozenset[ElementId]:
+    keys = _require_keys(space, a_set)
+    idx = space.index
+    seen = _walk(idx.out if downward else idx.inn, [idx.pos[k] for k in keys])
+    return frozenset(idx.keys[i] for i in seen)
+
+
 def closure(space: Space, a_set: Iterable[ElementId]) -> frozenset[ElementId]:
     """Smallest closed set containing ``a_set``: all keys reachable along R."""
-    keys = _require_keys(space, a_set)
-    adj = out_adjacency(space)
-    out: set[ElementId] = set()
-    for k in keys:
-        out |= _reach(adj, k)
-    return frozenset(out)
+    return _hull(space, a_set, downward=True)
 
 
 def star(space: Space, a_set: Iterable[ElementId]) -> frozenset[ElementId]:
     """Smallest open set containing ``a_set``: all keys that reach it along R."""
-    keys = _require_keys(space, a_set)
-    adj = in_adjacency(space)
-    out: set[ElementId] = set()
-    for k in keys:
-        out |= _reach(adj, k)
-    return frozenset(out)
+    return _hull(space, a_set, downward=False)
 
 
 def enumerate_open_sets(space: Space) -> frozenset[frozenset[ElementId]]:
@@ -340,44 +440,33 @@ def enumerate_open_sets(space: Space) -> frozenset[frozenset[ElementId]]:
 
 
 def is_t0(space: Space) -> bool:
-    return find_cycle(space) is None
+    return space.index.order is not None
 
 
 # ---------------------------------------------------------------------------
 # dimension and classification
 
 
-def _longest_out_chain(space: Space) -> dict[ElementId, int]:
-    """Longest strict bounded-by chain starting at each key, in steps."""
-    adj = out_adjacency(space)
-    depth: dict[ElementId, int] = {}
-    state: dict[ElementId, int] = {}  # 1 = in progress, 2 = done
-
-    def walk(k: ElementId) -> int:
-        if state.get(k) == 2:
-            return depth[k]
-        if state.get(k) == 1:
-            raise T0ViolationError(
-                f"relation has a cycle through {k}; dimension is undefined",
-                cycle=[k],
-            )
-        state[k] = 1
-        best = 0
-        for nxt in adj[k]:
-            best = max(best, 1 + walk(nxt))
-        state[k] = 2
-        depth[k] = best
-        return best
-
-    for k in adj:
-        walk(k)
+def _chain_lengths(space: Space) -> list[int]:
+    """Longest strict bounded-by chain starting at each position, in steps."""
+    out, order = space.index.out, space.index.order
+    if order is None:
+        cycle = find_cycle(space)
+        raise T0ViolationError(
+            f"relation has a cycle through {cycle[-1]}; dimension is undefined",
+            cycle=cycle,
+        )
+    depth = [0] * len(out)
+    for i in reversed(order):
+        if out[i]:
+            depth[i] = 1 + max(depth[j] for j in out[i])
     return depth
 
 
 def element_dimension(space: Space, x: ElementId) -> int:
     """Length in steps of the longest chain descending from ``x``."""
     _require_keys(space, [x])
-    return _longest_out_chain(space)[x]
+    return _chain_lengths(space)[space.index.pos[x]]
 
 
 def krull_dimension(space: Space) -> int:
@@ -389,17 +478,17 @@ def krull_dimension(space: Space) -> int:
     """
     if not space.elements:
         raise EmptySpaceError("dimension of the empty space is undefined")
-    return max(_longest_out_chain(space).values())
+    return max(_chain_lengths(space))
 
 
 def classify(space: Space, x: ElementId) -> Literal["vertex", "edge", "higher"]:
     """vertex: bounded by nothing; edge: bounded only by vertices; else higher."""
     _require_keys(space, [x])
-    adj = out_adjacency(space)
-    if not adj[x]:
+    out = space.index.out
+    below = out[space.index.pos[x]]
+    if not below:
         return "vertex"
-    boundary = closure(space, [x]) - {x}
-    if all(not adj[b] for b in boundary):
+    if all(not out[j] for j in below):
         return "edge"
     return "higher"
 
@@ -414,19 +503,9 @@ def connected_components(space: Space) -> tuple[frozenset[ElementId], ...]:
     On the full element set, topological connectedness coincides with
     connectedness of the undirected reflection of the relation.
     """
-    undirected: dict[ElementId, set[ElementId]] = {k: set() for k in space.elements}
-    for p in space.relation:
-        undirected[p.ida].add(p.idb)
-        undirected[p.idb].add(p.ida)
-    seen: set[ElementId] = set()
-    comps = []
-    for k in sorted(space.elements):
-        if k in seen:
-            continue
-        comp = _reach(undirected, k)
-        seen |= comp
-        comps.append(comp)
-    return tuple(comps)
+    idx = space.index
+    links = ((a, b) for a, below in enumerate(idx.out) for b in below)
+    return _partition(idx.keys, range(len(idx.keys)), links)
 
 
 def components_within(space: Space, a_set: Iterable[ElementId]) -> tuple[frozenset[ElementId], ...]:
@@ -435,25 +514,14 @@ def components_within(space: Space, a_set: Iterable[ElementId]) -> tuple[frozens
     Subspace connectedness is comparability-graph connectedness of the
     *restricted preorder*: two kept elements are adjacent when one is
     transitively bounded by the other in the ambient space, even when every
-    intermediate element was dropped.
+    intermediate element was dropped.  Linking each kept element to its
+    nearest kept descendants generates the same components.
     """
     keys = _require_keys(space, a_set)
-    pre = preorder(space)
-    adj: dict[ElementId, set[ElementId]] = {k: set() for k in keys}
-    for a in keys:
-        for b in pre.descendants(a):
-            if b in keys and b != a:
-                adj[a].add(b)
-                adj[b].add(a)
-    seen: set[ElementId] = set()
-    comps = []
-    for k in sorted(keys):
-        if k in seen:
-            continue
-        comp = _reach(adj, k)
-        seen |= comp
-        comps.append(comp)
-    return tuple(comps)
+    idx = space.index
+    kept = {idx.pos[k] for k in keys}
+    links = ((a, b) for a, below in _nearest_kept(idx.out, kept) for b in below)
+    return _partition(idx.keys, kept, links)
 
 
 def is_connected(space: Space, a_set: Iterable[ElementId]) -> bool:

@@ -15,6 +15,7 @@ it works, and parallel-branch deletions take effect once merged in.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -29,10 +30,9 @@ from .topology import (
     ElementId,
     Space,
     build_space,
+    closure,
     connected_components,
     find_cycle,
-    in_adjacency,
-    out_adjacency,
     simple_space,
     star,
 )
@@ -66,6 +66,11 @@ class VersionSpace:
             )
 
     def as_space(self) -> Space:
+        """The version graph as a space, built once and shared by every call."""
+        return self._space
+
+    @cached_property
+    def _space(self) -> Space:
         return simple_space(sorted(self.versions), sorted(self.transitions), t0_check=False)
 
 
@@ -78,35 +83,17 @@ def version_star(vs: VersionSpace, v: str) -> frozenset[str]:
 
     This is the minimal neighbourhood of ``v`` in the version space.
     """
-    sp = vs.as_space()
-    return frozenset(k.id for k in star(sp, [ElementId(v)]))
-
-
-def _hull(vs: VersionSpace, v_set: Iterable[str], downward: bool) -> frozenset[str]:
-    sp = vs.as_space()
-    adj = out_adjacency(sp) if downward else in_adjacency(sp)
-    seen = {ElementId(v) for v in v_set}
-    missing = {k.id for k in seen} - vs.versions
-    if missing:
-        raise NotFoundError(f"unknown versions: {sorted(missing)}")
-    queue = list(seen)
-    while queue:
-        cur = queue.pop()
-        for nxt in adj[cur]:
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return frozenset(k.id for k in seen)
+    return frozenset(k.id for k in star(vs.as_space(), [ElementId(v)]))
 
 
 def version_closure(vs: VersionSpace, v_set: Iterable[str]) -> frozenset[str]:
     """All versions reachable from ``v_set``: the closure (descendants)."""
-    return _hull(vs, v_set, downward=True)
+    return frozenset(k.id for k in closure(vs.as_space(), [ElementId(v) for v in v_set]))
 
 
 def version_neighbourhood(vs: VersionSpace, v_set: Iterable[str]) -> frozenset[str]:
     """All versions with a path into ``v_set``: the minimal open set around it."""
-    return _hull(vs, v_set, downward=False)
+    return frozenset(k.id for k in star(vs.as_space(), [ElementId(v) for v in v_set]))
 
 
 def reconstruction_covers(

@@ -3,7 +3,9 @@
 Everything here recomputes results from first definitions — subset
 enumeration, explicit path walking — or delegates to networkx.  None of it
 reuses the library's algorithms, so agreement between the two routes is
-meaningful.
+meaningful.  The one exception is ``time_slice_by_descendants``, which
+hands its kept elements to the library's ``select_subspace`` (itself
+checked against networkx).
 """
 from __future__ import annotations
 
@@ -105,6 +107,29 @@ def spaces_homeomorphic(a, b) -> bool:
         digraph(list(b.keys()), [(p.ida, p.idb) for p in b.relation]), reflexive=False
     )
     return nx.is_isomorphic(ga, gb)
+
+
+def time_slice_by_descendants(space, points, t: float):
+    """``time_slice`` as first written: each element's life interval from its
+    full descendant set (networkx here, the all-pairs preorder then), in
+    sorted key order, so the first element without geometry is the one
+    named."""
+    from alexdb import MissingGeometryError, select_subspace
+
+    pts = {p.key: p for p in points}
+    graph = digraph(list(space.keys()), [(p.ida, p.idb) for p in space.relation])
+    kept = []
+    for k in sorted(space.keys()):
+        below = nx.descendants(graph, k) | {k}
+        times = [pts[v].t for v in below if graph.out_degree(v) == 0 and v in pts]
+        if not times:
+            raise MissingGeometryError(
+                f"element {k} has no closure vertex with a coordinate row"
+            )
+        tmin, tmax = min(times), max(times)
+        if (tmin < t < tmax) or (tmin == t == tmax):
+            kept.append(k)
+    return select_subspace(space, kept)
 
 
 # ---------------------------------------------------------------------------

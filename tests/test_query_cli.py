@@ -7,6 +7,7 @@ from alexdb import demos
 from alexdb.cli import main
 from alexdb.errors import NotFoundError, QueryEvalError, QueryParseError
 from alexdb.query import (
+    MAX_NESTING,
     Call,
     EvalContext,
     Ident,
@@ -83,6 +84,18 @@ def test_parse_errors_carry_positions():
         parse("f(a:-1)")  # negative level tag
     with pytest.raises(QueryParseError):
         parse("")
+
+
+def test_nesting_beyond_the_limit_fails_typed_at_the_offending_token():
+    # the deepest accepted query parses, prints and evaluates without
+    # exhausting the interpreter's stack
+    deepest = "union(" * (MAX_NESTING - 2) + "space({a})" + ")" * (MAX_NESTING - 2)
+    assert print_expr(parse(deepest)) == deepest
+    assert evaluate(deepest).space.keys() == {ElementId("a")}
+    for opener, closer in (("dim(", ")"), ("{", "}")):
+        with pytest.raises(QueryParseError) as err:
+            parse(opener * (MAX_NESTING + 1) + "x" + closer * (MAX_NESTING + 1))
+        assert err.value.position == len(opener) * MAX_NESTING
 
 
 def test_printing_is_canonical_and_stable():
@@ -367,6 +380,15 @@ def test_cli_query_parse_errors_point_at_the_spot(demo_dir, capsys):
     lines = err.splitlines()
     assert lines[0].startswith("parse error at 9")
     assert lines[2] == " " * 9 + "^"
+
+
+def test_cli_query_rejects_deep_nesting_with_a_parse_error(demo_dir, capsys):
+    depth = 400
+    text = "dim(" * depth + 'load("lineland")' + ")" * depth
+    code, _, err = run_cli(capsys, "query", text, "--store", str(demo_dir))
+    assert code == 1
+    assert err.splitlines()[0].startswith(f"parse error at {4 * MAX_NESTING}: ")
+    assert "Recursion" not in err
 
 
 def test_cli_query_eval_errors_name_the_operation(demo_dir, capsys):
