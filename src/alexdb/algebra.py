@@ -9,8 +9,8 @@ returns a plain ``Space`` whose stored relation is transitively reduced via
 """
 from __future__ import annotations
 
+import functools
 import warnings
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -22,8 +22,10 @@ from .topology import (
     ElementId,
     Space,
     build_space,
+    closure,
     find_cycle_in,
-    preorder,
+    is_connected,
+    star,
     _kahn,
     _key_order,
     _nearest_kept,
@@ -332,65 +334,34 @@ class MapReport:
     monotonicity_exhaustive: bool = True
 
 
-def _connected_in(
-    comp_adj: Mapping[ElementId, frozenset[ElementId]], keys: frozenset[ElementId]
-) -> bool:
-    """Connectivity of ``keys`` under a comparability adjacency, restricted."""
-    if len(keys) <= 1:
-        return True
-    start = next(iter(keys))
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        cur = queue.popleft()
-        for nxt in comp_adj[cur] & keys:
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return len(seen) == len(keys)
-
-
-def _comparability(space: Space) -> dict[ElementId, frozenset[ElementId]]:
-    pre = preorder(space)
-    adj: dict[ElementId, set[ElementId]] = {k: set() for k in space.elements}
-    for a, b in pre.pairs:
-        if a != b:
-            adj[a].add(b)
-            adj[b].add(a)
-    return {k: frozenset(v) for k, v in adj.items()}
-
-
 def check_map(f: SpaceMap) -> MapReport:
     """Report continuity, surjectivity and monotonicity of a total map.
 
     Continuity is the relational form: every source pair lands on equal or
     related images.  Monotonicity asks that preimages of connected target
     subsets stay connected — checked exhaustively up to the size guard.
+    Both answer from the spaces' reachability indexes: target closures and
+    stars, and subspace connectivity of the source.
     """
     if not f.is_total:
         raise ValueError("check_map requires a total map; use restrict_map first")
 
-    tgt_pre = preorder(f.target)
+    below = functools.cache(lambda k: closure(f.target, [k]))
     continuity_witness = None
     for p in sorted(f.source.relation):
         fa, fb = f(p.ida), f(p.idb)
-        if fa != fb and not tgt_pre.holds(fa, fb):
+        if fa != fb and fb not in below(fa):
             continuity_witness = (p.ida, p.idb)
             break
 
     missed = f.target.keys() - frozenset(f.mapping.values())
 
-    src_comp = _comparability(f.source)
-    tgt_comp = _comparability(f.target)
     preimage: dict[ElementId, set[ElementId]] = {k: set() for k in f.target.elements}
     for s, t in f.mapping.items():
         preimage[t].add(s)
 
-    def preimage_of(subset: Iterable[ElementId]) -> frozenset[ElementId]:
-        out: set[ElementId] = set()
-        for t in subset:
-            out |= preimage[t]
-        return frozenset(out)
+    def preimage_connected(subset: Iterable[ElementId]) -> bool:
+        return is_connected(f.source, set().union(*(preimage[t] for t in subset)))
 
     monotonic: bool | None = True
     witness: frozenset[ElementId] | None = None
@@ -399,10 +370,10 @@ def check_map(f: SpaceMap) -> MapReport:
     n = len(tkeys)
     if n <= size_guard(MONOTONICITY_GUARD):
         index = {k: i for i, k in enumerate(tkeys)}
-        comp_mask = [0] * n
-        for k in tkeys:
-            for other in tgt_comp[k]:
-                comp_mask[index[k]] |= 1 << index[other]
+        # comp_mask[i]: bits of every other key comparable with tkeys[i]
+        comp_mask = [
+            sum(1 << index[o] for o in below(k) | star(f.target, [k]) if o != k) for k in tkeys
+        ]
         for m in range(1, 1 << n):
             # bitmask flood fill: skip disconnected target subsets
             low = m & -m
@@ -420,7 +391,7 @@ def check_map(f: SpaceMap) -> MapReport:
             if reached != m:
                 continue
             subset = frozenset(tkeys[i] for i in range(n) if m >> i & 1)
-            if not _connected_in(src_comp, preimage_of(subset)):
+            if not preimage_connected(subset):
                 monotonic = False
                 witness = subset
                 break
@@ -428,10 +399,9 @@ def check_map(f: SpaceMap) -> MapReport:
         exhaustive = False
         monotonic = None
         for k in tkeys:
-            subset = tgt_pre.descendants(k)
-            if not _connected_in(src_comp, preimage_of(subset)):
+            if not preimage_connected(below(k)):
                 monotonic = False
-                witness = frozenset(subset)
+                witness = below(k)
                 break
 
     return MapReport(

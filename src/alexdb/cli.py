@@ -1,10 +1,12 @@
 """Command-line front end.
 
-Subcommands wrap the library: ``validate``, ``dim``, ``slice``,
-``reconstruct``, ``merge``, ``path``, ``versions-with-path``, ``telescope``,
-``export`` and the composable ``query``.  Exit codes: 0 on success (reports
-with findings still exit 0 — the run itself succeeded), 1 on a domain error
-(bad store, unknown element, discontinuous map, ...), 2 on usage errors.
+``query`` evaluates a composable query expression.  ``dim``, ``slice``,
+``reconstruct``, ``merge``, ``path`` and ``telescope`` are shorthand for a
+query: each builds the expression tree from its arguments and evaluates it
+the same way.  ``validate``, ``versions-with-path`` and ``export`` call the
+library directly.  Exit codes: 0 on success (reports with findings still
+exit 0 — the run itself succeeded), 1 on a domain error (bad store, unknown
+element, discontinuous map, ...), 2 on usage errors.
 """
 from __future__ import annotations
 
@@ -15,11 +17,9 @@ from pathlib import Path
 
 from . import query as querymod
 from . import storage
-from .errors import AlexdbError, NotFoundError, QueryEvalError, QueryParseError
-from .lod import telescope
-from .spacetime import time_slice
+from .errors import AlexdbError, QueryParseError
 from .topology import ElementId, Space, classify, krull_dimension
-from .versioning import ConflictReport, merge, reconstruct_version
+from .versioning import ConflictReport, reconstruct_version
 
 
 def _parse_element(text: str) -> ElementId:
@@ -27,41 +27,6 @@ def _parse_element(text: str) -> ElementId:
     if sep and lod.isdigit():
         return ElementId(name, int(lod))
     return ElementId(text, 0)
-
-
-def _load_version(args) -> tuple[storage.VersionStore, str, Space]:
-    store = storage.load(args.store)
-    version = getattr(args, "version", None)
-    if version is None:
-        version = _default_version(store)
-    if version not in store.vx:
-        raise NotFoundError(f"unknown version {version!r}")
-    return store, version, reconstruct_version(store, version)
-
-
-def _default_version(store: storage.VersionStore) -> str:
-    if len(store.vx) == 1:
-        return store.vx[0]
-    sources = {a for a, _ in store.vr}
-    sinks = [v for v in store.vx if v not in sources]
-    if len(sinks) == 1:
-        return sinks[0]
-    raise NotFoundError("store has several latest versions; pass --version")
-
-
-def _points_for(store: storage.VersionStore, space: Space):
-    return [p for p in store.point if p.key in space]
-
-
-def _region_keys(space: Space, name: str | None):
-    if name is None:
-        return frozenset(space.keys())
-    keys = frozenset(
-        k for k, e in space.elements.items() if e.attributes.get("region") == name
-    )
-    if not keys:
-        raise NotFoundError(f"no elements carry region={name!r}")
-    return keys
 
 
 # ---------------------------------------------------------------------------
@@ -81,15 +46,23 @@ def _space_summary(space: Space, out) -> None:
         print(f"  {k} [{classify(space, k)}]", file=out)
 
 
+def _space_tables(space: Space) -> tuple[list[list[str]], list[list[str]]]:
+    """Header and rows of the element table and of the pair table."""
+    elements = [["id", "lod", "kind"]] + [
+        [k.id, str(k.lod), classify(space, k)] for k in sorted(space.elements)
+    ]
+    pairs = [["ida", "alod", "idb", "blod"]] + [
+        [p.ida.id, str(p.ida.lod), p.idb.id, str(p.idb.lod)] for p in sorted(space.relation)
+    ]
+    return elements, pairs
+
+
 def _space_csv(space: Space, points, out) -> None:
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["id", "lod", "kind"])
-    for k in sorted(space.elements):
-        writer.writerow([k.id, str(k.lod), classify(space, k)])
+    elements, pairs = _space_tables(space)
+    writer.writerows(elements)
     writer.writerow([])
-    writer.writerow(["ida", "alod", "idb", "blod"])
-    for p in sorted(space.relation):
-        writer.writerow([p.ida.id, str(p.ida.lod), p.idb.id, str(p.idb.lod)])
+    writer.writerows(pairs)
     points = sorted(points, key=lambda p: (p.key.id, p.key.lod))
     if points:
         writer.writerow([])
@@ -100,36 +73,11 @@ def _space_csv(space: Space, points, out) -> None:
             )
 
 
-def _write_space_csv(space: Space, points, outdir: Path) -> None:
+def _write_space_csv(space: Space, outdir: Path) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
-    with open(outdir / "Elements.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", "lod", "kind"])
-        for k in sorted(space.elements):
-            writer.writerow([k.id, str(k.lod), classify(space, k)])
-    with open(outdir / "Pairs.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["ida", "alod", "idb", "blod"])
-        for p in sorted(space.relation):
-            writer.writerow([p.ida.id, str(p.ida.lod), p.idb.id, str(p.idb.lod)])
-
-
-def _emit_space(space: Space, points, args, version: str) -> None:
-    out = getattr(args, "out", None)
-    fmt = getattr(args, "format", "summary")
-    if out is not None:
-        outdir = Path(out)
-        try:
-            storage.save(storage.new_store(version, space, points), outdir)
-        except AlexdbError:
-            # spaces with cross-level pairs fall back to the generic layout
-            _write_space_csv(space, points, outdir)
-        print(f"wrote {outdir}", file=sys.stdout)
-        return
-    if fmt == "csv":
-        _space_csv(space, points, sys.stdout)
-    else:
-        _space_summary(space, sys.stdout)
+    for name, rows in zip(("Elements.csv", "Pairs.csv"), _space_tables(space)):
+        with open(outdir / name, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 def _print_report(report: ConflictReport) -> None:
@@ -139,6 +87,43 @@ def _print_report(report: ConflictReport) -> None:
         print(f"consistency[{c.rule}]: {c.detail}")
     if report.ok:
         print("no conflicts")
+
+
+def _render_value(value, args) -> None:
+    """Print a query result; a space goes to ``--out`` when given, else to
+    stdout in the ``--format`` chosen (commands without one print none)."""
+    if isinstance(value, querymod.StoreView):
+        value = value.value
+    if isinstance(value, querymod.MergeValue):
+        _print_report(value.report)
+        value = value.value
+    if isinstance(value, querymod.SpaceValue):
+        points = list(value.points.values())
+        out = getattr(args, "out", None)
+        fmt = getattr(args, "format", None)
+        if out is not None:
+            outdir = Path(out)
+            try:
+                storage.save(storage.new_store(value.version, value.space, points), outdir)
+            except AlexdbError:
+                # spaces with cross-level pairs fall back to the generic layout
+                _write_space_csv(value.space, outdir)
+            print(f"wrote {outdir}")
+        elif fmt == "csv":
+            _space_csv(value.space, points, sys.stdout)
+        elif fmt == "summary":
+            _space_summary(value.space, sys.stdout)
+        return
+    if isinstance(value, bool):
+        print("Yes" if value else "No")
+        return
+    if isinstance(value, frozenset):
+        for item in sorted(str(v) for v in value):
+            print(item)
+        if not value:
+            print("(empty)")
+        return
+    print(value)
 
 
 # ---------------------------------------------------------------------------
@@ -155,49 +140,6 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _cmd_dim(args) -> int:
-    _, _, space = _load_version(args)
-    print(krull_dimension(space))
-    return 0
-
-
-def _cmd_slice(args) -> int:
-    store, version, space = _load_version(args)
-    sliced = time_slice(space, _points_for(store, space), args.at)
-    _emit_space(sliced, [p for p in store.point if p.key in sliced], args, version)
-    return 0
-
-
-def _cmd_reconstruct(args) -> int:
-    store, version, space = _load_version(args)
-    _emit_space(space, _points_for(store, space), args, version)
-    return 0
-
-
-def _cmd_merge(args) -> int:
-    store_a = storage.load(args.store_a)
-    store_b = storage.load(args.store_b)
-    space_a = reconstruct_version(store_a, _default_version(store_a))
-    space_b = reconstruct_version(store_b, _default_version(store_b))
-    merged, report = merge(space_a, space_b, args.rule)
-    _print_report(report)
-    if args.out is not None:
-        storage.save(storage.new_store("merged", merged), Path(args.out))
-        print(f"wrote {args.out}")
-    return 0
-
-
-def _cmd_path(args) -> int:
-    from .lod import path_query
-
-    store, version, space = _load_version(args)
-    a = _parse_element(args.a)
-    b = _parse_element(args.b)
-    region = _region_keys(space, args.region)
-    print("Yes" if path_query(space, region, a, b) else "No")
-    return 0
-
-
 def _cmd_versions_with_path(args) -> int:
     store = storage.load(args.store)
     a = _parse_element(args.a)
@@ -207,20 +149,13 @@ def _cmd_versions_with_path(args) -> int:
     else:
         region = set()
         for v in store.vx:
-            region |= _region_keys(reconstruct_version(store, v), args.region)
+            region |= querymod.resolve_region(reconstruct_version(store, v), args.region)
         region |= {a, b}
     versions = storage.versions_with_path(store, a, b, region, args.rule)
     for v in sorted(versions):
         print(v)
     if not versions:
         print("(none)")
-    return 0
-
-
-def _cmd_telescope(args) -> int:
-    store, version, _ = _load_version(args)
-    tele = telescope(store, version)
-    _emit_space(tele, [], args, version)
     return 0
 
 
@@ -240,12 +175,48 @@ def _cmd_export(args) -> int:
     return 0
 
 
-def _cmd_query(args) -> int:
+def _load(store: str) -> querymod.Call:
+    return querymod.Call("load", (querymod.StringLit(store),))
+
+
+def _element(text: str) -> querymod.Ident:
+    key = _parse_element(text)
+    return querymod.Ident(key.id, key.lod)
+
+
+#: Subcommands that are shorthand for a query: each builds the query's tree.
+_QUERIES = {
+    "dim": lambda args: querymod.Call("dim", (_load(args.store),)),
+    "slice": lambda args: querymod.Call(
+        "slice", (_load(args.store),), (("t", querymod.NumberLit(args.at)),)
+    ),
+    "reconstruct": lambda args: _load(args.store),
+    "merge": lambda args: querymod.Call("merge", (_load(args.store_a), _load(args.store_b))),
+    "path": lambda args: querymod.Call(
+        "path",
+        (_load(args.store), _element(args.a), _element(args.b)),
+        () if args.region is None else (("region", querymod.RegionRef(args.region)),),
+    ),
+    "telescope": lambda args: querymod.Call("telescope", (_load(args.store),)),
+}
+
+
+def _evaluate(expr: querymod.Expr, args, base_dir: Path) -> int:
     ctx = querymod.EvalContext(
-        base_dir=Path(args.store) if args.store else Path.cwd(),
-        version=args.version,
-        rules=tuple(args.rule),
+        base_dir=base_dir,
+        version=getattr(args, "version", None),
+        rules=tuple(getattr(args, "rule", ())),
     )
+    _render_value(querymod.evaluate(expr, ctx), args)
+    return 0
+
+
+def _cmd_shorthand(args) -> int:
+    # store paths stay as given, so error messages name them as typed
+    return _evaluate(_QUERIES[args.command](args), args, Path("."))
+
+
+def _cmd_query(args) -> int:
     try:
         expr = querymod.parse(args.expression)
     except QueryParseError as exc:
@@ -253,34 +224,7 @@ def _cmd_query(args) -> int:
         print(args.expression, file=sys.stderr)
         print(" " * exc.position + "^", file=sys.stderr)
         return 1
-    value = querymod.evaluate(expr, ctx)
-    _render_value(value, args)
-    return 0
-
-
-def _render_value(value, args) -> None:
-    fmt = getattr(args, "format", "summary")
-    if isinstance(value, querymod.StoreView):
-        value = value.value
-    if isinstance(value, querymod.MergeValue):
-        _print_report(value.report)
-        value = value.value
-    if isinstance(value, querymod.SpaceValue):
-        if fmt == "csv":
-            _space_csv(value.space, list(value.points.values()), sys.stdout)
-        else:
-            _space_summary(value.space, sys.stdout)
-        return
-    if isinstance(value, bool):
-        print("Yes" if value else "No")
-        return
-    if isinstance(value, frozenset):
-        for item in sorted(str(v) for v in value):
-            print(item)
-        if not value:
-            print("(empty)")
-        return
-    print(value)
+    return _evaluate(expr, args, Path(args.store) if args.store else Path.cwd())
 
 
 # ---------------------------------------------------------------------------
@@ -303,30 +247,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("store")
     p.add_argument("--rule", action="append", default=[], help="extra named rule (repeatable)")
 
-    p = add("dim", _cmd_dim, "dimension of a version's space")
+    p = add("dim", _cmd_shorthand, "dimension of a version's space")
     p.add_argument("store")
     p.add_argument("--version")
 
-    p = add("slice", _cmd_slice, "snapshot of a space-time complex at a time")
+    p = add("slice", _cmd_shorthand, "snapshot of a space-time complex at a time")
     p.add_argument("store")
     p.add_argument("--at", type=float, required=True, help="time value")
     p.add_argument("--version")
     p.add_argument("--out")
     p.add_argument("--format", choices=["csv", "summary"], default="summary")
 
-    p = add("reconstruct", _cmd_reconstruct, "materialise one version")
+    p = add("reconstruct", _cmd_shorthand, "materialise one version")
     p.add_argument("store")
     p.add_argument("--version")
     p.add_argument("--out")
     p.add_argument("--format", choices=["csv", "summary"], default="summary")
 
-    p = add("merge", _cmd_merge, "merge the latest versions of two stores")
+    p = add("merge", _cmd_shorthand, "merge the latest versions of two stores")
     p.add_argument("store_a")
     p.add_argument("store_b")
     p.add_argument("--rule", action="append", default=[], help="consistency rule (repeatable)")
     p.add_argument("--out")
 
-    p = add("path", _cmd_path, "is there a path between two elements within a region")
+    p = add("path", _cmd_shorthand, "is there a path between two elements within a region")
     p.add_argument("store")
     p.add_argument("a")
     p.add_argument("b")
@@ -340,7 +284,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--region")
     p.add_argument("--rule", action="append", default=[])
 
-    p = add("telescope", _cmd_telescope, "stack all levels of detail into one space")
+    p = add("telescope", _cmd_shorthand, "stack all levels of detail into one space")
     p.add_argument("store")
     p.add_argument("--version")
     p.add_argument("--out")
@@ -365,10 +309,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except QueryEvalError as exc:
-        where = " / ".join(str(p) for p in exc.path)
-        print(f"error: {exc}" + (f" (at {where})" if where else ""), file=sys.stderr)
-        return 1
     except AlexdbError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

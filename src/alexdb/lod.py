@@ -228,7 +228,10 @@ def lod_graph(store: "VersionStore", v: str) -> tuple[Space, Space]:
     ``(a, b)`` per transition, the edge bounded by both vertices — a small
     1D complex indexing the telescope.
     """
-    space = reconstruct_version(store, v)
+    return _lod_graph(reconstruct_version(store, v))
+
+
+def _lod_graph(space: Space) -> tuple[Space, Space]:
     lods = {k.lod for k in space.elements}
     trans = set()
     for k, e in space.elements.items():
@@ -262,14 +265,18 @@ def telescope(store: "VersionStore", v: str, edge_matching: bool = True) -> Spac
     vertices are the level spaces; the fiber over an edge is a redundant
     copy of its fine level, glued one dimension up.
     """
-    base = reconstruct_version(store, v)
+    return _telescope(reconstruct_version(store, v), edge_matching)
+
+
+def _telescope(base: Space, edge_matching: bool = True) -> Space:
+    """The telescope of an already reconstructed version space."""
     gen_pairs = {
         BoundedByPair(k, e.gen_target)
         for k, e in base.elements.items()
         if e.gen_target is not None
     }
     augmented = build_space(base.elements.values(), base.relation | gen_pairs, t0_check=True)
-    _, edge_graph = lod_graph(store, v)
+    _, edge_graph = _lod_graph(base)
 
     matches: list[tuple[ElementId, ElementId]] = []
     for k in sorted(augmented.elements):

@@ -35,7 +35,7 @@ from .algebra import (
     select_subspace,
 )
 from .errors import NotFoundError, QueryEvalError, QueryParseError
-from .lod import path_query, telescope
+from .lod import _telescope, path_query
 from .spacetime import PointRow, time_slice
 from .topology import (
     BoundedByPair,
@@ -338,10 +338,16 @@ def _quote(value: str) -> str:
 
 @dataclass(frozen=True)
 class SpaceValue:
-    """A space plus whatever coordinate rows still apply to its elements."""
+    """A space plus whatever coordinate rows still apply to its elements.
+
+    ``version`` names the store version the space was derived from
+    (``"merged"`` for a merge result), or is None for a space built by the
+    query itself.
+    """
 
     space: Space
     points: Mapping[ElementId, PointRow] = field(default_factory=dict)
+    version: str | None = None
 
 
 @dataclass(frozen=True)
@@ -397,19 +403,10 @@ class _Eval:
     def as_key_set(self, node: Expr, space_value: SpaceValue, path) -> frozenset[ElementId]:
         value = self.eval(node, path)
         if isinstance(value, RegionRef):
-            return self.resolve_region(value, space_value)
+            return resolve_region(space_value.space, value.name)
         if isinstance(value, frozenset):
             return frozenset(self.as_element(v, path) for v in value)
         raise self.fail(f"expected an element set, got {_kind(value)}", path)
-
-    def resolve_region(self, ref: RegionRef, space_value: SpaceValue) -> frozenset[ElementId]:
-        space = space_value.space
-        keys = frozenset(
-            k for k, e in space.elements.items() if e.attributes.get("region") == ref.name
-        )
-        if not keys:
-            raise NotFoundError(f"no elements carry region={ref.name!r}")
-        return keys
 
     def as_map(self, value, path) -> SpaceMap:
         if isinstance(value, SpaceMap):
@@ -480,6 +477,7 @@ class _Eval:
         if not directory.is_absolute():
             directory = self.ctx.base_dir / directory
         store = storage.load(directory)
+        version = self.ctx.version
         vnode = self.kwarg(node, "version")
         if vnode is not None:
             version = self.eval(vnode, path)
@@ -487,31 +485,26 @@ class _Eval:
                 version = version.id
             if not isinstance(version, str):
                 raise self.fail("version must be a string", path)
-        else:
-            version = self.default_version(store, path)
-        if version not in store.vx:
-            raise NotFoundError(f"unknown version {version!r}")
-        return self.view(store, version)
+        version = self.pick_version(store, version, path)
+        space = storage.reconstruct_version(store, version)
+        points = {p.key: p for p in store.point if p.key in space}
+        return StoreView(store, version, SpaceValue(space, points, version))
 
-    def default_version(self, store: storage.VersionStore, path) -> str:
-        if self.ctx.version is not None and self.ctx.version in store.vx:
-            return self.ctx.version
+    def pick_version(self, store: storage.VersionStore, version: str | None, path) -> str:
+        """The version a ``load`` reads: the explicit one (``version=...``,
+        else the context's), else the store's only version, else the unique
+        sink of its version DAG."""
+        if version is not None:
+            if version not in store.vx:
+                raise NotFoundError(f"unknown version {version!r}")
+            return version
         if len(store.vx) == 1:
             return store.vx[0]
         sources = {a for a, _ in store.vr}
         sinks = [v for v in store.vx if v not in sources]
         if len(sinks) == 1:
             return sinks[0]
-        raise self.fail(
-            "store has several latest versions; pass version=...", path
-        )
-
-    def view(self, store: storage.VersionStore, version: str) -> StoreView:
-        space = storage.reconstruct_version(store, version)
-        points = {
-            p.key: p for p in store.point if p.key in space
-        }
-        return StoreView(store, version, SpaceValue(space, points))
+        raise self.fail("store has several latest versions; name the version to read", path)
 
     def op_space(self, node: Call, path):
         self.arity(node, path, 1, 2)
@@ -541,7 +534,7 @@ class _Eval:
         sv = self.as_space_value(self.eval(node.args[0], path), path)
         keep = self.as_key_set(node.args[1], sv, path)
         space = select_subspace(sv.space, keep)
-        return SpaceValue(space, {k: p for k, p in sv.points.items() if k in space})
+        return SpaceValue(space, {k: p for k, p in sv.points.items() if k in space}, sv.version)
 
     def op_product(self, node: Call, path):
         self.arity(node, path, 2, 2)
@@ -590,7 +583,7 @@ class _Eval:
         if not isinstance(t, (int, float)):
             raise self.fail("t must be a number", path)
         space = time_slice(sv.space, sv.points.values(), float(t))
-        return SpaceValue(space, {k: p for k, p in sv.points.items() if k in space})
+        return SpaceValue(space, {k: p for k, p in sv.points.items() if k in space}, sv.version)
 
     def op_closure(self, node: Call, path):
         return self._hull(node, path, closure)
@@ -621,7 +614,7 @@ class _Eval:
                 raise self.fail("rules must be a set of rule-name strings", path)
             rules = tuple(sorted(raw))
         space, report = merge(a.space, b.space, rules)
-        return MergeValue(SpaceValue(space), report)
+        return MergeValue(SpaceValue(space, version="merged"), report)
 
     def op_path(self, node: Call, path):
         self.arity(node, path, 3, 3, ("region",))
@@ -640,7 +633,15 @@ class _Eval:
         value = self.eval(node.args[0], path)
         if not isinstance(value, StoreView):
             raise self.fail("telescope expects a loaded store", path)
-        return SpaceValue(telescope(value.store, value.version))
+        return SpaceValue(_telescope(value.value.space), version=value.version)
+
+
+def resolve_region(space: Space, name: str) -> frozenset[ElementId]:
+    """Keys of the elements whose ``region`` attribute equals ``name``."""
+    keys = frozenset(k for k, e in space.elements.items() if e.attributes.get("region") == name)
+    if not keys:
+        raise NotFoundError(f"no elements carry region={name!r}")
+    return keys
 
 
 def _kind(value) -> str:

@@ -151,6 +151,44 @@ def open_preimage_continuous(f) -> bool:
     return True
 
 
+def continuity_witness_by_paths(f):
+    """First source pair, in sorted order, whose images are distinct and
+    not joined by a directed target path; None when there is none."""
+    target = digraph(list(f.target.keys()), [(p.ida, p.idb) for p in f.target.relation])
+    for p in sorted(f.source.relation):
+        fa, fb = f(p.ida), f(p.idb)
+        if fa != fb and not nx.has_path(target, fa, fb):
+            return (p.ida, p.idb)
+    return None
+
+
+def monotonicity_by_opens(f, subsets=None):
+    """``(monotonic, witness)`` from the defining property: the first target
+    subset that is connected (no split into two relatively open parts) but
+    whose preimage is not.  ``subsets`` defaults to every nonempty subset in
+    bitmask order over the sorted target keys; only its connected members
+    are tested."""
+    source_opens = open_family(
+        list(f.source.keys()), [(p.ida, p.idb) for p in f.source.relation]
+    )
+    target_opens = open_family(
+        list(f.target.keys()), [(p.ida, p.idb) for p in f.target.relation]
+    )
+    if subsets is None:
+        keys = sorted(f.target.keys())
+        subsets = (
+            frozenset(k for i, k in enumerate(keys) if m >> i & 1)
+            for m in range(1, 1 << len(keys))
+        )
+    for subset in subsets:
+        if not is_connected_subset(target_opens, subset):
+            continue
+        preimage = frozenset(k for k in f.source.keys() if f(k) in subset)
+        if not is_connected_subset(source_opens, preimage):
+            return False, frozenset(subset)
+    return True, None
+
+
 # ---------------------------------------------------------------------------
 # version DAGs by explicit path enumeration
 

@@ -421,3 +421,40 @@ def test_pullback_is_the_equi_join_subspace():
         if f(x) == g(y)
     ]
     assert oracles.spaces_homeomorphic(join, select_subspace(prod, matched))
+
+
+@given(spaces(max_elements=6), spaces(max_elements=5), st.randoms(use_true_random=False))
+@settings(max_examples=60)
+def test_check_map_witnesses_match_brute_force(a, b, rnd):
+    # random maps, and maps monotone by construction, whose witnesses (if
+    # any) come from the first failing subset
+    for f in (builders.random_total_map(rnd, a, b), builders.cluster_map(rnd)):
+        report = check_map(f)
+        assert report.continuity_witness == oracles.continuity_witness_by_paths(f)
+        assert report.continuous == (report.continuity_witness is None)
+        assert (report.monotonic, report.monotonicity_witness) == oracles.monotonicity_by_opens(f)
+        assert report.monotonicity_exhaustive
+
+
+def test_partial_monotonicity_check_matches_brute_force_on_closures(monkeypatch, rng):
+    # past the guard only the closure of each target key is tried, in key order
+    monkeypatch.setenv("ALEXDB_SIZE_GUARD", "0")
+    verdicts = set()
+    for _ in range(40):
+        f = builders.random_total_map(
+            rng, builders.random_space(rng, 6), builders.random_space(rng, 4, prefix="t")
+        )
+        report = check_map(f)
+        reach = oracles.transitive_closure_pairs(
+            list(f.target.keys()), [(p.ida, p.idb) for p in f.target.relation]
+        )
+        closures = [
+            frozenset({k} | {b for a, b in reach if a == k}) for k in sorted(f.target.keys())
+        ]
+        monotonic, witness = oracles.monotonicity_by_opens(f, closures)
+        assert report.monotonicity_witness == witness
+        assert report.monotonic is (None if monotonic else False)
+        assert not report.monotonicity_exhaustive
+        verdicts.add(report.monotonic)
+    assert verdicts == {None, False}
+

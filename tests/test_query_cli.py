@@ -1,6 +1,10 @@
 """Tests for the query language and the command-line front end."""
 from __future__ import annotations
 
+import re
+import shlex
+from pathlib import Path
+
 import pytest
 
 from alexdb import demos
@@ -202,6 +206,14 @@ def test_load_rejects_unknown_versions(demo_dir):
         evaluate('load("pathdemo", version="v9")', ctx(demo_dir))
 
 
+def test_load_never_ignores_a_context_version_the_store_lacks(demo_dir):
+    with pytest.raises(NotFoundError, match="unknown version 'v9'"):
+        evaluate('load("pathdemo")', ctx(demo_dir, version="v9"))
+    # an explicit version= still beats the context's
+    view = evaluate('load("pathdemo", version="v2")', ctx(demo_dir, version="v9"))
+    assert view.version == "v2"
+
+
 def test_slice_uses_stored_coordinates(demo_dir):
     sliced = evaluate('slice(load("lineland"), t=1.0)', ctx(demo_dir))
     assert len(sliced.space.elements) == 5
@@ -397,6 +409,21 @@ def test_cli_query_eval_errors_name_the_operation(demo_dir, capsys):
     assert "frobnicate" in err
 
 
+def test_cli_query_eval_errors_name_their_location_once(demo_dir, capsys):
+    code, _, err = run_cli(capsys, "query", "dim(frobnicate(1))", "--store", str(demo_dir))
+    assert code == 1
+    assert err == "error: dim/frobnicate: unknown operation 'frobnicate'\n"
+    assert err.count("dim/frobnicate") == 1
+
+
+def test_cli_query_rejects_a_version_the_store_lacks(demo_dir, capsys):
+    code, out, err = run_cli(
+        capsys, "query", 'path(load("pathdemo"), a, b)', "--store", str(demo_dir),
+        "--version", "v9",
+    )
+    assert (code, out, err) == (1, "", "error: unknown version 'v9'\n")
+
+
 def test_cli_domain_errors_exit_one(tmp_path, capsys):
     code, _, err = run_cli(capsys, "dim", str(tmp_path / "missing"))
     assert code == 1
@@ -407,3 +434,171 @@ def test_cli_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# the CLI contract: --out files, shorthand subcommands, README transcripts
+
+
+def store_files(directory):
+    return {f.name: f.read_text(encoding="utf-8") for f in sorted(directory.iterdir())}
+
+
+EMPTY_TABLES = {
+    "Atts.csv": "id,lod,name,value\n",
+    "DelR.csv": "ida,idb,lod,version\n",
+    "DelX.csv": "id,lod,version\n",
+    "VR.csv": "fromv,tov\n",
+}
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ["reconstruct", "pathdemo"],  # v3: the unique sink of v1 -> v2 -> v3
+            {
+                **EMPTY_TABLES,
+                "Point.csv": "pid,lod,x,y,z,t\n",
+                "R.csv": "ida,idb,lod,version\na,b,0,v3\n",
+                "VX.csv": "version\nv3\n",
+                "X.csv": "id,lod,gid,glod,version\na,0,,,v3\nb,0,,,v3\n",
+            },
+        ),
+        (
+            ["slice", "lineland", "--at", "0"],  # v0: the store's only version
+            {
+                **EMPTY_TABLES,
+                "Point.csv": "pid,lod,x,y,z,t\n"
+                "wl⊗t0,0,0.0,0.0,0.0,0.0\nwr⊗t0,0,1.0,0.0,0.0,0.0\n",
+                "R.csv": "ida,idb,lod,version\nI⊗t0,wl⊗t0,0,v0\nI⊗t0,wr⊗t0,0,v0\n",
+                "VX.csv": "version\nv0\n",
+                "X.csv": "id,lod,gid,glod,version\n"
+                "I⊗t0,0,,,v0\nwl⊗t0,0,,,v0\nwr⊗t0,0,,,v0\n",
+            },
+        ),
+        (
+            ["reconstruct", "pathdemo", "--version", "v2"],  # an explicit version wins
+            {
+                **EMPTY_TABLES,
+                "Point.csv": "pid,lod,x,y,z,t\n",
+                "R.csv": "ida,idb,lod,version\n",
+                "VX.csv": "version\nv2\n",
+                "X.csv": "id,lod,gid,glod,version\na,0,,,v2\nb,0,,,v2\n",
+            },
+        ),
+    ],
+)
+def test_cli_out_writes_the_version_read(demo_dir, tmp_path, capsys, argv, expected):
+    command, store, *rest = argv
+    outdir = tmp_path / "out"
+    code, out, _ = run_cli(capsys, command, str(demo_dir / store), *rest, "--out", str(outdir))
+    assert (code, out) == (0, f"wrote {outdir}\n")
+    assert store_files(outdir) == expected
+
+
+DEMO_STORES = ("chain4", "halo", "help", "lineland", "pathdemo", "regions", "textstore")
+
+# (subcommand argv with store paths under {d}, the query it is shorthand
+# for, the query's own options)
+SHORTHANDS = [
+    case
+    for name in DEMO_STORES
+    for case in (
+        (["dim", f"{{d}}/{name}"], f'dim(load("{name}"))', []),
+        (["dim", f"{{d}}/{name}", "--version", "v1"], f'dim(load("{name}"))', ["--version", "v1"]),
+        (["slice", f"{{d}}/{name}", "--at", "0.5"], f'slice(load("{name}"), t=0.5)', []),
+        (
+            ["slice", f"{{d}}/{name}", "--at", "0", "--format", "csv"],
+            f'slice(load("{name}"), t=0)',
+            ["--format", "csv"],
+        ),
+        (["reconstruct", f"{{d}}/{name}"], f'load("{name}")', []),
+        (
+            ["reconstruct", f"{{d}}/{name}", "--version", "v2", "--format", "csv"],
+            f'load("{name}")',
+            ["--version", "v2", "--format", "csv"],
+        ),
+        (["telescope", f"{{d}}/{name}"], f'telescope(load("{name}"))', []),
+        (
+            ["telescope", f"{{d}}/{name}", "--format", "csv"],
+            f'telescope(load("{name}"))',
+            ["--format", "csv"],
+        ),
+    )
+] + [
+    (["path", "{d}/pathdemo", "a", "b"], 'path(load("pathdemo"), a, b)', []),
+    (
+        ["path", "{d}/pathdemo", "a", "b", "--version", "v2"],
+        'path(load("pathdemo"), a, b)',
+        ["--version", "v2"],
+    ),
+    (
+        ["path", "{d}/regions", "A", "B", "--region", "west"],
+        'path(load("regions"), A, B, region=@west)',
+        [],
+    ),
+    (
+        ["path", "{d}/regions", "A", "C", "--region", "west"],
+        'path(load("regions"), A, C, region=@west)',
+        [],
+    ),
+    (["path", "{d}/regions", "A", "Ac:1"], 'path(load("regions"), A, Ac:1)', []),
+    (
+        ["path", "{d}/lineland", "wl⊗t0", "wr⊗t0"],
+        'path(load("lineland"), "wl⊗t0", "wr⊗t0")',
+        [],
+    ),
+    (["path", "{d}/textstore", "1", "2"], 'path(load("textstore"), 1, 2)', []),
+    (
+        ["merge", "{d}/help", "{d}/halo", "--rule", "linear-dag"],
+        'merge(load("help"), load("halo"))',
+        ["--rule", "linear-dag"],
+    ),
+    (["merge", "{d}/regions", "{d}/chain4"], 'merge(load("regions"), load("chain4"))', []),
+    (["merge", "{d}/textstore", "{d}/help"], 'merge(load("textstore"), load("help"))', []),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, text, options", SHORTHANDS, ids=[" ".join(c[0]).replace("{d}/", "") for c in SHORTHANDS]
+)
+def test_shorthand_subcommands_print_what_their_query_prints(demo_dir, capsys, argv, text, options):
+    got = run_cli(capsys, *[a.format(d=demo_dir) for a in argv])
+    want = run_cli(capsys, "query", text, "--store", str(demo_dir), *options)
+    if argv[0] == "merge" and want[0] == 0:
+        # merge has no --format: it prints the conflict report, not the space
+        code, out, err = want
+        assert out.startswith(got[1]) and out[len(got[1]):].startswith("space: ")
+        want = (code, got[1], err)
+    assert got == want
+
+
+def readme_transcripts():
+    """``(command, expected stdout)`` for each ``$ alexdb`` line of the
+    README's console blocks; the output runs to the next prompt."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    cases = []
+    for block in re.findall(r"```console\n(.*?)```", readme, re.S):
+        command, lines = None, []
+        for line in block.splitlines() + ["$"]:
+            if not line.startswith("$"):
+                lines.append(line)
+                continue
+            if command is not None:
+                cases.append((command, "\n".join(lines).rstrip("\n") + "\n"))
+            command, lines = line[2:], []
+    return cases
+
+
+def test_readme_has_transcripts():
+    assert len(readme_transcripts()) >= 9
+
+
+@pytest.mark.parametrize("command, expected", readme_transcripts())
+def test_readme_transcripts_replay(command, expected, capsys, monkeypatch):
+    monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+    program, *argv = shlex.split(command)
+    assert program == "alexdb"
+    assert run_cli(capsys, *argv)[:2] == (0, expected)
+
