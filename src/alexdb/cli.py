@@ -144,14 +144,17 @@ def _cmd_versions_with_path(args) -> int:
     store = storage.load(args.store)
     a = _parse_element(args.a)
     b = _parse_element(args.b)
+    # each version is reconstructed once, for the region and the path alike
+    spaces = {}
+    region = set()
+    for v in store.vx:
+        spaces[v] = reconstruct_version(store, v)
+        if args.region is not None:
+            region |= querymod.resolve_region(spaces[v], args.region)
     if args.region is None:
-        region = {ElementId(w.id, w.lod) for w in store.x} | {a, b}
-    else:
-        region = set()
-        for v in store.vx:
-            region |= querymod.resolve_region(reconstruct_version(store, v), args.region)
-        region |= {a, b}
-    versions = storage.versions_with_path(store, a, b, region, args.rule)
+        region = {ElementId(w.id, w.lod) for w in store.x}
+    region |= {a, b}
+    versions = storage.versions_with_path(store, a, b, region, args.rule, spaces=spaces)
     for v in sorted(versions):
         print(v)
     if not versions:
@@ -224,7 +227,7 @@ def _cmd_query(args) -> int:
         print(args.expression, file=sys.stderr)
         print(" " * exc.position + "^", file=sys.stderr)
         return 1
-    return _evaluate(expr, args, Path(args.store) if args.store else Path.cwd())
+    return _evaluate(expr, args, Path(args.store) if args.store else Path("."))
 
 
 # ---------------------------------------------------------------------------

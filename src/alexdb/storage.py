@@ -10,7 +10,10 @@ rows in canonical (sorted) order, so saving is deterministic and diffable.
 
 Stores are immutable snapshots: ``commit`` applies a changeset against a
 parent version and returns a new store — a single-writer discipline with no
-in-place mutation anywhere.
+in-place mutation anywhere.  A store's ``history`` index (its version space,
+ancestry bitsets and rows grouped by key) is built on first use and cached
+on the store, which relies on that contract: never change a store's row
+tuples, build a new store instead.
 
 Attribute values are typed by shape on load: a field that reads back as a
 canonical integer or float literal becomes that number, anything else stays
@@ -20,9 +23,13 @@ representable — use a prefix if you need them.
 from __future__ import annotations
 
 import csv
+import os
+import shutil
+import tempfile
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     DuplicateKeyError,
@@ -35,6 +42,7 @@ from .spacetime import PointRow
 from .topology import BoundedByPair, ElementId, Scalar, Space, build_space
 from .versioning import (
     ChangeSet,
+    HistoryIndex,
     VersionSpace,
     apply_changeset,
     consistency_rule,
@@ -102,7 +110,13 @@ class VersionStore:
     atts: tuple[AttRow, ...] = ()
 
     def version_space(self) -> VersionSpace:
-        return VersionSpace(frozenset(self.vx), frozenset(self.vr))
+        return self.history.versions
+
+    @cached_property
+    def history(self) -> HistoryIndex:
+        """The version space and rows indexed for reconstruction, built on
+        first use and kept for the life of this (immutable) store."""
+        return HistoryIndex(self)
 
 
 def canonicalize(store: VersionStore) -> VersionStore:
@@ -266,7 +280,16 @@ def _parse_value(raw: str) -> Scalar:
 
 
 def save(store: VersionStore, path: str | Path) -> Path:
-    """Write the canonical CSV files of the store into directory ``path``."""
+    """Write the canonical CSV files of the store into directory ``path``.
+
+    Each file is replaced whole: the eight tables are written into a
+    temporary sibling directory, then moved into place one by one with
+    ``os.replace``, and the temporary directory is removed.  A failure
+    while writing leaves the previous files untouched; a crash while moving
+    can leave some files new and some old, since the set of eight is not
+    replaced at once.  Nothing is flushed with ``fsync``, so what survives
+    a power loss is up to the file system.
+    """
     directory = Path(path)
     directory.mkdir(parents=True, exist_ok=True)
     store = canonicalize(store)
@@ -286,11 +309,17 @@ def save(store: VersionStore, path: str | Path) -> Path:
         "VR": [[a, b] for a, b in store.vr],
         "Atts": [[w.id, str(w.lod), w.name, _fmt_value(w.value)] for w in store.atts],
     }
-    for table, (fname, header) in _FILES.items():
-        with open(directory / fname, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(tables[table])
+    staging = Path(tempfile.mkdtemp(prefix=f".{directory.name}.", dir=directory.parent))
+    try:
+        for table, (fname, header) in _FILES.items():
+            with open(staging / fname, "w", encoding="utf-8", newline="") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(header)
+                writer.writerows(tables[table])
+        for fname, _ in _FILES.values():
+            os.replace(staging / fname, directory / fname)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
     return directory
 
 
@@ -604,6 +633,7 @@ def versions_with_path(
     b: ElementId,
     region: Iterable[ElementId],
     rules: Sequence[str] = (),
+    spaces: Mapping[str, Space] | None = None,
 ) -> frozenset[str]:
     """All versions in which ``a`` reaches ``b`` inside ``region``.
 
@@ -612,7 +642,9 @@ def versions_with_path(
     the generalisation pairs across levels.  When "monotonic" is among the
     rules (caller vouches for the map), single-level regions are answered
     through the coarse level first and only fall back to the fine level
-    when the filter is inconclusive.
+    when the filter is inconclusive.  ``spaces``, when given, maps every
+    version to its reconstructed space, so a caller that already holds
+    them (to look a region up) does not reconstruct them twice.
     """
     region_keys = frozenset(region)
     if a not in region_keys or b not in region_keys:
@@ -622,7 +654,7 @@ def versions_with_path(
 
     hits = []
     for v in sorted(vs.versions):
-        space = reconstruct_version(store, v)
+        space = spaces[v] if spaces is not None else reconstruct_version(store, v)
         if a not in space or b not in space:
             continue
         gen_pairs = {

@@ -10,7 +10,9 @@ Element and pair rows carry the version that introduced them; deletion rows
 carry the version that removed them.  An item is alive at ``v`` when some
 creation on a path into ``v`` is not followed (at or after it, within the
 ancestry of ``v``) by a deletion — so re-introducing an item after deleting
-it works, and parallel-branch deletions take effect once merged in.
+it works, and parallel-branch deletions take effect once merged in.  Each
+store computes those hulls and groups its rows once, in its
+``HistoryIndex``; reconstructing a version is then bitset tests.
 """
 from __future__ import annotations
 
@@ -178,12 +180,27 @@ def apply_changeset(space: Space, changes: ChangeSet) -> Space:
         raise NotFoundError(f"cannot remove unknown elements: {sorted(str(k) for k in missing)}")
     elements = dict(space.elements)
     rel = set(space.relation)
-    for x in sorted(changes.remove_elements):
-        preds = {p.ida for p in rel if p.idb == x}
-        succs = {p.idb for p in rel if p.ida == x}
-        rel = {p for p in rel if x not in (p.ida, p.idb)}
-        rel |= {BoundedByPair(y, z) for y in preds for z in succs if y != z}
-        del elements[x]
+    if changes.remove_elements:
+        # one-step neighbours, kept up to date as removals add bypass pairs
+        preds: dict[ElementId, set[ElementId]] = {k: set() for k in elements}
+        succs: dict[ElementId, set[ElementId]] = {k: set() for k in elements}
+        for p in rel:
+            preds[p.idb].add(p.ida)
+            succs[p.ida].add(p.idb)
+        for x in sorted(changes.remove_elements):
+            above, below = preds.pop(x), succs.pop(x)
+            for y in above:
+                succs[y].discard(x)
+                rel.discard(BoundedByPair(y, x))
+            for z in below:
+                preds[z].discard(x)
+                rel.discard(BoundedByPair(x, z))
+            for y in above:
+                for z in below - {y}:
+                    rel.add(BoundedByPair(y, z))
+                    succs[y].add(z)
+                    preds[z].add(y)
+            del elements[x]
     for p in sorted(changes.remove_pairs):
         if p not in rel:
             raise NotFoundError(f"cannot remove pair not in relation: {p}")
@@ -202,98 +219,187 @@ def apply_changeset(space: Space, changes: ChangeSet) -> Space:
 
 
 # ---------------------------------------------------------------------------
-# liveness and reconstruction
+# the history index and reconstruction
 
 
-def _liveness(creations, deletions, ancestry, descendants):
-    """Items with a creation in ``ancestry`` not followed there by a deletion."""
-    live = set()
-    for item, created in creations.items():
-        dels = {d for d in deletions.get(item, ()) if d in ancestry}
-        for r in created:
-            if r not in ancestry:
-                continue
-            if not any(d in descendants[r] for d in dels):
-                live.add(item)
-                break
-    return live
+def _masks(rows: Iterable[tuple], bit: Mapping[str, int]) -> dict:
+    """The mask of versions per subject over ``(subject, version)`` rows;
+    rows naming a version outside ``bit`` are left out."""
+    masks: dict = {}
+    for subject, version in rows:
+        b = bit.get(version)
+        if b is not None:
+            masks[subject] = masks.get(subject, 0) | 1 << b
+    return masks
 
 
-def _pick_creation(created: set[str], ancestry: frozenset[str], descendants) -> str:
-    """Deterministic creation row choice: a maximal one, ties lexicographic."""
-    inside = sorted(r for r in created if r in ancestry)
-    maximal = [
-        r
-        for r in inside
-        if not any(other != r and other in descendants[r] for other in inside)
-    ]
-    return max(maximal)
+def _uncreated(created: int, deleted: int, ancestry: list[int]) -> int:
+    """The deletions in ``deleted`` that no creation in ``created`` precedes."""
+    bad = 0
+    while deleted:
+        low = deleted & -deleted
+        if not created & ancestry[low.bit_length() - 1]:
+            bad |= low
+        deleted ^= low
+    return bad
+
+
+class HistoryIndex:
+    """A store's version space and rows, indexed once for reconstruction.
+
+    In the version space, the minimal neighbourhood of a version is its
+    ancestry, so "is this row in effect at ``v``" is a bitset test.
+    Version ``names[i]`` is bit ``1 << i``; names are sorted, so bit order
+    is name order.  ``ancestry[i]`` and ``descendants[i]`` are the masks of
+    the minimal neighbourhood and of the closure of version ``i``, itself
+    included.  ``elements`` holds five parallel columns with one entry per
+    element some row creates, in key order: the key, the masks of the
+    versions creating and deleting it, its generalisation target (a dict
+    from creation bit to target when several rows create it) and its
+    attributes as ``(name, value)`` pairs.  ``pairs`` holds three columns
+    in canonical row order: the pair and its creation and deletion masks.
+    Columns of plain ints and tuples, rather than a container per
+    element, keep the index small and mostly outside the garbage
+    collector's reach.  ``broken`` lists, in canonical row order, each
+    element or pair with the mask of its deletions that no creation
+    precedes.  Rows naming a version the store lacks are left out;
+    ``validate`` reports them as foreign-key violations.
+    """
+
+    __slots__ = ("versions", "names", "bit", "ancestry", "descendants",
+                 "elements", "pairs", "broken")
+
+    def __init__(self, store: "VersionStore"):
+        self.versions = VersionSpace(frozenset(store.vx), frozenset(store.vr))
+        idx = self.versions.as_space().index
+        self.names = [k.id for k in idx.keys]
+        self.bit = bit = {name: i for i, name in enumerate(self.names)}
+        ancestry = [1 << i for i in range(len(self.names))]
+        descendants = list(ancestry)
+        for i in idx.order:  # Kahn's order: parents before children
+            for j in idx.out[i]:
+                ancestry[j] |= ancestry[i]
+        for i in reversed(idx.order):
+            for j in idx.out[i]:
+                descendants[i] |= descendants[j]
+        self.ancestry, self.descendants = ancestry, descendants
+
+        # rows are grouped by their raw key columns, (id, lod) and
+        # (ida, idb, lod), whose sorted order is the canonical row order;
+        # each key object is built once and shared by elements and pairs
+        interned: dict[tuple[str, int], ElementId] = {}
+
+        def key(columns: tuple[str, int]) -> ElementId:
+            k = interned.get(columns)
+            if k is None:
+                k = interned[columns] = ElementId(*columns)
+            return k
+
+        gens: dict[tuple[str, int], dict[int, ElementId | None]] = {}
+        for w in store.x:
+            b = bit.get(w.version)
+            if b is not None:
+                gen = key((w.gid, w.glod)) if w.gid is not None else None
+                gens.setdefault((w.id, w.lod), {})[b] = gen
+        atts: dict[tuple[str, int], dict] = {}
+        for w in store.atts:
+            atts.setdefault((w.id, w.lod), {})[w.name] = w.value
+        el_created = {k: sum(1 << b for b in by_bit) for k, by_bit in gens.items()}
+        el_deleted = _masks((((w.id, w.lod), w.version) for w in store.delx), bit)
+        order = sorted(gens)
+        self.elements = (
+            [key(k) for k in order],
+            [el_created[k] for k in order],
+            [el_deleted.get(k, 0) for k in order],
+            [next(iter(gens[k].values())) if len(gens[k]) == 1 else gens[k] for k in order],
+            [tuple(atts[k].items()) if k in atts else () for k in order],
+        )
+
+        pr_created = _masks((((w.ida, w.idb, w.lod), w.version) for w in store.r), bit)
+        pr_deleted = _masks((((w.ida, w.idb, w.lod), w.version) for w in store.delr), bit)
+        rows = sorted(pr_created)
+        self.pairs = (
+            [BoundedByPair(key((ida, lod)), key((idb, lod))) for ida, idb, lod in rows],
+            [pr_created[columns] for columns in rows],
+            [pr_deleted.get(columns, 0) for columns in rows],
+        )
+
+        self.broken: list[tuple[str, int]] = []
+        for created, deleted, subject in (
+            (el_created, el_deleted, lambda i, lod: f"element {ElementId(i, lod)}"),
+            (pr_created, pr_deleted,
+             lambda a, b, lod: f"pair {BoundedByPair(ElementId(a, lod), ElementId(b, lod))}"),
+        ):
+            for columns, mask in sorted(deleted.items()):
+                bad = _uncreated(created.get(columns, 0), mask, ancestry)
+                if bad:
+                    self.broken.append((subject(*columns), bad))
+
+
+def _alive(inside: int, deleted: int, descendants: list[int]) -> bool:
+    """Whether some creation in ``inside`` has no deletion in ``deleted``
+    at or after it."""
+    if not deleted:
+        return True
+    while inside:
+        low = inside & -inside
+        if not deleted & descendants[low.bit_length() - 1]:
+            return True
+        inside ^= low
+    return False
+
+
+def _newest(inside: int, descendants: list[int]) -> int:
+    """The bit of the creation chosen among ``inside``: a maximal one,
+    ties broken by the largest version name."""
+    best = -1
+    rest = inside
+    while rest:
+        low = rest & -rest
+        i = low.bit_length() - 1
+        if inside & descendants[i] == low:
+            best = i  # bits ascend with the names, so the last one wins
+        rest ^= low
+    return best
 
 
 def reconstruct_version(store: "VersionStore", v: str) -> Space:
     """The space at version ``v``, from creation/deletion rows and ancestry.
 
-    Raises ``IntegrityError`` when a relevant deletion has no creation on
-    any path before it — the store then contradicts itself.
+    Answered from the store's ``HistoryIndex`` by bitset tests against the
+    ancestry of ``v``.  Raises ``IntegrityError`` when a relevant deletion
+    has no creation on any path before it — the store then contradicts
+    itself.
     """
-    vs = store.version_space()
-    if v not in vs.versions:
+    index = store.history
+    b = index.bit.get(v)
+    if b is None:
         raise NotFoundError(f"unknown version {v!r}")
-    ancestry = version_star(vs, v)
-    descendants = {tok: version_closure(vs, [tok]) for tok in vs.versions}
-
-    el_created: dict[ElementId, set[str]] = {}
-    row_for: dict[tuple[ElementId, str], object] = {}
-    for row in store.x:
-        key = ElementId(row.id, row.lod)
-        el_created.setdefault(key, set()).add(row.version)
-        row_for[(key, row.version)] = row
-    el_deleted: dict[ElementId, set[str]] = {}
-    for row in store.delx:
-        el_deleted.setdefault(ElementId(row.id, row.lod), set()).add(row.version)
-
-    for key, dels in el_deleted.items():
-        for d in dels:
-            if d not in ancestry:
-                continue
-            created = el_created.get(key, set())
-            if not any(d in descendants[r] for r in created):
-                raise IntegrityError(
-                    f"element {key} is deleted in {d!r} but created on no path before it"
-                )
-
-    live_keys = _liveness(el_created, el_deleted, ancestry, descendants)
-
-    atts: dict[ElementId, dict] = {}
-    for row in store.atts:
-        atts.setdefault(ElementId(row.id, row.lod), {})[row.name] = row.value
-
+    ancestry = index.ancestry[b]
+    names = index.names
+    for subject, bad in index.broken:
+        hit = bad & ancestry
+        if hit:
+            first = names[(hit & -hit).bit_length() - 1]
+            raise IntegrityError(
+                f"{subject} is deleted in {first!r} but created on no path before it"
+            )
+    descendants = index.descendants
     els = []
-    for key in sorted(live_keys):
-        r = _pick_creation(el_created[key], ancestry, descendants)
-        xrow = row_for[(key, r)]
-        gen = ElementId(xrow.gid, xrow.glod) if xrow.gid is not None else None
-        els.append(Element(key=key, version=r, gen_target=gen, attributes=atts.get(key, {})))
-
-    pr_created: dict[BoundedByPair, set[str]] = {}
-    for row in store.r:
-        p = BoundedByPair(ElementId(row.ida, row.lod), ElementId(row.idb, row.lod))
-        pr_created.setdefault(p, set()).add(row.version)
-    pr_deleted: dict[BoundedByPair, set[str]] = {}
-    for row in store.delr:
-        p = BoundedByPair(ElementId(row.ida, row.lod), ElementId(row.idb, row.lod))
-        pr_deleted.setdefault(p, set()).add(row.version)
-    for p, dels in pr_deleted.items():
-        for d in dels:
-            if d not in ancestry:
-                continue
-            if not any(d in descendants[r] for r in pr_created.get(p, set())):
-                raise IntegrityError(
-                    f"pair {p} is deleted in {d!r} but created on no path before it"
-                )
-    live_pairs = _liveness(pr_created, pr_deleted, ancestry, descendants)
-
-    return build_space(els, live_pairs, t0_check=True)
+    for key, created, deleted, gen, atts in zip(*index.elements):
+        inside = created & ancestry
+        if not inside or not _alive(inside, deleted & ancestry, descendants):
+            continue
+        c = _newest(inside, descendants) if inside & (inside - 1) else inside.bit_length() - 1
+        if type(gen) is dict:
+            gen = gen[c]
+        els.append(Element(key, names[c], gen, dict(atts)))
+    pairs = []
+    for pair, created, deleted in zip(*index.pairs):
+        inside = created & ancestry
+        if inside and _alive(inside, deleted & ancestry, descendants):
+            pairs.append(pair)
+    return build_space(els, pairs, t0_check=True)
 
 
 # ---------------------------------------------------------------------------

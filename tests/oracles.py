@@ -3,9 +3,12 @@
 Everything here recomputes results from first definitions — subset
 enumeration, explicit path walking — or delegates to networkx.  None of it
 reuses the library's algorithms, so agreement between the two routes is
-meaningful.  The one exception is ``time_slice_by_descendants``, which
+meaningful.  The exceptions are ``time_slice_by_descendants``, which
 hands its kept elements to the library's ``select_subspace`` (itself
-checked against networkx).
+checked against networkx), and the two functions kept as first written,
+``apply_changeset_by_rescans`` and ``reconstruct_version_by_hulls``: they
+assemble their result with the library's ``build_space``, and the latter
+takes the library's version hulls (checked against path enumeration).
 """
 from __future__ import annotations
 
@@ -231,3 +234,151 @@ def covers_by_paths(nodes, edges, v0_set, v, w_set) -> bool:
         covered |= ancestors_by_paths(nodes, edges, w)
         covered |= descendants_by_paths(nodes, edges, w)
     return between <= covered
+
+
+# ---------------------------------------------------------------------------
+# changesets and reconstruction as first written
+
+
+def apply_changeset_by_rescans(space, changes):
+    """``apply_changeset`` as first written: each removed element's
+    predecessors and successors found by a scan of the whole relation."""
+    from alexdb import (
+        BoundedByPair,
+        DuplicateKeyError,
+        Element,
+        NotFoundError,
+        build_space,
+    )
+
+    missing = changes.remove_elements - space.keys()
+    if missing:
+        raise NotFoundError(f"cannot remove unknown elements: {sorted(str(k) for k in missing)}")
+    elements = dict(space.elements)
+    rel = set(space.relation)
+    for x in sorted(changes.remove_elements):
+        preds = {p.ida for p in rel if p.idb == x}
+        succs = {p.idb for p in rel if p.ida == x}
+        rel = {p for p in rel if x not in (p.ida, p.idb)}
+        rel |= {BoundedByPair(y, z) for y in preds for z in succs if y != z}
+        del elements[x]
+    for p in sorted(changes.remove_pairs):
+        if p not in rel:
+            raise NotFoundError(f"cannot remove pair not in relation: {p}")
+        rel.discard(p)
+    for el in changes.add_elements:
+        if el.key in elements:
+            raise DuplicateKeyError(f"element {el.key} already alive")
+        elements[el.key] = Element(
+            key=el.key,
+            version=changes.version,
+            gen_target=el.gen_target,
+            attributes=dict(el.attributes),
+        )
+    rel |= changes.add_pairs
+    return build_space(elements.values(), rel, t0_check=True)
+
+
+def _liveness(creations, deletions, ancestry, descendants):
+    """Items with a creation in ``ancestry`` not followed there by a deletion."""
+    live = set()
+    for item, created in creations.items():
+        dels = {d for d in deletions.get(item, ()) if d in ancestry}
+        for r in created:
+            if r not in ancestry:
+                continue
+            if not any(d in descendants[r] for d in dels):
+                live.add(item)
+                break
+    return live
+
+
+def _pick_creation(created, ancestry, descendants) -> str:
+    """Deterministic creation row choice: a maximal one, ties lexicographic."""
+    inside = sorted(r for r in created if r in ancestry)
+    maximal = [
+        r
+        for r in inside
+        if not any(other != r and other in descendants[r] for other in inside)
+    ]
+    return max(maximal)
+
+
+def reconstruct_version_by_hulls(store, v: str):
+    """``reconstruct_version`` as first written: the hulls of every version
+    and the rows grouped afresh on each call.  Deletions of one subject are
+    checked in version order and the live pairs are handed on in canonical
+    row order, so an ``IntegrityError`` or a ``DanglingPairError`` names
+    the first offending row in canonical order."""
+    from alexdb import (
+        BoundedByPair,
+        Element,
+        ElementId,
+        IntegrityError,
+        NotFoundError,
+        VersionSpace,
+        build_space,
+        version_closure,
+        version_star,
+    )
+
+    vs = VersionSpace(frozenset(store.vx), frozenset(store.vr))
+    if v not in vs.versions:
+        raise NotFoundError(f"unknown version {v!r}")
+    ancestry = version_star(vs, v)
+    descendants = {tok: version_closure(vs, [tok]) for tok in vs.versions}
+
+    el_created: dict = {}
+    row_for: dict = {}
+    for row in store.x:
+        key = ElementId(row.id, row.lod)
+        el_created.setdefault(key, set()).add(row.version)
+        row_for[(key, row.version)] = row
+    el_deleted: dict = {}
+    for row in store.delx:
+        el_deleted.setdefault(ElementId(row.id, row.lod), set()).add(row.version)
+
+    for key, dels in el_deleted.items():
+        for d in sorted(dels):
+            if d not in ancestry:
+                continue
+            created = el_created.get(key, set())
+            if not any(d in descendants[r] for r in created):
+                raise IntegrityError(
+                    f"element {key} is deleted in {d!r} but created on no path before it"
+                )
+
+    live_keys = _liveness(el_created, el_deleted, ancestry, descendants)
+
+    atts: dict = {}
+    for row in store.atts:
+        atts.setdefault(ElementId(row.id, row.lod), {})[row.name] = row.value
+
+    els = []
+    for key in sorted(live_keys):
+        r = _pick_creation(el_created[key], ancestry, descendants)
+        xrow = row_for[(key, r)]
+        gen = ElementId(xrow.gid, xrow.glod) if xrow.gid is not None else None
+        els.append(Element(key=key, version=r, gen_target=gen, attributes=atts.get(key, {})))
+
+    pr_created: dict = {}
+    for row in store.r:
+        p = BoundedByPair(ElementId(row.ida, row.lod), ElementId(row.idb, row.lod))
+        pr_created.setdefault(p, set()).add(row.version)
+    pr_deleted: dict = {}
+    for row in store.delr:
+        p = BoundedByPair(ElementId(row.ida, row.lod), ElementId(row.idb, row.lod))
+        pr_deleted.setdefault(p, set()).add(row.version)
+    for p, dels in pr_deleted.items():
+        for d in sorted(dels):
+            if d not in ancestry:
+                continue
+            if not any(d in descendants[r] for r in pr_created.get(p, set())):
+                raise IntegrityError(
+                    f"pair {p} is deleted in {d!r} but created on no path before it"
+                )
+    live_pairs = _liveness(pr_created, pr_deleted, ancestry, descendants)
+
+    return build_space(
+        els, sorted(live_pairs, key=lambda p: (p.ida.id, p.idb.id, p.ida.lod)), t0_check=True
+    )

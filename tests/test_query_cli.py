@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from alexdb import demos
+import alexdb.cli
+import alexdb.storage
+from alexdb import Element, build_space, changeset, commit, demos, new_store, simple_space
 from alexdb.cli import main
 from alexdb.errors import NotFoundError, QueryEvalError, QueryParseError
 from alexdb.query import (
@@ -348,6 +350,35 @@ def test_cli_versions_with_path(demo_dir, capsys):
     assert out.split() == ["v1", "v3"]
 
 
+def region_history(directory):
+    """v0: a and b both bounded by m, all in region w; v1 drops (b, m);
+    v2 re-adds it.  Saved under ``directory``."""
+    base = simple_space(["a", "b", "m"], [("a", "m"), ("b", "m")])
+    tagged = [Element(k, attributes={"region": "w"}) for k in sorted(base.keys())]
+    store = new_store("v0", build_space(tagged, base.relation))
+    store = commit(store, "v0", changeset("v1", remove_pairs=[("b", "m")]))
+    store = commit(store, "v1", changeset("v2", add_pairs=[("b", "m")]))
+    save(store, directory)
+    return directory
+
+
+def test_cli_versions_with_path_reconstructs_each_version_once(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counted(store, v, _real=alexdb.storage.reconstruct_version):
+        calls.append(v)
+        return _real(store, v)
+
+    store = str(region_history(tmp_path / "hist"))
+    monkeypatch.setattr(alexdb.cli, "reconstruct_version", counted)
+    monkeypatch.setattr(alexdb.storage, "reconstruct_version", counted)
+    code, out, _ = run_cli(capsys, "versions-with-path", store, "a", "b", "--region", "w")
+    assert (code, out) == (0, "v0\nv2\n")
+    assert sorted(calls) == ["v0", "v1", "v2"]
+    code, out, err = run_cli(capsys, "versions-with-path", store, "a", "b", "--region", "east")
+    assert (code, out, err) == (1, "", "error: no elements carry region='east'\n")
+
+
 def test_cli_telescope_export_falls_back_to_generic_csv(demo_dir, tmp_path, capsys):
     outdir = tmp_path / "tele"
     code, out, _ = run_cli(
@@ -428,6 +459,14 @@ def test_cli_domain_errors_exit_one(tmp_path, capsys):
     code, _, err = run_cli(capsys, "dim", str(tmp_path / "missing"))
     assert code == 1
     assert err.startswith("error:")
+
+
+def test_cli_query_names_a_missing_store_as_typed(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "query", 'dim(load("demo/nope"))')
+    assert (code, out) == (1, "")
+    assert "demo/nope" in err and str(tmp_path) not in err
+    assert err == run_cli(capsys, "dim", "demo/nope")[2]
 
 
 def test_cli_usage_errors_exit_two(capsys):

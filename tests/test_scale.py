@@ -1,10 +1,11 @@
-"""Scale checks: the reachability kernel against networkx at 200-2000 elements.
+"""Scale checks: the reachability kernel against networkx at 200-2000
+elements, and version reconstruction over a 400-version history.
 
 The hypothesis suites check every query on spaces of up to ten elements;
 this module repeats the checks that matter for large inputs on seeded
-layered complexes, where recursion depth, per-call rebuilds and quadratic
-loops would show.  Marked ``slow`` (deselect with ``-m "not slow"``); the
-whole module runs in a few seconds.
+layered complexes and histories, where recursion depth, per-call rebuilds
+and quadratic loops would show.  Marked ``slow`` (deselect with
+``-m "not slow"``); the whole module runs in a few seconds.
 """
 from __future__ import annotations
 
@@ -14,13 +15,22 @@ import networkx as nx
 import pytest
 
 from alexdb import (
+    BoundedByPair,
+    Element,
+    ElementId,
     MissingGeometryError,
     PointRow,
+    apply_changeset,
+    build_space,
+    changeset,
     closure,
+    commit,
     components_within,
     krull_dimension,
+    new_store,
     open_reduction,
     path_query,
+    reconstruct_version,
     select_subspace,
     simple_space,
     star,
@@ -148,3 +158,51 @@ def test_time_slice_names_the_smallest_element_without_geometry():
     with pytest.raises(MissingGeometryError) as got:
         time_slice(space, points, 0.5)
     assert str(got.value) == str(want.value)
+
+
+def branching_history(n: int, seed: int):
+    """A seeded ``n``-version store grown by commits, with every version's
+    space as each commit produced it.
+
+    Three commits in ten branch off one of the five latest versions; each
+    drops about one element in twelve (bypass pairs included), re-adds some
+    dropped ones and adds a fresh one, linked below a surviving element.
+    """
+    rng = random.Random(seed)
+    first = [Element(ElementId(f"e{i}"), "v000") for i in range(8)]
+    links = [BoundedByPair(first[i].key, first[i + 1].key) for i in range(7)]
+    spaces = {"v000": build_space(first, links)}
+    store = new_store("v000", spaces["v000"])
+    dropped: set[ElementId] = set()
+    for i in range(1, n):
+        version = f"v{i:03d}"
+        latest = list(spaces)
+        parent = rng.choice(latest[-5:]) if rng.random() < 0.3 else latest[-1]
+        space = spaces[parent]
+        keys = sorted(space.keys())
+        removed = [k for k in keys if rng.random() < 0.08]
+        back = [k for k in sorted(dropped - space.keys()) if rng.random() < 0.2]
+        fresh = [ElementId(f"n{i}")] if rng.random() < 0.6 else []
+        anchors = [k for k in keys if k not in removed]
+        pairs = [(rng.choice(anchors), k) for k in back + fresh if anchors and rng.random() < 0.7]
+        changes = changeset(
+            version,
+            add_elements=[Element(k) for k in back + fresh],
+            remove_elements=removed,
+            add_pairs=pairs,
+        )
+        dropped.update(removed)
+        store = commit(store, parent, changes)
+        spaces[version] = apply_changeset(space, changes)
+    return store, spaces
+
+
+def test_reconstruction_over_400_versions_matches_every_commit():
+    store, spaces = branching_history(400, seed=7)
+    for version, space in spaces.items():
+        got = reconstruct_version(store, version)
+        assert got.elements == space.elements
+        assert got.relation == space.relation
+    for version in list(spaces)[::20]:
+        want = oracles.reconstruct_version_by_hulls(store, version)
+        assert reconstruct_version(store, version).elements == want.elements

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import alexdb.storage
 import builders
 from alexdb import demos
 from alexdb.errors import (
@@ -83,6 +84,29 @@ def test_saving_is_deterministic(tmp_path):
         assert read_text(tmp_path / "a", f"{name}.csv") == read_text(
             tmp_path / "b", f"{name}.csv"
         )
+
+
+def test_a_failed_save_leaves_the_previous_store_in_place(tmp_path, monkeypatch):
+    target = tmp_path / "store"
+    save(demos.text_store(), target)
+    before = {f.name: f.read_bytes() for f in target.iterdir()}
+    newer = commit(demos.text_store(), "v0", changeset("v9", remove_elements=["1"]))
+    real_writer = alexdb.storage.csv.writer
+    opened = []
+
+    def failing_writer(fh, **kwargs):
+        opened.append(fh)
+        if len(opened) == 4:  # the fourth of eight tables
+            raise OSError("disk full")
+        return real_writer(fh, **kwargs)
+
+    monkeypatch.setattr(alexdb.storage.csv, "writer", failing_writer)
+    with pytest.raises(OSError, match="disk full"):
+        save(newer, target)
+    monkeypatch.undo()
+    assert {f.name: f.read_bytes() for f in target.iterdir()} == before
+    assert load(target) == canonicalize(demos.text_store())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["store"]  # staging removed
 
 
 @pytest.mark.parametrize("name", sorted(demos.demo_stores()))

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import builders
@@ -10,12 +10,22 @@ import oracles
 from alexdb import demos
 from alexdb.algebra import select_subspace
 from alexdb.errors import (
+    AlexdbError,
     DuplicateKeyError,
     IntegrityError,
     NotFoundError,
     T0ViolationError,
 )
-from alexdb.storage import DelXRow, VersionStore, XRow, reconstruct_version
+from alexdb.storage import (
+    AttRow,
+    DelRRow,
+    DelXRow,
+    RRow,
+    VersionStore,
+    XRow,
+    canonicalize,
+    reconstruct_version,
+)
 from alexdb.topology import Element, ElementId, simple_space
 from alexdb.versioning import (
     ConsistencyConflict,
@@ -39,6 +49,16 @@ def diamond():
         ["v0", "v1", "v2", "v3"],
         [("v0", "v1"), ("v0", "v2"), ("v1", "v3"), ("v2", "v3")],
     )
+
+
+def outcome(fn, *args):
+    """A space-valued call's result as comparable data: the space's elements in
+    order and its relation, or the exception's type and message."""
+    try:
+        space = fn(*args)
+    except AlexdbError as exc:
+        return type(exc), str(exc)
+    return list(space.elements.items()), space.relation
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +161,21 @@ def test_removing_an_element_inserts_bypass_pairs():
     assert {(p.ida.id, p.idb.id) for p in out.relation} == {("x3", "x1"), ("x1", "x0")}
 
 
+@given(spaces_with_subset(), st.randoms(use_true_random=False))
+def test_apply_changeset_matches_the_rescanning_reference(space_subset, rnd):
+    space, removed = space_subset
+    pairs = sorted(space.relation)
+    dropped = [p for p in pairs if rnd.random() < 0.3]  # some touch removed elements
+    anchors = sorted(space.keys() - removed)
+    added = [Element(ElementId("new"), attributes={"w": 1})] if rnd.random() < 0.5 else []
+    links = [(rnd.choice(anchors), "new")] if added and anchors else []
+    changes = changeset(
+        "v", add_elements=added, remove_elements=removed, add_pairs=links, remove_pairs=dropped
+    )
+    want = outcome(oracles.apply_changeset_by_rescans, space, changes)
+    assert outcome(apply_changeset, space, changes) == want
+
+
 def test_added_elements_are_stamped_with_the_target_version():
     space = simple_space(["a"])
     out = apply_changeset(
@@ -220,6 +255,78 @@ def test_reconstructing_an_unknown_version_fails():
     store = _store(["v0"], [], x_rows=[("a", "v0")], delx_rows=[])
     with pytest.raises(NotFoundError):
         reconstruct_version(store, "v9")
+
+
+def test_the_creation_row_read_is_a_maximal_one_ties_by_largest_name():
+    # x -> a: the later creation wins although "x" sorts after "a"
+    chain = _store(["x", "a"], [("x", "a")], x_rows=[("e", "x"), ("e", "a")], delx_rows=[])
+    assert reconstruct_version(chain, "a").elements[ElementId("e")].version == "a"
+    # r -> p, r -> q, p -> z, q -> z: parallel creations, the larger name wins
+    diamond_store = _store(
+        ["r", "p", "q", "z"],
+        [("r", "p"), ("r", "q"), ("p", "z"), ("q", "z")],
+        x_rows=[("e", "p"), ("e", "q")],
+        delx_rows=[],
+    )
+    assert reconstruct_version(diamond_store, "z").elements[ElementId("e")].version == "q"
+
+
+def test_integrity_errors_name_the_first_violation_in_row_order():
+    store = _store(
+        ["v0", "v1", "v2"],
+        [("v0", "v1"), ("v1", "v2")],
+        x_rows=[("b", "v2")],
+        delx_rows=[("b", "v2"), ("b", "v1"), ("a", "v1")],
+    )
+    with pytest.raises(IntegrityError) as err:
+        reconstruct_version(store, "v2")
+    assert str(err.value) == "element a is deleted in 'v1' but created on no path before it"
+
+
+@st.composite
+def version_stores(draw):
+    """Raw rows over a small version DAG: branches, merges (versions with
+    several parents), deletions and re-additions, deletions with no creation
+    before them, pairs whose elements are not alive, cyclic relations and,
+    now and then, a cyclic version graph."""
+    n = draw(st.integers(1, 6))
+    versions = [f"v{i}" for i in range(n)]
+    forward = [(versions[i], versions[j]) for i in range(n) for j in range(i + 1, n)]
+    vr = draw(st.sets(st.sampled_from(forward))) if forward else set()
+    if n > 1 and draw(st.integers(0, 9)) == 0:
+        vr.add((versions[-1], versions[0]))
+    version = st.sampled_from(versions)
+    ident = st.sampled_from("abcd")
+    lod = st.integers(0, 1)
+    gen = st.one_of(st.none(), st.tuples(ident, lod))
+    x = draw(st.lists(st.tuples(ident, lod, gen, version), max_size=12))
+    r = draw(st.lists(st.tuples(ident, ident, lod, version), max_size=12))
+    # deletions hit created subjects, at any version
+    x_keys = st.sampled_from([w[:2] for w in x] or [("a", 0)])
+    r_keys = st.sampled_from([w[:3] for w in r] or [("a", "b", 0)])
+    delx = draw(st.lists(st.tuples(x_keys, version), max_size=4))
+    delr = draw(st.lists(st.tuples(r_keys, version), max_size=4))
+    value = st.integers(0, 3)
+    atts = draw(st.lists(st.tuples(ident, lod, st.sampled_from("pq"), value), max_size=4))
+    return canonicalize(
+        VersionStore(
+            x=tuple(XRow(i, l, g and g[0], g and g[1], v) for i, l, g, v in x),
+            r=tuple(RRow(a, b, l, v) for a, b, l, v in r),
+            delx=tuple(DelXRow(*k, v) for k, v in set(delx)),
+            delr=tuple(DelRRow(*p, v) for p, v in set(delr)),
+            vx=tuple(versions),
+            vr=tuple(vr),
+            atts=tuple({(i, l, k): AttRow(i, l, k, val) for i, l, k, val in atts}.values()),
+        )
+    )
+
+
+@given(version_stores())
+@settings(max_examples=300)
+def test_indexed_reconstruction_matches_the_per_call_reference(store):
+    for v in sorted(store.vx) + ["nope"]:
+        want = outcome(oracles.reconstruct_version_by_hulls, store, v)
+        assert outcome(reconstruct_version, store, v) == want
 
 
 # ---------------------------------------------------------------------------
