@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import AttributeMergeWarning, NotFoundError, T0ViolationError
 from .limits import MONOTONICITY_GUARD, size_guard
@@ -313,6 +313,21 @@ def restrict_map(f: SpaceMap) -> SpaceMap:
     )
 
 
+def _continuity_witness(
+    f: SpaceMap, below: Callable[[ElementId], frozenset[ElementId]] | None = None
+) -> tuple[ElementId, ElementId] | None:
+    """The first source pair, in sorted order, whose images are distinct and
+    unrelated in the target; None when the total map ``f`` is continuous.
+    ``below`` looks up a target key's closure (built here when not given)."""
+    if below is None:
+        below = functools.cache(lambda k: closure(f.target, [k]))
+    for p in sorted(f.source.relation):
+        fa, fb = f(p.ida), f(p.idb)
+        if fa != fb and fb not in below(fa):
+            return (p.ida, p.idb)
+    return None
+
+
 @dataclass(frozen=True)
 class MapReport:
     """Outcome of ``check_map``.
@@ -347,12 +362,7 @@ def check_map(f: SpaceMap) -> MapReport:
         raise ValueError("check_map requires a total map; use restrict_map first")
 
     below = functools.cache(lambda k: closure(f.target, [k]))
-    continuity_witness = None
-    for p in sorted(f.source.relation):
-        fa, fb = f(p.ida), f(p.idb)
-        if fa != fb and fb not in below(fa):
-            continuity_witness = (p.ida, p.idb)
-            break
+    continuity_witness = _continuity_witness(f, below)
 
     missed = f.target.keys() - frozenset(f.mapping.values())
 

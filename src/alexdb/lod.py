@@ -8,9 +8,16 @@ whenever the queried region is saturated (a full preimage).  The vario-scale
 view of a whole store is the telescope: every element is paired with the
 nodes of a small level graph, producing one space that contains each level
 and a redundant sliding copy along each level transition.
+
+This module is the one interpreter of a space's generalisation columns
+(each element's ``gen_target``): ``_transitions`` reads them into the level
+transitions, ``_level_maps`` builds one map per transition and ``_linked``
+the space joined across levels by generalisation pairs.  ``storage`` asks
+for these rather than deriving them itself.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping
 
@@ -35,6 +42,7 @@ from .topology import (
     components_within,
     simple_space,
     _require_keys,
+    _topological_order,
 )
 from .versioning import reconstruct_version
 
@@ -232,22 +240,18 @@ def lod_graph(store: "VersionStore", v: str) -> tuple[Space, Space]:
 
 
 def _lod_graph(space: Space) -> tuple[Space, Space]:
-    lods = {k.lod for k in space.elements}
-    trans = set()
-    for k, e in space.elements.items():
-        if e.gen_target is not None:
-            lods.add(e.gen_target.lod)
-            trans.add((k.lod, e.gen_target.lod))
+    trans = _transitions(space)
+    lods = sorted({k.lod for k in space.elements} | {b for _, b in trans})
     level_space = simple_space(
-        [str(l) for l in sorted(lods)],
-        [(str(a), str(b)) for a, b in sorted(trans)],
-        attributes={str(l): {"lod": l} for l in sorted(lods)},
+        [str(l) for l in lods],
+        [(str(a), str(b)) for a, b in trans],
+        attributes={str(l): {"lod": l} for l in lods},
     )
     els = []
     pairs = []
-    for l in sorted(lods):
+    for l in lods:
         els.append(Element(ElementId(f"{l}-{l}"), attributes={"lod": l, "glod": l}))
-    for a, b in sorted(trans):
+    for a, b in trans:
         edge = ElementId(f"{a}-{b}")
         els.append(Element(edge, attributes={"lod": a, "glod": b}))
         pairs.append(BoundedByPair(edge, ElementId(f"{a}-{a}")))
@@ -270,12 +274,8 @@ def telescope(store: "VersionStore", v: str, edge_matching: bool = True) -> Spac
 
 def _telescope(base: Space, edge_matching: bool = True) -> Space:
     """The telescope of an already reconstructed version space."""
-    gen_pairs = {
-        BoundedByPair(k, e.gen_target)
-        for k, e in base.elements.items()
-        if e.gen_target is not None
-    }
-    augmented = build_space(base.elements.values(), base.relation | gen_pairs, t0_check=True)
+    augmented = _linked(base)
+    _topological_order(augmented)
     _, edge_graph = _lod_graph(base)
 
     matches: list[tuple[ElementId, ElementId]] = []
@@ -325,16 +325,58 @@ def chain_from_store(store: "VersionStore", v: str) -> LodChain:
     """Assemble the generalisation chain of version ``v`` from its rows."""
     base = reconstruct_version(store, v)
     levels = tuple(sorted({k.lod for k in base.elements}))
-    spaces = tuple(
-        select_subspace(base, [k for k in base.elements if k.lod == lvl]) for lvl in levels
-    )
-    gens = []
-    for i in range(len(levels) - 1):
-        mapping = {}
-        for k in spaces[i].elements:
-            tgt = base.elements[k].gen_target
-            if tgt is None:
+    if len(levels) < 2:
+        return LodChain(levels, tuple(select_subspace(base, base.elements) for _ in levels), ())
+    for a, b in zip(levels, levels[1:]):
+        targets = {k: base.elements[k].gen_target for k in sorted(base.elements) if k.lod == a}
+        for k, t in targets.items():
+            if t is None:
                 raise NotFoundError(f"element {k} has no generalisation target")
-            mapping[k] = tgt
-        gens.append(SpaceMap(spaces[i], spaces[i + 1], mapping))
-    return LodChain(levels=levels, spaces=spaces, gens=tuple(gens))
+        unknown = {t for t in targets.values() if t.lod != b or t not in base}
+        if unknown:
+            raise NotFoundError(f"mapping image not in target: {sorted(str(k) for k in unknown)}")
+    maps = _level_maps(base)
+    gens = tuple(maps[a, b] for a, b in zip(levels, levels[1:]))
+    return LodChain(levels, tuple(g.source for g in gens) + (gens[-1].target,), gens)
+
+
+# ---------------------------------------------------------------------------
+# the generalisation columns
+
+
+def _transitions(space: Space) -> dict[tuple[int, int], dict[ElementId, ElementId]]:
+    """Each observed level transition ``(a, b)``, in sorted order, with the
+    generalisation targets of the level-``a`` elements that target level
+    ``b``."""
+    found: dict[tuple[int, int], dict[ElementId, ElementId]] = {}
+    for k, e in space.elements.items():
+        t = e.gen_target
+        if t is not None:
+            found.setdefault((k.lod, t.lod), {})[k] = t
+    return dict(sorted(found.items()))
+
+
+def _linked(space: Space) -> Space:
+    """The space with its generalisation pairs added to the relation, so
+    levels connect through the generalisation map; not checked for T0."""
+    gen_pairs = {BoundedByPair(k, t) for m in _transitions(space).values() for k, t in m.items()}
+    return build_space(space.elements.values(), space.relation | gen_pairs, t0_check=False)
+
+
+def _level_maps(space: Space) -> dict[tuple[int, int], SpaceMap]:
+    """One generalisation map per observed level transition ``(a, b)``, in
+    sorted order: from the subspace of the level-``a`` elements that target
+    level ``b`` to the subspace of level ``b``.  A transition with a target
+    missing from the space (a dangling generalisation column) has no map."""
+    by_level: dict[int, list[ElementId]] = {}
+    for k in space.elements:
+        by_level.setdefault(k.lod, []).append(k)
+    level = functools.cache(lambda lod: select_subspace(space, by_level[lod]))
+    maps = {}
+    for (a, b), targets in _transitions(space).items():
+        if all(t in space for t in targets.values()):
+            # a domain that is the whole level shares that level's subspace
+            whole = len(targets) == len(by_level[a])
+            source = level(a) if whole else select_subspace(space, targets)
+            maps[a, b] = SpaceMap(source, level(b), targets)
+    return maps

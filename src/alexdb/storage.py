@@ -15,6 +15,11 @@ ancestry bitsets and rows grouped by key) is built on first use and cached
 on the store, which relies on that contract: never change a store's row
 tuples, build a new store instead.
 
+The generalisation columns (``gid``, ``glod``) are read and written here as
+rows only: the level maps that ``validate`` checks, once per level
+transition and version, and the linked space that ``versions_with_path``
+searches come from ``lod``.
+
 Attribute values are typed by shape on load: a field that reads back as a
 canonical integer or float literal becomes that number, anything else stays
 a string.  Strings that look like canonical numbers are therefore not
@@ -28,6 +33,7 @@ import shutil
 import tempfile
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -39,7 +45,7 @@ from .errors import (
     T0ViolationError,
 )
 from .spacetime import PointRow
-from .topology import BoundedByPair, ElementId, Scalar, Space, build_space
+from .topology import ElementId, Scalar, Space
 from .versioning import (
     ChangeSet,
     HistoryIndex,
@@ -48,8 +54,8 @@ from .versioning import (
     consistency_rule,
     reconstruct_version,
 )
-from .algebra import SpaceMap, check_map, restrict_map, select_subspace
-from .lod import filtered_path_query, path_query
+from .algebra import SpaceMap, check_map, restrict_map, _continuity_witness
+from .lod import filtered_path_query, path_query, _level_maps, _linked
 
 
 # ---------------------------------------------------------------------------
@@ -119,17 +125,24 @@ class VersionStore:
         return HistoryIndex(self)
 
 
+#: Per table: the ``VersionStore`` field holding its rows and the key of a
+#: row.  Canonical order sorts each table by its key; no two rows share one.
+_KEYS = {
+    "X": ("x", attrgetter("id", "lod", "version")),
+    "R": ("r", attrgetter("ida", "idb", "lod", "version")),
+    "Point": ("point", lambda w: (w.key.id, w.key.lod)),
+    "DelX": ("delx", attrgetter("id", "lod", "version")),
+    "DelR": ("delr", attrgetter("ida", "idb", "lod", "version")),
+    "VX": ("vx", lambda w: w),
+    "VR": ("vr", lambda w: w),
+    "Atts": ("atts", attrgetter("id", "lod", "name")),
+}
+
+
 def canonicalize(store: VersionStore) -> VersionStore:
     """Rows in canonical order; two stores are equal when these are equal."""
     return VersionStore(
-        x=tuple(sorted(store.x, key=lambda w: (w.id, w.lod, w.version))),
-        r=tuple(sorted(store.r, key=lambda w: (w.ida, w.idb, w.lod, w.version))),
-        point=tuple(sorted(store.point, key=lambda w: (w.key.id, w.key.lod))),
-        delx=tuple(sorted(store.delx, key=lambda w: (w.id, w.lod, w.version))),
-        delr=tuple(sorted(store.delr, key=lambda w: (w.ida, w.idb, w.lod, w.version))),
-        vx=tuple(sorted(store.vx)),
-        vr=tuple(sorted(store.vr)),
-        atts=tuple(sorted(store.atts, key=lambda w: (w.id, w.lod, w.name))),
+        **{field: tuple(sorted(getattr(store, field), key=key)) for field, key in _KEYS.values()}
     )
 
 
@@ -137,15 +150,23 @@ def canonicalize(store: VersionStore) -> VersionStore:
 # building stores
 
 
-def _space_rows(space: Space, version: str):
-    xrows, rrows, attrows = [], [], []
-    for k in sorted(space.elements):
+def _element_rows(space: Space, keys: Iterable[ElementId], version: str):
+    """X and Atts rows recording the elements ``keys`` of ``space`` as
+    created in ``version``."""
+    xrows, attrows = [], []
+    for k in sorted(keys):
         e = space.elements[k]
-        gid = e.gen_target.id if e.gen_target is not None else None
-        glod = e.gen_target.lod if e.gen_target is not None else None
+        t = e.gen_target
+        gid, glod = (None, None) if t is None else (t.id, t.lod)
         xrows.append(XRow(id=k.id, lod=k.lod, gid=gid, glod=glod, version=version))
         for name in sorted(e.attributes):
             attrows.append(AttRow(id=k.id, lod=k.lod, name=name, value=e.attributes[name]))
+    return xrows, attrows
+
+
+def _space_rows(space: Space, version: str):
+    xrows, attrows = _element_rows(space, space.elements, version)
+    rrows = []
     for p in sorted(space.relation):
         if p.ida.lod != p.idb.lod:
             raise StoreFormatError(
@@ -203,19 +224,16 @@ def commit(
         delx.append(DelXRow(id=k.id, lod=k.lod, version=v))
     for p in sorted(base.relation - new_space.relation):
         delr.append(DelRRow(ida=p.ida.id, idb=p.idb.id, lod=p.ida.lod, version=v))
-    for k in sorted(new_space.keys() - base.keys()):
-        e = new_space.elements[k]
-        gid = e.gen_target.id if e.gen_target is not None else None
-        glod = e.gen_target.lod if e.gen_target is not None else None
-        xrows.append(XRow(id=k.id, lod=k.lod, gid=gid, glod=glod, version=v))
-        for name in sorted(e.attributes):
-            prior = att_index.get((k.id, k.lod, name))
-            if prior is None:
-                atts.append(AttRow(id=k.id, lod=k.lod, name=name, value=e.attributes[name]))
-            elif prior != e.attributes[name]:
-                raise DuplicateKeyError(
-                    f"attribute {name!r} of ({k.id}, {k.lod}) already recorded as {prior!r}"
-                )
+    new_x, new_atts = _element_rows(new_space, new_space.keys() - base.keys(), v)
+    xrows += new_x
+    for a in new_atts:
+        prior = att_index.get((a.id, a.lod, a.name))
+        if prior is None:
+            atts.append(a)
+        elif prior != a.value:
+            raise DuplicateKeyError(
+                f"attribute {a.name!r} of ({a.id}, {a.lod}) already recorded as {prior!r}"
+            )
     for p in sorted(new_space.relation - base.relation):
         rrows.append(RRow(ida=p.ida.id, idb=p.idb.id, lod=p.ida.lod, version=v))
 
@@ -442,24 +460,14 @@ class ValidationIssue:
 
 def _duplicate_rows(store: VersionStore) -> list[ValidationIssue]:
     issues = []
-
-    def check(name, keys):
+    for name, (field, key) in _KEYS.items():
         seen = set()
-        for k in keys:
+        for k in map(key, getattr(store, field)):
             if k in seen:
                 issues.append(
                     ValidationIssue("duplicate-row", name, f"{name}: duplicate key {k}", (k,))
                 )
             seen.add(k)
-
-    check("X", [(w.id, w.lod, w.version) for w in store.x])
-    check("R", [(w.ida, w.idb, w.lod, w.version) for w in store.r])
-    check("Point", [(w.key.id, w.key.lod) for w in store.point])
-    check("DelX", [(w.id, w.lod, w.version) for w in store.delx])
-    check("DelR", [(w.ida, w.idb, w.lod, w.version) for w in store.delr])
-    check("VX", list(store.vx))
-    check("VR", list(store.vr))
-    check("Atts", [(w.id, w.lod, w.name) for w in store.atts])
     return issues
 
 
@@ -513,14 +521,6 @@ def foreign_key_violations(store: VersionStore) -> list[ValidationIssue]:
     return issues
 
 
-def _gen_map(space: Space) -> SpaceMap:
-    """The (partial) generalisation map of a space, from its target columns."""
-    mapping = {
-        k: e.gen_target for k, e in space.elements.items() if e.gen_target is not None
-    }
-    return SpaceMap(source=space, target=space, mapping=mapping)
-
-
 def validate(store: VersionStore, rules: Sequence[str] = ()) -> list[ValidationIssue]:
     """Full consistency report.
 
@@ -528,7 +528,8 @@ def validate(store: VersionStore, rules: Sequence[str] = ()) -> list[ValidationI
     version graph, per-version reconstructability and T0, and continuity of
     the generalisation map on every version (the continuous-foreign-key
     condition).  ``rules`` adds optional checks per version: "surjective"
-    and "monotonic" for the generalisation map per level transition, any
+    and "monotonic" for the generalisation map per level transition (each
+    transition is checked once, whatever the number of such rules), any
     other name is looked up in the consistency-rule registry.
     """
     issues = _duplicate_rows(store)
@@ -545,6 +546,7 @@ def validate(store: VersionStore, rules: Sequence[str] = ()) -> list[ValidationI
         issues.append(ValidationIssue("foreign-key", "VR", str(exc)))
         return issues
 
+    map_rules = any(name.lower() in ("surjective", "monotonic") for name in rules)
     for v in sorted(vs.versions):
         try:
             space = reconstruct_version(store, v)
@@ -554,22 +556,33 @@ def validate(store: VersionStore, rules: Sequence[str] = ()) -> list[ValidationI
                 ValidationIssue(kind, f"version {v}", f"cannot reconstruct {v!r}: {exc}")
             )
             continue
-        gen = _gen_map(space)
-        if gen.mapping:
-            report = check_map(restrict_map(gen))
-            if not report.continuous:
+        gen = {k: e.gen_target for k, e in space.elements.items() if e.gen_target is not None}
+        if gen:
+            witness = _continuity_witness(restrict_map(SpaceMap(space, space, gen)))
+            if witness is not None:
                 issues.append(
                     ValidationIssue(
                         "cfk-continuity",
                         f"version {v}",
-                        f"generalisation map discontinuous at {report.continuity_witness}",
-                        report.continuity_witness,
+                        f"generalisation map discontinuous at {witness}",
+                        witness,
                     )
                 )
+        reports = [(t, check_map(g)) for t, g in _level_maps(space).items()] if map_rules else []
         for name in rules:
             low = name.lower()
-            if low in ("surjective", "monotonic"):
-                issues += _check_transitions(space, v, low)
+            if low == "surjective":
+                issues += [
+                    _map_issue(low, v, t, "targets missed:", r.missed_targets)
+                    for t, r in reports
+                    if not r.surjective
+                ]
+            elif low == "monotonic":
+                issues += [
+                    _map_issue(low, v, t, "disconnected preimage of", r.monotonicity_witness)
+                    for t, r in reports
+                    if r.monotonic is False
+                ]
             else:
                 for conflict in consistency_rule(name)(space):
                     issues.append(
@@ -580,47 +593,11 @@ def validate(store: VersionStore, rules: Sequence[str] = ()) -> list[ValidationI
     return issues
 
 
-def _check_transitions(space: Space, v: str, rule: str) -> list[ValidationIssue]:
-    issues = []
-    transitions = sorted(
-        {
-            (k.lod, e.gen_target.lod)
-            for k, e in space.elements.items()
-            if e.gen_target is not None
-        }
-    )
-    for a, b in transitions:
-        domain = [
-            k
-            for k, e in space.elements.items()
-            if k.lod == a and e.gen_target is not None and e.gen_target.lod == b
-        ]
-        target_keys = [k for k in space.elements if k.lod == b]
-        source = select_subspace(space, domain)
-        target = select_subspace(space, target_keys)
-        g = SpaceMap(source, target, {k: space.elements[k].gen_target for k in domain})
-        report = check_map(g)
-        if rule == "surjective" and not report.surjective:
-            issues.append(
-                ValidationIssue(
-                    "surjective",
-                    f"version {v}",
-                    f"levels {a}->{b}: targets missed: "
-                    f"{sorted(str(k) for k in report.missed_targets)}",
-                    tuple(sorted(report.missed_targets)),
-                )
-            )
-        if rule == "monotonic" and report.monotonic is False:
-            issues.append(
-                ValidationIssue(
-                    "monotonic",
-                    f"version {v}",
-                    f"levels {a}->{b}: disconnected preimage of "
-                    f"{sorted(str(k) for k in report.monotonicity_witness)}",
-                    tuple(sorted(report.monotonicity_witness)),
-                )
-            )
-    return issues
+def _map_issue(rule: str, v: str, transition, what: str, keys) -> ValidationIssue:
+    """A finding of an optional rule on the level map of ``transition``."""
+    a, b = transition
+    detail = f"levels {a}->{b}: {what} {sorted(str(k) for k in keys)}"
+    return ValidationIssue(rule, f"version {v}", detail, tuple(sorted(keys)))
 
 
 # ---------------------------------------------------------------------------
@@ -657,42 +634,23 @@ def versions_with_path(
         space = spaces[v] if spaces is not None else reconstruct_version(store, v)
         if a not in space or b not in space:
             continue
-        gen_pairs = {
-            BoundedByPair(k, e.gen_target)
-            for k, e in space.elements.items()
-            if e.gen_target is not None
-        }
-        linked = build_space(
-            space.elements.values(), space.relation | gen_pairs, t0_check=False
-        )
-        sub = region_keys & linked.keys()
-        if a not in sub or b not in sub:
-            continue
-        answer = None
-        if monotonic:
-            answer = _filtered_region_answer(space, linked, sub, a, b)
+        sub = region_keys & space.keys()
+        answer = _filtered_region_answer(space, sub, a, b) if monotonic else None
         if answer is None:
-            answer = path_query(linked, sub, a, b)
+            answer = path_query(_linked(space), sub, a, b)
         if answer:
             hits.append(v)
     return frozenset(hits)
 
 
-def _filtered_region_answer(space, linked, sub, a, b):
+def _filtered_region_answer(space, sub, a, b):
     """Coarse-level filtering for single-level regions; None when inapplicable."""
     lods = {k.lod for k in sub}
     if len(lods) != 1:
         return None
     (lod,) = lods
-    level_keys = [k for k in space.elements if k.lod == lod]
-    targets = {k: space.elements[k].gen_target for k in level_keys}
-    if any(t is None for t in targets.values()):
+    maps = [g for (source, _), g in _level_maps(space).items() if source == lod]
+    # it applies when the whole level generalises onto one coarser level
+    if len(maps) != 1 or len(maps[0].source) != sum(k.lod == lod for k in space.elements):
         return None
-    target_lods = {t.lod for t in targets.values()}
-    if len(target_lods) != 1:
-        return None
-    (tlod,) = target_lods
-    source = select_subspace(space, level_keys)
-    target = select_subspace(space, [k for k in space.elements if k.lod == tlod])
-    g = SpaceMap(source, target, targets)
-    return filtered_path_query(g, sub, a, b).answer
+    return filtered_path_query(maps[0], sub, a, b).answer

@@ -417,12 +417,10 @@ def enumerate_open_sets(space: Space) -> frozenset[frozenset[ElementId]]:
     """
     n = len(space.elements)
     check_guard(n, OPEN_SET_GUARD, "enumerate_open_sets")
-    keys = sorted(space.elements)
-    index = {k: i for i, k in enumerate(keys)}
-    # bound_mask[j]: bits of all a with (a, keys[j]) in R — must accompany j
-    bound_mask = [0] * n
-    for p in space.relation:
-        bound_mask[index[p.idb]] |= 1 << index[p.ida]
+    # bit i stands for position i of the index; bound_mask[j]: bits of all a
+    # with (a, keys[j]) in R — they must accompany j
+    keys = space.index.keys
+    bound_mask = [sum(1 << i for i in above) for above in space.index.inn]
     opens = []
     for m in range(1 << n):
         rest = m

@@ -464,24 +464,15 @@ def _rule_linear_dag(space: Space) -> list[ConsistencyConflict]:
     cycle = find_cycle(space)
     if cycle is not None:
         out.append(ConsistencyConflict("linear-dag", tuple(cycle), "relation has a cycle"))
-    out_deg: dict[ElementId, list[ElementId]] = {k: [] for k in space.elements}
-    in_deg: dict[ElementId, list[ElementId]] = {k: [] for k in space.elements}
-    for p in space.relation:
-        out_deg[p.ida].append(p.idb)
-        in_deg[p.idb].append(p.ida)
+    idx = space.index
     for k in sorted(space.elements):
-        if len(out_deg[k]) > 1:
-            out.append(
-                ConsistencyConflict(
-                    "linear-dag", (k, *sorted(out_deg[k])), f"{k} is bounded by several elements"
+        i = idx.pos[k]
+        for adj, what in ((idx.out, "is bounded by"), (idx.inn, "bounds")):
+            if len(adj[i]) > 1:
+                near = sorted(idx.keys[j] for j in adj[i])
+                out.append(
+                    ConsistencyConflict("linear-dag", (k, *near), f"{k} {what} several elements")
                 )
-            )
-        if len(in_deg[k]) > 1:
-            out.append(
-                ConsistencyConflict(
-                    "linear-dag", (k, *sorted(in_deg[k])), f"{k} bounds several elements"
-                )
-            )
     comps = connected_components(space)
     if len(comps) > 1:
         smallest = min(comps, key=lambda c: (len(c), sorted(c)))

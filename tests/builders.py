@@ -168,3 +168,27 @@ def two_level_store(rng: random.Random, version: str = "v1") -> VersionStore:
         for p in g.target.relation
     ]
     return new_store(version, build_space(elements, pairs))
+
+
+def level_key(text: str) -> ElementId:
+    """``"x"`` is ``x`` at level 0, ``"x:1"`` is ``x`` at level 1."""
+    name, _, lod = text.partition(":")
+    return ElementId(name, int(lod or 0))
+
+
+def level_store(
+    pairs: list[tuple[str, str]],
+    gen: dict[str, str],
+    extra: tuple[str, ...] = (),
+    version: str = "v1",
+) -> VersionStore:
+    """A one-version store on every key named in ``pairs``, ``gen`` and
+    ``extra`` (written as for ``level_key``), with ``gen`` as the
+    generalisation column."""
+    names = {n for pair in pairs for n in pair} | set(gen) | set(gen.values()) | set(extra)
+    elements = [
+        Element(level_key(n), gen_target=level_key(gen[n]) if n in gen else None)
+        for n in sorted(names)
+    ]
+    relation = [BoundedByPair(level_key(a), level_key(b)) for a, b in pairs]
+    return new_store(version, build_space(elements, relation))

@@ -9,6 +9,7 @@ import pytest
 
 import alexdb.cli
 import alexdb.storage
+import builders
 from alexdb import Element, build_space, changeset, commit, demos, new_store, simple_space
 from alexdb.cli import main
 from alexdb.errors import NotFoundError, QueryEvalError, QueryParseError
@@ -273,6 +274,21 @@ def test_cli_validate_prints_findings_and_still_exits_zero(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "validate", str(tmp_path / "broken"))
     assert code == 0
     assert "cfk-continuity" in out
+
+
+@pytest.mark.parametrize("first, second", [("surjective", "monotonic"), ("monotonic", "surjective")])
+def test_cli_validate_prints_optional_rule_findings_in_rule_order(tmp_path, capsys, first, second):
+    # Z:1 is missed and the preimage {x, y} of X:1 is disconnected
+    store = builders.level_store(pairs=[], gen={"x": "X:1", "y": "X:1"}, extra=("Z:1",))
+    save(store, tmp_path / "store")
+    code, out, _ = run_cli(
+        capsys, "validate", str(tmp_path / "store"), "--rule", first, "--rule", second
+    )
+    lines = {
+        "surjective": "surjective [version v1]: levels 0->1: targets missed: ['Z:1']",
+        "monotonic": "monotonic [version v1]: levels 0->1: disconnected preimage of ['X:1']",
+    }
+    assert (code, out) == (0, f"{lines[first]}\n{lines[second]}\n")
 
 
 def test_cli_dim(demo_dir, capsys):

@@ -332,6 +332,85 @@ def test_regions_store_passes_the_optional_rules():
     assert issues == []
 
 
+#: Level 0 maps onto P:1 alone, so Q:1 is missed; every preimage is connected.
+MISSED_STORE = dict(pairs=[("ab", "a"), ("ab", "b")], gen={"a": "P:1", "b": "P:1", "ab": "P:1"},
+                    extra=("Q:1",))
+#: X:1 is connected, its preimage {x, y} is not; nothing is missed.
+SPLIT_STORE = dict(pairs=[], gen={"x": "X:1", "y": "X:1"})
+#: Both defects on one transition: Z:1 is missed and X:1's preimage splits.
+BOTH_STORE = dict(pairs=[], gen={"x": "X:1", "y": "X:1"}, extra=("Z:1",))
+
+MISSED = alexdb.storage.ValidationIssue(
+    "surjective", "version v1", "levels 0->1: targets missed: ['Q:1']", (ElementId("Q", 1),)
+)
+SPLIT = alexdb.storage.ValidationIssue(
+    "monotonic", "version v1", "levels 0->1: disconnected preimage of ['X:1']", (ElementId("X", 1),)
+)
+MISSED_Z = alexdb.storage.ValidationIssue(
+    "surjective", "version v1", "levels 0->1: targets missed: ['Z:1']", (ElementId("Z", 1),)
+)
+
+
+@pytest.mark.parametrize("rules", [["surjective", "monotonic"], ["monotonic", "surjective"]])
+@pytest.mark.parametrize(
+    "spec, expected", [(MISSED_STORE, [MISSED]), (SPLIT_STORE, [SPLIT])], ids=["missed", "split"]
+)
+def test_validate_reports_each_optional_rule_on_a_failing_store(spec, expected, rules):
+    assert validate(builders.level_store(**spec), rules=rules) == expected
+
+
+def test_validate_emits_optional_findings_in_rule_order():
+    store = builders.level_store(**BOTH_STORE)
+    assert validate(store, rules=["surjective", "monotonic"]) == [MISSED_Z, SPLIT]
+    assert validate(store, rules=["monotonic", "surjective"]) == [SPLIT, MISSED_Z]
+    assert validate(store, rules=["Monotonic", "t0", "monotonic"]) == [SPLIT, SPLIT]
+    assert validate(store) == []
+
+
+def three_level_history():
+    """Two versions of a store whose levels 0 -> 1 -> 2 are each mapped onto."""
+    store = builders.level_store(
+        pairs=[("ab", "a"), ("ab", "b")],
+        gen={"a": "P:1", "b": "P:1", "ab": "P:1", "P:1": "T:2"},
+    )
+    added = Element(ElementId("c"), gen_target=ElementId("P", 1))
+    return commit(store, "v1", changeset("v2", add_elements=[added], add_pairs=[("c", "a")]))
+
+
+@pytest.mark.parametrize(
+    "rules, calls",
+    [
+        ([], 0),
+        (["t0"], 0),
+        (["surjective"], 4),
+        (["surjective", "monotonic"], 4),
+        (["monotonic", "t0", "SURJECTIVE", "monotonic"], 4),
+    ],
+)
+def test_validate_checks_each_level_transition_once_per_version(monkeypatch, rules, calls):
+    import alexdb.algebra
+
+    store = three_level_history()
+    counted = {"check_map": 0, "is_connected": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counted[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(alexdb.storage, "check_map", counting("check_map", alexdb.storage.check_map))
+    monkeypatch.setattr(
+        alexdb.algebra, "is_connected", counting("is_connected", alexdb.algebra.is_connected)
+    )
+    assert validate(store, rules=rules) == []
+    # two transitions in each of two versions; monotonicity only under a rule
+    assert counted["check_map"] == calls
+    if not calls:
+        assert counted["is_connected"] == 0
+
+
 def test_faulty_regions_store_breaks_generalisation_continuity():
     issues = validate(demos.regions_store(faulty=True))
     kinds = {i.rule for i in issues}
@@ -395,6 +474,22 @@ def test_validate_reports_duplicates_and_every_foreign_key():
         "Atts.id→X",
         "VR.tov→VX",
     } <= subjects
+
+
+def test_validate_finds_duplicates_in_a_store_out_of_canonical_order():
+    a, b = XRow("a", 0, None, None, "v0"), XRow("b", 0, None, None, "v0")
+    store = VersionStore(
+        x=(b, a, b),
+        atts=(AttRow("b", 0, "k", 1), AttRow("a", 0, "k", 1), AttRow("b", 0, "k", 2)),
+        vx=("v0", "v1", "v0"),
+        vr=(("v0", "v1"),),
+    )
+    duplicates = [(i.subject, i.witnesses) for i in validate(store) if i.rule == "duplicate-row"]
+    assert duplicates == [
+        ("X", (("b", 0, "v0"),)),
+        ("VX", ("v0",)),
+        ("Atts", (("b", 0, "k"),)),
+    ]
 
 
 def test_foreign_key_checks_cover_every_schema_reference():
