@@ -27,7 +27,6 @@ from .topology import (
     is_connected,
     star,
     _kahn,
-    _key_order,
     _nearest_kept,
     _require_keys,
 )
@@ -55,8 +54,7 @@ def open_reduction(
     topological order, after Aho, Garey and Ullman, "The transitive
     reduction of a directed graph" (SIAM J. Comput. 1972).
     """
-    normal = (p if isinstance(p, BoundedByPair) else BoundedByPair(p[0], p[1]) for p in pairs)
-    rel = {(p.ida, p.idb) for p in normal if p.ida != p.idb}
+    rel = {(a, b) for a, b in pairs if a != b}
     pos: dict[ElementId, int] = {}
     for pair in rel:
         for k in pair:
@@ -104,7 +102,7 @@ def select_subspace(space: Space, keep: Iterable[ElementId]) -> Space:
     from each kept element to its nearest kept descendants are candidates
     for the reduced relation.
     """
-    keys = sorted(_require_keys(space, keep), key=_key_order)
+    keys = sorted(_require_keys(space, keep))
     idx = space.index
     local = {idx.pos[k]: i for i, k in enumerate(keys)}
     succ: list[list[int]] = [[] for _ in keys]

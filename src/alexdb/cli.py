@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from operator import attrgetter
 from pathlib import Path
 
 from . import query as querymod
@@ -63,7 +64,7 @@ def _space_csv(space: Space, points, out) -> None:
     writer.writerows(elements)
     writer.writerow([])
     writer.writerows(pairs)
-    points = sorted(points, key=lambda p: (p.key.id, p.key.lod))
+    points = sorted(points, key=attrgetter("key"))
     if points:
         writer.writerow([])
         writer.writerow(["pid", "lod", "x", "y", "z", "t"])

@@ -418,7 +418,8 @@ class _Eval:
             raise self.fail(f"expected a set of pairs, got {_kind(value)}", path)
         pairs = []
         for item in value:
-            if not (isinstance(item, tuple) and len(item) == 2):
+            # a key is a 2-tuple too: only a pair literal's plain tuple qualifies
+            if isinstance(item, ElementId) or not (isinstance(item, tuple) and len(item) == 2):
                 raise self.fail("expected pairs written as a -> b", path)
             pairs.append((self.as_element(item[0], path), self.as_element(item[1], path)))
         return frozenset(pairs)

@@ -156,8 +156,7 @@ def _element_rows(space: Space, keys: Iterable[ElementId], version: str):
     xrows, attrows = [], []
     for k in sorted(keys):
         e = space.elements[k]
-        t = e.gen_target
-        gid, glod = (None, None) if t is None else (t.id, t.lod)
+        gid, glod = e.gen_target or (None, None)
         xrows.append(XRow(id=k.id, lod=k.lod, gid=gid, glod=glod, version=version))
         for name in sorted(e.attributes):
             attrows.append(AttRow(id=k.id, lod=k.lod, name=name, value=e.attributes[name]))
@@ -238,12 +237,12 @@ def commit(
         rrows.append(RRow(ida=p.ida.id, idb=p.idb.id, lod=p.ida.lod, version=v))
 
     pts = list(store.point)
-    have = {(p.key.id, p.key.lod) for p in pts}
+    have = {p.key for p in pts}
     for p in points:
-        if (p.key.id, p.key.lod) in have:
+        if p.key in have:
             raise DuplicateKeyError(f"coordinate row for {p.key} already exists")
         pts.append(p)
-        have.add((p.key.id, p.key.lod))
+        have.add(p.key)
 
     return canonicalize(
         VersionStore(
@@ -478,46 +477,40 @@ def foreign_key_violations(store: VersionStore) -> list[ValidationIssue]:
     versions = set(store.vx)
 
     def fk(subject, ok, detail, witness):
+        # ``detail`` is a format template over the witness ``w``, filled in
+        # only for a violation: formatting a row calls its repr
         if not ok:
-            issues.append(ValidationIssue("foreign-key", subject, detail, (witness,)))
+            text = detail.format(w=witness)
+            issues.append(ValidationIssue("foreign-key", subject, text, (witness,)))
 
     for w in store.x:
-        fk("X.version→VX", w.version in versions, f"X row {w} names unknown version", w)
+        fk("X.version→VX", w.version in versions, "X row {w} names unknown version", w)
         if w.gid is not None:
             fk(
                 "X.(gid,glod)→X",
                 (w.gid, w.glod) in el_keys,
-                f"X row {w} generalises to unknown element ({w.gid}, {w.glod})",
+                "X row {w} generalises to unknown element ({w.gid}, {w.glod})",
                 w,
             )
     for w in store.r:
-        fk("R.ida→X", (w.ida, w.lod) in el_keys, f"R row {w} references unknown ida", w)
-        fk("R.idb→X", (w.idb, w.lod) in el_keys, f"R row {w} references unknown idb", w)
-        fk("R.version→VX", w.version in versions, f"R row {w} names unknown version", w)
+        fk("R.ida→X", (w.ida, w.lod) in el_keys, "R row {w} references unknown ida", w)
+        fk("R.idb→X", (w.idb, w.lod) in el_keys, "R row {w} references unknown idb", w)
+        fk("R.version→VX", w.version in versions, "R row {w} names unknown version", w)
     for w in store.point:
-        fk(
-            "Point.pid→X",
-            (w.key.id, w.key.lod) in el_keys,
-            f"Point row for {w.key} references unknown element",
-            w,
-        )
+        fk("Point.pid→X", w.key in el_keys, "Point row for {w.key} references unknown element", w)
     for w in store.delx:
-        fk("DelX.id→X", (w.id, w.lod) in el_keys, f"DelX row {w} references unknown element", w)
-        fk("DelX.version→VX", w.version in versions, f"DelX row {w} names unknown version", w)
+        fk("DelX.id→X", (w.id, w.lod) in el_keys, "DelX row {w} references unknown element", w)
+        fk("DelX.version→VX", w.version in versions, "DelX row {w} names unknown version", w)
     for w in store.delr:
-        fk("DelR.ida→X", (w.ida, w.lod) in el_keys, f"DelR row {w} references unknown ida", w)
-        fk("DelR.idb→X", (w.idb, w.lod) in el_keys, f"DelR row {w} references unknown idb", w)
-        fk("DelR.version→VX", w.version in versions, f"DelR row {w} names unknown version", w)
-    for a, b in store.vr:
-        fk("VR.fromv→VX", a in versions, f"VR row ({a}, {b}) names unknown source version", (a, b))
-        fk("VR.tov→VX", b in versions, f"VR row ({a}, {b}) names unknown target version", (a, b))
+        fk("DelR.ida→X", (w.ida, w.lod) in el_keys, "DelR row {w} references unknown ida", w)
+        fk("DelR.idb→X", (w.idb, w.lod) in el_keys, "DelR row {w} references unknown idb", w)
+        fk("DelR.version→VX", w.version in versions, "DelR row {w} names unknown version", w)
+    for w in store.vr:
+        a, b = w
+        fk("VR.fromv→VX", a in versions, "VR row ({w[0]}, {w[1]}) names unknown source version", w)
+        fk("VR.tov→VX", b in versions, "VR row ({w[0]}, {w[1]}) names unknown target version", w)
     for w in store.atts:
-        fk(
-            "Atts.id→X",
-            (w.id, w.lod) in el_keys,
-            f"Atts row {w} references unknown element",
-            w,
-        )
+        fk("Atts.id→X", (w.id, w.lod) in el_keys, "Atts row {w} references unknown element", w)
     return issues
 
 
@@ -525,8 +518,9 @@ def validate(store: VersionStore, rules: Sequence[str] = ()) -> list[ValidationI
     """Full consistency report.
 
     Always checked: duplicate keys, all foreign keys, acyclicity of the
-    version graph, per-version reconstructability and T0, and continuity of
-    the generalisation map on every version (the continuous-foreign-key
+    version graph, per-version reconstructability and T0, and on every
+    version that each generalisation target exists and that the
+    generalisation map is continuous on the rest (the continuous-foreign-key
     condition).  ``rules`` adds optional checks per version: "surjective"
     and "monotonic" for the generalisation map per level transition (each
     transition is checked once, whatever the number of such rules), any
@@ -557,6 +551,10 @@ def validate(store: VersionStore, rules: Sequence[str] = ()) -> list[ValidationI
             )
             continue
         gen = {k: e.gen_target for k, e in space.elements.items() if e.gen_target is not None}
+        for k in sorted(x for x, t in gen.items() if t not in space):
+            t = gen.pop(k)
+            detail = f"element {k} generalises to {t}, which is not in the version"
+            issues.append(ValidationIssue("cfk-generalisation", f"version {v}", detail, (k, t)))
         if gen:
             witness = _continuity_witness(restrict_map(SpaceMap(space, space, gen)))
             if witness is not None:

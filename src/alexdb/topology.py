@@ -32,8 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import attrgetter
-from typing import AbstractSet, Iterable, Iterator, Literal, Mapping, Union
+from typing import AbstractSet, Iterable, Iterator, Literal, Mapping, NamedTuple, Union
 
 from .errors import (
     DanglingPairError,
@@ -47,20 +46,18 @@ from .limits import OPEN_SET_GUARD, check_guard
 Scalar = Union[str, int, float]
 
 
-@dataclass(frozen=True, order=True)
-class ElementId:
-    """Key of an element: an id string plus a level-of-detail tag."""
+class ElementId(NamedTuple):
+    """Key of an element: an id string plus a level-of-detail tag.
+
+    A key is the plain tuple ``(id, lod)``: it equals, hashes and orders
+    like that tuple, so sets, dicts and sorts of keys run in C.
+    """
 
     id: str
     lod: int = 0
 
     def __str__(self) -> str:
         return self.id if self.lod == 0 else f"{self.id}:{self.lod}"
-
-
-# Sort key giving ElementId's own order, compared in C rather than through
-# the dataclass's generated ``__lt__``: sorting thousands of keys is hot.
-_key_order = attrgetter("id", "lod")
 
 
 @dataclass(frozen=True)
@@ -79,9 +76,9 @@ class Element:
     attributes: Mapping[str, Scalar] = field(default_factory=dict)
 
 
-@dataclass(frozen=True, order=True)
-class BoundedByPair:
-    """One relation row: ``ida`` is bounded by ``idb``."""
+class BoundedByPair(NamedTuple):
+    """One relation row: ``ida`` is bounded by ``idb``; the plain tuple
+    ``(ida, idb)``."""
 
     ida: ElementId
     idb: ElementId
@@ -158,8 +155,9 @@ def build_space(
     """Validate and assemble a space.
 
     Raises ``DuplicateKeyError`` for repeated element keys,
-    ``DanglingPairError`` for pairs touching unknown keys, and — unless
-    ``t0_check`` is disabled — ``T0ViolationError`` carrying a witness cycle.
+    ``DanglingPairError`` naming the smallest pair that touches an unknown
+    key, and — unless ``t0_check`` is disabled — ``T0ViolationError``
+    carrying a witness cycle.
     Reflexive pairs are dropped: reflexivity is implicit in the preorder.
     """
     table: dict[ElementId, Element] = {}
@@ -168,14 +166,20 @@ def build_space(
             raise DuplicateKeyError(f"duplicate element key {el.key}")
         table[el.key] = el
     rel = set()
+    dangling = []
     for p in pairs:
-        if p.ida == p.idb:
+        a, b = p
+        if a == b:
             continue
-        if p.ida not in table:
-            raise DanglingPairError(f"pair {p} references unknown element {p.ida}")
-        if p.idb not in table:
-            raise DanglingPairError(f"pair {p} references unknown element {p.idb}")
-        rel.add(p)
+        if a in table and b in table:
+            rel.add(p)
+        else:
+            dangling.append(p)
+    if dangling:
+        # the smallest, so one input names the same pair in every process
+        p = min(dangling)
+        unknown = p.ida if p.ida not in table else p.idb
+        raise DanglingPairError(f"pair {p} references unknown element {unknown}")
     space = Space(elements=table, relation=frozenset(rel))
     if t0_check:
         _topological_order(space)
@@ -282,7 +286,7 @@ def _partition(
     for i in parent:
         groups.setdefault(find(i), []).append(keys[i])
     comps = [frozenset(g) for g in groups.values()]
-    return tuple(sorted(comps, key=lambda c: _key_order(min(c, key=_key_order))))
+    return tuple(sorted(comps, key=min))
 
 
 class SpaceIndex:

@@ -154,15 +154,12 @@ def changeset(
     def key(x):
         return x if isinstance(x, ElementId) else ElementId(x)
 
-    def pair(p):
-        return p if isinstance(p, BoundedByPair) else BoundedByPair(key(p[0]), key(p[1]))
-
     return ChangeSet(
         version=version,
         add_elements=tuple(add_elements),
         remove_elements=frozenset(key(k) for k in remove_elements),
-        add_pairs=frozenset(pair(p) for p in add_pairs),
-        remove_pairs=frozenset(pair(p) for p in remove_pairs),
+        add_pairs=frozenset(BoundedByPair(key(a), key(b)) for a, b in add_pairs),
+        remove_pairs=frozenset(BoundedByPair(key(a), key(b)) for a, b in remove_pairs),
     )
 
 

@@ -1,8 +1,13 @@
 """Tests for the query language and the command-line front end."""
 from __future__ import annotations
 
+import json
+import os
+import random
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,7 +35,7 @@ from alexdb.query import (
     parse,
     print_expr,
 )
-from alexdb.storage import load, save
+from alexdb.storage import load, reconstruct_version, save
 from alexdb.topology import ElementId
 
 
@@ -289,6 +294,21 @@ def test_cli_validate_prints_optional_rule_findings_in_rule_order(tmp_path, caps
         "monotonic": "monotonic [version v1]: levels 0->1: disconnected preimage of ['X:1']",
     }
     assert (code, out) == (0, f"{lines[first]}\n{lines[second]}\n")
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("dim(space({a, b}, {a, b}))", "dim/space"),
+        ("space({a, b}, {a -> b, a})", "space"),
+        ("map(space({a, b}), space({a, b}), {a, b})", "map"),
+        ("map(space({a}), space({b}), {a -> b, a:1})", "map"),
+    ],
+)
+def test_cli_query_wants_pairs_where_pairs_belong(capsys, text, where):
+    # a key is a 2-tuple too, yet it is no pair
+    code, out, err = run_cli(capsys, "query", text)
+    assert (code, out, err) == (1, "", f"error: {where}: expected pairs written as a -> b\n")
 
 
 def test_cli_dim(demo_dir, capsys):
@@ -657,3 +677,58 @@ def test_readme_transcripts_replay(command, expected, capsys, monkeypatch):
     assert program == "alexdb"
     assert run_cli(capsys, *argv)[:2] == (0, expected)
 
+
+
+# ---------------------------------------------------------------------------
+# messages do not depend on hash order
+
+_REPLAY = """
+import contextlib, io, json, sys
+import alexdb.cli
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = alexdb.cli.main(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_failing_commands_give_the_same_messages_under_any_hash_seed(tmp_path):
+    store = builders.two_level_store(random.Random(0))
+    coarse = next(ElementId(w.id, w.lod) for w in store.x if w.lod == 1)
+    fine = sorted(k for k in reconstruct_version(store, "v1").keys() if k.lod == 0)
+    dangling = str(tmp_path / "dangling")
+    save(commit(store, "v1", changeset("v2", remove_elements=[coarse])), dangling)
+    ghosts = tmp_path / "ghosts"
+    save(demos.text_store(), ghosts)
+    with open(ghosts / "R.csv", "a", encoding="utf-8") as fh:
+        fh.write("1,ghost,0,v0\n9,1,0,v9\n")
+    commands = [
+        ["query", "dim(space({a}, {a -> b, a -> c, a -> d}))"],
+        ["query", "space({a, b, c}, {a -> x, b -> y, c -> z, w -> a})"],
+        ["query", "dim(space({a, b, c}, {a -> b, b -> c, c -> a}))"],
+        ["query", "quotient(space({a, b, c}, {a -> b, b -> c}), {{a, c}})"],
+        ["query", "closure(space({a, b}), {x, y, z})"],
+        ["telescope", dangling],
+        ["versions-with-path", dangling, str(fine[0]), str(fine[-1])],
+        ["validate", dangling],
+        ["dim", str(ghosts)],
+    ]
+    src = str(Path(alexdb.cli.__file__).resolve().parents[1])
+    runs = []
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _REPLAY, json.dumps(commands)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        runs.append(json.loads(proc.stdout))
+    assert runs[0] == runs[1]
+    assert [code for code, _, _ in runs[0]] == [1, 1, 1, 1, 1, 1, 1, 0, 1]
+    assert runs[0][0][2] == (
+        "error: pair BoundedByPair(ida=ElementId(id='a', lod=0), idb=ElementId(id='b', lod=0))"
+        " references unknown element b\n"
+    )

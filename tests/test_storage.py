@@ -1,6 +1,8 @@
 """Tests for the CSV store: round-trips, commits, validation, queries."""
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -239,8 +241,10 @@ def test_loading_broken_foreign_keys_fails(tmp_path):
     save(demos.text_store(), tmp_path)
     with open(tmp_path / "R.csv", "a", encoding="utf-8") as fh:
         fh.write("1,ghost,0,v0\n")
-    with pytest.raises(ForeignKeyError):
+    with pytest.raises(ForeignKeyError) as err:
         load(tmp_path)
+    row = "RRow(ida='1', idb='ghost', lod=0, version='v0')"
+    assert str(err.value) == f"R row {row} references unknown idb"
 
 
 # ---------------------------------------------------------------------------
@@ -522,6 +526,78 @@ def test_foreign_key_checks_cover_every_schema_reference():
         "VR.tov→VX",
         "Atts.id→X",
     }
+
+
+def test_foreign_key_details_name_the_witness_row():
+    from alexdb.storage import DelRRow
+
+    store = VersionStore(
+        x=(XRow("a", 0, "ghost", 9, "v9"),),
+        r=(RRow("no", "way", 3, "v9"),),
+        point=(PointRow(ElementId("ghost2"), 0.0, 0.0, 0.0, 0.0),),
+        delx=(DelXRow("ghost3", 0, "v9"),),
+        delr=(DelRRow("na", "nb", 0, "v9"),),
+        vr=(("lost", "gone"),),
+        atts=(AttRow("ghost4", 0, "k", 1),),
+    )
+    x = "XRow(id='a', lod=0, gid='ghost', glod=9, version='v9')"
+    r = "RRow(ida='no', idb='way', lod=3, version='v9')"
+    delx = "DelXRow(id='ghost3', lod=0, version='v9')"
+    delr = "DelRRow(ida='na', idb='nb', lod=0, version='v9')"
+    assert [i.detail for i in foreign_key_violations(store)] == [
+        f"X row {x} names unknown version",
+        f"X row {x} generalises to unknown element (ghost, 9)",
+        f"R row {r} references unknown ida",
+        f"R row {r} references unknown idb",
+        f"R row {r} names unknown version",
+        "Point row for ghost2 references unknown element",
+        f"DelX row {delx} references unknown element",
+        f"DelX row {delx} names unknown version",
+        f"DelR row {delr} references unknown ida",
+        f"DelR row {delr} references unknown idb",
+        f"DelR row {delr} names unknown version",
+        "VR row (lost, gone) names unknown source version",
+        "VR row (lost, gone) names unknown target version",
+        "Atts row AttRow(id='ghost4', lod=0, name='k', value=1) references unknown element",
+    ]
+
+
+def test_foreign_key_checks_format_no_row_of_a_valid_store(monkeypatch):
+    from alexdb.storage import DelRRow
+
+    point = PointRow(ElementId("1"), 0.0, 0.0, 0.0, 0.0)
+    store = commit(demos.text_store(), "v2", changeset("v3"), points=[point])
+    assert store.delx and store.delr and store.atts and store.point
+    for row in (XRow, RRow, PointRow, DelXRow, DelRRow, AttRow):
+        monkeypatch.setattr(row, "__repr__", lambda self: pytest.fail("a row was formatted"))
+    assert foreign_key_violations(store) == []
+
+
+def test_validate_reports_a_missing_generalisation_target():
+    store = builders.two_level_store(random.Random(0))
+    coarse = next(ElementId(w.id, w.lod) for w in store.x if w.lod == 1)
+    fine = sorted(
+        k for k, e in reconstruct_version(store, "v1").elements.items() if e.gen_target == coarse
+    )
+    broken = commit(store, "v1", changeset("v2", remove_elements=[coarse]))
+    issues = validate(broken, ["surjective", "monotonic"])
+    found = [(i.subject, i.detail, i.witnesses) for i in issues if i.rule == "cfk-generalisation"]
+    detail = "element {} generalises to {}, which is not in the version"
+    assert found == [("version v2", detail.format(k, coarse), (k, coarse)) for k in fine]
+    assert fine and {i.rule for i in issues} == {"cfk-generalisation"}
+
+
+def test_validate_checks_continuity_on_the_rest_of_a_dangling_map():
+    # a is bounded by b, but their images P:1 and Q:1 are unrelated
+    store = builders.level_store([("a", "b")], {"a": "P:1", "b": "Q:1", "c": "R:1"})
+    broken = commit(store, "v1", changeset("v2", remove_elements=[ElementId("R", 1)]))
+    found = [(i.rule, i.subject, i.witnesses) for i in validate(broken)]
+    a, b, c = ElementId("a"), ElementId("b"), ElementId("c")
+    assert found == [
+        ("cfk-continuity", "version v1", (a, b)),
+        ("cfk-generalisation", "version v2", (c, ElementId("R", 1))),
+        ("cfk-continuity", "version v2", (a, b)),
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from alexdb import (
     simple_space,
     star,
 )
+from alexdb.algebra import open_reduction
 from conftest import spaces, spaces_with_subset
 
 
@@ -59,6 +60,18 @@ def test_dangling_pair_rejected():
         simple_space(["a"], [("a", "b")])
 
 
+def test_dangling_pair_error_names_the_smallest_pair():
+    a = ElementId("a")
+    pairs = [BoundedByPair(ElementId("z"), a)] + [BoundedByPair(a, ElementId(n)) for n in "dcb"]
+    for given_order in (pairs, pairs[::-1]):
+        with pytest.raises(DanglingPairError) as err:
+            build_space([Element(a)], given_order)
+        assert str(err.value) == (
+            "pair BoundedByPair(ida=ElementId(id='a', lod=0), idb=ElementId(id='b', lod=0))"
+            " references unknown element b"
+        )
+
+
 def test_cycle_rejected_with_witness():
     with pytest.raises(T0ViolationError) as err:
         simple_space(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
@@ -78,6 +91,50 @@ def test_reflexive_pairs_dropped():
 def test_lookup_unknown_key():
     with pytest.raises(NotFoundError):
         closure(demos.edge_space(), [ElementId("missing")])
+
+
+# ---------------------------------------------------------------------------
+# keys and pairs are plain tuples
+
+
+def test_a_key_is_the_tuple_of_id_and_level():
+    key = ElementId("a", 1)
+    assert key == ("a", 1) and hash(key) == hash(("a", 1))
+    assert ElementId("a") == ("a", 0)
+    assert (key.id, key.lod) == tuple(key)
+
+
+def test_keys_sort_by_id_then_level():
+    keys = [ElementId("b"), ElementId("a", 2), ElementId("a:1"), ElementId("a"), ElementId("a", 1)]
+    assert [str(k) for k in sorted(keys)] == ["a", "a:1", "a:2", "a:1", "b"]
+    assert sorted(keys) == sorted(keys, key=lambda k: (k.id, k.lod))
+    assert min(keys) == ElementId("a")
+
+
+def test_key_and_pair_texts_are_unchanged():
+    key = ElementId("a", 1)
+    assert (str(key), str(ElementId("a"))) == ("a:1", "a")
+    assert repr(key) == "ElementId(id='a', lod=1)"
+    pair = BoundedByPair(ElementId("a"), key)
+    assert repr(pair) == str(pair) == (
+        "BoundedByPair(ida=ElementId(id='a', lod=0), idb=ElementId(id='a', lod=1))"
+    )
+
+
+def test_a_pair_unpacks_as_ida_then_idb():
+    pair = BoundedByPair(ElementId("a"), ElementId("b"))
+    ida, idb = pair
+    assert (ida, idb) == (pair.ida, pair.idb) == (ElementId("a"), ElementId("b"))
+    assert pair == (ElementId("a"), ElementId("b"))
+    assert sorted([BoundedByPair(ida, ElementId("c")), pair]) == [pair, (ida, ElementId("c"))]
+
+
+def test_open_reduction_accepts_pairs_and_plain_tuples():
+    a, b, c = (ElementId(n) for n in "abc")
+    reduced = open_reduction([BoundedByPair(a, b), (b, c), (a, c), (a, a)])
+    assert reduced == {BoundedByPair(a, b), BoundedByPair(b, c)}
+    assert all(type(p) is BoundedByPair for p in reduced)
+    assert open_reduction([(a, b), (b, c)]) == open_reduction([BoundedByPair(a, b), (b, c)])
 
 
 # ---------------------------------------------------------------------------
