@@ -25,10 +25,10 @@ from .algebra import (
     MapReport,
     SpaceMap,
     check_map,
-    open_reduction,
     product_key,
     select_subspace,
     space_map,
+    _reduction,
 )
 from .errors import MissingGeometryError, NotFoundError
 from .spacetime import PointRow
@@ -38,11 +38,11 @@ from .topology import (
     ElementId,
     Space,
     build_space,
-    closure,
     components_within,
     simple_space,
     _require_keys,
     _topological_order,
+    _walk,
 )
 from .versioning import reconstruct_version
 
@@ -277,40 +277,35 @@ def _telescope(base: Space, edge_matching: bool = True) -> Space:
     augmented = _linked(base)
     _topological_order(augmented)
     _, edge_graph = _lod_graph(base)
+    aug, edges = augmented.index, edge_graph.index
 
-    matches: list[tuple[ElementId, ElementId]] = []
-    for k in sorted(augmented.elements):
-        for w in sorted(edge_graph.elements):
-            attrs = edge_graph.elements[w].attributes
-            is_vertex = attrs["lod"] == attrs["glod"]
-            if not is_vertex and not edge_matching:
-                continue
-            if attrs["lod"] == k.lod:
-                matches.append((k, w))
+    # an element at level l matches the level nodes whose fine side is l;
+    # matches are numbered in key order, each a pair of positions
+    nodes: dict[int, list[int]] = {}
+    for w in sorted(edge_graph.elements):
+        attrs = edge_graph.elements[w].attributes
+        if edge_matching or attrs["lod"] == attrs["glod"]:
+            nodes.setdefault(attrs["lod"], []).append(edges.pos[w])
+    matches = [(aug.pos[k], w) for k in sorted(augmented.elements) for w in nodes.get(k.lod, ())]
+    number = {m: i for i, m in enumerate(matches)}
 
+    # match (a, w) is bounded by match (b, x) when b is in the closure of a
+    # and x in that of w; the reduction keeps the covering pairs
+    below_w = [_walk(edges.out, [w]) for w in range(len(edges.keys))]
+    below_a: dict[int, set[int]] = {}
+    succ: list[list[int]] = []
+    for i, (a, w) in enumerate(matches):
+        if a not in below_a:
+            below_a[a] = _walk(aug.out, [a])
+        found = (number.get((b, x)) for b in below_a[a] for x in below_w[w])
+        succ.append([j for j in found if j is not None and j != i])
+    keys = [product_key(aug.keys[a], edges.keys[w]) for a, w in matches]
     els = []
-    for k, w in matches:
-        e = augmented.elements[k]
-        els.append(
-            Element(
-                key=product_key(k, w),
-                version=e.version,
-                attributes={**e.attributes, "lod_edge": w.id},
-            )
-        )
-    # (ka, wa) is bounded by (kb, wb) when kb is in the closure of ka and wb
-    # in that of wa: enumerate those candidates and keep the matched ones
-    matched = set(matches)
-    below_a = {k: closure(augmented, [k]) for k in augmented.elements}
-    below_b = {w: closure(edge_graph, [w]) for w in edge_graph.elements}
-    strict = [
-        BoundedByPair(product_key(ka, wa), product_key(kb, wb))
-        for ka, wa in matches
-        for kb in below_a[ka]
-        for wb in below_b[wa]
-        if (kb, wb) in matched and (kb, wb) != (ka, wa)
-    ]
-    return build_space(els, open_reduction(strict), t0_check=False)
+    for key, (a, w) in zip(keys, matches):
+        e = augmented.elements[aug.keys[a]]
+        attributes = {**e.attributes, "lod_edge": edges.keys[w].id}
+        els.append(Element(key=key, version=e.version, attributes=attributes))
+    return build_space(els, _reduction(keys, succ), t0_check=False)
 
 
 def telescope_fiber(tele: Space, edge_id: str) -> Space:

@@ -10,10 +10,11 @@ rows in canonical (sorted) order, so saving is deterministic and diffable.
 
 Stores are immutable snapshots: ``commit`` applies a changeset against a
 parent version and returns a new store — a single-writer discipline with no
-in-place mutation anywhere.  A store's ``history`` index (its version space,
-ancestry bitsets and rows grouped by key) is built on first use and cached
-on the store, which relies on that contract: never change a store's row
-tuples, build a new store instead.
+in-place mutation anywhere.  A store's ``history`` index (ancestry bitsets
+and rows grouped by key) is cached on the store, which relies on that
+contract: never change a store's row tuples, build a new store instead.  A
+loaded store builds the index from its rows on first use; a committed store
+arrives with one derived from its parent's, holding its newest space.
 
 The generalisation columns (``gid``, ``glod``) are read and written here as
 rows only: the level maps that ``validate`` checks, once per level
@@ -45,7 +46,7 @@ from .errors import (
     T0ViolationError,
 )
 from .spacetime import PointRow
-from .topology import ElementId, Scalar, Space
+from .topology import BoundedByPair, ElementId, Scalar, Space
 from .versioning import (
     ChangeSet,
     HistoryIndex,
@@ -116,12 +117,18 @@ class VersionStore:
     atts: tuple[AttRow, ...] = ()
 
     def version_space(self) -> VersionSpace:
-        return self.history.versions
+        """The version space, built and checked for T0 on first use."""
+        return self._versions
+
+    @cached_property
+    def _versions(self) -> VersionSpace:
+        return VersionSpace(frozenset(self.vx), frozenset(self.vr))
 
     @cached_property
     def history(self) -> HistoryIndex:
-        """The version space and rows indexed for reconstruction, built on
-        first use and kept for the life of this (immutable) store."""
+        """The versions and rows indexed for reconstruction: built from the
+        rows on first use and kept for the life of this (immutable) store;
+        a store made by ``commit`` arrives with it."""
         return HistoryIndex(self)
 
 
@@ -167,13 +174,18 @@ def _space_rows(space: Space, version: str):
     xrows, attrows = _element_rows(space, space.elements, version)
     rrows = []
     for p in sorted(space.relation):
-        if p.ida.lod != p.idb.lod:
-            raise StoreFormatError(
-                f"pair {p} spans levels; stored pairs are per-level "
-                f"(cross-level structure lives in the generalisation columns)"
-            )
-        rrows.append(RRow(ida=p.ida.id, idb=p.idb.id, lod=p.ida.lod, version=version))
+        rrows.append(_pair_row(p, version))
     return xrows, rrows, attrows
+
+
+def _pair_row(p: BoundedByPair, version: str) -> RRow:
+    """The R row recording pair ``p`` as created in ``version``."""
+    if p.ida.lod != p.idb.lod:
+        raise StoreFormatError(
+            f"pair {p} spans levels; stored pairs are per-level "
+            f"(cross-level structure lives in the generalisation columns)"
+        )
+    return RRow(ida=p.ida.id, idb=p.idb.id, lod=p.ida.lod, version=version)
 
 
 def new_store(version: str, space: Space, points: Iterable[PointRow] = ()) -> VersionStore:
@@ -202,60 +214,81 @@ def commit(
     difference is written as creation and deletion rows, so modifications
     that cancel within the changeset leave no trace.  Attributes attach to
     an (id, level) key once; a re-added element keeps its old attributes
-    (matching rows are skipped, contradicting ones are rejected).
+    (matching rows are skipped, contradicting ones are rejected).  A
+    changeset that would leave an element generalising to one not in the
+    new version is rejected with ``ForeignKeyError``, as is a pair across
+    levels (``StoreFormatError``).
+
+    The new store arrives with its ``history`` index, derived from the
+    parent store's without reading a row, and holding the new version's
+    space: committing again from the new version, or reconstructing it,
+    reads no rows.
     """
     v = changes.version
     if v in store.vx:
         raise DuplicateKeyError(f"version {v!r} already exists")
     if parent not in store.vx:
         raise NotFoundError(f"unknown parent version {parent!r}")
+    index = store.history
     base = reconstruct_version(store, parent)
     new_space = apply_changeset(base, changes)
+    _check_generalisation(new_space, changes)
+    removed = sorted(changes.remove_elements)
+    added = sorted(el.key for el in changes.add_elements)
+    dropped = sorted(base.relation - new_space.relation)
+    linked = sorted(new_space.relation - base.relation)
 
-    xrows = list(store.x)
-    rrows = list(store.r)
-    delx = list(store.delx)
-    delr = list(store.delr)
-    atts = list(store.atts)
-    att_index = {(a.id, a.lod, a.name): a.value for a in store.atts}
-
-    for k in sorted(base.keys() - new_space.keys()):
-        delx.append(DelXRow(id=k.id, lod=k.lod, version=v))
-    for p in sorted(base.relation - new_space.relation):
-        delr.append(DelRRow(ida=p.ida.id, idb=p.idb.id, lod=p.ida.lod, version=v))
-    new_x, new_atts = _element_rows(new_space, new_space.keys() - base.keys(), v)
-    xrows += new_x
+    new_x, new_atts = _element_rows(new_space, added, v)
+    recorded = {k: index.attributes(k) for k in added}
     for a in new_atts:
-        prior = att_index.get((a.id, a.lod, a.name))
-        if prior is None:
-            atts.append(a)
-        elif prior != a.value:
+        prior = recorded[a.id, a.lod].get(a.name)
+        if prior is not None and prior != a.value:
             raise DuplicateKeyError(
                 f"attribute {a.name!r} of ({a.id}, {a.lod}) already recorded as {prior!r}"
             )
-    for p in sorted(new_space.relation - base.relation):
-        rrows.append(RRow(ida=p.ida.id, idb=p.idb.id, lod=p.ida.lod, version=v))
+    new_atts = [a for a in new_atts if a.name not in recorded[a.id, a.lod]]
 
     pts = list(store.point)
-    have = {p.key for p in pts}
+    have = {p.key for p in pts} if points else set()
     for p in points:
         if p.key in have:
             raise DuplicateKeyError(f"coordinate row for {p.key} already exists")
         pts.append(p)
         have.add(p.key)
 
-    return canonicalize(
+    child = canonicalize(
         VersionStore(
-            x=tuple(xrows),
-            r=tuple(rrows),
+            x=store.x + tuple(new_x),
+            r=store.r + tuple(_pair_row(p, v) for p in linked),
             point=tuple(pts),
-            delx=tuple(delx),
-            delr=tuple(delr),
+            delx=store.delx + tuple(DelXRow(id=k.id, lod=k.lod, version=v) for k in removed),
+            delr=store.delr + tuple(
+                DelRRow(ida=p.ida.id, idb=p.idb.id, lod=p.ida.lod, version=v) for p in dropped
+            ),
             vx=store.vx + (v,),
             vr=store.vr + ((parent, v),),
-            atts=tuple(atts),
+            atts=store.atts + tuple(new_atts),
         )
     )
+    # what ``history`` would build from the rows, without reading them
+    vars(child)["history"] = index.derive(parent, v, new_space, removed, added, dropped, linked)
+    return child
+
+
+def _check_generalisation(space: Space, changes: ChangeSet) -> None:
+    """Reject a commit whose result ``space`` has an element generalising
+    to one it lacks: one the changeset removed, or the missing target of
+    one it added.  The smallest such element is named."""
+    bad = [(el.key, el.gen_target) for el in changes.add_elements]
+    bad = [(k, t) for k, t in bad if t is not None and t not in space]
+    gone = changes.remove_elements
+    if gone:
+        bad += [(k, e.gen_target) for k, e in space.elements.items() if e.gen_target in gone]
+    if bad:
+        k, t = min(bad)
+        raise ForeignKeyError(
+            f"element {k} would generalise to {t}, which is not in version {changes.version!r}"
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,17 @@ creation on a path into ``v`` is not followed (at or after it, within the
 ancestry of ``v``) by a deletion — so re-introducing an item after deleting
 it works, and parallel-branch deletions take effect once merged in.  Each
 store computes those hulls and groups its rows once, in its
-``HistoryIndex``; reconstructing a version is then bitset tests.
+``HistoryIndex``; reconstructing a version is then bitset tests.  A child
+version's ancestry is its parent's plus itself, so a commit derives the
+child store's index from the parent's, in time linear in the changeset and
+the number of versions, with no row read again.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     DuplicateKeyError,
@@ -241,34 +245,50 @@ def _uncreated(created: int, deleted: int, ancestry: list[int]) -> int:
     return bad
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _row_order(pair: BoundedByPair) -> tuple[str, str, int]:
+    """A pair's raw ``(ida, idb, lod)`` columns, whose order is row order."""
+    return pair[0][0], pair[1][0], pair[0][1]
+
+
 class HistoryIndex:
-    """A store's version space and rows, indexed once for reconstruction.
+    """A store's versions and rows, indexed once for reconstruction.
 
     In the version space, the minimal neighbourhood of a version is its
     ancestry, so "is this row in effect at ``v``" is a bitset test.
-    Version ``names[i]`` is bit ``1 << i``; names are sorted, so bit order
-    is name order.  ``ancestry[i]`` and ``descendants[i]`` are the masks of
-    the minimal neighbourhood and of the closure of version ``i``, itself
-    included.  ``elements`` holds five parallel columns with one entry per
-    element some row creates, in key order: the key, the masks of the
-    versions creating and deleting it, its generalisation target (a dict
-    from creation bit to target when several rows create it) and its
-    attributes as ``(name, value)`` pairs.  ``pairs`` holds three columns
-    in canonical row order: the pair and its creation and deletion masks.
-    Columns of plain ints and tuples, rather than a container per
-    element, keep the index small and mostly outside the garbage
-    collector's reach.  ``broken`` lists, in canonical row order, each
-    element or pair with the mask of its deletions that no creation
+    Version ``names[i]`` is bit ``1 << i``.  A store read from rows numbers
+    its versions in name order; ``derive`` gives a child version the next
+    free bit, so bit order is not name order, and every tie between
+    versions is broken by comparing names.  ``ancestry[i]`` and
+    ``descendants[i]`` are the masks of the minimal neighbourhood and of
+    the closure of version ``i``, itself included.  ``elements`` holds five
+    parallel columns with one entry per element some row creates, in key
+    order: the key, the masks of the versions creating and deleting it,
+    its generalisation target (a dict from creation bit to target when
+    several rows create it) and its attributes as ``(name, value)`` pairs
+    in name order.  ``pairs`` holds three columns in row order: the pair
+    and its creation and deletion masks.  Columns of plain ints and tuples,
+    rather than a container per element, keep the index small and mostly
+    outside the garbage collector's reach.  ``broken`` lists, in row order,
+    each element or pair with the mask of its deletions that no creation
     precedes.  Rows naming a version the store lacks are left out;
-    ``validate`` reports them as foreign-key violations.
+    ``validate`` reports them as foreign-key violations.  ``held`` is None
+    or one ``(version, space)``: the space ``reconstruct_version`` answers
+    for that version without reading the columns.
     """
 
-    __slots__ = ("versions", "names", "bit", "ancestry", "descendants",
-                 "elements", "pairs", "broken")
+    __slots__ = ("names", "bit", "ancestry", "descendants", "elements", "pairs",
+                 "broken", "held")
 
     def __init__(self, store: "VersionStore"):
-        self.versions = VersionSpace(frozenset(store.vx), frozenset(store.vr))
-        idx = self.versions.as_space().index
+        idx = store.version_space().as_space().index
         self.names = [k.id for k in idx.keys]
         self.bit = bit = {name: i for i, name in enumerate(self.names)}
         ancestry = [1 << i for i in range(len(self.names))]
@@ -280,6 +300,7 @@ class HistoryIndex:
             for j in idx.out[i]:
                 descendants[i] |= descendants[j]
         self.ancestry, self.descendants = ancestry, descendants
+        self.held = None
 
         # rows are grouped by their raw key columns, (id, lod) and
         # (ida, idb, lod), whose sorted order is the canonical row order;
@@ -332,6 +353,98 @@ class HistoryIndex:
                 if bad:
                     self.broken.append((subject(*columns), bad))
 
+    def attributes(self, key: ElementId) -> dict:
+        """The attributes recorded for ``key``, by name; empty when no row
+        creates it."""
+        keys = self.elements[0]
+        i = bisect_left(keys, key)
+        return dict(self.elements[4][i]) if i < len(keys) and keys[i] == key else {}
+
+    def derive(
+        self,
+        parent: str,
+        version: str,
+        space: Space,
+        removed: Sequence[ElementId],
+        added: Sequence[ElementId],
+        dropped: Sequence[BoundedByPair],
+        linked: Sequence[BoundedByPair],
+    ) -> "HistoryIndex":
+        """The index of the store that commits ``space`` as a child of
+        ``parent``, without reading a row.
+
+        ``space`` is the changeset of ``version`` applied to ``parent``'s
+        space.  ``removed`` and ``added`` are the elements the commit
+        deletes and creates, ``dropped`` and ``linked`` the pairs.  The new
+        version takes the next free bit: its ancestry is ``parent``'s plus
+        itself, and it joins the descendants of each of those.  The columns
+        are copied and only the keys the commit touches change, so this
+        index stays valid for its own store.  ``broken`` carries over: a
+        commit deletes only what is alive in its parent.  The derived index
+        holds the new version's space, so the next commit from it or a
+        checkout of it reads no column.
+        """
+        n = len(self.names)
+        bit = 1 << n
+        new = HistoryIndex.__new__(HistoryIndex)
+        new.names = self.names + [version]
+        new.bit = {**self.bit, version: n}
+        up = self.ancestry[self.bit[parent]] | bit
+        descendants = self.descendants + [bit]
+        for i in _bits(up ^ bit):
+            descendants[i] |= bit
+        new.ancestry = self.ancestry + [up]
+        new.descendants = descendants
+        new.broken = self.broken
+
+        keys, created, deleted, gens, atts = (list(c) for c in self.elements)
+        for k in removed:
+            deleted[bisect_left(keys, k)] |= bit
+        for k in added:
+            e = space.elements[k]
+            i = bisect_left(keys, k)
+            if i < len(keys) and keys[i] == k:  # created again
+                gen = gens[i]
+                if type(gen) is not dict:
+                    gen = {created[i].bit_length() - 1: gen}
+                gens[i] = {**gen, n: e.gen_target}
+                created[i] |= bit
+                atts[i] = tuple(sorted({**dict(atts[i]), **e.attributes}.items()))
+            else:
+                keys.insert(i, k)
+                created.insert(i, bit)
+                deleted.insert(i, 0)
+                gens.insert(i, e.gen_target)
+                atts.insert(i, tuple(sorted(e.attributes.items())))
+        new.elements = keys, created, deleted, gens, atts
+
+        pairs, p_created, p_deleted = (list(c) for c in self.pairs)
+        for p in dropped:
+            p_deleted[bisect_left(pairs, _row_order(p), key=_row_order)] |= bit
+        for p in linked:
+            i = bisect_left(pairs, _row_order(p), key=_row_order)
+            if i < len(pairs) and pairs[i] == p:
+                p_created[i] |= bit
+            else:
+                pairs.insert(i, p)
+                p_created.insert(i, bit)
+                p_deleted.insert(i, 0)
+        new.pairs = pairs, p_created, p_deleted
+
+        # the held space is what the columns give: created elements carry
+        # every attribute recorded for their key, and keys are in key order
+        elements = space.elements
+        if added:
+            elements = dict(elements)
+            for k in added:
+                e = elements[k]
+                i = bisect_left(keys, k)
+                elements[k] = Element(k, e.version, e.gen_target, dict(atts[i]))
+            elements = {k: elements[k] for k in sorted(elements)}
+            space = Space(elements, space.relation)
+        new.held = version, space
+        return new
+
 
 def _alive(inside: int, deleted: int, descendants: list[int]) -> bool:
     """Whether some creation in ``inside`` has no deletion in ``deleted``
@@ -346,7 +459,7 @@ def _alive(inside: int, deleted: int, descendants: list[int]) -> bool:
     return False
 
 
-def _newest(inside: int, descendants: list[int]) -> int:
+def _newest(inside: int, descendants: list[int], names: list[str]) -> int:
     """The bit of the creation chosen among ``inside``: a maximal one,
     ties broken by the largest version name."""
     best = -1
@@ -354,8 +467,8 @@ def _newest(inside: int, descendants: list[int]) -> int:
     while rest:
         low = rest & -rest
         i = low.bit_length() - 1
-        if inside & descendants[i] == low:
-            best = i  # bits ascend with the names, so the last one wins
+        if inside & descendants[i] == low and (best < 0 or names[i] > names[best]):
+            best = i
         rest ^= low
     return best
 
@@ -363,12 +476,21 @@ def _newest(inside: int, descendants: list[int]) -> int:
 def reconstruct_version(store: "VersionStore", v: str) -> Space:
     """The space at version ``v``, from creation/deletion rows and ancestry.
 
-    Answered from the store's ``HistoryIndex`` by bitset tests against the
-    ancestry of ``v``.  Raises ``IntegrityError`` when a relevant deletion
-    has no creation on any path before it — the store then contradicts
-    itself.
+    Answered from the store's ``HistoryIndex``: the space it holds when
+    ``v`` is that one (a committed store holds its newest version), else
+    bitset tests against the ancestry of ``v``.  Raises ``IntegrityError``
+    when a relevant deletion has no creation on any path before it — the
+    store then contradicts itself; the error names the first such version
+    by name.
     """
     index = store.history
+    if index.held is not None and index.held[0] == v:
+        return index.held[1]
+    return _reconstruct(index, v)
+
+
+def _reconstruct(index: HistoryIndex, v: str) -> Space:
+    """``reconstruct_version`` read from the index's columns."""
     b = index.bit.get(v)
     if b is None:
         raise NotFoundError(f"unknown version {v!r}")
@@ -377,7 +499,7 @@ def reconstruct_version(store: "VersionStore", v: str) -> Space:
     for subject, bad in index.broken:
         hit = bad & ancestry
         if hit:
-            first = names[(hit & -hit).bit_length() - 1]
+            first = min(names[i] for i in _bits(hit))
             raise IntegrityError(
                 f"{subject} is deleted in {first!r} but created on no path before it"
             )
@@ -387,7 +509,10 @@ def reconstruct_version(store: "VersionStore", v: str) -> Space:
         inside = created & ancestry
         if not inside or not _alive(inside, deleted & ancestry, descendants):
             continue
-        c = _newest(inside, descendants) if inside & (inside - 1) else inside.bit_length() - 1
+        if inside & (inside - 1):
+            c = _newest(inside, descendants, names)
+        else:
+            c = inside.bit_length() - 1
         if type(gen) is dict:
             gen = gen[c]
         els.append(Element(key, names[c], gen, dict(atts)))

@@ -9,6 +9,7 @@ import random
 import string
 
 from alexdb import (
+    AlexdbError,
     BoundedByPair,
     Element,
     ElementId,
@@ -21,8 +22,14 @@ from alexdb import (
     new_store,
     simple_space,
 )
-from alexdb.storage import VersionStore
-from alexdb.versioning import reconstruct_version
+from alexdb.storage import (
+    DelRRow,
+    DelXRow,
+    RRow,
+    VersionStore,
+    canonicalize,
+)
+from alexdb.versioning import apply_changeset, reconstruct_version
 
 
 def random_space(rng: random.Random, max_n: int = 8, p: float = 0.3, prefix: str = "e") -> Space:
@@ -192,3 +199,92 @@ def level_store(
     ]
     relation = [BoundedByPair(level_key(a), level_key(b)) for a, b in pairs]
     return new_store(version, build_space(elements, relation))
+
+
+def unchecked_removal(store: VersionStore, parent: str, version: str, keys) -> VersionStore:
+    """The rows of a commit that removes ``keys`` from ``parent``, written
+    without the checks of ``commit``: a removal that leaves an element
+    generalising to a missing one gives a store that ``load`` accepts and
+    every reader must cope with."""
+    base = reconstruct_version(store, parent)
+    space = apply_changeset(base, changeset(version, remove_elements=keys))
+    return canonicalize(
+        VersionStore(
+            x=store.x,
+            r=store.r + tuple(
+                RRow(p.ida.id, p.idb.id, p.ida.lod, version)
+                for p in space.relation - base.relation
+            ),
+            point=store.point,
+            delx=store.delx + tuple(DelXRow(k.id, k.lod, version) for k in keys),
+            delr=store.delr + tuple(
+                DelRRow(p.ida.id, p.idb.id, p.ida.lod, version)
+                for p in base.relation - space.relation
+            ),
+            vx=store.vx + (version,),
+            vr=store.vr + ((parent, version),),
+            atts=store.atts,
+        )
+    )
+
+
+def committed_history(rng: random.Random, max_commits: int = 6) -> list[VersionStore]:
+    """Every store of a two-level history grown by chained commits, oldest
+    first.
+
+    The first version is a ``cluster_map`` pyramid with attributes.  Each
+    commit picks any version as its parent, so histories branch and one
+    parent may get several children.  It removes some elements and pairs,
+    adds a fresh element and re-adds some elements removed earlier: with
+    no attributes, with those recorded, or with a new one, and a fine
+    element now and then with a new generalisation target.  Version names
+    are drawn at random, so a new name can sort before older ones
+    (``v10`` before ``v9``).  Commits that ``commit`` rejects (a missing
+    generalisation target, a clashing attribute) are left out.
+    """
+    g = cluster_map(rng)
+    elements = [
+        Element(k, gen_target=ElementId(g.mapping[k].id, 1), attributes=_random_attrs(rng))
+        for k in sorted(g.source.keys())
+    ]
+    elements += [
+        Element(ElementId(c.id, 1), attributes=_random_attrs(rng)) for c in sorted(g.target.keys())
+    ]
+    pairs = list(g.source.relation) + [
+        BoundedByPair(ElementId(p.ida.id, 1), ElementId(p.idb.id, 1)) for p in g.target.relation
+    ]
+    stores = [new_store(f"v{rng.randrange(20)}", build_space(elements, pairs))]
+    for i in range(rng.randint(1, max_commits)):
+        store = stores[-1]
+        parent = rng.choice(store.vx)
+        space = reconstruct_version(store, parent)
+        keys = sorted(space.keys())
+        removed = [k for k in keys if rng.random() < (0.08 if k.lod else 0.2)]
+        kept = [k for k in keys if k not in removed]
+        coarse = [k for k in kept if k.lod == 1]
+        gone = sorted({ElementId(w.id, w.lod) for w in store.x} - space.keys())
+        added = []
+        for k in [k for k in gone if rng.random() < 0.5]:
+            recorded = {w.name: w.value for w in store.atts if (w.id, w.lod) == k}
+            attributes = rng.choice([{}, recorded, {"z": rng.randint(0, 1)}])
+            target = rng.choice(coarse) if k.lod == 0 and coarse else None
+            added.append(Element(k, gen_target=target, attributes=attributes))
+        lod = rng.randint(0, 1)
+        fresh = ElementId(f"n{i}", lod)
+        target = rng.choice(coarse) if lod == 0 and coarse else None
+        added.append(Element(fresh, gen_target=target, attributes=_random_attrs(rng)))
+        anchors = [k for k in kept if k.lod == lod]
+        links = [(rng.choice(anchors), fresh)] if anchors else []
+        cut = [p for p in sorted(space.relation) if p.ida in kept and p.idb in kept]
+        cut = [p for p in cut if rng.random() < 0.15]
+        version = f"v{rng.randrange(20)}"
+        while version in store.vx:
+            version = f"v{rng.randrange(20)}"
+        changes = changeset(
+            version, add_elements=added, remove_elements=removed, add_pairs=links, remove_pairs=cut
+        )
+        try:
+            stores.append(commit(store, parent, changes))
+        except AlexdbError:
+            pass
+    return stores

@@ -10,6 +10,7 @@ and quadratic loops would show.  Marked ``slow`` (deselect with
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import networkx as nx
 import pytest
@@ -27,16 +28,20 @@ from alexdb import (
     commit,
     components_within,
     krull_dimension,
+    load,
     new_store,
     open_reduction,
     path_query,
     reconstruct_version,
+    save,
     select_subspace,
     simple_space,
     star,
     text_space,
     time_slice,
 )
+from alexdb import versioning
+from alexdb.versioning import HistoryIndex
 
 import oracles
 
@@ -162,16 +167,21 @@ def test_time_slice_names_the_smallest_element_without_geometry():
 
 def branching_history(n: int, seed: int):
     """A seeded ``n``-version store grown by commits, with every version's
-    space as each commit produced it.
+    space as reconstruction gives it.
 
     Three commits in ten branch off one of the five latest versions; each
     drops about one element in twelve (bypass pairs included), re-adds some
     dropped ones and adds a fresh one, linked below a surviving element.
+    Every element is created with an attribute.  A re-added element comes
+    back with no attributes, with those recorded for it, or with one more;
+    either way it reads back every attribute recorded for its key, not
+    just those of the changeset that re-added it.
     """
     rng = random.Random(seed)
-    first = [Element(ElementId(f"e{i}"), "v000") for i in range(8)]
+    first = [Element(ElementId(f"e{i}"), "v000", attributes={"n": i}) for i in range(8)]
     links = [BoundedByPair(first[i].key, first[i + 1].key) for i in range(7)]
     spaces = {"v000": build_space(first, links)}
+    recorded = {e.key: dict(e.attributes) for e in first}
     store = new_store("v000", spaces["v000"])
     dropped: set[ElementId] = set()
     for i in range(1, n):
@@ -185,24 +195,72 @@ def branching_history(n: int, seed: int):
         fresh = [ElementId(f"n{i}")] if rng.random() < 0.6 else []
         anchors = [k for k in keys if k not in removed]
         pairs = [(rng.choice(anchors), k) for k in back + fresh if anchors and rng.random() < 0.7]
+        attributes = {k: {"n": i} for k in fresh}
+        for k in back:
+            attributes[k] = rng.choice([{}, recorded[k], {**recorded[k], f"back{i}": i}])
         changes = changeset(
             version,
-            add_elements=[Element(k) for k in back + fresh],
+            add_elements=[Element(k, attributes=attributes[k]) for k in back + fresh],
             remove_elements=removed,
             add_pairs=pairs,
         )
         dropped.update(removed)
         store = commit(store, parent, changes)
+        for k in back + fresh:
+            recorded[k] = {**recorded.get(k, {}), **attributes[k]}
         spaces[version] = apply_changeset(space, changes)
+    # attributes belong to a key, not to a version: every version reads
+    # all those ever recorded for a key, in name order, and keys in order
+    for version, space in spaces.items():
+        elements = [
+            Element(k, e.version, e.gen_target, dict(sorted(recorded[k].items())))
+            for k, e in sorted(space.elements.items())
+        ]
+        spaces[version] = build_space(elements, space.relation)
     return store, spaces
 
 
-def test_reconstruction_over_400_versions_matches_every_commit():
+def outcome(space) -> tuple:
+    return list(space.elements.items()), space.relation
+
+
+def test_reconstruction_over_400_versions_matches_every_commit(tmp_path):
     store, spaces = branching_history(400, seed=7)
     for version, space in spaces.items():
-        got = reconstruct_version(store, version)
-        assert got.elements == space.elements
-        assert got.relation == space.relation
+        assert outcome(reconstruct_version(store, version)) == outcome(space)
+    loaded = load(save(store, tmp_path / "history"))
     for version in list(spaces)[::20]:
-        want = oracles.reconstruct_version_by_hulls(store, version)
-        assert reconstruct_version(store, version).elements == want.elements
+        want = outcome(oracles.reconstruct_version_by_hulls(store, version))
+        assert outcome(reconstruct_version(store, version)) == want
+        assert outcome(reconstruct_version(loaded, version)) == want
+
+
+def test_one_element_commits_build_no_index_and_reconstruct_no_parent(monkeypatch):
+    # the parent of each commit is the version the previous commit made
+    store = new_store("v0", text_space("ab" * 500))
+    store.history  # noqa: B018 - build the index before counting
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(HistoryIndex, "__init__", counted("index", HistoryIndex.__init__))
+    monkeypatch.setattr(versioning, "_reconstruct", counted("rows", versioning._reconstruct))
+    parent = "v0"
+    for i in range(1, 201):
+        version = f"v{i}"
+        if i % 2:
+            changes = changeset(version, remove_elements=[str(i)])
+        else:
+            letter = Element(ElementId(f"n{i}"), attributes={"letter": "z"})
+            changes = changeset(version, add_elements=[letter], add_pairs=[(str(i + 1), f"n{i}")])
+        store = commit(store, parent, changes)
+        parent = version
+    # v0 alone, which no commit made, is read from the columns
+    assert counts == Counter(rows=1)
+    assert len(reconstruct_version(store, parent)) == 1000
+    assert counts == Counter(rows=1)

@@ -309,6 +309,29 @@ def test_contradicting_attributes_on_reintroduction_are_rejected():
         commit(store, "v1", changeset("v2", add_elements=[clash]))
 
 
+def test_commit_rejects_a_missing_generalisation_target():
+    store = demos.regions_store()
+    # the fine elements A and ab generalise to Ac:1
+    with pytest.raises(ForeignKeyError) as err:
+        commit(store, "v1", changeset("vx", remove_elements=[ElementId("Ac", 1)]))
+    assert str(err.value) == "element A would generalise to Ac:1, which is not in version 'vx'"
+    orphan = Element(ElementId("q"), gen_target=ElementId("nope", 1))
+    with pytest.raises(ForeignKeyError, match="element q would generalise to nope:1"):
+        commit(store, "v1", changeset("vx", add_elements=[orphan]))
+    # removing the fine elements with their target is fine
+    fine = [k for k, e in reconstruct_version(store, "v1").elements.items()
+            if e.gen_target == ElementId("Ac", 1)]
+    ok = commit(store, "v1", changeset("vx", remove_elements=[ElementId("Ac", 1), *fine]))
+    assert validate(ok) == []
+
+
+def test_commit_rejects_a_pair_across_levels():
+    store = demos.regions_store()
+    across = (ElementId("Ac", 1), ElementId("A", 0))
+    with pytest.raises(StoreFormatError, match="spans levels"):
+        commit(store, "v1", changeset("vx", add_pairs=[across]))
+
+
 def test_duplicate_coordinate_rows_are_rejected():
     store = new_store(
         "v0", simple_space(["p"]), [PointRow(ElementId("p"), 0.0, 0.0, 0.0, 0.0)]
@@ -579,7 +602,7 @@ def test_validate_reports_a_missing_generalisation_target():
     fine = sorted(
         k for k, e in reconstruct_version(store, "v1").elements.items() if e.gen_target == coarse
     )
-    broken = commit(store, "v1", changeset("v2", remove_elements=[coarse]))
+    broken = builders.unchecked_removal(store, "v1", "v2", [coarse])
     issues = validate(broken, ["surjective", "monotonic"])
     found = [(i.subject, i.detail, i.witnesses) for i in issues if i.rule == "cfk-generalisation"]
     detail = "element {} generalises to {}, which is not in the version"
@@ -590,7 +613,7 @@ def test_validate_reports_a_missing_generalisation_target():
 def test_validate_checks_continuity_on_the_rest_of_a_dangling_map():
     # a is bounded by b, but their images P:1 and Q:1 are unrelated
     store = builders.level_store([("a", "b")], {"a": "P:1", "b": "Q:1", "c": "R:1"})
-    broken = commit(store, "v1", changeset("v2", remove_elements=[ElementId("R", 1)]))
+    broken = builders.unchecked_removal(store, "v1", "v2", [ElementId("R", 1)])
     found = [(i.rule, i.subject, i.witnesses) for i in validate(broken)]
     a, b, c = ElementId("a"), ElementId("b"), ElementId("c")
     assert found == [

@@ -1,6 +1,9 @@
 """Tests for version spaces, changesets, liveness, and merging."""
 from __future__ import annotations
 
+import random
+import tempfile
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +27,11 @@ from alexdb.storage import (
     VersionStore,
     XRow,
     canonicalize,
+    commit,
+    load,
+    new_store,
     reconstruct_version,
+    save,
 )
 from alexdb.topology import Element, ElementId, simple_space
 from alexdb.versioning import (
@@ -327,6 +334,98 @@ def test_indexed_reconstruction_matches_the_per_call_reference(store):
     for v in sorted(store.vx) + ["nope"]:
         want = outcome(oracles.reconstruct_version_by_hulls, store, v)
         assert outcome(reconstruct_version, store, v) == want
+
+
+# ---------------------------------------------------------------------------
+# the derived index of a committed store
+
+
+def test_a_re_added_element_reads_back_its_recorded_attributes():
+    store = new_store("v0", text_space("ab"))
+    store = commit(store, "v0", changeset("v1", remove_elements=["2"]))
+    store = commit(store, "v1", changeset("v2", add_elements=[Element(ElementId("2"))]))
+    got = reconstruct_version(store, "v2")
+    assert got.elements[ElementId("2")].attributes == {"letter": "b"}
+    fresh = canonicalize(store)  # the same rows, indexed afresh
+    assert outcome(reconstruct_version, store, "v2") == outcome(reconstruct_version, fresh, "v2")
+
+
+def test_a_committed_store_holds_its_newest_space():
+    store = commit(new_store("v0", text_space("ab")), "v0", changeset("v1", remove_elements=["1"]))
+    assert reconstruct_version(store, "v1") is reconstruct_version(store, "v1")
+    assert store.history.held[0] == "v1"
+
+
+def test_a_new_name_sorting_first_takes_the_next_bit():
+    store = new_store("w9", text_space("abc"))
+    store = commit(store, "w9", changeset("w10", remove_elements=["2"]))
+    store = commit(store, "w10", changeset("a", add_elements=[Element(ElementId("2"))]))
+    assert store.history.names == ["w9", "w10", "a"]
+    fresh = canonicalize(store)
+    assert fresh.history.names == ["a", "w10", "w9"]
+    for v in store.vx:
+        assert outcome(reconstruct_version, store, v) == outcome(reconstruct_version, fresh, v)
+        assert outcome(reconstruct_version, store, v) == outcome(
+            oracles.reconstruct_version_by_hulls, store, v
+        )
+
+
+def test_two_children_of_one_parent_leave_the_parent_as_it_was():
+    parent = new_store("v0", text_space("abc"))
+    parent = commit(parent, "v0", changeset("v1", remove_elements=["2"]))
+    before = [outcome(reconstruct_version, parent, v) for v in parent.vx]
+    back = changeset("v2", add_elements=[Element(ElementId("2"))], add_pairs=[("1", "2")])
+    left = commit(parent, "v1", back)
+    right = commit(parent, "v1", changeset("v3", remove_elements=["3"]))
+    assert [outcome(reconstruct_version, parent, v) for v in parent.vx] == before
+    assert parent.history.names == ["v0", "v1"]
+    for store in (parent, left, right):
+        for v in store.vx:
+            assert outcome(reconstruct_version, store, v) == outcome(
+                oracles.reconstruct_version_by_hulls, store, v
+            )
+
+
+def _same_everywhere(store: VersionStore, directory: str) -> None:
+    """Every version reads the same from ``store``, from a saved and loaded
+    copy of it and from the per-call reference."""
+    loaded = load(save(store, directory))
+    for v in sorted(store.vx) + ["nope"]:
+        want = outcome(oracles.reconstruct_version_by_hulls, store, v)
+        assert outcome(reconstruct_version, store, v) == want
+        assert outcome(reconstruct_version, loaded, v) == want
+
+
+@given(st.integers(0, 2**32))
+def test_committed_histories_read_like_their_rows(seed):
+    stores = builders.committed_history(random.Random(seed))
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, store in enumerate(stores):
+            _same_everywhere(store, f"{tmp}/s{i}")
+        # parents again, now that their children exist
+        for i, store in enumerate(stores[:-1]):
+            _same_everywhere(store, f"{tmp}/s{i}")
+
+
+@given(st.integers(0, 2**32))
+def test_commit_writes_the_same_rows_from_a_derived_or_a_fresh_index(seed):
+    rnd = random.Random(seed)
+    stores = builders.committed_history(rnd, max_commits=4)
+    store = stores[-1]
+    fresh = canonicalize(store)
+    parent = rnd.choice(store.vx)
+    space = reconstruct_version(store, parent)
+    removed = [k for k in sorted(space.keys()) if rnd.random() < 0.3]
+    changes = changeset("zz", add_elements=[Element(ElementId("q"))], remove_elements=removed)
+
+    def committed(base):
+        try:
+            child = commit(base, parent, changes)
+        except AlexdbError as exc:
+            return type(exc), str(exc)
+        return child, [outcome(reconstruct_version, child, v) for v in sorted(child.vx)]
+
+    assert committed(store) == committed(fresh)
 
 
 # ---------------------------------------------------------------------------
