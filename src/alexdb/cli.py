@@ -145,15 +145,13 @@ def _cmd_versions_with_path(args) -> int:
     store = storage.load(args.store)
     a = _parse_element(args.a)
     b = _parse_element(args.b)
-    # each version is reconstructed once, for the region and the path alike
-    spaces = {}
-    region = set()
-    for v in store.vx:
-        spaces[v] = reconstruct_version(store, v)
-        if args.region is not None:
-            region |= querymod.resolve_region(spaces[v], args.region)
+    # each version is reconstructed once, for the region and the path alike;
+    # the region is its elements in any version
+    spaces = {v: reconstruct_version(store, v) for v in store.vx}
     if args.region is None:
         region = {ElementId(w.id, w.lod) for w in store.x}
+    else:
+        region = set(querymod.resolve_region(args.region, *spaces.values()))
     region |= {a, b}
     versions = storage.versions_with_path(store, a, b, region, args.rule, spaces=spaces)
     for v in sorted(versions):
@@ -173,7 +171,7 @@ def _cmd_export(args) -> int:
         f"store: {len(store.vx)} versions, {len(store.x)} element rows, "
         f"{len(store.r)} pair rows, {len(store.point)} coordinate rows"
     )
-    for v in sorted(store.vx):
+    for v in store.vx:
         space = reconstruct_version(store, v)
         print(f"  {v}: {len(space.elements)} elements, {len(space.relation)} pairs")
     return 0

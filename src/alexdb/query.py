@@ -403,7 +403,7 @@ class _Eval:
     def as_key_set(self, node: Expr, space_value: SpaceValue, path) -> frozenset[ElementId]:
         value = self.eval(node, path)
         if isinstance(value, RegionRef):
-            return resolve_region(space_value.space, value.name)
+            return resolve_region(value.name, space_value.space)
         if isinstance(value, frozenset):
             return frozenset(self.as_element(v, path) for v in value)
         raise self.fail(f"expected an element set, got {_kind(value)}", path)
@@ -637,9 +637,12 @@ class _Eval:
         return SpaceValue(_telescope(value.value.space), version=value.version)
 
 
-def resolve_region(space: Space, name: str) -> frozenset[ElementId]:
-    """Keys of the elements whose ``region`` attribute equals ``name``."""
-    keys = frozenset(k for k, e in space.elements.items() if e.attributes.get("region") == name)
+def resolve_region(name: str, *spaces: Space) -> frozenset[ElementId]:
+    """Keys of the elements whose ``region`` attribute equals ``name``, in
+    any of ``spaces``; ``NotFoundError`` when there are none."""
+    keys = frozenset(
+        k for s in spaces for k, e in s.elements.items() if e.attributes.get("region") == name
+    )
     if not keys:
         raise NotFoundError(f"no elements carry region={name!r}")
     return keys

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .algebra import (
     PRODUCT_SEPARATOR,
@@ -34,8 +34,7 @@ from .topology import (
 )
 
 
-@dataclass(frozen=True)
-class PointRow:
+class PointRow(NamedTuple):
     """Space-time coordinates for one element key."""
 
     key: ElementId

@@ -8,6 +8,12 @@ space), ``Atts`` (attribute sidecar).  Files are UTF-8 CSV with exact
 headers, empty fields as NULL, shortest round-tripping decimal floats, and
 rows in canonical (sorted) order, so saving is deterministic and diffable.
 
+Rows are ``typing.NamedTuple``s: each equals, hashes and sorts like the plain
+tuple of its fields.  ``VersionStore`` owns row order: constructing one sorts
+each table once by the key in ``_TABLES``, so ``save`` writes the rows as
+they stand, ``load`` and ``commit`` just build a store, and the history index
+groups rows in the order they arrive.
+
 Stores are immutable snapshots: ``commit`` applies a changeset against a
 parent version and returns a new store — a single-writer discipline with no
 in-place mutation anywhere.  A store's ``history`` index (ancestry bitsets
@@ -32,13 +38,14 @@ import csv
 import os
 import shutil
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
+    AlexdbError,
     DuplicateKeyError,
     ForeignKeyError,
     NotFoundError,
@@ -63,8 +70,7 @@ from .lod import filtered_path_query, path_query, _level_maps, _linked
 # rows
 
 
-@dataclass(frozen=True)
-class XRow:
+class XRow(NamedTuple):
     id: str
     lod: int
     gid: str | None
@@ -72,40 +78,65 @@ class XRow:
     version: str
 
 
-@dataclass(frozen=True)
-class RRow:
+class RRow(NamedTuple):
     ida: str
     idb: str
     lod: int
     version: str
 
 
-@dataclass(frozen=True)
-class DelXRow:
+class DelXRow(NamedTuple):
     id: str
     lod: int
     version: str
 
 
-@dataclass(frozen=True)
-class DelRRow:
+class DelRRow(NamedTuple):
     ida: str
     idb: str
     lod: int
     version: str
 
 
-@dataclass(frozen=True)
-class AttRow:
+class AttRow(NamedTuple):
     id: str
     lod: int
     name: str
     value: Scalar
 
 
+class _Table(NamedTuple):
+    """One table of the schema: the ``VersionStore`` field holding its rows,
+    its file and header, and the key of a row (None: the whole row)."""
+
+    field: str
+    file: str
+    header: list[str]
+    key: Callable | None
+
+
+#: The eight tables.  Canonical order sorts each table by its key, and no
+#: two rows share one.
+_TABLES = {
+    "X": _Table("x", "X.csv", ["id", "lod", "gid", "glod", "version"],
+                attrgetter("id", "lod", "version")),
+    "R": _Table("r", "R.csv", ["ida", "idb", "lod", "version"], None),
+    "Point": _Table("point", "Point.csv", ["pid", "lod", "x", "y", "z", "t"], attrgetter("key")),
+    "DelX": _Table("delx", "DelX.csv", ["id", "lod", "version"], None),
+    "DelR": _Table("delr", "DelR.csv", ["ida", "idb", "lod", "version"], None),
+    "VX": _Table("vx", "VX.csv", ["version"], None),
+    "VR": _Table("vr", "VR.csv", ["fromv", "tov"], None),
+    "Atts": _Table("atts", "Atts.csv", ["id", "lod", "name", "value"],
+                   attrgetter("id", "lod", "name")),
+}
+
+
 @dataclass(frozen=True)
 class VersionStore:
-    """All eight tables, as immutable tuples of rows."""
+    """All eight tables, as immutable tuples of rows in canonical order.
+
+    Construction sorts each table by its key, so two stores holding the same
+    rows are equal, and every reader may rely on the order."""
 
     x: tuple[XRow, ...] = ()
     r: tuple[RRow, ...] = ()
@@ -115,6 +146,10 @@ class VersionStore:
     vx: tuple[str, ...] = ()
     vr: tuple[tuple[str, str], ...] = ()
     atts: tuple[AttRow, ...] = ()
+
+    def __post_init__(self):
+        for t in _TABLES.values():
+            object.__setattr__(self, t.field, tuple(sorted(getattr(self, t.field), key=t.key)))
 
     def version_space(self) -> VersionSpace:
         """The version space, built and checked for T0 on first use."""
@@ -132,25 +167,10 @@ class VersionStore:
         return HistoryIndex(self)
 
 
-#: Per table: the ``VersionStore`` field holding its rows and the key of a
-#: row.  Canonical order sorts each table by its key; no two rows share one.
-_KEYS = {
-    "X": ("x", attrgetter("id", "lod", "version")),
-    "R": ("r", attrgetter("ida", "idb", "lod", "version")),
-    "Point": ("point", lambda w: (w.key.id, w.key.lod)),
-    "DelX": ("delx", attrgetter("id", "lod", "version")),
-    "DelR": ("delr", attrgetter("ida", "idb", "lod", "version")),
-    "VX": ("vx", lambda w: w),
-    "VR": ("vr", lambda w: w),
-    "Atts": ("atts", attrgetter("id", "lod", "name")),
-}
-
-
 def canonicalize(store: VersionStore) -> VersionStore:
-    """Rows in canonical order; two stores are equal when these are equal."""
-    return VersionStore(
-        **{field: tuple(sorted(getattr(store, field), key=key)) for field, key in _KEYS.values()}
-    )
+    """A fresh store with the same rows, which are already in canonical
+    order; its ``history`` index is built anew from them on first use."""
+    return replace(store)
 
 
 # ---------------------------------------------------------------------------
@@ -161,21 +181,19 @@ def _element_rows(space: Space, keys: Iterable[ElementId], version: str):
     """X and Atts rows recording the elements ``keys`` of ``space`` as
     created in ``version``."""
     xrows, attrows = [], []
-    for k in sorted(keys):
+    for k in keys:
         e = space.elements[k]
         gid, glod = e.gen_target or (None, None)
-        xrows.append(XRow(id=k.id, lod=k.lod, gid=gid, glod=glod, version=version))
+        xrows.append(XRow(k.id, k.lod, gid, glod, version))
         for name in sorted(e.attributes):
-            attrows.append(AttRow(id=k.id, lod=k.lod, name=name, value=e.attributes[name]))
+            attrows.append(AttRow(k.id, k.lod, name, e.attributes[name]))
     return xrows, attrows
 
 
 def _space_rows(space: Space, version: str):
     xrows, attrows = _element_rows(space, space.elements, version)
-    rrows = []
-    for p in sorted(space.relation):
-        rrows.append(_pair_row(p, version))
-    return xrows, rrows, attrows
+    # sorted, so that a pair across levels is named the same in every process
+    return xrows, [_pair_row(p, version) for p in sorted(space.relation)], attrows
 
 
 def _pair_row(p: BoundedByPair, version: str) -> RRow:
@@ -185,21 +203,13 @@ def _pair_row(p: BoundedByPair, version: str) -> RRow:
             f"pair {p} spans levels; stored pairs are per-level "
             f"(cross-level structure lives in the generalisation columns)"
         )
-    return RRow(ida=p.ida.id, idb=p.idb.id, lod=p.ida.lod, version=version)
+    return RRow(p.ida.id, p.idb.id, p.ida.lod, version)
 
 
 def new_store(version: str, space: Space, points: Iterable[PointRow] = ()) -> VersionStore:
     """A store holding ``space`` as its single, initial version."""
     xrows, rrows, attrows = _space_rows(space, version)
-    return canonicalize(
-        VersionStore(
-            x=tuple(xrows),
-            r=tuple(rrows),
-            point=tuple(points),
-            vx=(version,),
-            atts=tuple(attrows),
-        )
-    )
+    return VersionStore(x=xrows, r=rrows, point=points, vx=(version,), atts=attrows)
 
 
 def commit(
@@ -256,19 +266,15 @@ def commit(
         pts.append(p)
         have.add(p.key)
 
-    child = canonicalize(
-        VersionStore(
-            x=store.x + tuple(new_x),
-            r=store.r + tuple(_pair_row(p, v) for p in linked),
-            point=tuple(pts),
-            delx=store.delx + tuple(DelXRow(id=k.id, lod=k.lod, version=v) for k in removed),
-            delr=store.delr + tuple(
-                DelRRow(ida=p.ida.id, idb=p.idb.id, lod=p.ida.lod, version=v) for p in dropped
-            ),
-            vx=store.vx + (v,),
-            vr=store.vr + ((parent, v),),
-            atts=store.atts + tuple(new_atts),
-        )
+    child = VersionStore(
+        x=store.x + tuple(new_x),
+        r=store.r + tuple(_pair_row(p, v) for p in linked),
+        point=pts,
+        delx=store.delx + tuple(DelXRow(k.id, k.lod, v) for k in removed),
+        delr=store.delr + tuple(DelRRow(p.ida.id, p.idb.id, p.ida.lod, v) for p in dropped),
+        vx=store.vx + (v,),
+        vr=store.vr + ((parent, v),),
+        atts=store.atts + tuple(new_atts),
     )
     # what ``history`` would build from the rows, without reading them
     vars(child)["history"] = index.derive(parent, v, new_space, removed, added, dropped, linked)
@@ -293,18 +299,6 @@ def _check_generalisation(space: Space, changes: ChangeSet) -> None:
 
 # ---------------------------------------------------------------------------
 # CSV serialisation
-
-_FILES = {
-    "X": ("X.csv", ["id", "lod", "gid", "glod", "version"]),
-    "R": ("R.csv", ["ida", "idb", "lod", "version"]),
-    "Point": ("Point.csv", ["pid", "lod", "x", "y", "z", "t"]),
-    "DelX": ("DelX.csv", ["id", "lod", "version"]),
-    "DelR": ("DelR.csv", ["ida", "idb", "lod", "version"]),
-    "VX": ("VX.csv", ["version"]),
-    "VR": ("VR.csv", ["fromv", "tov"]),
-    "Atts": ("Atts.csv", ["id", "lod", "name", "value"]),
-}
-
 
 def _fmt_value(v: Scalar) -> str:
     if isinstance(v, bool):
@@ -342,39 +336,29 @@ def save(store: VersionStore, path: str | Path) -> Path:
     """
     directory = Path(path)
     directory.mkdir(parents=True, exist_ok=True)
-    store = canonicalize(store)
-    tables: dict[str, list[list[str]]] = {
-        "X": [
-            [w.id, str(w.lod), w.gid or "", "" if w.glod is None else str(w.glod), w.version]
-            for w in store.x
-        ],
-        "R": [[w.ida, w.idb, str(w.lod), w.version] for w in store.r],
-        "Point": [
-            [w.key.id, str(w.key.lod), repr(w.x), repr(w.y), repr(w.z), repr(w.t)]
-            for w in store.point
-        ],
-        "DelX": [[w.id, str(w.lod), w.version] for w in store.delx],
-        "DelR": [[w.ida, w.idb, str(w.lod), w.version] for w in store.delr],
-        "VX": [[v] for v in store.vx],
-        "VR": [[a, b] for a, b in store.vr],
-        "Atts": [[w.id, str(w.lod), w.name, _fmt_value(w.value)] for w in store.atts],
+    # rows are written as they stand: ``csv`` writes None as an empty field
+    # and a number as its ``str``, for a float its shortest round-trip form
+    tables = {
+        "Point": [(*w.key, *w[1:]) for w in store.point],
+        "VX": [(v,) for v in store.vx],
+        "Atts": [(*w[:3], _fmt_value(w.value)) for w in store.atts],
     }
     staging = Path(tempfile.mkdtemp(prefix=f".{directory.name}.", dir=directory.parent))
     try:
-        for table, (fname, header) in _FILES.items():
-            with open(staging / fname, "w", encoding="utf-8", newline="") as fh:
+        for name, t in _TABLES.items():
+            with open(staging / t.file, "w", encoding="utf-8", newline="") as fh:
                 writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(header)
-                writer.writerows(tables[table])
-        for fname, _ in _FILES.values():
-            os.replace(staging / fname, directory / fname)
+                writer.writerow(t.header)
+                writer.writerows(tables.get(name, getattr(store, t.field)))
+        for t in _TABLES.values():
+            os.replace(staging / t.file, directory / t.file)
     finally:
         shutil.rmtree(staging, ignore_errors=True)
     return directory
 
 
 def _read_table(directory: Path, table: str) -> list[list[str]]:
-    fname, header = _FILES[table]
+    _, fname, header, _ = _TABLES[table]
     fpath = directory / fname
     if not fpath.exists():
         raise StoreFormatError(f"missing store file {fpath}")
@@ -427,10 +411,7 @@ def load(path: str | Path) -> VersionStore:
                 version=version,
             )
         )
-    rrows = [
-        RRow(ida=a, idb=b, lod=_int(lod, "R.lod"), version=v)
-        for a, b, lod, v in _read_table(directory, "R")
-    ]
+    rrows = [RRow(a, b, _int(lod, "R.lod"), v) for a, b, lod, v in _read_table(directory, "R")]
     points = [
         PointRow(
             key=ElementId(pid, _int(lod, "Point.lod")),
@@ -441,31 +422,23 @@ def load(path: str | Path) -> VersionStore:
         )
         for pid, lod, x, y, z, t in _read_table(directory, "Point")
     ]
-    delx = [
-        DelXRow(id=i, lod=_int(lod, "DelX.lod"), version=v)
-        for i, lod, v in _read_table(directory, "DelX")
-    ]
+    delx = [DelXRow(i, _int(lod, "DelX.lod"), v) for i, lod, v in _read_table(directory, "DelX")]
     delr = [
-        DelRRow(ida=a, idb=b, lod=_int(lod, "DelR.lod"), version=v)
-        for a, b, lod, v in _read_table(directory, "DelR")
+        DelRRow(a, b, _int(lod, "DelR.lod"), v) for a, b, lod, v in _read_table(directory, "DelR")
     ]
-    vx = [v for (v,) in _read_table(directory, "VX")]
-    vr = [(a, b) for a, b in _read_table(directory, "VR")]
     atts = [
-        AttRow(id=i, lod=_int(lod, "Atts.lod"), name=n, value=_parse_value(raw))
+        AttRow(i, _int(lod, "Atts.lod"), n, _parse_value(raw))
         for i, lod, n, raw in _read_table(directory, "Atts")
     ]
-    store = canonicalize(
-        VersionStore(
-            x=tuple(xrows),
-            r=tuple(rrows),
-            point=tuple(points),
-            delx=tuple(delx),
-            delr=tuple(delr),
-            vx=tuple(vx),
-            vr=tuple(vr),
-            atts=tuple(atts),
-        )
+    store = VersionStore(
+        x=xrows,
+        r=rrows,
+        point=points,
+        delx=delx,
+        delr=delr,
+        vx=[v for (v,) in _read_table(directory, "VX")],
+        vr=[(a, b) for a, b in _read_table(directory, "VR")],
+        atts=atts,
     )
     dupes = _duplicate_rows(store)
     if dupes:
@@ -491,15 +464,18 @@ class ValidationIssue:
 
 
 def _duplicate_rows(store: VersionStore) -> list[ValidationIssue]:
+    """Each row whose key equals the key of the row before it: rows are in
+    canonical order, so rows sharing a key are neighbours."""
     issues = []
-    for name, (field, key) in _KEYS.items():
-        seen = set()
-        for k in map(key, getattr(store, field)):
-            if k in seen:
+    for name, t in _TABLES.items():
+        rows = getattr(store, t.field)
+        keys = rows if t.key is None else [t.key(w) for w in rows]
+        for before, k in zip(keys, keys[1:]):
+            if k == before:
+                k = k if type(k) is str else tuple(k)  # a row or key shown as a plain tuple
                 issues.append(
                     ValidationIssue("duplicate-row", name, f"{name}: duplicate key {k}", (k,))
                 )
-            seen.add(k)
     return issues
 
 
@@ -577,7 +553,7 @@ def validate(store: VersionStore, rules: Sequence[str] = ()) -> list[ValidationI
     for v in sorted(vs.versions):
         try:
             space = reconstruct_version(store, v)
-        except Exception as exc:
+        except AlexdbError as exc:
             kind = "t0" if isinstance(exc, T0ViolationError) else "integrity"
             issues.append(
                 ValidationIssue(kind, f"version {v}", f"cannot reconstruct {v!r}: {exc}")

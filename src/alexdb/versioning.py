@@ -302,9 +302,9 @@ class HistoryIndex:
         self.ancestry, self.descendants = ancestry, descendants
         self.held = None
 
-        # rows are grouped by their raw key columns, (id, lod) and
-        # (ida, idb, lod), whose sorted order is the canonical row order;
-        # each key object is built once and shared by elements and pairs
+        # rows arrive in canonical order, so grouping them by their raw key
+        # columns, (id, lod) and (ida, idb, lod), keeps key order; each key
+        # object is built once and shared by elements and pairs
         interned: dict[tuple[str, int], ElementId] = {}
 
         def key(columns: tuple[str, int]) -> ElementId:
@@ -324,22 +324,20 @@ class HistoryIndex:
             atts.setdefault((w.id, w.lod), {})[w.name] = w.value
         el_created = {k: sum(1 << b for b in by_bit) for k, by_bit in gens.items()}
         el_deleted = _masks((((w.id, w.lod), w.version) for w in store.delx), bit)
-        order = sorted(gens)
         self.elements = (
-            [key(k) for k in order],
-            [el_created[k] for k in order],
-            [el_deleted.get(k, 0) for k in order],
-            [next(iter(gens[k].values())) if len(gens[k]) == 1 else gens[k] for k in order],
-            [tuple(atts[k].items()) if k in atts else () for k in order],
+            [key(k) for k in gens],
+            list(el_created.values()),
+            [el_deleted.get(k, 0) for k in gens],
+            [next(iter(g.values())) if len(g) == 1 else g for g in gens.values()],
+            [tuple(atts[k].items()) if k in atts else () for k in gens],
         )
 
         pr_created = _masks((((w.ida, w.idb, w.lod), w.version) for w in store.r), bit)
         pr_deleted = _masks((((w.ida, w.idb, w.lod), w.version) for w in store.delr), bit)
-        rows = sorted(pr_created)
         self.pairs = (
-            [BoundedByPair(key((ida, lod)), key((idb, lod))) for ida, idb, lod in rows],
-            [pr_created[columns] for columns in rows],
-            [pr_deleted.get(columns, 0) for columns in rows],
+            [BoundedByPair(key((ida, lod)), key((idb, lod))) for ida, idb, lod in pr_created],
+            list(pr_created.values()),
+            [pr_deleted.get(columns, 0) for columns in pr_created],
         )
 
         self.broken: list[tuple[str, int]] = []
@@ -348,7 +346,7 @@ class HistoryIndex:
             (pr_created, pr_deleted,
              lambda a, b, lod: f"pair {BoundedByPair(ElementId(a, lod), ElementId(b, lod))}"),
         ):
-            for columns, mask in sorted(deleted.items()):
+            for columns, mask in deleted.items():
                 bad = _uncreated(created.get(columns, 0), mask, ancestry)
                 if bad:
                     self.broken.append((subject(*columns), bad))

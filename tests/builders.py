@@ -27,7 +27,6 @@ from alexdb.storage import (
     DelXRow,
     RRow,
     VersionStore,
-    canonicalize,
 )
 from alexdb.versioning import apply_changeset, reconstruct_version
 
@@ -208,23 +207,19 @@ def unchecked_removal(store: VersionStore, parent: str, version: str, keys) -> V
     every reader must cope with."""
     base = reconstruct_version(store, parent)
     space = apply_changeset(base, changeset(version, remove_elements=keys))
-    return canonicalize(
-        VersionStore(
-            x=store.x,
-            r=store.r + tuple(
-                RRow(p.ida.id, p.idb.id, p.ida.lod, version)
-                for p in space.relation - base.relation
-            ),
-            point=store.point,
-            delx=store.delx + tuple(DelXRow(k.id, k.lod, version) for k in keys),
-            delr=store.delr + tuple(
-                DelRRow(p.ida.id, p.idb.id, p.ida.lod, version)
-                for p in base.relation - space.relation
-            ),
-            vx=store.vx + (version,),
-            vr=store.vr + ((parent, version),),
-            atts=store.atts,
-        )
+    return VersionStore(
+        x=store.x,
+        r=store.r + tuple(
+            RRow(p.ida.id, p.idb.id, p.ida.lod, version) for p in space.relation - base.relation
+        ),
+        point=store.point,
+        delx=store.delx + tuple(DelXRow(k.id, k.lod, version) for k in keys),
+        delr=store.delr + tuple(
+            DelRRow(p.ida.id, p.idb.id, p.ida.lod, version) for p in base.relation - space.relation
+        ),
+        vx=store.vx + (version,),
+        vr=store.vr + ((parent, version),),
+        atts=store.atts,
     )
 
 

@@ -421,6 +421,20 @@ def test_cli_versions_with_path_reconstructs_each_version_once(tmp_path, capsys,
     assert (code, out, err) == (1, "", "error: no elements carry region='east'\n")
 
 
+def test_cli_versions_with_path_takes_a_region_missing_from_some_versions(tmp_path, capsys):
+    # v0 has no element in R; v1 adds f and c in R, with f bounded by a and c
+    store = new_store("v0", simple_space(["a", "b", "e"]))
+    tagged = [Element(ElementId(k), attributes={"region": "R"}) for k in ("f", "c")]
+    store = commit(
+        store, "v0", changeset("v1", add_elements=tagged, add_pairs=[("f", "a"), ("f", "c")])
+    )
+    save(store, tmp_path / "S")
+    code, out, err = run_cli(
+        capsys, "versions-with-path", str(tmp_path / "S"), "a", "c", "--region", "R"
+    )
+    assert (code, out, err) == (0, "v1\n", "")
+
+
 def test_cli_telescope_export_falls_back_to_generic_csv(demo_dir, tmp_path, capsys):
     outdir = tmp_path / "tele"
     code, out, _ = run_cli(

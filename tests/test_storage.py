@@ -1,6 +1,7 @@
 """Tests for the CSV store: round-trips, commits, validation, queries."""
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -19,6 +20,7 @@ from alexdb.errors import (
 from alexdb.spacetime import PointRow
 from alexdb.storage import (
     AttRow,
+    DelRRow,
     DelXRow,
     RRow,
     VersionStore,
@@ -124,6 +126,59 @@ def test_random_stores_round_trip(rnd, tmp_path_factory):
     target = tmp_path_factory.mktemp("store")
     save(store, target)
     assert load(target) == canonicalize(store)
+
+
+def _saved_bytes(store, directory):
+    save(store, directory)
+    return {f.name: f.read_bytes() for f in directory.iterdir()}
+
+
+@given(rnd=st.randoms(use_true_random=False))
+def test_a_store_puts_rows_given_in_any_order_in_canonical_order(rnd, tmp_path_factory):
+    store = builders.random_store(rnd)
+    tables = {f.name: list(getattr(store, f.name)) for f in dataclasses.fields(store)}
+    for rows in tables.values():
+        rnd.shuffle(rows)
+    shuffled = VersionStore(**tables)
+    assert shuffled == store
+    fresh = canonicalize(store).history  # built from the canonical rows
+    for column in ("names", "ancestry", "descendants", "elements", "pairs", "broken"):
+        assert getattr(shuffled.history, column) == getattr(fresh, column)
+    assert _saved_bytes(shuffled, tmp_path_factory.mktemp("shuffled")) == _saved_bytes(
+        store, tmp_path_factory.mktemp("canonical")
+    )
+
+
+ROWS = [
+    (XRow("a", 1, "P", 2, "v0"), "XRow(id='a', lod=1, gid='P', glod=2, version='v0')"),
+    (RRow("a", "b", 0, "v1"), "RRow(ida='a', idb='b', lod=0, version='v1')"),
+    (DelXRow("a", 0, "v1"), "DelXRow(id='a', lod=0, version='v1')"),
+    (DelRRow("a", "b", 0, "v1"), "DelRRow(ida='a', idb='b', lod=0, version='v1')"),
+    (AttRow("a", 0, "name", 1.5), "AttRow(id='a', lod=0, name='name', value=1.5)"),
+    (
+        PointRow(ElementId("a", 1), 0.0, 1.0, 2.0, 3.0),
+        "PointRow(key=ElementId(id='a', lod=1), x=0.0, y=1.0, z=2.0, t=3.0)",
+    ),
+]
+
+
+def _more(value):
+    """A value of the same kind that sorts after ``value``."""
+    if isinstance(value, ElementId):
+        return value._replace(id=value.id + "z")
+    return value + ("z" if isinstance(value, str) else 1)
+
+
+@pytest.mark.parametrize("row, text", ROWS, ids=[type(r).__name__ for r, _ in ROWS])
+def test_a_row_is_the_plain_tuple_of_its_fields(row, text):
+    fields = tuple(getattr(row, name) for name in row._fields)
+    assert row == fields and hash(row) == hash(fields)
+    assert repr(row) == text
+    first, last = row._fields[0], row._fields[-1]
+    later_first = row._replace(**{first: _more(row[0])})
+    later_last = row._replace(**{last: _more(row[-1])})
+    assert type(later_last) is type(row) and later_last == (*row[:-1], _more(row[-1]))
+    assert sorted([later_first, later_last, row]) == [row, later_last, later_first]
 
 
 def test_floats_survive_the_round_trip_exactly(tmp_path):
@@ -475,6 +530,16 @@ def test_validate_reports_deletions_without_creations():
     issues = validate(store)
     assert {i.rule for i in issues} == {"integrity"}
     assert {i.subject for i in issues} == {"version v0", "version v1"}
+
+
+def test_validate_lets_a_fault_outside_the_error_hierarchy_propagate(monkeypatch):
+    def faulty(store, v):
+        raise KeyError(v)
+
+    store = demos.path_store()
+    monkeypatch.setattr(alexdb.storage, "reconstruct_version", faulty)
+    with pytest.raises(KeyError):
+        validate(store)
 
 
 def test_validate_reports_duplicates_and_every_foreign_key():
