@@ -8,6 +8,12 @@ space), ``Atts`` (attribute sidecar).  Files are UTF-8 CSV with exact
 headers, empty fields as NULL, shortest round-tripping decimal floats, and
 rows in canonical (sorted) order, so saving is deterministic and diffable.
 
+``_TABLES`` is the one description of that format: each table's file,
+columns and their parsers, row key, and how a row is built on load and
+written on save; the fourteen foreign keys are declared beside it.
+``load``, ``save``, the duplicate-key check and ``foreign_key_violations``
+are each one loop over these declarations.
+
 Rows are ``typing.NamedTuple``s: each equals, hashes and sorts like the plain
 tuple of its fields.  ``VersionStore`` owns row order: constructing one sorts
 each table once by the key in ``_TABLES``, so ``save`` writes the rows as
@@ -40,7 +46,7 @@ import shutil
 import tempfile
 from dataclasses import dataclass, replace
 from functools import cached_property
-from operator import attrgetter
+from operator import attrgetter, itemgetter, not_
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -107,28 +113,117 @@ class AttRow(NamedTuple):
 
 class _Table(NamedTuple):
     """One table of the schema: the ``VersionStore`` field holding its rows,
-    its file and header, and the key of a row (None: the whole row)."""
+    its file and header, the parser of each typed column (any other column
+    keeps the text as read), the key of a row (None: the whole row), the row
+    built from the parsed fields (None: their plain tuple), and the fields a
+    row is written as (None: the row itself)."""
 
     field: str
     file: str
     header: list[str]
-    key: Callable | None
+    parse: dict[str, Callable]
+    key: Callable | None = None
+    row: Callable | None = None
+    write: Callable | None = None
 
 
-#: The eight tables.  Canonical order sorts each table by its key, and no
-#: two rows share one.
+def _int_or_none(raw: str) -> int | None:
+    return int(raw) if raw else None
+
+
+def _parse_value(raw: str) -> Scalar:
+    # numbers only when the text is their canonical form, so loads invert
+    # saves; every such text starts with a digit or "-", or is "inf" or "nan"
+    if not raw or (raw[0] not in "-0123456789" and raw not in ("inf", "nan")):
+        return raw
+    try:
+        if str(int(raw)) == raw:
+            return int(raw)
+    except ValueError:
+        pass
+    try:
+        if repr(float(raw)) == raw:
+            return float(raw)
+    except (ValueError, OverflowError):
+        pass
+    return raw
+
+
+def _fmt_value(v: Scalar) -> str:
+    if isinstance(v, bool):
+        raise StoreFormatError("boolean attribute values are not part of the schema")
+    if isinstance(v, float):
+        return repr(v)
+    return str(v)
+
+
+#: What a column parser that rejects a field expected instead.
+_EXPECTED = {int: "integer", _int_or_none: "integer", float: "float"}
+
+#: The eight tables, the one description of the store format.  Canonical
+#: order sorts each table by its key, and no two rows share one.  Rows are
+#: written as they stand: ``csv`` writes None as an empty field and a number
+#: as its ``str``, for a float its shortest round-trip form.
 _TABLES = {
     "X": _Table("x", "X.csv", ["id", "lod", "gid", "glod", "version"],
-                attrgetter("id", "lod", "version")),
-    "R": _Table("r", "R.csv", ["ida", "idb", "lod", "version"], None),
-    "Point": _Table("point", "Point.csv", ["pid", "lod", "x", "y", "z", "t"], attrgetter("key")),
-    "DelX": _Table("delx", "DelX.csv", ["id", "lod", "version"], None),
-    "DelR": _Table("delr", "DelR.csv", ["ida", "idb", "lod", "version"], None),
-    "VX": _Table("vx", "VX.csv", ["version"], None),
-    "VR": _Table("vr", "VR.csv", ["fromv", "tov"], None),
+                {"lod": int, "gid": lambda raw: raw or None, "glod": _int_or_none},
+                attrgetter("id", "lod", "version"), XRow),
+    "R": _Table("r", "R.csv", ["ida", "idb", "lod", "version"], {"lod": int}, None, RRow),
+    "Point": _Table("point", "Point.csv", ["pid", "lod", "x", "y", "z", "t"],
+                    {"lod": int, "x": float, "y": float, "z": float, "t": float},
+                    attrgetter("key"), lambda pid, lod, *xyzt: PointRow(ElementId(pid, lod), *xyzt),
+                    lambda w: (*w.key, *w[1:])),
+    "DelX": _Table("delx", "DelX.csv", ["id", "lod", "version"], {"lod": int}, None, DelXRow),
+    "DelR": _Table("delr", "DelR.csv", ["ida", "idb", "lod", "version"], {"lod": int}, None, DelRRow),
+    "VX": _Table("vx", "VX.csv", ["version"], {}, None, str, lambda v: (v,)),
+    "VR": _Table("vr", "VR.csv", ["fromv", "tov"], {}),
     "Atts": _Table("atts", "Atts.csv", ["id", "lod", "name", "value"],
-                   attrgetter("id", "lod", "name")),
+                   {"lod": int, "value": _parse_value}, attrgetter("id", "lod", "name"), AttRow,
+                   lambda w: (*w[:3], _fmt_value(w.value))),
 }
+
+#: The order ``load`` reads the tables in, and so which fault it reports of
+#: a store with faults in several files.
+_LOAD_ORDER = ("X", "R", "Point", "DelX", "DelR", "Atts", "VX", "VR")
+
+
+class _ForeignKey(NamedTuple):
+    """A reference of the schema: ``key`` of each row of ``table`` must be
+    among the ``refs`` ("X": the element keys, "VX": the versions).
+    ``detail``, the text of a violation, is a template over the row ``w``,
+    filled in only for a violation: formatting a row calls its repr."""
+
+    table: str
+    subject: str
+    refs: str
+    key: Callable
+    detail: str
+
+
+_VERSION = attrgetter("version")
+
+#: The fourteen foreign keys, by table in ``_TABLES`` order, and within a
+#: table in the order a row's violations are reported.
+_FOREIGN_KEYS = [_ForeignKey(*fk) for fk in (
+    ("X", "X.version→VX", "VX", _VERSION, "X row {w} names unknown version"),
+    ("X", "X.(gid,glod)→X", "X", attrgetter("gid", "glod"),
+     "X row {w} generalises to unknown element ({w.gid}, {w.glod})"),
+    ("R", "R.ida→X", "X", attrgetter("ida", "lod"), "R row {w} references unknown ida"),
+    ("R", "R.idb→X", "X", attrgetter("idb", "lod"), "R row {w} references unknown idb"),
+    ("R", "R.version→VX", "VX", _VERSION, "R row {w} names unknown version"),
+    ("Point", "Point.pid→X", "X", attrgetter("key"),
+     "Point row for {w.key} references unknown element"),
+    ("DelX", "DelX.id→X", "X", attrgetter("id", "lod"), "DelX row {w} references unknown element"),
+    ("DelX", "DelX.version→VX", "VX", _VERSION, "DelX row {w} names unknown version"),
+    ("DelR", "DelR.ida→X", "X", attrgetter("ida", "lod"), "DelR row {w} references unknown ida"),
+    ("DelR", "DelR.idb→X", "X", attrgetter("idb", "lod"), "DelR row {w} references unknown idb"),
+    ("DelR", "DelR.version→VX", "VX", _VERSION, "DelR row {w} names unknown version"),
+    ("VR", "VR.fromv→VX", "VX", itemgetter(0),
+     "VR row ({w[0]}, {w[1]}) names unknown source version"),
+    ("VR", "VR.tov→VX", "VX", itemgetter(1),
+     "VR row ({w[0]}, {w[1]}) names unknown target version"),
+    ("Atts", "Atts.id→X", "X", attrgetter("id", "lod"), "Atts row {w} references unknown element"),
+)]
 
 
 @dataclass(frozen=True)
@@ -300,29 +395,6 @@ def _check_generalisation(space: Space, changes: ChangeSet) -> None:
 # ---------------------------------------------------------------------------
 # CSV serialisation
 
-def _fmt_value(v: Scalar) -> str:
-    if isinstance(v, bool):
-        raise StoreFormatError("boolean attribute values are not part of the schema")
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
-def _parse_value(raw: str) -> Scalar:
-    # numbers only when the text is their canonical form, so loads invert saves
-    try:
-        if str(int(raw)) == raw:
-            return int(raw)
-    except ValueError:
-        pass
-    try:
-        if repr(float(raw)) == raw:
-            return float(raw)
-    except (ValueError, OverflowError):
-        pass
-    return raw
-
-
 def save(store: VersionStore, path: str | Path) -> Path:
     """Write the canonical CSV files of the store into directory ``path``.
 
@@ -336,20 +408,14 @@ def save(store: VersionStore, path: str | Path) -> Path:
     """
     directory = Path(path)
     directory.mkdir(parents=True, exist_ok=True)
-    # rows are written as they stand: ``csv`` writes None as an empty field
-    # and a number as its ``str``, for a float its shortest round-trip form
-    tables = {
-        "Point": [(*w.key, *w[1:]) for w in store.point],
-        "VX": [(v,) for v in store.vx],
-        "Atts": [(*w[:3], _fmt_value(w.value)) for w in store.atts],
-    }
     staging = Path(tempfile.mkdtemp(prefix=f".{directory.name}.", dir=directory.parent))
     try:
-        for name, t in _TABLES.items():
+        for t in _TABLES.values():
+            rows = getattr(store, t.field)
             with open(staging / t.file, "w", encoding="utf-8", newline="") as fh:
                 writer = csv.writer(fh, lineterminator="\n")
                 writer.writerow(t.header)
-                writer.writerows(tables.get(name, getattr(store, t.field)))
+                writer.writerows(rows if t.write is None else map(t.write, rows))
         for t in _TABLES.values():
             os.replace(staging / t.file, directory / t.file)
     finally:
@@ -357,36 +423,54 @@ def save(store: VersionStore, path: str | Path) -> Path:
     return directory
 
 
-def _read_table(directory: Path, table: str) -> list[list[str]]:
-    _, fname, header, _ = _TABLES[table]
-    fpath = directory / fname
+def _read_table(directory: Path, name: str) -> list:
+    """The rows of table ``name`` read from its CSV file.  Each column is
+    parsed whole; only when that fails are the rows scanned, in order, for
+    the first fault."""
+    t = _TABLES[name]
+    fpath = directory / t.file
     if not fpath.exists():
         raise StoreFormatError(f"missing store file {fpath}")
     with open(fpath, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         rows = list(reader)
-    if not rows or rows[0] != header:
+    if not rows or rows[0] != t.header:
         got = rows[0] if rows else []
-        raise StoreFormatError(f"{fpath}: expected header {header}, got {got}")
-    width = len(header)
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != width:
-            raise StoreFormatError(f"{fpath}:{i}: expected {width} fields, got {len(row)}")
-    return rows[1:]
-
-
-def _int(raw: str, where: str) -> int:
+        raise StoreFormatError(f"{fpath}: expected header {t.header}, got {got}")
+    width = len(t.header)
+    if set(map(len, rows)) != {width}:
+        for i, row in enumerate(rows[1:], start=2):
+            if len(row) != width:
+                raise StoreFormatError(f"{fpath}:{i}: expected {width} fields, got {len(row)}")
+    rows = rows[1:]
+    columns = list(zip(*rows)) or [()] * width
     try:
-        return int(raw)
+        if name == "X" and list(map(not_, columns[2])) != list(map(not_, columns[3])):
+            raise ValueError("an X row sets both generalisation columns (gid, glod) or neither")
+        columns = [
+            list(map(t.parse[c], col)) if c in t.parse else col for c, col in zip(t.header, columns)
+        ]
     except ValueError:
-        raise StoreFormatError(f"{where}: expected integer, got {raw!r}") from None
+        raise _first_fault(name, rows) from None
+    return list(zip(*columns)) if t.row is None else list(map(t.row, *columns))
 
 
-def _float(raw: str, where: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise StoreFormatError(f"{where}: expected float, got {raw!r}") from None
+def _first_fault(name: str, rows: list[list[str]]) -> StoreFormatError:
+    """The error for the first fault of table ``name``'s ``rows``: row by
+    row, an X row's unpaired generalisation columns, then each field in
+    column order that its parser rejects."""
+    t = _TABLES[name]
+    for row in rows:
+        if name == "X" and (row[2] == "") != (row[3] == ""):
+            return StoreFormatError(
+                f"X.csv: generalisation columns must be both set or both empty in {row}"
+            )
+        for column, raw in zip(t.header, row):
+            try:
+                t.parse.get(column, str)(raw)
+            except ValueError:
+                expected = _EXPECTED[t.parse[column]]
+                return StoreFormatError(f"{name}.{column}: expected {expected}, got {raw!r}")
 
 
 def load(path: str | Path) -> VersionStore:
@@ -394,52 +478,7 @@ def load(path: str | Path) -> VersionStore:
     directory = Path(path)
     if not directory.is_dir():
         raise StoreFormatError(f"no store directory {directory}")
-
-    xrows = []
-    for row in _read_table(directory, "X"):
-        rid, lod, gid, glod, version = row
-        if (gid == "") != (glod == ""):
-            raise StoreFormatError(
-                f"X.csv: generalisation columns must be both set or both empty in {row}"
-            )
-        xrows.append(
-            XRow(
-                id=rid,
-                lod=_int(lod, "X.lod"),
-                gid=gid or None,
-                glod=None if glod == "" else _int(glod, "X.glod"),
-                version=version,
-            )
-        )
-    rrows = [RRow(a, b, _int(lod, "R.lod"), v) for a, b, lod, v in _read_table(directory, "R")]
-    points = [
-        PointRow(
-            key=ElementId(pid, _int(lod, "Point.lod")),
-            x=_float(x, "Point.x"),
-            y=_float(y, "Point.y"),
-            z=_float(z, "Point.z"),
-            t=_float(t, "Point.t"),
-        )
-        for pid, lod, x, y, z, t in _read_table(directory, "Point")
-    ]
-    delx = [DelXRow(i, _int(lod, "DelX.lod"), v) for i, lod, v in _read_table(directory, "DelX")]
-    delr = [
-        DelRRow(a, b, _int(lod, "DelR.lod"), v) for a, b, lod, v in _read_table(directory, "DelR")
-    ]
-    atts = [
-        AttRow(i, _int(lod, "Atts.lod"), n, _parse_value(raw))
-        for i, lod, n, raw in _read_table(directory, "Atts")
-    ]
-    store = VersionStore(
-        x=xrows,
-        r=rrows,
-        point=points,
-        delx=delx,
-        delr=delr,
-        vx=[v for (v,) in _read_table(directory, "VX")],
-        vr=[(a, b) for a, b in _read_table(directory, "VR")],
-        atts=atts,
-    )
+    store = VersionStore(**{_TABLES[n].field: _read_table(directory, n) for n in _LOAD_ORDER})
     dupes = _duplicate_rows(store)
     if dupes:
         raise DuplicateKeyError("; ".join(i.detail for i in dupes))
@@ -469,7 +508,7 @@ def _duplicate_rows(store: VersionStore) -> list[ValidationIssue]:
     issues = []
     for name, t in _TABLES.items():
         rows = getattr(store, t.field)
-        keys = rows if t.key is None else [t.key(w) for w in rows]
+        keys = rows if t.key is None else list(map(t.key, rows))
         for before, k in zip(keys, keys[1:]):
             if k == before:
                 k = k if type(k) is str else tuple(k)  # a row or key shown as a plain tuple
@@ -480,47 +519,27 @@ def _duplicate_rows(store: VersionStore) -> list[ValidationIssue]:
 
 
 def foreign_key_violations(store: VersionStore) -> list[ValidationIssue]:
-    """Every foreign key of the schema, each reported with its witness row."""
-    issues = []
-    el_keys = {(w.id, w.lod) for w in store.x}
-    versions = set(store.vx)
-
-    def fk(subject, ok, detail, witness):
-        # ``detail`` is a format template over the witness ``w``, filled in
-        # only for a violation: formatting a row calls its repr
-        if not ok:
-            text = detail.format(w=witness)
-            issues.append(ValidationIssue("foreign-key", subject, text, (witness,)))
-
-    for w in store.x:
-        fk("X.version→VX", w.version in versions, "X row {w} names unknown version", w)
-        if w.gid is not None:
-            fk(
-                "X.(gid,glod)→X",
-                (w.gid, w.glod) in el_keys,
-                "X row {w} generalises to unknown element ({w.gid}, {w.glod})",
-                w,
-            )
-    for w in store.r:
-        fk("R.ida→X", (w.ida, w.lod) in el_keys, "R row {w} references unknown ida", w)
-        fk("R.idb→X", (w.idb, w.lod) in el_keys, "R row {w} references unknown idb", w)
-        fk("R.version→VX", w.version in versions, "R row {w} names unknown version", w)
-    for w in store.point:
-        fk("Point.pid→X", w.key in el_keys, "Point row for {w.key} references unknown element", w)
-    for w in store.delx:
-        fk("DelX.id→X", (w.id, w.lod) in el_keys, "DelX row {w} references unknown element", w)
-        fk("DelX.version→VX", w.version in versions, "DelX row {w} names unknown version", w)
-    for w in store.delr:
-        fk("DelR.ida→X", (w.ida, w.lod) in el_keys, "DelR row {w} references unknown ida", w)
-        fk("DelR.idb→X", (w.idb, w.lod) in el_keys, "DelR row {w} references unknown idb", w)
-        fk("DelR.version→VX", w.version in versions, "DelR row {w} names unknown version", w)
-    for w in store.vr:
-        a, b = w
-        fk("VR.fromv→VX", a in versions, "VR row ({w[0]}, {w[1]}) names unknown source version", w)
-        fk("VR.tov→VX", b in versions, "VR row ({w[0]}, {w[1]}) names unknown target version", w)
-    for w in store.atts:
-        fk("Atts.id→X", (w.id, w.lod) in el_keys, "Atts row {w} references unknown element", w)
-    return issues
+    """Every foreign key of the schema, each reported with its witness row:
+    by table, then row, then key.  A store that keeps every key formats no
+    row, and makes no Python call per row."""
+    known = {
+        # (None, None): the target of an element that generalises to none
+        "X": set(map(attrgetter("id", "lod"), store.x)) | {(None, None)},
+        "VX": set(store.vx),
+    }
+    found = []
+    for fk in _FOREIGN_KEYS:
+        refs = known[fk.refs]
+        rows = getattr(store, _TABLES[fk.table].field)
+        if not refs.issuperset(map(fk.key, rows)):
+            table = list(_TABLES).index(fk.table)
+            found += [((table, n), fk, w) for n, w in enumerate(rows) if fk.key(w) not in refs]
+    # a stable sort: the keys a row breaks stay in declaration order
+    found.sort(key=itemgetter(0))
+    return [
+        ValidationIssue("foreign-key", fk.subject, fk.detail.format(w=w), (w,))
+        for _, fk, w in found
+    ]
 
 
 def validate(store: VersionStore, rules: Sequence[str] = ()) -> list[ValidationIssue]:
@@ -531,9 +550,10 @@ def validate(store: VersionStore, rules: Sequence[str] = ()) -> list[ValidationI
     version that each generalisation target exists and that the
     generalisation map is continuous on the rest (the continuous-foreign-key
     condition).  ``rules`` adds optional checks per version: "surjective"
-    and "monotonic" for the generalisation map per level transition (each
-    transition is checked once, whatever the number of such rules), any
-    other name is looked up in the consistency-rule registry.
+    and "monotonic" for the generalisation map per level transition (the
+    exhaustive monotonicity check runs only under "monotonic", once per
+    transition however often it is named), any other name is looked up in
+    the consistency-rule registry.
     """
     issues = _duplicate_rows(store)
     issues += foreign_key_violations(store)
@@ -549,7 +569,7 @@ def validate(store: VersionStore, rules: Sequence[str] = ()) -> list[ValidationI
         issues.append(ValidationIssue("foreign-key", "VR", str(exc)))
         return issues
 
-    map_rules = any(name.lower() in ("surjective", "monotonic") for name in rules)
+    low_rules = {name.lower() for name in rules}
     for v in sorted(vs.versions):
         try:
             space = reconstruct_version(store, v)
@@ -575,19 +595,17 @@ def validate(store: VersionStore, rules: Sequence[str] = ()) -> list[ValidationI
                         witness,
                     )
                 )
-        reports = [(t, check_map(g)) for t, g in _level_maps(space).items()] if map_rules else []
+        maps = _level_maps(space) if low_rules & {"surjective", "monotonic"} else {}
+        reports = {t: check_map(g) for t, g in maps.items()} if "monotonic" in low_rules else {}
         for name in rules:
             low = name.lower()
             if low == "surjective":
-                issues += [
-                    _map_issue(low, v, t, "targets missed:", r.missed_targets)
-                    for t, r in reports
-                    if not r.surjective
-                ]
+                missed = [(t, g.target.keys() - set(g.mapping.values())) for t, g in maps.items()]
+                issues += [_map_issue(low, v, t, "targets missed:", m) for t, m in missed if m]
             elif low == "monotonic":
                 issues += [
                     _map_issue(low, v, t, "disconnected preimage of", r.monotonicity_witness)
-                    for t, r in reports
+                    for t, r in reports.items()
                     if r.monotonic is False
                 ]
             else:

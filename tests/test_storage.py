@@ -2,7 +2,10 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
+import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -202,17 +205,28 @@ def test_attribute_values_are_typed_by_their_shape(tmp_path):
     attrs["name"] = "wall"
     attrs["padded"] = "007"  # not canonical int text, stays a string
     attrs["trailing"] = "1.50"  # not canonical float text, stays a string
+    # texts that int() or float() accept, yet are not a canonical number
+    odd = ["-0", "+7", " 7", "1_000", "\u0663", ""]
+    # canonical float texts, read back as floats
+    special = {"inf": math.inf, "-inf": -math.inf, "1e+16": 1e16}
+    for text in [*odd, *special, "nan"]:
+        attrs[f"text {text}"] = text
     save(new_store("v0", space), tmp_path)
     values = {a.name: a.value for a in load(tmp_path).atts}
+    nan = values.pop("text nan")
     assert values == {
         "count": 7,
         "ratio": 1.5,
         "name": "wall",
         "padded": "007",
         "trailing": "1.50",
+        **{f"text {text}": text for text in odd},
+        **{f"text {text}": value for text, value in special.items()},
     }
     assert isinstance(values["count"], int)
     assert isinstance(values["ratio"], float)
+    assert all(type(values[f"text {text}"]) is float for text in special)
+    assert isinstance(nan, float) and math.isnan(nan)
 
 
 def test_strings_shaped_like_numbers_collapse_to_numbers(tmp_path):
@@ -273,6 +287,94 @@ def test_loading_with_a_bad_integer_fails(tmp_path):
         fh.write("9,zero,,,v0\n")
     with pytest.raises(StoreFormatError):
         load(tmp_path)
+
+
+def _set_field(line: int, column: int, text: str):
+    """An edit of a CSV file's lines: field ``column`` of ``line`` becomes ``text``."""
+
+    def edit(lines):
+        fields = lines[line].split(",")
+        fields[column] = text
+        lines[line] = ",".join(fields)
+        return lines
+
+    return edit
+
+
+# (demo store, [(file, edit of its lines; None deletes it)], error text)
+LOAD_FAULTS = {
+    "X.lod": ("regions", [("X.csv", _set_field(2, 1, "q"))], "X.lod: expected integer, got 'q'"),
+    "X.glod": ("regions", [("X.csv", _set_field(3, 3, "q"))], "X.glod: expected integer, got 'q'"),
+    "R.lod": (
+        "regions", [("R.csv", _set_field(2, 2, "1.0"))], "R.lod: expected integer, got '1.0'"
+    ),
+    "Point.lod": (
+        "regions", [("Point.csv", _set_field(2, 1, ""))], "Point.lod: expected integer, got ''"
+    ),
+    "Point.x": (
+        "regions", [("Point.csv", _set_field(2, 2, "q"))], "Point.x: expected float, got 'q'"
+    ),
+    "Point.y": (
+        "regions", [("Point.csv", _set_field(3, 3, "q"))], "Point.y: expected float, got 'q'"
+    ),
+    "Point.z": (
+        "regions", [("Point.csv", _set_field(1, 4, "0x1"))], "Point.z: expected float, got '0x1'"
+    ),
+    "Point.t": (
+        "regions", [("Point.csv", _set_field(4, 5, "q"))], "Point.t: expected float, got 'q'"
+    ),
+    "DelX.lod": (
+        "text", [("DelX.csv", _set_field(2, 1, "q"))], "DelX.lod: expected integer, got 'q'"
+    ),
+    "DelR.lod": (
+        "text", [("DelR.csv", _set_field(2, 2, "q"))], "DelR.lod: expected integer, got 'q'"
+    ),
+    "Atts.lod": (
+        "text", [("Atts.csv", _set_field(3, 1, "q"))], "Atts.lod: expected integer, got 'q'"
+    ),
+    "the first bad field": (
+        "regions",
+        [("X.csv", _set_field(4, 1, "late")), ("X.csv", _set_field(3, 3, "early"))],
+        "X.glod: expected integer, got 'early'",
+    ),
+    "gid without glod": (
+        "regions",
+        [("X.csv", _set_field(1, 3, ""))],
+        "X.csv: generalisation columns must be both set or both empty in "
+        "['A', '0', 'Ac', '', 'v1']",
+    ),
+    "width": (
+        "text",
+        [("R.csv", lambda lines: lines + ["1,2"])],
+        "{store}/R.csv:10: expected 4 fields, got 2",
+    ),
+    "header": (
+        "text",
+        [("VR.csv", _set_field(0, 1, "to"))],
+        "{store}/VR.csv: expected header ['fromv', 'tov'], got ['fromv', 'to']",
+    ),
+    "missing file": ("text", [("DelR.csv", None)], "missing store file {store}/DelR.csv"),
+    # the tables are read in a fixed order, so the same fault is named
+    "Atts before VX": (
+        "text",
+        [("Atts.csv", _set_field(1, 1, "q")), ("VX.csv", _set_field(0, 0, "v"))],
+        "Atts.lod: expected integer, got 'q'",
+    ),
+}
+
+
+@pytest.mark.parametrize("store, edits, text", LOAD_FAULTS.values(), ids=list(LOAD_FAULTS))
+def test_load_names_the_first_fault(store, edits, text, tmp_path):
+    save({"regions": demos.regions_store, "text": demos.text_store}[store](), tmp_path)
+    for name, edit in edits:
+        if edit is None:
+            (tmp_path / name).unlink()
+        else:
+            lines = edit(read_text(tmp_path, name).splitlines())
+            (tmp_path / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(StoreFormatError) as err:
+        load(tmp_path)
+    assert str(err.value) == text.format(store=tmp_path)
 
 
 def test_loading_with_one_sided_generalisation_fails(tmp_path):
@@ -464,7 +566,7 @@ def three_level_history():
     [
         ([], 0),
         (["t0"], 0),
-        (["surjective"], 4),
+        (["surjective"], 0),
         (["surjective", "monotonic"], 4),
         (["monotonic", "t0", "SURJECTIVE", "monotonic"], 4),
     ],
@@ -487,7 +589,7 @@ def test_validate_checks_each_level_transition_once_per_version(monkeypatch, rul
         alexdb.algebra, "is_connected", counting("is_connected", alexdb.algebra.is_connected)
     )
     assert validate(store, rules=rules) == []
-    # two transitions in each of two versions; monotonicity only under a rule
+    # two transitions in each of two versions; monotonicity only under its rule
     assert counted["check_map"] == calls
     if not calls:
         assert counted["is_connected"] == 0
@@ -659,6 +761,49 @@ def test_foreign_key_checks_format_no_row_of_a_valid_store(monkeypatch):
     for row in (XRow, RRow, PointRow, DelXRow, DelRRow, AttRow):
         monkeypatch.setattr(row, "__repr__", lambda self: pytest.fail("a row was formatted"))
     assert foreign_key_violations(store) == []
+
+
+def test_foreign_key_violations_are_listed_by_table_then_row_then_key():
+    x1, x2 = XRow("a", 0, "ghost", 0, "v9"), XRow("b", 0, "ghost", 1, "v8")
+    r = RRow("nowhere", "a", 0, "v7")
+    store = VersionStore(x=(x2, x1), r=(r,), vx=("v0",))
+    assert [(i.subject, i.witnesses) for i in foreign_key_violations(store)] == [
+        ("X.version→VX", (x1,)),
+        ("X.(gid,glod)→X", (x1,)),
+        ("X.version→VX", (x2,)),
+        ("X.(gid,glod)→X", (x2,)),
+        ("R.ida→X", (r,)),
+        ("R.version→VX", (r,)),
+    ]
+
+
+def _grown_text_store(n: int) -> VersionStore:
+    """The text store with a version adding ``n`` linked elements, each with
+    an attribute and a coordinate row, and removing one."""
+    keys = [ElementId(f"n{i}") for i in range(n)]
+    changes = changeset(
+        "v3",
+        add_elements=[Element(k, attributes={"rank": i}) for i, k in enumerate(keys)],
+        remove_elements=["1"],
+        add_pairs=list(zip(keys[1:], keys)),
+    )
+    points = [PointRow(k, 0.0, 0.0, 0.0, float(i)) for i, k in enumerate(keys)]
+    return commit(demos.text_store(), "v2", changes, points=points)
+
+
+def test_foreign_key_checks_of_a_valid_store_make_no_call_per_row():
+    def events(store):
+        counted = Counter()
+        sys.setprofile(lambda frame, event, arg: counted.update([event]))
+        try:
+            assert foreign_key_violations(store) == []
+        finally:
+            sys.setprofile(None)
+        return counted
+
+    small, large = _grown_text_store(4), _grown_text_store(64)
+    assert len(large.x) > 4 * len(small.x)
+    assert events(small) == events(large)
 
 
 def test_validate_reports_a_missing_generalisation_target():
