@@ -34,6 +34,10 @@ from .topology import (
 #: Separator joining the two factor ids in a product element id.
 PRODUCT_SEPARATOR = "⊗"  # ⊗
 
+# a pair from the 2-tuple of its keys, built in C: it skips the Python-level
+# ``__new__`` of the NamedTuple
+_pair = functools.partial(tuple.__new__, BoundedByPair)
+
 
 # ---------------------------------------------------------------------------
 # relation algebra
@@ -85,7 +89,7 @@ def _reduction(nodes: list[ElementId], succ: list[list[int]]) -> frozenset[Bound
             longer |= below[b]
         for b in succ[a]:
             if not longer >> b & 1:
-                out.append(BoundedByPair(nodes[a], nodes[b]))
+                out.append(_pair((nodes[a], nodes[b])))
         below[a] = longer | sum(1 << b for b in succ[a])
     return frozenset(out)
 
@@ -100,16 +104,29 @@ def select_subspace(space: Space, keep: Iterable[ElementId]) -> Space:
     Comparabilities that pass through dropped elements survive as direct
     pairs, so the result carries the genuine subspace topology.  Only pairs
     from each kept element to its nearest kept descendants are candidates
-    for the reduced relation.
+    for the reduced relation.  In a T0 space an element strictly above
+    another is deeper (has a longer chain below it), so when every kept
+    element's candidates share one depth, none lies above another and the
+    candidates are the reduced relation; otherwise they are reduced.
     """
     keys = sorted(_require_keys(space, keep))
     idx = space.index
-    local = {idx.pos[k]: i for i, k in enumerate(keys)}
-    succ: list[list[int]] = [[] for _ in keys]
-    for a, below in _nearest_kept(idx.out, local.keys()):
-        succ[local[a]] = [local[b] for b in below]
+    kept = [idx.pos[k] for k in keys]
+    near = list(_nearest_kept(idx.out, set(kept)))
     # keys, pairs and acyclicity hold by construction: no re-validation
-    return Space({k: space.elements[k] for k in keys}, _reduction(keys, succ))
+    elements = {k: space.elements[k] for k in keys}
+    depth = idx.depth
+    if depth is not None and all(
+        len(below) < 2 or len(set(map(depth.__getitem__, below))) == 1 for _, below in near
+    ):
+        ambient = idx.keys
+        pairs = [_pair((ambient[a], ambient[b])) for a, below in near for b in below]
+        return Space(elements, frozenset(pairs))
+    local = {a: i for i, a in enumerate(kept)}
+    succ: list[list[int]] = [[] for _ in keys]
+    for a, below in near:
+        succ[local[a]] = [local[b] for b in below]
+    return Space(elements, _reduction(keys, succ))
 
 
 def product_key(a: ElementId, b: ElementId, separator: str = PRODUCT_SEPARATOR) -> ElementId:

@@ -38,8 +38,9 @@ from .topology import (
     ElementId,
     Space,
     build_space,
-    components_within,
     simple_space,
+    _component,
+    _positions,
     _require_keys,
     _topological_order,
     _walk,
@@ -118,15 +119,14 @@ def path_query(space: Space, a_set: Iterable[ElementId], a: ElementId, b: Elemen
     """Is there a path from ``a`` to ``b`` inside the subspace on ``a_set``?
 
     Path existence in a finite space is membership in one connected
-    component of the subspace's comparability graph.
+    component of the subspace's comparability graph: the walk from ``a``
+    through that component stops once it finds ``b``.
     """
-    keys = _require_keys(space, a_set)
-    if a not in keys or b not in keys:
+    kept = _positions(space, a_set)
+    pos = space.index.pos
+    if pos.get(a) not in kept or pos.get(b) not in kept:
         raise NotFoundError(f"query endpoints must lie in the region: {a}, {b}")
-    for comp in components_within(space, keys):
-        if a in comp:
-            return b in comp
-    return False
+    return pos[b] in _component(space.index, kept, pos[a], (set(), set()))
 
 
 @dataclass(frozen=True)

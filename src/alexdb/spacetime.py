@@ -182,10 +182,12 @@ def time_slice(
     # with a coordinate row lies below
     tmin = [math.inf] * len(out)
     tmax = [-math.inf] * len(out)
+    lo, hi = tmin.__getitem__, tmax.__getitem__
     for i in reversed(_topological_order(space)):
-        if out[i]:
-            tmin[i] = min(tmin[j] for j in out[i])
-            tmax[i] = max(tmax[j] for j in out[i])
+        below = out[i]
+        if below:
+            tmin[i] = min(map(lo, below))
+            tmax[i] = max(map(hi, below))
         elif idx.keys[i] in pts:
             tmin[i] = tmax[i] = pts[idx.keys[i]].t
     missing = [k for k, lo, hi in zip(idx.keys, tmin, tmax) if lo > hi]

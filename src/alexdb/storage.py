@@ -46,7 +46,7 @@ import shutil
 import tempfile
 from dataclasses import dataclass, replace
 from functools import cached_property
-from operator import attrgetter, itemgetter, not_
+from operator import attrgetter, eq, itemgetter, not_
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -504,11 +504,14 @@ class ValidationIssue:
 
 def _duplicate_rows(store: VersionStore) -> list[ValidationIssue]:
     """Each row whose key equals the key of the row before it: rows are in
-    canonical order, so rows sharing a key are neighbours."""
+    canonical order, so rows sharing a key are neighbours.  A table is
+    scanned row by row only when it has one."""
     issues = []
     for name, t in _TABLES.items():
         rows = getattr(store, t.field)
         keys = rows if t.key is None else list(map(t.key, rows))
+        if not any(map(eq, keys, keys[1:])):
+            continue
         for before, k in zip(keys, keys[1:]):
             if k == before:
                 k = k if type(k) is str else tuple(k)  # a row or key shown as a plain tuple

@@ -18,7 +18,16 @@ integer-indexed out/in adjacency plus a topological order.  It is built on
 the first query that needs it (``build_space``'s T0 check is one) and
 cached on the space.  The cache relies on a contract: a ``Space`` is
 immutable.  Never mutate its ``elements`` mapping or its relation; build a
-new space instead.
+new space instead.  The index also keeps each element's chain length (its
+dimension), computed on first use.
+
+Connectivity of a subspace is one component walk.  From each kept element
+found, it walks down and up through dropped elements to the nearest kept
+ones, with one seen-set per direction shared by the whole call: a dropped
+element already reached in one direction links only kept elements that
+are already found.  ``is_connected`` is one walk, ``components_within``
+and ``connected_components`` repeat it from each element not yet placed,
+and ``lod.path_query`` stops its walk at the second endpoint.
 
 Conventions used throughout:
 
@@ -32,7 +41,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import AbstractSet, Iterable, Iterator, Literal, Mapping, NamedTuple, Union
+from typing import (
+    AbstractSet, Collection, Iterable, Iterator, Literal, Mapping, NamedTuple, Union
+)
 
 from .errors import (
     DanglingPairError,
@@ -241,19 +252,24 @@ def _kahn(out: list[list[int]]) -> list[int]:
 
 def _nearest_kept(
     out: list[list[int]], kept: AbstractSet[int]
-) -> Iterator[tuple[int, set[int]]]:
+) -> Iterator[tuple[int, Collection[int]]]:
     """Each kept position with its nearest kept descendants: those reached by
     a downward path whose intermediate positions are all dropped.
 
     Each walk passes through dropped positions only and stops at the first
-    kept ones it meets.  The pairs found generate the restriction of the
-    preorder to ``kept``, so subspace connectivity and the subspace's
-    reduced relation need no other pairs.
+    kept ones it meets.  A position bounded only by kept ones needs no walk:
+    it comes with its own ``out`` list, which the caller must not change.
+    The pairs found generate the restriction of the preorder to ``kept``, so
+    the subspace's reduced relation needs no other pairs.
     """
     for a in kept:
+        below = out[a]
+        if all(map(kept.__contains__, below)):
+            yield a, below
+            continue
         found: set[int] = set()
         seen: set[int] = set()
-        stack = list(out[a])
+        stack = list(below)
         while stack:
             j = stack.pop()
             if j in kept:
@@ -265,27 +281,57 @@ def _nearest_kept(
         yield a, found
 
 
-def _partition(
-    keys: list[ElementId], members: Iterable[int], links: Iterable[tuple[int, int]]
-) -> tuple[frozenset[ElementId], ...]:
-    """Classes of ``members`` under the equivalence that ``links`` generate,
-    ordered by their smallest key (union-find)."""
-    parent = {i: i for i in members}
+def _chain_lengths(out: list[list[int]], order: list[int]) -> list[int]:
+    """Longest strict chain descending from each position, in steps, filled
+    in reverse topological ``order``."""
+    depth = [0] * len(out)
+    at = depth.__getitem__
+    for i in reversed(order):
+        if out[i]:
+            depth[i] = 1 + max(map(at, out[i]))
+    return depth
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
 
-    for a, b in links:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    groups: dict[int, list[ElementId]] = {}
-    for i in parent:
-        groups.setdefault(find(i), []).append(keys[i])
-    comps = [frozenset(g) for g in groups.values()]
+def _component(
+    idx: SpaceIndex, kept: Collection[int], start: int, passed: tuple[set[int], set[int]]
+) -> Iterator[int]:
+    """The kept positions connected to ``start`` in the subspace on ``kept``,
+    each yielded as it is found, ``start`` first.
+
+    From each kept position found, one walk goes down and one up, through
+    dropped positions only, to the nearest kept ones.  ``passed`` holds the
+    dropped positions already walked through downward and upward; the walks
+    of one call share it, since a dropped position reached once in a
+    direction links only kept positions that walk has already found.
+    """
+    found = {start}
+    queue = [start]
+    yield start
+    for k in queue:  # the list grows while it is walked
+        for adj, seen in zip((idx.out, idx.inn), passed):
+            stack = list(adj[k])
+            while stack:
+                j = stack.pop()
+                if j in kept:
+                    if j not in found:
+                        found.add(j)
+                        queue.append(j)
+                        yield j
+                elif j not in seen:
+                    seen.add(j)
+                    stack.extend(adj[j])
+
+
+def _components(idx: SpaceIndex, kept: Collection[int]) -> tuple[frozenset[ElementId], ...]:
+    """Classes of the subspace on ``kept``, ordered by their smallest key."""
+    passed: tuple[set[int], set[int]] = (set(), set())
+    placed: set[int] = set()
+    comps = []
+    for i in kept:
+        if i not in placed:
+            comp = set(_component(idx, kept, i, passed))
+            placed |= comp
+            comps.append(frozenset(map(idx.keys.__getitem__, comp)))
     return tuple(sorted(comps, key=min))
 
 
@@ -296,10 +342,10 @@ class SpaceIndex:
     ``out[i]`` lists the positions ``i`` is bounded by and ``inn[i]`` those
     bounded by ``i``, one relation step each.  ``order`` is a topological
     order, every position before those it is bounded by, found by Kahn's
-    algorithm; it is None when the relation has a cycle.
+    algorithm; it is None when the relation has a cycle.  ``depth``, the
+    longest strict chain descending from each position, is computed on first
+    use and kept.
     """
-
-    __slots__ = ("keys", "pos", "out", "inn", "order")
 
     def __init__(self, space: Space):
         self.keys = list(space.elements)
@@ -312,6 +358,13 @@ class SpaceIndex:
             self.inn[b].append(a)
         order = _kahn(self.out)
         self.order = order if len(order) == len(self.keys) else None
+
+    @cached_property
+    def depth(self) -> list[int] | None:
+        """Chain lengths in steps by position; None when the relation has a
+        cycle.  In a T0 space ``a`` strictly above ``c`` implies
+        ``depth[a] > depth[c]``."""
+        return None if self.order is None else _chain_lengths(self.out, self.order)
 
 
 def find_cycle(space: Space) -> list[ElementId] | None:
@@ -386,10 +439,15 @@ def preorder(space: Space) -> Preorder:
 
 def _require_keys(space: Space, keys: Iterable[ElementId]) -> frozenset[ElementId]:
     ks = frozenset(keys)
-    missing = [k for k in ks if k not in space.elements]
-    if missing:
+    if not space.elements.keys() >= ks:
+        missing = [k for k in ks if k not in space.elements]
         raise NotFoundError(f"unknown element keys: {sorted(str(k) for k in missing)}")
     return ks
+
+
+def _positions(space: Space, keys: Iterable[ElementId]) -> set[int]:
+    """The index positions of ``keys``, which must all be in the space."""
+    return set(map(space.index.pos.__getitem__, _require_keys(space, keys)))
 
 
 # ---------------------------------------------------------------------------
@@ -449,26 +507,22 @@ def is_t0(space: Space) -> bool:
 # dimension and classification
 
 
-def _chain_lengths(space: Space) -> list[int]:
-    """Longest strict bounded-by chain starting at each position, in steps."""
-    out, order = space.index.out, space.index.order
-    if order is None:
+def _depth(space: Space) -> list[int]:
+    """The index's chain lengths; raises ``T0ViolationError`` when cyclic."""
+    depth = space.index.depth
+    if depth is None:
         cycle = find_cycle(space)
         raise T0ViolationError(
             f"relation has a cycle through {cycle[-1]}; dimension is undefined",
             cycle=cycle,
         )
-    depth = [0] * len(out)
-    for i in reversed(order):
-        if out[i]:
-            depth[i] = 1 + max(depth[j] for j in out[i])
     return depth
 
 
 def element_dimension(space: Space, x: ElementId) -> int:
     """Length in steps of the longest chain descending from ``x``."""
     _require_keys(space, [x])
-    return _chain_lengths(space)[space.index.pos[x]]
+    return _depth(space)[space.index.pos[x]]
 
 
 def krull_dimension(space: Space) -> int:
@@ -480,7 +534,7 @@ def krull_dimension(space: Space) -> int:
     """
     if not space.elements:
         raise EmptySpaceError("dimension of the empty space is undefined")
-    return max(_chain_lengths(space))
+    return max(_depth(space))
 
 
 def classify(space: Space, x: ElementId) -> Literal["vertex", "edge", "higher"]:
@@ -505,9 +559,7 @@ def connected_components(space: Space) -> tuple[frozenset[ElementId], ...]:
     On the full element set, topological connectedness coincides with
     connectedness of the undirected reflection of the relation.
     """
-    idx = space.index
-    links = ((a, b) for a, below in enumerate(idx.out) for b in below)
-    return _partition(idx.keys, range(len(idx.keys)), links)
+    return _components(space.index, range(len(space)))
 
 
 def components_within(space: Space, a_set: Iterable[ElementId]) -> tuple[frozenset[ElementId], ...]:
@@ -517,16 +569,15 @@ def components_within(space: Space, a_set: Iterable[ElementId]) -> tuple[frozens
     *restricted preorder*: two kept elements are adjacent when one is
     transitively bounded by the other in the ambient space, even when every
     intermediate element was dropped.  Linking each kept element to its
-    nearest kept descendants generates the same components.
+    nearest kept descendants and ancestors generates the same components.
     """
-    keys = _require_keys(space, a_set)
-    idx = space.index
-    kept = {idx.pos[k] for k in keys}
-    links = ((a, b) for a, below in _nearest_kept(idx.out, kept) for b in below)
-    return _partition(idx.keys, kept, links)
+    return _components(space.index, _positions(space, a_set))
 
 
 def is_connected(space: Space, a_set: Iterable[ElementId]) -> bool:
     """Whether the subspace on ``a_set`` is connected (empty: vacuously yes)."""
-    comps = components_within(space, a_set)
-    return len(comps) <= 1
+    kept = _positions(space, a_set)
+    if not kept:
+        return True
+    walk = _component(space.index, kept, next(iter(kept)), (set(), set()))
+    return sum(1 for _ in walk) == len(kept)

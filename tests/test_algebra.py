@@ -19,12 +19,14 @@ from alexdb import (
     build_space,
     check_map,
     closure,
+    components_within,
     demos,
     disjoint_union,
     enumerate_open_sets,
     image_space,
     krull_dimension,
     open_reduction,
+    path_query,
     product,
     pullback,
     quotient,
@@ -110,6 +112,29 @@ def test_select_subspace_keeps_reachability_not_stored_pairs():
 def test_select_subspace_unknown_key():
     with pytest.raises(NotFoundError):
         select_subspace(demos.edge_space(), [ElementId("zz")])
+
+
+def cyclic_ambient():
+    """A space whose only cycle, d1 <-> d2, lies between a and b."""
+    return simple_space(
+        ["a", "d1", "d2", "b", "c"],
+        [("a", "d1"), ("d1", "d2"), ("d2", "d1"), ("d2", "b")],
+        t0_check=False,
+    )
+
+
+def test_subspace_queries_pass_through_a_dropped_cycle():
+    space = cyclic_ambient()
+    a, b, c = ElementId("a"), ElementId("b"), ElementId("c")
+    assert pairs_of(select_subspace(space, [a, b, c])) == frozenset({(a, b)})
+    assert path_query(space, [a, b, c], a, b)
+    assert components_within(space, [a, b, c]) == (frozenset({a, b}), frozenset({c}))
+
+
+def test_select_subspace_on_a_kept_cycle_names_it():
+    with pytest.raises(T0ViolationError) as err:
+        select_subspace(cyclic_ambient(), [ElementId("d1"), ElementId("d2")])
+    assert str(err.value) == "cannot reduce a cyclic relation: ['d2', 'd1']"
 
 
 @given(spaces_with_subset(max_elements=6))

@@ -1,5 +1,6 @@
 """Scale checks: the reachability kernel against networkx at 200-2000
-elements, and version reconstruction over a 400-version history.
+elements, on layered and graded grid complexes, and version reconstruction
+over a 400-version history.
 
 The hypothesis suites check every query on spaces of up to ten elements;
 this module repeats the checks that matter for large inputs on seeded
@@ -27,6 +28,7 @@ from alexdb import (
     closure,
     commit,
     components_within,
+    is_connected,
     krull_dimension,
     load,
     new_store,
@@ -40,7 +42,7 @@ from alexdb import (
     text_space,
     time_slice,
 )
-from alexdb import versioning
+from alexdb import algebra, versioning
 from alexdb.versioning import HistoryIndex
 
 import oracles
@@ -114,6 +116,115 @@ def test_select_subspace_matches_the_transitive_reduction(n):
     assert sub.keys() == keep
     expected = nx.transitive_reduction(comparable.subgraph(keep))
     assert pair_set(sub.relation) == frozenset(expected.edges())
+
+
+def grid(side: int, seed: int):
+    """A seeded ``side`` x ``side``-face grid complex with its networkx twin
+    and a time coordinate for each vertex.
+
+    Vertex ``v{x}_{y}``; edge ``h{x}_{y}`` from (x, y) to (x+1, y) and
+    ``u{x}_{y}`` from (x, y) to (x, y+1); face ``f{x}_{y}`` with corner
+    (x, y).  Every cell is bounded only by cells one dimension down.
+    """
+    rng = random.Random(seed)
+    ids = [f"v{x}_{y}" for x in range(side + 1) for y in range(side + 1)]
+    pairs = []
+    for x in range(side + 1):
+        for y in range(side + 1):
+            if x < side:
+                ids.append(f"h{x}_{y}")
+                pairs += [(f"h{x}_{y}", f"v{x}_{y}"), (f"h{x}_{y}", f"v{x + 1}_{y}")]
+            if y < side:
+                ids.append(f"u{x}_{y}")
+                pairs += [(f"u{x}_{y}", f"v{x}_{y}"), (f"u{x}_{y}", f"v{x}_{y + 1}")]
+            if x < side and y < side:
+                ids.append(f"f{x}_{y}")
+                rim = (f"h{x}_{y}", f"h{x}_{y + 1}", f"u{x}_{y}", f"u{x + 1}_{y}")
+                pairs += [(f"f{x}_{y}", e) for e in rim]
+    space = simple_space(ids, pairs)
+    graph = oracles.digraph(space.keys(), [(p.ida, p.idb) for p in space.relation])
+    points = [
+        PointRow(ElementId(i), 0.0, 0.0, 0.0, round(rng.random(), 3)) for i in ids if i[0] == "v"
+    ]
+    return space, graph, points, rng
+
+
+def column(k: ElementId) -> int:
+    return int(k.id[1:].split("_")[0])
+
+
+def grid_regions(space, rng) -> dict:
+    """Regions of a 16-face grid: bands of columns, closed, open and neither,
+    a random half, and the grid less one edge, which leaves its face's
+    corners as candidates below the face that do not cover it."""
+    keys = sorted(space.keys())
+    faces = [k for k in keys if k.id[0] == "f"]
+    vertices = [k for k in keys if k.id[0] == "v"]
+    return {
+        "closed band": closure(space, [f for f in faces if 4 <= column(f) < 8]),
+        "open band": star(space, [v for v in vertices if 4 < column(v) < 8]),
+        "columns": frozenset(k for k in keys if 4 <= column(k) < 12),
+        "two bands": frozenset(k for k in keys if column(k) < 4 or 8 <= column(k) < 12),
+        "random half": frozenset(k for k in keys if rng.random() < 0.5),
+        "less one edge": frozenset(keys) - {ElementId("u5_5")},
+    }
+
+
+def test_grid_subspaces_match_the_transitive_reduction():
+    space, graph, _, rng = grid(16, seed=8)
+    comparable = nx.transitive_closure(graph, reflexive=False)
+    for name, keep in grid_regions(space, rng).items():
+        sub = select_subspace(space, keep)
+        assert sub.keys() == keep, name
+        expected = nx.transitive_reduction(comparable.subgraph(keep))
+        assert pair_set(sub.relation) == frozenset(expected.edges()), name
+
+
+def test_grid_paths_and_components_match_networkx():
+    space, graph, _, rng = grid(16, seed=9)
+    comparable = nx.transitive_closure(graph, reflexive=False)
+    for name, region in grid_regions(space, rng).items():
+        restricted = comparable.subgraph(region).to_undirected()
+        expected = sorted((frozenset(c) for c in nx.connected_components(restricted)), key=min)
+        assert list(components_within(space, region)) == expected, name
+        assert is_connected(space, region) == (len(expected) == 1), name
+        members = sorted(region)
+        for _ in range(10):
+            a, b = rng.choice(members), rng.choice(members)
+            assert path_query(space, region, a, b) == nx.has_path(restricted, a, b), name
+    bands = grid_regions(space, rng)["two bands"]
+    a, b, c = ElementId("f0_0"), ElementId("f3_15"), ElementId("f8_0")
+    assert path_query(space, bands, a, b)
+    assert not path_query(space, bands, a, c)
+
+
+def test_grid_time_slices_match_the_preorder_reference():
+    space, _, points, rng = grid(16, seed=10)
+    for t in (0.5, rng.choice(points).t):  # a vertex time keeps instants
+        assert time_slice(space, points, t) == oracles.time_slice_by_descendants(
+            space, points, t
+        )
+
+
+def test_only_a_select_with_a_non_covering_candidate_reduces(monkeypatch):
+    calls = []
+    reduction = algebra._reduction
+
+    def counted(*args):
+        calls.append(args)
+        return reduction(*args)
+
+    monkeypatch.setattr(algebra, "_reduction", counted)
+    space, _, _, rng = grid(16, seed=11)
+    regions = grid_regions(space, rng)
+    for name in ("closed band", "open band", "columns", "two bands"):
+        select_subspace(space, regions[name])
+    assert calls == []
+    select_subspace(space, regions["less one edge"])
+    assert len(calls) == 1
+    layers, _, rng = layered(600, seed=12)
+    select_subspace(layers, frozenset(k for k in layers.keys() if rng.random() < 0.5))
+    assert len(calls) >= 2
 
 
 def test_open_reduction_matches_networkx():

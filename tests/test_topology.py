@@ -29,6 +29,7 @@ from alexdb import (
     preorder,
     simple_space,
     star,
+    topology,
 )
 from alexdb.algebra import open_reduction
 from conftest import spaces, spaces_with_subset
@@ -193,6 +194,22 @@ def test_dimension_needs_acyclic_space():
     space = simple_space(["a", "b"], [("a", "b"), ("b", "a")], t0_check=False)
     with pytest.raises(T0ViolationError):
         krull_dimension(space)
+
+
+def test_chain_lengths_are_computed_once_per_space(monkeypatch):
+    calls = []
+    computed = topology._chain_lengths
+
+    def counted(*args):
+        calls.append(args)
+        return computed(*args)
+
+    monkeypatch.setattr(topology, "_chain_lengths", counted)
+    chain = simple_space(["2", "1", "0"], [("2", "1"), ("1", "0")])
+    assert krull_dimension(chain) == 2
+    assert krull_dimension(chain) == 2
+    assert element_dimension(chain, ElementId("1")) == 1
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
