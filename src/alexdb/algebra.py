@@ -12,23 +12,23 @@ from __future__ import annotations
 import functools
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import AttributeMergeWarning, NotFoundError, T0ViolationError
-from .limits import MONOTONICITY_GUARD, size_guard
 from .topology import (
     BoundedByPair,
     Element,
     ElementId,
     Space,
     build_space,
-    closure,
     find_cycle_in,
     is_connected,
-    star,
+    _bits,
     _kahn,
     _nearest_kept,
     _require_keys,
+    _topological_order,
+    _walk,
 )
 
 #: Separator joining the two factor ids in a product element id.
@@ -328,19 +328,46 @@ def restrict_map(f: SpaceMap) -> SpaceMap:
     )
 
 
+def _rank_masks(space: Space, ranks: Sequence[int]) -> tuple[list[int], list[int]]:
+    """By index position: the bits ``1 << ranks[j]`` of every position ``j``
+    at or below the position (down) and at or above it (up), filled along
+    the Kahn order.  Raises ``T0ViolationError`` when the relation is
+    cyclic."""
+    idx = space.index
+    order = _topological_order(space)
+    down = [1 << r for r in ranks]
+    up = down.copy()
+    for i in reversed(order):
+        for j in idx.out[i]:
+            down[i] |= down[j]
+    for i in order:
+        for j in idx.inn[i]:
+            up[i] |= up[j]
+    return down, up
+
+
 def _continuity_witness(
-    f: SpaceMap, below: Callable[[ElementId], frozenset[ElementId]] | None = None
+    f: SpaceMap, img: Sequence[int] | None = None, below: Sequence[int] | None = None
 ) -> tuple[ElementId, ElementId] | None:
     """The first source pair, in sorted order, whose images are distinct and
     unrelated in the target; None when the total map ``f`` is continuous.
-    ``below`` looks up a target key's closure (built here when not given)."""
+
+    ``img[i]`` is the rank of the image of source position ``i`` and
+    ``below[r]`` holds the bits of the ranks at or below rank ``r``; when
+    not given, ranks are target index positions.
+    """
     if below is None:
-        below = functools.cache(lambda k: closure(f.target, [k]))
-    for p in sorted(f.source.relation):
-        fa, fb = f(p.ida), f(p.idb)
-        if fa != fb and fb not in below(fa):
-            return (p.ida, p.idb)
-    return None
+        pos = f.target.index.pos
+        below = _rank_masks(f.target, range(len(pos)))[0]
+        img = [pos[f.mapping[k]] for k in f.source.index.keys]
+    bad = [
+        (i, j)
+        for i, outs in enumerate(f.source.index.out)
+        for j in outs
+        if img[i] != img[j] and not below[img[i]] >> img[j] & 1
+    ]
+    keys = f.source.index.keys
+    return min(((keys[i], keys[j]) for i, j in bad), default=None)
 
 
 @dataclass(frozen=True)
@@ -349,17 +376,17 @@ class MapReport:
 
     Witnesses are re-checkable: the continuity witness is a source relation
     pair whose images are unrelated in the target; the monotonicity witness
-    is a connected target subset whose preimage is disconnected.  When the
-    target exceeds the monotonicity guard only single-element closures are
-    checked; ``monotonic`` is then ``None`` unless a violation was found,
-    and ``monotonicity_exhaustive`` is False.
+    is a connected target subset whose preimage is disconnected, the first
+    one in bitmask order over the sorted target keys.  The monotonicity
+    check is exact at any size: ``monotonic`` is never None and
+    ``monotonicity_exhaustive`` is always True.
     """
 
     continuous: bool
     continuity_witness: tuple[ElementId, ElementId] | None
     surjective: bool
     missed_targets: frozenset[ElementId]
-    monotonic: bool | None
+    monotonic: bool
     monotonicity_witness: frozenset[ElementId] | None
     monotonicity_exhaustive: bool = True
 
@@ -369,75 +396,148 @@ def check_map(f: SpaceMap) -> MapReport:
 
     Continuity is the relational form: every source pair lands on equal or
     related images.  Monotonicity asks that preimages of connected target
-    subsets stay connected — checked exhaustively up to the size guard.
-    Both answer from the spaces' reachability indexes: target closures and
-    stars, and subspace connectivity of the source.
+    subsets stay connected.  Call a pair of targets with nonempty fibres
+    *linked* when they are comparable or both comparable with one component
+    of targets with empty fibres, and *realized* when some element of one
+    fibre is comparable with some element of the other.  The map is
+    monotone exactly when every fibre is connected and every linked pair is
+    realized: a connected target subset is glued from its fibres along
+    linked pairs.  Both conditions answer from bit masks of target ranks
+    (key order) filled along the Kahn orders of source and target; a fibre
+    that its own relation pairs leave in pieces goes to ``is_connected``.
+    The witness search runs only when the map is not monotone.  Raises
+    ``T0ViolationError`` when the source or target relation is cyclic.
     """
     if not f.is_total:
         raise ValueError("check_map requires a total map; use restrict_map first")
 
-    below = functools.cache(lambda k: closure(f.target, [k]))
-    continuity_witness = _continuity_witness(f, below)
-
-    missed = f.target.keys() - frozenset(f.mapping.values())
-
-    preimage: dict[ElementId, set[ElementId]] = {k: set() for k in f.target.elements}
-    for s, t in f.mapping.items():
-        preimage[t].add(s)
-
-    def preimage_connected(subset: Iterable[ElementId]) -> bool:
-        return is_connected(f.source, set().union(*(preimage[t] for t in subset)))
-
-    monotonic: bool | None = True
-    witness: frozenset[ElementId] | None = None
-    exhaustive = True
     tkeys = sorted(f.target.elements)
     n = len(tkeys)
-    if n <= size_guard(MONOTONICITY_GUARD):
-        index = {k: i for i, k in enumerate(tkeys)}
-        # comp_mask[i]: bits of every other key comparable with tkeys[i]
-        comp_mask = [
-            sum(1 << index[o] for o in below(k) | star(f.target, [k]) if o != k) for k in tkeys
-        ]
-        for m in range(1, 1 << n):
-            # bitmask flood fill: skip disconnected target subsets
-            low = m & -m
-            reached = low
-            frontier = low
-            while frontier:
-                grow = 0
-                rest = frontier
-                while rest:
-                    bit = rest & -rest
-                    grow |= comp_mask[bit.bit_length() - 1]
-                    rest ^= bit
-                frontier = grow & m & ~reached
-                reached |= frontier
-            if reached != m:
-                continue
-            subset = frozenset(tkeys[i] for i in range(n) if m >> i & 1)
-            if not preimage_connected(subset):
-                monotonic = False
-                witness = subset
-                break
-    else:
-        exhaustive = False
-        monotonic = None
-        for k in tkeys:
-            if not preimage_connected(below(k)):
-                monotonic = False
-                witness = below(k)
-                break
+    rank = {k: i for i, k in enumerate(tkeys)}
+    tranks = [rank[k] for k in f.target.index.keys]
+    down, up = _rank_masks(f.target, tranks)
+    # below[r], comparable[r]: bits of the targets at or below rank r, and
+    # comparable with it, r included
+    below, comparable = [0] * n, [0] * n
+    for r, d, u in zip(tranks, down, up):
+        below[r] = d
+        comparable[r] = d | u
+    sidx = f.source.index
+    img = [rank[f.mapping[k]] for k in sidx.keys]
+    continuity_witness = _continuity_witness(f, img, below)
 
+    sdown, sup = _rank_masks(f.source, img)
+    # realized[r]: bits of the targets whose fibres hold an element
+    # comparable with one of r's fibre
+    realized = [0] * n
+    for i, r in enumerate(img):
+        realized[r] |= sdown[i] | sup[i]
+    filled = sum(1 << r for r in set(img))
+    empty = (1 << n) - 1 & ~filled
+
+    # linked[r]: comparable targets with nonempty fibres, and those joined to
+    # r through one component of empty-fibre targets
+    linked = [m & filled for m in comparable]
+    components = []  # (members, nonempty-fibre targets next to them)
+    rest = empty
+    while rest:
+        members = _flood(comparable, rest & -rest, empty)
+        rest &= ~members
+        ends = 0
+        for e in _bits(members):
+            ends |= comparable[e] & filled
+        components.append((members, ends))
+        for r in _bits(ends):
+            linked[r] |= ends
+
+    # fibres in pieces along relation pairs inside them; is_connected decides
+    same = [[k for k in (*sidx.out[j], *sidx.inn[j]) if img[k] == r] for j, r in enumerate(img)]
+    pieces = [0] * n
+    placed: set[int] = set()
+    for i, r in enumerate(img):
+        if i not in placed:
+            pieces[r] += 1
+            placed |= _walk(same, [i])
+    split = [r for r in range(n) if pieces[r] > 1]
+    if split:
+        fibres: dict[int, list[ElementId]] = {r: [] for r in split}
+        for k, r in zip(sidx.keys, img):
+            if r in fibres:
+                fibres[r].append(k)
+        split = [r for r in split if not is_connected(f.source, fibres[r])]
+    # an empty fibre (no bit in realized) has no pairs to realize
+    unrealized = [linked[r] & ~realized[r] if realized[r] else 0 for r in range(n)]
+
+    witness = None
+    if split or any(unrealized):
+        best = _first_failing_subset(comparable, components, split, unrealized)
+        witness = frozenset(tkeys[r] for r in _bits(best))
+
+    missed = f.target.keys() - frozenset(f.mapping.values())
     return MapReport(
         continuous=continuity_witness is None,
         continuity_witness=continuity_witness,
         surjective=not missed,
         missed_targets=frozenset(missed),
-        monotonic=monotonic,
+        monotonic=witness is None,
         monotonicity_witness=witness,
-        monotonicity_exhaustive=exhaustive,
     )
+
+
+def _first_failing_subset(
+    comparable: Sequence[int],
+    components: Sequence[tuple[int, int]],
+    split: Sequence[int],
+    unrealized: Sequence[int],
+) -> int:
+    """The first connected target subset, as a bit mask of ranks, whose
+    preimage is disconnected.
+
+    Every such subset contains a minimal one: a rank in ``split`` alone, or
+    an unrealized linked pair with a set of empty-fibre targets that joins
+    them.  A subset's mask is at least that of each subset of it, so the
+    first is a minimal one.  For a pair, the lowest joining set is found
+    greedily: starting from the components next to both ends, each empty
+    target is dropped, highest first, when the pair stays joined without it.
+    """
+    best = 1 << split[0] if split else 1 << len(comparable)  # above every subset
+    for u, bad in enumerate(unrealized):
+        if best < 1 << u:
+            break
+        lower = bad & (1 << u) - 1
+        direct = lower & comparable[u]
+        if direct:  # the lowest comparable partner, alone with u
+            best = min(best, 1 << u | direct & -direct)
+        joins = [(members, ends) for members, ends in components if ends >> u & 1]
+        near = 0
+        for members, _ in joins:
+            near |= members
+        for t in _bits(lower & ~comparable[u]):
+            pair = 1 << t | 1 << u
+            if best <= pair | near & -near:
+                break  # every joining set holds a bit of near
+            via = 0
+            for members, ends in joins:
+                if ends >> t & 1:
+                    via |= members
+            for e in reversed(list(_bits(via))):
+                if _flood(comparable, 1 << t, via & ~(1 << e) | 1 << u) >> u & 1:
+                    via &= ~(1 << e)
+            best = min(best, pair | via)
+    return best
+
+
+def _flood(comparable: Sequence[int], start: int, allowed: int) -> int:
+    """The ranks reached from the mask ``start`` along comparabilities,
+    stepping onto ``allowed`` ranks only."""
+    reached = new = start
+    while new:
+        grow = 0
+        for b in _bits(new):
+            grow |= comparable[b]
+        new = grow & allowed & ~reached
+        reached |= new
+    return reached
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
-"""Size guards for exhaustive (exponential) checks.
+"""The size guard of the one exhaustive (exponential) check.
 
-The environment variable ``ALEXDB_SIZE_GUARD`` overrides every guard at
-once; it exists so callers with patience can push brute-force checks past
-the shipped defaults.
+Open-set enumeration walks all 2^n subsets of a space, so it refuses spaces
+over ``OPEN_SET_GUARD`` elements.  The environment variable
+``ALEXDB_SIZE_GUARD`` overrides the bound; it exists so callers with
+patience can push the brute-force enumeration past the shipped default.
+Every other check, map checking included, is exact at any size and has no
+guard.
 """
 from __future__ import annotations
 
@@ -10,29 +13,19 @@ import os
 
 from .errors import SizeGuardError
 
-# Defaults: open-set enumeration walks 2^n subsets; the monotonicity check
-# walks 2^n subsets of the target space.
 OPEN_SET_GUARD = 20
-MONOTONICITY_GUARD = 15
 
 
-def size_guard(default: int) -> int:
-    """Return the active bound: the override env var, if set, else ``default``."""
+def check_guard(n: int, default: int, what: str) -> None:
+    """Raise SizeGuardError when ``n`` exceeds the active bound for ``what``:
+    the override env var, if set, else ``default``."""
     raw = os.environ.get("ALEXDB_SIZE_GUARD")
-    if raw is None:
-        return default
     try:
-        return int(raw)
+        bound = default if raw is None else int(raw)
     except ValueError:
         raise SizeGuardError(f"ALEXDB_SIZE_GUARD must be an integer, got {raw!r}")
-
-
-def check_guard(n: int, default: int, what: str) -> int:
-    """Raise SizeGuardError when ``n`` exceeds the active bound for ``what``."""
-    bound = size_guard(default)
     if n > bound:
         raise SizeGuardError(
             f"{what}: input has {n} elements, exceeding the bound {bound} "
             f"(set ALEXDB_SIZE_GUARD to override)"
         )
-    return bound

@@ -174,7 +174,7 @@ def monotone_path_query(
     """Filtered path query; ``g`` must be continuous, surjective, monotonic.
 
     The map is trusted by default; pass ``validate=True`` to have it
-    checked (at exhaustive-check cost) before querying.
+    checked by ``check_map``, which is exact at any size, before querying.
     """
     if validate:
         report = check_map(g)

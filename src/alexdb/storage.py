@@ -554,9 +554,9 @@ def validate(store: VersionStore, rules: Sequence[str] = ()) -> list[ValidationI
     generalisation map is continuous on the rest (the continuous-foreign-key
     condition).  ``rules`` adds optional checks per version: "surjective"
     and "monotonic" for the generalisation map per level transition (the
-    exhaustive monotonicity check runs only under "monotonic", once per
-    transition however often it is named), any other name is looked up in
-    the consistency-rule registry.
+    exact monotonicity check of ``check_map`` runs only under "monotonic",
+    once per transition however often it is named), any other name is
+    looked up in the consistency-rule registry.
     """
     issues = _duplicate_rows(store)
     issues += foreign_key_violations(store)
@@ -609,7 +609,7 @@ def validate(store: VersionStore, rules: Sequence[str] = ()) -> list[ValidationI
                 issues += [
                     _map_issue(low, v, t, "disconnected preimage of", r.monotonicity_witness)
                     for t, r in reports.items()
-                    if r.monotonic is False
+                    if not r.monotonic
                 ]
             else:
                 for conflict in consistency_rule(name)(space):

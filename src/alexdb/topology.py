@@ -234,6 +234,14 @@ def _walk(adj: list[list[int]], starts: Iterable[int]) -> set[int]:
     return seen
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _kahn(out: list[list[int]]) -> list[int]:
     """Kahn's topological order of ``out``: each position before its
     successors.  Positions on or below a cycle are missing from it."""

@@ -22,7 +22,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from .errors import (
     DuplicateKeyError,
@@ -41,6 +41,7 @@ from .topology import (
     find_cycle,
     simple_space,
     star,
+    _bits,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, no runtime dependency
@@ -243,14 +244,6 @@ def _uncreated(created: int, deleted: int, ancestry: list[int]) -> int:
             bad |= low
         deleted ^= low
     return bad
-
-
-def _bits(mask: int) -> Iterator[int]:
-    """The positions of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _row_order(pair: BoundedByPair) -> tuple[str, str, int]:

@@ -62,10 +62,12 @@ def cluster_map(rng: random.Random, max_coarse: int = 4, max_cluster: int = 3) -
     """A monotone, continuous, surjective map built by construction.
 
     Each coarse element is expanded into a chain of fine elements; every
-    coarse pair becomes one fine pair between the chains.  Mapping each
-    chain back onto its coarse element is then continuous (pairs land on
-    pairs), surjective (chains are nonempty) and monotone (preimages glue
-    exactly like the coarse elements they came from).
+    coarse pair becomes one fine pair, from the bottom of one chain to the
+    top of the other.  Mapping each chain back onto its coarse element is
+    then continuous (pairs land on pairs), surjective (chains are nonempty)
+    and monotone (preimages glue exactly like the coarse elements they came
+    from: a coarse path runs down through each chain it passes, so every
+    comparable coarse pair has comparable fine elements).
     """
     coarse = random_space(rng, max_coarse, p=0.4, prefix="c")
     coarse_keys = sorted(coarse.keys())
@@ -79,15 +81,59 @@ def cluster_map(rng: random.Random, max_coarse: int = 4, max_cluster: int = 3) -
             BoundedByPair(chain[i], chain[i + 1]) for i in range(size - 1)
         ]
     for pair in coarse.relation:
-        fine_pairs.append(
-            BoundedByPair(rng.choice(fine_keys[pair.ida]), rng.choice(fine_keys[pair.idb]))
-        )
+        fine_pairs.append(BoundedByPair(fine_keys[pair.ida][-1], fine_keys[pair.idb][0]))
     fine = build_space(
         (Element(k) for chain in fine_keys.values() for k in chain),
         fine_pairs,
     )
     mapping = {k: c for c, chain in fine_keys.items() for k in chain}
     return SpaceMap(fine, coarse, mapping)
+
+
+def map_with_empty_targets(rng: random.Random, max_coarse: int = 5, max_extra: int = 3) -> SpaceMap:
+    """A ``cluster_map`` onto a target with up to ``max_extra`` more
+    elements that nothing maps onto, each above or below random others.
+
+    The empty targets can join targets whose fibres no comparable pair
+    links, so the map may fail to be monotone through them alone.
+    """
+    f = cluster_map(rng, max_coarse=max_coarse, max_cluster=2)
+    coarse = sorted(f.target.keys())
+    extra = [ElementId(f"x{i}") for i in range(rng.randint(1, max_extra))]
+    pairs = set(f.target.relation)
+    for i, x in enumerate(extra):
+        # each extra meets the coarse elements and the later extras
+        for k in coarse + extra[i + 1:]:
+            if rng.random() < 0.35:
+                pairs.add(BoundedByPair(x, k) if rng.random() < 0.5 else BoundedByPair(k, x))
+    try:
+        target = build_space([Element(k) for k in coarse + extra], pairs)
+    except AlexdbError:  # a cycle through the coarse order: keep the plain target
+        target = f.target
+    return SpaceMap(f.source, target, dict(f.mapping))
+
+
+def chain_map(n: int) -> SpaceMap:
+    """A chain of ``2n`` elements mapped two-to-one onto a chain of ``n``.
+
+    Source ``s{i}`` is bounded by ``s{i+1}`` and maps onto ``t{i // 2}`` at
+    level 1, which is bounded by ``t{i // 2 + 1}``; zero-padded ids keep key
+    order and chain order the same.  Continuous, surjective and monotone.
+    """
+    width = len(str(2 * n))
+    src = [ElementId(f"s{i:0{width}d}") for i in range(2 * n)]
+    tgt = [ElementId(f"t{i:0{width}d}", 1) for i in range(n)]
+    source = build_space((Element(k) for k in src), map(BoundedByPair, src, src[1:]))
+    target = build_space((Element(k) for k in tgt), map(BoundedByPair, tgt, tgt[1:]))
+    return SpaceMap(source, target, {k: tgt[i // 2] for i, k in enumerate(src)})
+
+
+def with_stray_preimage(f: SpaceMap, target: ElementId) -> SpaceMap:
+    """``f`` with one more source element, related to nothing, mapped onto
+    ``target``: that fibre comes apart, and the map stays continuous."""
+    stray = Element(ElementId("stray"))
+    source = build_space([*f.source.elements.values(), stray], f.source.relation)
+    return SpaceMap(source, f.target, {**f.mapping, stray.key: target})
 
 
 def random_version_dag(rng: random.Random, max_n: int = 8, p: float = 0.3):
@@ -198,6 +244,25 @@ def level_store(
     ]
     relation = [BoundedByPair(level_key(a), level_key(b)) for a, b in pairs]
     return new_store(version, build_space(elements, relation))
+
+
+def unrealized_pair_store() -> VersionStore:
+    """A level store whose map onto 16 targets is continuous and surjective
+    but not monotone, though every fibre is connected.
+
+    Level 1 is the chain ``t > w > u``; level 0 has ``a > b > d``,
+    ``b2 > d`` and ``b2 > c``, with ``a`` over ``t``, ``b``, ``b2`` and
+    ``d`` over ``w`` and ``c`` over ``u``.  The pair ``{t:1, u:1}`` is
+    connected but its preimage ``{a, c}`` is not.  Thirteen isolated padding
+    pairs ``p{i}`` over ``q{i}:1`` make up the 16 targets.
+    """
+    return level_store(
+        pairs=[("a", "b"), ("b", "d"), ("b2", "d"), ("b2", "c"), ("t:1", "w:1"), ("w:1", "u:1")],
+        gen={
+            "a": "t:1", "b": "w:1", "b2": "w:1", "d": "w:1", "c": "u:1",
+            **{f"p{i:02d}": f"q{i:02d}:1" for i in range(13)},
+        },
+    )
 
 
 def unchecked_removal(store: VersionStore, parent: str, version: str, keys) -> VersionStore:

@@ -12,6 +12,7 @@ takes the library's version hulls (checked against path enumeration).
 """
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Iterable
 
 import networkx as nx
@@ -190,6 +191,84 @@ def monotonicity_by_opens(f, subsets=None):
         if not is_connected_subset(source_opens, preimage):
             return False, frozenset(subset)
     return True, None
+
+
+def monotonicity_conditions(f):
+    """``(split, unrealized)`` for a total map between T0 spaces: the target
+    keys whose fibre is disconnected in the source, and the linked target
+    pairs (two-element frozensets) that no comparable pair of elements of
+    their fibres realizes.  Two targets with nonempty fibres are linked when
+    they are comparable or both comparable with one connected component of
+    the targets with empty fibres.  The map is monotone exactly when both
+    are empty.
+
+    Orders, components and connectivity come from networkx; reachability is
+    one bit per node, or per target for the images of a source hull, filled
+    along a networkx topological order, so a chain of thousands stays cheap.
+    """
+    src = digraph(f.source.keys(), [(p.ida, p.idb) for p in f.source.relation])
+    tgt = digraph(f.target.keys(), [(p.ida, p.idb) for p in f.target.relation])
+    targets = list(tgt)
+    bit = {t: 1 << i for i, t in enumerate(targets)}
+
+    def hulls(g, bits):
+        """Bits of every node at or below, and at or above, each node."""
+        order = list(nx.topological_sort(g))
+        down, up = dict(bits), dict(bits)
+        for x in reversed(order):
+            for y in g.successors(x):
+                down[x] |= down[y]
+        for x in order:
+            for y in g.predecessors(x):
+                up[x] |= up[y]
+        return down, up
+
+    tdown, tup = hulls(tgt, bit)
+    comparable = {t: tdown[t] | tup[t] for t in targets}
+    fibres = {t: [] for t in targets}
+    for x in src:
+        fibres[f(x)].append(x)
+
+    # (a): each fibre connected under the comparability of the source
+    below, _ = hulls(src, {x: 1 << i for i, x in enumerate(src)})
+    node_bit = {x: 1 << i for i, x in enumerate(src)}
+    split = set()
+    for t, members in fibres.items():
+        g = nx.Graph()
+        g.add_nodes_from(members)
+        g.add_edges_from(
+            (x, y)
+            for x, y in combinations(members, 2)
+            if below[x] & node_bit[y] or below[y] & node_bit[x]
+        )
+        if members and not nx.is_connected(g):
+            split.add(t)
+
+    # (b): linked pairs realized by comparable elements of their fibres
+    filled = sum(bit[t] for t, members in fibres.items() if members)
+    linked = {t: comparable[t] & filled for t in targets if fibres[t]}
+    empty = nx.Graph()
+    empty.add_nodes_from(t for t in targets if not fibres[t])
+    empty.add_edges_from((a, b) for a, b in combinations(empty, 2) if comparable[a] & bit[b])
+    for component in nx.connected_components(empty):
+        ends = 0
+        for e in component:
+            ends |= comparable[e] & filled
+        for t in linked:
+            if ends & bit[t]:
+                linked[t] |= ends
+    sdown, sup = hulls(src, {x: bit[f(x)] for x in src})
+    unrealized = set()
+    for t, link in linked.items():
+        realized = 0
+        for x in fibres[t]:
+            realized |= sdown[x] | sup[x]
+        bad = link & ~realized
+        while bad:
+            low = bad & -bad
+            unrealized.add(frozenset({t, targets[low.bit_length() - 1]}))
+            bad ^= low
+    return frozenset(split), frozenset(unrealized)
 
 
 # ---------------------------------------------------------------------------

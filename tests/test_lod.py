@@ -170,6 +170,27 @@ def test_monotone_path_query_can_validate_its_map():
     assert monotone_path_query(g, [A, ab, B], A, B, validate=True) is True
 
 
+def test_monotone_path_query_validates_maps_of_any_size(rng):
+    # 16 and more targets, beyond the size of an exhaustive subset search
+    chain = builders.chain_map(16)
+    first, last = min(chain.source.keys()), max(chain.source.keys())
+    assert len(chain.target) == 16
+    assert monotone_path_query(chain, chain.source.keys(), first, last, validate=True) is True
+    cluster = builders.cluster_map(rng, max_coarse=40)
+    while len(cluster.target) <= 15:
+        cluster = builders.cluster_map(rng, max_coarse=40)
+    keys = sorted(cluster.source.keys())
+    region = keys[: len(keys) // 2]
+    for a, b in zip(region, reversed(region)):
+        want = path_query(cluster.source, region, a, b)
+        assert monotone_path_query(cluster, region, a, b, validate=True) is want
+    for g in (chain, cluster):
+        broken = builders.with_stray_preimage(g, max(g.target.keys()))
+        k = min(g.source.keys())
+        with pytest.raises(ValueError, match="unfit for filtering"):
+            monotone_path_query(broken, [k], k, k, validate=True)
+
+
 @given(rnd=st.randoms(use_true_random=False))
 def test_filtered_queries_agree_with_direct_queries(rnd):
     g = builders.cluster_map(rnd)

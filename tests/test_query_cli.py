@@ -302,6 +302,13 @@ def test_cli_validate_prints_optional_rule_findings_in_rule_order(tmp_path, caps
     assert (code, out) == (0, f"{lines[first]}\n{lines[second]}\n")
 
 
+def test_cli_validate_flags_a_disconnected_pair_preimage_among_16_targets(tmp_path, capsys):
+    save(builders.unrealized_pair_store(), tmp_path / "store")
+    code, out, _ = run_cli(capsys, "validate", str(tmp_path / "store"), "--rule", "monotonic")
+    line = "monotonic [version v1]: levels 0->1: disconnected preimage of ['t:1', 'u:1']"
+    assert (code, out) == (0, f"{line}\n")
+
+
 @pytest.mark.parametrize(
     "text, where",
     [

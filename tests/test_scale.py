@@ -1,6 +1,7 @@
 """Scale checks: the reachability kernel against networkx at 200-2000
-elements, on layered and graded grid complexes, and version reconstruction
-over a 400-version history.
+elements, on layered and graded grid complexes, version reconstruction
+over a 400-version history, and map checking on maps onto 1,000-2,000
+targets.
 
 The hypothesis suites check every query on spaces of up to ten elements;
 this module repeats the checks that matter for large inputs on seeded
@@ -22,9 +23,12 @@ from alexdb import (
     ElementId,
     MissingGeometryError,
     PointRow,
+    SpaceMap,
+    T0ViolationError,
     apply_changeset,
     build_space,
     changeset,
+    check_map,
     closure,
     commit,
     components_within,
@@ -43,8 +47,10 @@ from alexdb import (
     time_slice,
 )
 from alexdb import algebra, versioning
+from alexdb.lod import as_level
 from alexdb.versioning import HistoryIndex
 
+import builders
 import oracles
 
 pytestmark = pytest.mark.slow
@@ -375,3 +381,146 @@ def test_one_element_commits_build_no_index_and_reconstruct_no_parent(monkeypatc
     assert counts == Counter(rows=1)
     assert len(reconstruct_version(store, parent)) == 1000
     assert counts == Counter(rows=1)
+
+
+# ---------------------------------------------------------------------------
+# map checking
+
+
+def coarse_cell(k: ElementId) -> ElementId:
+    """Where a cell of ``grid`` lands, at level 1, on the grid coarsened
+    2 x 2: a cell on an even line stays on that coarse line, any other
+    lands inside a coarse cell.  The map is continuous, surjective and
+    monotone."""
+    x, y = (int(c) for c in k.id[1:].split("_"))
+    upright = k.id[0] in "vu" and x % 2 == 0  # on a coarse line x = const
+    level = k.id[0] in "vh" and y % 2 == 0  # on a coarse line y = const
+    kind = "v" if upright and level else "u" if upright else "h" if level else "f"
+    return ElementId(f"{kind}{x // 2}_{y // 2}", 1)
+
+
+def pyramid_map(side: int) -> SpaceMap:
+    fine = grid(side, seed=side)[0]
+    coarse = as_level(grid(side // 2, seed=side)[0], 1)
+    return SpaceMap(fine, coarse, {k: coarse_cell(k) for k in fine.keys()})
+
+
+def without_pairs(f: SpaceMap, pairs) -> SpaceMap:
+    gone = {BoundedByPair(ElementId(a), ElementId(b)) for a, b in pairs}
+    assert gone <= f.source.relation
+    source = build_space(f.source.elements.values(), f.source.relation - gone)
+    return SpaceMap(source, f.target, f.mapping)
+
+
+def with_empty_target(f: SpaceMap, pairs, drop=()) -> SpaceMap:
+    """``f`` onto a target with one more element, ``z:1``, that nothing maps
+    onto: the target pairs ``pairs`` are added and ``drop`` removed, keys
+    written as for ``builders.level_key``."""
+    key = builders.level_key
+    added = {BoundedByPair(key(a), key(b)) for a, b in pairs}
+    dropped = {BoundedByPair(key(a), key(b)) for a, b in drop}
+    elements = [*f.target.elements.values(), Element(ElementId("z", 1))]
+    target = build_space(elements, (f.target.relation - dropped) | added)
+    return SpaceMap(f.source, target, f.mapping)
+
+
+def map_cases():
+    """Maps onto 1,089 and 2,000 targets, each monotone, then with one fault
+    and the witness expected of it (None for a monotone map)."""
+    key = builders.level_key
+    pyramid = pyramid_map(32)
+    chain = builders.chain_map(2000)
+    last = max(chain.target.keys())
+    return {
+        "pyramid": (pyramid, None),
+        "pyramid, a fibre split": (
+            builders.with_stray_preimage(pyramid, key("f3_3:1")), {key("f3_3:1")},
+        ),
+        # no fine element over the face f3_3 is comparable with one over its
+        # rim edge h3_3: the two fine faces and the inner edge lose the pair
+        # that bound them by its fine elements
+        "pyramid, a linked pair unrealized": (
+            without_pairs(pyramid, [("f6_6", "h6_6"), ("f7_6", "h7_6"), ("u7_6", "v7_6")]),
+            {key("f3_3:1"), key("h3_3:1")},
+        ),
+        # z joins two far corners, whose fibres are not comparable
+        "pyramid, not surjective": (
+            with_empty_target(pyramid, [("z:1", "v0_0:1"), ("z:1", "v16_16:1")]),
+            {key("v0_0:1"), key("v16_16:1"), key("z:1")},
+        ),
+        "chain": (chain, None),
+        "chain, a fibre split": (
+            builders.with_stray_preimage(chain, key("t1000:1")), {key("t1000:1")},
+        ),
+        # cut between the last two fibres: no pair across the cut is realized
+        "chain, a linked pair unrealized": (
+            without_pairs(chain, [("s3997", "s3998")]), {key("t0000:1"), last},
+        ),
+        # z between two consecutive targets; every pair stays realized
+        "chain, not surjective": (
+            with_empty_target(
+                chain, [("t0999:1", "z:1"), ("z:1", "t1000:1")], drop=[("t0999:1", "t1000:1")]
+            ),
+            None,
+        ),
+    }
+
+
+def comparability_connected(space, keys) -> bool:
+    """Whether ``keys`` are connected under comparability in ``space``, by
+    networkx paths."""
+    g = oracles.digraph(space.keys(), [(p.ida, p.idb) for p in space.relation])
+    h = nx.Graph()
+    h.add_nodes_from(keys)
+    h.add_edges_from(
+        (a, b) for a in keys for b in keys if a != b and nx.has_path(g, a, b)
+    )
+    return nx.is_connected(h)
+
+
+def test_check_map_matches_the_fibre_and_pair_conditions(monkeypatch):
+    calls = []
+    connected = algebra.is_connected
+
+    def counted(*args):
+        calls.append(args)
+        return connected(*args)
+
+    monkeypatch.setattr(algebra, "is_connected", counted)
+    for name, (f, expected) in map_cases().items():
+        calls.clear()
+        report = check_map(f)
+        assert report.continuous, name
+        assert report.surjective == ("surjective" not in name), name
+        split, unrealized = oracles.monotonicity_conditions(f)
+        assert report.monotonic == (not split and not unrealized), name
+        assert report.monotonicity_exhaustive, name
+        assert report.monotonicity_witness == (None if expected is None else frozenset(expected)), name
+        # only a fibre its own pairs leave in pieces reaches is_connected
+        assert len(calls) == ("split" in name), name
+        if expected is None:
+            continue
+        # the witness is a minimal failing subset the oracle names
+        witness = report.monotonicity_witness
+        fibres = [k for k in f.source.keys() if f(k) in witness]
+        assert comparability_connected(f.target, witness), name
+        assert not comparability_connected(f.source, fibres), name
+        if len(witness) == 1:
+            assert witness <= split, name
+        else:
+            filled = set(f.mapping.values())
+            assert frozenset(witness & filled) in unrealized, name
+            assert len(witness & filled) == 2, name
+
+
+def test_check_map_refuses_a_cyclic_space():
+    cyclic = simple_space(["a", "b"], [("a", "b"), ("b", "a")], t0_check=False)
+    point = simple_space(["p"])
+    maps = [
+        SpaceMap(cyclic, point, {ElementId("a"): ElementId("p"), ElementId("b"): ElementId("p")}),
+        SpaceMap(point, cyclic, {ElementId("p"): ElementId("a")}),
+    ]
+    for f in maps:
+        with pytest.raises(T0ViolationError) as err:
+            check_map(f)
+        assert set(err.value.cycle) == {ElementId("a"), ElementId("b")}

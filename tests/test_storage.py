@@ -551,6 +551,17 @@ def test_validate_emits_optional_findings_in_rule_order():
     assert validate(store) == []
 
 
+def test_validate_flags_a_disconnected_pair_preimage_among_16_targets():
+    store = builders.unrealized_pair_store()
+    assert len([k for k in reconstruct_version(store, "v1").keys() if k.lod == 1]) == 16
+    t, u = ElementId("t", 1), ElementId("u", 1)
+    issue = alexdb.storage.ValidationIssue(
+        "monotonic", "version v1", "levels 0->1: disconnected preimage of ['t:1', 'u:1']", (t, u)
+    )
+    assert validate(store, ["monotonic"]) == [issue]
+    assert validate(store, ["surjective"]) == []
+
+
 def three_level_history():
     """Two versions of a store whose levels 0 -> 1 -> 2 are each mapped onto."""
     store = builders.level_store(
