@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import warnings
 from dataclasses import dataclass, field
+from itertools import chain, filterfalse
 from typing import Iterable, Mapping, Sequence
 
 from .errors import AttributeMergeWarning, NotFoundError, T0ViolationError
@@ -26,7 +27,8 @@ from .topology import (
     _bits,
     _kahn,
     _nearest_kept,
-    _require_keys,
+    _one_depth,
+    _positions,
     _topological_order,
     _walk,
 )
@@ -102,31 +104,65 @@ def select_subspace(space: Space, keep: Iterable[ElementId]) -> Space:
     """Subspace on ``keep``: restrict the preorder, then reduce.
 
     Comparabilities that pass through dropped elements survive as direct
-    pairs, so the result carries the genuine subspace topology.  Only pairs
-    from each kept element to its nearest kept descendants are candidates
-    for the reduced relation.  In a T0 space an element strictly above
-    another is deeper (has a longer chain below it), so when every kept
-    element's candidates share one depth, none lies above another and the
-    candidates are the reduced relation; otherwise they are reduced.
+    pairs, so the result carries the genuine subspace topology.  Its
+    elements come in key order.  When its candidate pairs need no
+    reduction, the pairs it shares with the ambient relation are the
+    ambient relation's own pair objects.
     """
-    keys = sorted(_require_keys(space, keep))
+    return _subspace(space, _positions(space, keep))
+
+
+def _subspace(space: Space, kept: set[int]) -> Space:
+    """The subspace on the index positions ``kept``.
+
+    Only pairs from each kept position to its nearest kept descendants are
+    candidates for the reduced relation.  The ambient pairs between kept
+    positions are candidates, and are taken as the ambient pair objects.
+    When the kept set is open (it holds everything above each of its
+    members), no dropped position has a kept one below it, so these are
+    all: nothing is walked.  Otherwise each kept position with a dropped
+    ``out`` neighbour walks down to its nearest kept ones, and only the
+    pairs that pass through dropped positions are built.
+
+    In a T0 space an element strictly above another is deeper (has a
+    longer chain below it), so when every kept position's candidates share
+    one depth, none lies above another and the candidates are the reduced
+    relation; otherwise they are reduced.
+    """
     idx = space.index
-    kept = [idx.pos[k] for k in keys]
-    near = list(_nearest_kept(idx.out, set(kept)))
+    out, inn, keys = idx.out, idx.inn, idx.keys
+    ranked = sorted(kept, key=idx.rank.__getitem__)
+    names = list(map(keys.__getitem__, ranked))
     # keys, pairs and acyclicity hold by construction: no re-validation
-    elements = {k: space.elements[k] for k in keys}
-    depth = idx.depth
-    if depth is not None and all(
-        len(below) < 2 or len(set(map(depth.__getitem__, below))) == 1 for _, below in near
+    elements = dict(zip(names, map(space.elements.__getitem__, names)))
+    whole = kept.issuperset
+    rim = [b for b in kept if not whole(inn[b])]  # kept positions below a dropped one
+    walked = {}  # kept positions with a dropped out neighbour: their candidates
+    if rim:  # the kept set is not open
+        walked = {a: _nearest_kept(out, kept, a) for a in kept if not whole(out[a])}
+    depth, level = idx.depth, idx.level
+    if (
+        level is not None
+        and all(_one_depth(depth, found) for found in walked.values())
+        # a part of a list of one depth has one depth
+        and all(
+            _one_depth(depth, [b for b in out[a] if b in kept])
+            for a in filterfalse(level.__getitem__, kept)
+            if a not in walked
+        )
     ):
-        ambient = idx.keys
-        pairs = [_pair((ambient[a], ambient[b])) for a, below in near for b in below]
+        inn_pairs = idx.inn_pairs
+        pairs = list(chain.from_iterable(map(inn_pairs.__getitem__, kept.difference(rim))))
+        pairs += [p for b in rim for p, a in zip(inn_pairs[b], inn[b]) if a in kept]
+        pairs += [
+            _pair((keys[a], keys[b])) for a, found in walked.items() for b in found.difference(out[a])
+        ]
         return Space(elements, frozenset(pairs))
-    local = {a: i for i, a in enumerate(kept)}
-    succ: list[list[int]] = [[] for _ in keys]
-    for a, below in near:
-        succ[local[a]] = [local[b] for b in below]
-    return Space(elements, _reduction(keys, succ))
+    local = dict(zip(ranked, range(len(ranked))))
+    succ = [
+        [local[b] for b in (walked[a] if a in walked else out[a]) if b in kept] for a in ranked
+    ]
+    return Space(elements, _reduction(names, succ))
 
 
 def product_key(a: ElementId, b: ElementId, separator: str = PRODUCT_SEPARATOR) -> ElementId:

@@ -11,6 +11,7 @@ are alive at a time value, using per-vertex coordinate rows.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
@@ -21,7 +22,7 @@ from .algebra import (
     product,
     product_key,
     restrict_map,
-    select_subspace,
+    _subspace,
 )
 from .errors import DiscontinuousMapError, DuplicateKeyError, MissingGeometryError
 from .topology import (
@@ -168,10 +169,21 @@ def time_slice(
     not bleed onto their boundaries.  Comparisons are exact, matching the
     relational formulation; pick slice values accordingly.
 
+    A slice off every vertex time keeps an open set.  The closure of an
+    element holds the closures of everything below it, so each element's
+    life interval holds the intervals of everything below it.  No element
+    then sits at ``t``, so a kept element is one with tmin < t < tmax, and
+    everything above it, whose interval is wider, is kept too.  The
+    subspace then needs no walk through dropped elements: each kept
+    element's nearest kept elements are its kept neighbours.
+
     An element whose closure has no vertex with a coordinate row raises
-    ``MissingGeometryError`` naming it (the smallest such key), and a
-    cyclic relation raises ``T0ViolationError``.
+    ``MissingGeometryError`` naming it (the smallest such key), as does a
+    vertex whose time coordinate is NaN (the smallest such key) and a NaN
+    ``t``; a cyclic relation raises ``T0ViolationError``.
     """
+    if math.isnan(t):
+        raise MissingGeometryError("cannot slice at time nan")
     if isinstance(points, Mapping):
         pts = dict(points)
     else:
@@ -190,14 +202,13 @@ def time_slice(
             tmax[i] = max(map(hi, below))
         elif idx.keys[i] in pts:
             tmin[i] = tmax[i] = pts[idx.keys[i]].t
-    missing = [k for k, lo, hi in zip(idx.keys, tmin, tmax) if lo > hi]
-    if missing:
+    if any(map(math.isnan, tmin)):  # a nan reaches min and max out of order
+        nan = [k for k, below, lo in zip(idx.keys, out, tmin) if not below and math.isnan(lo)]
+        raise MissingGeometryError(f"vertex {min(nan)} has time coordinate nan")
+    if any(map(operator.gt, tmin, tmax)):
+        missing = [k for k, lo, hi in zip(idx.keys, tmin, tmax) if lo > hi]
         raise MissingGeometryError(
             f"element {min(missing)} has no closure vertex with a coordinate row"
         )
-    kept = [
-        k
-        for k, lo, hi in zip(idx.keys, tmin, tmax)
-        if (lo < t < hi) or (lo == t == hi)
-    ]
-    return select_subspace(space, kept)
+    kept = {i for i, (lo, hi) in enumerate(zip(tmin, tmax)) if (lo < t < hi) or (lo == t == hi)}
+    return _subspace(space, kept)

@@ -21,6 +21,14 @@ immutable.  Never mutate its ``elements`` mapping or its relation; build a
 new space instead.  The index also keeps each element's chain length (its
 dimension), computed on first use.
 
+Subspaces (``algebra.select_subspace`` and ``spacetime.time_slice``) work
+on index positions too.  They list their keys in key order by sorting
+positions by a rank kept on the index, and take the pairs they share with
+the ambient relation as its own pair objects, kept on the index by target
+position.  Only the pairs that pass through dropped elements are built;
+when the candidate pairs must be reduced, the reduction builds the pairs
+it keeps.
+
 Connectivity of a subspace is one component walk.  From each kept element
 found, it walks down and up through dropped elements to the nearest kept
 ones, with one seen-set per direction shared by the whole call: a dropped
@@ -258,35 +266,27 @@ def _kahn(out: list[list[int]]) -> list[int]:
     return order
 
 
-def _nearest_kept(
-    out: list[list[int]], kept: AbstractSet[int]
-) -> Iterator[tuple[int, Collection[int]]]:
-    """Each kept position with its nearest kept descendants: those reached by
-    a downward path whose intermediate positions are all dropped.
+def _nearest_kept(out: list[list[int]], kept: AbstractSet[int], a: int) -> set[int]:
+    """The nearest kept descendants of position ``a``: those reached by a
+    downward path whose intermediate positions are all dropped.
 
-    Each walk passes through dropped positions only and stops at the first
-    kept ones it meets.  A position bounded only by kept ones needs no walk:
-    it comes with its own ``out`` list, which the caller must not change.
-    The pairs found generate the restriction of the preorder to ``kept``, so
-    the subspace's reduced relation needs no other pairs.
+    The walk passes through dropped positions only and stops at the first
+    kept ones it meets.  The pairs found from every kept position generate
+    the restriction of the preorder to ``kept``, so the subspace's reduced
+    relation needs no other pairs.
     """
-    for a in kept:
-        below = out[a]
-        if all(map(kept.__contains__, below)):
-            yield a, below
-            continue
-        found: set[int] = set()
-        seen: set[int] = set()
-        stack = list(below)
-        while stack:
-            j = stack.pop()
-            if j in kept:
-                found.add(j)
-            elif j not in seen:
-                seen.add(j)
-                stack.extend(out[j])
-        found.discard(a)
-        yield a, found
+    found: set[int] = set()
+    seen: set[int] = set()
+    stack = list(out[a])
+    while stack:
+        j = stack.pop()
+        if j in kept:
+            found.add(j)
+        elif j not in seen:
+            seen.add(j)
+            stack.extend(out[j])
+    found.discard(a)
+    return found
 
 
 def _chain_lengths(out: list[list[int]], order: list[int]) -> list[int]:
@@ -350,9 +350,12 @@ class SpaceIndex:
     ``out[i]`` lists the positions ``i`` is bounded by and ``inn[i]`` those
     bounded by ``i``, one relation step each.  ``order`` is a topological
     order, every position before those it is bounded by, found by Kahn's
-    algorithm; it is None when the relation has a cycle.  ``depth``, the
-    longest strict chain descending from each position, is computed on first
-    use and kept.
+    algorithm; it is None when the relation has a cycle.  The other
+    attributes serve subspaces and are computed on first use and kept:
+    ``depth``, the longest strict chain descending from each position;
+    ``rank``, each position's place in key order; ``level``, whether the
+    positions below each one share one depth; and ``inn_pairs``, the
+    relation's own pair objects in the order of ``inn``.
     """
 
     def __init__(self, space: Space):
@@ -366,6 +369,7 @@ class SpaceIndex:
             self.inn[b].append(a)
         order = _kahn(self.out)
         self.order = order if len(order) == len(self.keys) else None
+        self._relation = space.relation
 
     @cached_property
     def depth(self) -> list[int] | None:
@@ -373,6 +377,40 @@ class SpaceIndex:
         cycle.  In a T0 space ``a`` strictly above ``c`` implies
         ``depth[a] > depth[c]``."""
         return None if self.order is None else _chain_lengths(self.out, self.order)
+
+    @cached_property
+    def rank(self) -> list[int]:
+        """Each position's place in the sorted keys, so sorting positions by
+        rank lists their keys in key order."""
+        rank = [0] * len(self.keys)
+        for r, i in enumerate(sorted(range(len(self.keys)), key=self.keys.__getitem__)):
+            rank[i] = r
+        return rank
+
+    @cached_property
+    def level(self) -> list[bool] | None:
+        """Whether the positions each position is bounded by share one
+        depth, so that none of them lies above another; None when the
+        relation has a cycle."""
+        depth = self.depth
+        if depth is None:
+            return None
+        return [_one_depth(depth, below) for below in self.out]
+
+    @cached_property
+    def inn_pairs(self) -> list[list[BoundedByPair]]:
+        """By position, the relation's pairs onto it, in the order of
+        ``inn``: both lists come from one walk of the same frozenset."""
+        pairs: list[list[BoundedByPair]] = [[] for _ in self.keys]
+        pos = self.pos
+        for p in self._relation:
+            pairs[pos[p.idb]].append(p)
+        return pairs
+
+
+def _one_depth(depth: list[int], below: Collection[int]) -> bool:
+    """Whether the positions ``below`` share one depth."""
+    return len(below) < 2 or len(set(map(depth.__getitem__, below))) == 1
 
 
 def find_cycle(space: Space) -> list[ElementId] | None:

@@ -12,6 +12,7 @@ takes the library's version hulls (checked against path enumeration).
 """
 from __future__ import annotations
 
+import math
 from itertools import combinations
 from typing import Iterable
 
@@ -86,6 +87,17 @@ def transitive_reduction_pairs(keys, pairs) -> frozenset:
     return frozenset(nx.transitive_reduction(digraph(keys, pairs)).edges())
 
 
+def subspace_pairs(space, keep) -> frozenset | None:
+    """The reduced relation of the subspace on ``keep``: the ambient preorder
+    restricted to ``keep``, then reduced.  None when the restriction is
+    cyclic, so that no reduction exists."""
+    closure = transitive_closure_pairs(list(space.keys()), [(p.ida, p.idb) for p in space.relation])
+    kept = {(a, b) for a, b in closure if a in keep and b in keep and a != b}
+    if any((b, a) in kept for a, b in kept):
+        return None
+    return transitive_reduction_pairs(keep, kept)
+
+
 def longest_chain_steps(keys, pairs) -> int:
     """Exhaustive longest-path search over the bounded-by DAG."""
     out: dict = {k: [] for k in keys}
@@ -117,11 +129,19 @@ def time_slice_by_descendants(space, points, t: float):
     """``time_slice`` as first written: each element's life interval from its
     full descendant set (networkx here, the all-pairs preorder then), in
     sorted key order, so the first element without geometry is the one
-    named."""
+    named.  A nan time, as the slice value or on a vertex, is refused
+    first."""
     from alexdb import MissingGeometryError, select_subspace
 
+    if math.isnan(t):
+        raise MissingGeometryError("cannot slice at time nan")
     pts = {p.key: p for p in points}
     graph = digraph(list(space.keys()), [(p.ida, p.idb) for p in space.relation])
+    nan = [
+        k for k in space.keys() if graph.out_degree(k) == 0 and k in pts and math.isnan(pts[k].t)
+    ]
+    if nan:
+        raise MissingGeometryError(f"vertex {min(nan)} has time coordinate nan")
     kept = []
     for k in sorted(space.keys()):
         below = nx.descendants(graph, k) | {k}

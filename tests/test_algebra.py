@@ -36,7 +36,7 @@ from alexdb import (
     space_map,
     star,
 )
-from conftest import spaces, spaces_with_subset
+from conftest import spaces, spaces_with_subset, unordered_spaces
 
 
 def pairs_of(space):
@@ -144,6 +144,33 @@ def test_select_subspace_realises_the_relative_topology(space_subset):
     full_opens = oracles.open_family(space.keys(), pairs_of(space))
     relative = {frozenset(o & subset) for o in full_opens}
     assert set(enumerate_open_sets(sub)) == relative
+
+
+@given(st.data())
+def test_select_subspace_matches_the_reduced_restricted_preorder(data):
+    space = data.draw(unordered_spaces(cyclic=data.draw(st.booleans())))
+    keys = sorted(space.keys())
+    keep = data.draw(st.sets(st.sampled_from(keys)))
+    expected = oracles.subspace_pairs(space, keep)
+    if expected is None:
+        with pytest.raises(T0ViolationError, match=r"^cannot reduce a cyclic relation: \["):
+            select_subspace(space, keep)
+        return
+    sub = select_subspace(space, keep)
+    assert list(sub.elements) == sorted(keep)
+    assert all(sub.elements[k] is space.elements[k] for k in keep)
+    assert pairs_of(sub) == expected
+
+
+@given(st.data())
+def test_select_subspace_names_unknown_keys_in_sorted_order(data):
+    space = data.draw(unordered_spaces())
+    keep = data.draw(st.sets(st.sampled_from(sorted(space.keys()))))
+    unknown = data.draw(st.sets(st.sampled_from(
+        [ElementId("zz", 0), ElementId("zz", 1), ElementId("q", 0)]), min_size=1))
+    with pytest.raises(NotFoundError) as err:
+        select_subspace(space, keep | unknown)
+    assert str(err.value) == f"unknown element keys: {sorted(str(k) for k in unknown)}"
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,9 @@ import alexdb.cli
 import alexdb.lod
 import alexdb.storage
 import builders
-from alexdb import Element, build_space, changeset, commit, demos, new_store, simple_space
+from alexdb import (
+    Element, PointRow, build_space, changeset, commit, demos, new_store, simple_space
+)
 from alexdb.cli import main
 from alexdb.errors import AlexdbError, NotFoundError, QueryEvalError, QueryParseError
 from alexdb.query import (
@@ -732,6 +734,11 @@ def test_failing_commands_give_the_same_messages_under_any_hash_seed(tmp_path):
     save(demos.text_store(), ghosts)
     with open(ghosts / "R.csv", "a", encoding="utf-8") as fh:
         fh.write("1,ghost,0,v0\n9,1,0,v9\n")
+    # min and max over a nan time depend on the order of the pairs
+    nan = str(tmp_path / "nan")
+    space = simple_space(["e", "u", "v", "x"], [("e", "u"), ("e", "v"), ("e", "x")])
+    times = {"u": float("nan"), "v": 0.2, "x": 0.9}
+    save(new_store("v0", space, [PointRow(ElementId(k), 0.0, 0.0, 0.0, t) for k, t in times.items()]), nan)
     commands = [
         ["query", "dim(space({a}, {a -> b, a -> c, a -> d}))"],
         ["query", "space({a, b, c}, {a -> x, b -> y, c -> z, w -> a})"],
@@ -742,6 +749,8 @@ def test_failing_commands_give_the_same_messages_under_any_hash_seed(tmp_path):
         ["versions-with-path", dangling, str(fine[0]), str(fine[-1])],
         ["validate", dangling],
         ["dim", str(ghosts)],
+        ["slice", nan, "--at", "0.5"],
+        ["slice", nan, "--at", "nan"],
     ]
     src = str(Path(alexdb.cli.__file__).resolve().parents[1])
     runs = []
@@ -754,7 +763,11 @@ def test_failing_commands_give_the_same_messages_under_any_hash_seed(tmp_path):
         )
         runs.append(json.loads(proc.stdout))
     assert runs[0] == runs[1]
-    assert [code for code, _, _ in runs[0]] == [1, 1, 1, 1, 1, 1, 1, 0, 1]
+    assert [code for code, _, _ in runs[0]] == [1, 1, 1, 1, 1, 1, 1, 0, 1, 1, 1]
+    assert [err for _, _, err in runs[0][-2:]] == [
+        "error: vertex u has time coordinate nan\n",
+        "error: cannot slice at time nan\n",
+    ]
     assert runs[0][0][2] == (
         "error: pair BoundedByPair(ida=ElementId(id='a', lod=0), idb=ElementId(id='b', lod=0))"
         " references unknown element b\n"

@@ -233,6 +233,42 @@ def test_only_a_select_with_a_non_covering_candidate_reduces(monkeypatch):
     assert len(calls) >= 2
 
 
+def test_graded_selects_and_slices_build_pairs_only_past_dropped_elements(monkeypatch):
+    walked, built = [], []
+    nearest, pair = algebra._nearest_kept, algebra._pair
+
+    def walk(out, kept, a):
+        walked.append(a)
+        return nearest(out, kept, a)
+
+    def new_pair(ab):
+        built.append(ab)
+        return pair(ab)
+
+    monkeypatch.setattr(algebra, "_nearest_kept", walk)
+    monkeypatch.setattr(algebra, "_pair", new_pair)
+    space, _, points, rng = grid(16, seed=13)
+    keys = space.index.keys
+    ambient = set(map(id, space.relation))
+    # a band: its rim walks, but finds no kept element past a dropped one
+    band = select_subspace(space, grid_regions(space, rng)["columns"])
+    assert walked and built == []
+    assert set(map(id, band.relation)) <= ambient
+    # faces and vertices: each face walks past its edges to its corners,
+    # and only those pairs are built
+    walked.clear()
+    corners = select_subspace(space, frozenset(k for k in space.keys() if k.id[0] in "fv"))
+    faces = {k for k in space.keys() if k.id[0] == "f"}
+    assert {keys[a] for a in walked} == faces
+    assert {a for a, _ in built} == faces and len(built) == len(corners.relation) == 4 * 256
+    # a slice off every vertex time keeps an open set: no walk, no new pair
+    walked.clear()
+    built.clear()
+    sliced = time_slice(space, points, 0.50005)
+    assert sliced.relation and walked == [] and built == []
+    assert set(map(id, sliced.relation)) <= ambient
+
+
 def test_open_reduction_matches_networkx():
     space, graph, _ = layered(2000, seed=3)
     reduced = open_reduction(space.relation)

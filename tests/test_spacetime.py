@@ -1,13 +1,17 @@
 """Tests for prisms, change events, and time slicing."""
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
 from alexdb import demos
 from alexdb.algebra import product, space_map
 from alexdb.errors import (
+    AlexdbError,
     DiscontinuousMapError,
     DuplicateKeyError,
     MissingGeometryError,
@@ -20,7 +24,9 @@ from alexdb.spacetime import (
     time_complex,
     time_slice,
 )
-from alexdb.topology import ElementId, krull_dimension, simple_space
+from alexdb.topology import (
+    BoundedByPair, Element, ElementId, build_space, krull_dimension, simple_space
+)
 from conftest import spaces
 
 
@@ -220,3 +226,71 @@ def test_slice_requires_geometry_on_closure_vertices():
     space, pts = _edge_with_times()
     with pytest.raises(MissingGeometryError):
         time_slice(space, pts[:1], 0.5)
+
+
+def _sliced(call):
+    """A slice as its elements in order and its relation, or its error."""
+    try:
+        sub = call()
+    except AlexdbError as exc:
+        return type(exc), str(exc)
+    return list(sub.elements.items()), sub.relation
+
+
+@st.composite
+def complexes(draw):
+    """Random complexes stored out of key order: vertices, edges on two of
+    them, and faces on two or three edges, some also bounded by a vertex of
+    one of their edges, a pair that a longer path implies."""
+    keys = draw(st.lists(
+        st.builds(ElementId, st.sampled_from("abcdefgh"), st.integers(0, 1)),
+        min_size=5, max_size=12, unique=True,
+    ))
+    n = draw(st.integers(2, len(keys) - 3))
+    vertices, edges, pairs = keys[:n], [], set()
+    for k in keys[n:]:
+        if len(edges) < 2 or draw(st.booleans()):
+            ends = draw(st.lists(st.sampled_from(vertices), min_size=2, max_size=2, unique=True))
+            pairs |= {(k, v) for v in ends}
+            edges.append(k)
+        else:
+            rim = draw(st.lists(st.sampled_from(edges), min_size=2, max_size=3, unique=True))
+            pairs |= {(k, e) for e in rim}
+            if draw(st.booleans()):
+                pairs.add((k, draw(st.sampled_from(sorted(v for e, v in pairs if e in rim)))))
+    stored = draw(st.permutations(keys))
+    return build_space([Element(k) for k in stored], [BoundedByPair(*p) for p in pairs])
+
+
+# vertex times, and slice values at them and off them
+_TIMES = [0.0, 0.5, 1.0]
+_OFF = [0.25, 0.75]
+
+
+@given(st.data())
+def test_slice_matches_the_descendant_reference_at_and_off_vertex_times(data):
+    space = data.draw(complexes())
+    bounded = {p.ida for p in space.relation}
+    pts = []
+    for k in sorted(space.keys()):
+        if k not in bounded:
+            t = data.draw(st.sampled_from(_TIMES * 3 + [None, math.nan]))
+            if t is not None:
+                pts.append(PointRow(k, 0.0, 0.0, 0.0, t))
+    t = data.draw(st.sampled_from(_TIMES + _OFF + [math.nan]))
+    got = _sliced(lambda: time_slice(space, pts, t))
+    assert got == _sliced(lambda: oracles.time_slice_by_descendants(space, pts, t))
+    if isinstance(got[0], list):
+        keys = [k for k, _ in got[0]]
+        assert keys == sorted(keys)
+        assert {(p.ida, p.idb) for p in got[1]} == oracles.subspace_pairs(space, set(keys))
+
+
+def test_slice_refuses_nan_times_naming_the_smallest_vertex():
+    space = simple_space(["e", "u", "v", "x", "w"], [("e", "u"), ("e", "v"), ("e", "x")])
+    pts = [PointRow(ElementId(k), 0.0, 0.0, 0.0, t)
+           for k, t in (("u", math.nan), ("v", 0.2), ("x", 0.9), ("w", math.nan))]
+    with pytest.raises(MissingGeometryError, match="^vertex u has time coordinate nan$"):
+        time_slice(space, pts, 0.5)
+    with pytest.raises(MissingGeometryError, match="^cannot slice at time nan$"):
+        time_slice(space, pts[1:3], math.nan)
