@@ -6,12 +6,14 @@ query: each builds the expression tree from its arguments and evaluates it
 the same way.  ``validate``, ``versions-with-path`` and ``export`` call the
 library directly.  Exit codes: 0 on success (reports with findings still
 exit 0 — the run itself succeeded), 1 on a domain error (bad store, unknown
-element, discontinuous map, ...), 2 on usage errors.
+element, discontinuous map, ...), 2 on usage errors.  The argument parser is
+built once per process, so ``main`` may be called again and again in one.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 from operator import attrgetter
 from pathlib import Path
@@ -233,7 +235,11 @@ def _cmd_query(args) -> int:
 # argument parsing
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process:
+    parsing leaves it as it was (an ``append`` option copies its default
+    list before adding to it)."""
     parser = argparse.ArgumentParser(
         prog="alexdb",
         description="Topological-relational store: space, time, versions, levels of detail.",
@@ -307,8 +313,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except AlexdbError as exc:

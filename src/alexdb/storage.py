@@ -15,18 +15,23 @@ written on save; the fourteen foreign keys are declared beside it.
 are each one loop over these declarations.
 
 Rows are ``typing.NamedTuple``s: each equals, hashes and sorts like the plain
-tuple of its fields.  ``VersionStore`` owns row order: constructing one sorts
-each table once by the key in ``_TABLES``, so ``save`` writes the rows as
-they stand, ``load`` and ``commit`` just build a store, and the history index
-groups rows in the order they arrive.
+tuple of its fields.  ``load`` parses each file a column at a time and builds
+its rows from the columns, with no Python call per row.  ``VersionStore``
+owns row order: constructing one sorts each table once by the key in
+``_TABLES``, so ``save`` writes the rows as they stand and ``commit`` just
+builds a store.  ``load`` takes files whose keys rise strictly, as ``save``
+writes them, as they stand: that shows both the order and that no key
+repeats, so they are neither sorted nor checked for duplicates again.
 
 Stores are immutable snapshots: ``commit`` applies a changeset against a
 parent version and returns a new store — a single-writer discipline with no
 in-place mutation anywhere.  A store's ``history`` index (ancestry bitsets
-and rows grouped by key) is cached on the store, which relies on that
-contract: never change a store's row tuples, build a new store instead.  A
-loaded store builds the index from its rows on first use; a committed store
-arrives with one derived from its parent's, holding its newest space.
+and one column per field of the elements and pairs) is cached on the store,
+which relies on that contract: never change a store's row tuples, build a
+new store instead.  A loaded store builds the index on first use, in one
+pass over its tables' columns (so a command that reads no version, such as
+``export --out``, builds none); a committed store arrives with one derived
+from its parent's, holding its newest space.
 
 The generalisation columns (``gid``, ``glod``) are read and written here as
 rows only: the level maps that ``validate`` checks, once per level
@@ -41,12 +46,14 @@ representable — use a prefix if you need them.
 from __future__ import annotations
 
 import csv
+import math
 import os
 import shutil
 import tempfile
 from dataclasses import dataclass, replace
 from functools import cached_property
-from operator import attrgetter, eq, itemgetter, not_
+from itertools import islice
+from operator import attrgetter, eq, ge, itemgetter, not_
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -59,7 +66,7 @@ from .errors import (
     T0ViolationError,
 )
 from .spacetime import PointRow
-from .topology import BoundedByPair, ElementId, Scalar, Space
+from .topology import BoundedByPair, ElementId, Scalar, Space, _tuples
 from .versioning import (
     ChangeSet,
     HistoryIndex,
@@ -114,16 +121,16 @@ class AttRow(NamedTuple):
 class _Table(NamedTuple):
     """One table of the schema: the ``VersionStore`` field holding its rows,
     its file and header, the parser of each typed column (any other column
-    keeps the text as read), the key of a row (None: the whole row), the row
-    built from the parsed fields (None: their plain tuple), and the fields a
-    row is written as (None: the row itself)."""
+    keeps the text as read), the key of a row (None: the whole row), the
+    rows built from the parsed columns, and the fields a row is written as
+    (None: the row itself)."""
 
     field: str
     file: str
     header: list[str]
     parse: dict[str, Callable]
-    key: Callable | None = None
-    row: Callable | None = None
+    key: Callable | None
+    rows: Callable[[list], list]
     write: Callable | None = None
 
 
@@ -160,6 +167,12 @@ def _fmt_value(v: Scalar) -> str:
 #: What a column parser that rejects a field expected instead.
 _EXPECTED = {int: "integer", _int_or_none: "integer", float: "float"}
 
+
+def _rows(cls: type) -> Callable[[list], list]:
+    """Rows of the tuple type ``cls`` from the parsed columns."""
+    return lambda columns: _tuples(cls, zip(*columns))
+
+
 #: The eight tables, the one description of the store format.  Canonical
 #: order sorts each table by its key, and no two rows share one.  Rows are
 #: written as they stand: ``csv`` writes None as an empty field and a number
@@ -167,19 +180,22 @@ _EXPECTED = {int: "integer", _int_or_none: "integer", float: "float"}
 _TABLES = {
     "X": _Table("x", "X.csv", ["id", "lod", "gid", "glod", "version"],
                 {"lod": int, "gid": lambda raw: raw or None, "glod": _int_or_none},
-                attrgetter("id", "lod", "version"), XRow),
-    "R": _Table("r", "R.csv", ["ida", "idb", "lod", "version"], {"lod": int}, None, RRow),
+                attrgetter("id", "lod", "version"), _rows(XRow)),
+    "R": _Table("r", "R.csv", ["ida", "idb", "lod", "version"], {"lod": int}, None, _rows(RRow)),
     "Point": _Table("point", "Point.csv", ["pid", "lod", "x", "y", "z", "t"],
                     {"lod": int, "x": float, "y": float, "z": float, "t": float},
-                    attrgetter("key"), lambda pid, lod, *xyzt: PointRow(ElementId(pid, lod), *xyzt),
+                    attrgetter("key"),
+                    lambda c: _tuples(PointRow, zip(_tuples(ElementId, zip(c[0], c[1])), *c[2:])),
                     lambda w: (*w.key, *w[1:])),
-    "DelX": _Table("delx", "DelX.csv", ["id", "lod", "version"], {"lod": int}, None, DelXRow),
-    "DelR": _Table("delr", "DelR.csv", ["ida", "idb", "lod", "version"], {"lod": int}, None, DelRRow),
-    "VX": _Table("vx", "VX.csv", ["version"], {}, None, str, lambda v: (v,)),
-    "VR": _Table("vr", "VR.csv", ["fromv", "tov"], {}),
+    "DelX": _Table("delx", "DelX.csv", ["id", "lod", "version"], {"lod": int}, None,
+                   _rows(DelXRow)),
+    "DelR": _Table("delr", "DelR.csv", ["ida", "idb", "lod", "version"], {"lod": int}, None,
+                   _rows(DelRRow)),
+    "VX": _Table("vx", "VX.csv", ["version"], {}, None, lambda c: list(c[0]), lambda v: (v,)),
+    "VR": _Table("vr", "VR.csv", ["fromv", "tov"], {}, None, lambda c: list(zip(*c))),
     "Atts": _Table("atts", "Atts.csv", ["id", "lod", "name", "value"],
-                   {"lod": int, "value": _parse_value}, attrgetter("id", "lod", "name"), AttRow,
-                   lambda w: (*w[:3], _fmt_value(w.value))),
+                   {"lod": int, "value": _parse_value}, attrgetter("id", "lod", "name"),
+                   _rows(AttRow), lambda w: (*w[:3], _fmt_value(w.value))),
 }
 
 #: The order ``load`` reads the tables in, and so which fault it reports of
@@ -448,11 +464,18 @@ def _read_table(directory: Path, name: str) -> list:
         if name == "X" and list(map(not_, columns[2])) != list(map(not_, columns[3])):
             raise ValueError("an X row sets both generalisation columns (gid, glod) or neither")
         columns = [
-            list(map(t.parse[c], col)) if c in t.parse else col for c, col in zip(t.header, columns)
+            _parsed(t.parse[c], col) if c in t.parse else col for c, col in zip(t.header, columns)
         ]
     except ValueError:
         raise _first_fault(name, rows) from None
-    return list(zip(*columns)) if t.row is None else list(map(t.row, *columns))
+    return t.rows(columns)
+
+
+def _parsed(parse: Callable, column: Sequence[str]) -> list:
+    """``column`` parsed by ``parse``: each distinct text once, since
+    levels and attribute values repeat."""
+    parsed = {raw: parse(raw) for raw in set(column)}
+    return list(map(parsed.__getitem__, column))
 
 
 def _first_fault(name: str, rows: list[list[str]]) -> StoreFormatError:
@@ -474,14 +497,24 @@ def _first_fault(name: str, rows: list[list[str]]) -> StoreFormatError:
 
 
 def load(path: str | Path) -> VersionStore:
-    """Read a store directory; validates headers, keys and foreign keys."""
+    """Read a store directory; validates headers, keys and foreign keys.
+
+    Files in canonical order, as ``save`` writes them, are not sorted
+    again: their keys rising strictly shows both the order and that no two
+    rows share a key."""
     directory = Path(path)
     if not directory.is_dir():
         raise StoreFormatError(f"no store directory {directory}")
-    store = VersionStore(**{_TABLES[n].field: _read_table(directory, n) for n in _LOAD_ORDER})
-    dupes = _duplicate_rows(store)
-    if dupes:
-        raise DuplicateKeyError("; ".join(i.detail for i in dupes))
+    tables = {n: _read_table(directory, n) for n in _LOAD_ORDER}
+    if any(any(map(ge, *_neighbour_keys(_TABLES[n], rows))) for n, rows in tables.items()):
+        store = VersionStore(**{_TABLES[n].field: rows for n, rows in tables.items()})
+        dupes = _duplicate_rows(store)
+        if dupes:
+            raise DuplicateKeyError("; ".join(i.detail for i in dupes))
+    else:
+        store = VersionStore.__new__(VersionStore)
+        for n, rows in tables.items():  # as a frozen dataclass sets its fields
+            object.__setattr__(store, _TABLES[n].field, tuple(rows))
     fk = foreign_key_violations(store)
     if fk:
         raise ForeignKeyError("; ".join(i.detail for i in fk))
@@ -502,6 +535,15 @@ class ValidationIssue:
     witnesses: tuple = ()
 
 
+def _neighbour_keys(t: _Table, rows: Sequence) -> tuple[Iterable, Iterable]:
+    """The keys of ``rows`` of table ``t`` and the keys of the rows after
+    them, computed as they are read."""
+    after = islice(rows, 1, None)
+    if t.key is None:
+        return rows, after
+    return map(t.key, rows), map(t.key, after)
+
+
 def _duplicate_rows(store: VersionStore) -> list[ValidationIssue]:
     """Each row whose key equals the key of the row before it: rows are in
     canonical order, so rows sharing a key are neighbours.  A table is
@@ -509,10 +551,9 @@ def _duplicate_rows(store: VersionStore) -> list[ValidationIssue]:
     issues = []
     for name, t in _TABLES.items():
         rows = getattr(store, t.field)
-        keys = rows if t.key is None else list(map(t.key, rows))
-        if not any(map(eq, keys, keys[1:])):
+        if not any(map(eq, *_neighbour_keys(t, rows))):
             continue
-        for before, k in zip(keys, keys[1:]):
+        for before, k in zip(*_neighbour_keys(t, rows)):
             if k == before:
                 k = k if type(k) is str else tuple(k)  # a row or key shown as a plain tuple
                 issues.append(
@@ -548,8 +589,9 @@ def foreign_key_violations(store: VersionStore) -> list[ValidationIssue]:
 def validate(store: VersionStore, rules: Sequence[str] = ()) -> list[ValidationIssue]:
     """Full consistency report.
 
-    Always checked: duplicate keys, all foreign keys, acyclicity of the
-    version graph, per-version reconstructability and T0, and on every
+    Always checked: duplicate keys, all foreign keys, time coordinates
+    that are NaN (which ``time_slice`` refuses), acyclicity of the version
+    graph, per-version reconstructability and T0, and on every
     version that each generalisation target exists and that the
     generalisation map is continuous on the rest (the continuous-foreign-key
     condition).  ``rules`` adds optional checks per version: "surjective"
@@ -560,6 +602,11 @@ def validate(store: VersionStore, rules: Sequence[str] = ()) -> list[ValidationI
     """
     issues = _duplicate_rows(store)
     issues += foreign_key_violations(store)
+    issues += [
+        ValidationIssue("geometry", "Point", f"vertex {p.key} has time coordinate nan", (p.key,))
+        for p in store.point
+        if math.isnan(p.t)
+    ]
 
     try:
         vs = store.version_space()

@@ -14,12 +14,14 @@ The space is T0 (distinct points have distinct neighbourhood filters)
 exactly when ``R`` is acyclic; ``build_space`` enforces that by default.
 
 Every query answers from one reachability kernel: ``Space.index``, an
-integer-indexed out/in adjacency plus a topological order.  It is built on
-the first query that needs it (``build_space``'s T0 check is one) and
-cached on the space.  The cache relies on a contract: a ``Space`` is
-immutable.  Never mutate its ``elements`` mapping or its relation; build a
-new space instead.  The index also keeps each element's chain length (its
-dimension), computed on first use.
+integer-indexed out/in adjacency plus a topological order.  ``build_space``
+fills it in from the positions its endpoint check finds, and
+``versioning`` from the positions its history index keeps, so neither
+looks a key up twice; a space made otherwise builds it on the first query
+that needs it.  It is cached on the space.  The cache relies on a
+contract: a ``Space`` is immutable.  Never mutate its ``elements`` mapping
+or its relation; build a new space instead.  The index also keeps each
+element's chain length (its dimension), computed on first use.
 
 Subspaces (``algebra.select_subspace`` and ``spacetime.time_slice``) work
 on index positions too.  They list their keys in key order by sorting
@@ -49,6 +51,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
+from operator import itemgetter
 from typing import (
     AbstractSet, Collection, Iterable, Iterator, Literal, Mapping, NamedTuple, Union
 )
@@ -166,6 +170,12 @@ class Preorder:
 # construction
 
 
+def _tuples(cls: type, rows: Iterable[tuple]) -> list:
+    """Instances of the tuple type ``cls`` (a key, pair or row type) with
+    the fields of each of ``rows``, built with no Python call per row."""
+    return list(map(tuple.__new__, repeat(cls), rows))
+
+
 def build_space(
     elements: Iterable[Element],
     pairs: Iterable[BoundedByPair],
@@ -178,30 +188,58 @@ def build_space(
     key, and — unless ``t0_check`` is disabled — ``T0ViolationError``
     carrying a witness cycle.
     Reflexive pairs are dropped: reflexivity is implicit in the preorder.
+    The endpoint check finds each pair's positions, and the space's index
+    is filled in from them.
     """
     table: dict[ElementId, Element] = {}
     for el in elements:
         if el.key in table:
             raise DuplicateKeyError(f"duplicate element key {el.key}")
         table[el.key] = el
-    rel = set()
-    dangling = []
+    pos = dict(zip(table, range(len(table))))
+    get = pos.get
+    rel, ends_a, ends_b, dangling = [], [], [], []
     for p in pairs:
         a, b = p
-        if a == b:
-            continue
-        if a in table and b in table:
-            rel.add(p)
-        else:
-            dangling.append(p)
+        i, j = get(a), get(b)
+        if i is None or j is None:
+            if a != b:
+                dangling.append(p)
+        elif i != j:
+            rel.append(p)
+            ends_a.append(i)
+            ends_b.append(j)
     if dangling:
-        # the smallest, so one input names the same pair in every process
-        p = min(dangling)
-        unknown = p.ida if p.ida not in table else p.idb
-        raise DanglingPairError(f"pair {p} references unknown element {unknown}")
+        raise _dangling(dangling, table)
     space = Space(elements=table, relation=frozenset(rel))
+    if len(space.relation) == len(rel):  # no pair given twice
+        _fill_index(space, rel, ends_a, ends_b, pos)
     if t0_check:
         _topological_order(space)
+    return space
+
+
+def _dangling(pairs: list[BoundedByPair], known: Collection[ElementId]) -> DanglingPairError:
+    """The error for ``pairs`` with an end not in ``known``."""
+    # the smallest, so one input names the same pair in every process
+    p = min(pairs)
+    unknown = p.ida if p.ida not in known else p.idb
+    return DanglingPairError(f"pair {p} references unknown element {unknown}")
+
+
+def _fill_index(
+    space: Space,
+    pairs: Collection[BoundedByPair],
+    ends_a: list[int],
+    ends_b: list[int],
+    pos: dict[ElementId, int],
+) -> Space:
+    """``space`` with its index filled in from the positions of each pair's
+    ends, so no key is looked up: ``pairs`` are the relation's, each once,
+    ``pairs[n]`` joins positions ``ends_a[n]`` and ``ends_b[n]``, and
+    ``pos`` maps each key to its position.  The ends are the very int
+    objects of ``pos``, so sets of positions find them by identity."""
+    vars(space)["index"] = SpaceIndex._from_positions(space, pairs, ends_a, ends_b, pos)
     return space
 
 
@@ -350,26 +388,58 @@ class SpaceIndex:
     ``out[i]`` lists the positions ``i`` is bounded by and ``inn[i]`` those
     bounded by ``i``, one relation step each.  ``order`` is a topological
     order, every position before those it is bounded by, found by Kahn's
-    algorithm; it is None when the relation has a cycle.  The other
-    attributes serve subspaces and are computed on first use and kept:
-    ``depth``, the longest strict chain descending from each position;
-    ``rank``, each position's place in key order; ``level``, whether the
-    positions below each one share one depth; and ``inn_pairs``, the
-    relation's own pair objects in the order of ``inn``.
+    algorithm; it is None when the relation has a cycle.  ``pos`` maps
+    each key to its position.  Built from a space, the index looks each
+    end of each pair up in ``pos``; ``_from_positions`` takes the ends'
+    positions instead.  The other attributes are computed on first use and
+    kept: ``depth``, the longest strict chain descending from each
+    position; ``rank``, each position's place in key order; ``level``,
+    whether the positions below each one share one depth; and
+    ``inn_pairs``, the relation's own pair objects in the order of
+    ``inn``.
     """
 
     def __init__(self, space: Space):
-        self.keys = list(space.elements)
-        self.pos = {k: i for i, k in enumerate(self.keys)}
-        self.out: list[list[int]] = [[] for _ in self.keys]
-        self.inn: list[list[int]] = [[] for _ in self.keys]
-        for p in space.relation:
-            a, b = self.pos[p.ida], self.pos[p.idb]
-            self.out[a].append(b)
-            self.inn[b].append(a)
-        order = _kahn(self.out)
-        self.order = order if len(order) == len(self.keys) else None
-        self._relation = space.relation
+        keys = list(space.elements)
+        pos = dict(zip(keys, range(len(keys))))
+        out: list[list[int]] = [[] for _ in keys]
+        inn: list[list[int]] = [[] for _ in keys]
+        for a, b in space.relation:
+            a, b = pos[a], pos[b]
+            out[a].append(b)
+            inn[b].append(a)
+        self._fill(keys, pos, out, inn, space.relation, None)
+
+    @classmethod
+    def _from_positions(
+        cls,
+        space: Space,
+        pairs: Collection[BoundedByPair],
+        ends_a: list[int],
+        ends_b: list[int],
+        pos: dict[ElementId, int],
+    ) -> SpaceIndex:
+        """The index of ``space`` whose relation is ``pairs``, each once,
+        ``pairs[n]`` joining positions ``ends_a[n]`` and ``ends_b[n]``:
+        no key is looked up."""
+        keys = list(space.elements)
+        out: list[list[int]] = [[] for _ in keys]
+        inn: list[list[int]] = [[] for _ in keys]
+        for a, b in zip(ends_a, ends_b):
+            out[a].append(b)
+            inn[b].append(a)
+        index = cls.__new__(cls)
+        index._fill(keys, pos, out, inn, pairs, ends_b)
+        return index
+
+    def _fill(self, keys, pos, out, inn, pairs, ends_b) -> None:
+        """Set the adjacency and its Kahn order; ``pairs`` filled ``inn``
+        in their order, ``ends_b`` holds their targets' positions (None:
+        look them up)."""
+        self.keys, self.pos, self.out, self.inn = keys, pos, out, inn
+        order = _kahn(out)
+        self.order = order if len(order) == len(keys) else None
+        self._pairs, self._ends_b = pairs, ends_b
 
     @cached_property
     def depth(self) -> list[int] | None:
@@ -400,11 +470,13 @@ class SpaceIndex:
     @cached_property
     def inn_pairs(self) -> list[list[BoundedByPair]]:
         """By position, the relation's pairs onto it, in the order of
-        ``inn``: both lists come from one walk of the same frozenset."""
+        ``inn``: both lists come from one walk of the same pairs."""
         pairs: list[list[BoundedByPair]] = [[] for _ in self.keys]
-        pos = self.pos
-        for p in self._relation:
-            pairs[pos[p.idb]].append(p)
+        ends_b = self._ends_b
+        if ends_b is None:
+            ends_b = map(self.pos.__getitem__, map(itemgetter(1), self._pairs))
+        for p, b in zip(self._pairs, ends_b):
+            pairs[b].append(p)
         return pairs
 
 

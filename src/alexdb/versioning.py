@@ -22,6 +22,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress, count, repeat
+from operator import eq, is_not, itemgetter, lshift
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -42,6 +44,10 @@ from .topology import (
     simple_space,
     star,
     _bits,
+    _dangling,
+    _fill_index,
+    _topological_order,
+    _tuples,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, no runtime dependency
@@ -251,6 +257,44 @@ def _row_order(pair: BoundedByPair) -> tuple[str, str, int]:
     return pair[0][0], pair[1][0], pair[0][1]
 
 
+def _creations(rows: Sequence[tuple], width: int, subject: int, bit: Mapping[str, int]):
+    """Of the creation ``rows`` (``width`` columns, version last, in
+    canonical order) that name a version in ``bit``: their columns and
+    version bits, the subjects they create (a subject is a row's first
+    ``subject`` columns) as columns in row order, and the mask of the
+    versions creating each subject.  Rows sharing a subject are neighbours;
+    most subjects have one row, and their masks are read straight off the
+    bits."""
+    columns = list(zip(*rows)) or [()] * width
+    bits = list(map(bit.get, columns[-1]))
+    if None in bits:
+        keep = list(map(is_not, bits, repeat(None)))
+        columns = [list(compress(c, keep)) for c in columns]
+        bits = list(compress(bits, keep))
+    subjects = columns[:subject]
+    if not any(map(eq, zip(*subjects), zip(*(c[1:] for c in subjects)))):
+        return columns, bits, subjects, list(map(lshift, repeat(1), bits))
+    place = dict(zip(dict.fromkeys(zip(*subjects)), count()))
+    created = [0] * len(place)
+    for s, b in zip(zip(*subjects), bits):
+        created[place[s]] |= 1 << b
+    return columns, bits, list(zip(*place)), created
+
+
+def _interned(ids: Sequence, lods: Sequence, place: Mapping[tuple, int], keys: list[ElementId]):
+    """The key of each ``(id, lod)`` of the columns ``ids`` and ``lods``
+    and its place among ``keys``: -1 when it is not one of them, and the
+    key is then built (None for an empty id)."""
+    at = list(map(place.get, zip(ids, lods), repeat(-1)))
+    found = list(map((keys + [None]).__getitem__, at))
+    if at.count(-1) > ids.count(None):
+        found = [
+            ElementId(i, lod) if k is None and i is not None else k
+            for k, i, lod in zip(found, ids, lods)
+        ]
+    return found, at
+
+
 class HistoryIndex:
     """A store's versions and rows, indexed once for reconstruction.
 
@@ -267,17 +311,26 @@ class HistoryIndex:
     its generalisation target (a dict from creation bit to target when
     several rows create it) and its attributes as ``(name, value)`` pairs
     in name order.  ``pairs`` holds three columns in row order: the pair
-    and its creation and deletion masks.  Columns of plain ints and tuples,
-    rather than a container per element, keep the index small and mostly
-    outside the garbage collector's reach.  ``broken`` lists, in row order,
-    each element or pair with the mask of its deletions that no creation
+    and its creation and deletion masks.  ``ends``, when known, holds two
+    more: the places of each pair's ends in ``elements`` (-1 for a key no
+    row creates), so a reconstruction fills in its space's index without
+    looking a key up.  Columns of plain ints and tuples, rather than a
+    container per element, keep the index small and mostly outside the
+    garbage collector's reach.  ``broken`` lists, in row order, each
+    element or pair with the mask of its deletions that no creation
     precedes.  Rows naming a version the store lacks are left out;
     ``validate`` reports them as foreign-key violations.  ``held`` is None
     or one ``(version, space)``: the space ``reconstruct_version`` answers
     for that version without reading the columns.
+
+    The columns are built from the table columns in one pass each: every
+    key is built once, shared by the element, pair and generalisation
+    columns, and a creation or attribute row costs no Python call unless
+    its subject has several creation rows or it names a key no row
+    creates.  ``ends`` comes from the same pass.
     """
 
-    __slots__ = ("names", "bit", "ancestry", "descendants", "elements", "pairs",
+    __slots__ = ("names", "bit", "ancestry", "descendants", "elements", "pairs", "ends",
                  "broken", "held")
 
     def __init__(self, store: "VersionStore"):
@@ -295,54 +348,70 @@ class HistoryIndex:
         self.ancestry, self.descendants = ancestry, descendants
         self.held = None
 
-        # rows arrive in canonical order, so grouping them by their raw key
-        # columns, (id, lod) and (ida, idb, lod), keeps key order; each key
-        # object is built once and shared by elements and pairs
-        interned: dict[tuple[str, int], ElementId] = {}
-
-        def key(columns: tuple[str, int]) -> ElementId:
-            k = interned.get(columns)
-            if k is None:
-                k = interned[columns] = ElementId(*columns)
-            return k
-
-        gens: dict[tuple[str, int], dict[int, ElementId | None]] = {}
-        for w in store.x:
-            b = bit.get(w.version)
-            if b is not None:
-                gen = key((w.gid, w.glod)) if w.gid is not None else None
-                gens.setdefault((w.id, w.lod), {})[b] = gen
-        atts: dict[tuple[str, int], dict] = {}
-        for w in store.atts:
-            atts.setdefault((w.id, w.lod), {})[w.name] = w.value
-        el_created = {k: sum(1 << b for b in by_bit) for k, by_bit in gens.items()}
-        el_deleted = _masks((((w.id, w.lod), w.version) for w in store.delx), bit)
+        # rows arrive in canonical order, so their subjects, (id, lod) and
+        # (ida, idb, lod), first appear in key order
+        (ids, lods, gids, glods, _), bits, subjects, created = _creations(store.x, 5, 2, bit)
+        keys = _tuples(ElementId, zip(*subjects))
+        place = dict(zip(keys, count()))
+        gens: list = _interned(gids, glods, place, keys)[0]
+        if len(created) < len(bits):  # elements created by several rows
+            by_bit: list[dict] = [{} for _ in keys]
+            for subject, b, gen in zip(zip(ids, lods), bits, gens):
+                by_bit[place[subject]][b] = gen
+            gens = [next(iter(g.values())) if len(g) == 1 else g for g in by_bit]
+        aids, alods, names, values = list(zip(*store.atts)) or [()] * 4
+        # each element's attribute rows are one run, which ends after the
+        # key's last row; a run naming an attribute twice keeps the last
+        stops = dict(zip(zip(aids, alods), count(1)))
+        named = list(zip(names, values))
+        runs = map(named.__getitem__, map(slice, [0, *stops.values()], stops.values()))
+        if any(map(eq, zip(aids, alods, names), zip(aids[1:], alods[1:], names[1:]))):
+            runs = map(dict.items, map(dict, runs))
+        recorded = dict(zip(stops, map(tuple, runs)))
+        dx = list(zip(*store.delx)) or [()] * 3
+        el_deleted = _masks(zip(zip(dx[0], dx[1]), dx[2]), bit)
         self.elements = (
-            [key(k) for k in gens],
-            list(el_created.values()),
-            [el_deleted.get(k, 0) for k in gens],
-            [next(iter(g.values())) if len(g) == 1 else g for g in gens.values()],
-            [tuple(atts[k].items()) if k in atts else () for k in gens],
+            keys,
+            created,
+            list(map(el_deleted.get, keys, repeat(0))),
+            gens,
+            list(map(recorded.get, keys, repeat(()))),
         )
 
-        pr_created = _masks((((w.ida, w.idb, w.lod), w.version) for w in store.r), bit)
-        pr_deleted = _masks((((w.ida, w.idb, w.lod), w.version) for w in store.delr), bit)
+        _, _, (idas, idbs, lods), p_created = _creations(store.r, 4, 3, bit)
+        ka, ends_a = _interned(idas, lods, place, keys)
+        kb, ends_b = _interned(idbs, lods, place, keys)
+        dr = list(zip(*store.delr)) or [()] * 4
+        pr_deleted = _masks(zip(zip(dr[0], dr[1], dr[2]), dr[3]), bit)
         self.pairs = (
-            [BoundedByPair(key((ida, lod)), key((idb, lod))) for ida, idb, lod in pr_created],
-            list(pr_created.values()),
-            [pr_deleted.get(columns, 0) for columns in pr_created],
+            _tuples(BoundedByPair, zip(ka, kb)),
+            p_created,
+            list(map(pr_deleted.get, zip(idas, idbs, lods), repeat(0))),
         )
+        self.ends = ends_a, ends_b
 
+        pair_place = dict(zip(zip(idas, idbs, lods), count())) if pr_deleted else {}
         self.broken: list[tuple[str, int]] = []
-        for created, deleted, subject in (
-            (el_created, el_deleted, lambda i, lod: f"element {ElementId(i, lod)}"),
-            (pr_created, pr_deleted,
+        for subjects, created, deleted, subject in (
+            (place, created, el_deleted, lambda i, lod: f"element {ElementId(i, lod)}"),
+            (pair_place, p_created, pr_deleted,
              lambda a, b, lod: f"pair {BoundedByPair(ElementId(a, lod), ElementId(b, lod))}"),
         ):
             for columns, mask in deleted.items():
-                bad = _uncreated(created.get(columns, 0), mask, ancestry)
+                i = subjects.get(columns)
+                bad = _uncreated(0 if i is None else created[i], mask, ancestry)
                 if bad:
                     self.broken.append((subject(*columns), bad))
+
+    def pair_ends(self) -> tuple[list[int], list[int]]:
+        """``ends``, found on first use from the keys of each pair."""
+        if self.ends is None:
+            place = dict(zip(self.elements[0], count()))
+            pairs = self.pairs[0]
+            self.ends = tuple(
+                list(map(place.get, map(itemgetter(end), pairs), repeat(-1))) for end in (0, 1)
+            )
+        return self.ends
 
     def attributes(self, key: ElementId) -> dict:
         """The attributes recorded for ``key``, by name; empty when no row
@@ -370,10 +439,11 @@ class HistoryIndex:
         version takes the next free bit: its ancestry is ``parent``'s plus
         itself, and it joins the descendants of each of those.  The columns
         are copied and only the keys the commit touches change, so this
-        index stays valid for its own store.  ``broken`` carries over: a
-        commit deletes only what is alive in its parent.  The derived index
-        holds the new version's space, so the next commit from it or a
-        checkout of it reads no column.
+        index stays valid for its own store; ``ends`` is left to be found
+        on first use.  ``broken`` carries over: a commit deletes only what
+        is alive in its parent.  The derived index holds the new version's
+        space, so the next commit from it or a checkout of it reads no
+        column.
         """
         n = len(self.names)
         bit = 1 << n
@@ -421,6 +491,7 @@ class HistoryIndex:
                 p_created.insert(i, bit)
                 p_deleted.insert(i, 0)
         new.pairs = pairs, p_created, p_deleted
+        new.ends = None  # places shift as keys are inserted: found on first use
 
         # the held space is what the columns give: created elements carry
         # every attribute recorded for their key, and keys are in key order
@@ -481,7 +552,10 @@ def reconstruct_version(store: "VersionStore", v: str) -> Space:
 
 
 def _reconstruct(index: HistoryIndex, v: str) -> Space:
-    """``reconstruct_version`` read from the index's columns."""
+    """``reconstruct_version`` read from the index's columns.  The space's
+    index is filled in from the places of the live elements and of the
+    pairs' ends, so no key is looked up; the checks and their texts are
+    those of ``build_space``."""
     b = index.bit.get(v)
     if b is None:
         raise NotFoundError(f"unknown version {v!r}")
@@ -495,10 +569,18 @@ def _reconstruct(index: HistoryIndex, v: str) -> Space:
                 f"{subject} is deleted in {first!r} but created on no path before it"
             )
     descendants = index.descendants
-    els = []
-    for key, created, deleted, gen, atts in zip(*index.elements):
+    keys = index.elements[0]
+    # each element's position in the space, -1 when it is not alive; the
+    # last entry stands for a key no row creates
+    at = [-1] * (len(keys) + 1)
+    live = []
+    els = {}
+    for i, key, created, deleted, gen, atts in zip(count(), *index.elements):
         inside = created & ancestry
-        if not inside or not _alive(inside, deleted & ancestry, descendants):
+        if not inside:
+            continue
+        gone = deleted & ancestry
+        if gone and not _alive(inside, gone, descendants):
             continue
         if inside & (inside - 1):
             c = _newest(inside, descendants, names)
@@ -506,13 +588,31 @@ def _reconstruct(index: HistoryIndex, v: str) -> Space:
             c = inside.bit_length() - 1
         if type(gen) is dict:
             gen = gen[c]
-        els.append(Element(key, names[c], gen, dict(atts)))
-    pairs = []
-    for pair, created, deleted in zip(*index.pairs):
+        at[i] = len(els)
+        live.append(i)
+        els[key] = Element(key, names[c], gen, dict(atts))
+    pairs, ends_a, ends_b, dangling = [], [], [], []
+    for pair, created, deleted, a, b in zip(*index.pairs, *index.pair_ends()):
         inside = created & ancestry
-        if inside and _alive(inside, deleted & ancestry, descendants):
+        if not inside:
+            continue
+        gone = deleted & ancestry
+        if gone and not _alive(inside, gone, descendants):
+            continue
+        a, b = at[a], at[b]
+        if a < 0 or b < 0:
+            if pair.ida != pair.idb:
+                dangling.append(pair)
+        elif a != b:
             pairs.append(pair)
-    return build_space(els, pairs, t0_check=True)
+            ends_a.append(a)
+            ends_b.append(b)
+    if dangling:
+        raise _dangling(dangling, els)
+    pos = dict(zip(els, map(at.__getitem__, live)))
+    space = _fill_index(Space(els, frozenset(pairs)), pairs, ends_a, ends_b, pos)
+    _topological_order(space)
+    return space
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,11 @@ enumeration, explicit path walking — or delegates to networkx.  None of it
 reuses the library's algorithms, so agreement between the two routes is
 meaningful.  The exceptions are ``time_slice_by_descendants``, which
 hands its kept elements to the library's ``select_subspace`` (itself
-checked against networkx), and the two functions kept as first written,
-``apply_changeset_by_rescans`` and ``reconstruct_version_by_hulls``: they
-assemble their result with the library's ``build_space``, and the latter
-takes the library's version hulls (checked against path enumeration).
+checked against networkx), and the three functions kept as first written,
+``apply_changeset_by_rescans``, ``reconstruct_version_by_hulls`` and
+``history_columns_by_rows``: the first two assemble their result with the
+library's ``build_space``, and the last two take the library's version
+hulls (checked against path enumeration).
 """
 from __future__ import annotations
 
@@ -481,3 +482,83 @@ def reconstruct_version_by_hulls(store, v: str):
     return build_space(
         els, sorted(live_pairs, key=lambda p: (p.ida.id, p.idb.id, p.ida.lod)), t0_check=True
     )
+
+
+def history_columns_by_rows(store) -> dict:
+    """The columns of ``HistoryIndex`` as first written: every row object
+    walked once more, grouped by key in dicts and each key interned on the
+    way."""
+    from alexdb import BoundedByPair, ElementId
+
+    def masks(rows, bit):
+        out: dict = {}
+        for subject, version in rows:
+            b = bit.get(version)
+            if b is not None:
+                out[subject] = out.get(subject, 0) | 1 << b
+        return out
+
+    def uncreated(created, deleted, ancestry):
+        bad = 0
+        for i in range(deleted.bit_length()):
+            if deleted >> i & 1 and not created & ancestry[i]:
+                bad |= 1 << i
+        return bad
+
+    idx = store.version_space().as_space().index
+    names = [k.id for k in idx.keys]
+    bit = {name: i for i, name in enumerate(names)}
+    ancestry = [1 << i for i in range(len(names))]
+    descendants = list(ancestry)
+    for i in idx.order:
+        for j in idx.out[i]:
+            ancestry[j] |= ancestry[i]
+    for i in reversed(idx.order):
+        for j in idx.out[i]:
+            descendants[i] |= descendants[j]
+
+    interned: dict = {}
+
+    def key(columns):
+        k = interned.get(columns)
+        if k is None:
+            k = interned[columns] = ElementId(*columns)
+        return k
+
+    gens: dict = {}
+    for w in store.x:
+        b = bit.get(w.version)
+        if b is not None:
+            gen = key((w.gid, w.glod)) if w.gid is not None else None
+            gens.setdefault((w.id, w.lod), {})[b] = gen
+    atts: dict = {}
+    for w in store.atts:
+        atts.setdefault((w.id, w.lod), {})[w.name] = w.value
+    el_created = {k: sum(1 << b for b in by_bit) for k, by_bit in gens.items()}
+    el_deleted = masks((((w.id, w.lod), w.version) for w in store.delx), bit)
+    elements = (
+        [key(k) for k in gens],
+        list(el_created.values()),
+        [el_deleted.get(k, 0) for k in gens],
+        [next(iter(g.values())) if len(g) == 1 else g for g in gens.values()],
+        [tuple(atts[k].items()) if k in atts else () for k in gens],
+    )
+    pr_created = masks((((w.ida, w.idb, w.lod), w.version) for w in store.r), bit)
+    pr_deleted = masks((((w.ida, w.idb, w.lod), w.version) for w in store.delr), bit)
+    pairs = (
+        [BoundedByPair(key((a, lod)), key((b, lod))) for a, b, lod in pr_created],
+        list(pr_created.values()),
+        [pr_deleted.get(columns, 0) for columns in pr_created],
+    )
+    broken = []
+    for created, deleted, subject in (
+        (el_created, el_deleted, lambda i, lod: f"element {ElementId(i, lod)}"),
+        (pr_created, pr_deleted,
+         lambda a, b, lod: f"pair {BoundedByPair(ElementId(a, lod), ElementId(b, lod))}"),
+    ):
+        for columns, mask in deleted.items():
+            bad = uncreated(created.get(columns, 0), mask, ancestry)
+            if bad:
+                broken.append((subject(*columns), bad))
+    return {"names": names, "ancestry": ancestry, "descendants": descendants,
+            "elements": elements, "pairs": pairs, "broken": broken}

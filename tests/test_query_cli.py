@@ -724,6 +724,70 @@ print(json.dumps(results))
 """
 
 
+_SEQUENCE = """
+import contextlib, io, json, sys
+import alexdb.cli
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = alexdb.cli.main(argv)
+        except SystemExit as exc:  # usage errors
+            code = exc.code
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def _run_commands(commands: list) -> list:
+    """Exit code, stdout and stderr of each command, all run by ``main`` in
+    one process."""
+    src = str(Path(alexdb.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "COLUMNS": "80"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SEQUENCE, json.dumps(commands)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def test_the_parser_kept_for_the_process_answers_as_a_fresh_one(tmp_path):
+    levels = str(tmp_path / "levels")
+    save(builders.level_store(pairs=[], gen={"a": "t:1"}, extra=("u:1",)), levels)
+    demo = str(Path(__file__).resolve().parents[1] / "demo")
+    merged = 'merge(load("chain4"), load("halo"))'
+    sequences = [
+        [["validate", levels, "--rule", "surjective"], ["validate", levels]],
+        [["slice", levels], ["dim", levels]],
+        [["query", merged, "--store", demo, "--rule", "linear-dag"],
+         ["query", merged, "--store", demo]],
+    ]
+    for commands in sequences:
+        together = _run_commands(commands)
+        assert together == [_run_commands([argv])[0] for argv in commands]
+        # each later command answers as if it ran alone: no rule carries over
+        assert together[0] != together[1]
+    assert [code for code, _, _ in together] == [0, 0]
+    assert _run_commands(sequences[1])[0][0] == 2
+
+
+def test_validate_reports_nan_time_coordinates(tmp_path, capsys):
+    nan = str(tmp_path / "nan")
+    space = simple_space(["e", "u", "v", "w", "x"], [("e", "u"), ("e", "v"), ("e", "x")])
+    times = {"u": float("nan"), "v": 0.2, "w": float("nan"), "x": 0.9}
+    points = [PointRow(ElementId(k), 0.0, 0.0, 0.0, t) for k, t in times.items()]
+    save(new_store("v0", space, points), nan)
+    assert main(["validate", nan]) == 0
+    assert capsys.readouterr().out == (
+        "geometry [Point]: vertex u has time coordinate nan\n"
+        "geometry [Point]: vertex w has time coordinate nan\n"
+    )
+    assert main(["slice", nan, "--at", "0.5"]) == 1
+    assert capsys.readouterr().err == "error: vertex u has time coordinate nan\n"
+
+
 def test_failing_commands_give_the_same_messages_under_any_hash_seed(tmp_path):
     store = builders.two_level_store(random.Random(0))
     coarse = next(ElementId(w.id, w.lod) for w in store.x if w.lod == 1)

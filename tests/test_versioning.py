@@ -1,6 +1,7 @@
 """Tests for version spaces, changesets, liveness, and merging."""
 from __future__ import annotations
 
+import dataclasses
 import random
 import tempfile
 
@@ -426,6 +427,81 @@ def test_commit_writes_the_same_rows_from_a_derived_or_a_fresh_index(seed):
         return child, [outcome(reconstruct_version, child, v) for v in sorted(child.vx)]
 
     assert committed(store) == committed(fresh)
+
+
+def _with_stray_rows(store: VersionStore, rnd: random.Random) -> VersionStore:
+    """``store`` plus, each at random, rows that no commit writes: an
+    element created again in some version with a generalisation target no
+    row creates, rows naming a version the store lacks, deletions that may
+    precede every creation or delete what no row creates, a pair onto an
+    element no row creates, a reflexive pair and attributes of unknown
+    elements."""
+    a = rnd.choice(store.x)
+    v = lambda: rnd.choice(store.vx)  # noqa: E731 - a fresh draw each time
+    extra = {
+        "x": [XRow(a.id, a.lod, "ghost", a.lod + 1, v()), XRow(a.id, a.lod, None, None, "w99"),
+              XRow("stray", 0, a.id, a.lod, "w99")],
+        "r": [RRow(a.id, "ghost", a.lod, v()), RRow(a.id, a.id, a.lod, v()),
+              RRow(a.id, "stray", a.lod, "w99")],
+        "delx": [DelXRow(a.id, a.lod, v()), DelXRow("ghost", 0, v()), DelXRow(a.id, a.lod, "w99")],
+        "delr": [DelRRow("ghost", a.id, a.lod, v()), DelRRow(a.id, "ghost", a.lod, v())],
+        "atts": [AttRow(a.id, a.lod, "zz", 1), AttRow("ghost", 0, "q", "x")],
+    }
+    return VersionStore(**{
+        f.name: getattr(store, f.name) + tuple(w for w in extra.get(f.name, ()) if rnd.random() < 0.4)
+        for f in dataclasses.fields(store)
+    })
+
+
+def _index_columns_match_the_row_built_ones(store: VersionStore) -> None:
+    index = store.history
+    for column, want in oracles.history_columns_by_rows(store).items():
+        assert getattr(index, column) == want, column
+    keys = index.elements[0]
+    for pair, *at in zip(index.pairs[0], *index.pair_ends()):
+        for end, i in zip(pair, at):
+            assert keys[i] == end if i >= 0 else end not in keys
+
+
+@given(st.integers(0, 2**32), st.booleans())
+def test_the_history_index_matches_its_row_built_oracle(seed, stray):
+    rnd = random.Random(seed)
+    if rnd.random() < 0.5:
+        store = builders.random_store(rnd)
+    else:  # elements created again, some with a new generalisation target
+        store = builders.committed_history(rnd, max_commits=4)[-1]
+    if stray:
+        store = _with_stray_rows(store, rnd)
+    store = canonicalize(store)  # an index built from the rows
+    _index_columns_match_the_row_built_ones(store)
+    # rows naming a version the store lacks are left out
+    known = VersionStore(**{
+        f.name: [w for w in getattr(store, f.name) if getattr(w, "version", None) != "w99"]
+        for f in dataclasses.fields(store)
+    })
+    for v in sorted(store.vx):
+        want = outcome(oracles.reconstruct_version_by_hulls, known, v)
+        assert outcome(reconstruct_version, store, v) == want
+
+
+@given(st.integers(0, 2**32))
+def test_files_out_of_order_load_into_the_same_index(seed):
+    rnd = random.Random(seed)
+    store = builders.committed_history(rnd, max_commits=4)[-1]
+    with tempfile.TemporaryDirectory() as tmp:
+        canonical = load(save(store, f"{tmp}/canonical"))
+        shuffled = save(store, f"{tmp}/shuffled")
+        for path in sorted(shuffled.iterdir()):
+            header, *rows = path.read_text(encoding="utf-8").splitlines(keepends=True)
+            rnd.shuffle(rows)
+            path.write_text(header + "".join(rows), encoding="utf-8")
+        reordered = load(shuffled)
+    assert canonical == reordered == store
+    for loaded in (canonical, reordered):
+        _index_columns_match_the_row_built_ones(loaded)
+        for v in sorted(store.vx):
+            want = outcome(oracles.reconstruct_version_by_hulls, store, v)
+            assert outcome(reconstruct_version, loaded, v) == want
 
 
 # ---------------------------------------------------------------------------
