@@ -29,7 +29,7 @@ from .topology import (
     _nearest_kept,
     _one_depth,
     _positions,
-    _topological_order,
+    _rank_masks,
     _walk,
 )
 
@@ -362,24 +362,6 @@ def restrict_map(f: SpaceMap) -> SpaceMap:
         target=f.target,
         mapping=dict(f.mapping),
     )
-
-
-def _rank_masks(space: Space, ranks: Sequence[int]) -> tuple[list[int], list[int]]:
-    """By index position: the bits ``1 << ranks[j]`` of every position ``j``
-    at or below the position (down) and at or above it (up), filled along
-    the Kahn order.  Raises ``T0ViolationError`` when the relation is
-    cyclic."""
-    idx = space.index
-    order = _topological_order(space)
-    down = [1 << r for r in ranks]
-    up = down.copy()
-    for i in reversed(order):
-        for j in idx.out[i]:
-            down[i] |= down[j]
-    for i in order:
-        for j in idx.inn[i]:
-            up[i] |= up[j]
-    return down, up
 
 
 def _continuity_witness(

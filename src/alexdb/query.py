@@ -382,6 +382,14 @@ class _Eval:
     def fail(self, message: str, path: tuple) -> QueryEvalError:
         return QueryEvalError(message, path)
 
+    def misuse(self, op: Callable, path: tuple, *args):
+        """``op(*args)``, reporting its ``ValueError`` (overlapping classes,
+        a partial map, maps into different targets) as a query error."""
+        try:
+            return op(*args)
+        except ValueError as exc:
+            raise self.fail(str(exc), path) from None
+
     def as_space_value(self, value, path) -> SpaceValue:
         if isinstance(value, StoreView):
             return value.value
@@ -526,8 +534,12 @@ class _Eval:
         self.arity(node, path, 3, 3)
         source = self.as_space_value(self.eval(node.args[0], path), path)
         target = self.as_space_value(self.eval(node.args[1], path), path)
-        raw = self.eval(node.args[2], path)
-        mapping = {a: b for a, b in self.as_pair_set(raw, path)}
+        pairs = sorted(self.as_pair_set(self.eval(node.args[2], path), path))
+        mapping = dict(pairs)
+        if len(mapping) < len(pairs):  # the smallest element sent to two targets
+            a = next(a for (a, _), (b, _) in zip(pairs, pairs[1:]) if a == b)
+            targets = [str(t) for s, t in pairs if s == a]
+            raise self.fail(f"map sends {a} to several targets: {targets}", path)
         return SpaceMap(source.space, target.space, mapping)
 
     def op_select(self, node: Call, path):
@@ -554,7 +566,8 @@ class _Eval:
             if not isinstance(item, frozenset):
                 raise self.fail("quotient classes must be sets", path)
             classes.append(frozenset(self.as_element(v, path) for v in item))
-        return SpaceValue(quotient(sv.space, classes))
+        classes.sort(key=sorted)  # set order varies by process: report one overlap
+        return SpaceValue(self.misuse(quotient, path, sv.space, classes))
 
     def op_union(self, node: Call, path):
         self.arity(node, path, 1, 64)
@@ -566,13 +579,13 @@ class _Eval:
     def op_image(self, node: Call, path):
         self.arity(node, path, 1, 1)
         f = self.as_map(self.eval(node.args[0], path), path)
-        return SpaceValue(image_space(f))
+        return SpaceValue(self.misuse(image_space, path, f))
 
     def op_pullback(self, node: Call, path):
         self.arity(node, path, 2, 2)
         f = self.as_map(self.eval(node.args[0], path), path)
         g = self.as_map(self.eval(node.args[1], path), path)
-        return SpaceValue(pullback(f, g))
+        return SpaceValue(self.misuse(pullback, path, f, g))
 
     def op_slice(self, node: Call, path):
         self.arity(node, path, 1, 1, ("t",))

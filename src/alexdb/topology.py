@@ -14,11 +14,13 @@ The space is T0 (distinct points have distinct neighbourhood filters)
 exactly when ``R`` is acyclic; ``build_space`` enforces that by default.
 
 Every query answers from one reachability kernel: ``Space.index``, an
-integer-indexed out/in adjacency plus a topological order.  ``build_space``
-fills it in from the positions its endpoint check finds, and
-``versioning`` from the positions its history index keeps, so neither
-looks a key up twice; a space made otherwise builds it on the first query
-that needs it.  It is cached on the space.  The cache relies on a
+integer-indexed out/in adjacency plus a topological order.  ``SpaceIndex``
+has one constructor, which takes each pair's end positions.
+``build_space`` finds them by looking each end up once, ``versioning``
+reads them off its history index, and both hand them to ``_assemble``,
+which drops reflexive pairs, rejects dangling ones, fills the index in
+and checks T0; a space made otherwise builds it on the first query that
+needs it.  It is cached on the space.  The cache relies on a
 contract: a ``Space`` is immutable.  Never mutate its ``elements`` mapping
 or its relation; build a new space instead.  The index also keeps each
 element's chain length (its dimension), computed on first use.
@@ -51,10 +53,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
-from operator import itemgetter
+from itertools import chain, repeat
 from typing import (
-    AbstractSet, Collection, Iterable, Iterator, Literal, Mapping, NamedTuple, Union
+    AbstractSet, Collection, Iterable, Iterator, Literal, Mapping, NamedTuple, Sequence, Union
 )
 
 from .errors import (
@@ -134,7 +135,11 @@ class Space:
         """Integer-indexed adjacency and topological order of the relation,
         built on the first query that needs it and kept for the life of
         this (immutable) space."""
-        return SpaceIndex(self)
+        keys = list(self.elements)
+        pos = dict(zip(keys, range(len(keys))))
+        pairs = list(self.relation)
+        ends = list(map(pos.__getitem__, chain.from_iterable(pairs)))
+        return SpaceIndex(keys, pos, pairs, ends[0::2], ends[1::2])
 
 
 @dataclass(frozen=True)
@@ -183,13 +188,11 @@ def build_space(
 ) -> Space:
     """Validate and assemble a space.
 
-    Raises ``DuplicateKeyError`` for repeated element keys,
-    ``DanglingPairError`` naming the smallest pair that touches an unknown
-    key, and — unless ``t0_check`` is disabled — ``T0ViolationError``
-    carrying a witness cycle.
-    Reflexive pairs are dropped: reflexivity is implicit in the preorder.
-    The endpoint check finds each pair's positions, and the space's index
-    is filled in from them.
+    Raises ``DuplicateKeyError`` for repeated element keys, and the errors
+    of ``_assemble``: ``DanglingPairError`` for a pair that touches an
+    unknown key and — unless ``t0_check`` is disabled —
+    ``T0ViolationError``.  Each pair end is looked up once, and the space's
+    index is filled in from those positions.
     """
     table: dict[ElementId, Element] = {}
     for el in elements:
@@ -197,49 +200,48 @@ def build_space(
             raise DuplicateKeyError(f"duplicate element key {el.key}")
         table[el.key] = el
     pos = dict(zip(table, range(len(table))))
-    get = pos.get
-    rel, ends_a, ends_b, dangling = [], [], [], []
-    for p in pairs:
-        a, b = p
-        i, j = get(a), get(b)
+    pairs = list(pairs)
+    ends = list(map(pos.get, chain.from_iterable(pairs)))
+    return _assemble(table, pos, pairs, ends[0::2], ends[1::2], t0_check)
+
+
+def _assemble(
+    elements: dict[ElementId, Element],
+    pos: dict[ElementId, int],
+    pairs: list[BoundedByPair],
+    ends_a: list[int | None],
+    ends_b: list[int | None],
+    t0_check: bool = True,
+) -> Space:
+    """The space on ``elements`` whose relation is ``pairs``: ``pos`` maps
+    each key to its position, and ``pairs[n]`` joins positions ``ends_a[n]``
+    and ``ends_b[n]`` (None for a key not among ``elements``).  Its index is
+    filled in from those positions unless a pair is given twice.
+
+    Reflexive pairs are dropped: reflexivity is implicit in the preorder.
+    Raises ``DanglingPairError`` naming the smallest pair that touches an
+    unknown key, and — unless ``t0_check`` is disabled —
+    ``T0ViolationError`` carrying a witness cycle.
+    """
+    rel, kept_a, kept_b, dangling = [], [], [], []
+    for p, i, j in zip(pairs, ends_a, ends_b):
         if i is None or j is None:
-            if a != b:
+            if p[0] != p[1]:
                 dangling.append(p)
         elif i != j:
             rel.append(p)
-            ends_a.append(i)
-            ends_b.append(j)
+            kept_a.append(i)
+            kept_b.append(j)
     if dangling:
-        raise _dangling(dangling, table)
-    space = Space(elements=table, relation=frozenset(rel))
+        # the smallest, so one input names the same pair in every process
+        p = min(dangling)
+        unknown = p[0] if p[0] not in elements else p[1]
+        raise DanglingPairError(f"pair {p} references unknown element {unknown}")
+    space = Space(elements, frozenset(rel))
     if len(space.relation) == len(rel):  # no pair given twice
-        _fill_index(space, rel, ends_a, ends_b, pos)
+        vars(space)["index"] = SpaceIndex(list(elements), pos, rel, kept_a, kept_b)
     if t0_check:
         _topological_order(space)
-    return space
-
-
-def _dangling(pairs: list[BoundedByPair], known: Collection[ElementId]) -> DanglingPairError:
-    """The error for ``pairs`` with an end not in ``known``."""
-    # the smallest, so one input names the same pair in every process
-    p = min(pairs)
-    unknown = p.ida if p.ida not in known else p.idb
-    return DanglingPairError(f"pair {p} references unknown element {unknown}")
-
-
-def _fill_index(
-    space: Space,
-    pairs: Collection[BoundedByPair],
-    ends_a: list[int],
-    ends_b: list[int],
-    pos: dict[ElementId, int],
-) -> Space:
-    """``space`` with its index filled in from the positions of each pair's
-    ends, so no key is looked up: ``pairs`` are the relation's, each once,
-    ``pairs[n]`` joins positions ``ends_a[n]`` and ``ends_b[n]``, and
-    ``pos`` maps each key to its position.  The ends are the very int
-    objects of ``pos``, so sets of positions find them by identity."""
-    vars(space)["index"] = SpaceIndex._from_positions(space, pairs, ends_a, ends_b, pos)
     return space
 
 
@@ -389,53 +391,30 @@ class SpaceIndex:
     bounded by ``i``, one relation step each.  ``order`` is a topological
     order, every position before those it is bounded by, found by Kahn's
     algorithm; it is None when the relation has a cycle.  ``pos`` maps
-    each key to its position.  Built from a space, the index looks each
-    end of each pair up in ``pos``; ``_from_positions`` takes the ends'
-    positions instead.  The other attributes are computed on first use and
-    kept: ``depth``, the longest strict chain descending from each
-    position; ``rank``, each position's place in key order; ``level``,
-    whether the positions below each one share one depth; and
-    ``inn_pairs``, the relation's own pair objects in the order of
-    ``inn``.
+    each key to its position.  The constructor takes the relation's
+    ``pairs``, each once, with ``pairs[n]`` joining positions ``ends_a[n]``
+    and ``ends_b[n]``, so it looks no key up; ends read from ``pos`` are
+    its very int objects, so sets of positions find them by identity.  The
+    other attributes are computed on first use and kept: ``depth``, the
+    longest strict chain descending from each position; ``rank``, each
+    position's place in key order; ``level``, whether the positions below
+    each one share one depth; and ``inn_pairs``, the relation's own pair
+    objects in the order of ``inn``.
     """
 
-    def __init__(self, space: Space):
-        keys = list(space.elements)
-        pos = dict(zip(keys, range(len(keys))))
-        out: list[list[int]] = [[] for _ in keys]
-        inn: list[list[int]] = [[] for _ in keys]
-        for a, b in space.relation:
-            a, b = pos[a], pos[b]
-            out[a].append(b)
-            inn[b].append(a)
-        self._fill(keys, pos, out, inn, space.relation, None)
-
-    @classmethod
-    def _from_positions(
-        cls,
-        space: Space,
-        pairs: Collection[BoundedByPair],
-        ends_a: list[int],
-        ends_b: list[int],
+    def __init__(
+        self,
+        keys: list[ElementId],
         pos: dict[ElementId, int],
-    ) -> SpaceIndex:
-        """The index of ``space`` whose relation is ``pairs``, each once,
-        ``pairs[n]`` joining positions ``ends_a[n]`` and ``ends_b[n]``:
-        no key is looked up."""
-        keys = list(space.elements)
+        pairs: Sequence[BoundedByPair],
+        ends_a: Sequence[int],
+        ends_b: Sequence[int],
+    ):
         out: list[list[int]] = [[] for _ in keys]
         inn: list[list[int]] = [[] for _ in keys]
         for a, b in zip(ends_a, ends_b):
             out[a].append(b)
             inn[b].append(a)
-        index = cls.__new__(cls)
-        index._fill(keys, pos, out, inn, pairs, ends_b)
-        return index
-
-    def _fill(self, keys, pos, out, inn, pairs, ends_b) -> None:
-        """Set the adjacency and its Kahn order; ``pairs`` filled ``inn``
-        in their order, ``ends_b`` holds their targets' positions (None:
-        look them up)."""
         self.keys, self.pos, self.out, self.inn = keys, pos, out, inn
         order = _kahn(out)
         self.order = order if len(order) == len(keys) else None
@@ -472,10 +451,7 @@ class SpaceIndex:
         """By position, the relation's pairs onto it, in the order of
         ``inn``: both lists come from one walk of the same pairs."""
         pairs: list[list[BoundedByPair]] = [[] for _ in self.keys]
-        ends_b = self._ends_b
-        if ends_b is None:
-            ends_b = map(self.pos.__getitem__, map(itemgetter(1), self._pairs))
-        for p, b in zip(self._pairs, ends_b):
+        for p, b in zip(self._pairs, self._ends_b):
             pairs[b].append(p)
         return pairs
 
@@ -539,6 +515,24 @@ def _topological_order(space: Space) -> list[int]:
             cycle=cycle,
         )
     return order
+
+
+def _rank_masks(space: Space, ranks: Sequence[int]) -> tuple[list[int], list[int]]:
+    """By index position: the bits ``1 << ranks[j]`` of every position ``j``
+    at or below the position (down) and at or above it (up), filled along
+    the Kahn order.  Raises ``T0ViolationError`` when the relation is
+    cyclic."""
+    idx = space.index
+    order = _topological_order(space)
+    down = [1 << r for r in ranks]
+    up = down.copy()
+    for i in reversed(order):
+        for j in idx.out[i]:
+            down[i] |= down[j]
+    for i in order:
+        for j in idx.inn[i]:
+            up[i] |= up[j]
+    return down, up
 
 
 def preorder(space: Space) -> Preorder:

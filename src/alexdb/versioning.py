@@ -43,10 +43,9 @@ from .topology import (
     find_cycle,
     simple_space,
     star,
+    _assemble,
     _bits,
-    _dangling,
-    _fill_index,
-    _topological_order,
+    _rank_masks,
     _tuples,
 )
 
@@ -334,18 +333,10 @@ class HistoryIndex:
                  "broken", "held")
 
     def __init__(self, store: "VersionStore"):
-        idx = store.version_space().as_space().index
-        self.names = [k.id for k in idx.keys]
+        versions = store.version_space().as_space()
+        self.names = [k.id for k in versions.index.keys]
         self.bit = bit = {name: i for i, name in enumerate(self.names)}
-        ancestry = [1 << i for i in range(len(self.names))]
-        descendants = list(ancestry)
-        for i in idx.order:  # Kahn's order: parents before children
-            for j in idx.out[i]:
-                ancestry[j] |= ancestry[i]
-        for i in reversed(idx.order):
-            for j in idx.out[i]:
-                descendants[i] |= descendants[j]
-        self.ancestry, self.descendants = ancestry, descendants
+        self.descendants, self.ancestry = _rank_masks(versions, range(len(self.names)))
         self.held = None
 
         # rows arrive in canonical order, so their subjects, (id, lod) and
@@ -399,7 +390,7 @@ class HistoryIndex:
         ):
             for columns, mask in deleted.items():
                 i = subjects.get(columns)
-                bad = _uncreated(0 if i is None else created[i], mask, ancestry)
+                bad = _uncreated(0 if i is None else created[i], mask, self.ancestry)
                 if bad:
                     self.broken.append((subject(*columns), bad))
 
@@ -552,10 +543,9 @@ def reconstruct_version(store: "VersionStore", v: str) -> Space:
 
 
 def _reconstruct(index: HistoryIndex, v: str) -> Space:
-    """``reconstruct_version`` read from the index's columns.  The space's
-    index is filled in from the places of the live elements and of the
-    pairs' ends, so no key is looked up; the checks and their texts are
-    those of ``build_space``."""
+    """``reconstruct_version`` read from the index's columns.  The live
+    pairs go to ``_assemble`` with the positions of their ends, read off
+    the places the index keeps, so no key is looked up."""
     b = index.bit.get(v)
     if b is None:
         raise NotFoundError(f"unknown version {v!r}")
@@ -570,9 +560,9 @@ def _reconstruct(index: HistoryIndex, v: str) -> Space:
             )
     descendants = index.descendants
     keys = index.elements[0]
-    # each element's position in the space, -1 when it is not alive; the
+    # each element's position in the space, None when it is not alive; the
     # last entry stands for a key no row creates
-    at = [-1] * (len(keys) + 1)
+    at = [None] * (len(keys) + 1)
     live = []
     els = {}
     for i, key, created, deleted, gen, atts in zip(count(), *index.elements):
@@ -591,7 +581,7 @@ def _reconstruct(index: HistoryIndex, v: str) -> Space:
         at[i] = len(els)
         live.append(i)
         els[key] = Element(key, names[c], gen, dict(atts))
-    pairs, ends_a, ends_b, dangling = [], [], [], []
+    pairs, ends_a, ends_b = [], [], []
     for pair, created, deleted, a, b in zip(*index.pairs, *index.pair_ends()):
         inside = created & ancestry
         if not inside:
@@ -599,20 +589,11 @@ def _reconstruct(index: HistoryIndex, v: str) -> Space:
         gone = deleted & ancestry
         if gone and not _alive(inside, gone, descendants):
             continue
-        a, b = at[a], at[b]
-        if a < 0 or b < 0:
-            if pair.ida != pair.idb:
-                dangling.append(pair)
-        elif a != b:
-            pairs.append(pair)
-            ends_a.append(a)
-            ends_b.append(b)
-    if dangling:
-        raise _dangling(dangling, els)
+        pairs.append(pair)
+        ends_a.append(at[a])
+        ends_b.append(at[b])
     pos = dict(zip(els, map(at.__getitem__, live)))
-    space = _fill_index(Space(els, frozenset(pairs)), pairs, ends_a, ends_b, pos)
-    _topological_order(space)
-    return space
+    return _assemble(els, pos, pairs, ends_a, ends_b)
 
 
 # ---------------------------------------------------------------------------

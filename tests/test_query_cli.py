@@ -326,6 +326,27 @@ def test_cli_query_wants_pairs_where_pairs_belong(capsys, text, where):
     assert (code, out, err) == (1, "", f"error: {where}: expected pairs written as a -> b\n")
 
 
+@pytest.mark.parametrize(
+    "text, err",
+    [
+        ("quotient(space({a, b, c}, {a -> b}), {{a, b}, {b, c}})",
+         "quotient: classes overlap on ['b']"),
+        ("quotient(space({a, b, c, d}), {{a, b}, {b, c}, {c, d}})",
+         "quotient: classes overlap on ['b']"),
+        ("image(map(space({a, b}), space({x}), {a -> x}))",
+         "image: image_space requires a total map; use restrict_map first"),
+        ("pullback(map(space({a}), space({x}), {a -> x}), map(space({b}), space({y}), {b -> y}))",
+         "pullback: pullback requires maps into one common target space"),
+        ("pullback(map(space({a, c}), space({x}), {a -> x}), map(space({b}), space({x}), {b -> x}))",
+         "pullback: pullback requires total maps; use restrict_map first"),
+        ("image(map(space({a}), space({x, y}), {a -> x, a -> y}))",
+         "image/map: map sends a to several targets: ['x', 'y']"),
+    ],
+)
+def test_cli_query_misuse_prints_one_error_line(capsys, text, err):
+    assert run_cli(capsys, "query", text) == (1, "", f"error: {err}\n")
+
+
 def test_cli_dim(demo_dir, capsys):
     code, out, _ = run_cli(capsys, "dim", str(demo_dir / "lineland"))
     assert (code, out.strip()) == (0, "2")
@@ -809,6 +830,8 @@ def test_failing_commands_give_the_same_messages_under_any_hash_seed(tmp_path):
         ["query", "dim(space({a, b, c}, {a -> b, b -> c, c -> a}))"],
         ["query", "quotient(space({a, b, c}, {a -> b, b -> c}), {{a, c}})"],
         ["query", "closure(space({a, b}), {x, y, z})"],
+        ["query", "image(map(space({a}), space({x, y}), {a -> x, a -> y}))"],
+        ["query", "quotient(space({a, b, c, d}), {{a, b}, {b, c}, {c, d}})"],
         ["telescope", dangling],
         ["versions-with-path", dangling, str(fine[0]), str(fine[-1])],
         ["validate", dangling],
@@ -827,7 +850,7 @@ def test_failing_commands_give_the_same_messages_under_any_hash_seed(tmp_path):
         )
         runs.append(json.loads(proc.stdout))
     assert runs[0] == runs[1]
-    assert [code for code, _, _ in runs[0]] == [1, 1, 1, 1, 1, 1, 1, 0, 1, 1, 1]
+    assert [code for code, _, _ in runs[0]] == [1, 1, 1, 1, 1, 1, 1, 1, 1, 0, 1, 1, 1]
     assert [err for _, _, err in runs[0][-2:]] == [
         "error: vertex u has time coordinate nan\n",
         "error: cannot slice at time nan\n",

@@ -34,7 +34,15 @@ from alexdb.storage import (
     reconstruct_version,
     save,
 )
-from alexdb.topology import Element, ElementId, simple_space
+from alexdb.topology import (
+    BoundedByPair,
+    Element,
+    ElementId,
+    Space,
+    build_space,
+    find_cycle,
+    simple_space,
+)
 from alexdb.versioning import (
     ConsistencyConflict,
     apply_changeset,
@@ -502,6 +510,66 @@ def test_files_out_of_order_load_into_the_same_index(seed):
         for v in sorted(store.vx):
             want = outcome(oracles.reconstruct_version_by_hulls, store, v)
             assert outcome(reconstruct_version, loaded, v) == want
+
+
+def _index_facts(space: Space):
+    """The index of ``space`` by key: its keys, what each key is bounded by
+    and bounds, its depths and its ``inn_pairs`` as sets.  Checks on the
+    way that ``pos``, ``out``, ``inn``, ``order`` and ``inn_pairs`` agree
+    with the space."""
+    idx = space.index
+    keys = idx.keys
+    assert keys == list(space.elements)
+    assert idx.pos == {k: i for i, k in enumerate(keys)}
+    steps = {(keys[i], keys[j]) for i, below in enumerate(idx.out) for j in below}
+    assert steps == set(space.relation)
+    assert steps == {(keys[i], keys[j]) for j, above in enumerate(idx.inn) for i in above}
+    if idx.order is None:
+        assert find_cycle(space) is not None
+    else:
+        assert sorted(idx.order) == list(range(len(keys)))
+        place = {i: n for n, i in enumerate(idx.order)}
+        assert all(place[i] < place[j] for i, below in enumerate(idx.out) for j in below)
+    for b, (above, pairs) in enumerate(zip(idx.inn, idx.inn_pairs)):
+        assert pairs == [(keys[a], keys[b]) for a in above]
+    return (
+        keys,
+        [frozenset(map(keys.__getitem__, below)) for below in idx.out],
+        [frozenset(map(keys.__getitem__, above)) for above in idx.inn],
+        idx.depth,
+        [frozenset(pairs) for pairs in idx.inn_pairs],
+    )
+
+
+def _lazy(space: Space) -> Space:
+    """The same space with its index left to be built on first use."""
+    return Space(space.elements, space.relation)
+
+
+@given(st.integers(0, 2**32))
+def test_every_route_to_a_space_index_builds_the_same_one(seed):
+    rnd = random.Random(seed)
+    space = builders.random_space(rnd)
+    rel = sorted(space.relation)
+    els = list(space.elements.values())
+    loops = [BoundedByPair(k, k) for k in space.elements if rnd.random() < 0.3]
+    for pairs, t0_check in (
+        (rel + loops, True),  # each pair once: the index is filled in
+        (rel + rel[: rnd.randint(0, len(rel))] + loops, True),  # some pairs twice
+        (rel + [BoundedByPair(b, a) for a, b in rel[:1]], False),  # a cycle
+    ):
+        rnd.shuffle(pairs)
+        built = build_space(els, pairs, t0_check=t0_check)
+        assert _index_facts(built) == _index_facts(_lazy(built))
+
+    store = builders.committed_history(rnd, max_commits=4)[-1]
+    with tempfile.TemporaryDirectory() as tmp:
+        store = load(save(store, f"{tmp}/store"))
+    for v in sorted(store.vx):
+        got = reconstruct_version(store, v)
+        facts = _index_facts(got)
+        assert facts == _index_facts(_lazy(got))
+        assert facts == _index_facts(build_space(got.elements.values(), got.relation))
 
 
 # ---------------------------------------------------------------------------
