@@ -20,6 +20,7 @@ from pathlib import Path
 
 from . import query as querymod
 from . import storage
+from .algebra import SpaceMap
 from .errors import AlexdbError, QueryParseError
 from .topology import ElementId, Space, classify, krull_dimension
 from .versioning import ConflictReport, reconstruct_version
@@ -124,6 +125,12 @@ def _render_value(value, args) -> None:
         for item in sorted(str(v) for v in value):
             print(item)
         if not value:
+            print("(empty)")
+        return
+    if isinstance(value, SpaceMap):
+        for source in sorted(value.mapping):
+            print(f"{source} -> {value.mapping[source]}")
+        if not value.mapping:
             print("(empty)")
         return
     print(value)

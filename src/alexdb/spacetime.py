@@ -177,6 +177,17 @@ def time_slice(
     subspace then needs no walk through dropped elements: each kept
     element's nearest kept elements are its kept neighbours.
 
+    The intervals depend on the space and the rows alone, not on ``t``.
+    The first slice of a space computes them in one pass over every
+    element and keeps them on the space's index (``SpaceIndex``'s
+    ``life_intervals``) with the rows they came from: the rows as given, or
+    the items of a mapping.  A later slice whose rows compare equal, such
+    as the same list again, an equal copy or a mapping with equal items,
+    reads them back and runs only the kept test and the subspace core;
+    when the same row objects come back, that comparison is a walk over
+    pointers.  Rows are compared by value, so do not change them in place
+    (a ``PointRow`` cannot be).  A slice that raises keeps nothing.
+
     An element whose closure has no vertex with a coordinate row raises
     ``MissingGeometryError`` naming it (the smallest such key), as does a
     vertex whose time coordinate is NaN (the smallest such key) and a NaN
@@ -184,10 +195,24 @@ def time_slice(
     """
     if math.isnan(t):
         raise MissingGeometryError("cannot slice at time nan")
-    if isinstance(points, Mapping):
-        pts = dict(points)
-    else:
-        pts = {p.key: p for p in points}
+    mapping = isinstance(points, Mapping)
+    rows = tuple(points.items()) if mapping else tuple(points)
+    idx = space.index
+    last = idx.life_intervals
+    if last is None or last[0] != rows:
+        pts = dict(rows) if mapping else {p.key: p for p in rows}
+        last = idx.life_intervals = (rows, *_life_intervals(space, pts))
+    _, tmin, tmax = last
+    kept = {i for i, (lo, hi) in enumerate(zip(tmin, tmax)) if (lo < t < hi) or (lo == t == hi)}
+    return _subspace(space, kept)
+
+
+def _life_intervals(
+    space: Space, pts: Mapping[ElementId, PointRow]
+) -> tuple[list[float], list[float]]:
+    """Each position's life interval, as ``tmin`` and ``tmax`` lists, from
+    the coordinate rows ``pts`` by key; raises ``MissingGeometryError`` on
+    a NaN vertex time or an element with no closure vertex in ``pts``."""
     idx = space.index
     out = idx.out
     # life intervals bottom-up; an empty interval (inf, -inf) means no vertex
@@ -210,5 +235,4 @@ def time_slice(
         raise MissingGeometryError(
             f"element {min(missing)} has no closure vertex with a coordinate row"
         )
-    kept = {i for i, (lo, hi) in enumerate(zip(tmin, tmax)) if (lo < t < hi) or (lo == t == hi)}
-    return _subspace(space, kept)
+    return tmin, tmax

@@ -399,7 +399,11 @@ class SpaceIndex:
     longest strict chain descending from each position; ``rank``, each
     position's place in key order; ``level``, whether the positions below
     each one share one depth; and ``inn_pairs``, the relation's own pair
-    objects in the order of ``inn``.
+    objects in the order of ``inn``.  ``life_intervals`` is None until a
+    ``spacetime.time_slice`` of the space succeeds; it then holds that
+    call's coordinate rows and the life intervals they give,
+    ``(rows, tmin, tmax)``, so that a slice at another time value with the
+    same rows reads them back.
     """
 
     def __init__(
@@ -419,6 +423,7 @@ class SpaceIndex:
         order = _kahn(out)
         self.order = order if len(order) == len(keys) else None
         self._pairs, self._ends_b = pairs, ends_b
+        self.life_intervals: tuple[tuple, list[float], list[float]] | None = None
 
     @cached_property
     def depth(self) -> list[int] | None:

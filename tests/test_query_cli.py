@@ -809,6 +809,13 @@ def test_validate_reports_nan_time_coordinates(tmp_path, capsys):
     assert capsys.readouterr().err == "error: vertex u has time coordinate nan\n"
 
 
+def test_query_prints_a_map_one_line_per_mapped_element_in_key_order(capsys):
+    assert main(["query", "map(space({c, a:1, a, b}), space({x, y}), {c -> x, a:1 -> y, a -> x})"]) == 0
+    assert capsys.readouterr().out == "a -> x\na:1 -> y\nc -> x\n"
+    assert main(["query", "map(space({a}), space({x}), {})"]) == 0
+    assert capsys.readouterr().out == "(empty)\n"
+
+
 def test_failing_commands_give_the_same_messages_under_any_hash_seed(tmp_path):
     store = builders.two_level_store(random.Random(0))
     coarse = next(ElementId(w.id, w.lod) for w in store.x if w.lod == 1)
@@ -838,6 +845,8 @@ def test_failing_commands_give_the_same_messages_under_any_hash_seed(tmp_path):
         ["dim", str(ghosts)],
         ["slice", nan, "--at", "0.5"],
         ["slice", nan, "--at", "nan"],
+        # a map prints in key order, not in the set order of its spaces
+        ["query", "map(space({a, b, c}, {a -> b, a -> c}), space({x}), {a -> x})"],
     ]
     src = str(Path(alexdb.cli.__file__).resolve().parents[1])
     runs = []
@@ -850,8 +859,9 @@ def test_failing_commands_give_the_same_messages_under_any_hash_seed(tmp_path):
         )
         runs.append(json.loads(proc.stdout))
     assert runs[0] == runs[1]
-    assert [code for code, _, _ in runs[0]] == [1, 1, 1, 1, 1, 1, 1, 1, 1, 0, 1, 1, 1]
-    assert [err for _, _, err in runs[0][-2:]] == [
+    assert [code for code, _, _ in runs[0]] == [1, 1, 1, 1, 1, 1, 1, 1, 1, 0, 1, 1, 1, 0]
+    assert runs[0][-1] == [0, "a -> x\n", ""]
+    assert [err for _, _, err in runs[0][-3:-1]] == [
         "error: vertex u has time coordinate nan\n",
         "error: cannot slice at time nan\n",
     ]

@@ -11,11 +11,14 @@ and quadratic loops would show.  Marked ``slow`` (deselect with
 """
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alexdb import (
     BoundedByPair,
@@ -46,7 +49,7 @@ from alexdb import (
     text_space,
     time_slice,
 )
-from alexdb import algebra, versioning
+from alexdb import algebra, spacetime, versioning
 from alexdb.lod import as_level
 from alexdb.versioning import HistoryIndex
 
@@ -316,6 +319,73 @@ def test_time_slice_names_the_smallest_element_without_geometry():
     with pytest.raises(MissingGeometryError) as got:
         time_slice(space, points, 0.5)
     assert str(got.value) == str(want.value)
+
+
+def _slice_or_error(call):
+    """A slice, or the type and text of the error it raised."""
+    try:
+        return call()
+    except MissingGeometryError as exc:
+        return type(exc), str(exc)
+
+
+# how a caller may hand the same coordinate rows over
+_ROW_FORMS = {
+    "list": lambda rows: rows,
+    "copy": lambda rows: [PointRow(*p) for p in rows],
+    "dict": lambda rows: {p.key: p for p in rows},
+    "generator": lambda rows: (p for p in rows),
+    "values": lambda rows: {p.key: p for p in rows}.values(),
+}
+
+
+@settings(max_examples=30)
+@given(st.data())
+def test_repeated_slices_never_read_stale_intervals(data):
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    if data.draw(st.booleans(), label="grid"):
+        space, _, points, rng = grid(4, seed)
+    else:
+        space, _, rng = layered(90, seed)
+        points = slice_points(space, rng)
+    i = rng.randrange(len(points))
+    moved = list(points)
+    moved[i] = moved[i]._replace(t=rng.choice([1.5, points[i - 1].t, 0.5]))
+    nan = list(points)
+    nan[i] = nan[i]._replace(t=math.nan)
+    rowsets = {"rows": points, "moved": moved, "nan": nan, "missing": points[:i] + points[i + 1:]}
+    # on and off vertex times
+    times = sorted({p.t for p in rng.sample(points, 3)}) + [0.25005, 0.5, 0.75005]
+    steps = data.draw(st.lists(st.tuples(
+        st.sampled_from(sorted(rowsets)), st.sampled_from(sorted(_ROW_FORMS)), st.sampled_from(times),
+    ), min_size=2, max_size=8), label="steps")
+    # a good slice after whatever the steps leave behind
+    for name, form, t in steps + [("rows", "list", 0.5)]:
+        rows = rowsets[name]
+        want = _slice_or_error(lambda: oracles.time_slice_by_descendants(space, rows, t))
+        assert _slice_or_error(lambda: time_slice(space, _ROW_FORMS[form](rows), t)) == want
+        if isinstance(want, tuple):  # a repeated failing call raises the same text
+            assert _slice_or_error(lambda: time_slice(space, _ROW_FORMS[form](rows), t)) == want
+
+
+def test_slices_with_the_same_rows_compute_life_intervals_once(monkeypatch):
+    passes = []
+    intervals = spacetime._life_intervals
+
+    def counted(space, pts):
+        passes.append(len(pts))
+        return intervals(space, pts)
+
+    monkeypatch.setattr(spacetime, "_life_intervals", counted)
+    space, _, points, _ = grid(16, seed=14)
+    for t in (0.25005, 0.5, points[0].t, 0.75005):
+        assert time_slice(space, points, t) == oracles.time_slice_by_descendants(space, points, t)
+    assert passes == [len(points)]
+    # changed rows run the pass again, and the new rows are kept in turn
+    moved = [points[0]._replace(t=0.9)] + points[1:]
+    for t in (0.5, 0.75005):
+        assert time_slice(space, moved, t) == oracles.time_slice_by_descendants(space, moved, t)
+    assert passes == [len(points)] * 2
 
 
 def branching_history(n: int, seed: int):
