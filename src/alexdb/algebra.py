@@ -25,6 +25,7 @@ from .topology import (
     find_cycle_in,
     is_connected,
     _bits,
+    _chain_lengths,
     _kahn,
     _nearest_kept,
     _one_depth,
@@ -127,7 +128,13 @@ def _subspace(space: Space, kept: set[int]) -> Space:
     In a T0 space an element strictly above another is deeper (has a
     longer chain below it), so when every kept position's candidates share
     one depth, none lies above another and the candidates are the reduced
-    relation; otherwise they are reduced.
+    relation.  The ambient depths answer first; where they disagree, as
+    generalisation pairs make them do in the level subspaces of a linked
+    LoD space, ``_covering`` asks the same of the depths within the
+    candidate graph.  Only candidates that fail both are reduced, with
+    dense masks as wide as the kept set.  The cost is one pass over the
+    kept positions' ``out`` lists plus the walks, and on the reducing path
+    that of ``_reduction``.
     """
     idx = space.index
     out, inn, keys = idx.out, idx.inn, idx.keys
@@ -141,7 +148,7 @@ def _subspace(space: Space, kept: set[int]) -> Space:
     if rim:  # the kept set is not open
         walked = {a: _nearest_kept(out, kept, a) for a in kept if not whole(out[a])}
     depth, level = idx.depth, idx.level
-    if (
+    if not (
         level is not None
         and all(_one_depth(depth, found) for found in walked.values())
         # a part of a list of one depth has one depth
@@ -151,18 +158,48 @@ def _subspace(space: Space, kept: set[int]) -> Space:
             if a not in walked
         )
     ):
-        inn_pairs = idx.inn_pairs
-        pairs = list(chain.from_iterable(map(inn_pairs.__getitem__, kept.difference(rim))))
-        pairs += [p for b in rim for p, a in zip(inn_pairs[b], inn[b]) if a in kept]
-        pairs += [
-            _pair((keys[a], keys[b])) for a, found in walked.items() for b in found.difference(out[a])
+        local = dict(zip(ranked, range(len(ranked))))
+        succ = [
+            [local[b] for b in (walked[a] if a in walked else out[a]) if b in kept] for a in ranked
         ]
-        return Space(elements, frozenset(pairs))
-    local = dict(zip(ranked, range(len(ranked))))
-    succ = [
-        [local[b] for b in (walked[a] if a in walked else out[a]) if b in kept] for a in ranked
+        if not _covering(succ):
+            return Space(elements, _reduction(names, succ))
+    inn_pairs = idx.inn_pairs
+    pairs = list(chain.from_iterable(map(inn_pairs.__getitem__, kept.difference(rim))))
+    pairs += [p for b in rim for p, a in zip(inn_pairs[b], inn[b]) if a in kept]
+    pairs += [
+        _pair((keys[a], keys[b])) for a, found in walked.items() for b in found.difference(out[a])
     ]
-    return Space(elements, _reduction(names, succ))
+    return Space(elements, frozenset(pairs))
+
+
+def _covering(succ: list[list[int]]) -> bool:
+    """Whether every pair of the graph ``succ`` (position -> successors, no
+    repeats) is a covering pair of the order it generates, judged from
+    chain lengths within the graph: False when it is cyclic.
+
+    A successor ``b`` of ``a`` lies below another successor ``c`` of ``a``
+    only if ``c`` is deeper, so only if ``a`` is deeper than ``b`` by more
+    than one step; and only if ``b`` has a predecessor besides ``a``, since
+    the last step of a path from ``c`` down to ``b`` comes from one, and
+    were that ``a``, ``c`` would reach ``a``.  So the pairs all cover when
+    each pair onto a position with more than one predecessor is one step
+    deep.
+    """
+    order = _kahn(succ)
+    if len(order) < len(succ):
+        return False
+    depth = _chain_lengths(succ, order)
+    shared = [0] * len(succ)
+    for below in succ:
+        for b in below:
+            shared[b] += 1
+    for a, below in enumerate(succ):
+        step = depth[a] - 1
+        for b in below:
+            if depth[b] != step and shared[b] > 1:
+                return False
+    return True
 
 
 def product_key(a: ElementId, b: ElementId, separator: str = PRODUCT_SEPARATOR) -> ElementId:

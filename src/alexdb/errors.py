@@ -51,7 +51,8 @@ class DiscontinuousMapError(AlexdbError):
 
 
 class IntegrityError(AlexdbError):
-    """Version bookkeeping is contradictory (e.g. deletion precedes creation)."""
+    """Bookkeeping columns contradict each other: a deletion precedes its
+    creation, or an element generalises onto its own level."""
 
 
 class ForeignKeyError(AlexdbError):

@@ -19,27 +19,31 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping
+from itertools import chain
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from .algebra import (
+    PRODUCT_SEPARATOR,
     MapReport,
     SpaceMap,
     check_map,
-    product_key,
     select_subspace,
-    space_map,
-    _reduction,
+    _pair,
+    _subspace,
 )
-from .errors import MissingGeometryError, NotFoundError
+from .errors import IntegrityError, MissingGeometryError, NotFoundError
 from .spacetime import PointRow
 from .topology import (
     BoundedByPair,
     Element,
     ElementId,
     Space,
+    SpaceIndex,
     build_space,
     simple_space,
+    _assemble,
     _component,
+    _nearest_kept,
     _positions,
     _require_keys,
     _topological_order,
@@ -49,6 +53,14 @@ from .versioning import reconstruct_version
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .storage import VersionStore
+
+# level transition (a, b) -> {element at level a: its generalisation target}
+_Transitions = dict[tuple[int, int], dict[ElementId, ElementId]]
+
+# a key from the 2-tuple of its fields, built in C
+_key = functools.partial(tuple.__new__, ElementId)
+
+_NONE: frozenset[int] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -239,8 +251,20 @@ def lod_graph(store: "VersionStore", v: str) -> tuple[Space, Space]:
     return _lod_graph(reconstruct_version(store, v))
 
 
-def _lod_graph(space: Space) -> tuple[Space, Space]:
-    trans = _transitions(space)
+def _lod_graph(space: Space, trans: _Transitions | None = None) -> tuple[Space, Space]:
+    """``lod_graph`` of a reconstructed space; ``trans`` is its
+    ``_transitions`` when already read.  Raises ``IntegrityError`` naming
+    the smallest element that generalises onto its own level: the edge
+    from ``l`` to ``l`` would share the name of the vertex of ``l``."""
+    if trans is None:
+        trans = _transitions(space)
+    same = [kt for (a, b), targets in trans.items() if a == b for kt in targets.items()]
+    if same:
+        k, t = min(same)
+        raise IntegrityError(
+            f"element {k} generalises to {t} on its own level {k.lod}; "
+            "the telescope needs generalisations between levels"
+        )
     lods = sorted({k.lod for k in space.elements} | {b for _, b in trans})
     level_space = simple_space(
         [str(l) for l in lods],
@@ -265,47 +289,124 @@ def telescope(store: "VersionStore", v: str, edge_matching: bool = True) -> Spac
     The store space, with generalisation pairs added to its relation, is
     equi-joined with the level edge graph: an element at level ``l`` pairs
     with the level vertex ``(l, l)`` and — unless ``edge_matching`` is
-    off — with every level edge whose fine side is ``l``.  Fibers over
-    vertices are the level spaces; the fiber over an edge is a redundant
-    copy of its fine level, glued one dimension up.
+    off — with every level edge whose fine side is ``l``.  Its order is
+    the product order restricted to these matches.  The fibre over a
+    level node of fine level ``l`` is a copy of the subspace of the linked
+    space on level ``l``: over a vertex, the level space; over an edge
+    ``(a, b)``, a redundant copy of level ``a`` glued one dimension up.
+    Two kinds of covering pairs glue an edge's fibre: an identity pair
+    from each copy down to its original in the fibre over ``(a, a)``, and
+    one pair into the fibre over ``(b, b)`` per covering pair from level
+    ``a`` to level ``b`` in the subspace on those two levels.  These are
+    all the covering pairs, so nothing is reduced.  The cost is one
+    subspace per level, one pass per edge over the positions below its
+    fine level, and the result itself: linear in the result when down-sets
+    stay small, as in a map pyramid.  Raises ``T0ViolationError`` when the
+    linked space or the level space is cyclic, and ``IntegrityError`` when
+    an element generalises onto its own level.
     """
     return _telescope(reconstruct_version(store, v), edge_matching)
 
 
 def _telescope(base: Space, edge_matching: bool = True) -> Space:
     """The telescope of an already reconstructed version space."""
-    augmented = _linked(base)
-    _topological_order(augmented)
-    _, edge_graph = _lod_graph(base)
-    aug, edges = augmented.index, edge_graph.index
-
-    # an element at level l matches the level nodes whose fine side is l;
-    # matches are numbered in key order, each a pair of positions
-    nodes: dict[int, list[int]] = {}
+    trans = _transitions(base)
+    linked = _linked(base, trans)
+    _topological_order(linked)
+    _, edge_graph = _lod_graph(base, trans)
+    idx = linked.index
+    keys = idx.keys
+    levels: dict[int, set[int]] = {}  # level -> its positions
+    for p, k in enumerate(keys):
+        levels.setdefault(k.lod, set()).add(p)
+    # nodes[l]: the level nodes whose fine side is l, in key order, as
+    # (id, coarse side) pairs
+    nodes: dict[int, list[tuple[str, int]]] = {}
     for w in sorted(edge_graph.elements):
         attrs = edge_graph.elements[w].attributes
         if edge_matching or attrs["lod"] == attrs["glod"]:
-            nodes.setdefault(attrs["lod"], []).append(edges.pos[w])
-    matches = [(aug.pos[k], w) for k in sorted(augmented.elements) for w in nodes.get(k.lod, ())]
-    number = {m: i for i, m in enumerate(matches)}
+            nodes.setdefault(attrs["lod"], []).append((w.id, attrs["glod"]))
+    # vertex[l]: the place of the vertex of level l among nodes[l]
+    vertex = {l: [glod for _, glod in ws].index(l) for l, ws in nodes.items()}
 
-    # match (a, w) is bounded by match (b, x) when b is in the closure of a
-    # and x in that of w; the reduction keeps the covering pairs
-    below_w = [_walk(edges.out, [w]) for w in range(len(edges.keys))]
-    below_a: dict[int, set[int]] = {}
-    succ: list[list[int]] = []
-    for i, (a, w) in enumerate(matches):
-        if a not in below_a:
-            below_a[a] = _walk(aug.out, [a])
-        found = (number.get((b, x)) for b in below_a[a] for x in below_w[w])
-        succ.append([j for j in found if j is not None and j != i])
-    keys = [product_key(aug.keys[a], edges.keys[w]) for a, w in matches]
-    els = []
-    for key, (a, w) in zip(keys, matches):
-        e = augmented.elements[aug.keys[a]]
-        attributes = {**e.attributes, "lod_edge": edges.keys[w].id}
-        els.append(Element(key=key, version=e.version, attributes=attributes))
-    return build_space(els, _reduction(keys, succ), t0_check=False)
+    # matches in key order, each element's over its level's nodes in turn;
+    # first[p]: the number of position p's first match
+    first = [0] * len(keys)
+    tkeys: list[ElementId] = []
+    els: list[Element] = []
+    for p in sorted(range(len(keys)), key=idx.rank.__getitem__):
+        k = keys[p]
+        e = linked.elements[k]
+        first[p] = len(tkeys)
+        for w, _ in nodes[k.lod]:
+            key = _key((f"{k.id}{PRODUCT_SEPARATOR}{w}", k.lod))
+            tkeys.append(key)
+            els.append(Element(key, e.version, None, {**e.attributes, "lod_edge": w}))
+
+    # the covering pairs, as pairs of match numbers
+    ends_a: list[int] = []
+    ends_b: list[int] = []
+    pos = idx.pos
+    for l, level in levels.items():  # each fibre: a copy of its level's subspace
+        covers = _subspace(linked, level).relation
+        tops = [first[pos[u]] for u, _ in covers]
+        bottoms = [first[pos[v]] for _, v in covers]
+        for o in range(len(nodes[l])):
+            ends_a += [i + o for i in tops]
+            ends_b += [j + o for j in bottoms]
+    for a, ws in nodes.items():  # each edge's fibre, glued to its vertices
+        for edge, (_, b) in enumerate(ws):
+            if b == a:
+                continue
+            to_a, to_b = vertex[a], vertex[b]
+            for x in levels[a]:  # down to the original
+                ends_a.append(first[x] + edge)
+                ends_b.append(first[x] + to_a)
+            for x, y in _cross_covers(idx, levels[a], levels[b]):
+                ends_a.append(first[x] + edge)
+                ends_b.append(first[y] + to_b)
+
+    at = tkeys.__getitem__
+    pairs = list(map(_pair, zip(map(at, ends_a), map(at, ends_b))))
+    tpos = dict(zip(tkeys, range(len(tkeys))))
+    return _assemble(dict(zip(tkeys, els)), tpos, pairs, ends_a, ends_b, t0_check=False)
+
+
+def _cross_covers(idx: SpaceIndex, fine: set[int], coarse: set[int]) -> Iterator[tuple[int, int]]:
+    """The covering pairs from a position of ``fine`` to one of ``coarse``
+    in the subspace on both, as pairs of positions; the index must be
+    acyclic.
+
+    A covering pair joins each fine position ``x`` to one of its nearest
+    kept descendants ``y`` (see ``_nearest_kept``), unless ``y`` lies below
+    another of them.  That is read off sets of the coarse positions
+    strictly below each position, filled in reverse topological order over
+    the positions strictly below ``fine`` only; a position with one
+    successor that is not coarse shares its successor's set.  The sets stay
+    as small as the down-sets, a few elements in a cell complex.
+    """
+    out = idx.out
+    kept = fine | coarse
+    is_coarse = coarse.__contains__
+    reached = _walk(out, chain.from_iterable(map(out.__getitem__, fine)))
+    below: list = [_NONE] * len(out)
+    for p in reversed(idx.order):
+        succ = out[p]
+        if not succ or p not in reached:
+            continue
+        if len(succ) == 1 and not is_coarse(succ[0]):
+            below[p] = below[succ[0]]
+            continue
+        found = set(filter(is_coarse, succ))
+        for q in succ:
+            found |= below[q]
+        below[p] = found
+    for x in fine:
+        succ = out[x]
+        near = succ if kept.issuperset(succ) else _nearest_kept(out, kept, x)
+        for y in filter(is_coarse, near):
+            if not any(y in below[z] for z in near):
+                yield x, y
 
 
 def telescope_fiber(tele: Space, edge_id: str) -> Space:
@@ -339,7 +440,7 @@ def chain_from_store(store: "VersionStore", v: str) -> LodChain:
 # the generalisation columns
 
 
-def _transitions(space: Space) -> dict[tuple[int, int], dict[ElementId, ElementId]]:
+def _transitions(space: Space) -> _Transitions:
     """Each observed level transition ``(a, b)``, in sorted order, with the
     generalisation targets of the level-``a`` elements that target level
     ``b``."""
@@ -351,11 +452,25 @@ def _transitions(space: Space) -> dict[tuple[int, int], dict[ElementId, ElementI
     return dict(sorted(found.items()))
 
 
-def _linked(space: Space) -> Space:
+def _linked(space: Space, trans: _Transitions | None = None) -> Space:
     """The space with its generalisation pairs added to the relation, so
-    levels connect through the generalisation map; not checked for T0."""
-    gen_pairs = {BoundedByPair(k, t) for m in _transitions(space).values() for k, t in m.items()}
-    return build_space(space.elements.values(), space.relation | gen_pairs, t0_check=False)
+    levels connect through the generalisation map; not checked for T0.
+    ``trans`` is the space's ``_transitions`` when already read.  The
+    positions are the space's own, and its pairs' ends are read off its
+    index, so only the generalisation targets are looked up."""
+    if trans is None:
+        trans = _transitions(space)
+    idx = space.index
+    gen = [_pair(kt) for targets in trans.values() for kt in targets.items()]
+    ends = list(map(idx.pos.get, chain.from_iterable(gen)))
+    return _assemble(
+        space.elements,
+        idx.pos,
+        list(chain.from_iterable(idx.inn_pairs)) + gen,
+        list(chain.from_iterable(idx.inn)) + ends[0::2],
+        [b for b, above in enumerate(idx.inn) for _ in above] + ends[1::2],
+        t0_check=False,
+    )
 
 
 def _level_maps(space: Space) -> dict[tuple[int, int], SpaceMap]:

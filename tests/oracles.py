@@ -5,11 +5,12 @@ enumeration, explicit path walking — or delegates to networkx.  None of it
 reuses the library's algorithms, so agreement between the two routes is
 meaningful.  The exceptions are ``time_slice_by_descendants``, which
 hands its kept elements to the library's ``select_subspace`` (itself
-checked against networkx), and the three functions kept as first written,
-``apply_changeset_by_rescans``, ``reconstruct_version_by_hulls`` and
-``history_columns_by_rows``: the first two assemble their result with the
-library's ``build_space``, and the last two take the library's version
-hulls (checked against path enumeration).
+checked against networkx), and the four functions kept as first written,
+``apply_changeset_by_rescans``, ``reconstruct_version_by_hulls``,
+``history_columns_by_rows`` and ``telescope_by_closures``: the first two
+assemble their result with the library's ``build_space``, the next two
+take the library's version hulls (checked against path enumeration), and
+the last takes the library's level graph and reduction.
 """
 from __future__ import annotations
 
@@ -562,3 +563,49 @@ def history_columns_by_rows(store) -> dict:
                 broken.append((subject(*columns), bad))
     return {"names": names, "ancestry": ancestry, "descendants": descendants,
             "elements": elements, "pairs": pairs, "broken": broken}
+
+
+# ---------------------------------------------------------------------------
+# the telescope as first written
+
+
+def telescope_by_closures(base, edge_matching: bool = True):
+    """``lod._telescope`` as first written: the space is linked across
+    levels by its generalisation pairs, each match walks its whole down-set
+    in the linked space and in the level edge graph, every match below it
+    becomes a candidate pair, and the candidates are reduced.  It takes the
+    edge graph and the reduction from the library."""
+    from alexdb import BoundedByPair, Element, build_space
+    from alexdb.algebra import _reduction, product_key
+    from alexdb.lod import _lod_graph
+    from alexdb.topology import _topological_order, _walk
+
+    gen = {
+        BoundedByPair(k, e.gen_target) for k, e in base.elements.items() if e.gen_target is not None
+    }
+    augmented = build_space(base.elements.values(), base.relation | gen, t0_check=False)
+    _topological_order(augmented)
+    _, edge_graph = _lod_graph(base)
+    aug, edges = augmented.index, edge_graph.index
+    nodes: dict = {}
+    for w in sorted(edge_graph.elements):
+        attrs = edge_graph.elements[w].attributes
+        if edge_matching or attrs["lod"] == attrs["glod"]:
+            nodes.setdefault(attrs["lod"], []).append(edges.pos[w])
+    matches = [(aug.pos[k], w) for k in sorted(augmented.elements) for w in nodes.get(k.lod, ())]
+    number = {m: i for i, m in enumerate(matches)}
+    below_w = [_walk(edges.out, [w]) for w in range(len(edges.keys))]
+    below_a: dict = {}
+    succ = []
+    for i, (a, w) in enumerate(matches):
+        if a not in below_a:
+            below_a[a] = _walk(aug.out, [a])
+        found = (number.get((b, x)) for b in below_a[a] for x in below_w[w])
+        succ.append([j for j in found if j is not None and j != i])
+    keys = [product_key(aug.keys[a], edges.keys[w]) for a, w in matches]
+    els = []
+    for key, (a, w) in zip(keys, matches):
+        e = augmented.elements[aug.keys[a]]
+        attributes = {**e.attributes, "lod_edge": edges.keys[w].id}
+        els.append(Element(key=key, version=e.version, attributes=attributes))
+    return build_space(els, _reduction(keys, succ), t0_check=False)

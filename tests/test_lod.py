@@ -2,14 +2,14 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import builders
 import oracles
 from alexdb import demos
 from alexdb.algebra import select_subspace, space_map
-from alexdb.errors import MissingGeometryError, NotFoundError
+from alexdb.errors import AlexdbError, IntegrityError, MissingGeometryError, NotFoundError
 from alexdb.lod import (
     LodChain,
     as_level,
@@ -24,6 +24,7 @@ from alexdb.lod import (
     telescope,
     telescope_fiber,
     validate_chain,
+    _telescope,
 )
 from alexdb.spacetime import PointRow
 from alexdb.storage import new_store
@@ -31,6 +32,7 @@ from alexdb.topology import (
     BoundedByPair,
     Element,
     ElementId,
+    Space,
     build_space,
     krull_dimension,
     simple_space,
@@ -284,3 +286,64 @@ def test_telescope_fiber_requires_a_known_node():
     tele = telescope(demos.regions_store(), "v1")
     with pytest.raises(NotFoundError):
         telescope_fiber(tele, "9-9")
+
+
+def test_a_generalisation_onto_its_own_level_is_refused_by_name():
+    # c and d generalise within level 0; c is the smaller
+    store = builders.level_store(
+        [("a", "b"), ("d", "b"), ("a:1", "b:1")],
+        {"d": "a", "c": "b", "a": "a:1", "b": "b:1"},
+    )
+    message = (
+        "element c generalises to b on its own level 0; "
+        "the telescope needs generalisations between levels"
+    )
+    for call in (lambda: telescope(store, "v1"), lambda: lod_graph(store, "v1")):
+        with pytest.raises(IntegrityError) as exc:
+            call()
+        assert str(exc.value) == message
+
+
+@st.composite
+def level_spaces(draw) -> Space:
+    """Random spaces on one to four levels, with non-contiguous level tags.
+
+    Pairs go forward in one drawn order of all keys, so some join levels.
+    An element may generalise onto any element of a coarser level, and in
+    half the spaces of a finer one too, so maps may be non-continuous, skip
+    a level or run backward, and the linked space may be cyclic.
+    """
+    lods = sorted(draw(st.sets(st.integers(0, 5), min_size=1, max_size=4)))
+    keys = [
+        ElementId(name, lod)
+        for lod in lods
+        for name in draw(st.lists(st.sampled_from("abcd"), min_size=1, max_size=4, unique=True))
+    ]
+    forward = draw(st.permutations(keys))
+    n = len(forward)
+    within = [(forward[i], forward[j]) for i in range(n) for j in range(i + 1, n)]
+    pairs = draw(st.sets(st.sampled_from(within))) if within else set()
+    backward = draw(st.booleans())
+    gens = {}
+    for k in keys:
+        others = [t for t in keys if t.lod > k.lod or backward and t.lod < k.lod]
+        if others and draw(st.booleans()):
+            gens[k] = draw(st.sampled_from(others))
+    stored = draw(st.permutations(keys))
+    els = [Element(k, f"v{i % 2}", gens.get(k), {"n": i}) for i, k in enumerate(stored)]
+    return build_space(els, [BoundedByPair(a, b) for a, b in pairs])
+
+
+@given(level_spaces(), st.booleans())
+@settings(max_examples=200)
+def test_telescope_matches_the_closure_walk(space, edge_matching):
+    try:
+        expected = oracles.telescope_by_closures(space, edge_matching)
+    except AlexdbError as exc:
+        with pytest.raises(type(exc)) as got:
+            _telescope(space, edge_matching)
+        assert str(got.value) == str(exc)
+        return
+    tele = _telescope(space, edge_matching)
+    assert list(tele.elements.items()) == list(expected.elements.items())
+    assert tele.relation == expected.relation

@@ -547,6 +547,19 @@ def test_cli_domain_errors_exit_one(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+def test_cli_query_refuses_a_telescope_over_a_same_level_generalisation(tmp_path, capsys):
+    store = builders.level_store([("a", "b"), ("a:1", "b:1")], {"c": "b", "a": "a:1", "b": "b:1"})
+    save(store, tmp_path / "store")
+    code, out, err = run_cli(
+        capsys, "query", 'dim(telescope(load("store")))', "--store", str(tmp_path)
+    )
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: element c generalises to b on its own level 0; "
+        "the telescope needs generalisations between levels\n"
+    )
+
+
 def test_cli_query_names_a_missing_store_as_typed(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out, err = run_cli(capsys, "query", 'dim(load("demo/nope"))')

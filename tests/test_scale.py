@@ -26,6 +26,7 @@ from alexdb import (
     ElementId,
     MissingGeometryError,
     PointRow,
+    Space,
     SpaceMap,
     T0ViolationError,
     apply_changeset,
@@ -49,7 +50,7 @@ from alexdb import (
     text_space,
     time_slice,
 )
-from alexdb import algebra, spacetime, versioning
+from alexdb import algebra, lod, spacetime, versioning
 from alexdb.lod import as_level
 from alexdb.versioning import HistoryIndex
 
@@ -630,3 +631,54 @@ def test_check_map_refuses_a_cyclic_space():
         with pytest.raises(T0ViolationError) as err:
             check_map(f)
         assert set(err.value.cycle) == {ElementId("a"), ElementId("b")}
+
+
+# ---------------------------------------------------------------------------
+# telescopes of map pyramids
+
+
+def pyramid_space(side: int, levels: int) -> Space:
+    """A map pyramid in one space: level ``l`` is the grid of side
+    ``side >> l``, and each of its cells generalises onto level ``l + 1``
+    as ``coarse_cell`` says.  A point ``m`` bounds one level-0 face and
+    generalises where the face does, so the face is bounded by cells of
+    two depths."""
+    elements, pairs = [], []
+    for level in range(levels):
+        space = grid(side >> level, seed=side)[0]
+        for k in sorted(space.keys()):
+            up = ElementId(coarse_cell(k).id, level + 1) if level + 1 < levels else None
+            elements.append(Element(ElementId(k.id, level), gen_target=up, attributes={"n": level}))
+        pairs += [
+            BoundedByPair(ElementId(a.id, level), ElementId(b.id, level)) for a, b in space.relation
+        ]
+    face = ElementId("f1_1")
+    elements.append(Element(ElementId("m"), gen_target=ElementId(coarse_cell(face).id, 1)))
+    pairs.append(BoundedByPair(face, ElementId("m")))
+    return build_space(elements, pairs)
+
+
+@pytest.mark.parametrize("side, levels", [(16, 3), (16, 4), (32, 3), (32, 4)])
+def test_pyramid_telescopes_match_the_closure_walk(side, levels):
+    space = pyramid_space(side, levels)
+    for edge_matching in (True, False):
+        tele = lod._telescope(space, edge_matching)
+        expected = oracles.telescope_by_closures(space, edge_matching)
+        assert list(tele.elements.items()) == list(expected.elements.items())
+        assert tele.relation == expected.relation
+
+
+def test_a_pyramid_telescope_reduces_nothing(monkeypatch):
+    sizes = []
+    reduction = algebra._reduction
+
+    def counted(nodes, succ):
+        sizes.append(len(nodes))
+        return reduction(nodes, succ)
+
+    monkeypatch.setattr(algebra, "_reduction", counted)
+    tele = lod._telescope(pyramid_space(16, 3))
+    # two matches for each of the 1,090 and 289 elements of levels 0 and 1,
+    # one for each of the 81 of level 2
+    assert len(tele) == 2 * 1090 + 2 * 289 + 81
+    assert sizes == []
