@@ -31,7 +31,7 @@ from .algebra import (
     _pair,
     _subspace,
 )
-from .errors import IntegrityError, MissingGeometryError, NotFoundError
+from .errors import IntegrityError, MissingGeometryError, NotFoundError, T0ViolationError
 from .spacetime import PointRow
 from .topology import (
     BoundedByPair,
@@ -40,6 +40,7 @@ from .topology import (
     Space,
     SpaceIndex,
     build_space,
+    find_cycle,
     simple_space,
     _assemble,
     _component,
@@ -246,18 +247,45 @@ def lod_graph(store: "VersionStore", v: str) -> tuple[Space, Space]:
     level transition observed in the generalisation columns.  The edge
     graph subdivides it: one vertex ``(l, l)`` per level, one edge
     ``(a, b)`` per transition, the edge bounded by both vertices — a small
-    1D complex indexing the telescope.
+    1D complex indexing the telescope.  Raises ``T0ViolationError`` naming
+    the levels when the level transitions form a cycle.
     """
     return _lod_graph(reconstruct_version(store, v))
 
 
 def _lod_graph(space: Space, trans: _Transitions | None = None) -> tuple[Space, Space]:
     """``lod_graph`` of a reconstructed space; ``trans`` is its
-    ``_transitions`` when already read.  Raises ``IntegrityError`` naming
-    the smallest element that generalises onto its own level: the edge
-    from ``l`` to ``l`` would share the name of the vertex of ``l``."""
+    ``_transitions`` when already read."""
     if trans is None:
         trans = _transitions(space)
+    edge_graph = _edge_graph(space, trans)
+    lods = _lods(space, trans)
+    level_space = simple_space(
+        [str(l) for l in lods],
+        [(str(a), str(b)) for a, b in trans],
+        attributes={str(l): {"lod": l} for l in lods},
+        t0_check=False,
+    )
+    cycle = find_cycle(level_space)
+    if cycle is not None:
+        raise T0ViolationError(
+            f"level transitions form a cycle through levels {[int(k.id) for k in cycle]}",
+            cycle=cycle,
+        )
+    return level_space, edge_graph
+
+
+def _lods(space: Space, trans: _Transitions) -> list[int]:
+    """The levels in use: of the elements and of their generalisation
+    targets."""
+    return sorted({k.lod for k in space.elements} | {b for _, b in trans})
+
+
+def _edge_graph(space: Space, trans: _Transitions) -> Space:
+    """The edge graph of ``lod_graph``, which is all the telescope needs:
+    it is T0 whatever the level transitions.  Raises ``IntegrityError``
+    naming the smallest element that generalises onto its own level: the
+    edge from ``l`` to ``l`` would share the name of the vertex of ``l``."""
     same = [kt for (a, b), targets in trans.items() if a == b for kt in targets.items()]
     if same:
         k, t = min(same)
@@ -265,22 +293,16 @@ def _lod_graph(space: Space, trans: _Transitions | None = None) -> tuple[Space, 
             f"element {k} generalises to {t} on its own level {k.lod}; "
             "the telescope needs generalisations between levels"
         )
-    lods = sorted({k.lod for k in space.elements} | {b for _, b in trans})
-    level_space = simple_space(
-        [str(l) for l in lods],
-        [(str(a), str(b)) for a, b in trans],
-        attributes={str(l): {"lod": l} for l in lods},
-    )
     els = []
     pairs = []
-    for l in lods:
+    for l in _lods(space, trans):
         els.append(Element(ElementId(f"{l}-{l}"), attributes={"lod": l, "glod": l}))
     for a, b in trans:
         edge = ElementId(f"{a}-{b}")
         els.append(Element(edge, attributes={"lod": a, "glod": b}))
         pairs.append(BoundedByPair(edge, ElementId(f"{a}-{a}")))
         pairs.append(BoundedByPair(edge, ElementId(f"{b}-{b}")))
-    return level_space, build_space(els, pairs)
+    return build_space(els, pairs)
 
 
 def telescope(store: "VersionStore", v: str, edge_matching: bool = True) -> Space:
@@ -301,9 +323,10 @@ def telescope(store: "VersionStore", v: str, edge_matching: bool = True) -> Spac
     all the covering pairs, so nothing is reduced.  The cost is one
     subspace per level, one pass per edge over the positions below its
     fine level, and the result itself: linear in the result when down-sets
-    stay small, as in a map pyramid.  Raises ``T0ViolationError`` when the
-    linked space or the level space is cyclic, and ``IntegrityError`` when
-    an element generalises onto its own level.
+    stay small, as in a map pyramid.  The level transitions may form a
+    cycle: only the edge graph is used.  Raises ``T0ViolationError`` when
+    the linked space is cyclic, and ``IntegrityError`` when an element
+    generalises onto its own level.
     """
     return _telescope(reconstruct_version(store, v), edge_matching)
 
@@ -313,7 +336,7 @@ def _telescope(base: Space, edge_matching: bool = True) -> Space:
     trans = _transitions(base)
     linked = _linked(base, trans)
     _topological_order(linked)
-    _, edge_graph = _lod_graph(base, trans)
+    edge_graph = _edge_graph(base, trans)
     idx = linked.index
     keys = idx.keys
     levels: dict[int, set[int]] = {}  # level -> its positions

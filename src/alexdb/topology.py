@@ -22,8 +22,12 @@ which drops reflexive pairs, rejects dangling ones, fills the index in
 and checks T0; a space made otherwise builds it on the first query that
 needs it.  It is cached on the space.  The cache relies on a
 contract: a ``Space`` is immutable.  Never mutate its ``elements`` mapping
-or its relation; build a new space instead.  The index also keeps each
-element's chain length (its dimension), computed on first use.
+or its relation; build a new space instead.  The contract covers each
+``Element`` and its attribute dict too, since spaces share them:
+``versioning.apply_changeset`` keeps its input's, and every space read
+from one store shares those the store's history index has built.  The
+index also keeps each element's chain length (its dimension), computed
+on first use.
 
 Subspaces (``algebra.select_subspace`` and ``spacetime.time_slice``) work
 on index positions too.  They list their keys in key order by sorting
@@ -54,6 +58,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
+from operator import eq
 from typing import (
     AbstractSet, Collection, Iterable, Iterator, Literal, Mapping, NamedTuple, Sequence, Union
 )
@@ -219,27 +224,31 @@ def _assemble(
     filled in from those positions unless a pair is given twice.
 
     Reflexive pairs are dropped: reflexivity is implicit in the preorder.
-    Raises ``DanglingPairError`` naming the smallest pair that touches an
+    When no pair is dangling or reflexive, which a C-level test of the
+    ends finds, the pairs are taken as given.  Raises
+    ``DanglingPairError`` naming the smallest pair that touches an
     unknown key, and — unless ``t0_check`` is disabled —
     ``T0ViolationError`` carrying a witness cycle.
     """
-    rel, kept_a, kept_b, dangling = [], [], [], []
-    for p, i, j in zip(pairs, ends_a, ends_b):
-        if i is None or j is None:
-            if p[0] != p[1]:
-                dangling.append(p)
-        elif i != j:
-            rel.append(p)
-            kept_a.append(i)
-            kept_b.append(j)
-    if dangling:
-        # the smallest, so one input names the same pair in every process
-        p = min(dangling)
-        unknown = p[0] if p[0] not in elements else p[1]
-        raise DanglingPairError(f"pair {p} references unknown element {unknown}")
-    space = Space(elements, frozenset(rel))
-    if len(space.relation) == len(rel):  # no pair given twice
-        vars(space)["index"] = SpaceIndex(list(elements), pos, rel, kept_a, kept_b)
+    if None in ends_a or None in ends_b or any(map(eq, ends_a, ends_b)):
+        rel, kept_a, kept_b, dangling = [], [], [], []
+        for p, i, j in zip(pairs, ends_a, ends_b):
+            if i is None or j is None:
+                if p[0] != p[1]:
+                    dangling.append(p)
+            elif i != j:
+                rel.append(p)
+                kept_a.append(i)
+                kept_b.append(j)
+        if dangling:
+            # the smallest, so one input names the same pair in every process
+            p = min(dangling)
+            unknown = p[0] if p[0] not in elements else p[1]
+            raise DanglingPairError(f"pair {p} references unknown element {unknown}")
+        pairs, ends_a, ends_b = rel, kept_a, kept_b
+    space = Space(elements, frozenset(pairs))
+    if len(space.relation) == len(pairs):  # no pair given twice
+        vars(space)["index"] = SpaceIndex(list(elements), pos, pairs, ends_a, ends_b)
     if t0_check:
         _topological_order(space)
     return space

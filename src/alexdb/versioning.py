@@ -22,8 +22,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, count, repeat
-from operator import eq, is_not, itemgetter, lshift
+from itertools import compress, count, filterfalse, repeat
+from operator import and_, eq, is_, is_not, itemgetter, lshift
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -320,7 +320,13 @@ class HistoryIndex:
     precedes.  Rows naming a version the store lacks are left out;
     ``validate`` reports them as foreign-key violations.  ``held`` is None
     or one ``(version, space)``: the space ``reconstruct_version`` answers
-    for that version without reading the columns.
+    for that version without reading the columns.  ``built`` has one entry
+    per element column: None, or the ``Element`` that column reconstructs
+    to, filled on first use.  Only a column with one creation row has one,
+    since its element is the same in every version where it is alive; a
+    column created by several rows is built on each read.  So spaces read
+    from one store share ``Element`` objects and their attribute dicts,
+    with each other and with the held space.
 
     The columns are built from the table columns in one pass each: every
     key is built once, shared by the element, pair and generalisation
@@ -330,7 +336,7 @@ class HistoryIndex:
     """
 
     __slots__ = ("names", "bit", "ancestry", "descendants", "elements", "pairs", "ends",
-                 "broken", "held")
+                 "broken", "held", "built")
 
     def __init__(self, store: "VersionStore"):
         versions = store.version_space().as_space()
@@ -368,6 +374,7 @@ class HistoryIndex:
             gens,
             list(map(recorded.get, keys, repeat(()))),
         )
+        self.built: list[Element | None] = [None] * len(keys)
 
         _, _, (idas, idbs, lods), p_created = _creations(store.r, 4, 3, bit)
         ka, ends_a = _interned(idas, lods, place, keys)
@@ -432,9 +439,12 @@ class HistoryIndex:
         are copied and only the keys the commit touches change, so this
         index stays valid for its own store; ``ends`` is left to be found
         on first use.  ``broken`` carries over: a commit deletes only what
-        is alive in its parent.  The derived index holds the new version's
-        space, so the next commit from it or a checkout of it reads no
-        column.
+        is alive in its parent.  ``built`` carries over too, except for a
+        key created again: its column gains a creation and may gain
+        attributes, which every version then reads.  The derived index
+        holds the new version's space, so the next commit from it or a
+        checkout of it reads no column; a new key's element is that
+        space's.
         """
         n = len(self.names)
         bit = 1 << n
@@ -450,6 +460,7 @@ class HistoryIndex:
         new.broken = self.broken
 
         keys, created, deleted, gens, atts = (list(c) for c in self.elements)
+        built = list(self.built)
         for k in removed:
             deleted[bisect_left(keys, k)] |= bit
         for k in added:
@@ -462,13 +473,16 @@ class HistoryIndex:
                 gens[i] = {**gen, n: e.gen_target}
                 created[i] |= bit
                 atts[i] = tuple(sorted({**dict(atts[i]), **e.attributes}.items()))
+                built[i] = None
             else:
                 keys.insert(i, k)
                 created.insert(i, bit)
                 deleted.insert(i, 0)
                 gens.insert(i, e.gen_target)
                 atts.insert(i, tuple(sorted(e.attributes.items())))
+                built.insert(i, None)
         new.elements = keys, created, deleted, gens, atts
+        new.built = built
 
         pairs, p_created, p_deleted = (list(c) for c in self.pairs)
         for p in dropped:
@@ -492,7 +506,9 @@ class HistoryIndex:
             for k in added:
                 e = elements[k]
                 i = bisect_left(keys, k)
-                elements[k] = Element(k, e.version, e.gen_target, dict(atts[i]))
+                elements[k] = e = Element(k, e.version, e.gen_target, dict(atts[i]))
+                if created[i] == bit:  # a new key: its column reads back ``e``
+                    built[i] = e
             elements = {k: elements[k] for k in sorted(elements)}
             space = Space(elements, space.relation)
         new.held = version, space
@@ -526,15 +542,34 @@ def _newest(inside: int, descendants: list[int], names: list[str]) -> int:
     return best
 
 
+def _live(created: list[int], deleted: list[int], ancestry: int, descendants: list[int]):
+    """The places, in column order, of the items whose ``created`` and
+    ``deleted`` masks make them alive at the version whose ancestry is
+    ``ancestry``.  The items created there are picked in C, and so are
+    those deleted there.  An item created once is then dead: a deletion in
+    the ancestry follows some creation (else ``broken`` names it), so it
+    follows the only one.  Only an item created several times needs
+    ``_alive``."""
+    live = list(compress(count(), map(and_, created, repeat(ancestry))))
+    dead = {
+        i for i in compress(count(), map(and_, deleted, repeat(ancestry)))
+        if not created[i] & (created[i] - 1)
+        or not _alive(created[i] & ancestry, deleted[i] & ancestry, descendants)
+    }
+    return list(filterfalse(dead.__contains__, live)) if dead else live
+
+
 def reconstruct_version(store: "VersionStore", v: str) -> Space:
     """The space at version ``v``, from creation/deletion rows and ancestry.
 
     Answered from the store's ``HistoryIndex``: the space it holds when
     ``v`` is that one (a committed store holds its newest version), else
-    bitset tests against the ancestry of ``v``.  Raises ``IntegrityError``
-    when a relevant deletion has no creation on any path before it — the
-    store then contradicts itself; the error names the first such version
-    by name.
+    bitset tests against the ancestry of ``v``.  An element alive and
+    unchanged in several versions is one ``Element`` object, with one
+    attribute dict, in every space read from the store; like the spaces,
+    neither may be mutated.  Raises ``IntegrityError`` when a relevant
+    deletion has no creation on any path before it — the store then
+    contradicts itself; the error names the first such version by name.
     """
     index = store.history
     if index.held is not None and index.held[0] == v:
@@ -543,9 +578,11 @@ def reconstruct_version(store: "VersionStore", v: str) -> Space:
 
 
 def _reconstruct(index: HistoryIndex, v: str) -> Space:
-    """``reconstruct_version`` read from the index's columns.  The live
-    pairs go to ``_assemble`` with the positions of their ends, read off
-    the places the index keeps, so no key is looked up."""
+    """``reconstruct_version`` read from the index's columns.  Elements
+    come from ``built`` where it has them, and are built and kept there
+    otherwise.  The live pairs go to ``_assemble`` with the positions of
+    their ends, read off the places the index keeps, so no key is looked
+    up."""
     b = index.bit.get(v)
     if b is None:
         raise NotFoundError(f"unknown version {v!r}")
@@ -559,41 +596,46 @@ def _reconstruct(index: HistoryIndex, v: str) -> Space:
                 f"{subject} is deleted in {first!r} but created on no path before it"
             )
     descendants = index.descendants
-    keys = index.elements[0]
-    # each element's position in the space, None when it is not alive; the
-    # last entry stands for a key no row creates
-    at = [None] * (len(keys) + 1)
-    live = []
-    els = {}
-    for i, key, created, deleted, gen, atts in zip(count(), *index.elements):
-        inside = created & ancestry
-        if not inside:
-            continue
-        gone = deleted & ancestry
-        if gone and not _alive(inside, gone, descendants):
-            continue
-        if inside & (inside - 1):
-            c = _newest(inside, descendants, names)
+    keys, created, deleted, gens, atts = index.elements
+    built = index.built
+    live = _live(created, deleted, ancestry, descendants)
+    els = _pick(built, live)
+    for j in list(compress(count(), map(is_, els, repeat(None)))):
+        i = live[j]
+        gen = gens[i]
+        if type(gen) is dict:  # created by several rows: built on each read
+            inside = created[i] & ancestry
+            if inside & (inside - 1):
+                c = _newest(inside, descendants, names)
+            else:
+                c = inside.bit_length() - 1
+            els[j] = Element(keys[i], names[c], gen[c], dict(atts[i]))
         else:
-            c = inside.bit_length() - 1
-        if type(gen) is dict:
-            gen = gen[c]
-        at[i] = len(els)
-        live.append(i)
-        els[key] = Element(key, names[c], gen, dict(atts))
-    pairs, ends_a, ends_b = [], [], []
-    for pair, created, deleted, a, b in zip(*index.pairs, *index.pair_ends()):
-        inside = created & ancestry
-        if not inside:
-            continue
-        gone = deleted & ancestry
-        if gone and not _alive(inside, gone, descendants):
-            continue
-        pairs.append(pair)
-        ends_a.append(at[a])
-        ends_b.append(at[b])
-    pos = dict(zip(els, map(at.__getitem__, live)))
-    return _assemble(els, pos, pairs, ends_a, ends_b)
+            c = created[i].bit_length() - 1
+            els[j] = built[i] = Element(keys[i], names[c], gen, dict(atts[i]))
+    elements = dict(zip(_pick(keys, live), els))
+    pos = dict(zip(elements, count()))
+    # each element column's position in the space, None when it is not
+    # alive; the last entry stands for a key no row creates (place -1)
+    at = [None] * (len(keys) + 1)
+    for i, p in zip(live, pos.values()):
+        at[i] = p
+    ends_a, ends_b = index.pair_ends()
+    kept = _live(index.pairs[1], index.pairs[2], ancestry, descendants)
+    return _assemble(
+        elements,
+        pos,
+        _pick(index.pairs[0], kept),
+        _pick(at, _pick(ends_a, kept)),
+        _pick(at, _pick(ends_b, kept)),
+    )
+
+
+def _pick(items: Sequence, places: list[int]) -> list:
+    """The entries of ``items`` at ``places``, fetched in C."""
+    if len(places) < 2:  # ``itemgetter`` of one place returns a bare entry
+        return [items[i] for i in places]
+    return list(itemgetter(*places)(items))
 
 
 # ---------------------------------------------------------------------------

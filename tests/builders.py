@@ -288,7 +288,9 @@ def unchecked_removal(store: VersionStore, parent: str, version: str, keys) -> V
     )
 
 
-def committed_history(rng: random.Random, max_commits: int = 6) -> list[VersionStore]:
+def committed_history(
+    rng: random.Random, max_commits: int = 6, warm: bool = False
+) -> list[VersionStore]:
     """Every store of a two-level history grown by chained commits, oldest
     first.
 
@@ -300,7 +302,9 @@ def committed_history(rng: random.Random, max_commits: int = 6) -> list[VersionS
     element now and then with a new generalisation target.  Version names
     are drawn at random, so a new name can sort before older ones
     (``v10`` before ``v9``).  Commits that ``commit`` rejects (a missing
-    generalisation target, a clashing attribute) are left out.
+    generalisation target, a clashing attribute) are left out.  With
+    ``warm``, every version of a store is checked out before each commit
+    from it, so the index that commit derives from has built its elements.
     """
     g = cluster_map(rng)
     elements = [
@@ -316,6 +320,9 @@ def committed_history(rng: random.Random, max_commits: int = 6) -> list[VersionS
     stores = [new_store(f"v{rng.randrange(20)}", build_space(elements, pairs))]
     for i in range(rng.randint(1, max_commits)):
         store = stores[-1]
+        if warm:
+            for v in store.vx:
+                reconstruct_version(store, v)
         parent = rng.choice(store.vx)
         space = reconstruct_version(store, parent)
         keys = sorted(space.keys())

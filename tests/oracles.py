@@ -5,12 +5,14 @@ enumeration, explicit path walking — or delegates to networkx.  None of it
 reuses the library's algorithms, so agreement between the two routes is
 meaningful.  The exceptions are ``time_slice_by_descendants``, which
 hands its kept elements to the library's ``select_subspace`` (itself
-checked against networkx), and the four functions kept as first written,
-``apply_changeset_by_rescans``, ``reconstruct_version_by_hulls``,
-``history_columns_by_rows`` and ``telescope_by_closures``: the first two
-assemble their result with the library's ``build_space``, the next two
-take the library's version hulls (checked against path enumeration), and
-the last takes the library's level graph and reduction.
+checked against networkx), and five functions kept as earlier versions
+of the library's own.  ``apply_changeset_by_rescans`` and
+``reconstruct_version_by_hulls`` assemble their result with the library's
+``build_space``; ``reconstruct_version_by_hulls`` and
+``history_columns_by_rows`` take the library's version hulls (checked
+against path enumeration); ``reconstruct_by_columns`` reads the library's
+history index; and ``telescope_by_closures`` takes the library's level
+edge graph and reduction.
 """
 from __future__ import annotations
 
@@ -565,6 +567,65 @@ def history_columns_by_rows(store) -> dict:
             "elements": elements, "pairs": pairs, "broken": broken}
 
 
+def reconstruct_by_columns(store, v: str):
+    """``reconstruct_version`` read from the store's ``HistoryIndex``
+    columns as it was before the index kept built elements: one Python
+    test per column, and every live element built afresh on each call."""
+    from itertools import count
+
+    from alexdb import Element, IntegrityError, NotFoundError
+    from alexdb.topology import _assemble, _bits
+    from alexdb.versioning import _alive, _newest
+
+    index = store.history
+    b = index.bit.get(v)
+    if b is None:
+        raise NotFoundError(f"unknown version {v!r}")
+    ancestry = index.ancestry[b]
+    names = index.names
+    for subject, bad in index.broken:
+        hit = bad & ancestry
+        if hit:
+            first = min(names[i] for i in _bits(hit))
+            raise IntegrityError(
+                f"{subject} is deleted in {first!r} but created on no path before it"
+            )
+    descendants = index.descendants
+    keys = index.elements[0]
+    at = [None] * (len(keys) + 1)  # the last entry stands for a key no row creates
+    live = []
+    els = {}
+    for i, key, created, deleted, gen, atts in zip(count(), *index.elements):
+        inside = created & ancestry
+        if not inside:
+            continue
+        gone = deleted & ancestry
+        if gone and not _alive(inside, gone, descendants):
+            continue
+        if inside & (inside - 1):
+            c = _newest(inside, descendants, names)
+        else:
+            c = inside.bit_length() - 1
+        if type(gen) is dict:
+            gen = gen[c]
+        at[i] = len(els)
+        live.append(i)
+        els[key] = Element(key, names[c], gen, dict(atts))
+    pairs, ends_a, ends_b = [], [], []
+    for pair, created, deleted, a, b in zip(*index.pairs, *index.pair_ends()):
+        inside = created & ancestry
+        if not inside:
+            continue
+        gone = deleted & ancestry
+        if gone and not _alive(inside, gone, descendants):
+            continue
+        pairs.append(pair)
+        ends_a.append(at[a])
+        ends_b.append(at[b])
+    pos = dict(zip(els, map(at.__getitem__, live)))
+    return _assemble(els, pos, pairs, ends_a, ends_b)
+
+
 # ---------------------------------------------------------------------------
 # the telescope as first written
 
@@ -577,7 +638,7 @@ def telescope_by_closures(base, edge_matching: bool = True):
     edge graph and the reduction from the library."""
     from alexdb import BoundedByPair, Element, build_space
     from alexdb.algebra import _reduction, product_key
-    from alexdb.lod import _lod_graph
+    from alexdb.lod import _edge_graph, _transitions
     from alexdb.topology import _topological_order, _walk
 
     gen = {
@@ -585,7 +646,7 @@ def telescope_by_closures(base, edge_matching: bool = True):
     }
     augmented = build_space(base.elements.values(), base.relation | gen, t0_check=False)
     _topological_order(augmented)
-    _, edge_graph = _lod_graph(base)
+    edge_graph = _edge_graph(base, _transitions(base))
     aug, edges = augmented.index, edge_graph.index
     nodes: dict = {}
     for w in sorted(edge_graph.elements):

@@ -9,7 +9,13 @@ import builders
 import oracles
 from alexdb import demos
 from alexdb.algebra import select_subspace, space_map
-from alexdb.errors import AlexdbError, IntegrityError, MissingGeometryError, NotFoundError
+from alexdb.errors import (
+    AlexdbError,
+    IntegrityError,
+    MissingGeometryError,
+    NotFoundError,
+    T0ViolationError,
+)
 from alexdb.lod import (
     LodChain,
     as_level,
@@ -28,6 +34,7 @@ from alexdb.lod import (
 )
 from alexdb.spacetime import PointRow
 from alexdb.storage import new_store
+from alexdb.versioning import reconstruct_version
 from alexdb.topology import (
     BoundedByPair,
     Element,
@@ -280,6 +287,25 @@ def test_telescope_without_edge_matching_is_the_disjoint_levels():
     assert len(tele.elements) == 12
     with pytest.raises(NotFoundError):
         telescope_fiber(tele, "0-1")
+
+
+def test_a_cycle_of_level_transitions_is_named_by_its_levels_and_still_telescopes():
+    # b:0 -> a:1 and b:1 -> a:0: the level transitions form a cycle, while
+    # the space linked by them has no cycle
+    a0, a1, b0, b1 = (ElementId(i, lod) for i, lod in (("a", 0), ("a", 1), ("b", 0), ("b", 1)))
+    space = build_space(
+        [Element(b0, gen_target=a1), Element(a1), Element(b1, gen_target=a0), Element(a0)], []
+    )
+    store = new_store("v1", space)
+    with pytest.raises(T0ViolationError) as exc:
+        lod_graph(store, "v1")
+    assert str(exc.value) == "level transitions form a cycle through levels [1, 0]"
+    for edge_matching in (True, False):
+        tele = telescope(store, "v1", edge_matching)
+        expected = oracles.telescope_by_closures(reconstruct_version(store, "v1"), edge_matching)
+        assert list(tele.elements.items()) == list(expected.elements.items())
+        assert tele.relation == expected.relation
+    assert len(telescope(store, "v1").elements) == 8  # each element: its vertex and its edge
 
 
 def test_telescope_fiber_requires_a_known_node():

@@ -343,6 +343,12 @@ def test_indexed_reconstruction_matches_the_per_call_reference(store):
     for v in sorted(store.vx) + ["nope"]:
         want = outcome(oracles.reconstruct_version_by_hulls, store, v)
         assert outcome(reconstruct_version, store, v) == want
+        assert outcome(oracles.reconstruct_by_columns, store, v) == want
+    # again, now that the index has built the elements of every version
+    for v in sorted(store.vx):
+        assert outcome(reconstruct_version, store, v) == outcome(
+            oracles.reconstruct_by_columns, store, v
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +401,64 @@ def test_two_children_of_one_parent_leave_the_parent_as_it_was():
             )
 
 
+def test_checkouts_share_the_elements_they_have_in_common():
+    store = new_store("v0", text_space("abc"))
+    store = commit(store, "v0", changeset("v1", remove_elements=["2"]))
+    store = commit(store, "v1", changeset("v2", add_elements=[Element(ElementId("2"))]))
+    store = commit(store, "v2", changeset("v3", remove_elements=["3"]))
+    one, two = ElementId("1"), ElementId("2")
+    for s in (store, canonicalize(store)):
+        v0, v1, v2, v3 = (reconstruct_version(s, v) for v in ("v0", "v1", "v2", "v3"))
+        # alive and unchanged: one object, and one attribute dict
+        assert v0.elements[one] is v1.elements[one] is v2.elements[one] is v3.elements[one]
+        assert v0.elements[one].attributes is v3.elements[one].attributes
+        # created again in v2: v0 and v2 read two creations of one key
+        assert v0.elements[two] is not v2.elements[two]
+        assert (v0.elements[two].version, v2.elements[two].version) == ("v0", "v2")
+        for v in s.vx:
+            want = outcome(oracles.reconstruct_by_columns, s, v)
+            assert outcome(reconstruct_version, s, v) == want
+
+
+def test_a_key_created_again_is_read_anew_in_every_version():
+    fine = [
+        Element(ElementId(i), gen_target=ElementId(t, 1), attributes={"n": 1})
+        for i, t in (("p", "P"), ("q", "Q"))
+    ]
+    coarse = [Element(ElementId(t, 1)) for t in "PQ"]
+    pairs = [BoundedByPair(ElementId("p"), ElementId("q"))]
+    store = new_store("v0", build_space(fine + coarse, pairs))
+    store = commit(store, "v0", changeset("v1", remove_elements=["p"]))
+    before = reconstruct_version(store, "v0")  # the index the next commit derives from is warm
+    p = ElementId("p")
+    again = Element(p, gen_target=ElementId("Q", 1), attributes={"m": 2})
+    store = commit(store, "v1", changeset("v2", add_elements=[again]))
+    store = commit(store, "v1", changeset("v3", remove_elements=["q"]))  # a sibling of v2
+    fresh = canonicalize(store)
+    for v in ("v0", "v1", "v2", "v3"):
+        want = outcome(oracles.reconstruct_version_by_hulls, store, v)
+        assert outcome(reconstruct_version, store, v) == want
+        assert outcome(reconstruct_version, fresh, v) == want
+    # attributes attach to a key, so v0 now reads the one recorded in v2
+    old, new = (reconstruct_version(store, v).elements[p] for v in ("v0", "v2"))
+    both = {"m": 2, "n": 1}
+    assert (old.version, old.gen_target, old.attributes) == ("v0", ElementId("P", 1), both)
+    assert (new.version, new.gen_target, new.attributes) == ("v2", ElementId("Q", 1), both)
+    assert before.elements[p].attributes == {"n": 1}  # a space read earlier is as it was
+
+
+@given(st.integers(0, 2**32))
+def test_a_warm_index_never_leaks_one_version_into_another(seed):
+    # every version is checked out before each commit, so each commit
+    # derives its index from one that has built its elements
+    for store in builders.committed_history(random.Random(seed), warm=True):
+        fresh = canonicalize(store)
+        for v in sorted(store.vx):
+            want = outcome(oracles.reconstruct_version_by_hulls, store, v)
+            assert outcome(reconstruct_version, store, v) == want
+            assert outcome(reconstruct_version, fresh, v) == want
+
+
 def _same_everywhere(store: VersionStore, directory: str) -> None:
     """Every version reads the same from ``store``, from a saved and loaded
     copy of it and from the per-call reference."""
@@ -403,6 +467,7 @@ def _same_everywhere(store: VersionStore, directory: str) -> None:
         want = outcome(oracles.reconstruct_version_by_hulls, store, v)
         assert outcome(reconstruct_version, store, v) == want
         assert outcome(reconstruct_version, loaded, v) == want
+        assert outcome(oracles.reconstruct_by_columns, store, v) == want
 
 
 @given(st.integers(0, 2**32))
