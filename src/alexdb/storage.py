@@ -16,22 +16,31 @@ are each one loop over these declarations.
 
 Rows are ``typing.NamedTuple``s: each equals, hashes and sorts like the plain
 tuple of its fields.  ``load`` parses each file a column at a time and builds
-its rows from the columns, with no Python call per row.  ``VersionStore``
-owns row order: constructing one sorts each table once by the key in
-``_TABLES``, so ``save`` writes the rows as they stand and ``commit`` just
-builds a store.  ``load`` takes files whose keys rise strictly, as ``save``
-writes them, as they stand: that shows both the order and that no key
-repeats, so they are neither sorted nor checked for duplicates again.
+its rows from the columns, with no Python call per row.  Every table is kept
+in canonical order, sorted by its key in ``_TABLES``, so ``save`` writes the
+rows as they stand.  Constructing a ``VersionStore`` sorts each table once.
+``commit`` sorts nothing: it puts each new row into the parent's table where
+bisection places it.  ``load`` takes files whose keys rise strictly, as
+``save`` writes them, as they stand: that shows both the order and that no
+key repeats, so they are neither sorted nor checked for duplicates again.
+
+A store made by ``commit`` also keeps the CSV lines of its eight files: the
+parent's, formatted once on first use, with each new row's line put in at
+its row's place.  ``save`` writes those lines as they stand, and formats the
+rows of any other store as it writes them, so a commit followed by a save
+costs in proportion to the changeset, apart from copies of the parent's
+lists in C.
 
 Stores are immutable snapshots: ``commit`` applies a changeset against a
 parent version and returns a new store — a single-writer discipline with no
 in-place mutation anywhere.  A store's ``history`` index (ancestry bitsets
-and one column per field of the elements and pairs) is cached on the store,
-which relies on that contract: never change a store's row tuples, build a
-new store instead.  A loaded store builds the index on first use, in one
-pass over its tables' columns (so a command that reads no version, such as
-``export --out``, builds none); a committed store arrives with one derived
-from its parent's, holding its newest space.
+and one column per field of the elements and pairs) and its CSV lines are
+cached on the store, which relies on that contract: never change a store's
+row tuples, build a new store instead.  A loaded store builds the index on
+first use, in one pass over its tables' columns (so a command that reads no
+version, such as ``export --out``, builds none); a committed store arrives
+with one derived from its parent's, holding its newest space, itself
+derived from the parent's space (``versioning.apply_changeset``).
 
 The generalisation columns (``gid``, ``glod``) are read and written here as
 rows only: the level maps that ``validate`` checks, once per level
@@ -46,14 +55,16 @@ representable — use a prefix if you need them.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 import shutil
 import tempfile
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import islice
-from operator import attrgetter, eq, ge, itemgetter, not_
+from operator import add, attrgetter, eq, ge, itemgetter, not_
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -71,9 +82,9 @@ from .versioning import (
     ChangeSet,
     HistoryIndex,
     VersionSpace,
-    apply_changeset,
     consistency_rule,
     reconstruct_version,
+    _apply,
 )
 from .algebra import SpaceMap, check_map, restrict_map, _continuity_witness
 from .lod import filtered_path_query, path_query, _level_maps, _linked
@@ -122,8 +133,8 @@ class _Table(NamedTuple):
     """One table of the schema: the ``VersionStore`` field holding its rows,
     its file and header, the parser of each typed column (any other column
     keeps the text as read), the key of a row (None: the whole row), the
-    rows built from the parsed columns, and the fields a row is written as
-    (None: the row itself)."""
+    rows built from the parsed columns, and the fields the rows are written
+    as, from the rows of the table (None: the rows themselves)."""
 
     field: str
     file: str
@@ -156,16 +167,16 @@ def _parse_value(raw: str) -> Scalar:
     return raw
 
 
-def _fmt_value(v: Scalar) -> str:
-    if isinstance(v, bool):
-        raise StoreFormatError("boolean attribute values are not part of the schema")
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 #: What a column parser that rejects a field expected instead.
 _EXPECTED = {int: "integer", _int_or_none: "integer", float: "float"}
+
+
+_NO_BOOLEANS = "boolean attribute values are not part of the schema"
+_KEY = attrgetter("key")
+_GEN = attrgetter("gen_target")
+_COORDINATES = itemgetter(slice(1, None))
+_SUBJECT = itemgetter(slice(None, 3))
+_VALUE = attrgetter("value")
 
 
 def _rows(cls: type) -> Callable[[list], list]:
@@ -175,8 +186,10 @@ def _rows(cls: type) -> Callable[[list], list]:
 
 #: The eight tables, the one description of the store format.  Canonical
 #: order sorts each table by its key, and no two rows share one.  Rows are
-#: written as they stand: ``csv`` writes None as an empty field and a number
-#: as its ``str``, for a float its shortest round-trip form.
+#: written as they stand, or as ``write`` turns the rows of a table into
+#: fields, in C: ``csv`` writes None as an empty field and a number as its
+#: ``str``, for a float its shortest round-trip form; an attribute value is
+#: written as its ``str`` (booleans are refused before).
 _TABLES = {
     "X": _Table("x", "X.csv", ["id", "lod", "gid", "glod", "version"],
                 {"lod": int, "gid": lambda raw: raw or None, "glod": _int_or_none},
@@ -186,16 +199,17 @@ _TABLES = {
                     {"lod": int, "x": float, "y": float, "z": float, "t": float},
                     attrgetter("key"),
                     lambda c: _tuples(PointRow, zip(_tuples(ElementId, zip(c[0], c[1])), *c[2:])),
-                    lambda w: (*w.key, *w[1:])),
+                    lambda rows: map(add, map(_KEY, rows), map(_COORDINATES, rows))),
     "DelX": _Table("delx", "DelX.csv", ["id", "lod", "version"], {"lod": int}, None,
                    _rows(DelXRow)),
     "DelR": _Table("delr", "DelR.csv", ["ida", "idb", "lod", "version"], {"lod": int}, None,
                    _rows(DelRRow)),
-    "VX": _Table("vx", "VX.csv", ["version"], {}, None, lambda c: list(c[0]), lambda v: (v,)),
+    "VX": _Table("vx", "VX.csv", ["version"], {}, None, lambda c: list(c[0]), zip),
     "VR": _Table("vr", "VR.csv", ["fromv", "tov"], {}, None, lambda c: list(zip(*c))),
     "Atts": _Table("atts", "Atts.csv", ["id", "lod", "name", "value"],
                    {"lod": int, "value": _parse_value}, attrgetter("id", "lod", "name"),
-                   _rows(AttRow), lambda w: (*w[:3], _fmt_value(w.value))),
+                   _rows(AttRow),
+                   lambda rows: map(add, map(_SUBJECT, rows), zip(map(str, map(_VALUE, rows))))),
 }
 
 #: The order ``load`` reads the tables in, and so which fault it reports of
@@ -247,7 +261,9 @@ class VersionStore:
     """All eight tables, as immutable tuples of rows in canonical order.
 
     Construction sorts each table by its key, so two stores holding the same
-    rows are equal, and every reader may rely on the order."""
+    rows are equal, and every reader may rely on the order.  ``load`` and
+    ``commit`` make stores whose tables are already in that order without
+    sorting them again."""
 
     x: tuple[XRow, ...] = ()
     r: tuple[RRow, ...] = ()
@@ -277,10 +293,32 @@ class VersionStore:
         a store made by ``commit`` arrives with it."""
         return HistoryIndex(self)
 
+    @cached_property
+    def _lines(self) -> dict[str, list[str]]:
+        """By table name, the CSV lines of the table's file, header first
+        and without line ends: formatted on first use, which a ``commit``
+        from this store makes; a store made by ``commit`` arrives with
+        them, and ``save`` writes them.  Stores share these lists, so they
+        are never changed."""
+        return {
+            name: _csv_lines([t.header, *_fields(t, getattr(self, t.field))])
+            for name, t in _TABLES.items()
+        }
+
+
+def _stored(**tables: tuple) -> VersionStore:
+    """A store holding ``tables``, one tuple of rows in canonical order per
+    field, as they stand: they are not sorted again."""
+    store = VersionStore.__new__(VersionStore)
+    for field, rows in tables.items():  # as a frozen dataclass sets its fields
+        object.__setattr__(store, field, rows)
+    return store
+
 
 def canonicalize(store: VersionStore) -> VersionStore:
     """A fresh store with the same rows, which are already in canonical
-    order; its ``history`` index is built anew from them on first use."""
+    order; its ``history`` index is built anew from them on first use, and
+    it keeps no CSV lines."""
     return replace(store)
 
 
@@ -297,7 +335,10 @@ def _element_rows(space: Space, keys: Iterable[ElementId], version: str):
         gid, glod = e.gen_target or (None, None)
         xrows.append(XRow(k.id, k.lod, gid, glod, version))
         for name in sorted(e.attributes):
-            attrows.append(AttRow(k.id, k.lod, name, e.attributes[name]))
+            value = e.attributes[name]
+            if isinstance(value, bool):
+                raise StoreFormatError(_NO_BOOLEANS)
+            attrows.append(AttRow(k.id, k.lod, name, value))
     return xrows, attrows
 
 
@@ -343,7 +384,11 @@ def commit(
     The new store arrives with its ``history`` index, derived from the
     parent store's without reading a row, and holding the new version's
     space: committing again from the new version, or reconstructing it,
-    reads no rows.
+    reads no rows.  That space and its index are derived from the parent
+    space's, its tables are the parent's with the new rows put in place,
+    and it keeps the CSV lines of its files, derived from the parent's,
+    which ``save`` writes.  A boolean attribute value is rejected with
+    ``StoreFormatError``.
     """
     v = changes.version
     if v in store.vx:
@@ -351,13 +396,10 @@ def commit(
     if parent not in store.vx:
         raise NotFoundError(f"unknown parent version {parent!r}")
     index = store.history
-    base = reconstruct_version(store, parent)
-    new_space = apply_changeset(base, changes)
+    new_space, dropped, linked = _apply(reconstruct_version(store, parent), changes)
     _check_generalisation(new_space, changes)
     removed = sorted(changes.remove_elements)
     added = sorted(el.key for el in changes.add_elements)
-    dropped = sorted(base.relation - new_space.relation)
-    linked = sorted(new_space.relation - base.relation)
 
     new_x, new_atts = _element_rows(new_space, added, v)
     recorded = {k: index.attributes(k) for k in added}
@@ -369,27 +411,54 @@ def commit(
             )
     new_atts = [a for a in new_atts if a.name not in recorded[a.id, a.lod]]
 
-    pts = list(store.point)
-    have = {p.key for p in pts} if points else set()
+    points = list(points)
+    have = set()
     for p in points:
-        if p.key in have:
+        i = bisect_left(store.point, p.key, key=_KEY)
+        if p.key in have or (i < len(store.point) and store.point[i].key == p.key):
             raise DuplicateKeyError(f"coordinate row for {p.key} already exists")
-        pts.append(p)
         have.add(p.key)
 
-    child = VersionStore(
-        x=store.x + tuple(new_x),
-        r=store.r + tuple(_pair_row(p, v) for p in linked),
-        point=pts,
-        delx=store.delx + tuple(DelXRow(k.id, k.lod, v) for k in removed),
-        delr=store.delr + tuple(DelRRow(p.ida.id, p.idb.id, p.ida.lod, v) for p in dropped),
-        vx=store.vx + (v,),
-        vr=store.vr + ((parent, v),),
-        atts=store.atts + tuple(new_atts),
-    )
+    new_rows = {
+        "X": new_x,
+        "R": [_pair_row(p, v) for p in linked],
+        "Point": points,
+        "DelX": [DelXRow(k.id, k.lod, v) for k in removed],
+        "DelR": [DelRRow(p.ida.id, p.idb.id, p.ida.lod, v) for p in dropped],
+        "VX": [v],
+        "VR": [(parent, v)],
+        "Atts": new_atts,
+    }
+    lines = store._lines
+    # the new rows' lines, formatted by one writer
+    new_lines = iter(_csv_lines([f for n, t in _TABLES.items() for f in _fields(t, new_rows[n])]))
+    tables, kept = {}, {}
+    for name, t in _TABLES.items():
+        new = new_rows[name]
+        tables[t.field], kept[name] = _inserted(
+            t, getattr(store, t.field), lines[name], new, list(islice(new_lines, len(new)))
+        )
+    child = _stored(**tables)
+    vars(child)["_lines"] = kept
     # what ``history`` would build from the rows, without reading them
     vars(child)["history"] = index.derive(parent, v, new_space, removed, added, dropped, linked)
     return child
+
+
+def _inserted(
+    t: _Table, rows: tuple, lines: list[str], new: list, new_lines: list[str]
+) -> tuple[tuple, list[str]]:
+    """Table ``t``'s ``rows`` and the CSV ``lines`` of its file, with the
+    rows ``new``, whose keys ``rows`` lacks, and their ``new_lines`` put in
+    where canonical order places them."""
+    if not new:
+        return rows, lines
+    rows, lines = list(rows), lines.copy()
+    for row, line in zip(new, new_lines):
+        i = bisect_left(rows, row if t.key is None else t.key(row), key=t.key)
+        rows.insert(i, row)
+        lines.insert(i + 1, line)  # after the header
+    return tuple(rows), lines
 
 
 def _check_generalisation(space: Space, changes: ChangeSet) -> None:
@@ -399,7 +468,8 @@ def _check_generalisation(space: Space, changes: ChangeSet) -> None:
     bad = [(el.key, el.gen_target) for el in changes.add_elements]
     bad = [(k, t) for k, t in bad if t is not None and t not in space]
     gone = changes.remove_elements
-    if gone:
+    # a scan in C, then one in Python only when it finds such an element
+    if gone and not gone.isdisjoint(map(_GEN, space.elements.values())):
         bad += [(k, e.gen_target) for k, e in space.elements.items() if e.gen_target in gone]
     if bad:
         k, t = min(bad)
@@ -411,32 +481,79 @@ def _check_generalisation(space: Space, changes: ChangeSet) -> None:
 # ---------------------------------------------------------------------------
 # CSV serialisation
 
+def _fields(t: _Table, rows: Sequence) -> Iterable:
+    """The fields that table ``t``'s ``rows`` are written as."""
+    return rows if t.write is None else t.write(rows)
+
+
+def _csv_lines(rows: list) -> list[str]:
+    """The CSV line of each of the field ``rows``, without its line end, as
+    ``save`` writes it.  One writer writes every row, and the text is split
+    at line ends, unless a field holds a line end of its own (quoted): then
+    each row is taken from the writer alone."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerows(rows)
+    lines = buffer.getvalue().split("\n")
+    if len(lines) == len(rows) + 1:
+        del lines[-1]  # after the last line end
+        return lines
+    lines = []
+    for row in rows:
+        buffer.seek(0)
+        buffer.truncate()
+        writer.writerow(row)
+        lines.append(buffer.getvalue()[:-1])
+    return lines
+
+
 def save(store: VersionStore, path: str | Path) -> Path:
     """Write the canonical CSV files of the store into directory ``path``.
 
-    Each file is replaced whole: the eight tables are written into a
-    temporary sibling directory, then moved into place one by one with
-    ``os.replace``, and the temporary directory is removed.  A failure
-    while writing leaves the previous files untouched; a crash while moving
-    can leave some files new and some old, since the set of eight is not
-    replaced at once.  Nothing is flushed with ``fsync``, so what survives
-    a power loss is up to the file system.
+    A store made by ``commit`` keeps the CSV lines of its files, derived
+    from its parent's, and they are written as they stand; any other
+    store's rows are formatted as they are written.  Either way every
+    table is in canonical order, sorted by its key.  Each file is replaced
+    whole: the eight tables are written into a temporary sibling directory,
+    then moved into place one by one with ``os.replace``, and the temporary
+    directory is removed.  A failure while writing leaves the previous
+    files untouched; a crash while moving can leave some files new and some
+    old, since the set of eight is not replaced at once.  Nothing is
+    flushed with ``fsync``, so what survives a power loss is up to the file
+    system.  Raises ``StoreFormatError`` when ``path`` or a directory above
+    it is a file, and for a boolean attribute value, which only a store
+    built by hand can hold; neither writes anything.
     """
-    directory = Path(path)
-    directory.mkdir(parents=True, exist_ok=True)
-    staging = Path(tempfile.mkdtemp(prefix=f".{directory.name}.", dir=directory.parent))
+    if bool in map(type, map(_VALUE, store.atts)):
+        raise StoreFormatError(_NO_BOOLEANS)
+    directory = os.fspath(path)
     try:
-        for t in _TABLES.values():
-            rows = getattr(store, t.field)
-            with open(staging / t.file, "w", encoding="utf-8", newline="") as fh:
+        os.makedirs(directory, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise StoreFormatError(
+            f"cannot save a store into {directory}: it or a directory above it is a file"
+        ) from None
+    above, name = os.path.split(os.path.abspath(directory))
+    staging = tempfile.mkdtemp(prefix=f".{name}.", dir=above)
+    kept = vars(store).get("_lines")
+    try:
+        for table, t in _TABLES.items():
+            target = os.path.join(staging, t.file)
+            if kept is not None:
+                with open(target, "wb") as fh:
+                    fh.write(("\n".join(kept[table]) + "\n").encode())
+                continue
+            with open(target, "w", encoding="utf-8", newline="") as fh:
                 writer = csv.writer(fh, lineterminator="\n")
                 writer.writerow(t.header)
-                writer.writerows(rows if t.write is None else map(t.write, rows))
+                writer.writerows(_fields(t, getattr(store, t.field)))
         for t in _TABLES.values():
-            os.replace(staging / t.file, directory / t.file)
-    finally:
+            os.replace(os.path.join(staging, t.file), os.path.join(directory, t.file))
+    except BaseException:
         shutil.rmtree(staging, ignore_errors=True)
-    return directory
+        raise
+    os.rmdir(staging)
+    return Path(path)
 
 
 def _read_table(directory: Path, name: str) -> list:
@@ -512,9 +629,7 @@ def load(path: str | Path) -> VersionStore:
         if dupes:
             raise DuplicateKeyError("; ".join(i.detail for i in dupes))
     else:
-        store = VersionStore.__new__(VersionStore)
-        for n, rows in tables.items():  # as a frozen dataclass sets its fields
-            object.__setattr__(store, _TABLES[n].field, tuple(rows))
+        store = _stored(**{_TABLES[n].field: tuple(rows) for n, rows in tables.items()})
     fk = foreign_key_violations(store)
     if fk:
         raise ForeignKeyError("; ".join(i.detail for i in fk))

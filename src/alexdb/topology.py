@@ -19,8 +19,12 @@ has one constructor, which takes each pair's end positions.
 ``build_space`` finds them by looking each end up once, ``versioning``
 reads them off its history index, and both hand them to ``_assemble``,
 which drops reflexive pairs, rejects dangling ones, fills the index in
-and checks T0; a space made otherwise builds it on the first query that
-needs it.  It is cached on the space.  The cache relies on a
+and checks T0.  ``versioning.apply_changeset`` derives its result from
+its input instead (``_derive``): the adjacency is kept by slot, so that
+positions shift without a list being renumbered, and the topological
+order is kept valid under the edit rather than found again; such a space
+fills its index in from the slots on the first query that needs it, as a
+space made otherwise builds it then.  It is cached on the space.  The cache relies on a
 contract: a ``Space`` is immutable.  Never mutate its ``elements`` mapping
 or its relation; build a new space instead.  The contract covers each
 ``Element`` and its attribute dict too, since spaces share them:
@@ -140,6 +144,9 @@ class Space:
         """Integer-indexed adjacency and topological order of the relation,
         built on the first query that needs it and kept for the life of
         this (immutable) space."""
+        lineage = vars(self).get("_lineage")
+        if lineage is not None:  # a space made by ``_derive``
+            return lineage.index()
         keys = list(self.elements)
         pos = dict(zip(keys, range(len(keys))))
         pairs = list(self.relation)
@@ -241,10 +248,7 @@ def _assemble(
                 kept_a.append(i)
                 kept_b.append(j)
         if dangling:
-            # the smallest, so one input names the same pair in every process
-            p = min(dangling)
-            unknown = p[0] if p[0] not in elements else p[1]
-            raise DanglingPairError(f"pair {p} references unknown element {unknown}")
+            raise _dangling_error(dangling, elements)
         pairs, ends_a, ends_b = rel, kept_a, kept_b
     space = Space(elements, frozenset(pairs))
     if len(space.relation) == len(pairs):  # no pair given twice
@@ -252,6 +256,15 @@ def _assemble(
     if t0_check:
         _topological_order(space)
     return space
+
+
+def _dangling_error(dangling: list[BoundedByPair], elements: Mapping) -> DanglingPairError:
+    """The error for ``dangling`` pairs, each touching a key not among
+    ``elements``: the smallest is named, so one input names the same pair
+    in every process."""
+    p = min(dangling)
+    unknown = p[0] if p[0] not in elements else p[1]
+    return DanglingPairError(f"pair {p} references unknown element {unknown}")
 
 
 def simple_space(
@@ -473,6 +486,177 @@ class SpaceIndex:
 def _one_depth(depth: list[int], below: Collection[int]) -> bool:
     """Whether the positions ``below`` share one depth."""
     return len(below) < 2 or len(set(map(depth.__getitem__, below))) == 1
+
+
+# ---------------------------------------------------------------------------
+# spaces derived by an edit
+
+
+class _Lineage(NamedTuple):
+    """A space's adjacency kept by slot, from which the spaces derived from
+    it by an edit (``_derive``) take theirs without renumbering a position.
+
+    A slot is a number given to a key, which keeps it in every space
+    derived from the one that gave it, while positions shift as keys come
+    and go; a key that comes back takes a new slot.  ``keys`` and ``pos``
+    are the space's index positions, and ``pairs`` its relation, with
+    ``ends_b[n]`` the slot of the lower end of ``pairs[n]``.
+    ``slot_keys[t]`` is the key of slot ``t``, ``of[i]`` the slot of
+    position ``i``, and ``out[t]`` and ``inn[t]`` list the slots ``t`` is
+    bounded by and those bounded by ``t``.  ``order`` lists the live slots
+    in a topological order (None on a cycle).  The lists of a slot whose
+    key is gone are stale, and no live list names it.  Lineages share these
+    lists and their entries; none is changed once made."""
+
+    keys: list[ElementId]
+    pos: dict[ElementId, int]
+    pairs: list[BoundedByPair]
+    slot_keys: list[ElementId]
+    of: list[int]
+    out: list[list[int]]
+    inn: list[list[int]]
+    order: list[int] | None
+    ends_b: list[int]
+
+    def near(self, key: ElementId) -> tuple[list[ElementId], list[ElementId]]:
+        """The keys bounded by ``key`` and those it is bounded by, one
+        relation step each."""
+        t = self.of[self.pos[key]]
+        key_of = self.slot_keys.__getitem__
+        return list(map(key_of, self.inn[t])), list(map(key_of, self.out[t]))
+
+    def index(self) -> SpaceIndex:
+        """The space's index: each slot replaced by its position, in C."""
+        at = dict(zip(self.of, self.pos.values())).get  # the position objects of ``pos``
+        position = list(map(at, range(len(self.slot_keys)), repeat(-1))).__getitem__
+
+        def by_position(adj: list[list[int]]) -> list[list[int]]:
+            return list(map(list, map(map, repeat(position), map(adj.__getitem__, self.of))))
+
+        idx = SpaceIndex.__new__(SpaceIndex)
+        idx.keys, idx.pos = self.keys, self.pos
+        idx.out, idx.inn = by_position(self.out), by_position(self.inn)
+        idx.order = None if self.order is None else list(map(position, self.order))
+        idx._pairs, idx._ends_b = self.pairs, list(map(position, self.ends_b))
+        idx.life_intervals = None
+        return idx
+
+
+def _lineage(space: Space) -> _Lineage:
+    """The lineage of ``space``: the one it was derived with, unless its
+    slots outnumber its keys twice over, else one read off its index with
+    slot ``i`` for position ``i``, which is kept on the space.  So slots
+    stay in proportion to keys along a chain of derivations."""
+    found = vars(space).get("_lineage")
+    if found is None or len(found.slot_keys) > 2 * len(found.keys):
+        idx = space.index
+        ids = list(range(len(idx.keys)))
+        found = vars(space)["_lineage"] = _Lineage(
+            idx.keys, idx.pos, list(idx._pairs), idx.keys, ids, idx.out, idx.inn, idx.order,
+            list(idx._ends_b),
+        )
+    return found
+
+
+def _derive(
+    space: Space,
+    elements: dict[ElementId, Element],
+    gone: Collection[ElementId],
+    fresh: Collection[ElementId],
+    dropped: Sequence[BoundedByPair],
+    linked: Sequence[BoundedByPair],
+) -> Space | None:
+    """The space on ``elements`` whose relation is that of ``space`` without
+    the pairs ``dropped`` and with the pairs ``linked``; None when that
+    relation has a cycle.  ``elements`` holds the keys of ``space``
+    without those ``gone`` and with those ``fresh``, each pair of a gone
+    key is among ``dropped``, and ``linked`` joins keys of ``elements``.
+
+    Python work follows the edit: the new space's lineage copies the lists
+    of slots of ``space``'s in C, and only those of the slots the edit
+    touches are copied again and changed.  Its index is filled in from the
+    lineage on first use.  The topological order is kept rather than found
+    again: each fresh key's slot goes before the first slot it is bounded
+    by that is already placed, or last.  Only when a linked pair then runs
+    against the order is it found anew, by Kahn's algorithm.
+    """
+    s = _lineage(space)
+    keys = list(elements)
+    pos = dict(zip(keys, range(len(keys))))
+    slot = s.of.__getitem__
+    old = s.pos.__getitem__
+    of = s.of.copy()
+    for i in sorted(map(old, gone), reverse=True):
+        del of[i]
+    slot_keys, out, inn = s.slot_keys.copy(), s.out.copy(), s.inn.copy()
+    new_slots = []
+    for k in sorted(fresh, key=pos.__getitem__):
+        t = len(slot_keys)
+        of.insert(pos[k], t)
+        slot_keys.append(k)
+        out.append([])
+        inn.append([])
+        new_slots.append(t)
+    owned = set(new_slots), set(new_slots)  # slots whose lists are this space's own
+
+    def own(adj: list[list[int]], t: int, mine: set[int]) -> list[int]:
+        if t not in mine:
+            adj[t] = adj[t].copy()
+            mine.add(t)
+        return adj[t]
+
+    pairs, ends_b = s.pairs.copy(), s.ends_b.copy()
+    for p in dropped:
+        ta, tb = slot(old(p[0])), slot(old(p[1]))
+        if p[0] in pos:
+            own(out, ta, owned[0]).remove(tb)
+        if p[1] in pos:
+            own(inn, tb, owned[1]).remove(ta)
+        n = pairs.index(p)
+        del pairs[n], ends_b[n]
+    for p in linked:
+        ta, tb = of[pos[p[0]]], of[pos[p[1]]]
+        own(out, ta, owned[0]).append(tb)
+        own(inn, tb, owned[1]).append(ta)
+        pairs.append(p)
+        ends_b.append(tb)
+
+    order = s.order
+    if order is not None:
+        order = order.copy()
+        for k in gone:
+            order.remove(slot(old(k)))
+        pending = set(new_slots)
+        for t in new_slots:
+            pending.discard(t)
+            spots = [order.index(u) for u in out[t] if u not in pending]
+            order.insert(min(spots, default=len(order)), t)
+        place = order.index
+        if not all(place(of[pos[a]]) < place(of[pos[b]]) for a, b in linked):
+            order = None
+
+    new = Space(elements, space.relation.difference(dropped).union(linked))
+    lineage = _Lineage(keys, pos, pairs, slot_keys, of, out, inn, order, ends_b)
+    if order is None:
+        idx = lineage.index()
+        found = _kahn(idx.out)
+        if len(found) < len(keys):
+            return None
+        idx.order = found
+        vars(new)["index"] = idx
+        lineage = lineage._replace(order=list(map(of.__getitem__, found)))
+    vars(new)["_lineage"] = lineage
+    return new
+
+
+def _with_elements(space: Space, elements: dict[ElementId, Element]) -> Space:
+    """``space`` with other ``Element`` objects under the same keys, in the
+    same order: it shares the index and the lineage of ``space``."""
+    new = Space(elements, space.relation)
+    for name in ("index", "_lineage"):
+        if name in vars(space):
+            vars(new)[name] = vars(space)[name]
+    return new
 
 
 def find_cycle(space: Space) -> list[ElementId] | None:

@@ -23,7 +23,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, count, filterfalse, repeat
-from operator import and_, eq, is_, is_not, itemgetter, lshift
+from operator import and_, eq, is_, is_not, itemgetter, lshift, mul, or_, rshift
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -45,8 +45,13 @@ from .topology import (
     star,
     _assemble,
     _bits,
+    _dangling_error,
+    _derive,
+    _lineage,
     _rank_masks,
+    _topological_order,
     _tuples,
+    _with_elements,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, no runtime dependency
@@ -181,48 +186,109 @@ def apply_changeset(space: Space, changes: ChangeSet) -> Space:
     reachability is untouched and element removal equals subspace
     selection up to preorder.  Order: element removals, pair removals,
     element additions (stamped with the target version), pair additions.
+    Reflexive pairs are dropped.  The new space keeps the elements of
+    ``space`` in their order and puts each added one where key order
+    places it, so a space in key order gives one in key order.
     """
-    missing = changes.remove_elements - space.keys()
+    return _apply(space, changes)[0]
+
+
+def _apply(space: Space, changes: ChangeSet) -> tuple[Space, list, list]:
+    """``apply_changeset``, with the pairs it drops from the relation and
+    those it links into it, each in pair order.
+
+    The work follows the changeset, not the space: the neighbours of a
+    removed element are read from the lineage of ``space``, which the new
+    space is derived from (``topology._derive``), and only the pairs that
+    change are kept as sets.  Errors are those of applying the changes one
+    by one to copies and building the space anew: a cycle is named as
+    ``build_space`` would name it, searched over the elements of ``space``
+    in their order and then the added ones in changeset order.
+    """
+    gone = changes.remove_elements
+    elements = space.elements
+    missing = [k for k in gone if k not in elements]
     if missing:
         raise NotFoundError(f"cannot remove unknown elements: {sorted(str(k) for k in missing)}")
-    elements = dict(space.elements)
-    rel = set(space.relation)
-    if changes.remove_elements:
-        # one-step neighbours, kept up to date as removals add bypass pairs
-        preds: dict[ElementId, set[ElementId]] = {k: set() for k in elements}
-        succs: dict[ElementId, set[ElementId]] = {k: set() for k in elements}
-        for p in rel:
-            preds[p.idb].add(p.ida)
-            succs[p.ida].add(p.idb)
-        for x in sorted(changes.remove_elements):
-            above, below = preds.pop(x), succs.pop(x)
-            for y in above:
-                succs[y].discard(x)
-                rel.discard(BoundedByPair(y, x))
-            for z in below:
-                preds[z].discard(x)
-                rel.discard(BoundedByPair(x, z))
-            for y in above:
-                for z in below - {y}:
-                    rel.add(BoundedByPair(y, z))
-                    succs[y].add(z)
-                    preds[z].add(y)
-            del elements[x]
+    lineage = _lineage(space)
+    relation = space.relation
+    dropped: set[BoundedByPair] = set()  # pairs of ``relation`` the changes take out
+    linked: set[BoundedByPair] = set()  # pairs not in ``relation`` they put in
+
+    def unlink(p: BoundedByPair) -> None:
+        if p in linked:
+            linked.discard(p)
+        else:
+            dropped.add(p)
+
+    def link(p: BoundedByPair) -> None:
+        if p in dropped:
+            dropped.discard(p)
+        elif p not in relation:
+            linked.add(p)
+
+    # the one-step neighbours of each key a removal touches, read from the
+    # lineage on first touch and kept up to date as bypass pairs go in
+    near: dict[ElementId, tuple[set[ElementId], set[ElementId]]] = {}
+
+    def sides(k: ElementId) -> tuple[set[ElementId], set[ElementId]]:
+        if k not in near:
+            above, below = lineage.near(k)
+            near[k] = set(above), set(below)
+        return near[k]
+
+    for x in sorted(gone):
+        above, below = sides(x)
+        del near[x]
+        for y in above:
+            sides(y)[1].discard(x)
+            unlink(BoundedByPair(y, x))
+        for z in below:
+            sides(z)[0].discard(x)
+            unlink(BoundedByPair(x, z))
+        for y in above:
+            for z in below - {y}:
+                link(BoundedByPair(y, z))
+                sides(y)[1].add(z)
+                sides(z)[0].add(y)
     for p in sorted(changes.remove_pairs):
-        if p not in rel:
+        if p in linked or (p in relation and p not in dropped):
+            unlink(p)
+        else:
             raise NotFoundError(f"cannot remove pair not in relation: {p}")
-        rel.discard(p)
+
+    keys = list(lineage.keys)
+    values = list(elements.values())
+    for i in sorted(map(lineage.pos.__getitem__, gone), reverse=True):
+        del keys[i], values[i]
+    added: dict[ElementId, Element] = {}
     for el in changes.add_elements:
-        if el.key in elements:
+        if el.key in added or (el.key in elements and el.key not in gone):
             raise DuplicateKeyError(f"element {el.key} already alive")
-        elements[el.key] = Element(
+        added[el.key] = Element(
             key=el.key,
             version=changes.version,
             gen_target=el.gen_target,
             attributes=dict(el.attributes),
         )
-    rel |= changes.add_pairs
-    return build_space(elements.values(), rel, t0_check=True)
+        i = bisect_left(keys, el.key)
+        keys.insert(i, el.key)
+        values.insert(i, added[el.key])
+    new_elements = dict(zip(keys, values))
+    pairs = [p for p in changes.add_pairs if p[0] != p[1]]  # reflexive pairs are dropped
+    dangling = [p for p in pairs if p[0] not in new_elements or p[1] not in new_elements]
+    if dangling:
+        raise _dangling_error(dangling, new_elements)
+    for p in pairs:
+        link(p)
+
+    dropped_pairs, linked_pairs = sorted(dropped), sorted(linked)
+    new = _derive(space, new_elements, gone, added, dropped_pairs, linked_pairs)
+    if new is None:
+        # the cycle ``build_space`` names, found in the order it searched
+        as_built = {k: e for k, e in elements.items() if k not in gone}
+        _topological_order(Space({**as_built, **added}, relation.difference(dropped) | linked))
+    return new, dropped_pairs, linked_pairs
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +498,8 @@ class HistoryIndex:
         ``parent``, without reading a row.
 
         ``space`` is the changeset of ``version`` applied to ``parent``'s
-        space.  ``removed`` and ``added`` are the elements the commit
+        space, in key order (as ``_apply`` makes it).
+        ``removed`` and ``added`` are the elements the commit
         deletes and creates, ``dropped`` and ``linked`` the pairs.  The new
         version takes the next free bit: its ancestry is ``parent``'s plus
         itself, and it joins the descendants of each of those.  The columns
@@ -452,11 +519,11 @@ class HistoryIndex:
         new.names = self.names + [version]
         new.bit = {**self.bit, version: n}
         up = self.ancestry[self.bit[parent]] | bit
-        descendants = self.descendants + [bit]
-        for i in _bits(up ^ bit):
-            descendants[i] |= bit
+        # each ancestor's descendants gain the bit, in C: ancestor i's flag
+        # (up >> i) & 1 times the bit
+        flags = map(and_, map(rshift, repeat(up), range(n)), repeat(1))
+        new.descendants = [*map(or_, self.descendants, map(mul, flags, repeat(bit))), bit]
         new.ancestry = self.ancestry + [up]
-        new.descendants = descendants
         new.broken = self.broken
 
         keys, created, deleted, gens, atts = (list(c) for c in self.elements)
@@ -499,18 +566,16 @@ class HistoryIndex:
         new.ends = None  # places shift as keys are inserted: found on first use
 
         # the held space is what the columns give: created elements carry
-        # every attribute recorded for their key, and keys are in key order
-        elements = space.elements
+        # every attribute recorded for their key
         if added:
-            elements = dict(elements)
+            elements = dict(space.elements)
             for k in added:
                 e = elements[k]
                 i = bisect_left(keys, k)
                 elements[k] = e = Element(k, e.version, e.gen_target, dict(atts[i]))
                 if created[i] == bit:  # a new key: its column reads back ``e``
                     built[i] = e
-            elements = {k: elements[k] for k in sorted(elements)}
-            space = Space(elements, space.relation)
+            space = _with_elements(space, elements)
         new.held = version, space
         return new
 

@@ -5,11 +5,13 @@ enumeration, explicit path walking — or delegates to networkx.  None of it
 reuses the library's algorithms, so agreement between the two routes is
 meaningful.  The exceptions are ``time_slice_by_descendants``, which
 hands its kept elements to the library's ``select_subspace`` (itself
-checked against networkx), and five functions kept as earlier versions
-of the library's own.  ``apply_changeset_by_rescans`` and
-``reconstruct_version_by_hulls`` assemble their result with the library's
-``build_space``; ``reconstruct_version_by_hulls`` and
-``history_columns_by_rows`` take the library's version hulls (checked
+checked against networkx), and seven functions kept as earlier versions
+of the library's own.  ``apply_changeset_by_rescans``,
+``apply_changeset_by_rebuild`` and ``reconstruct_version_by_hulls``
+assemble their result with the library's ``build_space``;
+``commit_by_rebuild`` reconstructs its parent with the library and sorts
+its rows by the library's ``VersionStore``; ``reconstruct_version_by_hulls``
+and ``history_columns_by_rows`` take the library's version hulls (checked
 against path enumeration); ``reconstruct_by_columns`` reads the library's
 history index; and ``telescope_by_closures`` takes the library's level
 edge graph and reduction.
@@ -380,6 +382,147 @@ def apply_changeset_by_rescans(space, changes):
         )
     rel |= changes.add_pairs
     return build_space(elements.values(), rel, t0_check=True)
+
+
+def apply_changeset_by_rebuild(space, changes):
+    """``apply_changeset`` as it was before it derived the new space from
+    the old one: the one-step neighbours of every element gathered when
+    an element is removed, and the new space built anew by
+    ``build_space``, its elements in the input's order and then the added
+    ones in changeset order."""
+    from alexdb import (
+        BoundedByPair,
+        DuplicateKeyError,
+        Element,
+        NotFoundError,
+        build_space,
+    )
+
+    missing = changes.remove_elements - space.keys()
+    if missing:
+        raise NotFoundError(f"cannot remove unknown elements: {sorted(str(k) for k in missing)}")
+    elements = dict(space.elements)
+    rel = set(space.relation)
+    if changes.remove_elements:
+        preds: dict = {k: set() for k in elements}
+        succs: dict = {k: set() for k in elements}
+        for p in rel:
+            preds[p.idb].add(p.ida)
+            succs[p.ida].add(p.idb)
+        for x in sorted(changes.remove_elements):
+            above, below = preds.pop(x), succs.pop(x)
+            for y in above:
+                succs[y].discard(x)
+                rel.discard(BoundedByPair(y, x))
+            for z in below:
+                preds[z].discard(x)
+                rel.discard(BoundedByPair(x, z))
+            for y in above:
+                for z in below - {y}:
+                    rel.add(BoundedByPair(y, z))
+                    succs[y].add(z)
+                    preds[z].add(y)
+            del elements[x]
+    for p in sorted(changes.remove_pairs):
+        if p not in rel:
+            raise NotFoundError(f"cannot remove pair not in relation: {p}")
+        rel.discard(p)
+    for el in changes.add_elements:
+        if el.key in elements:
+            raise DuplicateKeyError(f"element {el.key} already alive")
+        elements[el.key] = Element(
+            key=el.key,
+            version=changes.version,
+            gen_target=el.gen_target,
+            attributes=dict(el.attributes),
+        )
+    rel |= changes.add_pairs
+    return build_space(elements.values(), rel, t0_check=True)
+
+
+def commit_by_rebuild(store, parent, changes, points=()):
+    """``storage.commit`` as it was before it derived the child's space,
+    rows and CSV lines from the parent's: the changeset applied by
+    ``apply_changeset_by_rebuild``, the new rows appended to the parent's
+    and every table sorted again by ``VersionStore``.  Recorded attributes
+    are read from the rows.  The child's history index is left to be built
+    from its rows."""
+    from alexdb import (
+        DuplicateKeyError,
+        ElementId,
+        ForeignKeyError,
+        NotFoundError,
+        StoreFormatError,
+        VersionStore,
+        reconstruct_version,
+    )
+    from alexdb.storage import AttRow, DelRRow, DelXRow, RRow, XRow
+
+    v = changes.version
+    if v in store.vx:
+        raise DuplicateKeyError(f"version {v!r} already exists")
+    if parent not in store.vx:
+        raise NotFoundError(f"unknown parent version {parent!r}")
+    base = reconstruct_version(store, parent)
+    new_space = apply_changeset_by_rebuild(base, changes)
+    bad = [(el.key, el.gen_target) for el in changes.add_elements]
+    bad = [(k, t) for k, t in bad if t is not None and t not in new_space]
+    bad += [
+        (k, e.gen_target)
+        for k, e in new_space.elements.items()
+        if e.gen_target in changes.remove_elements
+    ]
+    if bad:
+        k, t = min(bad)
+        raise ForeignKeyError(
+            f"element {k} would generalise to {t}, which is not in version {v!r}"
+        )
+    removed = sorted(changes.remove_elements)
+    added = sorted(el.key for el in changes.add_elements)
+    dropped = sorted(base.relation - new_space.relation)
+    linked = sorted(new_space.relation - base.relation)
+
+    new_x, new_atts = [], []
+    for k in added:
+        e = new_space.elements[k]
+        gid, glod = e.gen_target or (None, None)
+        new_x.append(XRow(k.id, k.lod, gid, glod, v))
+        for name in sorted(e.attributes):
+            new_atts.append(AttRow(k.id, k.lod, name, e.attributes[name]))
+    recorded = {k: {w.name: w.value for w in store.atts if ElementId(w.id, w.lod) == k}
+                for k in added}
+    for a in new_atts:
+        prior = recorded[a.id, a.lod].get(a.name)
+        if prior is not None and prior != a.value:
+            raise DuplicateKeyError(
+                f"attribute {a.name!r} of ({a.id}, {a.lod}) already recorded as {prior!r}"
+            )
+    new_atts = [a for a in new_atts if a.name not in recorded[a.id, a.lod]]
+    pts = list(store.point)
+    have = {p.key for p in pts}
+    for p in points:
+        if p.key in have:
+            raise DuplicateKeyError(f"coordinate row for {p.key} already exists")
+        pts.append(p)
+        have.add(p.key)
+    rrows = []
+    for p in linked:
+        if p.ida.lod != p.idb.lod:
+            raise StoreFormatError(
+                f"pair {p} spans levels; stored pairs are per-level "
+                f"(cross-level structure lives in the generalisation columns)"
+            )
+        rrows.append(RRow(p.ida.id, p.idb.id, p.ida.lod, v))
+    return VersionStore(
+        x=store.x + tuple(new_x),
+        r=store.r + tuple(rrows),
+        point=pts,
+        delx=store.delx + tuple(DelXRow(k.id, k.lod, v) for k in removed),
+        delr=store.delr + tuple(DelRRow(p.ida.id, p.idb.id, p.ida.lod, v) for p in dropped),
+        vx=store.vx + (v,),
+        vr=store.vr + ((parent, v),),
+        atts=store.atts + tuple(new_atts),
+    )
 
 
 def _liveness(creations, deletions, ancestry, descendants):

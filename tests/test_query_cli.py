@@ -488,6 +488,16 @@ def test_cli_export_summary_and_copy(demo_dir, tmp_path, capsys):
     assert load(tmp_path / "copy") == load(demo_dir / "textstore")
 
 
+def test_cli_export_onto_a_file_prints_one_error_line(demo_dir, tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("keep me", encoding="utf-8")
+    for target in (blocker, blocker / "copy"):
+        code, out, err = run_cli(capsys, "export", str(demo_dir / "regions"), "--out", str(target))
+        want = f"error: cannot save a store into {target}: it or a directory above it is a file\n"
+        assert (code, out, err) == (1, "", want)
+    assert blocker.read_text(encoding="utf-8") == "keep me"
+
+
 def test_cli_query_evaluates_expressions(demo_dir, capsys):
     code, out, _ = run_cli(
         capsys, "query", 'dim(load("lineland"))', "--store", str(demo_dir)

@@ -50,7 +50,9 @@ from alexdb import (
     text_space,
     time_slice,
 )
-from alexdb import algebra, lod, spacetime, versioning
+from alexdb import algebra, lod, spacetime, topology, versioning
+from alexdb.storage import VersionStore
+from alexdb.topology import SpaceIndex
 from alexdb.lod import as_level
 from alexdb.versioning import HistoryIndex
 
@@ -474,20 +476,29 @@ def test_one_element_commits_build_no_index_and_reconstruct_no_parent(monkeypatc
 
     monkeypatch.setattr(HistoryIndex, "__init__", counted("index", HistoryIndex.__init__))
     monkeypatch.setattr(versioning, "_reconstruct", counted("rows", versioning._reconstruct))
+    # nor build a space or its index anew, nor sort a whole table
+    for module in (topology, versioning):
+        monkeypatch.setattr(module, "build_space", counted("space", topology.build_space))
+    monkeypatch.setattr(SpaceIndex, "__init__", counted("space index", SpaceIndex.__init__))
+    monkeypatch.setattr(topology, "_kahn", counted("kahn", topology._kahn))
+    monkeypatch.setattr(VersionStore, "__post_init__", counted("sort", VersionStore.__post_init__))
     parent = "v0"
     for i in range(1, 201):
         version = f"v{i}"
         if i % 2:
             changes = changeset(version, remove_elements=[str(i)])
-        else:
+        else:  # a letter between two neighbours: the order is kept, not found again
             letter = Element(ElementId(f"n{i}"), attributes={"letter": "z"})
-            changes = changeset(version, add_elements=[letter], add_pairs=[(str(i + 1), f"n{i}")])
+            a, b = str(i + 1), str(i + 2)
+            changes = changeset(version, add_elements=[letter],
+                                add_pairs=[(a, f"n{i}"), (f"n{i}", b)], remove_pairs=[(a, b)])
         store = commit(store, parent, changes)
         parent = version
-    # v0 alone, which no commit made, is read from the columns
-    assert counts == Counter(rows=1)
+    # v0 alone, which no commit made, is read from the columns, and its
+    # space's index built
+    assert counts == Counter({"rows": 1, "space index": 1, "kahn": 1})
     assert len(reconstruct_version(store, parent)) == 1000
-    assert counts == Counter(rows=1)
+    assert counts == Counter({"rows": 1, "space index": 1, "kahn": 1})
 
 
 # ---------------------------------------------------------------------------

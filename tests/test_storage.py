@@ -98,22 +98,72 @@ def test_a_failed_save_leaves_the_previous_store_in_place(tmp_path, monkeypatch)
     save(demos.text_store(), target)
     before = {f.name: f.read_bytes() for f in target.iterdir()}
     newer = commit(demos.text_store(), "v0", changeset("v9", remove_elements=["1"]))
-    real_writer = alexdb.storage.csv.writer
-    opened = []
+    # the committed store writes the CSV lines it keeps; the same rows in a
+    # fresh store are formatted as they are written
+    for store in (newer, canonicalize(newer)):
+        opened = []
 
-    def failing_writer(fh, **kwargs):
-        opened.append(fh)
-        if len(opened) == 4:  # the fourth of eight tables
-            raise OSError("disk full")
-        return real_writer(fh, **kwargs)
+        def failing_open(file, mode="r", **kwargs):
+            opened.append(file)
+            if len(opened) == 4:  # the fourth of eight tables
+                raise OSError("disk full")
+            return open(file, mode, **kwargs)
 
-    monkeypatch.setattr(alexdb.storage.csv, "writer", failing_writer)
-    with pytest.raises(OSError, match="disk full"):
-        save(newer, target)
-    monkeypatch.undo()
-    assert {f.name: f.read_bytes() for f in target.iterdir()} == before
-    assert load(target) == canonicalize(demos.text_store())
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["store"]  # staging removed
+        monkeypatch.setattr(alexdb.storage, "open", failing_open, raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            save(store, target)
+        monkeypatch.undo()
+        assert {f.name: f.read_bytes() for f in target.iterdir()} == before
+        assert load(target) == canonicalize(demos.text_store())
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["store"]  # staging removed
+
+
+def test_saving_onto_a_file_is_a_format_error(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("keep me", encoding="utf-8")
+    for target in (blocker, blocker / "store"):
+        with pytest.raises(StoreFormatError) as caught:
+            save(demos.text_store(), target)
+        assert str(caught.value) == (
+            f"cannot save a store into {target}: it or a directory above it is a file"
+        )
+    assert blocker.read_text(encoding="utf-8") == "keep me"
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]  # no staging left behind
+
+
+def test_boolean_attribute_values_are_refused_where_rows_are_built(tmp_path):
+    flagged = Element(ElementId("b"), attributes={"flag": True})
+    refused = "boolean attribute values are not part of the schema"
+    with pytest.raises(StoreFormatError, match=refused):
+        new_store("v0", build_space([Element(ElementId("a")), flagged], []))
+    store = new_store("v0", simple_space(["a"]))
+    with pytest.raises(StoreFormatError, match=refused):
+        commit(store, "v0", changeset("v1", add_elements=[flagged], add_pairs=[("b", "a")]))
+    # only a store built by hand holds one, and saving it writes nothing
+    by_hand = VersionStore(
+        x=[XRow("b", 0, None, None, "v0")], vx=("v0",), atts=[AttRow("b", 0, "flag", False)]
+    )
+    with pytest.raises(StoreFormatError, match=refused):
+        save(by_hand, tmp_path / "store")
+    assert not (tmp_path / "store").exists()
+
+
+@pytest.mark.parametrize(
+    "value", ["two\nlines", "cr\r\nlf", "sep\u2028line", "v\vtab\x1cfs", "q\"uote,"]
+)
+def test_a_committed_store_saves_the_bytes_of_a_fresh_one(tmp_path, value):
+    """A committed store writes the CSV lines it keeps: fields holding line
+    ends, which a split of the text at line ends would cut, included."""
+    store = new_store("v0", simple_space(["a", "b"], [("a", "b")], {"a": {"note": value}}))
+    store = commit(store, "v0", changeset(
+        "v1", add_elements=[Element(ElementId("c"), attributes={"note": value, "n": 1.5})],
+        remove_elements=["b"], add_pairs=[("a", "c")],
+    ))
+    save(store, tmp_path / "kept")
+    save(canonicalize(store), tmp_path / "fresh")
+    for f in (tmp_path / "fresh").iterdir():
+        assert (tmp_path / "kept" / f.name).read_bytes() == f.read_bytes(), f.name
+    assert load(tmp_path / "kept") == store
 
 
 @pytest.mark.parametrize("name", sorted(demos.demo_stores()))
