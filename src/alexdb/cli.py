@@ -7,13 +7,16 @@ the same way.  ``validate``, ``versions-with-path`` and ``export`` call the
 library directly.  Exit codes: 0 on success (reports with findings still
 exit 0 — the run itself succeeded), 1 on a domain error (bad store, unknown
 element, discontinuous map, ...), 2 on usage errors.  The argument parser is
-built once per process, so ``main`` may be called again and again in one.
+built once per process, so ``main`` may be called again and again in one;
+each call runs with the cyclic garbage collector paused and leaves it as
+it found it (see ``main``).
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import functools
+import gc
 import sys
 from operator import attrgetter
 from pathlib import Path
@@ -21,7 +24,7 @@ from pathlib import Path
 from . import query as querymod
 from . import storage
 from .algebra import SpaceMap
-from .errors import AlexdbError, QueryParseError
+from .errors import AlexdbError, QueryParseError, StoreFormatError
 from .topology import ElementId, Space, classify, krull_dimension
 from .versioning import ConflictReport, reconstruct_version
 
@@ -78,7 +81,12 @@ def _space_csv(space: Space, points, out) -> None:
 
 
 def _write_space_csv(space: Space, outdir: Path) -> None:
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise StoreFormatError(
+            f"cannot write into {outdir}: it or a directory above it is a file"
+        ) from None
     for name, rows in zip(("Elements.csv", "Pairs.csv"), _space_tables(space)):
         with open(outdir / name, "w", encoding="utf-8", newline="") as fh:
             csv.writer(fh, lineterminator="\n").writerows(rows)
@@ -108,10 +116,12 @@ def _render_value(value, args) -> None:
         if out is not None:
             outdir = Path(out)
             try:
-                storage.save(storage.new_store(value.version, value.space, points), outdir)
-            except AlexdbError:
+                store = storage.new_store(value.version, value.space, points)
+            except StoreFormatError:
                 # spaces with cross-level pairs fall back to the generic layout
                 _write_space_csv(value.space, outdir)
+            else:
+                storage.save(store, outdir)
             print(f"wrote {outdir}")
         elif fmt == "csv":
             _space_csv(value.space, points, sys.stdout)
@@ -320,12 +330,27 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    """Run one command; its exit code, or ``SystemExit`` from argparse.
+
+    The whole command, from argument parsing to rendering, runs with the
+    cyclic garbage collector paused: what a command builds (store rows,
+    history index, spaces) holds no reference cycle and dies by reference
+    counting when the command ends, so collections inside it would only
+    scan those objects while they are built.  On the way out, however it
+    ends, the collector is enabled again only if it was enabled on entry.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        return args.func(args)
-    except AlexdbError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        args = _parser().parse_args(argv)
+        try:
+            return args.func(args)
+        except AlexdbError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

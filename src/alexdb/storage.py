@@ -9,14 +9,17 @@ headers, empty fields as NULL, shortest round-tripping decimal floats, and
 rows in canonical (sorted) order, so saving is deterministic and diffable.
 
 ``_TABLES`` is the one description of that format: each table's file,
-columns and their parsers, row key, and how a row is built on load and
-written on save; the fourteen foreign keys are declared beside it.
-``load``, ``save``, the duplicate-key check and ``foreign_key_violations``
-are each one loop over these declarations.
+columns and their parsers, row key and its columns, and how a row is built
+on load and written on save; the fourteen foreign keys are declared beside
+it, by column.  ``load``, ``save`` and the key checks (``_key_issues``) are
+each one loop over these declarations.
 
 Rows are ``typing.NamedTuple``s: each equals, hashes and sorts like the plain
-tuple of its fields.  ``load`` parses each file a column at a time and builds
-its rows from the columns, with no Python call per row.  Every table is kept
+tuple of its fields.  ``load`` parses each file a column at a time, builds
+its rows from the columns, and checks the order, duplicate and foreign keys
+on the columns with ``zip``, with no Python call per row and no key tuple
+per referring row; ``validate`` transposes a store's rows into the same
+columns once and runs the same check.  Every table is kept
 in canonical order, sorted by its key in ``_TABLES``, so ``save`` writes the
 rows as they stand.  Constructing a ``VersionStore`` sorts each table once.
 ``commit`` sorts nothing: it puts each new row into the parent's table where
@@ -63,7 +66,7 @@ import tempfile
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import islice
+from itertools import chain, islice
 from operator import add, attrgetter, eq, ge, itemgetter, not_
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
@@ -132,15 +135,17 @@ class AttRow(NamedTuple):
 class _Table(NamedTuple):
     """One table of the schema: the ``VersionStore`` field holding its rows,
     its file and header, the parser of each typed column (any other column
-    keeps the text as read), the key of a row (None: the whole row), the
-    rows built from the parsed columns, and the fields the rows are written
-    as, from the rows of the table (None: the rows themselves)."""
+    keeps the text as read), the key of a row (None: the whole row) and the
+    columns it is made of, the rows built from the parsed columns, and the
+    fields the rows are written as, from the rows of the table (None: the
+    rows themselves)."""
 
     field: str
     file: str
     header: list[str]
     parse: dict[str, Callable]
     key: Callable | None
+    key_columns: tuple[str, ...]
     rows: Callable[[list], list]
     write: Callable | None = None
 
@@ -193,22 +198,24 @@ def _rows(cls: type) -> Callable[[list], list]:
 _TABLES = {
     "X": _Table("x", "X.csv", ["id", "lod", "gid", "glod", "version"],
                 {"lod": int, "gid": lambda raw: raw or None, "glod": _int_or_none},
-                attrgetter("id", "lod", "version"), _rows(XRow)),
-    "R": _Table("r", "R.csv", ["ida", "idb", "lod", "version"], {"lod": int}, None, _rows(RRow)),
+                attrgetter("id", "lod", "version"), ("id", "lod", "version"), _rows(XRow)),
+    "R": _Table("r", "R.csv", ["ida", "idb", "lod", "version"], {"lod": int}, None,
+                ("ida", "idb", "lod", "version"), _rows(RRow)),
     "Point": _Table("point", "Point.csv", ["pid", "lod", "x", "y", "z", "t"],
                     {"lod": int, "x": float, "y": float, "z": float, "t": float},
-                    attrgetter("key"),
+                    attrgetter("key"), ("pid", "lod"),
                     lambda c: _tuples(PointRow, zip(_tuples(ElementId, zip(c[0], c[1])), *c[2:])),
                     lambda rows: map(add, map(_KEY, rows), map(_COORDINATES, rows))),
     "DelX": _Table("delx", "DelX.csv", ["id", "lod", "version"], {"lod": int}, None,
-                   _rows(DelXRow)),
+                   ("id", "lod", "version"), _rows(DelXRow)),
     "DelR": _Table("delr", "DelR.csv", ["ida", "idb", "lod", "version"], {"lod": int}, None,
-                   _rows(DelRRow)),
-    "VX": _Table("vx", "VX.csv", ["version"], {}, None, lambda c: list(c[0]), zip),
-    "VR": _Table("vr", "VR.csv", ["fromv", "tov"], {}, None, lambda c: list(zip(*c))),
+                   ("ida", "idb", "lod", "version"), _rows(DelRRow)),
+    "VX": _Table("vx", "VX.csv", ["version"], {}, None, ("version",), lambda c: list(c[0]), zip),
+    "VR": _Table("vr", "VR.csv", ["fromv", "tov"], {}, None, ("fromv", "tov"),
+                 lambda c: list(zip(*c))),
     "Atts": _Table("atts", "Atts.csv", ["id", "lod", "name", "value"],
                    {"lod": int, "value": _parse_value}, attrgetter("id", "lod", "name"),
-                   _rows(AttRow),
+                   ("id", "lod", "name"), _rows(AttRow),
                    lambda rows: map(add, map(_SUBJECT, rows), zip(map(str, map(_VALUE, rows))))),
 }
 
@@ -218,41 +225,39 @@ _LOAD_ORDER = ("X", "R", "Point", "DelX", "DelR", "Atts", "VX", "VR")
 
 
 class _ForeignKey(NamedTuple):
-    """A reference of the schema: ``key`` of each row of ``table`` must be
-    among the ``refs`` ("X": the element keys, "VX": the versions).
+    """A reference of the schema: the ``columns`` of each row of ``table``
+    must be among the ``refs`` ("X": the element keys, "VX": the versions).
     ``detail``, the text of a violation, is a template over the row ``w``,
     filled in only for a violation: formatting a row calls its repr."""
 
     table: str
     subject: str
     refs: str
-    key: Callable
+    columns: tuple[str, ...]
     detail: str
 
-
-_VERSION = attrgetter("version")
 
 #: The fourteen foreign keys, by table in ``_TABLES`` order, and within a
 #: table in the order a row's violations are reported.
 _FOREIGN_KEYS = [_ForeignKey(*fk) for fk in (
-    ("X", "X.version→VX", "VX", _VERSION, "X row {w} names unknown version"),
-    ("X", "X.(gid,glod)→X", "X", attrgetter("gid", "glod"),
+    ("X", "X.version→VX", "VX", ("version",), "X row {w} names unknown version"),
+    ("X", "X.(gid,glod)→X", "X", ("gid", "glod"),
      "X row {w} generalises to unknown element ({w.gid}, {w.glod})"),
-    ("R", "R.ida→X", "X", attrgetter("ida", "lod"), "R row {w} references unknown ida"),
-    ("R", "R.idb→X", "X", attrgetter("idb", "lod"), "R row {w} references unknown idb"),
-    ("R", "R.version→VX", "VX", _VERSION, "R row {w} names unknown version"),
-    ("Point", "Point.pid→X", "X", attrgetter("key"),
+    ("R", "R.ida→X", "X", ("ida", "lod"), "R row {w} references unknown ida"),
+    ("R", "R.idb→X", "X", ("idb", "lod"), "R row {w} references unknown idb"),
+    ("R", "R.version→VX", "VX", ("version",), "R row {w} names unknown version"),
+    ("Point", "Point.pid→X", "X", ("pid", "lod"),
      "Point row for {w.key} references unknown element"),
-    ("DelX", "DelX.id→X", "X", attrgetter("id", "lod"), "DelX row {w} references unknown element"),
-    ("DelX", "DelX.version→VX", "VX", _VERSION, "DelX row {w} names unknown version"),
-    ("DelR", "DelR.ida→X", "X", attrgetter("ida", "lod"), "DelR row {w} references unknown ida"),
-    ("DelR", "DelR.idb→X", "X", attrgetter("idb", "lod"), "DelR row {w} references unknown idb"),
-    ("DelR", "DelR.version→VX", "VX", _VERSION, "DelR row {w} names unknown version"),
-    ("VR", "VR.fromv→VX", "VX", itemgetter(0),
+    ("DelX", "DelX.id→X", "X", ("id", "lod"), "DelX row {w} references unknown element"),
+    ("DelX", "DelX.version→VX", "VX", ("version",), "DelX row {w} names unknown version"),
+    ("DelR", "DelR.ida→X", "X", ("ida", "lod"), "DelR row {w} references unknown ida"),
+    ("DelR", "DelR.idb→X", "X", ("idb", "lod"), "DelR row {w} references unknown idb"),
+    ("DelR", "DelR.version→VX", "VX", ("version",), "DelR row {w} names unknown version"),
+    ("VR", "VR.fromv→VX", "VX", ("fromv",),
      "VR row ({w[0]}, {w[1]}) names unknown source version"),
-    ("VR", "VR.tov→VX", "VX", itemgetter(1),
+    ("VR", "VR.tov→VX", "VX", ("tov",),
      "VR row ({w[0]}, {w[1]}) names unknown target version"),
-    ("Atts", "Atts.id→X", "X", attrgetter("id", "lod"), "Atts row {w} references unknown element"),
+    ("Atts", "Atts.id→X", "X", ("id", "lod"), "Atts row {w} references unknown element"),
 )]
 
 
@@ -359,9 +364,13 @@ def _pair_row(p: BoundedByPair, version: str) -> RRow:
 
 
 def new_store(version: str, space: Space, points: Iterable[PointRow] = ()) -> VersionStore:
-    """A store holding ``space`` as its single, initial version."""
+    """A store holding ``space`` as its single, initial version.  A boolean
+    attribute value, or a field that ``load`` could not read back (see
+    ``_refuse_long_fields``), is rejected with ``StoreFormatError``."""
     xrows, rrows, attrows = _space_rows(space, version)
-    return VersionStore(x=xrows, r=rrows, point=points, vx=(version,), atts=attrows)
+    store = VersionStore(x=xrows, r=rrows, point=points, vx=(version,), atts=attrows)
+    _refuse_long_fields({n: getattr(store, t.field) for n, t in _TABLES.items()})
+    return store
 
 
 def commit(
@@ -387,8 +396,9 @@ def commit(
     reads no rows.  That space and its index are derived from the parent
     space's, its tables are the parent's with the new rows put in place,
     and it keeps the CSV lines of its files, derived from the parent's,
-    which ``save`` writes.  A boolean attribute value is rejected with
-    ``StoreFormatError``.
+    which ``save`` writes.  A boolean attribute value, or a field that
+    ``load`` could not read back (see ``_refuse_long_fields``), is rejected
+    with ``StoreFormatError``.
     """
     v = changes.version
     if v in store.vx:
@@ -429,6 +439,7 @@ def commit(
         "VR": [(parent, v)],
         "Atts": new_atts,
     }
+    _refuse_long_fields(new_rows)
     lines = store._lines
     # the new rows' lines, formatted by one writer
     new_lines = iter(_csv_lines([f for n, t in _TABLES.items() for f in _fields(t, new_rows[n])]))
@@ -459,6 +470,29 @@ def _inserted(
         rows.insert(i, row)
         lines.insert(i + 1, line)  # after the header
     return tuple(rows), lines
+
+
+def _refuse_long_fields(tables: Mapping[str, Iterable]) -> None:
+    """Refuse the rows of ``tables`` (by table name) with
+    ``StoreFormatError`` when one of their fields is written longer than
+    ``csv.field_size_limit()``, which ``load``'s CSV reader would not take;
+    the first such field is named, by table, row and column.  A scan in C
+    measures every field, and the rows are scanned in Python only when it
+    finds one that long."""
+    limit = csv.field_size_limit()
+    for name, rows in tables.items():
+        t = _TABLES[name]
+        fields = list(_fields(t, rows))
+        if max(map(len, map(str, chain.from_iterable(fields))), default=0) <= limit:
+            continue
+        for row in fields:
+            for column, value in zip(t.header, row):
+                size = 0 if value is None else len(str(value))
+                if size > limit:
+                    raise StoreFormatError(
+                        f"{name}.{column}: a field of {size} characters is longer than "
+                        f"the CSV field limit ({limit}) that load reads"
+                    )
 
 
 def _check_generalisation(space: Space, changes: ChangeSet) -> None:
@@ -512,8 +546,8 @@ def save(store: VersionStore, path: str | Path) -> Path:
 
     A store made by ``commit`` keeps the CSV lines of its files, derived
     from its parent's, and they are written as they stand; any other
-    store's rows are formatted as they are written.  Either way every
-    table is in canonical order, sorted by its key.  Each file is replaced
+    store's rows are formatted into lines first.  Either way every table
+    is in canonical order, sorted by its key.  Each file is replaced
     whole: the eight tables are written into a temporary sibling directory,
     then moved into place one by one with ``os.replace``, and the temporary
     directory is removed.  A failure while writing leaves the previous
@@ -521,11 +555,23 @@ def save(store: VersionStore, path: str | Path) -> Path:
     old, since the set of eight is not replaced at once.  Nothing is
     flushed with ``fsync``, so what survives a power loss is up to the file
     system.  Raises ``StoreFormatError`` when ``path`` or a directory above
-    it is a file, and for a boolean attribute value, which only a store
-    built by hand can hold; neither writes anything.
+    it is a file, and for a boolean attribute value or a field longer than
+    ``csv.field_size_limit()``, which only a store built by hand can hold
+    (``new_store`` and ``commit`` refuse them); none of these writes
+    anything.  Only a table with a line that long has its fields measured.
     """
     if bool in map(type, map(_VALUE, store.atts)):
         raise StoreFormatError(_NO_BOOLEANS)
+    lines = vars(store).get("_lines") or {
+        name: _csv_lines([t.header, *_fields(t, getattr(store, t.field))])
+        for name, t in _TABLES.items()
+    }
+    limit = csv.field_size_limit()
+    _refuse_long_fields({
+        name: getattr(store, t.field)
+        for name, t in _TABLES.items()
+        if max(map(len, lines[name])) > limit
+    })
     directory = os.fspath(path)
     try:
         os.makedirs(directory, exist_ok=True)
@@ -535,18 +581,10 @@ def save(store: VersionStore, path: str | Path) -> Path:
         ) from None
     above, name = os.path.split(os.path.abspath(directory))
     staging = tempfile.mkdtemp(prefix=f".{name}.", dir=above)
-    kept = vars(store).get("_lines")
     try:
         for table, t in _TABLES.items():
-            target = os.path.join(staging, t.file)
-            if kept is not None:
-                with open(target, "wb") as fh:
-                    fh.write(("\n".join(kept[table]) + "\n").encode())
-                continue
-            with open(target, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(t.header)
-                writer.writerows(_fields(t, getattr(store, t.field)))
+            with open(os.path.join(staging, t.file), "wb") as fh:
+                fh.write(("\n".join(lines[table]) + "\n").encode())
         for t in _TABLES.values():
             os.replace(os.path.join(staging, t.file), os.path.join(directory, t.file))
     except BaseException:
@@ -556,17 +594,25 @@ def save(store: VersionStore, path: str | Path) -> Path:
     return Path(path)
 
 
-def _read_table(directory: Path, name: str) -> list:
-    """The rows of table ``name`` read from its CSV file.  Each column is
-    parsed whole; only when that fails are the rows scanned, in order, for
-    the first fault."""
+def _read_table(directory: Path, name: str) -> list[Sequence]:
+    """The parsed columns of table ``name``, in header order, read from its
+    CSV file.  Each column is parsed whole; only when that fails are the
+    rows scanned, in order, for the first fault.  A file that cannot be read
+    as CSV text is a ``StoreFormatError`` naming it."""
     t = _TABLES[name]
     fpath = directory / t.file
-    if not fpath.exists():
-        raise StoreFormatError(f"missing store file {fpath}")
-    with open(fpath, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
+    try:
+        with open(fpath, encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            rows = list(reader)
+    except FileNotFoundError:
+        raise StoreFormatError(f"missing store file {fpath}") from None
+    except IsADirectoryError:
+        raise StoreFormatError(f"{fpath}: a directory, not a table file") from None
+    except UnicodeDecodeError as exc:
+        raise StoreFormatError(f"{fpath}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise StoreFormatError(f"{fpath}:{reader.line_num}: {exc}") from None
     if not rows or rows[0] != t.header:
         got = rows[0] if rows else []
         raise StoreFormatError(f"{fpath}: expected header {t.header}, got {got}")
@@ -580,12 +626,11 @@ def _read_table(directory: Path, name: str) -> list:
     try:
         if name == "X" and list(map(not_, columns[2])) != list(map(not_, columns[3])):
             raise ValueError("an X row sets both generalisation columns (gid, glod) or neither")
-        columns = [
+        return [
             _parsed(t.parse[c], col) if c in t.parse else col for c, col in zip(t.header, columns)
         ]
     except ValueError:
         raise _first_fault(name, rows) from None
-    return t.rows(columns)
 
 
 def _parsed(parse: Callable, column: Sequence[str]) -> list:
@@ -614,25 +659,33 @@ def _first_fault(name: str, rows: list[list[str]]) -> StoreFormatError:
 
 
 def load(path: str | Path) -> VersionStore:
-    """Read a store directory; validates headers, keys and foreign keys.
+    """Read a store directory; validates headers, fields, keys and foreign
+    keys, and raises ``StoreFormatError``, ``DuplicateKeyError`` or
+    ``ForeignKeyError`` naming the first fault found.
 
-    Files in canonical order, as ``save`` writes them, are not sorted
-    again: their keys rising strictly shows both the order and that no two
-    rows share a key."""
+    Each file is parsed a column at a time, and the keys are checked on the
+    parsed columns (``_key_issues``).  Files in canonical order, as ``save``
+    writes them, are not sorted again: their keys rising strictly shows
+    both the order and that no two rows share a key.  A table file that is
+    a directory, is not UTF-8 text or is not CSV that ``csv.reader`` takes
+    (a field longer than ``csv.field_size_limit()``, say) is a
+    ``StoreFormatError`` naming the file."""
     directory = Path(path)
     if not directory.is_dir():
         raise StoreFormatError(f"no store directory {directory}")
-    tables = {n: _read_table(directory, n) for n in _LOAD_ORDER}
-    if any(any(map(ge, *_neighbour_keys(_TABLES[n], rows))) for n, rows in tables.items()):
-        store = VersionStore(**{_TABLES[n].field: rows for n, rows in tables.items()})
-        dupes = _duplicate_rows(store)
-        if dupes:
-            raise DuplicateKeyError("; ".join(i.detail for i in dupes))
+    columns = {n: _read_table(directory, n) for n in _LOAD_ORDER}
+    rows = {_TABLES[n].field: _TABLES[n].rows(c) for n, c in columns.items()}
+    ordered = not any(_neighbours(_TABLES[n], c, ge) for n, c in columns.items())
+    if ordered:
+        store = _stored(**{field: tuple(r) for field, r in rows.items()})
     else:
-        store = _stored(**{_TABLES[n].field: tuple(rows) for n, rows in tables.items()})
-    fk = foreign_key_violations(store)
-    if fk:
-        raise ForeignKeyError("; ".join(i.detail for i in fk))
+        store = VersionStore(**rows)
+        columns = _columns(store)
+    issues = _key_issues(store, columns, duplicates=not ordered)
+    for rule, error in (("duplicate-row", DuplicateKeyError), ("foreign-key", ForeignKeyError)):
+        details = [i.detail for i in issues if i.rule == rule]
+        if details:
+            raise error("; ".join(details))
     return store
 
 
@@ -650,55 +703,82 @@ class ValidationIssue:
     witnesses: tuple = ()
 
 
-def _neighbour_keys(t: _Table, rows: Sequence) -> tuple[Iterable, Iterable]:
-    """The keys of ``rows`` of table ``t`` and the keys of the rows after
-    them, computed as they are read."""
-    after = islice(rows, 1, None)
-    if t.key is None:
-        return rows, after
-    return map(t.key, rows), map(t.key, after)
+def _columns(store: VersionStore) -> dict[str, list]:
+    """By table name, the store's table as columns in header order, as
+    ``load`` parses them: the rows transposed once."""
+    return {
+        name: list(zip(*_fields(t, getattr(store, t.field)))) or [()] * len(t.header)
+        for name, t in _TABLES.items()
+    }
 
 
-def _duplicate_rows(store: VersionStore) -> list[ValidationIssue]:
-    """Each row whose key equals the key of the row before it: rows are in
-    canonical order, so rows sharing a key are neighbours.  A table is
-    scanned row by row only when it has one."""
+def _values(t: _Table, columns: Sequence, names: Sequence[str], start: int = 0) -> Iterable:
+    """Row by row from row ``start`` on, the values in the columns ``names``
+    of table ``t``: the column itself for one name, else tuples from
+    ``zip``, which makes no new tuple while its last one is dropped."""
+    picked = [columns[t.header.index(n)] for n in names]
+    if start:
+        picked = [islice(c, start, None) for c in picked]
+    return picked[0] if len(names) == 1 else zip(*picked)
+
+
+def _neighbours(t: _Table, columns: Sequence, op: Callable) -> bool:
+    """Whether ``op`` holds between the key of some row of table ``t`` and
+    the key of the row after it."""
+    keys = t.key_columns
+    return any(map(op, _values(t, columns, keys), _values(t, columns, keys, 1)))
+
+
+def _key_issues(
+    store: VersionStore, columns: Mapping[str, Sequence], duplicates: bool = True
+) -> list[ValidationIssue]:
+    """The duplicate keys (unless ``duplicates`` is false), then the foreign
+    keys the store breaks, checked on ``columns``, its tables in canonical
+    order as columns.  A key shared by neighbouring rows is reported with
+    that key, by table, then row.  Each broken reference is reported with
+    its witness row, by table, then row, then key.  A table is scanned row
+    by row only when it breaks a key, so a store that keeps every key
+    formats no row, builds no key tuple of a referring row, and makes no
+    Python call per row."""
     issues = []
-    for name, t in _TABLES.items():
-        rows = getattr(store, t.field)
-        if not any(map(eq, *_neighbour_keys(t, rows))):
+    for name, t in _TABLES.items() if duplicates else ():
+        if not _neighbours(t, columns[name], eq):
             continue
-        for before, k in zip(*_neighbour_keys(t, rows)):
+        keys = t.key_columns
+        for before, k in zip(_values(t, columns[name], keys), _values(t, columns[name], keys, 1)):
             if k == before:
-                k = k if type(k) is str else tuple(k)  # a row or key shown as a plain tuple
                 issues.append(
                     ValidationIssue("duplicate-row", name, f"{name}: duplicate key {k}", (k,))
                 )
-    return issues
-
-
-def foreign_key_violations(store: VersionStore) -> list[ValidationIssue]:
-    """Every foreign key of the schema, each reported with its witness row:
-    by table, then row, then key.  A store that keeps every key formats no
-    row, and makes no Python call per row."""
+    x = columns["X"]
     known = {
         # (None, None): the target of an element that generalises to none
-        "X": set(map(attrgetter("id", "lod"), store.x)) | {(None, None)},
-        "VX": set(store.vx),
+        "X": set(_values(_TABLES["X"], x, ("id", "lod"))) | {(None, None)},
+        "VX": set(columns["VX"][0]),
     }
     found = []
     for fk in _FOREIGN_KEYS:
-        refs = known[fk.refs]
-        rows = getattr(store, _TABLES[fk.table].field)
-        if not refs.issuperset(map(fk.key, rows)):
+        refs, t = known[fk.refs], _TABLES[fk.table]
+        if not refs.issuperset(_values(t, columns[fk.table], fk.columns)):
+            rows = getattr(store, t.field)
             table = list(_TABLES).index(fk.table)
-            found += [((table, n), fk, w) for n, w in enumerate(rows) if fk.key(w) not in refs]
+            found += [
+                ((table, n), fk, rows[n])
+                for n, k in enumerate(_values(t, columns[fk.table], fk.columns))
+                if k not in refs
+            ]
     # a stable sort: the keys a row breaks stay in declaration order
     found.sort(key=itemgetter(0))
-    return [
+    return issues + [
         ValidationIssue("foreign-key", fk.subject, fk.detail.format(w=w), (w,))
         for _, fk, w in found
     ]
+
+
+def foreign_key_violations(store: VersionStore) -> list[ValidationIssue]:
+    """Every foreign key of the schema the store breaks, each reported with
+    its witness row: by table, then row, then key."""
+    return _key_issues(store, _columns(store), duplicates=False)
 
 
 def validate(store: VersionStore, rules: Sequence[str] = ()) -> list[ValidationIssue]:
@@ -715,8 +795,7 @@ def validate(store: VersionStore, rules: Sequence[str] = ()) -> list[ValidationI
     once per transition however often it is named), any other name is
     looked up in the consistency-rule registry.
     """
-    issues = _duplicate_rows(store)
-    issues += foreign_key_violations(store)
+    issues = _key_issues(store, _columns(store))
     issues += [
         ValidationIssue("geometry", "Point", f"vertex {p.key} has time coordinate nan", (p.key,))
         for p in store.point

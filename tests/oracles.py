@@ -14,7 +14,9 @@ its rows by the library's ``VersionStore``; ``reconstruct_version_by_hulls``
 and ``history_columns_by_rows`` take the library's version hulls (checked
 against path enumeration); ``reconstruct_by_columns`` reads the library's
 history index; and ``telescope_by_closures`` takes the library's level
-edge graph and reduction.
+edge graph and reduction.  ``key_issues_by_rows`` and
+``load_key_error_by_rows`` are the row-by-row key checks the library ran
+before it checked keys on parsed columns.
 """
 from __future__ import annotations
 
@@ -813,3 +815,104 @@ def telescope_by_closures(base, edge_matching: bool = True):
         attributes = {**e.attributes, "lod_edge": edges.keys[w].id}
         els.append(Element(key=key, version=e.version, attributes=attributes))
     return build_space(els, _reduction(keys, succ), t0_check=False)
+
+
+# ---------------------------------------------------------------------------
+# store keys, row by row
+
+
+def _key_row_getters():
+    """The store schema's keys as row getters, as ``storage`` declared them
+    before it checked keys on columns: by table, the ``VersionStore`` field
+    and the key of a row (None: the whole row); and the fourteen foreign
+    keys as (table, subject, referenced keys, key of a row, text template
+    over the row ``w``), by table, and within a table in report order."""
+    from operator import attrgetter, itemgetter
+
+    tables = {
+        "X": ("x", attrgetter("id", "lod", "version")),
+        "R": ("r", None),
+        "Point": ("point", attrgetter("key")),
+        "DelX": ("delx", None),
+        "DelR": ("delr", None),
+        "VX": ("vx", None),
+        "VR": ("vr", None),
+        "Atts": ("atts", attrgetter("id", "lod", "name")),
+    }
+    version = attrgetter("version")
+    foreign = [
+        ("X", "X.version→VX", "VX", version, "X row {w} names unknown version"),
+        ("X", "X.(gid,glod)→X", "X", attrgetter("gid", "glod"),
+         "X row {w} generalises to unknown element ({w.gid}, {w.glod})"),
+        ("R", "R.ida→X", "X", attrgetter("ida", "lod"), "R row {w} references unknown ida"),
+        ("R", "R.idb→X", "X", attrgetter("idb", "lod"), "R row {w} references unknown idb"),
+        ("R", "R.version→VX", "VX", version, "R row {w} names unknown version"),
+        ("Point", "Point.pid→X", "X", attrgetter("key"),
+         "Point row for {w.key} references unknown element"),
+        ("DelX", "DelX.id→X", "X", attrgetter("id", "lod"),
+         "DelX row {w} references unknown element"),
+        ("DelX", "DelX.version→VX", "VX", version, "DelX row {w} names unknown version"),
+        ("DelR", "DelR.ida→X", "X", attrgetter("ida", "lod"),
+         "DelR row {w} references unknown ida"),
+        ("DelR", "DelR.idb→X", "X", attrgetter("idb", "lod"),
+         "DelR row {w} references unknown idb"),
+        ("DelR", "DelR.version→VX", "VX", version, "DelR row {w} names unknown version"),
+        ("VR", "VR.fromv→VX", "VX", itemgetter(0),
+         "VR row ({w[0]}, {w[1]}) names unknown source version"),
+        ("VR", "VR.tov→VX", "VX", itemgetter(1),
+         "VR row ({w[0]}, {w[1]}) names unknown target version"),
+        ("Atts", "Atts.id→X", "X", attrgetter("id", "lod"),
+         "Atts row {w} references unknown element"),
+    ]
+    return tables, foreign
+
+
+def key_issues_by_rows(tables: dict) -> list:
+    """The duplicate-key and foreign-key findings of ``validate`` for the
+    rows of ``tables`` (by ``VersionStore`` field, in any order), as
+    ``storage`` found them before it checked keys on columns: each table is
+    sorted by its key, every row's key is compared with its neighbour's,
+    and every reference of every row is looked up, one row at a time."""
+    from alexdb.storage import ValidationIssue
+
+    schema, foreign = _key_row_getters()
+    rows = {}
+    issues = []
+    for name, (field, key) in schema.items():
+        key = key or (lambda w: w)
+        rows[name] = sorted(tables.get(field, ()), key=key)
+        for before, w in zip(rows[name], rows[name][1:]):
+            if key(w) == key(before):
+                k = key(w) if type(key(w)) is str else tuple(key(w))
+                issues.append(
+                    ValidationIssue("duplicate-row", name, f"{name}: duplicate key {k}", (k,))
+                )
+    known = {
+        "X": {(w.id, w.lod) for w in rows["X"]} | {(None, None)},
+        "VX": set(rows["VX"]),
+    }
+    found = []
+    for name in schema:
+        for w in rows[name]:
+            for table, subject, refs, key, detail in foreign:
+                if table == name and key(w) not in known[refs]:
+                    found.append(
+                        ValidationIssue("foreign-key", subject, detail.format(w=w), (w,))
+                    )
+    return issues + found
+
+
+def load_key_error_by_rows(tables: dict):
+    """What ``load`` raises for the rows of ``tables`` (by field, in file
+    order), which parse, as ``(error type, text)``, or None: when some
+    table's keys do not rise strictly, its duplicate keys, as a
+    ``DuplicateKeyError``; then its broken references, as a
+    ``ForeignKeyError``.  The findings are joined by "; "."""
+    from alexdb import DuplicateKeyError, ForeignKeyError
+
+    issues = key_issues_by_rows(tables)
+    for rule, error in (("duplicate-row", DuplicateKeyError), ("foreign-key", ForeignKeyError)):
+        details = [i.detail for i in issues if i.rule == rule]
+        if details:
+            return error, "; ".join(details)
+    return None

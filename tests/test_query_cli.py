@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -498,6 +499,26 @@ def test_cli_export_onto_a_file_prints_one_error_line(demo_dir, tmp_path, capsys
     assert blocker.read_text(encoding="utf-8") == "keep me"
 
 
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["slice", "lineland", "--at", "1.0"], "cannot save a store into {target}"),
+        # a telescope has cross-level pairs, so it falls back to the generic layout
+        (["telescope", "regions"], "cannot write into {target}"),
+    ],
+    ids=["store layout", "generic layout"],
+)
+def test_cli_out_onto_a_file_prints_one_error_line(demo_dir, tmp_path, capsys, argv, want):
+    blocker = tmp_path / "file"
+    blocker.write_text("keep me", encoding="utf-8")
+    command, store, *rest = argv
+    for target in (blocker, blocker / "copy"):
+        code, out, err = run_cli(capsys, command, str(demo_dir / store), *rest, "--out", str(target))
+        text = want.format(target=target)
+        assert (code, out, err) == (1, "", f"error: {text}: it or a directory above it is a file\n")
+    assert blocker.read_text(encoding="utf-8") == "keep me"
+
+
 def test_cli_query_evaluates_expressions(demo_dir, capsys):
     code, out, _ = run_cli(
         capsys, "query", 'dim(load("lineland"))', "--store", str(demo_dir)
@@ -582,6 +603,43 @@ def test_cli_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+def _collector_inside(monkeypatch):
+    """A ``dim`` handler that records whether the collector runs, then fails."""
+    seen = []
+
+    def handler(args):
+        seen.append(gc.isenabled())
+        raise RuntimeError("handler failed")
+
+    monkeypatch.setitem(alexdb.cli._QUERIES, "dim", handler)
+    return seen
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("exit", ["success", "error line", "usage", "handler raises"])
+def test_main_leaves_the_collector_as_it_found_it(demo_dir, capsys, monkeypatch, enabled, exit):
+    store = str(demo_dir / "lineland")
+    seen = _collector_inside(monkeypatch) if exit == "handler raises" else []
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if exit == "success":
+            assert main(["dim", store]) == 0
+        elif exit == "error line":
+            assert main(["dim", str(demo_dir / "nope")]) == 1
+        elif exit == "usage":
+            with pytest.raises(SystemExit):
+                main(["dim", "--no-such-option", store])
+        else:
+            with pytest.raises(RuntimeError, match="handler failed"):
+                main(["dim", store])
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == ([False] if exit == "handler raises" else [])
+    capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for the CSV store: round-trips, commits, validation, queries."""
 from __future__ import annotations
 
+import csv
 import dataclasses
 import math
 import random
@@ -13,7 +14,9 @@ from hypothesis import strategies as st
 
 import alexdb.storage
 import builders
+import oracles
 from alexdb import demos
+from alexdb.cli import main
 from alexdb.errors import (
     DuplicateKeyError,
     ForeignKeyError,
@@ -452,6 +455,150 @@ def test_loading_broken_foreign_keys_fails(tmp_path):
         load(tmp_path)
     row = "RRow(ida='1', idb='ghost', lod=0, version='v0')"
     assert str(err.value) == f"R row {row} references unknown idb"
+
+
+def _write_file(path, data):
+    """Turn the table file ``path`` into a directory (``data`` None) or give
+    it the bytes ``data``."""
+    path.unlink()
+    if data is None:
+        path.mkdir()
+    else:
+        path.write_bytes(data)
+
+
+# unreadable table files: (file, its new contents; None: a directory), the
+# fault named
+UNREADABLE = {
+    "not UTF-8": ("Atts.csv", b"id,lod,name,value\n1,0,letter,\xff\n", "not UTF-8 text"),
+    "a directory": ("R.csv", None, "a directory, not a table file"),
+    "a field over the CSV limit": (
+        "X.csv",
+        b"id,lod,gid,glod,version\n" + b"x" * (csv.field_size_limit() + 1) + b",0,,,v0\n",
+        "2: field larger than field limit",
+    ),
+}
+
+
+@pytest.mark.parametrize("name, data, fault", UNREADABLE.values(), ids=list(UNREADABLE))
+def test_an_unreadable_table_file_is_a_format_error_naming_it(
+    name, data, fault, tmp_path, capsys
+):
+    save(demos.text_store(), tmp_path)
+    _write_file(tmp_path / name, data)
+    with pytest.raises(StoreFormatError) as err:
+        load(tmp_path)
+    assert str(err.value).startswith(f"{tmp_path / name}:")
+    assert fault in str(err.value)
+    assert main(["validate", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {err.value}\n")
+
+
+def test_fields_longer_than_the_csv_limit_are_refused_where_rows_are_built(tmp_path):
+    limit = csv.field_size_limit()
+    at, over = "a" * limit, "a" * (limit + 1)
+    store = new_store("v0", simple_space(["a"], [], {"a": {"note": at}}))
+    save(store, tmp_path / "at")
+    assert load(tmp_path / "at") == store
+    refused = (
+        f"Atts.value: a field of {limit + 1} characters is longer than "
+        f"the CSV field limit ({limit}) that load reads"
+    )
+    with pytest.raises(StoreFormatError) as err:
+        new_store("v0", simple_space(["a"], [], {"a": {"note": over}}))
+    assert str(err.value) == refused
+    long_id = Element(ElementId(over))
+    with pytest.raises(StoreFormatError, match=r"^X\.id: a field of "):
+        commit(store, "v0", changeset("v1", add_elements=[long_id]))
+    with pytest.raises(StoreFormatError, match=r"^VX\.version: a field of "):
+        commit(store, "v0", changeset(over))
+    # only a store built by hand holds one, and saving it writes nothing
+    by_hand = VersionStore(
+        x=[XRow("a", 0, None, None, "v0")], vx=("v0",), atts=[AttRow("a", 0, "note", over)]
+    )
+    with pytest.raises(StoreFormatError) as err:
+        save(by_hand, tmp_path / "over")
+    assert str(err.value) == refused
+    assert not (tmp_path / "over").exists()
+
+
+#: What an injected fault adds to a store's tables: by fault, the field of
+#: the table and the row, from an existing element (i, l) created in
+#: version v, and names no table holds.
+def _injected(fault, i, l, v, ghost, nov):
+    return {
+        "X.version→VX": ("x", XRow(f"inj{ghost}", 0, None, None, nov)),
+        "X.(gid,glod)→X": ("x", XRow(f"inj{ghost}", 0, ghost, 1, v)),
+        "R.ida→X": ("r", RRow(ghost, i, l, v)),
+        "R.idb→X": ("r", RRow(i, ghost, l, v)),
+        "R.version→VX": ("r", RRow(i, i, l, nov)),
+        "Point.pid→X": ("point", PointRow(ElementId(ghost, l), 0.5, 0.0, 0.0, 1.0)),
+        "DelX.id→X": ("delx", DelXRow(ghost, l, v)),
+        "DelX.version→VX": ("delx", DelXRow(i, l, nov)),
+        "DelR.ida→X": ("delr", DelRRow(ghost, i, l, v)),
+        "DelR.idb→X": ("delr", DelRRow(i, ghost, l, v)),
+        "DelR.version→VX": ("delr", DelRRow(i, i, l, nov)),
+        "VR.fromv→VX": ("vr", (nov, v)),
+        "VR.tov→VX": ("vr", (v, nov)),
+        "Atts.id→X": ("atts", AttRow(ghost, l, "k", 1)),
+    }[fault]
+
+
+FOREIGN_KEY_FAULTS = [
+    "X.version→VX", "X.(gid,glod)→X", "R.ida→X", "R.idb→X", "R.version→VX", "Point.pid→X",
+    "DelX.id→X", "DelX.version→VX", "DelR.ida→X", "DelR.idb→X", "DelR.version→VX",
+    "VR.fromv→VX", "VR.tov→VX", "Atts.id→X",
+]
+
+
+def _write_tables(directory, tables):
+    """The CSV files of ``tables`` (by field), rows in the order given."""
+    directory.mkdir()
+    for t in alexdb.storage._TABLES.values():
+        with open(directory / t.file, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(t.header)
+            writer.writerows(alexdb.storage._fields(t, tables[t.field]))
+
+
+@given(
+    rnd=st.randoms(use_true_random=False),
+    faults=st.lists(
+        st.sampled_from(FOREIGN_KEY_FAULTS + ["duplicate", "out of order"]), min_size=1, max_size=4
+    ),
+)
+def test_key_checks_match_the_row_by_row_reference(rnd, faults, tmp_path_factory):
+    store = builders.random_store(rnd)
+    tables = {f.name: list(getattr(store, f.name)) for f in dataclasses.fields(store)}
+    for n, fault in enumerate(faults):
+        if fault == "duplicate":
+            rows = tables[rnd.choice([f for f, rows in tables.items() if rows])]
+            rows.insert(rnd.randrange(len(rows) + 1), rnd.choice(rows))
+        elif fault == "out of order":
+            # a store of one element and one version has no two rows to swap
+            longer = [f for f, rows in tables.items() if len(rows) > 1]
+            if longer:
+                tables[rnd.choice(longer)].reverse()
+        else:
+            x = rnd.choice(tables["x"])
+            field, row = _injected(fault, x.id, x.lod, x.version, f"ghost{n}", f"nov{n}")
+            tables[field].insert(rnd.randrange(len(tables[field]) + 1), row)
+    directory = tmp_path_factory.mktemp("faults") / "store"
+    _write_tables(directory, tables)
+    expected = oracles.load_key_error_by_rows(tables)
+    if expected is None:
+        assert load(directory) == VersionStore(**tables)
+    else:
+        with pytest.raises(expected[0]) as err:
+            load(directory)
+        assert str(err.value) == expected[1]
+    issues = oracles.key_issues_by_rows(tables)
+    found = validate(VersionStore(**tables))
+    assert found[: len(issues)] == issues
+    assert not [
+        i for i in found[len(issues):] if i.rule == "duplicate-row" or "→" in i.subject
+    ]
 
 
 # ---------------------------------------------------------------------------
