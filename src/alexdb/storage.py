@@ -66,7 +66,7 @@ import tempfile
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import chain, islice
+from itertools import islice
 from operator import add, attrgetter, eq, ge, itemgetter, not_
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
@@ -333,16 +333,29 @@ def canonicalize(store: VersionStore) -> VersionStore:
 
 def _element_rows(space: Space, keys: Iterable[ElementId], version: str):
     """X and Atts rows recording the elements ``keys`` of ``space`` as
-    created in ``version``."""
+    created in ``version``.  A boolean attribute value is refused, and so
+    is a text field that ``load`` could not read back, one longer than
+    ``csv.field_size_limit()``: a version, element id or attribute name or
+    value.  Pairs, generalisation targets and coordinate rows name
+    elements, so these are the texts a valid store gets from a space."""
+    limit = csv.field_size_limit()
+    if len(version) > limit:
+        raise _too_long("VX.version", version)
     xrows, attrows = [], []
     for k in keys:
         e = space.elements[k]
         gid, glod = e.gen_target or (None, None)
+        if len(k.id) > limit:
+            raise _too_long("X.id", k.id)
         xrows.append(XRow(k.id, k.lod, gid, glod, version))
         for name in sorted(e.attributes):
             value = e.attributes[name]
             if isinstance(value, bool):
                 raise StoreFormatError(_NO_BOOLEANS)
+            if len(name) > limit:
+                raise _too_long("Atts.name", name)
+            if type(value) is str and len(value) > limit:
+                raise _too_long("Atts.value", value)
             attrows.append(AttRow(k.id, k.lod, name, value))
     return xrows, attrows
 
@@ -366,11 +379,9 @@ def _pair_row(p: BoundedByPair, version: str) -> RRow:
 def new_store(version: str, space: Space, points: Iterable[PointRow] = ()) -> VersionStore:
     """A store holding ``space`` as its single, initial version.  A boolean
     attribute value, or a field that ``load`` could not read back (see
-    ``_refuse_long_fields``), is rejected with ``StoreFormatError``."""
+    ``_element_rows``), is rejected with ``StoreFormatError``."""
     xrows, rrows, attrows = _space_rows(space, version)
-    store = VersionStore(x=xrows, r=rrows, point=points, vx=(version,), atts=attrows)
-    _refuse_long_fields({n: getattr(store, t.field) for n, t in _TABLES.items()})
-    return store
+    return VersionStore(x=xrows, r=rrows, point=points, vx=(version,), atts=attrows)
 
 
 def commit(
@@ -397,7 +408,7 @@ def commit(
     space's, its tables are the parent's with the new rows put in place,
     and it keeps the CSV lines of its files, derived from the parent's,
     which ``save`` writes.  A boolean attribute value, or a field that
-    ``load`` could not read back (see ``_refuse_long_fields``), is rejected
+    ``load`` could not read back (see ``_element_rows``), is rejected
     with ``StoreFormatError``.
     """
     v = changes.version
@@ -439,7 +450,6 @@ def commit(
         "VR": [(parent, v)],
         "Atts": new_atts,
     }
-    _refuse_long_fields(new_rows)
     lines = store._lines
     # the new rows' lines, formatted by one writer
     new_lines = iter(_csv_lines([f for n, t in _TABLES.items() for f in _fields(t, new_rows[n])]))
@@ -472,27 +482,26 @@ def _inserted(
     return tuple(rows), lines
 
 
-def _refuse_long_fields(tables: Mapping[str, Iterable]) -> None:
-    """Refuse the rows of ``tables`` (by table name) with
-    ``StoreFormatError`` when one of their fields is written longer than
-    ``csv.field_size_limit()``, which ``load``'s CSV reader would not take;
-    the first such field is named, by table, row and column.  A scan in C
-    measures every field, and the rows are scanned in Python only when it
-    finds one that long."""
+def _too_long(where: str, text: str) -> StoreFormatError:
+    """The error for ``text``, field ``where`` (table.column), being longer
+    than ``csv.field_size_limit()``: ``load``'s CSV reader would not take
+    it."""
+    return StoreFormatError(
+        f"{where}: a field of {len(text)} characters is longer than "
+        f"the CSV field limit ({csv.field_size_limit()}) that load reads"
+    )
+
+
+def _refuse_long_fields(name: str, rows: Iterable) -> None:
+    """Refuse table ``name``'s ``rows``, naming the first text field, by
+    row and column, that is longer than ``csv.field_size_limit()`` (the
+    other fields are numbers, or None, written short)."""
+    t = _TABLES[name]
     limit = csv.field_size_limit()
-    for name, rows in tables.items():
-        t = _TABLES[name]
-        fields = list(_fields(t, rows))
-        if max(map(len, map(str, chain.from_iterable(fields))), default=0) <= limit:
-            continue
-        for row in fields:
-            for column, value in zip(t.header, row):
-                size = 0 if value is None else len(str(value))
-                if size > limit:
-                    raise StoreFormatError(
-                        f"{name}.{column}: a field of {size} characters is longer than "
-                        f"the CSV field limit ({limit}) that load reads"
-                    )
+    for row in _fields(t, rows):
+        for column, value in zip(t.header, row):
+            if type(value) is str and len(value) > limit:
+                raise _too_long(f"{name}.{column}", value)
 
 
 def _check_generalisation(space: Space, changes: ChangeSet) -> None:
@@ -555,9 +564,10 @@ def save(store: VersionStore, path: str | Path) -> Path:
     old, since the set of eight is not replaced at once.  Nothing is
     flushed with ``fsync``, so what survives a power loss is up to the file
     system.  Raises ``StoreFormatError`` when ``path`` or a directory above
-    it is a file, and for a boolean attribute value or a field longer than
-    ``csv.field_size_limit()``, which only a store built by hand can hold
-    (``new_store`` and ``commit`` refuse them); none of these writes
+    it is a file, and for a boolean attribute value or a text field longer
+    than ``csv.field_size_limit()``, which ``load`` could not read back
+    (``new_store`` and ``commit`` refuse both in the elements they record,
+    so a store built by hand is the usual source); none of these writes
     anything.  Only a table with a line that long has its fields measured.
     """
     if bool in map(type, map(_VALUE, store.atts)):
@@ -567,11 +577,9 @@ def save(store: VersionStore, path: str | Path) -> Path:
         for name, t in _TABLES.items()
     }
     limit = csv.field_size_limit()
-    _refuse_long_fields({
-        name: getattr(store, t.field)
-        for name, t in _TABLES.items()
-        if max(map(len, lines[name])) > limit
-    })
+    for name, t in _TABLES.items():
+        if max(map(len, lines[name])) > limit:  # no field is longer than its line
+            _refuse_long_fields(name, getattr(store, t.field))
     directory = os.fspath(path)
     try:
         os.makedirs(directory, exist_ok=True)
