@@ -115,13 +115,11 @@ def _render_value(value, args) -> None:
         fmt = getattr(args, "format", None)
         if out is not None:
             outdir = Path(out)
-            try:
-                store = storage.new_store(value.version, value.space, points)
-            except StoreFormatError:
-                # spaces with cross-level pairs fall back to the generic layout
+            if any(a.lod != b.lod for a, b in value.space.relation):
+                # stored pairs are per-level, so these fall back to the generic layout
                 _write_space_csv(value.space, outdir)
             else:
-                storage.save(store, outdir)
+                storage.save(storage.new_store(value.version, value.space, points), outdir)
             print(f"wrote {outdir}")
         elif fmt == "csv":
             _space_csv(value.space, points, sys.stdout)
