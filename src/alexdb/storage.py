@@ -758,10 +758,9 @@ def _key_issues(
                 issues.append(
                     ValidationIssue("duplicate-row", name, f"{name}: duplicate key {k}", (k,))
                 )
-    x = columns["X"]
     known = {
         # (None, None): the target of an element that generalises to none
-        "X": set(_values(_TABLES["X"], x, ("id", "lod"))) | {(None, None)},
+        "X": set(_values(_TABLES["X"], columns["X"], ("id", "lod"))) | {(None, None)},
         "VX": set(columns["VX"][0]),
     }
     found = []
