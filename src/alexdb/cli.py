@@ -305,7 +305,10 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("--region")
-    p.add_argument("--rule", action="append", default=[])
+    p.add_argument(
+        "--rule", action="append", default=[],
+        help="monotonic: answer through the coarse level first (repeatable)",
+    )
 
     p = add("telescope", _cmd_shorthand, "stack all levels of detail into one space")
     p.add_argument("store")

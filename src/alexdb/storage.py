@@ -895,15 +895,19 @@ def versions_with_path(
     the generalisation pairs across levels.  When "monotonic" is among the
     rules (caller vouches for the map), single-level regions are answered
     through the coarse level first and only fall back to the fine level
-    when the filter is inconclusive.  ``spaces``, when given, maps every
+    when the filter is inconclusive; any other rule name is refused with
+    ``NotFoundError``.  ``spaces``, when given, maps every
     version to its reconstructed space, so a caller that already holds
     them (to look a region up) does not reconstruct them twice.
     """
+    unknown = [r for r in rules if r.lower() != "monotonic"]
+    if unknown:
+        raise NotFoundError(f"unknown rule {unknown[0]!r}; known: monotonic")
     region_keys = frozenset(region)
     if a not in region_keys or b not in region_keys:
         raise NotFoundError(f"query endpoints must lie in the region: {a}, {b}")
     vs = store.version_space()
-    monotonic = any(r.lower() == "monotonic" for r in rules)
+    monotonic = bool(rules)
 
     hits = []
     for v in sorted(vs.versions):

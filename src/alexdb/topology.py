@@ -19,19 +19,22 @@ has one constructor, which takes each pair's end positions.
 ``build_space`` finds them by looking each end up once, ``versioning``
 reads them off its history index, and both hand them to ``_assemble``,
 which drops reflexive pairs, rejects dangling ones, fills the index in
-and checks T0.  ``versioning.apply_changeset`` derives its result from
-its input instead (``_derive``): the adjacency is kept by slot, so that
-positions shift without a list being renumbered, and the topological
-order is kept valid under the edit rather than found again; such a space
-fills its index in from the slots on the first query that needs it, as a
-space made otherwise builds it then.  It is cached on the space.  The cache relies on a
-contract: a ``Space`` is immutable.  Never mutate its ``elements`` mapping
-or its relation; build a new space instead.  The contract covers each
-``Element`` and its attribute dict too, since spaces share them:
-``versioning.apply_changeset`` keeps its input's, and every space read
-from one store shares those the store's history index has built.  The
-index also keeps each element's chain length (its dimension), computed
-on first use.
+and checks T0.  ``versioning`` hands it a topological order as well, its
+store's one order restricted to the version, which proves T0; the space
+then keeps the positions and that order, and fills its index in from them
+on the first query that needs it.  ``versioning.apply_changeset`` derives
+its result from its input instead (``_derive``): the adjacency is kept by
+slot, so that positions shift without a list being renumbered, and the
+topological order is kept valid under the edit rather than found again;
+such a space fills its index in from the slots on the first query that
+needs it, as a space made otherwise builds it then.  It is cached on the
+space.  The cache relies on a contract: a ``Space`` is immutable.  Never
+mutate its ``elements`` mapping or its relation; build a new space
+instead.  The contract covers each ``Element`` and its attribute dict
+too, since spaces share them: ``versioning.apply_changeset`` keeps its
+input's, and every space read from one store shares those the store's
+history index has built.  The index also keeps each element's chain
+length (its dimension), computed on first use.
 
 Subspaces (``algebra.select_subspace`` and ``spacetime.time_slice``) work
 on index positions too.  They list their keys in key order by sorting
@@ -143,10 +146,15 @@ class Space:
     def index(self) -> SpaceIndex:
         """Integer-indexed adjacency and topological order of the relation,
         built on the first query that needs it and kept for the life of
-        this (immutable) space."""
+        this (immutable) space: from the lineage of a space ``_derive``
+        made, from the positions and order ``_assemble`` kept, or else from
+        the elements and relation, with Kahn's algorithm."""
         lineage = vars(self).get("_lineage")
         if lineage is not None:  # a space made by ``_derive``
             return lineage.index()
+        known = vars(self).pop("_positions", None)
+        if known is not None:  # kept by ``_assemble`` with a known order
+            return SpaceIndex(*known)
         keys = list(self.elements)
         pos = dict(zip(keys, range(len(keys))))
         pairs = list(self.relation)
@@ -224,18 +232,26 @@ def _assemble(
     ends_a: list[int | None],
     ends_b: list[int | None],
     t0_check: bool = True,
+    order: list[int] | None = None,
 ) -> Space:
     """The space on ``elements`` whose relation is ``pairs``: ``pos`` maps
     each key to its position, and ``pairs[n]`` joins positions ``ends_a[n]``
     and ``ends_b[n]`` (None for a key not among ``elements``).  Its index is
     filled in from those positions unless a pair is given twice.
 
+    ``order``, when given, is a topological order of the positions that
+    the caller knows to hold for every pair that is not dangling or
+    reflexive; the space is then T0, no search proves it, and the
+    positions and the order are kept on the space, which fills its index
+    in from them on the first query that needs it.  Without it the index
+    is filled in now and Kahn's algorithm finds its order.
+
     Reflexive pairs are dropped: reflexivity is implicit in the preorder.
     When no pair is dangling or reflexive, which a C-level test of the
     ends finds, the pairs are taken as given.  Raises
     ``DanglingPairError`` naming the smallest pair that touches an
-    unknown key, and — unless ``t0_check`` is disabled —
-    ``T0ViolationError`` carrying a witness cycle.
+    unknown key, and — unless ``t0_check`` is disabled or ``order`` is
+    given — ``T0ViolationError`` carrying a witness cycle.
     """
     if None in ends_a or None in ends_b or any(map(eq, ends_a, ends_b)):
         rel, kept_a, kept_b, dangling = [], [], [], []
@@ -252,8 +268,12 @@ def _assemble(
         pairs, ends_a, ends_b = rel, kept_a, kept_b
     space = Space(elements, frozenset(pairs))
     if len(space.relation) == len(pairs):  # no pair given twice
-        vars(space)["index"] = SpaceIndex(list(elements), pos, pairs, ends_a, ends_b)
-    if t0_check:
+        known = list(elements), pos, pairs, ends_a, ends_b
+        if order is None:
+            vars(space)["index"] = SpaceIndex(*known)
+        else:
+            vars(space)["_positions"] = *known, order
+    if t0_check and order is None:
         _topological_order(space)
     return space
 
@@ -411,12 +431,14 @@ class SpaceIndex:
     Position ``i`` stands for ``keys[i]`` (the space's element order);
     ``out[i]`` lists the positions ``i`` is bounded by and ``inn[i]`` those
     bounded by ``i``, one relation step each.  ``order`` is a topological
-    order, every position before those it is bounded by, found by Kahn's
-    algorithm; it is None when the relation has a cycle.  ``pos`` maps
-    each key to its position.  The constructor takes the relation's
-    ``pairs``, each once, with ``pairs[n]`` joining positions ``ends_a[n]``
-    and ``ends_b[n]``, so it looks no key up; ends read from ``pos`` are
-    its very int objects, so sets of positions find them by identity.  The
+    order, every position before those it is bounded by; it is None when
+    the relation has a cycle.  ``pos`` maps each key to its position.  The
+    constructor takes the relation's ``pairs``, each once, with
+    ``pairs[n]`` joining positions ``ends_a[n]`` and ``ends_b[n]``, so it
+    looks no key up; ends read from ``pos`` are its very int objects, so
+    sets of positions find them by identity.  It takes the ``order`` too
+    when the caller knows one (``versioning`` restricts its store's order
+    to the version's positions); else Kahn's algorithm finds it.  The
     other attributes are computed on first use and kept: ``depth``, the
     longest strict chain descending from each position; ``rank``, each
     position's place in key order; ``level``, whether the positions below
@@ -435,6 +457,7 @@ class SpaceIndex:
         pairs: Sequence[BoundedByPair],
         ends_a: Sequence[int],
         ends_b: Sequence[int],
+        order: list[int] | None = None,
     ):
         out: list[list[int]] = [[] for _ in keys]
         inn: list[list[int]] = [[] for _ in keys]
@@ -442,7 +465,8 @@ class SpaceIndex:
             out[a].append(b)
             inn[b].append(a)
         self.keys, self.pos, self.out, self.inn = keys, pos, out, inn
-        order = _kahn(out)
+        if order is None:
+            order = _kahn(out)
         self.order = order if len(order) == len(keys) else None
         self._pairs, self._ends_b = pairs, ends_b
         self.life_intervals: tuple[tuple, list[float], list[float]] | None = None

@@ -12,10 +12,14 @@ creation on a path into ``v`` is not followed (at or after it, within the
 ancestry of ``v``) by a deletion — so re-introducing an item after deleting
 it works, and parallel-branch deletions take effect once merged in.  Each
 store computes those hulls and groups its rows once, in its
-``HistoryIndex``; reconstructing a version is then bitset tests.  A child
-version's ancestry is its parent's plus itself, so a commit derives the
-child store's index from the parent's, in time linear in the changeset and
-the number of versions, with no row read again.
+``HistoryIndex``; reconstructing a version is then bitset tests.  The
+versions share one space too, the union of every element and pair the
+history creates: each version's space is a subspace of it, so one
+topological order of the union, kept on the index, orders every version.
+A child version's ancestry is its parent's plus itself, so a commit derives
+the child store's index, that order included, from the parent's, in time
+linear in the changeset and the number of versions, with no row read
+again.
 """
 from __future__ import annotations
 
@@ -26,6 +30,7 @@ from itertools import compress, count, filterfalse, repeat
 from operator import and_, eq, is_, is_not, itemgetter, lshift, mul, or_, rshift
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
+from . import topology
 from .errors import (
     DuplicateKeyError,
     IntegrityError,
@@ -375,14 +380,28 @@ class HistoryIndex:
     order: the key, the masks of the versions creating and deleting it,
     its generalisation target (a dict from creation bit to target when
     several rows create it) and its attributes as ``(name, value)`` pairs
-    in name order.  ``pairs`` holds three columns in row order: the pair
-    and its creation and deletion masks.  ``ends``, when known, holds two
-    more: the places of each pair's ends in ``elements`` (-1 for a key no
-    row creates), so a reconstruction fills in its space's index without
-    looking a key up.  Columns of plain ints and tuples, rather than a
-    container per element, keep the index small and mostly outside the
-    garbage collector's reach.  ``broken`` lists, in row order, each
-    element or pair with the mask of its deletions that no creation
+    in name order.  ``slots`` gives each element column a number that it
+    keeps in every index derived from this one, while its place shifts as
+    columns are put in: a fresh index numbers its columns in order, and a
+    derived one gives a new key the next free slot.  ``pairs`` holds three
+    columns in row order: the pair and its creation and deletion masks.
+    ``ends``, when known, holds two more: the slots of each pair's ends (-1
+    for a key no row creates), so a reconstruction fills in its space's
+    index without looking a key up.  ``order`` lists every slot in a
+    topological order of the union of every version's space: the element
+    columns over the pair columns, leaving out reflexive pairs and pairs
+    with an end no row creates.  Each version's space is a subspace of
+    that union, so the order restricted to its live elements orders it,
+    and proves it T0.  ``order`` is None until it is found, by Kahn's
+    algorithm on first use (``union_order``), and False when the union
+    has a cycle; a version then checks T0 by itself.  ``labels`` numbers
+    the slots along the order, so that a slot's place in it is found by
+    bisection.  An index made by ``derive`` holds in ``pending`` the
+    commits that made it, and the lists they change are None until
+    ``pair_ends`` or ``union_order`` applies those commits (``_settle``).
+    Columns of plain ints and tuples, rather than a container per element,
+    keep the index small and mostly outside the garbage collector's reach.
+    ``broken`` lists, in row order, each element or pair with the mask of its deletions that no creation
     precedes.  Rows naming a version the store lacks are left out;
     ``validate`` reports them as foreign-key violations.  ``held`` is None
     or one ``(version, space)``: the space ``reconstruct_version`` answers
@@ -401,8 +420,8 @@ class HistoryIndex:
     creates.  ``ends`` comes from the same pass.
     """
 
-    __slots__ = ("names", "bit", "ancestry", "descendants", "elements", "pairs", "ends",
-                 "broken", "held", "built")
+    __slots__ = ("names", "bit", "ancestry", "descendants", "elements", "slots", "pairs", "ends",
+                 "order", "labels", "pending", "broken", "held", "built")
 
     def __init__(self, store: "VersionStore"):
         versions = store.version_space().as_space()
@@ -441,6 +460,8 @@ class HistoryIndex:
             list(map(recorded.get, keys, repeat(()))),
         )
         self.built: list[Element | None] = [None] * len(keys)
+        self.slots = list(range(len(keys)))
+        self.order = self.labels = self.pending = None
 
         _, _, (idas, idbs, lods), p_created = _creations(store.r, 4, 3, bit)
         ka, ends_a = _interned(idas, lods, place, keys)
@@ -467,15 +488,75 @@ class HistoryIndex:
                 if bad:
                     self.broken.append((subject(*columns), bad))
 
+    def _settle(self) -> None:
+        """Apply the commits ``pending`` holds to the slots, ends and order
+        of the index they were first derived from: its lists are copied
+        once, in C, and each commit then costs what its changeset does.  A
+        key keeps its slot, so this index's keys give the slots of every
+        commit's pairs."""
+        if self.pending is None:
+            return
+        (slots, ends, order, labels), edits = self.pending
+        commits = []
+        while edits is not None:
+            edits, edit = edits
+            commits.append(edit)
+        commits.reverse()
+        slots = slots.copy()
+        fresh = []  # by commit, the slots of the keys it created first
+        for created_at, _, _ in commits:
+            fresh.append(range(len(slots), len(slots) + len(created_at)))
+            for i, t in zip(created_at, fresh[-1]):
+                slots.insert(i, t)
+        keys = self.elements[0]
+        if ends is None or (any(fresh) and (-1 in ends[0] or -1 in ends[1])):
+            # a new key may complete a pair that named no key a row created:
+            # the ends and the order are found again on first use
+            ends, order = None, False if order is False else None
+        else:
+            ends = ends[0].copy(), ends[1].copy()
+        if type(order) is list:
+            order, labels = order.copy(), labels.copy()
+        for made, (_, linked, linked_at) in zip(fresh, commits):
+            linked = [(slots[bisect_left(keys, a)], slots[bisect_left(keys, b)]) for a, b in linked]
+            if ends is not None:
+                for i, (a, b) in zip(linked_at, linked):
+                    if i >= 0:  # a new pair column
+                        ends[0].insert(i, a)
+                        ends[1].insert(i, b)
+            if type(order) is list and not _ordered(order, labels, made, linked):
+                order = labels = None
+        self.slots, self.ends, self.order, self.labels = slots, ends, order, labels
+        self.pending = None
+
     def pair_ends(self) -> tuple[list[int], list[int]]:
         """``ends``, found on first use from the keys of each pair."""
+        self._settle()
         if self.ends is None:
-            place = dict(zip(self.elements[0], count()))
+            slot = dict(zip(self.elements[0], self.slots))
             pairs = self.pairs[0]
             self.ends = tuple(
-                list(map(place.get, map(itemgetter(end), pairs), repeat(-1))) for end in (0, 1)
+                list(map(slot.get, map(itemgetter(end), pairs), repeat(-1))) for end in (0, 1)
             )
         return self.ends
+
+    def union_order(self) -> list[int] | None:
+        """``order``, found by Kahn's algorithm on first use; None when the
+        union of every version's space has a cycle."""
+        ends = self.pair_ends()
+        if self.order is None:
+            out: list[list[int]] = [[] for _ in self.slots]
+            for a, b in zip(*ends):
+                if a != b and a >= 0 and b >= 0:  # reflexive and dangling pairs are left out
+                    out[a].append(b)
+            order = topology._kahn(out)
+            if len(order) < len(out):
+                self.order = False
+            else:
+                self.order, self.labels = order, [0] * len(order)
+                for place, t in enumerate(order):
+                    self.labels[t] = place
+        return self.order if self.order is not False else None
 
     def attributes(self, key: ElementId) -> dict:
         """The attributes recorded for ``key``, by name; empty when no row
@@ -504,9 +585,12 @@ class HistoryIndex:
         version takes the next free bit: its ancestry is ``parent``'s plus
         itself, and it joins the descendants of each of those.  The columns
         are copied and only the keys the commit touches change, so this
-        index stays valid for its own store; ``ends`` is left to be found
-        on first use.  ``broken`` carries over: a commit deletes only what
-        is alive in its parent.  ``built`` carries over too, except for a
+        index stays valid for its own store; a new key's column takes the
+        next free slot.  ``broken`` carries over: a commit deletes only what
+        is alive in its parent.  The slots, ``ends`` and ``order`` are kept
+        too, on first use: the commit is added to ``pending``, which costs
+        what the changeset does, so commits in a row copy none of those
+        lists.  ``built`` carries over too, except for a
         key created again: its column gains a creation and may gain
         attributes, which every version then reads.  The derived index
         holds the new version's space, so the next commit from it or a
@@ -528,6 +612,7 @@ class HistoryIndex:
 
         keys, created, deleted, gens, atts = (list(c) for c in self.elements)
         built = list(self.built)
+        created_at = []  # where each key no row created before is put in
         for k in removed:
             deleted[bisect_left(keys, k)] |= bit
         for k in added:
@@ -548,22 +633,30 @@ class HistoryIndex:
                 gens.insert(i, e.gen_target)
                 atts.insert(i, tuple(sorted(e.attributes.items())))
                 built.insert(i, None)
+                created_at.append(i)
         new.elements = keys, created, deleted, gens, atts
         new.built = built
 
         pairs, p_created, p_deleted = (list(c) for c in self.pairs)
+        linked_at = []  # where each linked pair is put in as a new column, else -1
         for p in dropped:
             p_deleted[bisect_left(pairs, _row_order(p), key=_row_order)] |= bit
         for p in linked:
             i = bisect_left(pairs, _row_order(p), key=_row_order)
             if i < len(pairs) and pairs[i] == p:
                 p_created[i] |= bit
+                linked_at.append(-1)
             else:
                 pairs.insert(i, p)
                 p_created.insert(i, bit)
                 p_deleted.insert(i, 0)
+                linked_at.append(i)
         new.pairs = pairs, p_created, p_deleted
-        new.ends = None  # places shift as keys are inserted: found on first use
+
+        # the slots, ends and order are brought up to date on first use
+        base, edits = self.pending or ((self.slots, self.ends, self.order, self.labels), None)
+        new.pending = base, (edits, (created_at, linked, linked_at))
+        new.slots = new.ends = new.order = new.labels = None
 
         # the held space is what the columns give: created elements carry
         # every attribute recorded for their key
@@ -578,6 +671,34 @@ class HistoryIndex:
             space = _with_elements(space, elements)
         new.held = version, space
         return new
+
+
+def _ordered(order: list[int], labels: list, fresh: Sequence[int], linked: list) -> bool:
+    """Put the slots ``fresh`` of one commit, which links the pairs of slots
+    ``linked``, into ``order`` and its ``labels``, in place; False when the
+    order does not hold for the linked pairs, and must be found anew.
+
+    The order lists slots by rising label.  Each fresh slot goes just
+    before the first slot it is bounded by that is already placed, found by
+    bisecting the labels, with a label halfway to that slot's predecessor;
+    or last."""
+    below: dict[int, list[int]] = {}
+    for a, b in linked:
+        below.setdefault(a, []).append(b)
+    for t in fresh:  # rising, so ``labels`` holds a label per placed slot
+        bounds = [labels[u] for u in below.get(t, ()) if u < len(labels)]
+        if bounds:
+            high = min(bounds)
+            place = bisect_left(order, high, key=labels.__getitem__)
+            low = labels[order[place - 1]] if place else high - 1
+            label = (low + high) / 2
+            if not low < label < high:  # no label is left between them
+                return False
+        else:
+            place, label = len(order), labels[order[-1]] + 1 if order else 0
+        order.insert(place, t)
+        labels.append(label)
+    return all(labels[a] < labels[b] for a, b in linked)
 
 
 def _alive(inside: int, deleted: int, descendants: list[int]) -> bool:
@@ -629,7 +750,13 @@ def reconstruct_version(store: "VersionStore", v: str) -> Space:
 
     Answered from the store's ``HistoryIndex``: the space it holds when
     ``v`` is that one (a committed store holds its newest version), else
-    bitset tests against the ancestry of ``v``.  An element alive and
+    bitset tests against the ancestry of ``v``.  The store's one
+    topological order (``HistoryIndex.union_order``), restricted to the
+    live elements, orders the space, so no Kahn order or T0 search runs per
+    version: the space keeps the positions and that order, and fills its
+    index in from them on the first query that needs it.  Only when the
+    union of every version's space has a cycle does each version check T0
+    by itself, with the errors it always raised.  An element alive and
     unchanged in several versions is one ``Element`` object, with one
     attribute dict, in every space read from the store; like the spaces,
     neither may be mutated.  Raises ``IntegrityError`` when a relevant
@@ -646,8 +773,8 @@ def _reconstruct(index: HistoryIndex, v: str) -> Space:
     """``reconstruct_version`` read from the index's columns.  Elements
     come from ``built`` where it has them, and are built and kept there
     otherwise.  The live pairs go to ``_assemble`` with the positions of
-    their ends, read off the places the index keeps, so no key is looked
-    up."""
+    their ends, read off the slots the index keeps, so no key is looked
+    up, and with the index's order restricted to the live positions."""
     b = index.bit.get(v)
     if b is None:
         raise NotFoundError(f"unknown version {v!r}")
@@ -680,19 +807,24 @@ def _reconstruct(index: HistoryIndex, v: str) -> Space:
             els[j] = built[i] = Element(keys[i], names[c], gen, dict(atts[i]))
     elements = dict(zip(_pick(keys, live), els))
     pos = dict(zip(elements, count()))
-    # each element column's position in the space, None when it is not
-    # alive; the last entry stands for a key no row creates (place -1)
-    at = [None] * (len(keys) + 1)
-    for i, p in zip(live, pos.values()):
-        at[i] = p
+    # each element column's position in the space, by slot, None when it
+    # is not alive; the last entry stands for a key no row creates (-1)
     ends_a, ends_b = index.pair_ends()
+    at = [None] * (len(keys) + 1)
+    for t, p in zip(_pick(index.slots, live), pos.values()):
+        at[t] = p
     kept = _live(index.pairs[1], index.pairs[2], ancestry, descendants)
+    order = index.union_order()
+    if order is not None:  # the union's order restricted to the live positions
+        order = _pick(at, order)
+        order = list(compress(order, map(is_not, order, repeat(None))))
     return _assemble(
         elements,
         pos,
         _pick(index.pairs[0], kept),
         _pick(at, _pick(ends_a, kept)),
         _pick(at, _pick(ends_b, kept)),
+        order=order,
     )
 
 

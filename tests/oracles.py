@@ -716,8 +716,6 @@ def reconstruct_by_columns(store, v: str):
     """``reconstruct_version`` read from the store's ``HistoryIndex``
     columns as it was before the index kept built elements: one Python
     test per column, and every live element built afresh on each call."""
-    from itertools import count
-
     from alexdb import Element, IntegrityError, NotFoundError
     from alexdb.topology import _assemble, _bits
     from alexdb.versioning import _alive, _newest
@@ -737,10 +735,13 @@ def reconstruct_by_columns(store, v: str):
             )
     descendants = index.descendants
     keys = index.elements[0]
-    at = [None] * (len(keys) + 1)  # the last entry stands for a key no row creates
+    ends = index.pair_ends()
+    # by slot, as the pair ends name columns; the last entry stands for a
+    # key no row creates
+    at = [None] * (len(keys) + 1)
     live = []
     els = {}
-    for i, key, created, deleted, gen, atts in zip(count(), *index.elements):
+    for i, key, created, deleted, gen, atts in zip(index.slots, *index.elements):
         inside = created & ancestry
         if not inside:
             continue
@@ -757,7 +758,7 @@ def reconstruct_by_columns(store, v: str):
         live.append(i)
         els[key] = Element(key, names[c], gen, dict(atts))
     pairs, ends_a, ends_b = [], [], []
-    for pair, created, deleted, a, b in zip(*index.pairs, *index.pair_ends()):
+    for pair, created, deleted, a, b in zip(*index.pairs, *ends):
         inside = created & ancestry
         if not inside:
             continue

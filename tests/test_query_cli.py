@@ -423,6 +423,21 @@ def test_cli_versions_with_path(demo_dir, capsys):
     assert out.split() == ["v1", "v3"]
 
 
+def test_cli_versions_with_path_refuses_an_unknown_rule(demo_dir, capsys):
+    store = str(demo_dir / "pathdemo")
+    code, out, err = run_cli(capsys, "versions-with-path", store, "a", "b", "--rule", "bogus")
+    assert (code, out, err) == (1, "", "error: unknown rule 'bogus'; known: monotonic\n")
+    code, out, err = run_cli(capsys, "versions-with-path", store, "a", "b", "--rule", "monotonic")
+    assert (code, out.split(), err) == (0, ["v1", "v3"], "")
+
+
+def test_cli_versions_with_path_documents_its_rule_option(capsys):
+    with pytest.raises(SystemExit):
+        main(["versions-with-path", "--help"])
+    text = " ".join(capsys.readouterr().out.split())  # as wrapped at any terminal width
+    assert "--rule RULE monotonic: answer through the coarse level first (repeatable)" in text
+
+
 def region_history(directory):
     """v0: a and b both bounded by m, all in region w; v1 drops (b, m);
     v2 re-adds it.  Saved under ``directory``."""

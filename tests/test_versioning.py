@@ -4,15 +4,18 @@ from __future__ import annotations
 import dataclasses
 import random
 import tempfile
+from collections import Counter
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import builders
 import oracles
-from alexdb import demos
+from alexdb import demos, topology
 from alexdb.algebra import select_subspace
+from alexdb.cli import main
 from alexdb.errors import (
     AlexdbError,
     DuplicateKeyError,
@@ -39,8 +42,11 @@ from alexdb.topology import (
     Element,
     ElementId,
     Space,
+    SpaceIndex,
     build_space,
+    closure,
     find_cycle,
+    krull_dimension,
     simple_space,
 )
 from alexdb.versioning import (
@@ -531,9 +537,12 @@ def _index_columns_match_the_row_built_ones(store: VersionStore) -> None:
     for column, want in oracles.history_columns_by_rows(store).items():
         assert getattr(index, column) == want, column
     keys = index.elements[0]
-    for pair, *at in zip(index.pairs[0], *index.pair_ends()):
+    ends = index.pair_ends()  # the slots too, after commits
+    assert sorted(index.slots) == list(range(len(keys)))
+    key_of = dict(zip(index.slots, keys))
+    for pair, *at in zip(index.pairs[0], *ends):
         for end, i in zip(pair, at):
-            assert keys[i] == end if i >= 0 else end not in keys
+            assert key_of[i] == end if i >= 0 else end not in keys
 
 
 @given(st.integers(0, 2**32), st.booleans())
@@ -635,11 +644,252 @@ def test_every_route_to_a_space_index_builds_the_same_one(seed):
         assert facts == _index_facts(build_space(got.elements.values(), got.relation))
     with tempfile.TemporaryDirectory() as tmp:
         store = load(save(history[-1], f"{tmp}/store"))
-    for v in sorted(store.vx):
-        got = reconstruct_version(store, v)
-        facts = _index_facts(got)
-        assert facts == _index_facts(_lazy(got))
-        assert facts == _index_facts(build_space(got.elements.values(), got.relation))
+    # read from the columns, with the store's order restricted to the
+    # version (derived by commits in ``history[-1]``, found in ``store``):
+    # the space keeps the positions and fills its index from them
+    for s in (store, history[-1]):
+        for v in sorted(s.vx):
+            if s.history.held is not None and s.history.held[0] == v:
+                continue
+            got = reconstruct_version(s, v)
+            kept = s.history.union_order() is not None
+            assert ("_positions" in vars(got), "index" in vars(got)) == (kept, not kept)
+            facts = _index_facts(got)
+            assert facts == _index_facts(_lazy(got))
+            assert facts == _index_facts(build_space(got.elements.values(), got.relation))
+
+
+def _union_order_is_valid(index) -> None:
+    """``index.union_order()`` lists every element column's slot, each before
+    those it is bounded by in some pair column, leaving out reflexive pairs
+    and pairs onto a key no row creates; it is None exactly when those pairs
+    form a cycle.  Labels, when kept, rise along the order."""
+    order = index.union_order()
+    n = len(index.slots)
+    union = nx.DiGraph()
+    union.add_nodes_from(range(n))
+    union.add_edges_from((a, b) for a, b in zip(*index.pair_ends()) if a != b and min(a, b) >= 0)
+    assert (order is None) == (not nx.is_directed_acyclic_graph(union))
+    if order is not None:
+        assert sorted(order) == list(range(n))
+        place = {t: i for i, t in enumerate(order)}
+        assert all(place[a] < place[b] for a, b in union.edges)
+        if index.labels is not None:
+            labels = [index.labels[t] for t in order]
+            assert all(x < y for x, y in zip(labels, labels[1:]))
+
+
+def _with_stray_order_rows(store: VersionStore, rnd: random.Random) -> VersionStore:
+    """``store`` plus, each at random, rows that no commit writes and that
+    bear on the order of the union of its spaces: pairs onto and from
+    ``ghost``, a key no row creates, a reflexive pair, an element created again in some
+    version, and deletions that no creation may precede."""
+    a = rnd.choice(store.x)
+    v = lambda: rnd.choice(store.vx)  # noqa: E731 - a fresh draw each time
+    extra = {
+        "x": [XRow(a.id, a.lod, None, None, v())],
+        "r": [RRow(a.id, "ghost", a.lod, v()), RRow("ghost", a.id, a.lod, v()),
+              RRow(a.id, a.id, a.lod, v())],
+        "delx": [DelXRow(a.id, a.lod, v()), DelXRow("ghost", 0, v())],
+        "delr": [DelRRow(a.id, "ghost", a.lod, v())],
+    }
+    return VersionStore(**{
+        f.name: getattr(store, f.name) + tuple(w for w in extra.get(f.name, ()) if rnd.random() < 0.4)
+        for f in dataclasses.fields(store)
+    })
+
+
+def _order_history(rnd: random.Random) -> tuple[list[VersionStore], bool]:
+    """Every store of a branching history, oldest first, and whether they
+    carry stray rows, which ``load`` would refuse.  The first is a
+    text chain, whose keys ``t0``, ``t1`` ... leave room for keys created
+    between them, or a random store; now and then it carries stray rows
+    (``_with_stray_order_rows``).  Each commit picks any version as its parent
+    and makes a random edit, puts a new key between the ends of a pair,
+    turns a pair round (so that the union of the spaces has a cycle,
+    though no version has one) or creates ``ghost``, the key the stray
+    pair names.  Commits that ``commit`` rejects are left out."""
+    if rnd.random() < 0.5:
+        n = rnd.randint(1, 8)
+        text = "".join(rnd.choice("ab") for _ in range(n))
+        store = new_store("v0", text_space(text, ids=[f"t{i}" for i in range(n)]))
+    else:
+        store = builders.random_store(rnd)
+    stray = rnd.random() < 0.3
+    if stray:
+        store = _with_stray_order_rows(store, rnd)
+    stores = [store]
+    for i in range(rnd.randint(1, 6)):
+        store = stores[-1]
+        parent = rnd.choice(sorted(store.vx))
+        try:
+            space = reconstruct_version(store, parent)
+        except AlexdbError:
+            continue
+        version = f"w{i}"
+        pairs = sorted(space.relation)
+        kind = rnd.choice(["random", "insert", "turn", "ghost"])
+        if kind == "insert" and pairs:
+            a, b = rnd.choice(pairs)
+            new = ElementId(f"{a.id}{version}", a.lod)
+            changes = changeset(version, [Element(new)], add_pairs=[(a, new), (new, b)],
+                                remove_pairs=[(a, b)])
+        elif kind == "turn" and pairs:
+            a, b = rnd.choice(pairs)
+            changes = changeset(version, remove_pairs=[(a, b)], add_pairs=[(b, a)])
+        elif kind == "ghost":
+            changes = changeset(version, [Element(ElementId("ghost", rnd.choice(store.x).lod))])
+        else:
+            changes = _random_edit(rnd, store, space, version)
+        try:
+            stores.append(commit(store, parent, changes))
+        except AlexdbError:
+            pass
+    return stores, stray
+
+
+@given(st.integers(0, 2**32))
+@settings(max_examples=80)
+def test_the_store_order_reads_every_version_as_the_reference_does(seed):
+    stores, stray = _order_history(random.Random(seed))
+    with tempfile.TemporaryDirectory() as tmp:
+        for n, store in enumerate(stores):
+            # the same rows, indexed afresh; ``load`` refuses stray rows
+            fresh = canonicalize(store) if stray else load(save(store, f"{tmp}/s{n}"))
+            # committed stores derive their order; fresh ones find it
+            for s in (store, fresh):
+                for v in sorted(s.vx):
+                    want = outcome(oracles.reconstruct_version_by_hulls, store, v)
+                    assert outcome(reconstruct_version, s, v) == want
+                    if isinstance(want[0], list):  # the index's order is valid
+                        got = reconstruct_version(s, v)
+                        rebuilt = build_space(got.elements.values(), got.relation)
+                        assert _index_facts(got) == _index_facts(rebuilt)
+                _union_order_is_valid(s.history)
+
+
+def test_a_pair_turned_round_leaves_every_version_readable(tmp_path, capsys):
+    # the union of the two spaces is the cycle a -> b -> a, though neither
+    # version has one: each version checks T0 by itself, as before
+    store = new_store("v0", simple_space(["a", "b"], [("a", "b")]))
+    store = commit(store, "v0", changeset("v1", remove_pairs=[("a", "b")], add_pairs=[("b", "a")]))
+    a, b = ElementId("a"), ElementId("b")
+    loaded = load(save(store, tmp_path / "s"))
+    for s in (store, loaded, canonicalize(store)):
+        v0, v1 = reconstruct_version(s, "v0"), reconstruct_version(s, "v1")
+        assert (v0.relation, v1.relation) == ({(a, b)}, {(b, a)})
+        assert krull_dimension(v0) == krull_dimension(v1) == 1
+        assert s.history.union_order() is None
+        _index_facts(v0)
+        _index_facts(v1)
+    for argv, want in (
+        (["validate"], "ok\n"),
+        (["dim", "--version", "v0"], "1\n"),
+        (["dim", "--version", "v1"], "1\n"),
+        (["path", "a", "b", "--version", "v0"], "Yes\n"),
+        (["path", "b", "a", "--version", "v1"], "Yes\n"),
+        (["versions-with-path", "a", "b"], "v0\nv1\n"),
+    ):
+        argv.insert(1, str(tmp_path / "s"))
+        assert main(argv) == 0
+        assert capsys.readouterr() == (want, "")
+
+
+def test_a_cyclic_version_raises_the_error_it_raised_before():
+    # v1 turns a -> b round; v2, a sibling, closes a -> b -> c -> a
+    store = VersionStore(
+        x=tuple(XRow(k, 0, None, None, "v0") for k in "abc"),
+        r=(RRow("a", "b", 0, "v0"), RRow("b", "a", 0, "v1"), RRow("b", "c", 0, "v2"),
+           RRow("c", "a", 0, "v2")),
+        delr=(DelRRow("a", "b", 0, "v1"),),
+        vx=("v0", "v1", "v2"),
+        vr=(("v0", "v1"), ("v0", "v2")),
+    )
+    assert store.history.union_order() is None
+    a, b, c = (ElementId(k) for k in "abc")
+    assert reconstruct_version(store, "v1").relation == {(b, a)}
+    with pytest.raises(T0ViolationError) as err:
+        reconstruct_version(store, "v2")
+    assert str(err.value) == "relation has a cycle, space is not T0: ['b', 'c', 'a']"
+    assert err.value.cycle == [b, c, a]
+    assert outcome(reconstruct_version, store, "v2") == outcome(
+        oracles.reconstruct_version_by_hulls, store, "v2"
+    )
+
+
+def test_a_key_created_for_a_pair_that_named_it_joins_the_ends_and_the_order():
+    # the pair (1, ghost) is a row before any row creates ghost; v1 deletes
+    # it, v2 creates ghost, v3 links the pair again and v4 turns it round
+    store = VersionStore(
+        x=(XRow("1", 0, None, None, "v0"),),
+        r=(RRow("1", "ghost", 0, "v0"),),
+        delr=(DelRRow("1", "ghost", 0, "v1"),),
+        vx=("v0", "v1"),
+        vr=(("v0", "v1"),),
+    )
+    assert store.history.union_order() == [0]  # ghost has no column, the pair no place
+    store = commit(store, "v1", changeset("v2", [Element(ElementId("ghost"))]))
+    store = commit(store, "v2", changeset("v3", add_pairs=[("1", "ghost")]))
+    store = commit(store, "v3", changeset("v4", remove_pairs=[("1", "ghost")],
+                                          add_pairs=[("ghost", "1")]))
+    for v in ("v0", "v1", "v2", "v3"):  # read from the columns
+        assert outcome(reconstruct_version, store, v) == outcome(
+            oracles.reconstruct_version_by_hulls, store, v
+        )
+    assert store.history.union_order() is None  # 1 -> ghost -> 1
+    _union_order_is_valid(store.history)
+    _index_columns_match_the_row_built_ones(store)
+
+
+def test_keys_put_in_one_gap_again_and_again_run_out_of_labels_and_find_the_order_anew():
+    # each new key goes between the key put in before it and "2", halving
+    # one gap between labels until none is left
+    store = canonicalize(new_store("v0", text_space("ab")))
+    reconstruct_version(store, "v0")  # the order is found, and then derived
+    above, found_anew = ElementId("1"), 0
+    for i in range(1, 80):
+        new = ElementId(f"1.{i:02d}")
+        changes = changeset(f"v{i}", [Element(new)], add_pairs=[(above, new), (new, "2")],
+                            remove_pairs=[(above, "2")])
+        store = commit(store, f"v{i - 1}", changes)
+        above = new
+        if store.history.order is None:  # no label was left: found on the next read
+            found_anew += 1
+            assert outcome(reconstruct_version, store, "v0") == outcome(
+                oracles.reconstruct_version_by_hulls, store, "v0"
+            )
+        _union_order_is_valid(store.history)
+    assert found_anew >= 1
+    assert len(reconstruct_version(store, "v79")) == 81
+
+
+def test_a_checkout_runs_no_kahn_and_builds_no_index_until_its_first_query(monkeypatch):
+    store = new_store("v0", text_space("abcdef"))
+    for i, parent in enumerate(["v0", "v1", "v0"], 1):
+        store = commit(store, parent, changeset(f"v{i}", remove_elements=[str(i + 1)]))
+    store = canonicalize(store)  # an index built from the rows, holding no space
+    store.history  # noqa: B018 - build the index, and the version space's, before counting
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(SpaceIndex, "__init__", counted("space index", SpaceIndex.__init__))
+    monkeypatch.setattr(topology, "_kahn", counted("kahn", topology._kahn))
+    spaces = [reconstruct_version(store, v) for v in sorted(store.vx)]
+    # one Kahn order of the union of every version's space, none per version
+    assert counts == Counter({"kahn": 1})
+    assert [len(s) for s in spaces] == [6, 5, 4, 5]
+    assert all(len(s.relation) == len(s) - 1 for s in spaces)
+    assert counts == Counter({"kahn": 1})
+    assert closure(spaces[2], [ElementId("1")]) == {ElementId(k) for k in "1456"}
+    assert counts == Counter({"kahn": 1, "space index": 1})
+    assert spaces[2].index.order is not None
+    assert counts == Counter({"kahn": 1, "space index": 1})
 
 
 def _random_edit(rnd: random.Random, store: VersionStore, space: Space, version: str):
