@@ -62,6 +62,7 @@ import io
 import math
 import os
 import shutil
+import stat
 import tempfile
 from bisect import bisect_left
 from dataclasses import dataclass, replace
@@ -556,19 +557,30 @@ def save(store: VersionStore, path: str | Path) -> Path:
     A store made by ``commit`` keeps the CSV lines of its files, derived
     from its parent's, and they are written as they stand; any other
     store's rows are formatted into lines first.  Either way every table
-    is in canonical order, sorted by its key.  Each file is replaced
-    whole: the eight tables are written into a temporary sibling directory,
-    then moved into place one by one with ``os.replace``, and the temporary
-    directory is removed.  A failure while writing leaves the previous
-    files untouched; a crash while moving can leave some files new and some
-    old, since the set of eight is not replaced at once.  Nothing is
-    flushed with ``fsync``, so what survives a power loss is up to the file
-    system.  Raises ``StoreFormatError`` when ``path`` or a directory above
-    it is a file, and for a boolean attribute value or a text field longer
-    than ``csv.field_size_limit()``, which ``load`` could not read back
-    (``new_store`` and ``commit`` refuse both in the elements they record,
-    so a store built by hand is the usual source); none of these writes
-    anything.  Only a table with a line that long has its fields measured.
+    is in canonical order, sorted by its key.  The eight tables are
+    replaced as one unit, by swapping directories: they are written into a
+    temporary sibling directory, which takes the store directory's
+    permission bits; the store directory is renamed to the fixed sibling
+    ``.{name}.old`` and the new one renamed to its path; then the entries
+    of ``.{name}.old`` other than the tables move into the new directory
+    and ``.{name}.old`` is removed.  A symbolic link at ``path`` stays a
+    link: the directory it resolves to is swapped.  A failure while
+    writing leaves the previous store untouched and no sibling behind; a
+    failure of the second rename moves the previous store back.  A crash
+    between the steps leaves the previous store or the new one whole:
+    ``load`` reads ``.{name}.old`` while nothing stands at ``path``, and
+    the next ``save`` first finishes or undoes the swap.  A process whose
+    working directory is the store directory is left in the removed
+    directory.  Nothing is flushed with ``fsync``, so what survives a power
+    loss is up to the file system; the swapped-in files do not get the
+    writeback that some file systems (ext4's ``auto_da_alloc``) start when
+    a file is renamed over a live one.  Raises ``StoreFormatError`` when
+    ``path`` or a directory above it is a file, and for a boolean attribute
+    value or a text field longer than ``csv.field_size_limit()``, which
+    ``load`` could not read back (``new_store`` and ``commit`` refuse both
+    in the elements they record, so a store built by hand is the usual
+    source); none of these writes anything.  Only a table with a line that
+    long has its fields measured.
     """
     if bool in map(type, map(_VALUE, store.atts)):
         raise StoreFormatError(_NO_BOOLEANS)
@@ -581,25 +593,59 @@ def save(store: VersionStore, path: str | Path) -> Path:
         if max(map(len, lines[name])) > limit:  # no field is longer than its line
             _refuse_long_fields(name, getattr(store, t.field))
     directory = os.fspath(path)
+    real, old = _swap_paths(directory)
+    _settle_swap(real, old)  # before makedirs, which would stand in for a swapped-out store
     try:
         os.makedirs(directory, exist_ok=True)
     except (FileExistsError, NotADirectoryError):
         raise StoreFormatError(
             f"cannot save a store into {directory}: it or a directory above it is a file"
         ) from None
-    above, name = os.path.split(os.path.abspath(directory))
+    above, name = os.path.split(real)
     staging = tempfile.mkdtemp(prefix=f".{name}.", dir=above)
     try:
         for table, t in _TABLES.items():
             with open(os.path.join(staging, t.file), "wb") as fh:
                 fh.write(("\n".join(lines[table]) + "\n").encode())
-        for t in _TABLES.values():
-            os.replace(os.path.join(staging, t.file), os.path.join(directory, t.file))
+        os.chmod(staging, stat.S_IMODE(os.stat(real).st_mode))
+        os.rename(real, old)
+        try:
+            os.rename(staging, real)
+        except BaseException:
+            os.rename(old, real)
+            raise
     except BaseException:
         shutil.rmtree(staging, ignore_errors=True)
         raise
-    os.rmdir(staging)
+    _settle_swap(real, old)
     return Path(path)
+
+
+def _swap_paths(directory: str) -> tuple[str, str]:
+    """The store directory that ``directory`` names, with symbolic links
+    resolved, and the fixed sibling ``.{name}.old`` that ``save`` moves it
+    to while it swaps the new tables in."""
+    real = os.path.realpath(directory)
+    above, name = os.path.split(real)
+    return real, os.path.join(above, f".{name}.old")
+
+
+def _settle_swap(real: str, old: str) -> None:
+    """Finish or undo the swap of a save that stopped between its steps,
+    so that only the store directory ``real`` stands.  With no directory at
+    ``real``, the swapped-out store ``old`` moves back.  With both, the new
+    store is in place: the entries of ``old`` other than the tables move
+    into it, and ``old`` is removed."""
+    if not os.path.isdir(old):
+        return
+    if not os.path.lexists(real):
+        os.rename(old, real)
+    elif os.path.isdir(real):
+        tables = {t.file for t in _TABLES.values()}
+        for entry in os.listdir(old):
+            if entry not in tables:
+                os.rename(os.path.join(old, entry), os.path.join(real, entry))
+        shutil.rmtree(old)
 
 
 def _read_table(directory: Path, name: str) -> list[Sequence]:
@@ -677,10 +723,18 @@ def load(path: str | Path) -> VersionStore:
     both the order and that no two rows share a key.  A table file that is
     a directory, is not UTF-8 text or is not CSV that ``csv.reader`` takes
     (a field longer than ``csv.field_size_limit()``, say) is a
-    ``StoreFormatError`` naming the file."""
+    ``StoreFormatError`` naming the file.
+
+    When nothing stands at ``path`` but its sibling ``.{name}.old`` is a
+    directory, a ``save`` stopped after swapping the previous store out,
+    and that store is read.  ``load`` writes nothing: the next ``save``
+    settles the swap."""
     directory = Path(path)
     if not directory.is_dir():
-        raise StoreFormatError(f"no store directory {directory}")
+        real, old = _swap_paths(directory)
+        if os.path.lexists(real) or not os.path.isdir(old):
+            raise StoreFormatError(f"no store directory {directory}")
+        directory = Path(old)  # a save stopped with the previous store swapped out
     columns = {n: _read_table(directory, n) for n in _LOAD_ORDER}
     rows = {_TABLES[n].field: _TABLES[n].rows(c) for n, c in columns.items()}
     ordered = not any(_neighbours(_TABLES[n], c, ge) for n, c in columns.items())

@@ -380,10 +380,13 @@ class HistoryIndex:
     order: the key, the masks of the versions creating and deleting it,
     its generalisation target (a dict from creation bit to target when
     several rows create it) and its attributes as ``(name, value)`` pairs
-    in name order.  ``slots`` gives each element column a number that it
-    keeps in every index derived from this one, while its place shifts as
-    columns are put in: a fresh index numbers its columns in order, and a
-    derived one gives a new key the next free slot.  ``pairs`` holds three
+    in name order.  ``stray`` holds, by ``(id, lod)``, the attributes of
+    each key that attribute rows name but no row creates: a commit that
+    creates such a key takes them into its column.  ``slots`` gives each
+    element column a number that it keeps in every index derived from this
+    one, while its place shifts as columns are put in: a fresh index
+    numbers its columns in order, and a derived one gives a new key the
+    next free slot.  ``pairs`` holds three
     columns in row order: the pair and its creation and deletion masks.
     ``ends``, when known, holds two more: the slots of each pair's ends (-1
     for a key no row creates), so a reconstruction fills in its space's
@@ -420,8 +423,8 @@ class HistoryIndex:
     creates.  ``ends`` comes from the same pass.
     """
 
-    __slots__ = ("names", "bit", "ancestry", "descendants", "elements", "slots", "pairs", "ends",
-                 "order", "labels", "pending", "broken", "held", "built")
+    __slots__ = ("names", "bit", "ancestry", "descendants", "elements", "stray", "slots", "pairs",
+                 "ends", "order", "labels", "pending", "broken", "held", "built")
 
     def __init__(self, store: "VersionStore"):
         versions = store.version_space().as_space()
@@ -450,6 +453,7 @@ class HistoryIndex:
         if any(map(eq, zip(aids, alods, names), zip(aids[1:], alods[1:], names[1:]))):
             runs = map(dict.items, map(dict, runs))
         recorded = dict(zip(stops, map(tuple, runs)))
+        self.stray = {k: recorded[k] for k in recorded.keys() - place.keys()}
         dx = list(zip(*store.delx)) or [()] * 3
         el_deleted = _masks(zip(zip(dx[0], dx[1]), dx[2]), bit)
         self.elements = (
@@ -559,11 +563,12 @@ class HistoryIndex:
         return self.order if self.order is not False else None
 
     def attributes(self, key: ElementId) -> dict:
-        """The attributes recorded for ``key``, by name; empty when no row
-        creates it."""
+        """The attributes recorded for ``key``, by name, whether or not a
+        row creates it."""
         keys = self.elements[0]
         i = bisect_left(keys, key)
-        return dict(self.elements[4][i]) if i < len(keys) and keys[i] == key else {}
+        found = i < len(keys) and keys[i] == key
+        return dict(self.elements[4][i] if found else self.stray.get(key, ()))
 
     def derive(
         self,
@@ -586,13 +591,14 @@ class HistoryIndex:
         itself, and it joins the descendants of each of those.  The columns
         are copied and only the keys the commit touches change, so this
         index stays valid for its own store; a new key's column takes the
-        next free slot.  ``broken`` carries over: a commit deletes only what
-        is alive in its parent.  The slots, ``ends`` and ``order`` are kept
-        too, on first use: the commit is added to ``pending``, which costs
-        what the changeset does, so commits in a row copy none of those
-        lists.  ``built`` carries over too, except for a
-        key created again: its column gains a creation and may gain
-        attributes, which every version then reads.  The derived index
+        next free slot and any ``stray`` attributes of its key.  ``broken``
+        carries over: a commit deletes only what is alive in its parent.
+        The slots, ``ends`` and ``order`` are kept too, on first use: the
+        commit is added to ``pending``, which costs what the changeset
+        does, so commits in a row copy none of those lists.  ``built``
+        carries over too, except for a key created again: its column gains
+        a creation and may gain attributes, which every version then reads.
+        The derived index
         holds the new version's space, so the next commit from it or a
         checkout of it reads no column; a new key's element is that
         space's.
@@ -611,6 +617,7 @@ class HistoryIndex:
         new.broken = self.broken
 
         keys, created, deleted, gens, atts = (list(c) for c in self.elements)
+        stray = dict(self.stray)
         built = list(self.built)
         created_at = []  # where each key no row created before is put in
         for k in removed:
@@ -631,10 +638,11 @@ class HistoryIndex:
                 created.insert(i, bit)
                 deleted.insert(i, 0)
                 gens.insert(i, e.gen_target)
-                atts.insert(i, tuple(sorted(e.attributes.items())))
+                atts.insert(i, tuple(sorted({**dict(stray.pop(k, ())), **e.attributes}.items())))
                 built.insert(i, None)
                 created_at.append(i)
         new.elements = keys, created, deleted, gens, atts
+        new.stray = stray
         new.built = built
 
         pairs, p_created, p_deleted = (list(c) for c in self.pairs)

@@ -708,8 +708,9 @@ def history_columns_by_rows(store) -> dict:
             bad = uncreated(created.get(columns, 0), mask, ancestry)
             if bad:
                 broken.append((subject(*columns), bad))
+    stray = {k: tuple(a.items()) for k, a in atts.items() if k not in gens}
     return {"names": names, "ancestry": ancestry, "descendants": descendants,
-            "elements": elements, "pairs": pairs, "broken": broken}
+            "elements": elements, "stray": stray, "pairs": pairs, "broken": broken}
 
 
 def reconstruct_by_columns(store, v: str):

@@ -4,6 +4,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
+import os
 import random
 import sys
 from collections import Counter
@@ -134,6 +135,132 @@ def test_saving_onto_a_file_is_a_format_error(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["file"]  # no staging left behind
 
 
+def _older_and_newer():
+    older = demos.text_store()
+    return older, commit(older, "v0", changeset("v9", remove_elements=["1"]))
+
+
+def test_a_save_keeps_the_entries_that_are_not_tables(tmp_path):
+    older, newer = _older_and_newer()
+    target = tmp_path / "store"
+    save(older, target)
+    (target / "notes.txt").write_text("keep me", encoding="utf-8")
+    (target / "extra").mkdir()
+    (target / "extra" / "X.csv").write_text("not a table", encoding="utf-8")
+    save(newer, target)
+    assert load(target) == canonicalize(newer)
+    assert (target / "notes.txt").read_text(encoding="utf-8") == "keep me"
+    assert (target / "extra" / "X.csv").read_text(encoding="utf-8") == "not a table"
+    assert [p.name for p in tmp_path.iterdir()] == ["store"]  # no sibling left behind
+
+
+def test_a_store_path_that_is_a_link_stays_a_link(tmp_path):
+    older, newer = _older_and_newer()
+    real = tmp_path / "real"
+    save(older, real)
+    link = tmp_path / "link"
+    link.symlink_to(real, target_is_directory=True)
+    save(newer, link)
+    assert link.is_symlink() and os.readlink(link) == str(real)
+    assert load(real) == load(link) == canonicalize(newer)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "real"]
+
+
+def test_a_save_keeps_the_mode_of_the_store_directory(tmp_path):
+    older, newer = _older_and_newer()
+    target = tmp_path / "store"
+    save(older, target)
+    target.chmod(0o750)
+    save(newer, target)
+    assert target.stat().st_mode & 0o7777 == 0o750
+    # a new store directory gets the mode ``os.makedirs`` gives
+    os.makedirs(tmp_path / "made")
+    save(newer, tmp_path / "new")
+    assert (tmp_path / "new").stat().st_mode == (tmp_path / "made").stat().st_mode
+
+
+@pytest.mark.parametrize("every_later_one", [False, True], ids=["one", "every-later-one"])
+def test_a_failed_rename_leaves_a_whole_store(tmp_path, monkeypatch, every_later_one):
+    """Each ``os.rename`` of a save fails in turn (alone, or with every
+    rename after it): ``load`` reads the previous store or the new one
+    whole, and the next save leaves the store directory alone."""
+    older, newer = _older_and_newer()
+    rename = os.rename
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        rename(*args)
+
+    target = tmp_path / "store"
+    save(older, target)
+    (target / "notes.txt").write_text("keep me", encoding="utf-8")
+    (target / "extra").mkdir()
+    monkeypatch.setattr(os, "rename", counted)
+    save(newer, target)
+    monkeypatch.undo()
+    # the swap's two renames, then one per entry carried over
+    assert len(calls) == 4
+    for fail_at in range(len(calls)):
+        save(older, target)
+        calls = []
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) - 1 == fail_at or (every_later_one and len(calls) - 1 > fail_at):
+                raise OSError("rename failed")
+            rename(*args)
+
+        monkeypatch.setattr(os, "rename", failing)
+        with pytest.raises(OSError, match="rename failed"):
+            save(newer, target)
+        monkeypatch.undo()
+        assert load(target) in (canonicalize(older), canonicalize(newer)), fail_at
+        if not every_later_one:  # a failed second rename moves the previous store back
+            assert target.is_dir(), fail_at
+        save(newer, target)
+        assert load(target) == canonicalize(newer)
+        assert [p.name for p in tmp_path.iterdir()] == ["store"], fail_at
+        assert sorted(p.name for p in target.iterdir() if not p.name.endswith(".csv")) == [
+            "extra", "notes.txt"
+        ]
+
+
+def test_a_swap_that_stopped_half_way_is_settled_by_the_next_save(tmp_path, monkeypatch):
+    older, newer = _older_and_newer()
+    target, old = tmp_path / "store", tmp_path / ".store.old"
+    # stopped with the previous store swapped out: it is what ``load`` reads
+    save(older, target)
+    (target / "notes.txt").write_text("keep me", encoding="utf-8")
+    target.rename(old)
+    assert load(target) == canonicalize(older)
+    assert [p.name for p in tmp_path.iterdir()] == [".store.old"]  # load writes nothing
+    # a save that then fails while writing still leaves the previous store
+    monkeypatch.setattr(alexdb.storage, "open", lambda *a, **k: 1 / 0, raising=False)
+    with pytest.raises(ZeroDivisionError):
+        save(newer, target)
+    monkeypatch.undo()
+    assert load(target) == canonicalize(older)
+    assert [p.name for p in tmp_path.iterdir()] == ["store"]
+    save(newer, target)
+    assert load(target) == canonicalize(newer)
+    assert [p.name for p in tmp_path.iterdir()] == ["store"]
+    assert (target / "notes.txt").read_text(encoding="utf-8") == "keep me"
+    # stopped with the new store in place and the previous one beside it
+    save(older, old)
+    (old / "more.txt").write_text("and me", encoding="utf-8")
+    assert load(target) == canonicalize(newer)
+    save(newer, target)
+    assert [p.name for p in tmp_path.iterdir()] == ["store"]
+    assert (target / "more.txt").read_text(encoding="utf-8") == "and me"
+    # with neither, there is no store
+    for p in target.iterdir():
+        p.unlink()
+    target.rmdir()
+    with pytest.raises(StoreFormatError, match="no store directory"):
+        load(target)
+
+
 def test_boolean_attribute_values_are_refused_where_rows_are_built(tmp_path):
     flagged = Element(ElementId("b"), attributes={"flag": True})
     refused = "boolean attribute values are not part of the schema"
@@ -198,7 +325,7 @@ def test_a_store_puts_rows_given_in_any_order_in_canonical_order(rnd, tmp_path_f
     shuffled = VersionStore(**tables)
     assert shuffled == store
     fresh = canonicalize(store).history  # built from the canonical rows
-    for column in ("names", "ancestry", "descendants", "elements", "pairs", "broken"):
+    for column in ("names", "ancestry", "descendants", "elements", "stray", "pairs", "broken"):
         assert getattr(shuffled.history, column) == getattr(fresh, column)
     assert _saved_bytes(shuffled, tmp_path_factory.mktemp("shuffled")) == _saved_bytes(
         store, tmp_path_factory.mktemp("canonical")

@@ -377,6 +377,26 @@ def test_a_committed_store_holds_its_newest_space():
     assert store.history.held[0] == "v1"
 
 
+def test_a_commit_creating_a_key_takes_the_attribute_rows_it_already_had():
+    # an attribute row of "ghost", a key no row creates: a store built in
+    # code can hold one, though ``load`` refuses it
+    store = new_store("v0", text_space("ab"))
+    ghost_row = AttRow("ghost", 0, "q", "x")
+    store = canonicalize(dataclasses.replace(store, atts=store.atts + (ghost_row,)))
+    ghost = ElementId("ghost")
+    for attributes, rows in (({}, [("q", "x")]), ({"q": "x", "r": 1}, [("q", "x"), ("r", 1)])):
+        child = commit(store, "v0", changeset("v1", [Element(ghost, attributes=attributes)]))
+        read = reconstruct_version(child, "v1")
+        assert read.elements[ghost].attributes == dict(rows)
+        fresh = reconstruct_version(canonicalize(child), "v1")
+        assert list(read.elements.items()) == list(fresh.elements.items())
+        assert [(a.name, a.value) for a in child.atts if a.id == "ghost"] == rows
+        _index_columns_match_the_row_built_ones(child)
+    # a clashing value is refused, as for a key some row created before
+    with pytest.raises(DuplicateKeyError, match="'q' of \\(ghost, 0\\) already recorded as 'x'"):
+        commit(store, "v0", changeset("v1", [Element(ghost, attributes={"q": "y"})]))
+
+
 def test_a_new_name_sorting_first_takes_the_next_bit():
     store = new_store("w9", text_space("abc"))
     store = commit(store, "w9", changeset("w10", remove_elements=["2"]))
@@ -683,7 +703,8 @@ def _with_stray_order_rows(store: VersionStore, rnd: random.Random) -> VersionSt
     """``store`` plus, each at random, rows that no commit writes and that
     bear on the order of the union of its spaces: pairs onto and from
     ``ghost``, a key no row creates, a reflexive pair, an element created again in some
-    version, and deletions that no creation may precede."""
+    version, deletions that no creation may precede and attributes of
+    ``ghost``, which a commit creating it takes on."""
     a = rnd.choice(store.x)
     v = lambda: rnd.choice(store.vx)  # noqa: E731 - a fresh draw each time
     extra = {
@@ -692,6 +713,7 @@ def _with_stray_order_rows(store: VersionStore, rnd: random.Random) -> VersionSt
               RRow(a.id, a.id, a.lod, v())],
         "delx": [DelXRow(a.id, a.lod, v()), DelXRow("ghost", 0, v())],
         "delr": [DelRRow(a.id, "ghost", a.lod, v())],
+        "atts": [AttRow("ghost", 0, "q", "x"), AttRow("ghost", a.lod, "r", 1)],
     }
     return VersionStore(**{
         f.name: getattr(store, f.name) + tuple(w for w in extra.get(f.name, ()) if rnd.random() < 0.4)
