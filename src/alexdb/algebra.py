@@ -21,6 +21,7 @@ from .topology import (
     Element,
     ElementId,
     Space,
+    SpaceIndex,
     build_space,
     find_cycle_in,
     is_connected,
@@ -114,34 +115,84 @@ def select_subspace(space: Space, keep: Iterable[ElementId]) -> Space:
 
 
 def _subspace(space: Space, kept: set[int]) -> Space:
-    """The subspace on the index positions ``kept``.
+    """The subspace on the index positions ``kept``: its elements in key
+    order and the relation ``_restriction`` finds.  The ambient pairs
+    between kept positions are taken as the ambient pair objects, so only
+    the pairs that pass through dropped positions are built."""
+    idx = space.index
+    out, inn, keys = idx.out, idx.inn, idx.keys
+    names = list(map(keys.__getitem__, sorted(kept, key=idx.rank.__getitem__)))
+    # keys, pairs and acyclicity hold by construction: no re-validation
+    elements = dict(zip(names, map(space.elements.__getitem__, names)))
+    reduced, rim, walked = _restriction(idx, kept)
+    if reduced is not None:
+        return Space(elements, reduced)
+    inn_pairs = idx.inn_pairs
+    pairs = list(chain.from_iterable(map(inn_pairs.__getitem__, kept.difference(rim))))
+    pairs += [p for b in rim for p, a in zip(inn_pairs[b], inn[b]) if a in kept]
+    pairs += [
+        _pair((keys[a], keys[b])) for a, found in walked.items() for b in found.difference(out[a])
+    ]
+    return Space(elements, frozenset(pairs))
+
+
+def _subspace_covers(idx: SpaceIndex, kept: set[int]) -> tuple[list[int], list[int]]:
+    """The relation of the subspace on the index positions ``kept`` as
+    ambient positions: pair ``n`` joins ``tops[n]`` to ``bottoms[n]``.  It
+    builds no ``Space``, no pair object outside a reduction, and no
+    order of the kept positions."""
+    out, inn, pos = idx.out, idx.inn, idx.pos
+    reduced, rim, walked = _restriction(idx, kept)
+    if reduced is not None:
+        return [pos[a] for a, _ in reduced], [pos[b] for _, b in reduced]
+    tops: list[int] = []
+    bottoms: list[int] = []
+    for b in kept.difference(rim):
+        tops += inn[b]
+        bottoms += [b] * len(inn[b])
+    for b in rim:
+        above = [a for a in inn[b] if a in kept]
+        tops += above
+        bottoms += [b] * len(above)
+    for a, found in walked.items():
+        past = found.difference(out[a])
+        tops += [a] * len(past)
+        bottoms += past
+    return tops, bottoms
+
+
+def _restriction(
+    idx: SpaceIndex, kept: set[int]
+) -> tuple[frozenset[BoundedByPair] | None, list[int], dict[int, set[int]]]:
+    """How the subspace on the index positions ``kept`` gets its reduced
+    relation: ``(reduced, rim, walked)``.  ``reduced`` holds the reduced
+    pairs when the candidates needed a reduction, else it is None and the
+    relation is the candidates themselves: the ambient pairs between kept
+    positions, and a pair from each kept position ``a`` in ``walked`` to
+    each of ``walked[a]`` that is not its ``out`` neighbour.  ``rim`` lists
+    the kept positions below a dropped one, the only ones whose ``inn``
+    pairs are not all kept.
 
     Only pairs from each kept position to its nearest kept descendants are
     candidates for the reduced relation.  The ambient pairs between kept
-    positions are candidates, and are taken as the ambient pair objects.
-    When the kept set is open (it holds everything above each of its
-    members), no dropped position has a kept one below it, so these are
-    all: nothing is walked.  Otherwise each kept position with a dropped
-    ``out`` neighbour walks down to its nearest kept ones, and only the
-    pairs that pass through dropped positions are built.
+    positions are candidates.  When the kept set is open (it holds
+    everything above each of its members), no dropped position has a kept
+    one below it, so these are all: nothing is walked.  Otherwise each kept
+    position with a dropped ``out`` neighbour walks down to its nearest
+    kept ones.
 
     In a T0 space an element strictly above another is deeper (has a
     longer chain below it), so when every kept position's candidates share
     one depth, none lies above another and the candidates are the reduced
-    relation.  The ambient depths answer first; where they disagree, as
-    generalisation pairs make them do in the level subspaces of a linked
-    LoD space, ``_covering`` asks the same of the depths within the
-    candidate graph.  Only candidates that fail both are reduced, with
-    dense masks as wide as the kept set.  The cost is one pass over the
-    kept positions' ``out`` lists plus the walks, and on the reducing path
-    that of ``_reduction``.
+    relation.  The ambient depths answer first (``_sure_covers``); where
+    they disagree, as generalisation pairs make them do in the level
+    subspaces of a linked LoD space, ``_covering`` asks the same
+    of the depths within the candidate graph.  Only candidates that fail
+    both are reduced, with dense masks as wide as the kept set.  The cost
+    is one pass over the kept positions' ``out`` lists plus the walks, and
+    on the reducing path that of ``_reduction``.
     """
-    idx = space.index
-    out, inn, keys = idx.out, idx.inn, idx.keys
-    ranked = sorted(kept, key=idx.rank.__getitem__)
-    names = list(map(keys.__getitem__, ranked))
-    # keys, pairs and acyclicity hold by construction: no re-validation
-    elements = dict(zip(names, map(space.elements.__getitem__, names)))
+    out, inn = idx.out, idx.inn
     whole = kept.issuperset
     rim = [b for b in kept if not whole(inn[b])]  # kept positions below a dropped one
     walked = {}  # kept positions with a dropped out neighbour: their candidates
@@ -153,24 +204,33 @@ def _subspace(space: Space, kept: set[int]) -> Space:
         and all(_one_depth(depth, found) for found in walked.values())
         # a part of a list of one depth has one depth
         and all(
-            _one_depth(depth, [b for b in out[a] if b in kept])
+            _sure_covers(depth, inn, a, [b for b in out[a] if b in kept], not walked)
             for a in filterfalse(level.__getitem__, kept)
             if a not in walked
         )
     ):
-        local = dict(zip(ranked, range(len(ranked))))
-        succ = [
-            [local[b] for b in (walked[a] if a in walked else out[a]) if b in kept] for a in ranked
-        ]
+        listed = list(kept)
+        local = dict(zip(listed, range(len(listed))))
+        succ = [[local[b] for b in (walked[a] if a in walked else out[a]) if b in kept] for a in listed]
         if not _covering(succ):
-            return Space(elements, _reduction(names, succ))
-    inn_pairs = idx.inn_pairs
-    pairs = list(chain.from_iterable(map(inn_pairs.__getitem__, kept.difference(rim))))
-    pairs += [p for b in rim for p, a in zip(inn_pairs[b], inn[b]) if a in kept]
-    pairs += [
-        _pair((keys[a], keys[b])) for a, found in walked.items() for b in found.difference(out[a])
-    ]
-    return Space(elements, frozenset(pairs))
+            return _reduction(list(map(idx.keys.__getitem__, listed)), succ), rim, walked
+    return None, rim, walked
+
+
+def _sure_covers(
+    depth: list[int], inn: list[list[int]], a: int, below: list[int], alone: bool
+) -> bool:
+    """Whether the ambient depths show each pair from position ``a`` onto
+    one of ``below``, its candidates, to be a covering pair: ``below``
+    shares one depth, or, when ``alone`` (no position has a candidate
+    predecessor outside its ``inn`` neighbours), each of ``below`` lies one
+    step below ``a`` or has ``a`` as its only ``inn`` neighbour.  Those are
+    the two ways ``_covering`` clears a pair, with ambient depths, which
+    rise along the candidates' paths too."""
+    if _one_depth(depth, below):
+        return True
+    step = depth[a] - 1
+    return alone and all(depth[b] == step or len(inn[b]) == 1 for b in below)
 
 
 def _covering(succ: list[list[int]]) -> bool:
@@ -402,27 +462,40 @@ def restrict_map(f: SpaceMap) -> SpaceMap:
 
 
 def _continuity_witness(
-    f: SpaceMap, img: Sequence[int] | None = None, below: Sequence[int] | None = None
+    keys: Sequence[ElementId],
+    pairs: Iterable[tuple[int, int]],
+    img: Sequence[int] | Mapping[int, int],
+    below: Sequence[int],
 ) -> tuple[ElementId, ElementId] | None:
-    """The first source pair, in sorted order, whose images are distinct and
-    unrelated in the target; None when the total map ``f`` is continuous.
-
-    ``img[i]`` is the rank of the image of source position ``i`` and
-    ``below[r]`` holds the bits of the ranks at or below rank ``r``; when
-    not given, ranks are target index positions.
-    """
-    if below is None:
-        pos = f.target.index.pos
-        below = _rank_masks(f.target, range(len(pos)))[0]
-        img = [pos[f.mapping[k]] for k in f.source.index.keys]
+    """The first pair ``(keys[i], keys[j])``, in sorted order, of the
+    position ``pairs`` ``(i, j)`` whose images are distinct and unrelated;
+    None when there is none, so when the map is continuous on the space
+    those pairs generate.  ``img[i]`` is the rank of the image of position
+    ``i``, and ``below[r]`` holds the bits of the ranks at or below rank
+    ``r``."""
     bad = [
-        (i, j)
-        for i, outs in enumerate(f.source.index.out)
-        for j in outs
+        (keys[i], keys[j])
+        for i, j in pairs
         if img[i] != img[j] and not below[img[i]] >> img[j] & 1
     ]
-    keys = f.source.index.keys
-    return min(((keys[i], keys[j]) for i, j in bad), default=None)
+    return min(bad, default=None)
+
+
+def _restricted_continuity_witness(
+    space: Space, mapping: Mapping[ElementId, ElementId]
+) -> tuple[ElementId, ElementId] | None:
+    """The continuity witness of ``restrict_map(SpaceMap(space, space,
+    mapping))``, read off the space's own index: the subspace on the
+    domain is the relation ``_subspace_covers`` finds on its positions,
+    and images are positions of the space.  No subspace, second index or
+    second order is built.  Raises ``T0ViolationError`` when the space is
+    cyclic."""
+    idx = space.index
+    pos = idx.pos
+    img = dict(zip(map(pos.__getitem__, mapping), map(pos.__getitem__, mapping.values())))
+    below = _rank_masks(space, range(len(pos)))[0]
+    tops, bottoms = _subspace_covers(idx, set(img))
+    return _continuity_witness(idx.keys, zip(tops, bottoms), img, below)
 
 
 @dataclass(frozen=True)
@@ -479,7 +552,9 @@ def check_map(f: SpaceMap) -> MapReport:
         comparable[r] = d | u
     sidx = f.source.index
     img = [rank[f.mapping[k]] for k in sidx.keys]
-    continuity_witness = _continuity_witness(f, img, below)
+    continuity_witness = _continuity_witness(
+        sidx.keys, ((i, j) for i, outs in enumerate(sidx.out) for j in outs), img, below
+    )
 
     sdown, sup = _rank_masks(f.source, img)
     # realized[r]: bits of the targets whose fibres hold an element

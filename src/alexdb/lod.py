@@ -11,13 +11,16 @@ and a redundant sliding copy along each level transition.
 
 This module is the one interpreter of a space's generalisation columns
 (each element's ``gen_target``): ``_transitions`` reads them into the level
-transitions, ``_level_maps`` builds one map per transition and ``_linked``
-the space joined across levels by generalisation pairs.  ``storage`` asks
-for these rather than deriving them itself.
+transitions, ``_missed_targets`` the targets each transition misses,
+``_level_maps`` builds one map per transition and ``_linked`` the space
+joined across levels by generalisation pairs.  ``storage`` asks for these
+rather than deriving them itself, and builds the maps and the linked space
+only where it needs the objects themselves.
 """
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
@@ -29,7 +32,7 @@ from .algebra import (
     check_map,
     select_subspace,
     _pair,
-    _subspace,
+    _subspace_covers,
 )
 from .errors import IntegrityError, MissingGeometryError, NotFoundError, T0ViolationError
 from .spacetime import PointRow
@@ -44,6 +47,7 @@ from .topology import (
     simple_space,
     _assemble,
     _component,
+    _kahn,
     _nearest_kept,
     _positions,
     _require_keys,
@@ -166,15 +170,32 @@ def filtered_path_query(
     keys = _require_keys(g.source, a_set)
     if a not in keys or b not in keys:
         raise NotFoundError(f"query endpoints must lie in the region: {a}, {b}")
-    image_region = frozenset(g(k) for k in keys)
-    coarse = path_query(g.target, image_region, g(a), g(b))
-    if not coarse:
+    return _filter_stages(g.source, g.target, g.mapping, g.source.elements, keys, a, b)
+
+
+def _filter_stages(
+    fine: Space,
+    coarse: Space,
+    gen: Mapping[ElementId, ElementId],
+    domain: Iterable[ElementId],
+    keys: frozenset[ElementId],
+    a: ElementId,
+    b: ElementId,
+) -> PathQueryTrace:
+    """The stages of ``filtered_path_query`` for the region ``keys`` of
+    ``fine``, which holds ``a`` and ``b``, under the map ``gen`` from the
+    keys ``domain`` of ``fine`` into ``coarse``.  The region is saturated
+    when the fibres over the image region, counted over ``domain``, hold
+    no more elements than the region itself.  ``fine`` and ``coarse`` may
+    be one space: a path query inside a subspace of it is the same query
+    on it, since the subspace of a subspace is a subspace of the whole."""
+    image_region = {gen[k] for k in keys}
+    if not path_query(coarse, image_region, gen[a], gen[b]):
         return PathQueryTrace(False, False, None, False)
-    saturated = frozenset(k for k in g.source.elements if g(k) in image_region) <= keys
-    if saturated:
+    fibres = Counter(map(gen.__getitem__, domain))
+    if sum(map(fibres.__getitem__, image_region)) == len(keys):
         return PathQueryTrace(True, True, True, False)
-    direct = path_query(g.source, keys, a, b)
-    return PathQueryTrace(direct, True, False, True)
+    return PathQueryTrace(path_query(fine, keys, a, b), True, False, True)
 
 
 def monotone_path_query(
@@ -332,7 +353,14 @@ def telescope(store: "VersionStore", v: str, edge_matching: bool = True) -> Spac
 
 
 def _telescope(base: Space, edge_matching: bool = True) -> Space:
-    """The telescope of an already reconstructed version space."""
+    """The telescope of an already reconstructed version space.
+
+    Each level's covering pairs come from the subspace of ``base`` on that
+    level when the level transitions form no cycle and no pair of ``base``
+    joins two levels (``_levels_apart``): then no path of the linked space
+    leaves a level and comes back, so the level's subspace of the linked
+    space is its subspace of ``base``, whose depths agree within a level.
+    Otherwise they come from the linked space."""
     trans = _transitions(base)
     linked = _linked(base, trans)
     _topological_order(linked)
@@ -369,11 +397,11 @@ def _telescope(base: Space, edge_matching: bool = True) -> Space:
     # the covering pairs, as pairs of match numbers
     ends_a: list[int] = []
     ends_b: list[int] = []
-    pos = idx.pos
+    # the base and the linked space share their positions
+    covered = base.index if _levels_apart(base, trans) else idx
     for l, level in levels.items():  # each fibre: a copy of its level's subspace
-        covers = _subspace(linked, level).relation
-        tops = [first[pos[u]] for u, _ in covers]
-        bottoms = [first[pos[v]] for _, v in covers]
+        covers = _subspace_covers(covered, level)
+        tops, bottoms = ([first[p] for p in ends] for ends in covers)
         for o in range(len(nodes[l])):
             ends_a += [i + o for i in tops]
             ends_b += [j + o for j in bottoms]
@@ -393,6 +421,18 @@ def _telescope(base: Space, edge_matching: bool = True) -> Space:
     pairs = list(map(_pair, zip(map(at, ends_a), map(at, ends_b))))
     tpos = dict(zip(tkeys, range(len(tkeys))))
     return _assemble(dict(zip(tkeys, els)), tpos, pairs, ends_a, ends_b, t0_check=False)
+
+
+def _levels_apart(base: Space, trans: _Transitions) -> bool:
+    """Whether no path of the linked space leaves a level and comes back
+    to it: the level transitions form no cycle and no bounded-by pair of
+    ``base`` joins two levels."""
+    lods = _lods(base, trans)
+    at = dict(zip(lods, range(len(lods))))
+    succ: list[list[int]] = [[] for _ in lods]
+    for a, b in trans:
+        succ[at[a]].append(at[b])
+    return len(_kahn(succ)) == len(lods) and all(p.lod == q.lod for p, q in base.relation)
 
 
 def _cross_covers(idx: SpaceIndex, fine: set[int], coarse: set[int]) -> Iterator[tuple[int, int]]:
@@ -496,14 +536,33 @@ def _linked(space: Space, trans: _Transitions | None = None) -> Space:
     )
 
 
+def _levels(space: Space) -> dict[int, list[ElementId]]:
+    """The keys of each level, in the space's order."""
+    by_level: dict[int, list[ElementId]] = {}
+    for k in space.elements:
+        by_level.setdefault(k.lod, []).append(k)
+    return by_level
+
+
+def _missed_targets(space: Space) -> list[tuple[tuple[int, int], set[ElementId]]]:
+    """For each level transition ``(a, b)`` that ``_level_maps`` maps, in
+    sorted order, the keys of level ``b`` that no level-``a`` element
+    generalises onto, read off the generalisation columns: no subspace is
+    built."""
+    by_level = _levels(space)
+    return [
+        ((a, b), set(by_level[b]).difference(targets.values()))
+        for (a, b), targets in _transitions(space).items()
+        if all(t in space for t in targets.values())
+    ]
+
+
 def _level_maps(space: Space) -> dict[tuple[int, int], SpaceMap]:
     """One generalisation map per observed level transition ``(a, b)``, in
     sorted order: from the subspace of the level-``a`` elements that target
     level ``b`` to the subspace of level ``b``.  A transition with a target
     missing from the space (a dangling generalisation column) has no map."""
-    by_level: dict[int, list[ElementId]] = {}
-    for k in space.elements:
-        by_level.setdefault(k.lod, []).append(k)
+    by_level = _levels(space)
     level = functools.cache(lambda lod: select_subspace(space, by_level[lod]))
     maps = {}
     for (a, b), targets in _transitions(space).items():

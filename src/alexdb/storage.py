@@ -90,8 +90,15 @@ from .versioning import (
     reconstruct_version,
     _apply,
 )
-from .algebra import SpaceMap, check_map, restrict_map, _continuity_witness
-from .lod import filtered_path_query, path_query, _level_maps, _linked
+from .algebra import check_map, _restricted_continuity_witness
+from .lod import (
+    path_query,
+    _filter_stages,
+    _level_maps,
+    _linked,
+    _missed_targets,
+    _transitions,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -854,7 +861,9 @@ def validate(store: VersionStore, rules: Sequence[str] = ()) -> list[ValidationI
     and "monotonic" for the generalisation map per level transition (the
     exact monotonicity check of ``check_map`` runs only under "monotonic",
     once per transition however often it is named), any other name is
-    looked up in the consistency-rule registry.
+    looked up in the consistency-rule registry.  The continuity witness
+    and the missed targets are read off the version space and its
+    generalisation columns; only "monotonic" builds the level maps.
     """
     issues = _key_issues(store, _columns(store))
     issues += [
@@ -890,7 +899,7 @@ def validate(store: VersionStore, rules: Sequence[str] = ()) -> list[ValidationI
             detail = f"element {k} generalises to {t}, which is not in the version"
             issues.append(ValidationIssue("cfk-generalisation", f"version {v}", detail, (k, t)))
         if gen:
-            witness = _continuity_witness(restrict_map(SpaceMap(space, space, gen)))
+            witness = _restricted_continuity_witness(space, gen)
             if witness is not None:
                 issues.append(
                     ValidationIssue(
@@ -900,12 +909,15 @@ def validate(store: VersionStore, rules: Sequence[str] = ()) -> list[ValidationI
                         witness,
                     )
                 )
-        maps = _level_maps(space) if low_rules & {"surjective", "monotonic"} else {}
-        reports = {t: check_map(g) for t, g in maps.items()} if "monotonic" in low_rules else {}
+        missed = _missed_targets(space) if "surjective" in low_rules else []
+        reports = (
+            {t: check_map(g) for t, g in _level_maps(space).items()}
+            if "monotonic" in low_rules
+            else {}
+        )
         for name in rules:
             low = name.lower()
             if low == "surjective":
-                missed = [(t, g.target.keys() - set(g.mapping.values())) for t, g in maps.items()]
                 issues += [_map_issue(low, v, t, "targets missed:", m) for t, m in missed if m]
             elif low == "monotonic":
                 issues += [
@@ -947,10 +959,13 @@ def versions_with_path(
     Candidate versions are those where both endpoints are alive; in each,
     connectivity runs over the live bounded-by pairs within a level plus
     the generalisation pairs across levels.  When "monotonic" is among the
-    rules (caller vouches for the map), single-level regions are answered
-    through the coarse level first and only fall back to the fine level
-    when the filter is inconclusive; any other rule name is refused with
-    ``NotFoundError``.  ``spaces``, when given, maps every
+    rules (caller vouches for the map), a region on one level whose whole
+    level generalises onto targets in the version is answered by the
+    stages of ``filtered_path_query``: the coarse images first, then the
+    saturation test, then the region itself only when the filter is
+    inconclusive.  Every stage queries the version space, so neither the
+    level maps nor the linked space is built; any other rule name is
+    refused with ``NotFoundError``.  ``spaces``, when given, maps every
     version to its reconstructed space, so a caller that already holds
     them (to look a region up) does not reconstruct them twice.
     """
@@ -977,14 +992,25 @@ def versions_with_path(
     return frozenset(hits)
 
 
-def _filtered_region_answer(space, sub, a, b):
-    """Coarse-level filtering for single-level regions; None when inapplicable."""
+def _filtered_region_answer(
+    space: Space, sub: frozenset[ElementId], a: ElementId, b: ElementId
+) -> bool | None:
+    """The monotone filter's answer for a single-level region ``sub``, run
+    on the version space itself; None when it does not apply.  It applies
+    when the region's whole level generalises onto targets the space
+    holds.  The coarse stage, the saturation test and the fallback are
+    those of ``filtered_path_query`` on the level map, read without
+    building it: the subspace of a level subspace is a subspace of the
+    version space."""
     lods = {k.lod for k in sub}
     if len(lods) != 1:
         return None
     (lod,) = lods
-    maps = [g for (source, _), g in _level_maps(space).items() if source == lod]
-    # it applies when the whole level generalises onto one coarser level
-    if len(maps) != 1 or len(maps[0].source) != sum(k.lod == lod for k in space.elements):
+    out = [targets for (source, _), targets in _transitions(space).items() if source == lod]
+    if (
+        len(out) != 1
+        or len(out[0]) != sum(k.lod == lod for k in space.elements)
+        or not all(t in space for t in out[0].values())
+    ):
         return None
-    return filtered_path_query(maps[0], sub, a, b).answer
+    return _filter_stages(space, space, out[0], out[0], sub, a, b).answer

@@ -780,8 +780,16 @@ def _require_keys(space: Space, keys: Iterable[ElementId]) -> frozenset[ElementI
 
 
 def _positions(space: Space, keys: Iterable[ElementId]) -> set[int]:
-    """The index positions of ``keys``, which must all be in the space."""
-    return set(map(space.index.pos.__getitem__, _require_keys(space, keys)))
+    """The index positions of ``keys``, which must all be in the space:
+    each key is looked up once, and only a key that is not there sends
+    them to ``_require_keys``, which names every missing one."""
+    if not isinstance(keys, Collection):  # read twice on a missing key
+        keys = list(keys)
+    try:
+        return set(map(space.index.pos.__getitem__, keys))
+    except KeyError:
+        _require_keys(space, keys)
+        raise
 
 
 # ---------------------------------------------------------------------------

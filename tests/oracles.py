@@ -16,7 +16,10 @@ against path enumeration); ``reconstruct_by_columns`` reads the library's
 history index; and ``telescope_by_closures`` takes the library's level
 edge graph and reduction.  ``key_issues_by_rows`` and
 ``load_key_error_by_rows`` are the row-by-row key checks the library ran
-before it checked keys on parsed columns.
+before it checked keys on parsed columns.  ``filtered_region_answer_by_level_maps``
+and ``map_findings_by_level_maps`` are the level-map routes ``storage``
+took before it read the version space's own index: they build the level
+subspaces, maps and domain subspaces with the library.
 """
 from __future__ import annotations
 
@@ -817,6 +820,112 @@ def telescope_by_closures(base, edge_matching: bool = True):
         attributes = {**e.attributes, "lod_edge": edges.keys[w].id}
         els.append(Element(key=key, version=e.version, attributes=attributes))
     return build_space(els, _reduction(keys, succ), t0_check=False)
+
+
+# ---------------------------------------------------------------------------
+# the generalisation checks through level maps
+
+
+def filtered_region_answer_by_level_maps(space, sub, a, b):
+    """``versions_with_path``'s monotone filter for the region ``sub`` of
+    a version space, as it ran on the level map: None when the filter does
+    not apply (a region on more than one level, or a level that does not
+    wholly generalise onto targets in the space), else the answer of the
+    coarse query on the map's target, the preimage test on its source and
+    the direct query on its source."""
+    from alexdb.lod import _level_maps, path_query
+
+    lods = {k.lod for k in sub}
+    if len(lods) != 1:
+        return None
+    (lod,) = lods
+    maps = [g for (source, _), g in _level_maps(space).items() if source == lod]
+    if len(maps) != 1 or len(maps[0].source) != sum(k.lod == lod for k in space.elements):
+        return None
+    g = maps[0]
+    keys = frozenset(sub)
+    image_region = frozenset(g(k) for k in keys)
+    if not path_query(g.target, image_region, g(a), g(b)):
+        return False
+    if frozenset(k for k in g.source.elements if g(k) in image_region) <= keys:
+        return True
+    return path_query(g.source, keys, a, b)
+
+
+def versions_with_path_by_level_maps(store, a, b, region, monotonic: bool):
+    """``versions_with_path`` with the filter above, and else the direct
+    query on the space linked across levels."""
+    from alexdb.lod import _linked, path_query
+    from alexdb.versioning import reconstruct_version
+
+    hits = []
+    for v in sorted(store.vx):
+        space = reconstruct_version(store, v)
+        if a not in space or b not in space:
+            continue
+        sub = frozenset(region) & space.keys()
+        answer = filtered_region_answer_by_level_maps(space, sub, a, b) if monotonic else None
+        if answer is None:
+            answer = path_query(_linked(space), sub, a, b)
+        if answer:
+            hits.append(v)
+    return frozenset(hits)
+
+
+def map_findings_by_level_maps(space, rules) -> list:
+    """The generalisation findings ``validate`` reports on one version
+    space, as ``(rule, detail, witnesses)`` in its order, found through
+    ``restrict_map`` and the level maps: each dangling target, then the
+    continuity witness of the map restricted to its domain subspace, then
+    per rule in the order named the missed targets or the disconnected
+    preimages of each level map."""
+    from alexdb.algebra import SpaceMap, check_map, restrict_map
+    from alexdb.lod import _level_maps
+    from alexdb.topology import _rank_masks
+
+    found = []
+    gen = {k: e.gen_target for k, e in space.elements.items() if e.gen_target is not None}
+    for k in sorted(x for x, t in gen.items() if t not in space):
+        t = gen.pop(k)
+        found.append(
+            ("cfk-generalisation", f"element {k} generalises to {t}, which is not in the version",
+             (k, t))
+        )
+    if gen:
+        f = restrict_map(SpaceMap(space, space, gen))
+        pos = f.target.index.pos
+        below = _rank_masks(f.target, range(len(pos)))[0]
+        keys = f.source.index.keys
+        img = [pos[f.mapping[k]] for k in keys]
+        bad = [
+            (keys[i], keys[j])
+            for i, outs in enumerate(f.source.index.out)
+            for j in outs
+            if img[i] != img[j] and not below[img[i]] >> img[j] & 1
+        ]
+        if bad:
+            witness = min(bad)
+            found.append(("cfk-continuity", f"generalisation map discontinuous at {witness}", witness))
+    maps = _level_maps(space)
+
+    def finding(rule, transition, what, missed):
+        a, b = transition
+        detail = f"levels {a}->{b}: {what} {sorted(str(k) for k in missed)}"
+        return (rule, detail, tuple(sorted(missed)))
+
+    for rule in rules:
+        for t, g in maps.items():
+            if rule == "surjective":
+                missed = g.target.keys() - set(g.mapping.values())
+                if missed:
+                    found.append(finding(rule, t, "targets missed:", missed))
+            else:
+                report = check_map(g)
+                if not report.monotonic:
+                    found.append(
+                        finding(rule, t, "disconnected preimage of", report.monotonicity_witness)
+                    )
+    return found
 
 
 # ---------------------------------------------------------------------------

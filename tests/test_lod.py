@@ -1,10 +1,13 @@
 """Tests for generalisation chains, filtered queries, and telescopes."""
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import alexdb.storage
 import builders
 import oracles
 from alexdb import demos
@@ -33,7 +36,7 @@ from alexdb.lod import (
     _telescope,
 )
 from alexdb.spacetime import PointRow
-from alexdb.storage import new_store
+from alexdb.storage import new_store, validate, versions_with_path
 from alexdb.versioning import reconstruct_version
 from alexdb.topology import (
     BoundedByPair,
@@ -331,13 +334,15 @@ def test_a_generalisation_onto_its_own_level_is_refused_by_name():
 
 
 @st.composite
-def level_spaces(draw) -> Space:
+def level_spaces(draw, total: bool = False) -> Space:
     """Random spaces on one to four levels, with non-contiguous level tags.
 
     Pairs go forward in one drawn order of all keys, so some join levels.
     An element may generalise onto any element of a coarser level, and in
     half the spaces of a finer one too, so maps may be non-continuous, skip
-    a level or run backward, and the linked space may be cyclic.
+    a level or run backward, and the linked space may be cyclic.  With
+    ``total``, every element that has a level to go to generalises, so
+    whole levels do.
     """
     lods = sorted(draw(st.sets(st.integers(0, 5), min_size=1, max_size=4)))
     keys = [
@@ -353,7 +358,7 @@ def level_spaces(draw) -> Space:
     gens = {}
     for k in keys:
         others = [t for t in keys if t.lod > k.lod or backward and t.lod < k.lod]
-        if others and draw(st.booleans()):
+        if others and (total or draw(st.booleans())):
             gens[k] = draw(st.sampled_from(others))
     stored = draw(st.permutations(keys))
     els = [Element(k, f"v{i % 2}", gens.get(k), {"n": i}) for i, k in enumerate(stored)]
@@ -373,3 +378,94 @@ def test_telescope_matches_the_closure_walk(space, edge_matching):
     tele = _telescope(space, edge_matching)
     assert list(tele.elements.items()) == list(expected.elements.items())
     assert tele.relation == expected.relation
+
+
+# ---------------------------------------------------------------------------
+# the generalisation checks on the version space against the level maps
+
+MAP_RULES = ("cfk-generalisation", "cfk-continuity", "surjective", "monotonic")
+
+
+def map_findings(store, rules):
+    """``validate``'s generalisation findings, in its order."""
+    return [
+        (i.subject, i.rule, i.detail, i.witnesses)
+        for i in validate(store, rules)
+        if i.rule in MAP_RULES
+    ]
+
+
+def map_findings_by_level_maps(store, rules):
+    found = []
+    for v in sorted(store.vx):
+        try:
+            space = reconstruct_version(store, v)
+        except AlexdbError:
+            continue
+        low = [r.lower() for r in rules]
+        found += [(f"version {v}", *f) for f in oracles.map_findings_by_level_maps(space, low)]
+    return found
+
+
+def outcome(call):
+    try:
+        return call()
+    except AlexdbError as exc:
+        return type(exc), str(exc)
+
+
+def check_store_against_level_maps(store, rules, a, b, region):
+    assert map_findings(store, rules) == map_findings_by_level_maps(store, rules)
+    for monotonic in (False, True):
+        rule = ["monotonic"] if monotonic else []
+        got = outcome(lambda: versions_with_path(store, a, b, region, rule))
+        old = outcome(lambda: oracles.versions_with_path_by_level_maps(store, a, b, region, monotonic))
+        assert got == old
+
+
+@given(level_spaces(total=True), st.data())
+@settings(max_examples=200)
+def test_the_filter_on_the_version_space_answers_as_the_level_maps(space, data):
+    # the maps are drawn at random, so most are neither continuous nor
+    # monotone: the rule trusts the caller, and the answer must be the
+    # filtered one, whatever the direct query says
+    keys = sorted(space.keys())
+    lod = data.draw(st.sampled_from(sorted({k.lod for k in keys})))
+    region = data.draw(st.sets(st.sampled_from([k for k in keys if k.lod == lod]), min_size=1))
+    if data.draw(st.booleans()):
+        region |= data.draw(st.sets(st.sampled_from(keys)))
+    a, b = (data.draw(st.sampled_from(sorted(region))) for _ in range(2))
+    sub = frozenset(region)
+    want = oracles.filtered_region_answer_by_level_maps(space, sub, a, b)
+    assert alexdb.storage._filtered_region_answer(space, sub, a, b) == want
+    # a store holds no pair across levels
+    within = [p for p in space.relation if p.ida.lod == p.idb.lod]
+    store = new_store("v1", build_space(space.elements.values(), within))
+    rules = data.draw(st.lists(st.sampled_from(["surjective", "monotonic", "Surjective"])))
+    check_store_against_level_maps(store, rules, a, b, region)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_committed_histories_check_as_the_level_maps(seed):
+    rng = random.Random(seed)
+    store = builders.committed_history(rng, max_commits=4)[-1]
+    if seed % 3 == 0:  # a dangling generalisation target
+        head = store.vx[-1]
+        coarse = sorted(k for k in reconstruct_version(store, head).keys() if k.lod == 1)
+        store = builders.unchecked_removal(store, head, "dangling", [rng.choice(coarse)])
+    keys = sorted({ElementId(w.id, w.lod) for w in store.x})
+    fine = [k for k in keys if k.lod == 0]
+    for region in (fine, [k for k in fine if rng.random() < 0.6] or fine[:1], keys):
+        a, b = rng.choice(region), rng.choice(region)
+        check_store_against_level_maps(store, ["monotonic", "surjective"], a, b, region)
+
+
+def test_the_filter_trusts_a_map_that_is_not_monotone():
+    # x and y are unrelated, both over P: the coarse Yes on a saturated
+    # region stands, though no path joins them
+    store = builders.level_store(pairs=[], gen={"x": "P:1", "y": "P:1"})
+    x, y = ElementId("x"), ElementId("y")
+    assert versions_with_path(store, x, y, [x, y]) == frozenset()
+    assert versions_with_path(store, x, y, [x, y], ["monotonic"]) == {"v1"}
+    assert oracles.versions_with_path_by_level_maps(store, x, y, [x, y], True) == {"v1"}
+    assert [i.rule for i in validate(store, ["monotonic"])] == ["monotonic"]

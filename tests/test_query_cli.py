@@ -12,15 +12,18 @@ import shlex
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import alexdb.algebra
 import alexdb.cli
 import alexdb.lod
 import alexdb.storage
+import alexdb.topology
 import builders
 from alexdb import (
     Element, PointRow, build_space, changeset, commit, demos, new_store, simple_space
@@ -436,6 +439,58 @@ def test_cli_versions_with_path_documents_its_rule_option(capsys):
         main(["versions-with-path", "--help"])
     text = " ".join(capsys.readouterr().out.split())  # as wrapped at any terminal width
     assert "--rule RULE monotonic: answer through the coarse level first (repeatable)" in text
+
+
+def counting(monkeypatch, counts, targets):
+    """Count the calls of each ``(owner, name)`` in ``targets`` under
+    ``name`` in ``counts``."""
+    for owner, name in targets:
+        real = getattr(owner, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+
+LEVEL_MAP_ROUTES = [
+    (alexdb.storage, "_level_maps"),
+    (alexdb.lod, "_level_maps"),
+    (alexdb.storage, "_linked"),
+    (alexdb.lod, "_linked"),
+    (alexdb.algebra.SpaceMap, "__post_init__"),
+    (alexdb.algebra, "restrict_map"),
+]
+
+
+def test_cli_monotone_versions_with_path_builds_no_level_map(demo_dir, capsys, monkeypatch):
+    counts = Counter()
+    counting(monkeypatch, counts, LEVEL_MAP_ROUTES + [
+        (alexdb.storage, "_filter_stages"), (alexdb.topology.SpaceIndex, "__init__")])
+    store = str(demo_dir / "regions")
+    # a region on level 0, whose every element generalises onto level 1
+    direct = run_cli(capsys, "versions-with-path", store, "A", "B", "--region", "west")
+    plain = counts.copy()
+    counts.clear()
+    filtered = run_cli(
+        capsys, "versions-with-path", store, "A", "B", "--region", "west", "--rule", "monotonic"
+    )
+    assert filtered == direct == (0, "v1\n", "")
+    assert plain["_linked"] == 1 and plain["_filter_stages"] == 0
+    assert counts["_filter_stages"] == 1
+    assert not any(counts[name] for _, name in LEVEL_MAP_ROUTES)
+    assert counts["__init__"] <= plain["__init__"]
+
+
+def test_cli_validate_surjective_builds_no_level_map(demo_dir, capsys, monkeypatch):
+    counts = Counter()
+    counting(monkeypatch, counts, LEVEL_MAP_ROUTES)
+    store = str(demo_dir / "regions")
+    assert run_cli(capsys, "validate", store, "--rule", "surjective") == (0, "ok\n", "")
+    assert not any(counts.values())
+    assert run_cli(capsys, "validate", store, "--rule", "monotonic") == (0, "ok\n", "")
+    assert counts["_level_maps"] == 1
 
 
 def region_history(directory):

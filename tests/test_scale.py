@@ -11,6 +11,7 @@ and quadratic loops would show.  Marked ``slow`` (deselect with
 """
 from __future__ import annotations
 
+import functools
 import math
 import random
 from collections import Counter
@@ -49,6 +50,8 @@ from alexdb import (
     star,
     text_space,
     time_slice,
+    validate,
+    versions_with_path,
 )
 from alexdb import algebra, lod, spacetime, topology, versioning
 from alexdb.storage import VersionStore
@@ -680,16 +683,75 @@ def test_pyramid_telescopes_match_the_closure_walk(side, levels):
 
 
 def test_a_pyramid_telescope_reduces_nothing(monkeypatch):
-    sizes = []
-    reduction = algebra._reduction
+    sizes, covering_sizes = [], []
+    reduction, covering = algebra._reduction, algebra._covering
 
     def counted(nodes, succ):
         sizes.append(len(nodes))
         return reduction(nodes, succ)
 
+    def counted_covering(succ):
+        covering_sizes.append(len(succ))
+        return covering(succ)
+
     monkeypatch.setattr(algebra, "_reduction", counted)
+    monkeypatch.setattr(algebra, "_covering", counted_covering)
     tele = lod._telescope(pyramid_space(16, 3))
     # two matches for each of the 1,090 and 289 elements of levels 0 and 1,
     # one for each of the 81 of level 2
     assert len(tele) == 2 * 1090 + 2 * 289 + 81
     assert sizes == []
+    # the level covers come from the base, whose depths clear every level
+    # pair, though the point m makes a level-0 face bounded by cells of two
+    # depths
+    assert covering_sizes == []
+
+
+# ---------------------------------------------------------------------------
+# generalisation checks of map pyramids against the level maps
+
+
+@functools.cache
+def pyramid_stores() -> tuple:
+    """The side-16 three-level pyramid as a store, and a copy in which the
+    level-0 face ``f2_3`` generalises onto the far coarse face ``f7_7`` and
+    level 1 holds a cell ``z`` that nothing generalises onto: that map is
+    neither continuous, surjective nor monotone."""
+    space = pyramid_space(16, 3)
+    face, far = ElementId("f2_3"), ElementId("f7_7", 1)
+    moved = [
+        Element(k, e.version, far if k == face else e.gen_target, e.attributes)
+        for k, e in space.elements.items()
+    ]
+    moved.append(Element(ElementId("z", 1)))
+    return new_store("v0", space), new_store("v0", build_space(moved, space.relation))
+
+
+def test_pyramid_validation_matches_the_level_maps():
+    rules = ["surjective", "monotonic"]
+    findings = []
+    for store in pyramid_stores():
+        got = [(i.rule, i.detail, i.witnesses) for i in validate(store, rules)]
+        assert got == oracles.map_findings_by_level_maps(reconstruct_version(store, "v0"), rules)
+        findings.append(sorted({rule for rule, _, _ in got}))
+    assert findings == [[], ["cfk-continuity", "monotonic", "surjective"]]
+
+
+@given(st.integers(0, 2**32), st.booleans())
+@settings(max_examples=20)
+def test_pyramid_paths_match_the_level_maps(seed, moved):
+    rnd = random.Random(seed)
+    store = pyramid_stores()[moved]
+    keys = sorted(ElementId(w.id, w.lod) for w in store.x)
+    lod = rnd.choice([0, 0, 1, 2])
+    level = [k for k in keys if k.lod == lod]
+    keep = rnd.choice([0.5, 0.9, 1.0])
+    region = [k for k in level if rnd.random() < keep] or level[:1]
+    if lod == 0 and rnd.random() < 0.3:  # two column bands, apart at level 1 too
+        region = [k for k in level if k.id != "m" and int(k.id[1:].split("_")[0]) % 8 < 3]
+    if rnd.random() < 0.2:  # across levels: no filter
+        region += rnd.sample(keys, 20)
+    a, b = rnd.choice(region), rnd.choice(region)
+    for monotonic in (False, True):
+        got = versions_with_path(store, a, b, region, ["monotonic"] if monotonic else [])
+        assert got == oracles.versions_with_path_by_level_maps(store, a, b, region, monotonic)
