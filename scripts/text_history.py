@@ -6,7 +6,11 @@ one element per character, chained in reading order.  Each commit inserts
 or deletes one character, mostly on the newest version and now and then on
 an older one, so the history branches.  After the last commit the saved
 store is loaded back and every version's text is checked against the text
-the script kept; the exit code is 1 on a mismatch.
+the script kept.  Every version is also read from the last committed store,
+whose history index each commit derived, and compared with the version read
+from the loaded store's rows: the same space, and the same dimension for
+each element, which each index finds along its store's topological order.
+The exit code is 1 on a mismatch.
 
 A store made by ``commit`` writes the CSV lines it derived from its
 parent's, so the directory should hold exactly what ``alexdb export --out``
@@ -41,6 +45,12 @@ def chain(space) -> list[tuple[str, str]]:
     return out
 
 
+def read(store, v: str):
+    """Version ``v`` of ``store`` and its elements' dimensions, by key."""
+    space = reconstruct_version(store, v)
+    return space, dict(zip(space.index.keys, space.index.depth))
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", type=Path, required=True, help="store directory to write")
@@ -73,7 +83,10 @@ def main() -> int:
         newest = version
 
     loaded = load(args.out)
-    wrong = [v for v in sorted(texts) if chain(reconstruct_version(loaded, v)) != texts[v]]
+    wrong = [
+        v for v in sorted(texts)
+        if chain(reconstruct_version(loaded, v)) != texts[v] or read(store, v) != read(loaded, v)
+    ]
     print(f"wrote {args.out}: {len(loaded.vx)} versions, {len(wrong)} read back wrong")
     return 1 if wrong else 0
 

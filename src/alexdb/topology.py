@@ -25,16 +25,17 @@ then keeps the positions and that order, and fills its index in from them
 on the first query that needs it.  ``versioning.apply_changeset`` derives
 its result from its input instead (``_derive``): the adjacency is kept by
 slot, so that positions shift without a list being renumbered, and the
-topological order is kept valid under the edit rather than found again;
-such a space fills its index in from the slots on the first query that
-needs it, as a space made otherwise builds it then.  It is cached on the
-space.  The cache relies on a contract: a ``Space`` is immutable.  Never
-mutate its ``elements`` mapping or its relation; build a new space
-instead.  The contract covers each ``Element`` and its attribute dict
-too, since spaces share them: ``versioning.apply_changeset`` keeps its
-input's, and every space read from one store shares those the store's
-history index has built.  The index also keeps each element's chain
-length (its dimension), computed on first use.
+topological order is kept valid under the edit by ``_ordered``, which
+keeps the store's order too, rather than found again.  Such a space fills
+its index in from the slots on the first query that needs it, as a space
+made otherwise builds it then.  It is cached on the space.  The cache
+relies on a contract: a ``Space`` is immutable.  Never mutate its
+``elements`` mapping or its relation; build a new space instead.  The
+contract covers each ``Element`` and its attribute dict too, since
+spaces share them: ``versioning.apply_changeset`` keeps its input's, and
+every space read from one store shares those the store's history index
+has built.  The index also keeps each element's chain length (its
+dimension), computed on first use.
 
 Subspaces (``algebra.select_subspace`` and ``spacetime.time_slice``) work
 on index positions too.  They list their keys in key order by sorting
@@ -62,6 +63,7 @@ Conventions used throughout:
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
@@ -527,10 +529,12 @@ class _Lineage(NamedTuple):
     ``ends_b[n]`` the slot of the lower end of ``pairs[n]``.
     ``slot_keys[t]`` is the key of slot ``t``, ``of[i]`` the slot of
     position ``i``, and ``out[t]`` and ``inn[t]`` list the slots ``t`` is
-    bounded by and those bounded by ``t``.  ``order`` lists the live slots
-    in a topological order (None on a cycle).  The lists of a slot whose
-    key is gone are stale, and no live list names it.  Lineages share these
-    lists and their entries; none is changed once made."""
+    bounded by and those bounded by ``t``.  ``order`` lists the slots in a
+    topological order, by rising ``labels[t]`` (both None on a cycle),
+    which ``_ordered`` keeps under an edit.  The lists of a slot whose key
+    is gone are stale, and no live list names it; it stays in ``order``,
+    and ``index`` leaves it out.  Lineages share these lists and their
+    entries; none is changed once made."""
 
     keys: list[ElementId]
     pos: dict[ElementId, int]
@@ -540,6 +544,7 @@ class _Lineage(NamedTuple):
     out: list[list[int]]
     inn: list[list[int]]
     order: list[int] | None
+    labels: list | None
     ends_b: list[int]
 
     def near(self, key: ElementId) -> tuple[list[ElementId], list[ElementId]]:
@@ -550,7 +555,8 @@ class _Lineage(NamedTuple):
         return list(map(key_of, self.inn[t])), list(map(key_of, self.out[t]))
 
     def index(self) -> SpaceIndex:
-        """The space's index: each slot replaced by its position, in C."""
+        """The space's index: each slot replaced by its position, and the
+        slots whose key is gone (position -1) left out of the order, in C."""
         at = dict(zip(self.of, self.pos.values())).get  # the position objects of ``pos``
         position = list(map(at, range(len(self.slot_keys)), repeat(-1))).__getitem__
 
@@ -560,10 +566,48 @@ class _Lineage(NamedTuple):
         idx = SpaceIndex.__new__(SpaceIndex)
         idx.keys, idx.pos = self.keys, self.pos
         idx.out, idx.inn = by_position(self.out), by_position(self.inn)
-        idx.order = None if self.order is None else list(map(position, self.order))
+        idx.order = self.order and list(filter((-1).__ne__, map(position, self.order)))
         idx._pairs, idx._ends_b = self.pairs, list(map(position, self.ends_b))
         idx.life_intervals = None
         return idx
+
+
+def _labels(order: list[int], n: int) -> list[int]:
+    """Labels of the slots below ``n``: each one's place in ``order``."""
+    labels = [0] * n
+    for place, t in enumerate(order):
+        labels[t] = place
+    return labels
+
+
+def _ordered(
+    order: list[int], labels: list, fresh: Sequence[int], linked: Sequence[tuple[int, int]]
+) -> bool:
+    """Put the slots ``fresh`` of one edit, which links the pairs of slots
+    ``linked``, into ``order`` and its ``labels``, in place; False when the
+    order does not hold for the linked pairs, and must be found anew.
+
+    The order lists slots by rising label, one label per slot, so the
+    fresh slots number on from ``len(labels)``.  Each goes just before the
+    first slot it is bounded by that is already placed, found by bisecting
+    the labels, with a label halfway to that slot's predecessor; or last."""
+    below: dict[int, list[int]] = {}
+    for a, b in linked:
+        below.setdefault(a, []).append(b)
+    for t in fresh:  # rising, so ``labels`` holds a label per placed slot
+        bounds = [labels[u] for u in below.get(t, ()) if u < len(labels)]
+        if bounds:
+            high = min(bounds)
+            place = bisect_left(order, high, key=labels.__getitem__)
+            low = labels[order[place - 1]] if place else high - 1
+            label = (low + high) / 2
+            if not low < label < high:  # no label is left between them
+                return False
+        else:
+            place, label = len(order), labels[order[-1]] + 1 if order else 0
+        order.insert(place, t)
+        labels.append(label)
+    return all(labels[a] < labels[b] for a, b in linked)
 
 
 def _lineage(space: Space) -> _Lineage:
@@ -577,7 +621,7 @@ def _lineage(space: Space) -> _Lineage:
         ids = list(range(len(idx.keys)))
         found = vars(space)["_lineage"] = _Lineage(
             idx.keys, idx.pos, list(idx._pairs), idx.keys, ids, idx.out, idx.inn, idx.order,
-            list(idx._ends_b),
+            idx.order and _labels(idx.order, len(ids)), list(idx._ends_b),
         )
     return found
 
@@ -600,9 +644,9 @@ def _derive(
     of slots of ``space``'s in C, and only those of the slots the edit
     touches are copied again and changed.  Its index is filled in from the
     lineage on first use.  The topological order is kept rather than found
-    again: each fresh key's slot goes before the first slot it is bounded
-    by that is already placed, or last.  Only when a linked pair then runs
-    against the order is it found anew, by Kahn's algorithm.
+    again: a gone key's slot stays in it, and ``_ordered`` puts the fresh
+    keys' slots in.  Only when it fails is the order found anew, by Kahn's
+    algorithm.
     """
     s = _lineage(space)
     keys = list(elements)
@@ -638,29 +682,23 @@ def _derive(
             own(inn, tb, owned[1]).remove(ta)
         n = pairs.index(p)
         del pairs[n], ends_b[n]
+    linked_slots = []
     for p in linked:
         ta, tb = of[pos[p[0]]], of[pos[p[1]]]
         own(out, ta, owned[0]).append(tb)
         own(inn, tb, owned[1]).append(ta)
         pairs.append(p)
         ends_b.append(tb)
+        linked_slots.append((ta, tb))
 
-    order = s.order
+    order, labels = s.order, s.labels
     if order is not None:
-        order = order.copy()
-        for k in gone:
-            order.remove(slot(old(k)))
-        pending = set(new_slots)
-        for t in new_slots:
-            pending.discard(t)
-            spots = [order.index(u) for u in out[t] if u not in pending]
-            order.insert(min(spots, default=len(order)), t)
-        place = order.index
-        if not all(place(of[pos[a]]) < place(of[pos[b]]) for a, b in linked):
+        order, labels = order.copy(), labels.copy()
+        if not _ordered(order, labels, new_slots, linked_slots):
             order = None
 
     new = Space(elements, space.relation.difference(dropped).union(linked))
-    lineage = _Lineage(keys, pos, pairs, slot_keys, of, out, inn, order, ends_b)
+    lineage = _Lineage(keys, pos, pairs, slot_keys, of, out, inn, order, labels, ends_b)
     if order is None:
         idx = lineage.index()
         found = _kahn(idx.out)
@@ -668,7 +706,8 @@ def _derive(
             return None
         idx.order = found
         vars(new)["index"] = idx
-        lineage = lineage._replace(order=list(map(of.__getitem__, found)))
+        order = list(map(of.__getitem__, found))
+        lineage = lineage._replace(order=order, labels=_labels(order, len(slot_keys)))
     vars(new)["_lineage"] = lineage
     return new
 

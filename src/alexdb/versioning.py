@@ -52,7 +52,9 @@ from .topology import (
     _bits,
     _dangling_error,
     _derive,
+    _labels,
     _lineage,
+    _ordered,
     _rank_masks,
     _topological_order,
     _tuples,
@@ -399,9 +401,8 @@ class HistoryIndex:
     algorithm on first use (``union_order``), and False when the union
     has a cycle; a version then checks T0 by itself.  ``labels`` numbers
     the slots along the order, so that a slot's place in it is found by
-    bisection.  An index made by ``derive`` holds in ``pending`` the
-    commits that made it, and the lists they change are None until
-    ``pair_ends`` or ``union_order`` applies those commits (``_settle``).
+    bisection; ``derive`` keeps both with ``topology._ordered``, the
+    routine that keeps a derived space's order too.
     Columns of plain ints and tuples, rather than a container per element,
     keep the index small and mostly outside the garbage collector's reach.
     ``broken`` lists, in row order, each element or pair with the mask of its deletions that no creation
@@ -424,7 +425,7 @@ class HistoryIndex:
     """
 
     __slots__ = ("names", "bit", "ancestry", "descendants", "elements", "stray", "slots", "pairs",
-                 "ends", "order", "labels", "pending", "broken", "held", "built")
+                 "ends", "order", "labels", "broken", "held", "built")
 
     def __init__(self, store: "VersionStore"):
         versions = store.version_space().as_space()
@@ -465,7 +466,7 @@ class HistoryIndex:
         )
         self.built: list[Element | None] = [None] * len(keys)
         self.slots = list(range(len(keys)))
-        self.order = self.labels = self.pending = None
+        self.order = self.labels = None
 
         _, _, (idas, idbs, lods), p_created = _creations(store.r, 4, 3, bit)
         ka, ends_a = _interned(idas, lods, place, keys)
@@ -492,50 +493,8 @@ class HistoryIndex:
                 if bad:
                     self.broken.append((subject(*columns), bad))
 
-    def _settle(self) -> None:
-        """Apply the commits ``pending`` holds to the slots, ends and order
-        of the index they were first derived from: its lists are copied
-        once, in C, and each commit then costs what its changeset does.  A
-        key keeps its slot, so this index's keys give the slots of every
-        commit's pairs."""
-        if self.pending is None:
-            return
-        (slots, ends, order, labels), edits = self.pending
-        commits = []
-        while edits is not None:
-            edits, edit = edits
-            commits.append(edit)
-        commits.reverse()
-        slots = slots.copy()
-        fresh = []  # by commit, the slots of the keys it created first
-        for created_at, _, _ in commits:
-            fresh.append(range(len(slots), len(slots) + len(created_at)))
-            for i, t in zip(created_at, fresh[-1]):
-                slots.insert(i, t)
-        keys = self.elements[0]
-        if ends is None or (any(fresh) and (-1 in ends[0] or -1 in ends[1])):
-            # a new key may complete a pair that named no key a row created:
-            # the ends and the order are found again on first use
-            ends, order = None, False if order is False else None
-        else:
-            ends = ends[0].copy(), ends[1].copy()
-        if type(order) is list:
-            order, labels = order.copy(), labels.copy()
-        for made, (_, linked, linked_at) in zip(fresh, commits):
-            linked = [(slots[bisect_left(keys, a)], slots[bisect_left(keys, b)]) for a, b in linked]
-            if ends is not None:
-                for i, (a, b) in zip(linked_at, linked):
-                    if i >= 0:  # a new pair column
-                        ends[0].insert(i, a)
-                        ends[1].insert(i, b)
-            if type(order) is list and not _ordered(order, labels, made, linked):
-                order = labels = None
-        self.slots, self.ends, self.order, self.labels = slots, ends, order, labels
-        self.pending = None
-
     def pair_ends(self) -> tuple[list[int], list[int]]:
         """``ends``, found on first use from the keys of each pair."""
-        self._settle()
         if self.ends is None:
             slot = dict(zip(self.elements[0], self.slots))
             pairs = self.pairs[0]
@@ -557,9 +516,7 @@ class HistoryIndex:
             if len(order) < len(out):
                 self.order = False
             else:
-                self.order, self.labels = order, [0] * len(order)
-                for place, t in enumerate(order):
-                    self.labels[t] = place
+                self.order, self.labels = order, _labels(order, len(order))
         return self.order if self.order is not False else None
 
     def attributes(self, key: ElementId) -> dict:
@@ -593,15 +550,16 @@ class HistoryIndex:
         index stays valid for its own store; a new key's column takes the
         next free slot and any ``stray`` attributes of its key.  ``broken``
         carries over: a commit deletes only what is alive in its parent.
-        The slots, ``ends`` and ``order`` are kept too, on first use: the
-        commit is added to ``pending``, which costs what the changeset
-        does, so commits in a row copy none of those lists.  ``built``
+        The slots, ``ends``, ``order`` and ``labels`` are copied and kept
+        up to date, with no Kahn order: ``_ordered`` puts the new keys'
+        slots into the order.  Those not yet found, or a cyclic union, pass
+        on as they are, and so does a new key completing a pair that named
+        no key a row created.  ``built``
         carries over too, except for a key created again: its column gains
         a creation and may gain attributes, which every version then reads.
-        The derived index
-        holds the new version's space, so the next commit from it or a
-        checkout of it reads no column; a new key's element is that
-        space's.
+        The derived index holds the new version's space, so the next commit
+        from it or a checkout of it reads no column; a new key's element is
+        that space's.
         """
         n = len(self.names)
         bit = 1 << n
@@ -661,10 +619,28 @@ class HistoryIndex:
                 linked_at.append(i)
         new.pairs = pairs, p_created, p_deleted
 
-        # the slots, ends and order are brought up to date on first use
-        base, edits = self.pending or ((self.slots, self.ends, self.order, self.labels), None)
-        new.pending = base, (edits, (created_at, linked, linked_at))
-        new.slots = new.ends = new.order = new.labels = None
+        # a new key's column takes the next free slot
+        slots = self.slots.copy()
+        fresh = range(len(slots), len(slots) + len(created_at))
+        for i, t in zip(created_at, fresh):
+            slots.insert(i, t)
+        ends, order, labels = self.ends, self.order, self.labels
+        if fresh and ends is not None and (-1 in ends[0] or -1 in ends[1]):
+            # a new key may complete a pair that named no key a row created:
+            # the ends and the order are found again on first use
+            ends, order, labels = None, False if order is False else None, None
+        if ends is not None:  # else ``order`` is not a list either
+            at = [(slots[bisect_left(keys, a)], slots[bisect_left(keys, b)]) for a, b in linked]
+            ends = ends[0].copy(), ends[1].copy()
+            for i, (a, b) in zip(linked_at, at):
+                if i >= 0:  # a new pair column
+                    ends[0].insert(i, a)
+                    ends[1].insert(i, b)
+            if type(order) is list:
+                order, labels = order.copy(), labels.copy()
+                if not _ordered(order, labels, fresh, at):
+                    order = labels = None
+        new.slots, new.ends, new.order, new.labels = slots, ends, order, labels
 
         # the held space is what the columns give: created elements carry
         # every attribute recorded for their key
@@ -679,34 +655,6 @@ class HistoryIndex:
             space = _with_elements(space, elements)
         new.held = version, space
         return new
-
-
-def _ordered(order: list[int], labels: list, fresh: Sequence[int], linked: list) -> bool:
-    """Put the slots ``fresh`` of one commit, which links the pairs of slots
-    ``linked``, into ``order`` and its ``labels``, in place; False when the
-    order does not hold for the linked pairs, and must be found anew.
-
-    The order lists slots by rising label.  Each fresh slot goes just
-    before the first slot it is bounded by that is already placed, found by
-    bisecting the labels, with a label halfway to that slot's predecessor;
-    or last."""
-    below: dict[int, list[int]] = {}
-    for a, b in linked:
-        below.setdefault(a, []).append(b)
-    for t in fresh:  # rising, so ``labels`` holds a label per placed slot
-        bounds = [labels[u] for u in below.get(t, ()) if u < len(labels)]
-        if bounds:
-            high = min(bounds)
-            place = bisect_left(order, high, key=labels.__getitem__)
-            low = labels[order[place - 1]] if place else high - 1
-            label = (low + high) / 2
-            if not low < label < high:  # no label is left between them
-                return False
-        else:
-            place, label = len(order), labels[order[-1]] + 1 if order else 0
-        order.insert(place, t)
-        labels.append(label)
-    return all(labels[a] < labels[b] for a, b in linked)
 
 
 def _alive(inside: int, deleted: int, descendants: list[int]) -> bool:

@@ -557,7 +557,7 @@ def _index_columns_match_the_row_built_ones(store: VersionStore) -> None:
     for column, want in oracles.history_columns_by_rows(store).items():
         assert getattr(index, column) == want, column
     keys = index.elements[0]
-    ends = index.pair_ends()  # the slots too, after commits
+    ends = index.pair_ends()
     assert sorted(index.slots) == list(range(len(keys)))
     key_of = dict(zip(index.slots, keys))
     for pair, *at in zip(index.pairs[0], *ends):
@@ -881,8 +881,51 @@ def test_keys_put_in_one_gap_again_and_again_run_out_of_labels_and_find_the_orde
                 oracles.reconstruct_version_by_hulls, store, "v0"
             )
         _union_order_is_valid(store.history)
-    assert found_anew >= 1
+    # a gap halves about fifty times before its labels run out, and the
+    # order found anew labels the slots 0, 1, 2 ... again
+    assert 1 <= found_anew <= 3
     assert len(reconstruct_version(store, "v79")) == 81
+
+
+def test_a_chain_of_edits_with_no_store_keeps_its_order_past_the_labels_and_the_rebuild(
+    monkeypatch,
+):
+    # 80 keys put into one gap, each between the key put in before it and
+    # "2", then most keys removed, so that the lineage's slots outnumber
+    # its keys twice over and it is read off the index again; each space is
+    # derived from the one before
+    kahn = Counter()
+
+    def counted(out):
+        kahn["runs"] += 1
+        return real(out)
+
+    real = topology._kahn
+    space = text_space("ab")
+    sizes = []  # the lineage's slots and keys after each edit
+
+    def edit(changes):
+        monkeypatch.setattr(topology, "_kahn", counted)
+        new = apply_changeset(space, changes)
+        monkeypatch.setattr(topology, "_kahn", real)
+        assert _index_facts(new) == _index_facts(build_space(new.elements.values(), new.relation))
+        sizes.append((len(vars(new)["_lineage"].slot_keys), len(new)))
+        return new
+
+    above = ElementId("1")
+    for i in range(1, 81):
+        new = ElementId(f"1.{i:02d}")
+        space = edit(changeset(f"v{i}", [Element(new)], add_pairs=[(above, new), (new, "2")],
+                               remove_pairs=[(above, "2")]))
+        above = new
+    for i in range(1, 61):
+        space = edit(changeset(f"w{i}", remove_elements=[f"1.{i:02d}"]))
+    assert [k.id for k in space.elements] == ["1", *(f"1.{i}" for i in range(61, 81)), "2"]
+    # rebuilt when the slots outnumber the keys twice over, and only then
+    assert all(slots <= 2 * keys + 2 for slots, keys in sizes)
+    assert [b < a for (a, _), (b, _) in zip(sizes, sizes[1:])].count(True) == 1
+    # the labels of one gap run out once; the order found anew is labelled again
+    assert 1 <= kahn["runs"] <= 3
 
 
 def test_a_checkout_runs_no_kahn_and_builds_no_index_until_its_first_query(monkeypatch):
