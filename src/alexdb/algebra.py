@@ -109,7 +109,8 @@ def select_subspace(space: Space, keep: Iterable[ElementId]) -> Space:
     pairs, so the result carries the genuine subspace topology.  Its
     elements come in key order.  When its candidate pairs need no
     reduction, the pairs it shares with the ambient relation are the
-    ambient relation's own pair objects.
+    ambient relation's own pair objects, or for a space derived by an edit
+    equal ones, which its index builds once.
     """
     return _subspace(space, _positions(space, keep))
 
@@ -117,8 +118,8 @@ def select_subspace(space: Space, keep: Iterable[ElementId]) -> Space:
 def _subspace(space: Space, kept: set[int]) -> Space:
     """The subspace on the index positions ``kept``: its elements in key
     order and the relation ``_restriction`` finds.  The ambient pairs
-    between kept positions are taken as the ambient pair objects, so only
-    the pairs that pass through dropped positions are built."""
+    between kept positions are taken from the index's ``inn_pairs``, so
+    only the pairs that pass through dropped positions are built here."""
     idx = space.index
     out, inn, keys = idx.out, idx.inn, idx.keys
     names = list(map(keys.__getitem__, sorted(kept, key=idx.rank.__getitem__)))

@@ -36,8 +36,9 @@ lists in C.
 
 Stores are immutable snapshots: ``commit`` applies a changeset against a
 parent version and returns a new store — a single-writer discipline with no
-in-place mutation anywhere.  A store's ``history`` index (ancestry bitsets
-and one column per field of the elements and pairs) and its CSV lines are
+in-place mutation anywhere.  A store's ``history`` index (ancestry bitsets,
+one column per field of the elements and pairs, and one row of live
+columns per version) and its CSV lines are
 cached on the store, which relies on that contract: never change a store's
 row tuples, build a new store instead.  A loaded store builds the index on
 first use, in one pass over its tables' columns (so a command that reads no
@@ -412,7 +413,8 @@ def commit(
     The new store arrives with its ``history`` index, derived from the
     parent store's without reading a row, and holding the new version's
     space: committing again from the new version, or reconstructing it,
-    reads no rows.  That space and its index are derived from the parent
+    reads no rows.  A parent the index does not hold is reconstructed
+    from its row of live columns.  That space and its index are derived from the parent
     space's, its tables are the parent's with the new rows put in place,
     and it keeps the CSV lines of its files, derived from the parent's,
     which ``save`` writes.  A boolean attribute value, or a field that
@@ -642,17 +644,27 @@ def _settle_swap(real: str, old: str) -> None:
     so that only the store directory ``real`` stands.  With no directory at
     ``real``, the swapped-out store ``old`` moves back.  With both, the new
     store is in place: the entries of ``old`` other than the tables move
-    into it, and ``old`` is removed."""
+    into it, and ``old`` is removed: its tables are unlinked and it is
+    removed as an empty directory, unless something else is left in it
+    (a directory under a table's name, an entry put there meanwhile)."""
     if not os.path.isdir(old):
         return
     if not os.path.lexists(real):
         os.rename(old, real)
     elif os.path.isdir(real):
         tables = {t.file for t in _TABLES.values()}
+        left = []
         for entry in os.listdir(old):
-            if entry not in tables:
+            if entry in tables:
+                left.append(os.path.join(old, entry))
+            else:
                 os.rename(os.path.join(old, entry), os.path.join(real, entry))
-        shutil.rmtree(old)
+        try:
+            for path in left:
+                os.unlink(path)
+            os.rmdir(old)
+        except OSError:
+            shutil.rmtree(old)
 
 
 def _read_table(directory: Path, name: str) -> list[Sequence]:
@@ -965,9 +977,12 @@ def versions_with_path(
     saturation test, then the region itself only when the filter is
     inconclusive.  Every stage queries the version space, so neither the
     level maps nor the linked space is built; any other rule name is
-    refused with ``NotFoundError``.  ``spaces``, when given, maps every
-    version to its reconstructed space, so a caller that already holds
-    them (to look a region up) does not reconstruct them twice.
+    refused with ``NotFoundError``.  Whether the endpoints are alive is
+    read off each version's row in the store's history index, so a version
+    where one is dead is skipped and not reconstructed.  ``spaces``, when
+    given, maps every version to its reconstructed space, so a caller that
+    already holds them (to look a region up) does not reconstruct them
+    twice.
     """
     unknown = [r for r in rules if r.lower() != "monotonic"]
     if unknown:
@@ -975,14 +990,14 @@ def versions_with_path(
     region_keys = frozenset(region)
     if a not in region_keys or b not in region_keys:
         raise NotFoundError(f"query endpoints must lie in the region: {a}, {b}")
-    vs = store.version_space()
+    index = store.history
     monotonic = bool(rules)
 
     hits = []
-    for v in sorted(vs.versions):
-        space = spaces[v] if spaces is not None else reconstruct_version(store, v)
-        if a not in space or b not in space:
+    for v in sorted(store.version_space().versions):
+        if not (index.alive(v, a) and index.alive(v, b)):
             continue
+        space = spaces[v] if spaces is not None else reconstruct_version(store, v)
         sub = region_keys & space.keys()
         answer = _filtered_region_answer(space, sub, a, b) if monotonic else None
         if answer is None:

@@ -40,8 +40,9 @@ dimension), computed on first use.
 Subspaces (``algebra.select_subspace`` and ``spacetime.time_slice``) work
 on index positions too.  They list their keys in key order by sorting
 positions by a rank kept on the index, and take the pairs they share with
-the ambient relation as its own pair objects, kept on the index by target
-position.  Only the pairs that pass through dropped elements are built;
+the ambient relation from the index, which keeps them by target position:
+the relation's own pair objects, or equal ones built from the keys for a
+space derived by an edit.  Only the pairs that pass through dropped elements are built;
 when the candidate pairs must be reduced, the reduction builds the pairs
 it keeps.
 
@@ -445,7 +446,9 @@ class SpaceIndex:
     longest strict chain descending from each position; ``rank``, each
     position's place in key order; ``level``, whether the positions below
     each one share one depth; and ``inn_pairs``, the relation's own pair
-    objects in the order of ``inn``.  ``life_intervals`` is None until a
+    objects in the order of ``inn`` (for an index filled in from a lineage,
+    which keeps no pair objects, pairs equal to them, built from the
+    keys).  ``life_intervals`` is None until a
     ``spacetime.time_slice`` of the space succeeds; it then holds that
     call's coordinate rows and the life intervals they give,
     ``(rows, tmin, tmax)``, so that a slice at another time value with the
@@ -502,8 +505,15 @@ class SpaceIndex:
     @cached_property
     def inn_pairs(self) -> list[list[BoundedByPair]]:
         """By position, the relation's pairs onto it, in the order of
-        ``inn``: both lists come from one walk of the same pairs."""
-        pairs: list[list[BoundedByPair]] = [[] for _ in self.keys]
+        ``inn``: both lists come from one walk of the same pairs, or else
+        the pairs are built from the keys and ``inn``."""
+        keys = self.keys
+        if self._pairs is None:  # filled in from a lineage
+            return [
+                _tuples(BoundedByPair, zip(map(keys.__getitem__, above), repeat(k)))
+                for above, k in zip(self.inn, keys)
+            ]
+        pairs: list[list[BoundedByPair]] = [[] for _ in keys]
         for p, b in zip(self._pairs, self._ends_b):
             pairs[b].append(p)
         return pairs
@@ -525,11 +535,11 @@ class _Lineage(NamedTuple):
     A slot is a number given to a key, which keeps it in every space
     derived from the one that gave it, while positions shift as keys come
     and go; a key that comes back takes a new slot.  ``keys`` and ``pos``
-    are the space's index positions, and ``pairs`` its relation, with
-    ``ends_b[n]`` the slot of the lower end of ``pairs[n]``.
-    ``slot_keys[t]`` is the key of slot ``t``, ``of[i]`` the slot of
-    position ``i``, and ``out[t]`` and ``inn[t]`` list the slots ``t`` is
-    bounded by and those bounded by ``t``.  ``order`` lists the slots in a
+    are the space's index positions.  ``slot_keys[t]`` is the key of slot
+    ``t``, ``of[i]`` the slot of position ``i``, and ``out[t]`` and
+    ``inn[t]`` list the slots ``t`` is bounded by and those bounded by
+    ``t``: a pair is its two slots, so an edit drops one from the few
+    slots next to each of its ends.  ``order`` lists the slots in a
     topological order, by rising ``labels[t]`` (both None on a cycle),
     which ``_ordered`` keeps under an edit.  The lists of a slot whose key
     is gone are stale, and no live list names it; it stays in ``order``,
@@ -538,14 +548,12 @@ class _Lineage(NamedTuple):
 
     keys: list[ElementId]
     pos: dict[ElementId, int]
-    pairs: list[BoundedByPair]
     slot_keys: list[ElementId]
     of: list[int]
     out: list[list[int]]
     inn: list[list[int]]
     order: list[int] | None
     labels: list | None
-    ends_b: list[int]
 
     def near(self, key: ElementId) -> tuple[list[ElementId], list[ElementId]]:
         """The keys bounded by ``key`` and those it is bounded by, one
@@ -556,7 +564,8 @@ class _Lineage(NamedTuple):
 
     def index(self) -> SpaceIndex:
         """The space's index: each slot replaced by its position, and the
-        slots whose key is gone (position -1) left out of the order, in C."""
+        slots whose key is gone (position -1) left out of the order, in C.
+        Its ``inn_pairs`` are built from its keys on first use."""
         at = dict(zip(self.of, self.pos.values())).get  # the position objects of ``pos``
         position = list(map(at, range(len(self.slot_keys)), repeat(-1))).__getitem__
 
@@ -567,7 +576,7 @@ class _Lineage(NamedTuple):
         idx.keys, idx.pos = self.keys, self.pos
         idx.out, idx.inn = by_position(self.out), by_position(self.inn)
         idx.order = self.order and list(filter((-1).__ne__, map(position, self.order)))
-        idx._pairs, idx._ends_b = self.pairs, list(map(position, self.ends_b))
+        idx._pairs = idx._ends_b = None
         idx.life_intervals = None
         return idx
 
@@ -620,8 +629,8 @@ def _lineage(space: Space) -> _Lineage:
         idx = space.index
         ids = list(range(len(idx.keys)))
         found = vars(space)["_lineage"] = _Lineage(
-            idx.keys, idx.pos, list(idx._pairs), idx.keys, ids, idx.out, idx.inn, idx.order,
-            idx.order and _labels(idx.order, len(ids)), list(idx._ends_b),
+            idx.keys, idx.pos, idx.keys, ids, idx.out, idx.inn, idx.order,
+            idx.order and _labels(idx.order, len(ids)),
         )
     return found
 
@@ -642,7 +651,9 @@ def _derive(
 
     Python work follows the edit: the new space's lineage copies the lists
     of slots of ``space``'s in C, and only those of the slots the edit
-    touches are copied again and changed.  Its index is filled in from the
+    touches are copied again and changed; the lineage keeps no pair
+    objects, so a dropped pair is found only in the lists of its two
+    slots.  Its index is filled in from the
     lineage on first use.  The topological order is kept rather than found
     again: a gone key's slot stays in it, and ``_ordered`` puts the fresh
     keys' slots in.  Only when it fails is the order found anew, by Kahn's
@@ -673,22 +684,17 @@ def _derive(
             mine.add(t)
         return adj[t]
 
-    pairs, ends_b = s.pairs.copy(), s.ends_b.copy()
     for p in dropped:
         ta, tb = slot(old(p[0])), slot(old(p[1]))
         if p[0] in pos:
             own(out, ta, owned[0]).remove(tb)
         if p[1] in pos:
             own(inn, tb, owned[1]).remove(ta)
-        n = pairs.index(p)
-        del pairs[n], ends_b[n]
     linked_slots = []
     for p in linked:
         ta, tb = of[pos[p[0]]], of[pos[p[1]]]
         own(out, ta, owned[0]).append(tb)
         own(inn, tb, owned[1]).append(ta)
-        pairs.append(p)
-        ends_b.append(tb)
         linked_slots.append((ta, tb))
 
     order, labels = s.order, s.labels
@@ -698,7 +704,7 @@ def _derive(
             order = None
 
     new = Space(elements, space.relation.difference(dropped).union(linked))
-    lineage = _Lineage(keys, pos, pairs, slot_keys, of, out, inn, order, labels, ends_b)
+    lineage = _Lineage(keys, pos, slot_keys, of, out, inn, order, labels)
     if order is None:
         idx = lineage.index()
         found = _kahn(idx.out)

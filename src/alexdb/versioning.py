@@ -12,14 +12,19 @@ creation on a path into ``v`` is not followed (at or after it, within the
 ancestry of ``v``) by a deletion — so re-introducing an item after deleting
 it works, and parallel-branch deletions take effect once merged in.  Each
 store computes those hulls and groups its rows once, in its
-``HistoryIndex``; reconstructing a version is then bitset tests.  The
-versions share one space too, the union of every element and pair the
-history creates: each version's space is a subspace of it, so one
-topological order of the union, kept on the index, orders every version.
-A child version's ancestry is its parent's plus itself, so a commit derives
-the child store's index, that order included, from the parent's, in time
-linear in the changeset and the number of versions, with no row read
-again.
+``HistoryIndex``, which also keeps one row of live columns per version.  A
+version with one parent holds what its parent holds plus what it creates,
+less what it deletes, so those rows are filled in one walk down the
+version space, and only a version joining several parents tests the
+masks of every column against its ancestry.  Reconstructing a version then
+reads one byte per column.  The versions share one space too, the union of
+every element and pair the history creates: each version's space is a
+subspace of it, so one topological order of the union, kept on the index,
+orders every version.  A child version's ancestry is its parent's plus
+itself and its row is its parent's row edited by the changeset, so a
+commit derives the child store's index, that order and row included, from
+the parent's, in time linear in the changeset, the number of versions and
+the number of columns (copied in C), with no row read again.
 """
 from __future__ import annotations
 
@@ -42,6 +47,7 @@ from .topology import (
     Element,
     ElementId,
     Space,
+    SpaceIndex,
     build_space,
     closure,
     connected_components,
@@ -333,10 +339,10 @@ def _creations(rows: Sequence[tuple], width: int, subject: int, bit: Mapping[str
     """Of the creation ``rows`` (``width`` columns, version last, in
     canonical order) that name a version in ``bit``: their columns and
     version bits, the subjects they create (a subject is a row's first
-    ``subject`` columns) as columns in row order, and the mask of the
-    versions creating each subject.  Rows sharing a subject are neighbours;
-    most subjects have one row, and their masks are read straight off the
-    bits."""
+    ``subject`` columns) as columns in row order, the mask of the versions
+    creating each subject, and by version bit the places of the subjects
+    created there.  Rows sharing a subject are neighbours; most subjects
+    have one row, and their masks are read straight off the bits."""
     columns = list(zip(*rows)) or [()] * width
     bits = list(map(bit.get, columns[-1]))
     if None in bits:
@@ -344,13 +350,18 @@ def _creations(rows: Sequence[tuple], width: int, subject: int, bit: Mapping[str
         columns = [list(compress(c, keep)) for c in columns]
         bits = list(compress(bits, keep))
     subjects = columns[:subject]
+    made: list[list[int]] = [[] for _ in bit]
     if not any(map(eq, zip(*subjects), zip(*(c[1:] for c in subjects)))):
-        return columns, bits, subjects, list(map(lshift, repeat(1), bits))
+        for i, b in enumerate(bits):
+            made[b].append(i)
+        return columns, bits, subjects, list(map(lshift, repeat(1), bits)), made
     place = dict(zip(dict.fromkeys(zip(*subjects)), count()))
     created = [0] * len(place)
     for s, b in zip(zip(*subjects), bits):
-        created[place[s]] |= 1 << b
-    return columns, bits, list(zip(*place)), created
+        i = place[s]
+        created[i] |= 1 << b
+        made[b].append(i)
+    return columns, bits, list(zip(*place)), created, made
 
 
 def _interned(ids: Sequence, lods: Sequence, place: Mapping[tuple, int], keys: list[ElementId]):
@@ -365,6 +376,68 @@ def _interned(ids: Sequence, lods: Sequence, place: Mapping[tuple, int], keys: l
             for k, i, lod in zip(found, ids, lods)
         ]
     return found, at
+
+
+def _rows(
+    versions: SpaceIndex,
+    ancestry: list[int],
+    descendants: list[int],
+    created: list[int],
+    deleted: list[int],
+    made: list[list[int]],
+) -> list[bytes]:
+    """By version bit, the row of the columns whose masks are ``created``
+    and ``deleted``, numbered by place: a 1 at each column alive at that
+    version.  ``made`` lists, by version bit, the places of the columns
+    created there.
+
+    The versions are walked in a topological order of the version space
+    ``versions`` (whose positions are the bits).  A root starts from the
+    columns it creates, and a version with one parent from its parent's row
+    with those it creates set; either then clears those it deletes.  For
+    one parent that is ``_alive``: alive at the parent or created here, and
+    not deleted here.  Only a join, a version with several parents, reads
+    its row off the masks, with ``_live``."""
+    width = len(created)
+    gone: list[list[int]] = [[] for _ in ancestry]
+    for i in compress(count(), deleted):
+        for b in _bits(deleted[i]):
+            gone[b].append(i)
+    rows = [b""] * len(ancestry)
+    for j in versions.order:
+        parents = versions.inn[j]
+        if len(parents) > 1:
+            row = bytearray(width)
+            for i in _live(created, deleted, ancestry[j], descendants):
+                row[i] = 1
+        else:
+            if parents or 2 * len(made[j]) <= width:
+                row = bytearray(rows[parents[0]] if parents else width)
+                for i in made[j]:
+                    row[i] = 1
+            else:  # a root creating most columns: all, less those created elsewhere only
+                row = bytearray(b"\1" * width)
+                for k in range(len(made)):
+                    if k != j:
+                        for i in made[k]:
+                            if not created[i] >> j & 1:
+                                row[i] = 0
+            for i in gone[j]:
+                row[i] = 0
+        rows[j] = bytes(row)
+    return rows
+
+
+def _edited(row: bytes, width: int, born: list[int], died: list[int]) -> bytes:
+    """``row`` widened to ``width`` slots, with the slots ``born`` set and
+    those ``died`` cleared."""
+    edited = bytearray(width)
+    edited[: len(row)] = row
+    for t in born:
+        edited[t] = 1
+    for t in died:
+        edited[t] = 0
+    return bytes(edited)
 
 
 class HistoryIndex:
@@ -387,14 +460,21 @@ class HistoryIndex:
     creates such a key takes them into its column.  ``slots`` gives each
     element column a number that it keeps in every index derived from this
     one, while its place shifts as columns are put in: a fresh index
-    numbers its columns in order, and a derived one gives a new key the
-    next free slot.  ``pairs`` holds three
-    columns in row order: the pair and its creation and deletion masks.
-    ``ends``, when known, holds two more: the slots of each pair's ends (-1
-    for a key no row creates), so a reconstruction fills in its space's
-    index without looking a key up.  ``order`` lists every slot in a
-    topological order of the union of every version's space: the element
-    columns over the pair columns, leaving out reflexive pairs and pairs
+    numbers its columns in order, with a ``range``, and a derived one
+    gives a new key the next free slot.  ``pairs`` holds three
+    columns in row order: the pair and its creation and deletion masks;
+    ``pair_slots`` numbers them as ``slots`` numbers the element columns.
+    ``rows[i]`` holds two ``bytes`` objects for version ``i``, with a 1
+    at each slot of an element column and at each slot of a pair column
+    alive there; a slot past a row's end came after that version, and is
+    not alive there.  A row is never changed once made, and a derived
+    index shares its parent's.  ``ends``, when known, holds the slots of
+    each pair's ends (-1 for a key no row creates), so a reconstruction
+    fills in its space's index without looking a key up; ``loose`` says
+    whether some end is -1, and is None while ``ends`` is.  ``order``
+    lists every slot in a topological order of the union of every
+    version's space: the element columns over the pair columns, leaving
+    out reflexive pairs and pairs
     with an end no row creates.  Each version's space is a subspace of
     that union, so the order restricted to its live elements orders it,
     and proves it T0.  ``order`` is None until it is found, by Kahn's
@@ -421,11 +501,13 @@ class HistoryIndex:
     key is built once, shared by the element, pair and generalisation
     columns, and a creation or attribute row costs no Python call unless
     its subject has several creation rows or it names a key no row
-    creates.  ``ends`` comes from the same pass.
+    creates.  ``ends`` comes from the same pass, and the rows from one
+    walk of the version space (``_rows``).
     """
 
     __slots__ = ("names", "bit", "ancestry", "descendants", "elements", "stray", "slots", "pairs",
-                 "ends", "order", "labels", "broken", "held", "built")
+                 "pair_slots", "rows", "ends", "loose", "order", "labels", "broken", "held",
+                 "built")
 
     def __init__(self, store: "VersionStore"):
         versions = store.version_space().as_space()
@@ -436,7 +518,7 @@ class HistoryIndex:
 
         # rows arrive in canonical order, so their subjects, (id, lod) and
         # (ida, idb, lod), first appear in key order
-        (ids, lods, gids, glods, _), bits, subjects, created = _creations(store.x, 5, 2, bit)
+        (ids, lods, gids, glods, _), bits, subjects, created, made = _creations(store.x, 5, 2, bit)
         keys = _tuples(ElementId, zip(*subjects))
         place = dict(zip(keys, count()))
         gens: list = _interned(gids, glods, place, keys)[0]
@@ -465,10 +547,10 @@ class HistoryIndex:
             list(map(recorded.get, keys, repeat(()))),
         )
         self.built: list[Element | None] = [None] * len(keys)
-        self.slots = list(range(len(keys)))
+        self.slots = range(len(keys))
         self.order = self.labels = None
 
-        _, _, (idas, idbs, lods), p_created = _creations(store.r, 4, 3, bit)
+        _, _, (idas, idbs, lods), p_created, p_made = _creations(store.r, 4, 3, bit)
         ka, ends_a = _interned(idas, lods, place, keys)
         kb, ends_b = _interned(idbs, lods, place, keys)
         dr = list(zip(*store.delr)) or [()] * 4
@@ -478,7 +560,13 @@ class HistoryIndex:
             p_created,
             list(map(pr_deleted.get, zip(idas, idbs, lods), repeat(0))),
         )
+        self.pair_slots = range(len(p_created))
         self.ends = ends_a, ends_b
+        self.loose = -1 in ends_a or -1 in ends_b
+        self.rows = list(zip(
+            _rows(versions.index, self.ancestry, self.descendants, *self.elements[1:3], made),
+            _rows(versions.index, self.ancestry, self.descendants, *self.pairs[1:], p_made),
+        ))
 
         pair_place = dict(zip(zip(idas, idbs, lods), count())) if pr_deleted else {}
         self.broken: list[tuple[str, int]] = []
@@ -501,6 +589,7 @@ class HistoryIndex:
             self.ends = tuple(
                 list(map(slot.get, map(itemgetter(end), pairs), repeat(-1))) for end in (0, 1)
             )
+            self.loose = -1 in self.ends[0] or -1 in self.ends[1]
         return self.ends
 
     def union_order(self) -> list[int] | None:
@@ -527,6 +616,19 @@ class HistoryIndex:
         found = i < len(keys) and keys[i] == key
         return dict(self.elements[4][i] if found else self.stray.get(key, ()))
 
+    def alive(self, v: str, key: ElementId) -> bool:
+        """Whether ``key`` is alive at version ``v``, read off the row of
+        ``v`` with no space built; raises as ``reconstruct_version`` does
+        for an unknown version or one whose ancestry deletes something it
+        never created."""
+        row = self.rows[_bit(self, v)][0]
+        keys = self.elements[0]
+        i = bisect_left(keys, key)
+        if i == len(keys) or keys[i] != key:
+            return False
+        t = self.slots[i]
+        return t < len(row) and row[t] == 1
+
     def derive(
         self,
         parent: str,
@@ -547,14 +649,16 @@ class HistoryIndex:
         version takes the next free bit: its ancestry is ``parent``'s plus
         itself, and it joins the descendants of each of those.  The columns
         are copied and only the keys the commit touches change, so this
-        index stays valid for its own store; a new key's column takes the
-        next free slot and any ``stray`` attributes of its key.  ``broken``
-        carries over: a commit deletes only what is alive in its parent.
-        The slots, ``ends``, ``order`` and ``labels`` are copied and kept
-        up to date, with no Kahn order: ``_ordered`` puts the new keys'
-        slots into the order.  Those not yet found, or a cyclic union, pass
-        on as they are, and so does a new key completing a pair that named
-        no key a row created.  ``built``
+        index stays valid for its own store; a new column takes the next
+        free slot, and a new key's column any ``stray`` attributes of its
+        key.  ``broken`` carries over: a commit deletes only what is alive
+        in its parent.  The rows carry over, and the new version's is its
+        parent's with the slots the commit creates set and those it deletes
+        cleared.  The slots, ``ends``, ``order`` and ``labels`` are copied
+        and kept up to date, with no Kahn order: ``_ordered`` puts the new
+        keys' slots into the order.  Those not yet found, or a cyclic union,
+        pass on as they are, and so does a new key when some pair names a
+        key no row created (``loose``): the key may complete it.  ``built``
         carries over too, except for a key created again: its column gains
         a creation and may gain attributes, which every version then reads.
         The derived index holds the new version's space, so the next commit
@@ -577,9 +681,12 @@ class HistoryIndex:
         keys, created, deleted, gens, atts = (list(c) for c in self.elements)
         stray = dict(self.stray)
         built = list(self.built)
-        created_at = []  # where each key no row created before is put in
+        slots = list(self.slots)
+        born, died = [], []  # the slots of the element columns the commit changes
         for k in removed:
-            deleted[bisect_left(keys, k)] |= bit
+            i = bisect_left(keys, k)
+            deleted[i] |= bit
+            died.append(slots[i])
         for k in added:
             e = space.elements[k]
             i = bisect_left(keys, k)
@@ -591,44 +698,53 @@ class HistoryIndex:
                 created[i] |= bit
                 atts[i] = tuple(sorted({**dict(atts[i]), **e.attributes}.items()))
                 built[i] = None
-            else:
+                born.append(slots[i])
+            else:  # a new column, which takes the next free slot
+                born.append(len(slots))
                 keys.insert(i, k)
                 created.insert(i, bit)
                 deleted.insert(i, 0)
                 gens.insert(i, e.gen_target)
                 atts.insert(i, tuple(sorted({**dict(stray.pop(k, ())), **e.attributes}.items())))
                 built.insert(i, None)
-                created_at.append(i)
+                slots.insert(i, born[-1])
         new.elements = keys, created, deleted, gens, atts
         new.stray = stray
         new.built = built
 
         pairs, p_created, p_deleted = (list(c) for c in self.pairs)
+        pair_slots = list(self.pair_slots)
+        p_born, p_died = [], []
         linked_at = []  # where each linked pair is put in as a new column, else -1
         for p in dropped:
-            p_deleted[bisect_left(pairs, _row_order(p), key=_row_order)] |= bit
+            i = bisect_left(pairs, _row_order(p), key=_row_order)
+            p_deleted[i] |= bit
+            p_died.append(pair_slots[i])
         for p in linked:
             i = bisect_left(pairs, _row_order(p), key=_row_order)
             if i < len(pairs) and pairs[i] == p:
                 p_created[i] |= bit
+                p_born.append(pair_slots[i])
                 linked_at.append(-1)
             else:
+                p_born.append(len(pair_slots))
                 pairs.insert(i, p)
                 p_created.insert(i, bit)
                 p_deleted.insert(i, 0)
+                pair_slots.insert(i, p_born[-1])
                 linked_at.append(i)
-        new.pairs = pairs, p_created, p_deleted
+        new.pairs, new.pair_slots = (pairs, p_created, p_deleted), pair_slots
+        row, pair_row = self.rows[self.bit[parent]]
+        new.rows = self.rows + [(
+            _edited(row, len(slots), born, died), _edited(pair_row, len(pair_slots), p_born, p_died)
+        )]
 
-        # a new key's column takes the next free slot
-        slots = self.slots.copy()
-        fresh = range(len(slots), len(slots) + len(created_at))
-        for i, t in zip(created_at, fresh):
-            slots.insert(i, t)
-        ends, order, labels = self.ends, self.order, self.labels
-        if fresh and ends is not None and (-1 in ends[0] or -1 in ends[1]):
+        fresh = range(len(self.slots), len(slots))
+        ends, loose, order, labels = self.ends, self.loose, self.order, self.labels
+        if fresh and loose:
             # a new key may complete a pair that named no key a row created:
             # the ends and the order are found again on first use
-            ends, order, labels = None, False if order is False else None, None
+            ends, loose, order, labels = None, None, False if order is False else None, None
         if ends is not None:  # else ``order`` is not a list either
             at = [(slots[bisect_left(keys, a)], slots[bisect_left(keys, b)]) for a, b in linked]
             ends = ends[0].copy(), ends[1].copy()
@@ -640,7 +756,7 @@ class HistoryIndex:
                 order, labels = order.copy(), labels.copy()
                 if not _ordered(order, labels, fresh, at):
                     order = labels = None
-        new.slots, new.ends, new.order, new.labels = slots, ends, order, labels
+        new.slots, new.ends, new.loose, new.order, new.labels = slots, ends, loose, order, labels
 
         # the held space is what the columns give: created elements carry
         # every attribute recorded for their key
@@ -706,18 +822,19 @@ def reconstruct_version(store: "VersionStore", v: str) -> Space:
 
     Answered from the store's ``HistoryIndex``: the space it holds when
     ``v`` is that one (a committed store holds its newest version), else
-    bitset tests against the ancestry of ``v``.  The store's one
-    topological order (``HistoryIndex.union_order``), restricted to the
-    live elements, orders the space, so no Kahn order or T0 search runs per
-    version: the space keeps the positions and that order, and fills its
-    index in from them on the first query that needs it.  Only when the
-    union of every version's space has a cycle does each version check T0
-    by itself, with the errors it always raised.  An element alive and
-    unchanged in several versions is one ``Element`` object, with one
-    attribute dict, in every space read from the store; like the spaces,
-    neither may be mutated.  Raises ``IntegrityError`` when a relevant
-    deletion has no creation on any path before it — the store then
-    contradicts itself; the error names the first such version by name.
+    the columns alive in the row of ``v``, one byte per column.  The
+    store's one topological order (``HistoryIndex.union_order``),
+    restricted to the live elements, orders the space, so no Kahn order or
+    T0 search runs per version: the space keeps the positions and that
+    order, and fills its index in from them on the first query that needs
+    it.  Only when the union of every version's space has a cycle does
+    each version check T0 by itself, with the errors it always raised.  An
+    element alive and unchanged in several versions is one ``Element``
+    object, with one attribute dict, in every space read from the store;
+    like the spaces, neither may be mutated.  Raises ``IntegrityError``
+    when a relevant deletion has no creation on any path before it — the
+    store then contradicts itself; the error names the first such version
+    by name.
     """
     index = store.history
     if index.held is not None and index.held[0] == v:
@@ -725,36 +842,48 @@ def reconstruct_version(store: "VersionStore", v: str) -> Space:
     return _reconstruct(index, v)
 
 
-def _reconstruct(index: HistoryIndex, v: str) -> Space:
-    """``reconstruct_version`` read from the index's columns.  Elements
-    come from ``built`` where it has them, and are built and kept there
-    otherwise.  The live pairs go to ``_assemble`` with the positions of
-    their ends, read off the slots the index keeps, so no key is looked
-    up, and with the index's order restricted to the live positions."""
+def _bit(index: HistoryIndex, v: str) -> int:
+    """The bit of version ``v``, whose row may be read: raises
+    ``NotFoundError`` for an unknown version, and ``IntegrityError`` when
+    the ancestry of ``v`` deletes something it never created."""
     b = index.bit.get(v)
     if b is None:
         raise NotFoundError(f"unknown version {v!r}")
     ancestry = index.ancestry[b]
-    names = index.names
     for subject, bad in index.broken:
         hit = bad & ancestry
         if hit:
-            first = min(names[i] for i in _bits(hit))
+            first = min(index.names[i] for i in _bits(hit))
             raise IntegrityError(
                 f"{subject} is deleted in {first!r} but created on no path before it"
             )
-    descendants = index.descendants
-    keys, created, deleted, gens, atts = index.elements
+    return b
+
+
+def _reconstruct(index: HistoryIndex, v: str) -> Space:
+    """``reconstruct_version`` read from the index's columns: those alive
+    in the row of ``v``, picked in C.  Elements come from ``built`` where
+    it has them, and are built and kept there otherwise.  The live pairs
+    go to ``_assemble`` with the positions of their ends, read off the
+    slots the index keeps, so no key is looked up, and with the index's
+    order restricted to the live positions."""
+    b = _bit(index, v)
+    slots, pair_slots = index.slots, index.pair_slots
+    row, pair_row = index.rows[b]
+    # a slot past a row's end came after ``v``
+    row, pair_row = row.ljust(len(slots), b"\0"), pair_row.ljust(len(pair_slots), b"\0")
+    names = index.names
+    keys, created, _, gens, atts = index.elements
     built = index.built
-    live = _live(created, deleted, ancestry, descendants)
+    live = list(compress(count(), _by_slot(row, slots)))
     els = _pick(built, live)
     for j in list(compress(count(), map(is_, els, repeat(None)))):
         i = live[j]
         gen = gens[i]
         if type(gen) is dict:  # created by several rows: built on each read
-            inside = created[i] & ancestry
+            inside = created[i] & index.ancestry[b]
             if inside & (inside - 1):
-                c = _newest(inside, descendants, names)
+                c = _newest(inside, index.descendants, names)
             else:
                 c = inside.bit_length() - 1
             els[j] = Element(keys[i], names[c], gen[c], dict(atts[i]))
@@ -766,14 +895,13 @@ def _reconstruct(index: HistoryIndex, v: str) -> Space:
     # each element column's position in the space, by slot, None when it
     # is not alive; the last entry stands for a key no row creates (-1)
     ends_a, ends_b = index.pair_ends()
-    at = [None] * (len(keys) + 1)
-    for t, p in zip(_pick(index.slots, live), pos.values()):
+    at = [None] * (len(slots) + 1)
+    for t, p in zip(_pick(slots, live), pos.values()):
         at[t] = p
-    kept = _live(index.pairs[1], index.pairs[2], ancestry, descendants)
+    kept = list(compress(count(), _by_slot(pair_row, pair_slots)))
     order = index.union_order()
-    if order is not None:  # the union's order restricted to the live positions
-        order = _pick(at, order)
-        order = list(compress(order, map(is_not, order, repeat(None))))
+    if order is not None:  # the union's order restricted to the live slots
+        order = list(map(at.__getitem__, compress(order, map(row.__getitem__, order))))
     return _assemble(
         elements,
         pos,
@@ -782,6 +910,13 @@ def _reconstruct(index: HistoryIndex, v: str) -> Space:
         _pick(at, _pick(ends_b, kept)),
         order=order,
     )
+
+
+def _by_slot(row: bytes, slots: Sequence[int]) -> Iterable[int]:
+    """The bytes of ``row`` at ``slots``, in their order: the row itself
+    when the slots are a fresh index's, which numbers its columns in
+    order."""
+    return row if type(slots) is range else map(row.__getitem__, slots)
 
 
 def _pick(items: Sequence, places: list[int]) -> list:

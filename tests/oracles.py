@@ -12,8 +12,9 @@ assemble their result with the library's ``build_space``;
 ``commit_by_rebuild`` reconstructs its parent with the library and sorts
 its rows by the library's ``VersionStore``; ``reconstruct_version_by_hulls``
 and ``history_columns_by_rows`` take the library's version hulls (checked
-against path enumeration); ``reconstruct_by_columns`` reads the library's
-history index; and ``telescope_by_closures`` takes the library's level
+against path enumeration); ``reconstruct_by_columns`` and
+``history_rows_by_masks`` read the library's history index, its masks
+rather than its rows; and ``telescope_by_closures`` takes the library's level
 edge graph and reduction.  ``key_issues_by_rows`` and
 ``load_key_error_by_rows`` are the row-by-row key checks the library ran
 before it checked keys on parsed columns.  ``filtered_region_answer_by_level_maps``
@@ -774,6 +775,33 @@ def reconstruct_by_columns(store, v: str):
         ends_b.append(at[b])
     pos = dict(zip(els, map(at.__getitem__, live)))
     return _assemble(els, pos, pairs, ends_a, ends_b)
+
+
+def history_rows_by_masks(index) -> list:
+    """``HistoryIndex.rows`` read off its masks, one Python test per
+    column and version as ``reconstruct_by_columns`` makes them: by version
+    bit, the element and pair rows as lists of 0 and 1 by slot, or None for
+    a version whose ancestry deletes what it never created, where no row
+    is read."""
+    from alexdb.versioning import _alive
+
+    rows = []
+    for ancestry in index.ancestry:
+        if any(bad & ancestry for _, bad in index.broken):
+            rows.append(None)
+            continue
+        row = []
+        for slots, (created, deleted) in (
+            (index.slots, index.elements[1:3]),
+            (index.pair_slots, index.pairs[1:]),
+        ):
+            live = [0] * len(slots)
+            for t, c, d in zip(slots, created, deleted):
+                inside = c & ancestry
+                live[t] = int(bool(inside) and _alive(inside, d & ancestry, index.descendants))
+            row.append(live)
+        rows.append(tuple(row))
+    return rows
 
 
 # ---------------------------------------------------------------------------

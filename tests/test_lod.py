@@ -36,8 +36,8 @@ from alexdb.lod import (
     _telescope,
 )
 from alexdb.spacetime import PointRow
-from alexdb.storage import new_store, validate, versions_with_path
-from alexdb.versioning import reconstruct_version
+from alexdb.storage import commit, load, new_store, save, validate, versions_with_path
+from alexdb.versioning import changeset, reconstruct_version, text_space
 from alexdb.topology import (
     BoundedByPair,
     Element,
@@ -458,6 +458,36 @@ def test_committed_histories_check_as_the_level_maps(seed):
     for region in (fine, [k for k in fine if rng.random() < 0.6] or fine[:1], keys):
         a, b = rng.choice(region), rng.choice(region)
         check_store_against_level_maps(store, ["monotonic", "surjective"], a, b, region)
+
+
+def test_versions_with_path_reconstructs_only_versions_where_both_ends_live(
+    tmp_path, monkeypatch
+):
+    # 3 dies in v1 and comes back in v2 bounded by 1 directly; 1 dies in v3
+    store = new_store("v0", text_space("abc"))
+    store = commit(store, "v0", changeset("v1", remove_elements=["3"]))
+    back = changeset("v2", add_elements=[Element(ElementId("3"))], add_pairs=[("1", "3")])
+    store = commit(store, "v1", back)
+    store = commit(store, "v0", changeset("v3", remove_elements=["1"]))
+    loaded = load(save(store, tmp_path / "store"))  # rows filled afresh
+    calls = []
+
+    def counted(s, v, _real=alexdb.storage.reconstruct_version):
+        calls.append(v)
+        return _real(s, v)
+
+    monkeypatch.setattr(alexdb.storage, "reconstruct_version", counted)
+    one, three = ElementId("1"), ElementId("3")
+    region = [ElementId(k) for k in "123"]
+    for s in (store, loaded):
+        for rules in ([], ["monotonic"]):
+            calls.clear()
+            assert versions_with_path(s, one, three, region, rules) == {"v0", "v2"}
+            assert sorted(calls) == ["v0", "v2"]
+            monotonic = bool(rules)
+            assert oracles.versions_with_path_by_level_maps(s, one, three, region, monotonic) == {
+                "v0", "v2"
+            }
 
 
 def test_the_filter_trusts_a_map_that_is_not_monotone():
