@@ -644,27 +644,17 @@ def _settle_swap(real: str, old: str) -> None:
     so that only the store directory ``real`` stands.  With no directory at
     ``real``, the swapped-out store ``old`` moves back.  With both, the new
     store is in place: the entries of ``old`` other than the tables move
-    into it, and ``old`` is removed: its tables are unlinked and it is
-    removed as an empty directory, unless something else is left in it
-    (a directory under a table's name, an entry put there meanwhile)."""
+    into it, and ``old`` is removed."""
     if not os.path.isdir(old):
         return
     if not os.path.lexists(real):
         os.rename(old, real)
     elif os.path.isdir(real):
         tables = {t.file for t in _TABLES.values()}
-        left = []
         for entry in os.listdir(old):
-            if entry in tables:
-                left.append(os.path.join(old, entry))
-            else:
+            if entry not in tables:
                 os.rename(os.path.join(old, entry), os.path.join(real, entry))
-        try:
-            for path in left:
-                os.unlink(path)
-            os.rmdir(old)
-        except OSError:
-            shutil.rmtree(old)
+        shutil.rmtree(old)
 
 
 def _read_table(directory: Path, name: str) -> list[Sequence]:
@@ -979,7 +969,9 @@ def versions_with_path(
     level maps nor the linked space is built; any other rule name is
     refused with ``NotFoundError``.  Whether the endpoints are alive is
     read off each version's row in the store's history index, so a version
-    where one is dead is skipped and not reconstructed.  ``spaces``, when
+    where one is dead is skipped and not reconstructed: a fault only such
+    a version holds (a pair naming a key it lacks, say) is not raised,
+    though ``reconstruct_version`` raises it there.  ``spaces``, when
     given, maps every version to its reconstructed space, so a caller that
     already holds them (to look a region up) does not reconstruct them
     twice.

@@ -411,17 +411,9 @@ def _rows(
             for i in _live(created, deleted, ancestry[j], descendants):
                 row[i] = 1
         else:
-            if parents or 2 * len(made[j]) <= width:
-                row = bytearray(rows[parents[0]] if parents else width)
-                for i in made[j]:
-                    row[i] = 1
-            else:  # a root creating most columns: all, less those created elsewhere only
-                row = bytearray(b"\1" * width)
-                for k in range(len(made)):
-                    if k != j:
-                        for i in made[k]:
-                            if not created[i] >> j & 1:
-                                row[i] = 0
+            row = bytearray(rows[parents[0]] if parents else width)
+            for i in made[j]:
+                row[i] = 1
             for i in gone[j]:
                 row[i] = 0
         rows[j] = bytes(row)

@@ -14,6 +14,7 @@ from alexdb import demos
 from alexdb.algebra import select_subspace, space_map
 from alexdb.errors import (
     AlexdbError,
+    DanglingPairError,
     IntegrityError,
     MissingGeometryError,
     NotFoundError,
@@ -36,7 +37,18 @@ from alexdb.lod import (
     _telescope,
 )
 from alexdb.spacetime import PointRow
-from alexdb.storage import commit, load, new_store, save, validate, versions_with_path
+from alexdb.storage import (
+    DelRRow,
+    RRow,
+    VersionStore,
+    XRow,
+    commit,
+    load,
+    new_store,
+    save,
+    validate,
+    versions_with_path,
+)
 from alexdb.versioning import changeset, reconstruct_version, text_space
 from alexdb.topology import (
     BoundedByPair,
@@ -488,6 +500,26 @@ def test_versions_with_path_reconstructs_only_versions_where_both_ends_live(
             assert oracles.versions_with_path_by_level_maps(s, one, three, region, monotonic) == {
                 "v0", "v2"
             }
+
+
+def test_versions_with_path_raises_no_fault_of_a_version_it_skips():
+    # v0 holds the pair (1, ghost) and no ghost, so reading v0 fails; 2 is
+    # dead there, so a query from 1 to 2 skips v0 and answers from v2
+    store = VersionStore(
+        x=(XRow("1", 0, None, None, "v0"),),
+        r=(RRow("1", "ghost", 0, "v0"),),
+        delr=(DelRRow("1", "ghost", 0, "v1"),),
+        vx=("v0", "v1"),
+        vr=(("v0", "v1"),),
+    )
+    store = commit(store, "v1", changeset("v2", [Element(ElementId("2"))], add_pairs=[("1", "2")]))
+    with pytest.raises(DanglingPairError):
+        reconstruct_version(store, "v0")
+    one, two = ElementId("1"), ElementId("2")
+    for rules in ([], ["monotonic"]):
+        assert versions_with_path(store, one, two, [one, two], rules) == {"v2"}
+    with pytest.raises(DanglingPairError):  # a query whose endpoints live in v0 reads it
+        versions_with_path(store, one, one, [one], [])
 
 
 def test_the_filter_trusts_a_map_that_is_not_monotone():

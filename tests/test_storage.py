@@ -226,35 +226,6 @@ def test_a_failed_rename_leaves_a_whole_store(tmp_path, monkeypatch, every_later
         ]
 
 
-def test_a_save_unlinks_the_swapped_out_tables_and_removes_their_directory(
-    tmp_path, monkeypatch
-):
-    older, newer = _older_and_newer()
-    target, old = tmp_path / "store", tmp_path / ".store.old"
-    save(older, target)
-    (target / "notes.txt").write_text("keep me", encoding="utf-8")
-    removed = []
-
-    def counted(path, _real=alexdb.storage.shutil.rmtree, **kwargs):
-        removed.append(path)
-        _real(path, **kwargs)
-
-    monkeypatch.setattr(alexdb.storage.shutil, "rmtree", counted)
-    save(newer, target)
-    assert removed == []  # the eight tables unlinked, the directory removed empty
-    assert [p.name for p in tmp_path.iterdir()] == ["store"]
-    assert (target / "notes.txt").read_text(encoding="utf-8") == "keep me"
-    # something left beside the tables: a directory under a table's name
-    save(older, old)
-    (old / "X.csv").unlink()
-    (old / "X.csv").mkdir()
-    (old / "X.csv" / "inside").write_text("", encoding="utf-8")
-    save(newer, target)
-    assert removed == [str(old)]
-    assert [p.name for p in tmp_path.iterdir()] == ["store"]
-    assert load(target) == canonicalize(newer)
-
-
 def test_a_swap_that_stopped_half_way_is_settled_by_the_next_save(tmp_path, monkeypatch):
     older, newer = _older_and_newer()
     target, old = tmp_path / "store", tmp_path / ".store.old"
