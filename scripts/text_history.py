@@ -4,7 +4,9 @@
 The text starts as random letters, spaces, commas, quotes and line ends,
 one element per character, chained in reading order.  Each commit inserts
 or deletes one character, mostly on the newest version and now and then on
-an older one, so the history branches.  After the last commit the saved
+an older one, so the history branches.  Now and then an insert brings back
+a character that the parent lacks, under the id and letter it had before,
+so some keys are created by several rows.  After the last commit the saved
 store is loaded back and every version's text is checked against the text
 the script kept.  Every version is also read from the last committed store,
 whose history index each commit derived, and compared with the version read
@@ -63,13 +65,21 @@ def main() -> int:
     text = [(str(i), rng.choice(ALPHABET)) for i in range(1, args.letters + 1)]
     store = new_store("v000", text_space("".join(c for _, c in text), ids=[i for i, _ in text]))
     texts = {"v000": text}
+    letters = dict(text)  # every character the history has held, by id
     newest = "v000"
     for n in range(1, args.commits + 1):
         parent = newest if rng.random() < 0.8 else rng.choice(sorted(texts))
         old, version = texts[parent], f"v{n:03d}"
         j = rng.randrange(1, len(old) - 1)  # neither end of the chain moves
-        if rng.random() < 0.5 or len(old) < 4:
-            new_id, letter = f"n{n}", rng.choice(ALPHABET)
+        roll = rng.random()
+        if roll < 0.5 or len(old) < 4:
+            dead = sorted(letters.keys() - {i for i, _ in old})
+            if dead and roll < 0.15:  # created again, under its old id
+                new_id = rng.choice(dead)
+                letter = letters[new_id]
+            else:
+                new_id, letter = f"n{n}", rng.choice(ALPHABET)
+                letters[new_id] = letter
             element = Element(ElementId(new_id), attributes={"letter": letter})
             a, b = old[j - 1][0], old[j][0]
             changes = changeset(version, add_elements=[element],

@@ -162,12 +162,12 @@ def _cmd_versions_with_path(args) -> int:
     store = storage.load(args.store)
     a = _parse_element(args.a)
     b = _parse_element(args.b)
-    # each version is reconstructed once, for the region and the path alike;
-    # the region is its elements in any version
-    spaces = {v: reconstruct_version(store, v) for v in store.vx}
-    if args.region is None:
-        region = {ElementId(w.id, w.lod) for w in store.x}
+    if args.region is None:  # every element some row creates: no version is read
+        region, spaces = {ElementId(w.id, w.lod) for w in store.x}, None
     else:
+        # the region is its elements in any version; each version is
+        # reconstructed once, for the region and the path alike
+        spaces = {v: reconstruct_version(store, v) for v in store.vx}
         region = set(querymod.resolve_region(args.region, *spaces.values()))
     region |= {a, b}
     versions = storage.versions_with_path(store, a, b, region, args.rule, spaces=spaces)

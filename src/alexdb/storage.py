@@ -37,7 +37,7 @@ lists in C.
 Stores are immutable snapshots: ``commit`` applies a changeset against a
 parent version and returns a new store — a single-writer discipline with no
 in-place mutation anywhere.  A store's ``history`` index (ancestry bitsets,
-one column per field of the elements and pairs, and one row of live
+columns of the elements and pairs some row creates, and one row of live
 columns per version) and its CSV lines are
 cached on the store, which relies on that contract: never change a store's
 row tuples, build a new store instead.  A loaded store builds the index on
@@ -47,9 +47,11 @@ with one derived from its parent's, holding its newest space, itself
 derived from the parent's space (``versioning.apply_changeset``).
 
 The generalisation columns (``gid``, ``glod``) are read and written here as
-rows only: the level maps that ``validate`` checks, once per level
-transition and version, and the linked space that ``versions_with_path``
-searches come from ``lod``.
+rows only.  ``validate`` reads its continuity and missed-target checks off
+each version's space, with ``lod``'s helpers, and only the "monotonic"
+rule builds the level maps; ``versions_with_path`` answers on each
+version's space, through the monotone filter's stages or a path query on
+the space linked by its generalisation pairs (``lod._linked``).
 
 Attribute values are typed by shape on load: a field that reads back as a
 canonical integer or float literal becomes that number, anything else stays
@@ -82,7 +84,7 @@ from .errors import (
     T0ViolationError,
 )
 from .spacetime import PointRow
-from .topology import BoundedByPair, ElementId, Scalar, Space, _tuples
+from .topology import BoundedByPair, Element, ElementId, Scalar, Space, _tuples
 from .versioning import (
     ChangeSet,
     HistoryIndex,
@@ -340,10 +342,10 @@ def canonicalize(store: VersionStore) -> VersionStore:
 # building stores
 
 
-def _element_rows(space: Space, keys: Iterable[ElementId], version: str):
-    """X and Atts rows recording the elements ``keys`` of ``space`` as
-    created in ``version``.  A boolean attribute value is refused, and so
-    is a text field that ``load`` could not read back, one longer than
+def _element_rows(elements: Iterable[Element], version: str):
+    """X and Atts rows recording ``elements`` as created in ``version``.
+    A boolean attribute value is refused, and so is a text field that
+    ``load`` could not read back, one longer than
     ``csv.field_size_limit()``: a version, element id or attribute name or
     value.  Pairs, generalisation targets and coordinate rows name
     elements, so these are the texts a valid store gets from a space."""
@@ -351,8 +353,8 @@ def _element_rows(space: Space, keys: Iterable[ElementId], version: str):
     if len(version) > limit:
         raise _too_long("VX.version", version)
     xrows, attrows = [], []
-    for k in keys:
-        e = space.elements[k]
+    for e in elements:
+        k = e.key
         gid, glod = e.gen_target or (None, None)
         if len(k.id) > limit:
             raise _too_long("X.id", k.id)
@@ -370,7 +372,7 @@ def _element_rows(space: Space, keys: Iterable[ElementId], version: str):
 
 
 def _space_rows(space: Space, version: str):
-    xrows, attrows = _element_rows(space, space.elements, version)
+    xrows, attrows = _element_rows(space.elements.values(), version)
     # sorted, so that a pair across levels is named the same in every process
     return xrows, [_pair_row(p, version) for p in sorted(space.relation)], attrows
 
@@ -404,20 +406,23 @@ def commit(
     The changeset is applied to the reconstructed parent space and the
     difference is written as creation and deletion rows, so modifications
     that cancel within the changeset leave no trace.  Attributes attach to
-    an (id, level) key once; a re-added element keeps its old attributes
-    (matching rows are skipped, contradicting ones are rejected).  A
-    changeset that would leave an element generalising to one not in the
-    new version is rejected with ``ForeignKeyError``, as is a pair across
-    levels (``StoreFormatError``).
+    an (id, level) key once: each created element takes every attribute
+    already recorded for its key, in name order, before the changeset is
+    applied, so the new space holds it as its rows read back.  Only the
+    attribute values the changeset brings are checked and written (rows
+    matching a recorded value are skipped, contradicting ones are
+    rejected).  A changeset that would leave an element generalising to
+    one not in the new version is rejected with ``ForeignKeyError``, as is
+    a pair across levels (``StoreFormatError``).
 
     The new store arrives with its ``history`` index, derived from the
     parent store's without reading a row, and holding the new version's
     space: committing again from the new version, or reconstructing it,
     reads no rows.  A parent the index does not hold is reconstructed
-    from its row of live columns.  That space and its index are derived from the parent
-    space's, its tables are the parent's with the new rows put in place,
-    and it keeps the CSV lines of its files, derived from the parent's,
-    which ``save`` writes.  A boolean attribute value, or a field that
+    from its row of live columns.  That space and its index are derived
+    from the parent space's, its tables are the parent's with the new rows
+    put in place, and it keeps the CSV lines of its files, derived from the
+    parent's, which ``save`` writes.  A boolean attribute value, or a field that
     ``load`` could not read back (see ``_element_rows``), is rejected
     with ``StoreFormatError``.
     """
@@ -427,13 +432,21 @@ def commit(
     if parent not in store.vx:
         raise NotFoundError(f"unknown parent version {parent!r}")
     index = store.history
-    new_space, dropped, linked = _apply(reconstruct_version(store, parent), changes)
+    # a created element carries every attribute recorded for its key, in
+    # name order, as the index's columns read it back
+    recorded = {el.key: index.attributes(el.key) for el in changes.add_elements}
+    merged = replace(changes, add_elements=tuple(
+        replace(el, attributes=dict(sorted({**recorded[el.key], **el.attributes}.items())))
+        for el in changes.add_elements
+    ))
+    new_space, dropped, linked = _apply(reconstruct_version(store, parent), merged)
     _check_generalisation(new_space, changes)
     removed = sorted(changes.remove_elements)
-    added = sorted(el.key for el in changes.add_elements)
+    created = sorted(changes.add_elements, key=attrgetter("key"))
+    added = [el.key for el in created]
 
-    new_x, new_atts = _element_rows(new_space, added, v)
-    recorded = {k: index.attributes(k) for k in added}
+    # rows of the values the changeset brings; one already recorded is skipped
+    new_x, new_atts = _element_rows(created, v)
     for a in new_atts:
         prior = recorded[a.id, a.lod].get(a.name)
         if prior is not None and prior != a.value:

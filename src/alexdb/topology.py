@@ -718,16 +718,6 @@ def _derive(
     return new
 
 
-def _with_elements(space: Space, elements: dict[ElementId, Element]) -> Space:
-    """``space`` with other ``Element`` objects under the same keys, in the
-    same order: it shares the index and the lineage of ``space``."""
-    new = Space(elements, space.relation)
-    for name in ("index", "_lineage"):
-        if name in vars(space):
-            vars(new)[name] = vars(space)[name]
-    return new
-
-
 def find_cycle(space: Space) -> list[ElementId] | None:
     """Return one directed cycle of the relation, or None when acyclic."""
     idx = space.index

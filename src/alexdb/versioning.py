@@ -11,20 +11,21 @@ carry the version that removed them.  An item is alive at ``v`` when some
 creation on a path into ``v`` is not followed (at or after it, within the
 ancestry of ``v``) by a deletion — so re-introducing an item after deleting
 it works, and parallel-branch deletions take effect once merged in.  Each
-store computes those hulls and groups its rows once, in its
-``HistoryIndex``, which also keeps one row of live columns per version.  A
-version with one parent holds what its parent holds plus what it creates,
-less what it deletes, so those rows are filled in one walk down the
-version space, and only a version joining several parents tests the
-masks of every column against its ancestry.  Reconstructing a version then
-reads one byte per column.  The versions share one space too, the union of
-every element and pair the history creates: each version's space is a
-subspace of it, so one topological order of the union, kept on the index,
-orders every version.  A child version's ancestry is its parent's plus
-itself and its row is its parent's row edited by the changeset, so a
-commit derives the child store's index, that order and row included, from
-the parent's, in time linear in the changeset, the number of versions and
-the number of columns (copied in C), with no row read again.
+store groups its rows once, in its ``HistoryIndex``, whose one record of
+liveness is a row of live columns per version.  A version with one parent
+holds what its parent holds plus what it creates, less what it deletes,
+so those rows are filled in one walk down the version space, and only a
+version joining several parents tests the creation and deletion masks of
+every column against its ancestry; the index keeps no deletion mask once
+the rows are filled.  Reconstructing a version then reads one byte per
+column.  The versions share one space too, the union of every element and
+pair the history creates: each version's space is a subspace of it, so one
+topological order of the union, kept on the index, orders every version.
+A child version's ancestry is its parent's plus itself and its row is its
+parent's row edited by the changeset, so a commit derives the child
+store's index, that order and row included, from the parent's, in time
+linear in the changeset, the number of versions and the number of columns
+(copied in C), with no row read again.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, count, filterfalse, repeat
-from operator import and_, eq, is_, is_not, itemgetter, lshift, mul, or_, rshift
+from operator import and_, eq, is_, is_not, itemgetter, lshift
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from . import topology
@@ -64,7 +65,6 @@ from .topology import (
     _rank_masks,
     _topological_order,
     _tuples,
-    _with_elements,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, no runtime dependency
@@ -440,35 +440,33 @@ class HistoryIndex:
     Version ``names[i]`` is bit ``1 << i``.  A store read from rows numbers
     its versions in name order; ``derive`` gives a child version the next
     free bit, so bit order is not name order, and every tie between
-    versions is broken by comparing names.  ``ancestry[i]`` and
-    ``descendants[i]`` are the masks of the minimal neighbourhood and of
-    the closure of version ``i``, itself included.  ``elements`` holds five
-    parallel columns with one entry per element some row creates, in key
-    order: the key, the masks of the versions creating and deleting it,
-    its generalisation target (a dict from creation bit to target when
-    several rows create it) and its attributes as ``(name, value)`` pairs
-    in name order.  ``stray`` holds, by ``(id, lod)``, the attributes of
-    each key that attribute rows name but no row creates: a commit that
-    creates such a key takes them into its column.  ``slots`` gives each
-    element column a number that it keeps in every index derived from this
-    one, while its place shifts as columns are put in: a fresh index
-    numbers its columns in order, with a ``range``, and a derived one
-    gives a new key the next free slot.  ``pairs`` holds three
-    columns in row order: the pair and its creation and deletion masks;
-    ``pair_slots`` numbers them as ``slots`` numbers the element columns.
-    ``rows[i]`` holds two ``bytes`` objects for version ``i``, with a 1
-    at each slot of an element column and at each slot of a pair column
-    alive there; a slot past a row's end came after that version, and is
-    not alive there.  A row is never changed once made, and a derived
-    index shares its parent's.  ``ends``, when known, holds the slots of
-    each pair's ends (-1 for a key no row creates), so a reconstruction
-    fills in its space's index without looking a key up; ``loose`` says
-    whether some end is -1, and is None while ``ends`` is.  ``order``
-    lists every slot in a topological order of the union of every
-    version's space: the element columns over the pair columns, leaving
-    out reflexive pairs and pairs
-    with an end no row creates.  Each version's space is a subspace of
-    that union, so the order restricted to its live elements orders it,
+    versions is broken by comparing names.  ``ancestry[i]`` is the mask of
+    the minimal neighbourhood of version ``i``, itself included.
+    ``elements`` holds four parallel columns with one entry per element
+    some row creates, in key order: the key, the mask of the versions
+    creating it, its generalisation target (a dict from creation bit to
+    target when several rows create it) and its attributes as ``(name,
+    value)`` pairs in name order.  ``stray`` holds, by ``(id, lod)``, the
+    attributes of each key that attribute rows name but no row creates: a
+    commit that creates such a key takes them into its column.  ``slots``
+    gives each element column a number that it keeps in every index
+    derived from this one, while its place shifts as columns are put in: a
+    fresh index numbers its columns in order, with a ``range``, and a
+    derived one gives a new key the next free slot.  ``pairs`` lists the
+    pairs some row creates, in row order; ``pair_slots`` numbers them as
+    ``slots`` numbers the element columns.  ``rows[i]`` holds two
+    ``bytes`` objects for version ``i``, with a 1 at each slot of an
+    element column and at each slot of a pair column alive there; a slot
+    past a row's end came after that version, and is not alive there.  The
+    rows are the index's one record of liveness: a row is never changed
+    once made, and a derived index shares its parent's.  ``ends`` holds
+    the slots of each pair's ends (-1 for a key no row creates), so a
+    reconstruction fills in its space's index without looking a key up;
+    ``loose`` says whether some end is -1.  ``order`` lists every slot in
+    a topological order of the union of every version's space: the
+    element columns over the pair columns, leaving out reflexive pairs and
+    pairs with an end no row creates.  Each version's space is a subspace
+    of that union, so the order restricted to its live elements orders it,
     and proves it T0.  ``order`` is None until it is found, by Kahn's
     algorithm on first use (``union_order``), and False when the union
     has a cycle; a version then checks T0 by itself.  ``labels`` numbers
@@ -477,35 +475,37 @@ class HistoryIndex:
     routine that keeps a derived space's order too.
     Columns of plain ints and tuples, rather than a container per element,
     keep the index small and mostly outside the garbage collector's reach.
-    ``broken`` lists, in row order, each element or pair with the mask of its deletions that no creation
-    precedes.  Rows naming a version the store lacks are left out;
-    ``validate`` reports them as foreign-key violations.  ``held`` is None
-    or one ``(version, space)``: the space ``reconstruct_version`` answers
-    for that version without reading the columns.  ``built`` has one entry
-    per element column: None, or the ``Element`` that column reconstructs
-    to, filled on first use.  Only a column with one creation row has one,
-    since its element is the same in every version where it is alive; a
-    column created by several rows is built on each read.  So spaces read
-    from one store share ``Element`` objects and their attribute dicts,
-    with each other and with the held space.
+    ``broken`` lists, in row order, each element or pair with the mask of
+    its deletions that no creation precedes.  Rows naming a version the
+    store lacks are left out; ``validate`` reports them as foreign-key
+    violations.  ``held`` is None or one ``(version, space)``: the space
+    ``reconstruct_version`` answers for that version without reading the
+    columns.  ``built`` has one entry per element column: None, or the
+    ``Element`` that column reconstructs to, filled on first use.  Only a
+    column with one creation row has one, since its element is the same in
+    every version where it is alive; a column created by several rows is
+    built on each read.  So spaces read from one store share ``Element``
+    objects and their attribute dicts, with each other and with the held
+    space.
 
     The columns are built from the table columns in one pass each: every
     key is built once, shared by the element, pair and generalisation
     columns, and a creation or attribute row costs no Python call unless
     its subject has several creation rows or it names a key no row
-    creates.  ``ends`` comes from the same pass, and the rows from one
-    walk of the version space (``_rows``).
+    creates.  ``ends`` comes from the same pass.  The deletion masks and
+    the descendants of each version are read only to fill the rows, in one
+    walk of the version space (``_rows``), and ``broken``, and are not
+    kept.
     """
 
-    __slots__ = ("names", "bit", "ancestry", "descendants", "elements", "stray", "slots", "pairs",
-                 "pair_slots", "rows", "ends", "loose", "order", "labels", "broken", "held",
-                 "built")
+    __slots__ = ("names", "bit", "ancestry", "elements", "stray", "slots", "pairs", "pair_slots",
+                 "rows", "ends", "loose", "order", "labels", "broken", "held", "built")
 
     def __init__(self, store: "VersionStore"):
         versions = store.version_space().as_space()
         self.names = [k.id for k in versions.index.keys]
         self.bit = bit = {name: i for i, name in enumerate(self.names)}
-        self.descendants, self.ancestry = _rank_masks(versions, range(len(self.names)))
+        descendants, self.ancestry = _rank_masks(versions, range(len(self.names)))
         self.held = None
 
         # rows arrive in canonical order, so their subjects, (id, lod) and
@@ -531,13 +531,7 @@ class HistoryIndex:
         self.stray = {k: recorded[k] for k in recorded.keys() - place.keys()}
         dx = list(zip(*store.delx)) or [()] * 3
         el_deleted = _masks(zip(zip(dx[0], dx[1]), dx[2]), bit)
-        self.elements = (
-            keys,
-            created,
-            list(map(el_deleted.get, keys, repeat(0))),
-            gens,
-            list(map(recorded.get, keys, repeat(()))),
-        )
+        self.elements = keys, created, gens, list(map(recorded.get, keys, repeat(())))
         self.built: list[Element | None] = [None] * len(keys)
         self.slots = range(len(keys))
         self.order = self.labels = None
@@ -547,17 +541,15 @@ class HistoryIndex:
         kb, ends_b = _interned(idbs, lods, place, keys)
         dr = list(zip(*store.delr)) or [()] * 4
         pr_deleted = _masks(zip(zip(dr[0], dr[1], dr[2]), dr[3]), bit)
-        self.pairs = (
-            _tuples(BoundedByPair, zip(ka, kb)),
-            p_created,
-            list(map(pr_deleted.get, zip(idas, idbs, lods), repeat(0))),
-        )
+        self.pairs = _tuples(BoundedByPair, zip(ka, kb))
         self.pair_slots = range(len(p_created))
         self.ends = ends_a, ends_b
         self.loose = -1 in ends_a or -1 in ends_b
         self.rows = list(zip(
-            _rows(versions.index, self.ancestry, self.descendants, *self.elements[1:3], made),
-            _rows(versions.index, self.ancestry, self.descendants, *self.pairs[1:], p_made),
+            _rows(versions.index, self.ancestry, descendants, created,
+                  list(map(el_deleted.get, keys, repeat(0))), made),
+            _rows(versions.index, self.ancestry, descendants, p_created,
+                  list(map(pr_deleted.get, zip(idas, idbs, lods), repeat(0))), p_made),
         ))
 
         pair_place = dict(zip(zip(idas, idbs, lods), count())) if pr_deleted else {}
@@ -573,24 +565,12 @@ class HistoryIndex:
                 if bad:
                     self.broken.append((subject(*columns), bad))
 
-    def pair_ends(self) -> tuple[list[int], list[int]]:
-        """``ends``, found on first use from the keys of each pair."""
-        if self.ends is None:
-            slot = dict(zip(self.elements[0], self.slots))
-            pairs = self.pairs[0]
-            self.ends = tuple(
-                list(map(slot.get, map(itemgetter(end), pairs), repeat(-1))) for end in (0, 1)
-            )
-            self.loose = -1 in self.ends[0] or -1 in self.ends[1]
-        return self.ends
-
     def union_order(self) -> list[int] | None:
         """``order``, found by Kahn's algorithm on first use; None when the
         union of every version's space has a cycle."""
-        ends = self.pair_ends()
         if self.order is None:
             out: list[list[int]] = [[] for _ in self.slots]
-            for a, b in zip(*ends):
+            for a, b in zip(*self.ends):
                 if a != b and a >= 0 and b >= 0:  # reflexive and dangling pairs are left out
                     out[a].append(b)
             order = topology._kahn(out)
@@ -606,7 +586,7 @@ class HistoryIndex:
         keys = self.elements[0]
         i = bisect_left(keys, key)
         found = i < len(keys) and keys[i] == key
-        return dict(self.elements[4][i] if found else self.stray.get(key, ()))
+        return dict(self.elements[3][i] if found else self.stray.get(key, ()))
 
     def alive(self, v: str, key: ElementId) -> bool:
         """Whether ``key`` is alive at version ``v``, read off the row of
@@ -635,50 +615,45 @@ class HistoryIndex:
         ``parent``, without reading a row.
 
         ``space`` is the changeset of ``version`` applied to ``parent``'s
-        space, in key order (as ``_apply`` makes it).
-        ``removed`` and ``added`` are the elements the commit
-        deletes and creates, ``dropped`` and ``linked`` the pairs.  The new
-        version takes the next free bit: its ancestry is ``parent``'s plus
-        itself, and it joins the descendants of each of those.  The columns
-        are copied and only the keys the commit touches change, so this
-        index stays valid for its own store; a new column takes the next
-        free slot, and a new key's column any ``stray`` attributes of its
-        key.  ``broken`` carries over: a commit deletes only what is alive
-        in its parent.  The rows carry over, and the new version's is its
-        parent's with the slots the commit creates set and those it deletes
-        cleared.  The slots, ``ends``, ``order`` and ``labels`` are copied
-        and kept up to date, with no Kahn order: ``_ordered`` puts the new
-        keys' slots into the order.  Those not yet found, or a cyclic union,
-        pass on as they are, and so does a new key when some pair names a
-        key no row created (``loose``): the key may complete it.  ``built``
-        carries over too, except for a key created again: its column gains
-        a creation and may gain attributes, which every version then reads.
-        The derived index holds the new version's space, so the next commit
-        from it or a checkout of it reads no column; a new key's element is
-        that space's.
+        space, in key order (as ``_apply`` makes it), and each element it
+        creates carries every attribute recorded for its key, in name order
+        (as ``storage.commit`` makes it): what its column reads back.
+        ``removed`` and ``added`` are the elements the commit deletes and
+        creates, ``dropped`` and ``linked`` the pairs.  The new version
+        takes the next free bit, and its ancestry is ``parent``'s plus
+        itself.  The columns are copied and only the keys the commit
+        creates change, so this index stays valid for its own store; a new
+        column takes the next free slot, and its key leaves ``stray``.
+        ``broken`` carries over: a commit deletes only what is alive in its
+        parent.  The rows carry over, and the new version's is its parent's
+        with the slots the commit creates set and those it deletes cleared.
+        The slots, ``ends``, ``order`` and ``labels`` are copied and kept up
+        to date, with no Kahn order: ``_ordered`` puts the new keys' slots
+        into the order, and an order not yet found, or a cyclic union,
+        passes on as it is.  When some pair names a key no row created
+        (``loose``), a new key may complete it: its ends take the new slots,
+        and the order is found again on first use.  ``built`` carries over,
+        with a new key's entry the element ``space`` holds, except for a key
+        created again: its column gains a creation and may gain attributes,
+        which every version then reads.  The derived index holds ``space``,
+        so the next commit from it or a checkout of it reads no column.
         """
         n = len(self.names)
         bit = 1 << n
         new = HistoryIndex.__new__(HistoryIndex)
         new.names = self.names + [version]
         new.bit = {**self.bit, version: n}
-        up = self.ancestry[self.bit[parent]] | bit
-        # each ancestor's descendants gain the bit, in C: ancestor i's flag
-        # (up >> i) & 1 times the bit
-        flags = map(and_, map(rshift, repeat(up), range(n)), repeat(1))
-        new.descendants = [*map(or_, self.descendants, map(mul, flags, repeat(bit))), bit]
-        new.ancestry = self.ancestry + [up]
+        new.ancestry = self.ancestry + [self.ancestry[self.bit[parent]] | bit]
         new.broken = self.broken
+        new.held = version, space
 
-        keys, created, deleted, gens, atts = (list(c) for c in self.elements)
+        keys, created, gens, atts = (list(c) for c in self.elements)
         stray = dict(self.stray)
         built = list(self.built)
         slots = list(self.slots)
-        born, died = [], []  # the slots of the element columns the commit changes
-        for k in removed:
-            i = bisect_left(keys, k)
-            deleted[i] |= bit
-            died.append(slots[i])
+        died = [slots[bisect_left(keys, k)] for k in removed]
+        born = []  # the slots of the element columns the commit creates
+        made = {}  # the slot of each new column, by key
         for k in added:
             e = space.elements[k]
             i = bisect_left(keys, k)
@@ -688,80 +663,56 @@ class HistoryIndex:
                     gen = {created[i].bit_length() - 1: gen}
                 gens[i] = {**gen, n: e.gen_target}
                 created[i] |= bit
-                atts[i] = tuple(sorted({**dict(atts[i]), **e.attributes}.items()))
+                atts[i] = tuple(e.attributes.items())
                 built[i] = None
                 born.append(slots[i])
             else:  # a new column, which takes the next free slot
                 born.append(len(slots))
+                made[k] = len(slots)
                 keys.insert(i, k)
                 created.insert(i, bit)
-                deleted.insert(i, 0)
                 gens.insert(i, e.gen_target)
-                atts.insert(i, tuple(sorted({**dict(stray.pop(k, ())), **e.attributes}.items())))
-                built.insert(i, None)
+                atts.insert(i, tuple(e.attributes.items()))
+                stray.pop(k, None)
+                built.insert(i, e)
                 slots.insert(i, born[-1])
-        new.elements = keys, created, deleted, gens, atts
-        new.stray = stray
-        new.built = built
+        new.elements = keys, created, gens, atts
+        new.stray, new.built = stray, built
 
-        pairs, p_created, p_deleted = (list(c) for c in self.pairs)
+        pairs = self.pairs.copy()
         pair_slots = list(self.pair_slots)
-        p_born, p_died = [], []
-        linked_at = []  # where each linked pair is put in as a new column, else -1
-        for p in dropped:
-            i = bisect_left(pairs, _row_order(p), key=_row_order)
-            p_deleted[i] |= bit
-            p_died.append(pair_slots[i])
-        for p in linked:
+        ends = self.ends[0].copy(), self.ends[1].copy()
+        p_died = [pair_slots[bisect_left(pairs, _row_order(p), key=_row_order)] for p in dropped]
+        p_born = []
+        at = [(slots[bisect_left(keys, a)], slots[bisect_left(keys, b)]) for a, b in linked]
+        for p, (a, b) in zip(linked, at):
             i = bisect_left(pairs, _row_order(p), key=_row_order)
             if i < len(pairs) and pairs[i] == p:
-                p_created[i] |= bit
                 p_born.append(pair_slots[i])
-                linked_at.append(-1)
-            else:
+            else:  # a new column
                 p_born.append(len(pair_slots))
                 pairs.insert(i, p)
-                p_created.insert(i, bit)
-                p_deleted.insert(i, 0)
                 pair_slots.insert(i, p_born[-1])
-                linked_at.append(i)
-        new.pairs, new.pair_slots = (pairs, p_created, p_deleted), pair_slots
+                ends[0].insert(i, a)
+                ends[1].insert(i, b)
         row, pair_row = self.rows[self.bit[parent]]
         new.rows = self.rows + [(
             _edited(row, len(slots), born, died), _edited(pair_row, len(pair_slots), p_born, p_died)
         )]
 
-        fresh = range(len(self.slots), len(slots))
-        ends, loose, order, labels = self.ends, self.loose, self.order, self.labels
-        if fresh and loose:
-            # a new key may complete a pair that named no key a row created:
-            # the ends and the order are found again on first use
-            ends, loose, order, labels = None, None, False if order is False else None, None
-        if ends is not None:  # else ``order`` is not a list either
-            at = [(slots[bisect_left(keys, a)], slots[bisect_left(keys, b)]) for a, b in linked]
-            ends = ends[0].copy(), ends[1].copy()
-            for i, (a, b) in zip(linked_at, at):
-                if i >= 0:  # a new pair column
-                    ends[0].insert(i, a)
-                    ends[1].insert(i, b)
-            if type(order) is list:
-                order, labels = order.copy(), labels.copy()
-                if not _ordered(order, labels, fresh, at):
-                    order = labels = None
+        loose, order, labels = self.loose, self.order, self.labels
+        if made and loose:  # a new key may complete a pair that named it
+            for end, column in enumerate(ends):
+                for i in compress(count(), map(eq, column, repeat(-1))):
+                    column[i] = made.get(pairs[i][end], -1)
+            loose = -1 in ends[0] or -1 in ends[1]
+            order, labels = False if order is False else None, None
+        elif type(order) is list:
+            order, labels = order.copy(), labels.copy()
+            if not _ordered(order, labels, range(len(self.slots), len(slots)), at):
+                order = labels = None
+        new.pairs, new.pair_slots = pairs, pair_slots
         new.slots, new.ends, new.loose, new.order, new.labels = slots, ends, loose, order, labels
-
-        # the held space is what the columns give: created elements carry
-        # every attribute recorded for their key
-        if added:
-            elements = dict(space.elements)
-            for k in added:
-                e = elements[k]
-                i = bisect_left(keys, k)
-                elements[k] = e = Element(k, e.version, e.gen_target, dict(atts[i]))
-                if created[i] == bit:  # a new key: its column reads back ``e``
-                    built[i] = e
-            space = _with_elements(space, elements)
-        new.held = version, space
         return new
 
 
@@ -778,18 +729,13 @@ def _alive(inside: int, deleted: int, descendants: list[int]) -> bool:
     return False
 
 
-def _newest(inside: int, descendants: list[int], names: list[str]) -> int:
-    """The bit of the creation chosen among ``inside``: a maximal one,
-    ties broken by the largest version name."""
-    best = -1
-    rest = inside
-    while rest:
-        low = rest & -rest
-        i = low.bit_length() - 1
-        if inside & descendants[i] == low and (best < 0 or names[i] > names[best]):
-            best = i
-        rest ^= low
-    return best
+def _newest(inside: int, ancestry: list[int], names: list[str]) -> int:
+    """The bit of the creation chosen among ``inside``: a maximal one, in
+    no other's ancestry, ties broken by the largest version name."""
+    below = 0
+    for i in _bits(inside):
+        below |= ancestry[i] & ~(1 << i)
+    return max(_bits(inside & ~below), key=names.__getitem__)
 
 
 def _live(created: list[int], deleted: list[int], ancestry: int, descendants: list[int]):
@@ -865,7 +811,7 @@ def _reconstruct(index: HistoryIndex, v: str) -> Space:
     # a slot past a row's end came after ``v``
     row, pair_row = row.ljust(len(slots), b"\0"), pair_row.ljust(len(pair_slots), b"\0")
     names = index.names
-    keys, created, _, gens, atts = index.elements
+    keys, created, gens, atts = index.elements
     built = index.built
     live = list(compress(count(), _by_slot(row, slots)))
     els = _pick(built, live)
@@ -875,7 +821,7 @@ def _reconstruct(index: HistoryIndex, v: str) -> Space:
         if type(gen) is dict:  # created by several rows: built on each read
             inside = created[i] & index.ancestry[b]
             if inside & (inside - 1):
-                c = _newest(inside, index.descendants, names)
+                c = _newest(inside, index.ancestry, names)
             else:
                 c = inside.bit_length() - 1
             els[j] = Element(keys[i], names[c], gen[c], dict(atts[i]))
@@ -886,7 +832,7 @@ def _reconstruct(index: HistoryIndex, v: str) -> Space:
     pos = dict(zip(elements, count()))
     # each element column's position in the space, by slot, None when it
     # is not alive; the last entry stands for a key no row creates (-1)
-    ends_a, ends_b = index.pair_ends()
+    ends_a, ends_b = index.ends
     at = [None] * (len(slots) + 1)
     for t, p in zip(_pick(slots, live), pos.values()):
         at[t] = p
@@ -897,7 +843,7 @@ def _reconstruct(index: HistoryIndex, v: str) -> Space:
     return _assemble(
         elements,
         pos,
-        _pick(index.pairs[0], kept),
+        _pick(index.pairs, kept),
         _pick(at, _pick(ends_a, kept)),
         _pick(at, _pick(ends_b, kept)),
         order=order,

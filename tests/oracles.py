@@ -5,7 +5,7 @@ enumeration, explicit path walking — or delegates to networkx.  None of it
 reuses the library's algorithms, so agreement between the two routes is
 meaningful.  The exceptions are ``time_slice_by_descendants``, which
 hands its kept elements to the library's ``select_subspace`` (itself
-checked against networkx), and seven functions kept as earlier versions
+checked against networkx), and the functions kept as earlier versions
 of the library's own.  ``apply_changeset_by_rescans``,
 ``apply_changeset_by_rebuild`` and ``reconstruct_version_by_hulls``
 assemble their result with the library's ``build_space``;
@@ -13,9 +13,11 @@ assemble their result with the library's ``build_space``;
 its rows by the library's ``VersionStore``; ``reconstruct_version_by_hulls``
 and ``history_columns_by_rows`` take the library's version hulls (checked
 against path enumeration); ``reconstruct_by_columns`` and
-``history_rows_by_masks`` read the library's history index, its masks
-rather than its rows; and ``telescope_by_closures`` takes the library's level
-edge graph and reduction.  ``key_issues_by_rows`` and
+``history_rows_by_masks`` read the masks of ``history_columns_by_rows``,
+not the library's history index, and test liveness with the library's
+``_alive``; ``newest_by_descendants`` is the library's pick of a creation
+as first written, on descendant masks; and ``telescope_by_closures`` takes
+the library's level edge graph and reduction.  ``key_issues_by_rows`` and
 ``load_key_error_by_rows`` are the row-by-row key checks the library ran
 before it checked keys on parsed columns.  ``filtered_region_answer_by_level_maps``
 and ``map_findings_by_level_maps`` are the level-map routes ``storage``
@@ -717,36 +719,45 @@ def history_columns_by_rows(store) -> dict:
             "elements": elements, "stray": stray, "pairs": pairs, "broken": broken}
 
 
+def newest_by_descendants(inside: int, descendants: list, names: list) -> int:
+    """``versioning._newest`` as first written, on descendant masks: the bit
+    of a creation among ``inside`` with no other creation among its
+    descendants, ties broken by the largest version name."""
+    best = -1
+    rest = inside
+    while rest:
+        low = rest & -rest
+        i = low.bit_length() - 1
+        if inside & descendants[i] == low and (best < 0 or names[i] > names[best]):
+            best = i
+        rest ^= low
+    return best
+
+
 def reconstruct_by_columns(store, v: str):
-    """``reconstruct_version`` read from the store's ``HistoryIndex``
-    columns as it was before the index kept built elements: one Python
-    test per column, and every live element built afresh on each call."""
+    """``reconstruct_version`` read from the masks of
+    ``history_columns_by_rows``, as the history index read its own before
+    it kept built elements and rows: one Python test per column, and every
+    live element built afresh on each call.  Nothing is read off the
+    store's index."""
     from alexdb import Element, IntegrityError, NotFoundError
     from alexdb.topology import _assemble, _bits
-    from alexdb.versioning import _alive, _newest
+    from alexdb.versioning import _alive
 
-    index = store.history
-    b = index.bit.get(v)
-    if b is None:
+    columns = history_columns_by_rows(store)
+    names, descendants = columns["names"], columns["descendants"]
+    if v not in names:
         raise NotFoundError(f"unknown version {v!r}")
-    ancestry = index.ancestry[b]
-    names = index.names
-    for subject, bad in index.broken:
+    ancestry = columns["ancestry"][names.index(v)]
+    for subject, bad in columns["broken"]:
         hit = bad & ancestry
         if hit:
             first = min(names[i] for i in _bits(hit))
             raise IntegrityError(
                 f"{subject} is deleted in {first!r} but created on no path before it"
             )
-    descendants = index.descendants
-    keys = index.elements[0]
-    ends = index.pair_ends()
-    # by slot, as the pair ends name columns; the last entry stands for a
-    # key no row creates
-    at = [None] * (len(keys) + 1)
-    live = []
     els = {}
-    for i, key, created, deleted, gen, atts in zip(index.slots, *index.elements):
+    for key, created, deleted, gen, atts in zip(*columns["elements"]):
         inside = created & ancestry
         if not inside:
             continue
@@ -754,16 +765,15 @@ def reconstruct_by_columns(store, v: str):
         if gone and not _alive(inside, gone, descendants):
             continue
         if inside & (inside - 1):
-            c = _newest(inside, descendants, names)
+            c = newest_by_descendants(inside, descendants, names)
         else:
             c = inside.bit_length() - 1
         if type(gen) is dict:
             gen = gen[c]
-        at[i] = len(els)
-        live.append(i)
         els[key] = Element(key, names[c], gen, dict(atts))
-    pairs, ends_a, ends_b = [], [], []
-    for pair, created, deleted, a, b in zip(*index.pairs, *ends):
+    pos = dict(zip(els, range(len(els))))
+    pairs = []
+    for pair, created, deleted in zip(*columns["pairs"]):
         inside = created & ancestry
         if not inside:
             continue
@@ -771,36 +781,32 @@ def reconstruct_by_columns(store, v: str):
         if gone and not _alive(inside, gone, descendants):
             continue
         pairs.append(pair)
-        ends_a.append(at[a])
-        ends_b.append(at[b])
-    pos = dict(zip(els, map(at.__getitem__, live)))
-    return _assemble(els, pos, pairs, ends_a, ends_b)
+    return _assemble(els, pos, pairs, [pos.get(a) for a, _ in pairs], [pos.get(b) for _, b in pairs])
 
 
-def history_rows_by_masks(index) -> list:
-    """``HistoryIndex.rows`` read off its masks, one Python test per
-    column and version as ``reconstruct_by_columns`` makes them: by version
-    bit, the element and pair rows as lists of 0 and 1 by slot, or None for
-    a version whose ancestry deletes what it never created, where no row
-    is read."""
+def history_rows_by_masks(store) -> dict:
+    """The rows of the store's ``HistoryIndex`` read off the masks of
+    ``history_columns_by_rows``, one Python test per column and version as
+    ``reconstruct_by_columns`` makes them: by version name, the element
+    and pair rows as lists of 0 and 1 in column order, or None for a
+    version whose ancestry deletes what it never created, where no row is
+    read."""
     from alexdb.versioning import _alive
 
-    rows = []
-    for ancestry in index.ancestry:
-        if any(bad & ancestry for _, bad in index.broken):
-            rows.append(None)
+    columns = history_columns_by_rows(store)
+    descendants = columns["descendants"]
+    rows = {}
+    for name, ancestry in zip(columns["names"], columns["ancestry"]):
+        if any(bad & ancestry for _, bad in columns["broken"]):
+            rows[name] = None
             continue
-        row = []
-        for slots, (created, deleted) in (
-            (index.slots, index.elements[1:3]),
-            (index.pair_slots, index.pairs[1:]),
-        ):
-            live = [0] * len(slots)
-            for t, c, d in zip(slots, created, deleted):
-                inside = c & ancestry
-                live[t] = int(bool(inside) and _alive(inside, d & ancestry, index.descendants))
-            row.append(live)
-        rows.append(tuple(row))
+        rows[name] = tuple(
+            [
+                int(bool(c & ancestry) and _alive(c & ancestry, d & ancestry, descendants))
+                for c, d in zip(created, deleted)
+            ]
+            for created, deleted in (columns["elements"][1:3], columns["pairs"][1:])
+        )
     return rows
 
 

@@ -26,10 +26,12 @@ import alexdb.storage
 import alexdb.topology
 import builders
 from alexdb import (
-    Element, PointRow, build_space, changeset, commit, demos, new_store, simple_space
+    Element, PointRow, build_space, changeset, commit, demos, new_store, simple_space, text_space
 )
 from alexdb.cli import main
-from alexdb.errors import AlexdbError, NotFoundError, QueryEvalError, QueryParseError
+from alexdb.errors import (
+    AlexdbError, DanglingPairError, NotFoundError, QueryEvalError, QueryParseError
+)
 from alexdb.query import (
     MAX_NESTING,
     Call,
@@ -47,7 +49,9 @@ from alexdb.query import (
     parse,
     print_expr,
 )
-from alexdb.storage import load, reconstruct_version, save
+from alexdb.storage import (
+    DelXRow, RRow, VersionStore, XRow, load, reconstruct_version, save
+)
 from alexdb.topology import ElementId
 
 
@@ -520,6 +524,48 @@ def test_cli_versions_with_path_reconstructs_each_version_once(tmp_path, capsys,
     assert sorted(calls) == ["v0", "v1", "v2"]
     code, out, err = run_cli(capsys, "versions-with-path", store, "a", "b", "--region", "east")
     assert (code, out, err) == (1, "", "error: no elements carry region='east'\n")
+
+
+def test_cli_versions_with_path_without_a_region_reads_only_versions_where_both_ends_live(
+    tmp_path, capsys, monkeypatch
+):
+    # 3 dies in v1 and 1 in v2: only v0 holds both ends
+    store = new_store("v0", text_space("abc"))
+    store = commit(store, "v0", changeset("v1", remove_elements=["3"]))
+    store = commit(store, "v1", changeset("v2", remove_elements=["1"]))
+    save(store, tmp_path / "S")
+    calls = []
+
+    def counted(store, v, _real=alexdb.storage.reconstruct_version):
+        calls.append(v)
+        return _real(store, v)
+
+    monkeypatch.setattr(alexdb.cli, "reconstruct_version", counted)
+    monkeypatch.setattr(alexdb.storage, "reconstruct_version", counted)
+    code, out, err = run_cli(capsys, "versions-with-path", str(tmp_path / "S"), "1", "3")
+    assert (code, out, err) == (0, "v0\n", "")
+    assert calls == ["v0"]
+
+
+def test_cli_versions_with_path_without_a_region_reports_no_fault_of_a_version_it_skips(
+    tmp_path, capsys
+):
+    # v1 deletes 2 but keeps the pair (1, 2), so reading v1 fails; 2 is dead
+    # there, so the query skips v1, as the library does
+    store = VersionStore(
+        x=(XRow("1", 0, None, None, "v0"), XRow("2", 0, None, None, "v0")),
+        r=(RRow("1", "2", 0, "v0"),),
+        delx=(DelXRow("2", 0, "v1"),),
+        vx=("v0", "v1"),
+        vr=(("v0", "v1"),),
+    )
+    save(store, tmp_path / "S")
+    with pytest.raises(DanglingPairError):
+        reconstruct_version(load(tmp_path / "S"), "v1")
+    code, out, err = run_cli(capsys, "versions-with-path", str(tmp_path / "S"), "1", "2")
+    assert (code, out, err) == (0, "v0\n", "")
+    code, out, err = run_cli(capsys, "versions-with-path", str(tmp_path / "S"), "1", "1")
+    assert (code, out) == (1, "") and err.startswith("error: ")
 
 
 def test_cli_versions_with_path_takes_a_region_missing_from_some_versions(tmp_path, capsys):

@@ -397,6 +397,67 @@ def test_a_commit_creating_a_key_takes_the_attribute_rows_it_already_had():
         commit(store, "v0", changeset("v1", [Element(ghost, attributes={"q": "y"})]))
 
 
+def test_a_created_element_is_held_as_its_column_reads_it_back(tmp_path):
+    # "ghost" has an attribute row and no creation row until v1 creates it;
+    # "2" dies in v1 and is created again in v2; each brings attributes of
+    # its own, out of name order
+    store = new_store("v0", text_space("ab"))
+    store = canonicalize(dataclasses.replace(store, atts=store.atts + (AttRow("ghost", 0, "q", "x"),)))
+    ghost, two = ElementId("ghost"), ElementId("2")
+    first = commit(store, "v0", changeset("v1", [Element(ghost, attributes={"r": 1, "a": 0})],
+                                          remove_elements=["2"]))
+    second = commit(first, "v1", changeset("v2", [Element(two, attributes={"z": 1, "c": 2})]))
+    loaded = load(save(second, tmp_path / "s"))
+    for s, v, k, names in ((first, "v1", ghost, ["a", "q", "r"]),
+                           (second, "v2", two, ["c", "letter", "z"])):
+        index = s.history
+        assert index.held[0] == v
+        e = index.held[1].elements[k]
+        # one creation row: the column keeps the held element; several: it
+        # is built on each read
+        built = index.built[index.elements[0].index(k)]
+        assert built is e if k == ghost else built is None
+        fresh = reconstruct_version(loaded, v).elements[k]
+        assert list(e.attributes) == list(fresh.attributes) == names
+        assert e == fresh
+
+
+def test_a_commit_creating_a_key_from_the_newest_version_builds_one_space(monkeypatch):
+    store = commit(new_store("v0", text_space("abc")), "v0", changeset("v1", remove_elements=["2"]))
+    spaces = []
+    real = Space.__init__
+
+    def counted(self, *args, **kwargs):
+        spaces.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Space, "__init__", counted)
+    changes = changeset("v2", [Element(ElementId("4"), attributes={"letter": "d"})],
+                        add_pairs=[("3", "4")])
+    child = commit(store, "v1", changes)
+    assert len(spaces) == 1 and spaces[0] is child.history.held[1]
+
+
+@given(st.data())
+def test_the_newest_creation_read_off_ancestries_is_the_one_read_off_descendants(data):
+    # a random version DAG, its bits named in random order, so that ties
+    # between maximal creations are broken by name, not by bit
+    n = data.draw(st.integers(1, 8))
+    ancestry = []
+    for i in range(n):
+        parents = data.draw(st.sets(st.integers(0, i - 1), max_size=3)) if i else set()
+        mask = 1 << i
+        for j in parents:
+            mask |= ancestry[j]
+        ancestry.append(mask)
+    descendants = [sum(1 << j for j in range(n) if ancestry[j] >> i & 1) for i in range(n)]
+    names = data.draw(st.permutations([f"v{i}" for i in range(n)]))
+    inside = data.draw(st.integers(1, 2**n - 1))
+    assert versioning._newest(inside, ancestry, names) == oracles.newest_by_descendants(
+        inside, descendants, names
+    )
+
+
 def test_a_new_name_sorting_first_takes_the_next_bit():
     store = new_store("w9", text_space("abc"))
     store = commit(store, "w9", changeset("w10", remove_elements=["2"]))
@@ -561,19 +622,22 @@ def _joined_history(rnd: random.Random) -> list[VersionStore]:
     return stores
 
 
-def _rows_match_the_masks(index) -> None:
-    """Each row of ``index`` widened to its slots holds what the masks say,
-    in every version whose rows may be read; the pair slots number the
-    pair columns."""
+def _rows_match_the_masks(store: VersionStore) -> None:
+    """Each row of the store's index, read through its slots in column
+    order, holds what the masks say, in every version whose rows may be
+    read; the versions are matched by name, since a derived index numbers
+    them in commit order.  The pair slots number the pair columns."""
+    index = store.history
     assert sorted(index.pair_slots) == list(range(len(index.pair_slots)))
-    got = [
-        tuple(list(row.ljust(len(slots), b"\0")) for row, slots in
-              zip(rows, (index.slots, index.pair_slots)))
-        for rows in index.rows
-    ]
-    for have, want in zip(got, oracles.history_rows_by_masks(index), strict=True):
-        if want is not None:
-            assert have == want
+    want = oracles.history_rows_by_masks(store)
+    assert sorted(want) == sorted(index.names) and len(index.rows) == len(want)
+    for name, live in want.items():
+        if live is not None:
+            have = tuple(
+                [row[t] if t < len(row) else 0 for t in slots]
+                for row, slots in zip(index.rows[index.bit[name]], (index.slots, index.pair_slots))
+            )
+            assert have == live, name
 
 
 @given(st.integers(0, 2**32))
@@ -588,7 +652,7 @@ def test_rows_read_every_version_as_the_references_do(seed):
     with tempfile.TemporaryDirectory() as tmp:
         for n, store in enumerate(stores):
             for s in (store, canonicalize(store), load(save(store, f"{tmp}/s{n}"))):
-                _rows_match_the_masks(s.history)
+                _rows_match_the_masks(s)
                 for v in sorted(s.vx) + ["nope"]:
                     want = outcome(oracles.reconstruct_version_by_hulls, store, v)
                     assert outcome(reconstruct_version, s, v) == want
@@ -676,14 +740,22 @@ def _with_stray_rows(store: VersionStore, rnd: random.Random) -> VersionStore:
 
 
 def _index_columns_match_the_row_built_ones(store: VersionStore) -> None:
+    """The columns the store's index keeps are the row-built oracle's,
+    which also has the deletion masks and the descendants that only the
+    index's build reads; each pair end names its key's slot, or -1 for a
+    key no row creates."""
     index = store.history
-    for column, want in oracles.history_columns_by_rows(store).items():
-        assert getattr(index, column) == want, column
+    want = oracles.history_columns_by_rows(store)
+    keys, created, _, gens, atts = want.pop("elements")
+    want.update(elements=(keys, created, gens, atts), pairs=want["pairs"][0])
+    del want["descendants"]
+    for column, columns in want.items():
+        assert getattr(index, column) == columns, column
     keys = index.elements[0]
-    ends = index.pair_ends()
     assert sorted(index.slots) == list(range(len(keys)))
+    assert index.loose == (-1 in index.ends[0] or -1 in index.ends[1])
     key_of = dict(zip(index.slots, keys))
-    for pair, *at in zip(index.pairs[0], *ends):
+    for pair, *at in zip(index.pairs, *index.ends, strict=True):
         for end, i in zip(pair, at):
             assert key_of[i] == end if i >= 0 else end not in keys
 
@@ -811,7 +883,7 @@ def _union_order_is_valid(index) -> None:
     n = len(index.slots)
     union = nx.DiGraph()
     union.add_nodes_from(range(n))
-    union.add_edges_from((a, b) for a, b in zip(*index.pair_ends()) if a != b and min(a, b) >= 0)
+    union.add_edges_from((a, b) for a, b in zip(*index.ends) if a != b and min(a, b) >= 0)
     assert (order is None) == (not nx.is_directed_acyclic_graph(union))
     if order is not None:
         assert sorted(order) == list(range(n))
@@ -987,9 +1059,9 @@ def test_a_key_created_for_a_pair_that_named_it_joins_the_ends_and_the_order():
 
 
 def test_a_pair_naming_no_created_key_is_found_again_after_a_commit_forgets_the_ends():
-    # v2 creates another key, so the ends are found again on the next read;
-    # they still hold the pair (1, ghost) with no column for ghost, which v3
-    # then creates and v4 links again
+    # v2 creates another key, and the pair (1, ghost) still has no column
+    # for ghost; v3 creates ghost, which completes the pair's end, v4 links
+    # the pair again and v5 creates one more key
     store = VersionStore(
         x=(XRow("1", 0, None, None, "v0"),),
         r=(RRow("1", "ghost", 0, "v0"),),
@@ -997,18 +1069,19 @@ def test_a_pair_naming_no_created_key_is_found_again_after_a_commit_forgets_the_
         vx=("v0", "v1"),
         vr=(("v0", "v1"),),
     )
-    store = commit(store, "v1", changeset("v2", [Element(ElementId("2"))]))
-    assert store.history.ends is None
-    reconstruct_version(store, "v1")  # finds the ends again
-    assert store.history.loose
-    store = commit(store, "v2", changeset("v3", [Element(ElementId("ghost"))]))
-    store = commit(store, "v3", changeset("v4", add_pairs=[("1", "ghost")]))
-    store = commit(store, "v4", changeset("v5", [Element(ElementId("3"))]))
+    for parent, changes, loose in (
+        ("v1", changeset("v2", [Element(ElementId("2"))]), True),
+        ("v2", changeset("v3", [Element(ElementId("ghost"))]), False),
+        ("v3", changeset("v4", add_pairs=[("1", "ghost")]), False),
+        ("v4", changeset("v5", [Element(ElementId("3"))]), False),
+    ):
+        store = commit(store, parent, changes)
+        assert store.history.loose is loose
+        _index_columns_match_the_row_built_ones(store)
     for v in sorted(store.vx):
         assert outcome(reconstruct_version, store, v) == outcome(
             oracles.reconstruct_version_by_hulls, store, v
         )
-    _index_columns_match_the_row_built_ones(store)
 
 
 def test_keys_put_in_one_gap_again_and_again_run_out_of_labels_and_find_the_order_anew():
