@@ -12,17 +12,20 @@ and a redundant sliding copy along each level transition.
 This module is the one interpreter of a space's generalisation columns
 (each element's ``gen_target``): ``_transitions`` reads them into the level
 transitions, ``_missed_targets`` the targets each transition misses,
-``_level_maps`` builds one map per transition and ``_linked`` the space
-joined across levels by generalisation pairs.  ``storage`` asks for these
-rather than deriving them itself, and builds the maps and the linked space
-only where it needs the objects themselves.
+``_level_maps`` builds one map per transition and ``_linked_index`` a
+view of the space's index joined across levels by generalisation pairs,
+on which ``_linked_path_query`` walks and the telescope is built; no
+linked space is built.  ``storage`` asks for these rather than deriving
+them itself, and builds the maps only where it needs the objects
+themselves.
 """
 from __future__ import annotations
 
 import functools
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
+from operator import contains, eq, itemgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from .algebra import (
@@ -46,13 +49,14 @@ from .topology import (
     find_cycle,
     simple_space,
     _assemble,
+    _Augmented,
+    _checked_order,
     _component,
+    _dangling_error,
     _kahn,
     _nearest_kept,
     _positions,
     _require_keys,
-    _topological_order,
-    _walk,
 )
 from .versioning import reconstruct_version
 
@@ -64,8 +68,6 @@ _Transitions = dict[tuple[int, int], dict[ElementId, ElementId]]
 
 # a key from the 2-tuple of its fields, built in C
 _key = functools.partial(tuple.__new__, ElementId)
-
-_NONE: frozenset[int] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -139,11 +141,22 @@ def path_query(space: Space, a_set: Iterable[ElementId], a: ElementId, b: Elemen
     component of the subspace's comparability graph: the walk from ``a``
     through that component stops once it finds ``b``.
     """
-    kept = _positions(space, a_set)
-    pos = space.index.pos
+    return _path(space.index, _positions(space, a_set), a, b)
+
+
+def _linked_path_query(space: Space, a_set: Iterable[ElementId], a: ElementId, b: ElementId) -> bool:
+    """``path_query`` on the space linked across levels by its
+    generalisation pairs, walked on its index view (``_linked_index``)."""
+    return _path(_linked_index(space), _positions(space, a_set), a, b)
+
+
+def _path(idx: SpaceIndex, kept: set[int], a: ElementId, b: ElementId) -> bool:
+    """Whether ``a`` reaches ``b`` in the subspace of the index on the
+    positions ``kept``, which must hold both."""
+    pos = idx.pos
     if pos.get(a) not in kept or pos.get(b) not in kept:
         raise NotFoundError(f"query endpoints must lie in the region: {a}, {b}")
-    return pos[b] in _component(space.index, kept, pos[a], (set(), set()))
+    return pos[b] in _component(idx, kept, pos[a], (set(), set()))
 
 
 @dataclass(frozen=True)
@@ -303,17 +316,10 @@ def _lods(space: Space, trans: _Transitions) -> list[int]:
 
 
 def _edge_graph(space: Space, trans: _Transitions) -> Space:
-    """The edge graph of ``lod_graph``, which is all the telescope needs:
-    it is T0 whatever the level transitions.  Raises ``IntegrityError``
-    naming the smallest element that generalises onto its own level: the
-    edge from ``l`` to ``l`` would share the name of the vertex of ``l``."""
-    same = [kt for (a, b), targets in trans.items() if a == b for kt in targets.items()]
-    if same:
-        k, t = min(same)
-        raise IntegrityError(
-            f"element {k} generalises to {t} on its own level {k.lod}; "
-            "the telescope needs generalisations between levels"
-        )
+    """The edge graph of ``lod_graph``: it is T0 whatever the level
+    transitions.  Raises ``IntegrityError`` as ``_refuse_same_level``
+    does."""
+    _refuse_same_level(trans)
     els = []
     pairs = []
     for l in _lods(space, trans):
@@ -324,6 +330,19 @@ def _edge_graph(space: Space, trans: _Transitions) -> Space:
         pairs.append(BoundedByPair(edge, ElementId(f"{a}-{a}")))
         pairs.append(BoundedByPair(edge, ElementId(f"{b}-{b}")))
     return build_space(els, pairs)
+
+
+def _refuse_same_level(trans: _Transitions) -> None:
+    """Raise ``IntegrityError`` naming the smallest element that
+    generalises onto its own level: in the level edge graph, the edge
+    from ``l`` to ``l`` would share the name of the vertex of ``l``."""
+    same = [kt for (a, b), targets in trans.items() if a == b for kt in targets.items()]
+    if same:
+        k, t = min(same)
+        raise IntegrityError(
+            f"element {k} generalises to {t} on its own level {k.lod}; "
+            "the telescope needs generalisations between levels"
+        )
 
 
 def telescope(store: "VersionStore", v: str, edge_matching: bool = True) -> Space:
@@ -342,63 +361,75 @@ def telescope(store: "VersionStore", v: str, edge_matching: bool = True) -> Spac
     one pair into the fibre over ``(b, b)`` per covering pair from level
     ``a`` to level ``b`` in the subspace on those two levels.  These are
     all the covering pairs, so nothing is reduced.  The cost is one
-    subspace per level, one pass per edge over the positions below its
-    fine level, and the result itself: linear in the result when down-sets
-    stay small, as in a map pyramid.  The level transitions may form a
-    cycle: only the edge graph is used.  Raises ``T0ViolationError`` when
-    the linked space is cyclic, and ``IntegrityError`` when an element
-    generalises onto its own level.
+    subspace per level, one short walk per candidate pair across an edge,
+    and the result itself: linear in the result when down-sets stay
+    small, as in a map pyramid.  The elements are made on first lookup,
+    so ``dim`` or a summary of the result makes none.  The level
+    transitions may form a cycle: only the edge graph is used.  Raises
+    ``T0ViolationError`` when the linked space is cyclic, and
+    ``IntegrityError`` when an element generalises onto its own level.
     """
     return _telescope(reconstruct_version(store, v), edge_matching)
 
 
 def _telescope(base: Space, edge_matching: bool = True) -> Space:
-    """The telescope of an already reconstructed version space.
+    """The telescope of an already reconstructed version space, built on
+    index positions.
 
-    Each level's covering pairs come from the subspace of ``base`` on that
-    level when the level transitions form no cycle and no pair of ``base``
-    joins two levels (``_levels_apart``): then no path of the linked space
-    leaves a level and comes back, so the level's subspace of the linked
-    space is its subspace of ``base``, whose depths agree within a level.
-    Otherwise they come from the linked space."""
+    The linked space is a view of the base index with the generalisation
+    pairs added (``_linked_index``).  When no path of it leaves a level
+    and comes back (``_level_order``), the base order, grouped by level
+    along the level transitions, orders the view, and each level's
+    subspace of the linked space is its subspace of ``base``, whose
+    depths agree within a level, so the level covers come from the base
+    index.  Otherwise Kahn's algorithm orders the view, and the level
+    covers come from it.  The result's order is known by construction:
+    its pairs join copies over one level node, along the linked order, or
+    run from a copy over an edge to one over a vertex, so every copy over
+    an edge, then every copy over a vertex, each group along the linked
+    order, is a topological order.  Its elements are made on first
+    lookup (``_Copies``)."""
     trans = _transitions(base)
-    linked = _linked(base, trans)
-    _topological_order(linked)
-    edge_graph = _edge_graph(base, trans)
-    idx = linked.index
+    idx = base.index
     keys = idx.keys
-    levels: dict[int, set[int]] = {}  # level -> its positions
-    for p, k in enumerate(keys):
-        levels.setdefault(k.lod, set()).add(p)
-    # nodes[l]: the level nodes whose fine side is l, in key order, as
+    linked = _linked_index(base, trans)
+    level_order = _level_order(base, trans)
+    by_level: dict[int, list[int]] = {}  # level -> its positions, along the linked order
+    if level_order is not None and idx.order is not None:
+        by_level = {l: [] for l in level_order}
+        for p in idx.order:
+            by_level[keys[p][1]].append(p)
+        linked.order = list(chain.from_iterable(by_level.values()))
+        covered = idx
+    else:
+        for p in _checked_order(linked):
+            by_level.setdefault(keys[p][1], []).append(p)
+        covered = linked
+    _refuse_same_level(trans)
+    # nodes[l]: the level nodes whose fine side is l, in id order, as
     # (id, coarse side) pairs
     nodes: dict[int, list[tuple[str, int]]] = {}
-    for w in sorted(edge_graph.elements):
-        attrs = edge_graph.elements[w].attributes
-        if edge_matching or attrs["lod"] == attrs["glod"]:
-            nodes.setdefault(attrs["lod"], []).append((w.id, attrs["glod"]))
+    named = [(f"{l}-{l}", l, l) for l in _lods(base, trans)]
+    if edge_matching:
+        named += [(f"{a}-{b}", a, b) for a, b in trans]
+    for w, a, b in sorted(named):
+        nodes.setdefault(a, []).append((w, b))
     # vertex[l]: the place of the vertex of level l among nodes[l]
-    vertex = {l: [glod for _, glod in ws].index(l) for l, ws in nodes.items()}
+    vertex = {l: [b for _, b in ws].index(l) for l, ws in nodes.items()}
 
-    # matches in key order, each element's over its level's nodes in turn;
-    # first[p]: the number of position p's first match
-    first = [0] * len(keys)
-    tkeys: list[ElementId] = []
-    els: list[Element] = []
-    for p in sorted(range(len(keys)), key=idx.rank.__getitem__):
-        k = keys[p]
-        e = linked.elements[k]
-        first[p] = len(tkeys)
-        for w, _ in nodes[k.lod]:
-            key = _key((f"{k.id}{PRODUCT_SEPARATOR}{w}", k.lod))
-            tkeys.append(key)
-            els.append(Element(key, e.version, None, {**e.attributes, "lod_edge": w}))
+    # the copies in key order, each element's over its level's nodes in
+    # turn; first[p]: the number of position p's first copy
+    in_order = list(map(keys.__getitem__, sorted(range(len(keys)), key=idx.rank.__getitem__)))
+    tkeys = [_key((f"{name}{PRODUCT_SEPARATOR}{w}", l)) for name, l in in_order for w, _ in nodes[l]]
+    offsets = list(accumulate([len(nodes[l]) for _, l in in_order], initial=0))
+    first = list(map(offsets.__getitem__, idx.rank))
+    # firsts[l]: the first copies of level l's positions, along the linked order
+    firsts = {l: [first[p] for p in level] for l, level in by_level.items()}
 
-    # the covering pairs, as pairs of match numbers
+    # the covering pairs, as pairs of copy numbers
     ends_a: list[int] = []
     ends_b: list[int] = []
-    # the base and the linked space share their positions
-    covered = base.index if _levels_apart(base, trans) else idx
+    levels = {l: set(level) for l, level in by_level.items()}
     for l, level in levels.items():  # each fibre: a copy of its level's subspace
         covers = _subspace_covers(covered, level)
         tops, bottoms = ([first[p] for p in ends] for ends in covers)
@@ -410,29 +441,87 @@ def _telescope(base: Space, edge_matching: bool = True) -> Space:
             if b == a:
                 continue
             to_a, to_b = vertex[a], vertex[b]
-            for x in levels[a]:  # down to the original
-                ends_a.append(first[x] + edge)
-                ends_b.append(first[x] + to_a)
-            for x, y in _cross_covers(idx, levels[a], levels[b]):
+            ends_a += [i + edge for i in firsts[a]]  # down to the original
+            ends_b += [i + to_a for i in firsts[a]]
+            for x, y in _cross_covers(linked, levels[a], levels[b]):
                 ends_a.append(first[x] + edge)
                 ends_b.append(first[y] + to_b)
+
+    # the order: the copies over edges, then those over vertices
+    over_edges: list[int] = []
+    over_vertices: list[int] = []
+    for l, starts in firsts.items():
+        for o, (_, b) in enumerate(nodes[l]):
+            (over_vertices if b == l else over_edges).extend([i + o for i in starts])
 
     at = tkeys.__getitem__
     pairs = list(map(_pair, zip(map(at, ends_a), map(at, ends_b))))
     tpos = dict(zip(tkeys, range(len(tkeys))))
-    return _assemble(dict(zip(tkeys, els)), tpos, pairs, ends_a, ends_b, t0_check=False)
+    return _assemble(
+        _Copies(tkeys, tpos, base.elements),
+        tpos, pairs, ends_a, ends_b, order=over_edges + over_vertices,
+    )
 
 
-def _levels_apart(base: Space, trans: _Transitions) -> bool:
-    """Whether no path of the linked space leaves a level and comes back
-    to it: the level transitions form no cycle and no bounded-by pair of
-    ``base`` joins two levels."""
+class _Copies(Mapping):
+    """The elements of a telescope, a read-only mapping that makes each
+    on first lookup and keeps it.  Copy ``n`` has the key ``keys[n]`` (at
+    ``pos[keys[n]] == n``), named ``{id}⊗{node}`` for the element ``id``
+    of ``elements`` on the key's level and a level node, whose name holds
+    no separator.  It copies that element with no generalisation target
+    and the node as its ``lod_edge`` attribute.  The mapping iterates,
+    compares, prints and pickles as the dict of those elements would, so
+    a query that reads only keys and the index, such as ``dim``, makes
+    none of them."""
+
+    def __init__(
+        self,
+        keys: list[ElementId],
+        pos: dict[ElementId, int],
+        elements: Mapping[ElementId, Element],
+    ):
+        self._keys, self._pos, self._elements = keys, pos, elements
+        self._made: list[Element | None] = [None] * len(keys)
+
+    def __getitem__(self, key: ElementId) -> Element:
+        n = self._pos[key]
+        made = self._made[n]
+        if made is None:
+            key = self._keys[n]
+            name, _, node = key.id.rpartition(PRODUCT_SEPARATOR)
+            e = self._elements[_key((name, key.lod))]
+            attributes = {**e.attributes, "lod_edge": node}
+            made = self._made[n] = Element(key, e.version, None, attributes)
+        return made
+
+    def __iter__(self) -> Iterator[ElementId]:
+        return iter(self._keys)
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __contains__(self, key: object) -> bool:
+        return key in self._pos
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
+def _level_order(base: Space, trans: _Transitions) -> list[int] | None:
+    """The levels in use in a topological order of the level transitions,
+    when no path of the linked space leaves a level and comes back to it:
+    the transitions form no cycle and no bounded-by pair of ``base`` joins
+    two levels.  Else None."""
     lods = _lods(base, trans)
     at = dict(zip(lods, range(len(lods))))
     succ: list[list[int]] = [[] for _ in lods]
     for a, b in trans:
         succ[at[a]].append(at[b])
-    return len(_kahn(succ)) == len(lods) and all(p.lod == q.lod for p, q in base.relation)
+    order = _kahn(succ)
+    ends = list(map(itemgetter(1), chain.from_iterable(base.relation)))
+    if len(order) < len(lods) or ends[0::2] != ends[1::2]:
+        return None
+    return [lods[i] for i in order]
 
 
 def _cross_covers(idx: SpaceIndex, fine: set[int], coarse: set[int]) -> Iterator[tuple[int, int]]:
@@ -442,34 +531,40 @@ def _cross_covers(idx: SpaceIndex, fine: set[int], coarse: set[int]) -> Iterator
 
     A covering pair joins each fine position ``x`` to one of its nearest
     kept descendants ``y`` (see ``_nearest_kept``), unless ``y`` lies below
-    another of them.  That is read off sets of the coarse positions
-    strictly below each position, filled in reverse topological order over
-    the positions strictly below ``fine`` only; a position with one
-    successor that is not coarse shares its successor's set.  The sets stay
-    as small as the down-sets, a few elements in a cell complex.
+    another of them, ``z``.  A path from ``z`` down to ``y`` passes only
+    positions deeper than ``y``, so the walk that looks for one starts
+    only from those and enters only those (``_strictly_below``): memory
+    stays that of one walk, and the walk stays short where down-sets are
+    deep but ``y`` is not.
     """
-    out = idx.out
+    out, depth = idx.out, idx.depth
     kept = fine | coarse
-    is_coarse = coarse.__contains__
-    reached = _walk(out, chain.from_iterable(map(out.__getitem__, fine)))
-    below: list = [_NONE] * len(out)
-    for p in reversed(idx.order):
-        succ = out[p]
-        if not succ or p not in reached:
-            continue
-        if len(succ) == 1 and not is_coarse(succ[0]):
-            below[p] = below[succ[0]]
-            continue
-        found = set(filter(is_coarse, succ))
-        for q in succ:
-            found |= below[q]
-        below[p] = found
     for x in fine:
         succ = out[x]
         near = succ if kept.issuperset(succ) else _nearest_kept(out, kept, x)
-        for y in filter(is_coarse, near):
-            if not any(y in below[z] for z in near):
-                yield x, y
+        for y in near:
+            if y in coarse:
+                floor = depth[y]
+                deeper = [z for z in near if depth[z] > floor]
+                if not deeper or not _strictly_below(out, depth, y, deeper):
+                    yield x, y
+
+
+def _strictly_below(out: list[list[int]], depth: list[int], y: int, tops: list[int]) -> bool:
+    """Whether position ``y`` lies strictly below one of ``tops``, each
+    deeper than ``y``, found by a downward walk that enters only positions
+    deeper than ``y``."""
+    floor = depth[y]
+    stack = tops.copy()
+    seen = set(stack)
+    while stack:
+        for j in out[stack.pop()]:
+            if j == y:
+                return True
+            if depth[j] > floor and j not in seen:
+                seen.add(j)
+                stack.append(j)
+    return False
 
 
 def telescope_fiber(tele: Space, edge_id: str) -> Space:
@@ -515,25 +610,29 @@ def _transitions(space: Space) -> _Transitions:
     return dict(sorted(found.items()))
 
 
-def _linked(space: Space, trans: _Transitions | None = None) -> Space:
-    """The space with its generalisation pairs added to the relation, so
-    levels connect through the generalisation map; not checked for T0.
-    ``trans`` is the space's ``_transitions`` when already read.  The
-    positions are the space's own, and its pairs' ends are read off its
-    index, so only the generalisation targets are looked up."""
+def _linked_index(space: Space, trans: _Transitions | None = None) -> SpaceIndex:
+    """The index of the space linked across levels by its generalisation
+    pairs: a view of the space's own index (``topology._Augmented``) with
+    a pair from each element to its generalisation target, so only the
+    targets are looked up and no space is built.  ``trans`` is the space's
+    ``_transitions`` when already read.  A target equal to its element,
+    or a pair the space already has, adds nothing.  Raises
+    ``DanglingPairError`` naming the smallest pair onto a target the space
+    lacks."""
     if trans is None:
         trans = _transitions(space)
     idx = space.index
-    gen = [_pair(kt) for targets in trans.values() for kt in targets.items()]
+    gen = [kt for targets in trans.values() for kt in targets.items()]
     ends = list(map(idx.pos.get, chain.from_iterable(gen)))
-    return _assemble(
-        space.elements,
-        idx.pos,
-        list(chain.from_iterable(idx.inn_pairs)) + gen,
-        list(chain.from_iterable(idx.inn)) + ends[0::2],
-        [b for b, above in enumerate(idx.inn) for _ in above] + ends[1::2],
-        t0_check=False,
-    )
+    ends_a, ends_b = ends[0::2], ends[1::2]
+    if None in ends_b:
+        missing = [_pair(kt) for kt, j in zip(gen, ends_b) if j is None]
+        raise _dangling_error(missing, space.elements)
+    out = idx.out
+    if any(map(eq, ends_a, ends_b)) or any(map(contains, map(out.__getitem__, ends_a), ends_b)):
+        kept = [(i, j) for i, j in zip(ends_a, ends_b) if i != j and j not in out[i]]
+        ends_a, ends_b = [i for i, _ in kept], [j for _, j in kept]
+    return _Augmented(idx, ends_a, ends_b)
 
 
 def _levels(space: Space) -> dict[int, list[ElementId]]:

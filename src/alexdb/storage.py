@@ -50,8 +50,9 @@ The generalisation columns (``gid``, ``glod``) are read and written here as
 rows only.  ``validate`` reads its continuity and missed-target checks off
 each version's space, with ``lod``'s helpers, and only the "monotonic"
 rule builds the level maps; ``versions_with_path`` answers on each
-version's space, through the monotone filter's stages or a path query on
-the space linked by its generalisation pairs (``lod._linked``).
+version's space, through the monotone filter's stages or a path query
+walked on a view of its index linked by its generalisation pairs
+(``lod._linked_path_query``), which builds no second space.
 
 Attribute values are typed by shape on load: a field that reads back as a
 canonical integer or float literal becomes that number, anything else stays
@@ -95,10 +96,9 @@ from .versioning import (
 )
 from .algebra import check_map, _restricted_continuity_witness
 from .lod import (
-    path_query,
     _filter_stages,
     _level_maps,
-    _linked,
+    _linked_path_query,
     _missed_targets,
     _transitions,
 )
@@ -978,16 +978,17 @@ def versions_with_path(
     level generalises onto targets in the version is answered by the
     stages of ``filtered_path_query``: the coarse images first, then the
     saturation test, then the region itself only when the filter is
-    inconclusive.  Every stage queries the version space, so neither the
-    level maps nor the linked space is built; any other rule name is
-    refused with ``NotFoundError``.  Whether the endpoints are alive is
-    read off each version's row in the store's history index, so a version
-    where one is dead is skipped and not reconstructed: a fault only such
-    a version holds (a pair naming a key it lacks, say) is not raised,
-    though ``reconstruct_version`` raises it there.  ``spaces``, when
-    given, maps every version to its reconstructed space, so a caller that
-    already holds them (to look a region up) does not reconstruct them
-    twice.
+    inconclusive.  Every stage queries the version space, and the direct
+    query walks a view of its index with the generalisation pairs added,
+    so neither the level maps nor a linked space is built; any other rule
+    name is refused with ``NotFoundError``.  Whether the endpoints are
+    alive is read off each version's row in the store's history index, so
+    a version where one is dead is skipped and not reconstructed: a fault
+    only such a version holds (a pair naming a key it lacks, say) is not
+    raised, though ``reconstruct_version`` raises it there.  ``spaces``,
+    when given, maps every version to its reconstructed space, so a caller
+    that already holds them (to look a region up) does not reconstruct
+    them twice.
     """
     unknown = [r for r in rules if r.lower() != "monotonic"]
     if unknown:
@@ -1006,7 +1007,7 @@ def versions_with_path(
         sub = region_keys & space.keys()
         answer = _filtered_region_answer(space, sub, a, b) if monotonic else None
         if answer is None:
-            answer = path_query(_linked(space), sub, a, b)
+            answer = _linked_path_query(space, sub, a, b)
         if answer:
             hits.append(v)
     return frozenset(hits)

@@ -519,6 +519,35 @@ class SpaceIndex:
         return pairs
 
 
+class _Augmented(SpaceIndex):
+    """A view of the index ``base`` with more pairs, pair ``n`` from
+    position ``ends_a[n]`` to ``ends_b[n]``: it shares the keys and ``pos``
+    of ``base`` and copies its ``out`` and ``inn`` lists in C, building
+    anew only those the pairs touch.  The pairs must join distinct
+    positions and repeat no pair of ``base``.  Walks read only the
+    adjacency, so ``order`` is found by Kahn's algorithm on first use,
+    unless the caller, knowing one, sets it first; ``depth``, ``level``
+    and ``rank`` follow from it as on any index, and ``inn_pairs`` are
+    built from the keys."""
+
+    def __init__(self, base: SpaceIndex, ends_a: Sequence[int], ends_b: Sequence[int]):
+        out, inn = base.out.copy(), base.inn.copy()
+        for adj, ends, other in ((out, ends_a, ends_b), (inn, ends_b, ends_a)):
+            added: dict[int, list[int]] = {}
+            for i, j in zip(ends, other):
+                added.setdefault(i, []).append(j)
+            for i, more in added.items():
+                adj[i] = adj[i] + more
+        self.keys, self.pos, self.out, self.inn = base.keys, base.pos, out, inn
+        self._pairs = self._ends_b = None
+        self.life_intervals = None
+
+    @cached_property
+    def order(self) -> list[int] | None:
+        found = _kahn(self.out)
+        return found if len(found) == len(self.keys) else None
+
+
 def _one_depth(depth: list[int], below: Collection[int]) -> bool:
     """Whether the positions ``below`` share one depth."""
     return len(below) < 2 or len(set(map(depth.__getitem__, below))) == 1
@@ -720,7 +749,11 @@ def _derive(
 
 def find_cycle(space: Space) -> list[ElementId] | None:
     """Return one directed cycle of the relation, or None when acyclic."""
-    idx = space.index
+    return _cycle(space.index)
+
+
+def _cycle(idx: SpaceIndex) -> list[ElementId] | None:
+    """One directed cycle of the index's relation, or None when acyclic."""
     if idx.order is not None:
         return None
     keys = idx.keys
@@ -764,9 +797,14 @@ def find_cycle_in(adj: Mapping[ElementId, set[ElementId]]) -> list[ElementId] | 
 
 def _topological_order(space: Space) -> list[int]:
     """The index's topological order; raises ``T0ViolationError`` when cyclic."""
-    order = space.index.order
+    return _checked_order(space.index)
+
+
+def _checked_order(idx: SpaceIndex) -> list[int]:
+    """``idx.order``; raises ``T0ViolationError`` when it is cyclic."""
+    order = idx.order
     if order is None:
-        cycle = find_cycle(space)
+        cycle = _cycle(idx)
         raise T0ViolationError(
             f"relation has a cycle, space is not T0: {[str(k) for k in cycle]}",
             cycle=cycle,

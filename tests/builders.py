@@ -355,3 +355,17 @@ def committed_history(
         except AlexdbError:
             pass
     return stores
+
+
+def twin_chains(n: int) -> Space:
+    """Two chains of ``n`` elements, ``c0 > c1 > ...`` on level 0 and the
+    same on level 1, each level-0 element generalising onto its twin:
+    every down-set is deep."""
+    els = [Element(ElementId(f"c{i}", 0), gen_target=ElementId(f"c{i}", 1)) for i in range(n)]
+    els += [Element(ElementId(f"c{i}", 1)) for i in range(n)]
+    pairs = [
+        BoundedByPair(ElementId(f"c{i}", lod), ElementId(f"c{i + 1}", lod))
+        for lod in (0, 1)
+        for i in range(n - 1)
+    ]
+    return build_space(els, pairs)

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import pickle
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from alexdb import BoundedByPair, Element, ElementId, Space, build_space, simple_space
+from alexdb import BoundedByPair, Element, ElementId, Space, build_space, new_store, save, simple_space
+from alexdb.cli import _write_space_csv
+from alexdb.lod import telescope_fiber
 
 settings.register_profile(
     "suite",
@@ -73,3 +78,39 @@ def unordered_spaces(draw, max_elements: int = 8, cyclic: bool = False) -> Space
         [BoundedByPair(a, b) for a, b in chosen],
         t0_check=not cyclic,
     )
+
+
+def assert_telescope_reads_as_eager(tele: Space, expected: Space) -> None:
+    """The telescope ``tele``, whose elements are made on first lookup,
+    reads as ``expected``, built with a plain dict of elements: keys in the
+    same order, the same ``len``, ``in`` and ``keys()``, equality in both
+    directions, the same ``repr``, a pickle round trip, no item
+    assignment, the same fibres, and the same bytes written to disk (a
+    store save when no pair joins two levels, else the generic layout).
+    The keys are read before any element is made."""
+    got, want = tele.elements, expected.elements
+    assert list(got) == list(want)
+    assert list(got.keys()) == list(want.keys())
+    assert len(got) == len(want)
+    assert all(k in got for k in want)
+    assert ElementId("absent", 0) not in got and ElementId("absent", 0) not in got.keys()
+    assert got == want and want == got
+    assert repr(got) == repr(want)
+    assert pickle.loads(pickle.dumps(got)) == want
+    assert pickle.loads(pickle.dumps(tele)) == expected
+    with pytest.raises(TypeError):
+        got[next(iter(want), ElementId("absent"))] = None  # type: ignore[index]
+    nodes = sorted({e.attributes["lod_edge"] for e in want.values()})
+    for w in nodes:
+        fibre, wanted = telescope_fiber(tele, w), telescope_fiber(expected, w)
+        assert list(fibre.elements.items()) == list(wanted.elements.items())
+        assert fibre.relation == wanted.relation
+    with tempfile.TemporaryDirectory() as tmp:
+        written = []
+        for name, space in (("got", tele), ("want", expected)):
+            if any(a.lod != b.lod for a, b in space.relation):
+                _write_space_csv(space, Path(tmp) / name)
+            else:
+                save(new_store("v1", space), Path(tmp) / name)
+            written.append({p.name: p.read_bytes() for p in sorted((Path(tmp) / name).iterdir())})
+        assert written[0] == written[1]

@@ -23,6 +23,8 @@ before it checked keys on parsed columns.  ``filtered_region_answer_by_level_map
 and ``map_findings_by_level_maps`` are the level-map routes ``storage``
 took before it read the version space's own index: they build the level
 subspaces, maps and domain subspaces with the library.
+``linked_by_assembly`` is the linked space ``lod`` built before it read
+a view of the space's index, assembled by the library's ``_assemble``.
 """
 from __future__ import annotations
 
@@ -886,10 +888,34 @@ def filtered_region_answer_by_level_maps(space, sub, a, b):
     return path_query(g.source, keys, a, b)
 
 
+def linked_by_assembly(space):
+    """The space with its generalisation pairs added to the relation, so
+    levels connect through the generalisation map; not checked for T0.
+    The positions are the space's own, and its pairs' ends are read off
+    its index, so only the generalisation targets are looked up."""
+    from itertools import chain
+
+    from alexdb.algebra import _pair
+    from alexdb.lod import _transitions
+    from alexdb.topology import _assemble
+
+    idx = space.index
+    gen = [_pair(kt) for targets in _transitions(space).values() for kt in targets.items()]
+    ends = list(map(idx.pos.get, chain.from_iterable(gen)))
+    return _assemble(
+        space.elements,
+        idx.pos,
+        list(chain.from_iterable(idx.inn_pairs)) + gen,
+        list(chain.from_iterable(idx.inn)) + ends[0::2],
+        [b for b, above in enumerate(idx.inn) for _ in above] + ends[1::2],
+        t0_check=False,
+    )
+
+
 def versions_with_path_by_level_maps(store, a, b, region, monotonic: bool):
     """``versions_with_path`` with the filter above, and else the direct
-    query on the space linked across levels."""
-    from alexdb.lod import _linked, path_query
+    query on the space linked across levels (``linked_by_assembly``)."""
+    from alexdb.lod import path_query
     from alexdb.versioning import reconstruct_version
 
     hits = []
@@ -900,7 +926,7 @@ def versions_with_path_by_level_maps(store, a, b, region, monotonic: bool):
         sub = frozenset(region) & space.keys()
         answer = filtered_region_answer_by_level_maps(space, sub, a, b) if monotonic else None
         if answer is None:
-            answer = path_query(_linked(space), sub, a, b)
+            answer = path_query(linked_by_assembly(space), sub, a, b)
         if answer:
             hits.append(v)
     return frozenset(hits)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import alexdb.storage
 import builders
 import oracles
+from conftest import assert_telescope_reads_as_eager
 from alexdb import demos
 from alexdb.algebra import select_subspace, space_map
 from alexdb.errors import (
@@ -34,6 +35,7 @@ from alexdb.lod import (
     telescope,
     telescope_fiber,
     validate_chain,
+    _linked_index,
     _telescope,
 )
 from alexdb.spacetime import PointRow
@@ -323,6 +325,20 @@ def test_a_cycle_of_level_transitions_is_named_by_its_levels_and_still_telescope
     assert len(telescope(store, "v1").elements) == 8  # each element: its vertex and its edge
 
 
+def test_a_telescope_glues_no_pair_that_passes_just_above_its_coarse_end():
+    # face x > edge z > vertex w on level 0 and edge e > vertex y on level
+    # 1; x and w generalise onto y and z onto e, so x lies above y through
+    # z and then w or e, each one step above y: x to y is no covering pair
+    store = builders.level_store(
+        [("x", "z"), ("z", "w"), ("e:1", "y:1")], {"x": "y:1", "z": "e:1", "w": "y:1"}
+    )
+    tele = telescope(store, "v1")
+    expected = oracles.telescope_by_closures(reconstruct_version(store, "v1"))
+    assert tele.relation == expected.relation
+    assert (ElementId("x⊗0-1"), ElementId("y⊗1-1", 1)) not in tele.relation
+    assert (ElementId("z⊗0-1"), ElementId("e⊗1-1", 1)) in tele.relation
+
+
 def test_telescope_fiber_requires_a_known_node():
     tele = telescope(demos.regions_store(), "v1")
     with pytest.raises(NotFoundError):
@@ -388,6 +404,7 @@ def test_telescope_matches_the_closure_walk(space, edge_matching):
         assert str(got.value) == str(exc)
         return
     tele = _telescope(space, edge_matching)
+    assert_telescope_reads_as_eager(tele, expected)
     assert list(tele.elements.items()) == list(expected.elements.items())
     assert tele.relation == expected.relation
 
@@ -428,6 +445,34 @@ def outcome(call):
 
 def check_store_against_level_maps(store, rules, a, b, region):
     assert map_findings(store, rules) == map_findings_by_level_maps(store, rules)
+    for monotonic in (False, True):
+        rule = ["monotonic"] if monotonic else []
+        got = outcome(lambda: versions_with_path(store, a, b, region, rule))
+        old = outcome(lambda: oracles.versions_with_path_by_level_maps(store, a, b, region, monotonic))
+        assert got == old
+
+
+@given(level_spaces(), st.data())
+@settings(max_examples=100)
+def test_the_linked_view_answers_as_the_assembled_linked_space(space, data):
+    keys = sorted(space.keys())
+    # the view holds the assembled space's pairs, and has an order exactly
+    # when that space is acyclic
+    linked, view = oracles.linked_by_assembly(space), _linked_index(space)
+    at = view.keys.__getitem__
+    assert view.keys == linked.index.keys
+    assert {(at(i), at(j)) for i, below in enumerate(view.out) for j in below} == linked.relation
+    assert {(at(i), at(j)) for j, above in enumerate(view.inn) for i in above} == linked.relation
+    assert (view.order is None) == (linked.index.order is None)
+    # a store holds pairs within a level only; a second version drops some
+    # elements and may leave a generalisation target dangling
+    within = [p for p in space.relation if p.ida.lod == p.idb.lod]
+    store = new_store("v1", build_space(space.elements.values(), within))
+    gone = data.draw(st.sets(st.sampled_from(keys), max_size=len(keys) - 1))
+    if gone:
+        store = builders.unchecked_removal(store, "v1", "v2", sorted(gone))
+    region = data.draw(st.sets(st.sampled_from(keys), min_size=1))
+    a, b = (data.draw(st.sampled_from(sorted(region))) for _ in range(2))
     for monotonic in (False, True):
         rule = ["monotonic"] if monotonic else []
         got = outcome(lambda: versions_with_path(store, a, b, region, rule))

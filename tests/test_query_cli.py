@@ -461,8 +461,8 @@ def counting(monkeypatch, counts, targets):
 LEVEL_MAP_ROUTES = [
     (alexdb.storage, "_level_maps"),
     (alexdb.lod, "_level_maps"),
-    (alexdb.storage, "_linked"),
-    (alexdb.lod, "_linked"),
+    (alexdb.storage, "_linked_path_query"),
+    (alexdb.lod, "_linked_index"),
     (alexdb.algebra.SpaceMap, "__post_init__"),
     (alexdb.algebra, "restrict_map"),
 ]
@@ -481,7 +481,8 @@ def test_cli_monotone_versions_with_path_builds_no_level_map(demo_dir, capsys, m
         capsys, "versions-with-path", store, "A", "B", "--region", "west", "--rule", "monotonic"
     )
     assert filtered == direct == (0, "v1\n", "")
-    assert plain["_linked"] == 1 and plain["_filter_stages"] == 0
+    assert plain["_linked_path_query"] == plain["_linked_index"] == 1
+    assert plain["_filter_stages"] == 0
     assert counts["_filter_stages"] == 1
     assert not any(counts[name] for _, name in LEVEL_MAP_ROUTES)
     assert counts["__init__"] <= plain["__init__"]

@@ -13,8 +13,12 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -53,7 +57,10 @@ from alexdb import (
     validate,
     versions_with_path,
 )
-from alexdb import algebra, lod, spacetime, topology, versioning
+import alexdb
+from alexdb import algebra, demos, lod, spacetime, storage, topology, versioning
+from alexdb.algebra import PRODUCT_SEPARATOR
+from alexdb.cli import main
 from alexdb.storage import VersionStore
 from alexdb.topology import SpaceIndex
 from alexdb.lod import as_level
@@ -61,6 +68,7 @@ from alexdb.versioning import HistoryIndex
 
 import builders
 import oracles
+from conftest import assert_telescope_reads_as_eager
 
 pytestmark = pytest.mark.slow
 
@@ -504,6 +512,117 @@ def test_one_element_commits_build_no_index_and_reconstruct_no_parent(monkeypatc
     assert counts == Counter({"rows": 1, "space index": 1, "kahn": 1})
 
 
+def _counted(monkeypatch, counts: Counter, owner, name: str, label: str) -> None:
+    """Count the calls of ``owner.name`` under ``label`` in ``counts``."""
+    real = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        counts[label] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+
+
+@pytest.mark.parametrize("source", ["demo regions", "side-8 pyramid"])
+def test_a_telescope_orders_no_elements_builds_one_index_and_makes_no_element(
+    source, tmp_path, monkeypatch
+):
+    if source == "demo regions":
+        store = load(save(demos.regions_store(), tmp_path / "regions"))
+        base = reconstruct_version(store, "v1")
+    else:
+        base = pyramid_space(8, 3)
+    want = krull_dimension(oracles.telescope_by_closures(base))
+    base.index.depth  # noqa: B018 - build the base index and its depths before counting
+    levels = len({k.lod for k in base.elements})
+    counts: Counter = Counter()
+    sizes: list[int] = []
+
+    def kahn(out, _real=topology._kahn):
+        sizes.append(len(out))
+        return _real(out)
+
+    for module in (topology, lod, algebra):
+        monkeypatch.setattr(module, "_kahn", kahn)
+    _counted(monkeypatch, counts, SpaceIndex, "__init__", "index")
+    _counted(monkeypatch, counts, Element, "__init__", "element")
+    _counted(monkeypatch, counts, Space, "__init__", "space")
+    tele = lod._telescope(base)
+    assert counts == Counter({"space": 1})
+    # the result's index is filled in from positions, with the order the
+    # telescope was built with
+    assert krull_dimension(tele) == want
+    assert counts == Counter({"space": 1, "index": 1})
+    assert sizes and max(sizes) <= levels  # Kahn ran on the level transitions only
+
+
+def test_dim_of_a_telescope_on_the_command_line_makes_no_telescope_element(
+    tmp_path, monkeypatch, capsys
+):
+    save(demos.regions_store(), tmp_path / "regions")
+    made: list[ElementId] = []
+    real = Element.__init__
+
+    def init(self, key, *args, **kwargs):
+        made.append(key)
+        real(self, key, *args, **kwargs)
+
+    monkeypatch.setattr(Element, "__init__", init)
+    assert main(["query", 'dim(telescope(load("regions")))', "--store", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == "3\n"
+    assert made  # the store's own elements
+    assert not [k for k in made if PRODUCT_SEPARATOR in k.id]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_versions_with_path_builds_no_space_beyond_the_versions_it_reads(seed, tmp_path, monkeypatch):
+    rng = random.Random(seed)
+    store = load(save(builders.committed_history(rng, max_commits=4)[-1], tmp_path / "store"))
+    keys = sorted({ElementId(w.id, w.lod) for w in store.x})
+    a, b = rng.sample([k for k in keys if k.lod == 0], 2)
+    counts: Counter = Counter()
+    _counted(monkeypatch, counts, storage, "reconstruct_version", "read")
+    _counted(monkeypatch, counts, Space, "__init__", "space")
+    _counted(monkeypatch, counts, SpaceIndex, "__init__", "index")
+    found = versions_with_path(store, a, b, keys)
+    # the version space, and one space with one index for each version
+    # read from the rows: none for a space linked across levels
+    assert counts["space"] == counts["index"] == counts["read"] + 1
+    assert found == oracles.versions_with_path_by_level_maps(store, a, b, keys, False)
+
+
+TWIN_CHAIN_TELESCOPE = """
+import resource, sys
+import builders
+from alexdb.lod import _telescope
+space = builders.twin_chains(int(sys.argv[1]))
+space.index.depth
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+tele = _telescope(space)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024, len(tele.relation))
+"""
+
+
+def test_a_telescope_of_two_deep_chains_stays_small():
+    # each level-0 element sits on a chain 2,000 deep; a set of the coarse
+    # positions below each position took 238 MB here
+    path = os.pathsep.join([str(Path(alexdb.__file__).parents[1]), str(Path(__file__).parent)])
+    done = subprocess.run(
+        [sys.executable, "-c", TWIN_CHAIN_TELESCOPE, "2000"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True,
+    )
+    rise, pairs = done.stdout.split()
+    assert float(rise) < 40
+    # within each fibre a chain, and each copy over the edge glued to its
+    # original and to its twin's copy
+    assert int(pairs) == 3 * 1999 + 2 * 2000
+    space = builders.twin_chains(200)
+    expected = oracles.telescope_by_closures(space)
+    tele = lod._telescope(space)
+    assert list(tele.elements.items()) == list(expected.elements.items())
+    assert tele.relation == expected.relation
+
+
 # ---------------------------------------------------------------------------
 # map checking
 
@@ -678,6 +797,7 @@ def test_pyramid_telescopes_match_the_closure_walk(side, levels):
     for edge_matching in (True, False):
         tele = lod._telescope(space, edge_matching)
         expected = oracles.telescope_by_closures(space, edge_matching)
+        assert_telescope_reads_as_eager(tele, expected)
         assert list(tele.elements.items()) == list(expected.elements.items())
         assert tele.relation == expected.relation
 

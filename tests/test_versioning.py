@@ -23,6 +23,7 @@ from alexdb.errors import (
     NotFoundError,
     T0ViolationError,
 )
+from alexdb.lod import _linked_index, _telescope
 from alexdb.storage import (
     AttRow,
     DelRRow,
@@ -801,12 +802,14 @@ def test_files_out_of_order_load_into_the_same_index(seed):
             assert outcome(reconstruct_version, loaded, v) == want
 
 
-def _index_facts(space: Space):
-    """The index of ``space`` by key: its keys, what each key is bounded by
-    and bounds, its depths and its ``inn_pairs`` as sets.  Checks on the
-    way that ``pos``, ``out``, ``inn``, ``order`` and ``inn_pairs`` agree
-    with the space."""
-    idx = space.index
+def _index_facts(space: Space, idx: SpaceIndex | None = None):
+    """The index of ``space``, or ``idx`` given for it, by key: its keys,
+    what each key is bounded by and bounds, its depths and its
+    ``inn_pairs`` as sets.  Checks on the way that ``pos``, ``out``,
+    ``inn``, ``order`` and ``inn_pairs`` agree with the space, and the
+    order with networkx."""
+    idx = space.index if idx is None else idx
+    _order_holds_in_networkx(idx)
     keys = idx.keys
     assert keys == list(space.elements)
     assert idx.pos == {k: i for i, k in enumerate(keys)}
@@ -830,6 +833,37 @@ def _index_facts(space: Space):
     )
 
 
+def _order_holds_in_networkx(idx: SpaceIndex) -> None:
+    """``idx.order`` is None exactly when networkx finds the graph of
+    ``idx.out`` cyclic, and else lists every position before each it is
+    bounded by."""
+    graph = nx.DiGraph()
+    graph.add_nodes_from(range(len(idx.keys)))
+    graph.add_edges_from((i, j) for i, below in enumerate(idx.out) for j in below)
+    assert (idx.order is None) == (not nx.is_directed_acyclic_graph(graph))
+    if idx.order is not None:
+        place = {i: n for n, i in enumerate(idx.order)}
+        assert sorted(place) == sorted(graph)
+        assert all(place[i] < place[j] for i, j in graph.edges)
+
+
+def _leveled(space: Space, rnd: random.Random) -> Space:
+    """``space`` with its keys spread over levels 0 to 2, most of them
+    generalising onto a key of a coarser level; in half the draws only the
+    pairs within a level are kept, so the linked space never leaves a level
+    and comes back, and in the others it may, or be cyclic."""
+    key = {k: ElementId(k.id, rnd.randint(0, 2)) for k in space.elements}
+    pairs = [BoundedByPair(key[a], key[b]) for a, b in space.relation]
+    if rnd.random() < 0.5:
+        pairs = [p for p in pairs if p.ida.lod == p.idb.lod]
+    els = []
+    for n, k in enumerate(key.values()):
+        coarser = [t for t in key.values() if t.lod > k.lod]
+        target = rnd.choice(coarser) if coarser and rnd.random() < 0.7 else None
+        els.append(Element(k, "v1", target, {"n": n}))
+    return build_space(els, pairs)
+
+
 def _lazy(space: Space) -> Space:
     """The same space with its index left to be built on first use."""
     return Space(space.elements, space.relation)
@@ -850,6 +884,21 @@ def test_every_route_to_a_space_index_builds_the_same_one(seed):
         rnd.shuffle(pairs)
         built = build_space(els, pairs, t0_check=t0_check)
         assert _index_facts(built) == _index_facts(_lazy(built))
+
+    # the space linked across levels, a view of the index of a space on
+    # levels, and its telescope, whose order is known by construction
+    leveled = _leveled(space, rnd)
+    view, linked = _linked_index(leveled), oracles.linked_by_assembly(leveled)
+    assert _index_facts(linked, view) == _index_facts(linked)
+    if view.order is None:
+        with pytest.raises(T0ViolationError):
+            _telescope(leveled)
+    else:
+        tele = _telescope(leveled)
+        assert "_positions" in vars(tele)
+        facts = _index_facts(tele)
+        assert facts == _index_facts(_lazy(tele))
+        assert facts == _index_facts(build_space(tele.elements.values(), tele.relation))
 
     history = builders.committed_history(rnd, max_commits=4)
     for committed in history[1:]:  # each holds a space derived from its parent's
