@@ -185,13 +185,14 @@ def _restriction(
     In a T0 space an element strictly above another is deeper (has a
     longer chain below it), so when every kept position's candidates share
     one depth, none lies above another and the candidates are the reduced
-    relation.  The ambient depths answer first (``_sure_covers``); where
-    they disagree, as generalisation pairs make them do in the level
-    subspaces of a linked LoD space, ``_covering`` asks the same
-    of the depths within the candidate graph.  Only candidates that fail
-    both are reduced, with dense masks as wide as the kept set.  The cost
-    is one pass over the kept positions' ``out`` lists plus the walks, and
-    on the reducing path that of ``_reduction``.
+    relation.  The ambient depths answer first (``_sure_covers``) when the
+    ambient order is already found, so that a subspace does not order the
+    whole space; where they are not read, or disagree, as generalisation
+    pairs make them do in the level subspaces of a linked LoD space,
+    ``_covering`` asks the same of the depths within the candidate graph.
+    Only candidates that fail both are reduced, with dense masks as wide
+    as the kept set.  The cost is one pass over the kept positions' ``out``
+    lists plus the walks, and on the reducing path that of ``_reduction``.
     """
     out, inn = idx.out, idx.inn
     whole = kept.issuperset
@@ -199,7 +200,7 @@ def _restriction(
     walked = {}  # kept positions with a dropped out neighbour: their candidates
     if rim:  # the kept set is not open
         walked = {a: _nearest_kept(out, kept, a) for a in kept if not whole(out[a])}
-    depth, level = idx.depth, idx.level
+    depth, level = (idx.depth, idx.level) if "order" in vars(idx) else (None, None)
     if not (
         level is not None
         and all(_one_depth(depth, found) for found in walked.values())

@@ -12,12 +12,12 @@ and a redundant sliding copy along each level transition.
 This module is the one interpreter of a space's generalisation columns
 (each element's ``gen_target``): ``_transitions`` reads them into the level
 transitions, ``_missed_targets`` the targets each transition misses,
-``_level_maps`` builds one map per transition and ``_linked_index`` a
-view of the space's index joined across levels by generalisation pairs,
-on which ``_linked_path_query`` walks and the telescope is built; no
-linked space is built.  ``storage`` asks for these rather than deriving
-them itself, and builds the maps only where it needs the objects
-themselves.
+``_level_maps`` builds one map per transition and ``_linked_index`` the
+index of the space joined across levels by generalisation pairs, made
+from copies of the space's own adjacency lists, on which
+``_linked_path_query`` walks and the telescope is built; no linked space
+is built.  ``storage`` asks for these rather than deriving them itself,
+and builds the maps only where it needs the objects themselves.
 """
 from __future__ import annotations
 
@@ -49,7 +49,6 @@ from .topology import (
     find_cycle,
     simple_space,
     _assemble,
-    _Augmented,
     _checked_order,
     _component,
     _dangling_error,
@@ -284,14 +283,8 @@ def lod_graph(store: "VersionStore", v: str) -> tuple[Space, Space]:
     1D complex indexing the telescope.  Raises ``T0ViolationError`` naming
     the levels when the level transitions form a cycle.
     """
-    return _lod_graph(reconstruct_version(store, v))
-
-
-def _lod_graph(space: Space, trans: _Transitions | None = None) -> tuple[Space, Space]:
-    """``lod_graph`` of a reconstructed space; ``trans`` is its
-    ``_transitions`` when already read."""
-    if trans is None:
-        trans = _transitions(space)
+    space = reconstruct_version(store, v)
+    trans = _transitions(space)
     edge_graph = _edge_graph(space, trans)
     lods = _lods(space, trans)
     level_space = simple_space(
@@ -568,8 +561,11 @@ def _strictly_below(out: list[list[int]], depth: list[int], y: int, tops: list[i
 
 
 def telescope_fiber(tele: Space, edge_id: str) -> Space:
-    """Subspace of a telescope sitting over one level-graph node."""
-    keys = [k for k, e in tele.elements.items() if e.attributes.get("lod_edge") == edge_id]
+    """Subspace of a telescope sitting over one level-graph node.  Its
+    copies are picked by the node their key names after the last
+    separator, which is their ``lod_edge`` attribute, so only the fibre's
+    elements are made."""
+    keys = [k for k in tele.elements if k.id.rpartition(PRODUCT_SEPARATOR)[2] == edge_id]
     if not keys:
         raise NotFoundError(f"no telescope fiber over {edge_id!r}")
     return select_subspace(tele, keys)
@@ -612,13 +608,16 @@ def _transitions(space: Space) -> _Transitions:
 
 def _linked_index(space: Space, trans: _Transitions | None = None) -> SpaceIndex:
     """The index of the space linked across levels by its generalisation
-    pairs: a view of the space's own index (``topology._Augmented``) with
-    a pair from each element to its generalisation target, so only the
-    targets are looked up and no space is built.  ``trans`` is the space's
-    ``_transitions`` when already read.  A target equal to its element,
-    or a pair the space already has, adds nothing.  Raises
-    ``DanglingPairError`` naming the smallest pair onto a target the space
-    lacks."""
+    pairs: the space's own index with a pair from each element to its
+    generalisation target, so only the targets are looked up and no space
+    is built.  It shares the keys and ``pos`` of the space's index and
+    copies its ``out`` and ``inn`` lists in C, building anew only those
+    the pairs touch.  Its order is found on first read, unless the caller,
+    knowing one, sets it first, and its ``inn_pairs`` are built from the
+    keys.  ``trans`` is the space's ``_transitions`` when already read.  A
+    target equal to its element, or a pair the space already has, adds
+    nothing.  Raises ``DanglingPairError`` naming the smallest pair onto a
+    target the space lacks."""
     if trans is None:
         trans = _transitions(space)
     idx = space.index
@@ -628,11 +627,17 @@ def _linked_index(space: Space, trans: _Transitions | None = None) -> SpaceIndex
     if None in ends_b:
         missing = [_pair(kt) for kt, j in zip(gen, ends_b) if j is None]
         raise _dangling_error(missing, space.elements)
-    out = idx.out
-    if any(map(eq, ends_a, ends_b)) or any(map(contains, map(out.__getitem__, ends_a), ends_b)):
-        kept = [(i, j) for i, j in zip(ends_a, ends_b) if i != j and j not in out[i]]
+    if any(map(eq, ends_a, ends_b)) or any(map(contains, map(idx.out.__getitem__, ends_a), ends_b)):
+        kept = [(i, j) for i, j in zip(ends_a, ends_b) if i != j and j not in idx.out[i]]
         ends_a, ends_b = [i for i, _ in kept], [j for _, j in kept]
-    return _Augmented(idx, ends_a, ends_b)
+    out, inn = idx.out.copy(), idx.inn.copy()
+    for adj, ends, other in ((out, ends_a, ends_b), (inn, ends_b, ends_a)):
+        added: dict[int, list[int]] = {}
+        for i, j in zip(ends, other):
+            added.setdefault(i, []).append(j)
+        for i, more in added.items():
+            adj[i] = adj[i] + more
+    return SpaceIndex(idx.keys, idx.pos, out, inn)
 
 
 def _levels(space: Space) -> dict[int, list[ElementId]]:

@@ -14,28 +14,33 @@ The space is T0 (distinct points have distinct neighbourhood filters)
 exactly when ``R`` is acyclic; ``build_space`` enforces that by default.
 
 Every query answers from one reachability kernel: ``Space.index``, an
-integer-indexed out/in adjacency plus a topological order.  ``SpaceIndex``
-has one constructor, which takes each pair's end positions.
-``build_space`` finds them by looking each end up once, ``versioning``
-reads them off its history index, and both hand them to ``_assemble``,
-which drops reflexive pairs, rejects dangling ones, fills the index in
-and checks T0.  ``versioning`` hands it a topological order as well, its
-store's one order restricted to the version, which proves T0; the space
-then keeps the positions and that order, and fills its index in from them
-on the first query that needs it.  ``versioning.apply_changeset`` derives
-its result from its input instead (``_derive``): the adjacency is kept by
-slot, so that positions shift without a list being renumbered, and the
-topological order is kept valid under the edit by ``_ordered``, which
-keeps the store's order too, rather than found again.  Such a space fills
-its index in from the slots on the first query that needs it, as a space
-made otherwise builds it then.  It is cached on the space.  The cache
-relies on a contract: a ``Space`` is immutable.  Never mutate its
-``elements`` mapping or its relation; build a new space instead.  The
-contract covers each ``Element`` and its attribute dict too, since
-spaces share them: ``versioning.apply_changeset`` keeps its input's, and
-every space read from one store shares those the store's history index
-has built.  The index also keeps each element's chain length (its
-dimension), computed on first use.
+integer-indexed out/in adjacency.  ``SpaceIndex`` has one constructor,
+which keeps the adjacency it is given, and a topological order when the
+caller knows one; else Kahn's algorithm finds the order when a query
+first reads it, which walks (``closure``, ``star``, path queries) and
+subspaces never make it do.  ``build_space`` finds each pair's end
+positions by looking each end up once, ``versioning`` reads them off its
+history index, and both hand them to ``_assemble``, which drops
+reflexive pairs, rejects dangling ones, keeps the positions on the space
+and checks T0, which fills the index in (``_filled``) and reads its
+order.
+``versioning`` hands it a topological order as well, its store's one
+order restricted to the version, which proves T0; the space then fills
+its index in from the positions and that order on the first query that
+needs it.  ``versioning.apply_changeset`` derives its result from its
+input instead (``_derive``): the adjacency is kept by slot, so that
+positions shift without a list being renumbered, and the topological
+order is kept valid under the edit by ``_ordered``, which keeps the
+store's order too, rather than found again.  Such a space fills its
+index in from the slots on the first query that needs it.  The index is
+cached on the space.  The cache relies on a contract: a ``Space`` is
+immutable.  Never mutate its ``elements`` mapping or its relation; build
+a new space instead.  The contract covers each ``Element`` and its
+attribute dict too, since spaces share them:
+``versioning.apply_changeset`` keeps its input's, and every space read
+from one store shares those the store's history index has built.  The
+index also keeps each element's chain length (its dimension), computed
+on first use.
 
 Subspaces (``algebra.select_subspace`` and ``spacetime.time_slice``) work
 on index positions too.  They list their keys in key order by sorting
@@ -147,22 +152,23 @@ class Space:
 
     @cached_property
     def index(self) -> SpaceIndex:
-        """Integer-indexed adjacency and topological order of the relation,
-        built on the first query that needs it and kept for the life of
-        this (immutable) space: from the lineage of a space ``_derive``
-        made, from the positions and order ``_assemble`` kept, or else from
-        the elements and relation, with Kahn's algorithm."""
+        """Integer-indexed adjacency of the relation, built on the first
+        query that needs it and kept for the life of this (immutable)
+        space: from the lineage of a space ``_derive`` made, from the
+        positions (and order, when known) ``_assemble`` kept, or else from
+        the elements and relation.  Its order is found on first read
+        unless it was known."""
         lineage = vars(self).get("_lineage")
         if lineage is not None:  # a space made by ``_derive``
             return lineage.index()
         known = vars(self).pop("_positions", None)
-        if known is not None:  # kept by ``_assemble`` with a known order
-            return SpaceIndex(*known)
-        keys = list(self.elements)
-        pos = dict(zip(keys, range(len(keys))))
-        pairs = list(self.relation)
-        ends = list(map(pos.__getitem__, chain.from_iterable(pairs)))
-        return SpaceIndex(keys, pos, pairs, ends[0::2], ends[1::2])
+        if known is None:  # a bare ``Space``, or a relation given a pair twice
+            keys = list(self.elements)
+            pos = dict(zip(keys, range(len(keys))))
+            pairs = list(self.relation)
+            ends = list(map(pos.__getitem__, chain.from_iterable(pairs)))
+            known = keys, pos, pairs, ends[0::2], ends[1::2]
+        return _filled(*known)
 
 
 @dataclass(frozen=True)
@@ -239,15 +245,16 @@ def _assemble(
 ) -> Space:
     """The space on ``elements`` whose relation is ``pairs``: ``pos`` maps
     each key to its position, and ``pairs[n]`` joins positions ``ends_a[n]``
-    and ``ends_b[n]`` (None for a key not among ``elements``).  Its index is
-    filled in from those positions unless a pair is given twice.
+    and ``ends_b[n]`` (None for a key not among ``elements``).  Unless a
+    pair is given twice, the positions are kept on the space, which fills
+    its index in from them on the first query that needs it.
 
     ``order``, when given, is a topological order of the positions that
     the caller knows to hold for every pair that is not dangling or
-    reflexive; the space is then T0, no search proves it, and the
-    positions and the order are kept on the space, which fills its index
-    in from them on the first query that needs it.  Without it the index
-    is filled in now and Kahn's algorithm finds its order.
+    reflexive; the space is then T0, no search proves it, and the index
+    takes the order.  Without it, the T0 check, when on, fills the index
+    in now and reads its order, which Kahn's algorithm finds; when off,
+    the order is found when a query first reads it.
 
     Reflexive pairs are dropped: reflexivity is implicit in the preorder.
     When no pair is dangling or reflexive, which a C-level test of the
@@ -271,11 +278,7 @@ def _assemble(
         pairs, ends_a, ends_b = rel, kept_a, kept_b
     space = Space(elements, frozenset(pairs))
     if len(space.relation) == len(pairs):  # no pair given twice
-        known = list(elements), pos, pairs, ends_a, ends_b
-        if order is None:
-            vars(space)["index"] = SpaceIndex(*known)
-        else:
-            vars(space)["_positions"] = *known, order
+        vars(space)["_positions"] = list(elements), pos, pairs, ends_a, ends_b, order
     if t0_check and order is None:
         _topological_order(space)
     return space
@@ -433,48 +436,50 @@ class SpaceIndex:
 
     Position ``i`` stands for ``keys[i]`` (the space's element order);
     ``out[i]`` lists the positions ``i`` is bounded by and ``inn[i]`` those
-    bounded by ``i``, one relation step each.  ``order`` is a topological
-    order, every position before those it is bounded by; it is None when
-    the relation has a cycle.  ``pos`` maps each key to its position.  The
-    constructor takes the relation's ``pairs``, each once, with
-    ``pairs[n]`` joining positions ``ends_a[n]`` and ``ends_b[n]``, so it
-    looks no key up; ends read from ``pos`` are its very int objects, so
-    sets of positions find them by identity.  It takes the ``order`` too
-    when the caller knows one (``versioning`` restricts its store's order
-    to the version's positions); else Kahn's algorithm finds it.  The
-    other attributes are computed on first use and kept: ``depth``, the
-    longest strict chain descending from each position; ``rank``, each
-    position's place in key order; ``level``, whether the positions below
-    each one share one depth; and ``inn_pairs``, the relation's own pair
-    objects in the order of ``inn`` (for an index filled in from a lineage,
-    which keeps no pair objects, pairs equal to them, built from the
-    keys).  ``life_intervals`` is None until a
-    ``spacetime.time_slice`` of the space succeeds; it then holds that
-    call's coordinate rows and the life intervals they give,
-    ``(rows, tmin, tmax)``, so that a slice at another time value with the
-    same rows reads them back.
+    bounded by ``i``, one relation step each.  ``pos`` maps each key to its
+    position.  The constructor keeps what it is given and computes
+    nothing: the keys, ``pos`` and both adjacencies, and optionally a
+    topological ``order`` the caller knows (``versioning`` restricts its
+    store's order to the version's positions) and ``pairs``, the
+    relation's pair objects with the position each is onto.  ``_filled``
+    makes an index from the positions of each pair's ends.
+
+    The other attributes are computed on first use and kept: ``order``,
+    unless given, found by Kahn's algorithm, every position before those
+    it is bounded by, or None when the relation has a cycle; ``depth``,
+    the longest strict chain descending from each position; ``rank``,
+    each position's place in key order; ``level``, whether the positions
+    below each one share one depth; and ``inn_pairs``, the relation's own
+    pair objects in the order of ``inn`` (without ``pairs``, pairs equal
+    to them, built from the keys).  So walks, which read only the
+    adjacency (``closure``, ``star``, a path query, a subspace), run no
+    Kahn.  ``life_intervals`` is None until a ``spacetime.time_slice`` of
+    the space succeeds; it then holds that call's coordinate rows and the
+    life intervals they give, ``(rows, tmin, tmax)``, so that a slice at
+    another time value with the same rows reads them back.
     """
 
     def __init__(
         self,
         keys: list[ElementId],
         pos: dict[ElementId, int],
-        pairs: Sequence[BoundedByPair],
-        ends_a: Sequence[int],
-        ends_b: Sequence[int],
+        out: list[list[int]],
+        inn: list[list[int]],
         order: list[int] | None = None,
+        pairs: tuple[Sequence[BoundedByPair], Sequence[int]] | None = None,
     ):
-        out: list[list[int]] = [[] for _ in keys]
-        inn: list[list[int]] = [[] for _ in keys]
-        for a, b in zip(ends_a, ends_b):
-            out[a].append(b)
-            inn[b].append(a)
         self.keys, self.pos, self.out, self.inn = keys, pos, out, inn
-        if order is None:
-            order = _kahn(out)
-        self.order = order if len(order) == len(keys) else None
-        self._pairs, self._ends_b = pairs, ends_b
+        if order is not None:
+            self.order = order
+        self._pairs = pairs
         self.life_intervals: tuple[tuple, list[float], list[float]] | None = None
+
+    @cached_property
+    def order(self) -> list[int] | None:
+        """A topological order of the positions; None when the relation has
+        a cycle."""
+        found = _kahn(self.out)
+        return found if len(found) == len(self.keys) else None
 
     @cached_property
     def depth(self) -> list[int] | None:
@@ -508,44 +513,36 @@ class SpaceIndex:
         ``inn``: both lists come from one walk of the same pairs, or else
         the pairs are built from the keys and ``inn``."""
         keys = self.keys
-        if self._pairs is None:  # filled in from a lineage
+        if self._pairs is None:
             return [
                 _tuples(BoundedByPair, zip(map(keys.__getitem__, above), repeat(k)))
                 for above, k in zip(self.inn, keys)
             ]
         pairs: list[list[BoundedByPair]] = [[] for _ in keys]
-        for p, b in zip(self._pairs, self._ends_b):
+        for p, b in zip(*self._pairs):
             pairs[b].append(p)
         return pairs
 
 
-class _Augmented(SpaceIndex):
-    """A view of the index ``base`` with more pairs, pair ``n`` from
-    position ``ends_a[n]`` to ``ends_b[n]``: it shares the keys and ``pos``
-    of ``base`` and copies its ``out`` and ``inn`` lists in C, building
-    anew only those the pairs touch.  The pairs must join distinct
-    positions and repeat no pair of ``base``.  Walks read only the
-    adjacency, so ``order`` is found by Kahn's algorithm on first use,
-    unless the caller, knowing one, sets it first; ``depth``, ``level``
-    and ``rank`` follow from it as on any index, and ``inn_pairs`` are
-    built from the keys."""
-
-    def __init__(self, base: SpaceIndex, ends_a: Sequence[int], ends_b: Sequence[int]):
-        out, inn = base.out.copy(), base.inn.copy()
-        for adj, ends, other in ((out, ends_a, ends_b), (inn, ends_b, ends_a)):
-            added: dict[int, list[int]] = {}
-            for i, j in zip(ends, other):
-                added.setdefault(i, []).append(j)
-            for i, more in added.items():
-                adj[i] = adj[i] + more
-        self.keys, self.pos, self.out, self.inn = base.keys, base.pos, out, inn
-        self._pairs = self._ends_b = None
-        self.life_intervals = None
-
-    @cached_property
-    def order(self) -> list[int] | None:
-        found = _kahn(self.out)
-        return found if len(found) == len(self.keys) else None
+def _filled(
+    keys: list[ElementId],
+    pos: dict[ElementId, int],
+    pairs: Sequence[BoundedByPair],
+    ends_a: Sequence[int],
+    ends_b: Sequence[int],
+    order: list[int] | None = None,
+) -> SpaceIndex:
+    """The index on ``keys`` of the relation ``pairs``, each given once,
+    with ``pairs[n]`` joining positions ``ends_a[n]`` and ``ends_b[n]``:
+    no key is looked up, and ends read from ``pos`` are its very int
+    objects, so sets of positions find them by identity.  ``order`` is a
+    topological order when the caller knows one."""
+    out: list[list[int]] = [[] for _ in keys]
+    inn: list[list[int]] = [[] for _ in keys]
+    for a, b in zip(ends_a, ends_b):
+        out[a].append(b)
+        inn[b].append(a)
+    return SpaceIndex(keys, pos, out, inn, order, (pairs, ends_b))
 
 
 def _one_depth(depth: list[int], below: Collection[int]) -> bool:
@@ -593,21 +590,17 @@ class _Lineage(NamedTuple):
 
     def index(self) -> SpaceIndex:
         """The space's index: each slot replaced by its position, and the
-        slots whose key is gone (position -1) left out of the order, in C.
-        Its ``inn_pairs`` are built from its keys on first use."""
+        slots whose key is gone (position -1) left out of the order, in C;
+        with no order kept, the index finds one on first read.  Its
+        ``inn_pairs`` are built from its keys on first use."""
         at = dict(zip(self.of, self.pos.values())).get  # the position objects of ``pos``
         position = list(map(at, range(len(self.slot_keys)), repeat(-1))).__getitem__
 
         def by_position(adj: list[list[int]]) -> list[list[int]]:
             return list(map(list, map(map, repeat(position), map(adj.__getitem__, self.of))))
 
-        idx = SpaceIndex.__new__(SpaceIndex)
-        idx.keys, idx.pos = self.keys, self.pos
-        idx.out, idx.inn = by_position(self.out), by_position(self.inn)
-        idx.order = self.order and list(filter((-1).__ne__, map(position, self.order)))
-        idx._pairs = idx._ends_b = None
-        idx.life_intervals = None
-        return idx
+        order = self.order and list(filter((-1).__ne__, map(position, self.order)))
+        return SpaceIndex(self.keys, self.pos, by_position(self.out), by_position(self.inn), order)
 
 
 def _labels(order: list[int], n: int) -> list[int]:
@@ -682,11 +675,11 @@ def _derive(
     of slots of ``space``'s in C, and only those of the slots the edit
     touches are copied again and changed; the lineage keeps no pair
     objects, so a dropped pair is found only in the lists of its two
-    slots.  Its index is filled in from the
-    lineage on first use.  The topological order is kept rather than found
-    again: a gone key's slot stays in it, and ``_ordered`` puts the fresh
-    keys' slots in.  Only when it fails is the order found anew, by Kahn's
-    algorithm.
+    slots.  Its index is filled in from the lineage on first use.  The
+    topological order is kept rather than found again: a gone key's slot
+    stays in it, and ``_ordered`` puts the fresh keys' slots in.  Only
+    when it fails is the index filled in now, and its order, read to
+    check for a cycle, found anew by Kahn's algorithm.
     """
     s = _lineage(space)
     keys = list(elements)
@@ -736,12 +729,10 @@ def _derive(
     lineage = _Lineage(keys, pos, slot_keys, of, out, inn, order, labels)
     if order is None:
         idx = lineage.index()
-        found = _kahn(idx.out)
-        if len(found) < len(keys):
+        if idx.order is None:
             return None
-        idx.order = found
         vars(new)["index"] = idx
-        order = list(map(of.__getitem__, found))
+        order = list(map(of.__getitem__, idx.order))
         lineage = lineage._replace(order=order, labels=_labels(order, len(slot_keys)))
     vars(new)["_lineage"] = lineage
     return new

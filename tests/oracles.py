@@ -858,6 +858,19 @@ def telescope_by_closures(base, edge_matching: bool = True):
     return build_space(els, _reduction(keys, succ), t0_check=False)
 
 
+def telescope_fiber_by_attributes(tele, edge_id: str):
+    """``lod.telescope_fiber`` as first written: the copies whose
+    ``lod_edge`` attribute names the node, found by reading every
+    element of the telescope."""
+    from alexdb.algebra import select_subspace
+    from alexdb.errors import NotFoundError
+
+    keys = [k for k, e in tele.elements.items() if e.attributes.get("lod_edge") == edge_id]
+    if not keys:
+        raise NotFoundError(f"no telescope fiber over {edge_id!r}")
+    return select_subspace(tele, keys)
+
+
 # ---------------------------------------------------------------------------
 # the generalisation checks through level maps
 

@@ -12,7 +12,8 @@ import builders
 import oracles
 from conftest import assert_telescope_reads_as_eager
 from alexdb import demos
-from alexdb.algebra import select_subspace, space_map
+from alexdb.algebra import PRODUCT_SEPARATOR, select_subspace, space_map
+from alexdb.cli import main
 from alexdb.errors import (
     AlexdbError,
     DanglingPairError,
@@ -391,6 +392,85 @@ def level_spaces(draw, total: bool = False) -> Space:
     stored = draw(st.permutations(keys))
     els = [Element(k, f"v{i % 2}", gens.get(k), {"n": i}) for i, k in enumerate(stored)]
     return build_space(els, [BoundedByPair(a, b) for a, b in pairs])
+
+
+def _fibre_outcome(call):
+    """A fibre's elements in order and its relation, or the error text."""
+    try:
+        fibre = call()
+    except NotFoundError as exc:
+        return str(exc)
+    return list(fibre.elements.items()), fibre.relation
+
+
+def _keys_and_pairs(outcome):
+    """A ``_fibre_outcome`` without the elements' columns: the read-back
+    store names its own version."""
+    return outcome if isinstance(outcome, str) else ([k for k, _ in outcome[0]], outcome[1])
+
+
+@given(level_spaces(), st.booleans())
+@settings(max_examples=100)
+def test_a_telescope_fibre_is_the_attribute_scan_and_makes_only_its_elements(space, edge_matching):
+    try:
+        keys = _telescope(space, edge_matching).elements
+    except AlexdbError:
+        return
+    nodes = {k.id.rpartition(PRODUCT_SEPARATOR)[2] for k in keys}
+    made: list[ElementId] = []
+    real = Element.__init__
+
+    def init(self, key, *args, **kwargs):
+        made.append(key)
+        real(self, key, *args, **kwargs)
+
+    for w in sorted(nodes) + ["9-9"]:
+        tele = _telescope(space, edge_matching)  # fresh: no element made yet
+        made.clear()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Element, "__init__", init)
+            got = _fibre_outcome(lambda: telescope_fiber(tele, w))
+        want = _fibre_outcome(lambda: oracles.telescope_fiber_by_attributes(tele, w))
+        assert got == want
+        assert made == ([] if isinstance(got, str) else [k for k, _ in got[0]])
+
+
+@pytest.mark.parametrize("source", ["one level 0", "one level 1", "levels", "regions"])
+def test_a_telescope_written_by_the_cli_and_read_back_has_the_same_fibres(source, tmp_path, capsys):
+    # a telescope with no pair across levels is written as a store, with
+    # each copy's attributes; one with such pairs in the generic layout of
+    # keys and pairs alone, whose fibres the keys still name
+    if source.startswith("one level"):
+        store = builders.random_store(random.Random(int(source[-1])))
+    elif source == "levels":  # two levels and no generalisation
+        store = builders.level_store([("a", "b"), ("c", "b"), ("a:1", "b:1")], {}, ("d:1",))
+    else:
+        store = demos.regions_store()
+    v = sorted(store.vx)[-1]
+    save(store, tmp_path / "store")
+    out = tmp_path / "tele"
+    assert main(["telescope", str(tmp_path / "store"), "--version", v, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out}\n"
+    tele = telescope(store, v)
+    if (out / "Elements.csv").exists():
+        rows = [line.split(",") for line in (out / "Elements.csv").read_text().splitlines()[1:]]
+        pairs = [line.split(",") for line in (out / "Pairs.csv").read_text().splitlines()[1:]]
+        read = build_space(
+            [Element(ElementId(i, int(lod))) for i, lod, _ in rows],
+            [BoundedByPair(ElementId(a, int(al)), ElementId(b, int(bl))) for a, al, b, bl in pairs],
+        )
+        assert source == "regions"
+    else:
+        loaded = load(out)
+        assert list(loaded.vx) == [v]
+        read = reconstruct_version(loaded, v)
+    nodes = sorted({k.id.rpartition(PRODUCT_SEPARATOR)[2] for k in tele.elements})
+    for w in nodes + ["9-9"]:
+        got = _fibre_outcome(lambda: telescope_fiber(read, w))
+        if source != "regions":  # the attributes are read back too
+            assert got == _fibre_outcome(lambda: oracles.telescope_fiber_by_attributes(read, w))
+        want = _fibre_outcome(lambda: telescope_fiber(tele, w))
+        assert _keys_and_pairs(got) == _keys_and_pairs(want)
 
 
 @given(level_spaces(), st.booleans())

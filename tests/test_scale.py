@@ -544,7 +544,8 @@ def test_a_telescope_orders_no_elements_builds_one_index_and_makes_no_element(
 
     for module in (topology, lod, algebra):
         monkeypatch.setattr(module, "_kahn", kahn)
-    _counted(monkeypatch, counts, SpaceIndex, "__init__", "index")
+    # an index filled in from pair ends; the linked view copies its base's lists
+    _counted(monkeypatch, counts, topology, "_filled", "index")
     _counted(monkeypatch, counts, Element, "__init__", "element")
     _counted(monkeypatch, counts, Space, "__init__", "space")
     tele = lod._telescope(base)
@@ -583,7 +584,7 @@ def test_versions_with_path_builds_no_space_beyond_the_versions_it_reads(seed, t
     counts: Counter = Counter()
     _counted(monkeypatch, counts, storage, "reconstruct_version", "read")
     _counted(monkeypatch, counts, Space, "__init__", "space")
-    _counted(monkeypatch, counts, SpaceIndex, "__init__", "index")
+    _counted(monkeypatch, counts, topology, "_filled", "index")
     found = versions_with_path(store, a, b, keys)
     # the version space, and one space with one index for each version
     # read from the rows: none for a space linked across levels

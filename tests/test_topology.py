@@ -14,6 +14,7 @@ from alexdb import (
     EmptySpaceError,
     NotFoundError,
     SizeGuardError,
+    Space,
     T0ViolationError,
     build_space,
     classify,
@@ -31,7 +32,8 @@ from alexdb import (
     star,
     topology,
 )
-from alexdb.algebra import open_reduction
+from alexdb.algebra import open_reduction, select_subspace
+from alexdb.lod import path_query
 from conftest import spaces, spaces_with_subset
 
 
@@ -346,3 +348,42 @@ def test_guard_env_must_be_numeric(monkeypatch):
     big = simple_space([f"k{i}" for i in range(21)], [])
     with pytest.raises(SizeGuardError):
         enumerate_open_sets(big)
+
+
+# ---------------------------------------------------------------------------
+# the topological order, found on first read
+
+
+def test_walks_and_subspaces_find_no_order_until_one_is_read(monkeypatch):
+    # the index of a space built unchecked, or of a bare ``Space``, is
+    # filled in on the first query, and runs Kahn's algorithm only when a
+    # query reads its order: walks read only the adjacency, and a subspace
+    # whose ambient order is not yet found checks its covers on its own
+    # candidate pairs (with the algebra's Kahn run, not counted here)
+    runs = []
+    real = topology._kahn
+    monkeypatch.setattr(topology, "_kahn", lambda out: runs.append(len(out)) or real(out))
+    pairs = [("a", "b"), ("b", "c"), ("a", "c"), ("c", "d"), ("e", "d"), ("f", "e")]
+    checked = simple_space("abcdef", pairs)
+    assert runs == [6]  # the T0 check reads the order
+    runs.clear()
+    unchecked = simple_space("abcdef", pairs, t0_check=False)
+    for space in (unchecked, Space(checked.elements, checked.relation)):
+        assert closure(space, keyset("e")) == keyset("ed")
+        assert star(space, keyset("c")) == keyset("abc")
+        assert path_query(space, keyset("abcd"), ElementId("a"), ElementId("d"))
+        sub = select_subspace(space, keyset("acde"))
+        assert as_names(sub.elements) == set("acde")
+        assert {(p.ida.id, p.idb.id) for p in sub.relation} == {("a", "c"), ("c", "d"), ("e", "d")}
+        assert runs == []
+        assert krull_dimension(space) == 3
+        assert runs == [6]
+        assert krull_dimension(space) == 3 and is_t0(space)
+        assert runs == [6]
+        runs.clear()
+    cyclic = simple_space("abcd", [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")], t0_check=False)
+    assert closure(cyclic, keyset("b")) == keyset("abcd")
+    assert star(cyclic, keyset("d")) == keyset("abcd")
+    assert runs == []
+    assert not is_t0(cyclic)
+    assert runs == [4]

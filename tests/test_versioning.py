@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import builders
 import oracles
-from alexdb import demos, topology, versioning
+from alexdb import demos, lod, topology, versioning
 from alexdb.algebra import select_subspace
 from alexdb.cli import main
 from alexdb.errors import (
@@ -864,6 +864,22 @@ def _leveled(space: Space, rnd: random.Random) -> Space:
     return build_space(els, pairs)
 
 
+def _edited(space: Space, rnd: random.Random) -> Space | None:
+    """``space`` after one random ``apply_changeset``: some keys removed, a
+    fresh key below some kept ones, and pairs between kept keys, which may
+    run against the order kept so far; None when they close a cycle."""
+    keys = list(space.elements)
+    gone = [k for k in keys if rnd.random() < 0.2]
+    kept = [k for k in keys if k not in gone]
+    fresh = Element(ElementId("fresh"))
+    pairs = [(k, fresh.key) for k in kept if rnd.random() < 0.3]
+    pairs += [tuple(rnd.sample(kept, 2)) for _ in range(rnd.randint(0, 2)) if len(kept) > 1]
+    try:
+        return apply_changeset(space, changeset("v2", [fresh], gone, pairs))
+    except T0ViolationError:
+        return None
+
+
 def _lazy(space: Space) -> Space:
     """The same space with its index left to be built on first use."""
     return Space(space.elements, space.relation)
@@ -885,8 +901,24 @@ def test_every_route_to_a_space_index_builds_the_same_one(seed):
         built = build_space(els, pairs, t0_check=t0_check)
         assert _index_facts(built) == _index_facts(_lazy(built))
 
+    # unchecked, the index is filled in on the first walk and its order
+    # found only when read
+    unchecked = build_space(els, rel, t0_check=False)
+    closure(unchecked, list(unchecked.elements)[:1])
+    assert "order" not in vars(unchecked.index)
+    assert _index_facts(unchecked) == _index_facts(_lazy(unchecked))
+
+    # derived by an edit: the index is filled in from the lineage, with
+    # the order kept under the edit or, when a new pair runs against it,
+    # found on first read
+    derived = _edited(space, rnd)
+    if derived is not None:
+        assert _index_facts(derived) == _index_facts(_lazy(derived))
+
     # the space linked across levels, a view of the index of a space on
-    # levels, and its telescope, whose order is known by construction
+    # levels, with its order found by Kahn's algorithm, and its telescope,
+    # whose linked view the telescope may order itself and whose own order
+    # is known by construction
     leveled = _leveled(space, rnd)
     view, linked = _linked_index(leveled), oracles.linked_by_assembly(leveled)
     assert _index_facts(linked, view) == _index_facts(linked)
@@ -894,7 +926,16 @@ def test_every_route_to_a_space_index_builds_the_same_one(seed):
         with pytest.raises(T0ViolationError):
             _telescope(leveled)
     else:
-        tele = _telescope(leveled)
+        views = []
+
+        def kept_view(*args):
+            views.append(_linked_index(*args))
+            return views[-1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lod, "_linked_index", kept_view)
+            tele = _telescope(leveled)
+        assert _index_facts(linked, views[0]) == _index_facts(linked)
         assert "_positions" in vars(tele)
         facts = _index_facts(tele)
         assert facts == _index_facts(_lazy(tele))
