@@ -19,8 +19,7 @@ parent's, so the directory should hold exactly what ``alexdb export --out``
 writes for the reloaded store:
 
     PYTHONPATH=src python scripts/text_history.py --out /tmp/history
-    PYTHONPATH=src python -c 'import sys; from alexdb.cli import main; sys.exit(main())' \\
-        export /tmp/history --out /tmp/export
+    PYTHONPATH=src python -m alexdb.cli export /tmp/history --out /tmp/export
     diff -r /tmp/history /tmp/export
 """
 from __future__ import annotations

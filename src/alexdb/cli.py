@@ -162,15 +162,8 @@ def _cmd_versions_with_path(args) -> int:
     store = storage.load(args.store)
     a = _parse_element(args.a)
     b = _parse_element(args.b)
-    if args.region is None:  # every element some row creates: no version is read
-        region, spaces = {ElementId(w.id, w.lod) for w in store.x}, None
-    else:
-        # the region is its elements in any version; each version is
-        # reconstructed once, for the region and the path alike
-        spaces = {v: reconstruct_version(store, v) for v in store.vx}
-        region = set(querymod.resolve_region(args.region, *spaces.values()))
-    region |= {a, b}
-    versions = storage.versions_with_path(store, a, b, region, args.rule, spaces=spaces)
+    region = storage.region_elements(store, args.region) | {a, b}
+    versions = storage.versions_with_path(store, a, b, region, args.rule)
     for v in sorted(versions):
         print(v)
     if not versions:
@@ -250,6 +243,9 @@ def _cmd_query(args) -> int:
 # argument parsing
 
 
+_RULE_HELP = "consistency rule: t0, linear-dag, surjective or monotonic (repeatable)"
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and kept for the process:
@@ -268,7 +264,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = add("validate", _cmd_validate, "check store consistency")
     p.add_argument("store")
-    p.add_argument("--rule", action="append", default=[], help="extra named rule (repeatable)")
+    p.add_argument("--rule", action="append", default=[], help=_RULE_HELP)
 
     p = add("dim", _cmd_shorthand, "dimension of a version's space")
     p.add_argument("store")
@@ -290,7 +286,7 @@ def _parser() -> argparse.ArgumentParser:
     p = add("merge", _cmd_shorthand, "merge the latest versions of two stores")
     p.add_argument("store_a")
     p.add_argument("store_b")
-    p.add_argument("--rule", action="append", default=[], help="consistency rule (repeatable)")
+    p.add_argument("--rule", action="append", default=[], help=_RULE_HELP)
     p.add_argument("--out")
 
     p = add("path", _cmd_shorthand, "is there a path between two elements within a region")

@@ -11,13 +11,16 @@ and a redundant sliding copy along each level transition.
 
 This module is the one interpreter of a space's generalisation columns
 (each element's ``gen_target``): ``_transitions`` reads them into the level
-transitions, ``_missed_targets`` the targets each transition misses,
-``_level_maps`` builds one map per transition and ``_linked_index`` the
-index of the space joined across levels by generalisation pairs, made
-from copies of the space's own adjacency lists, on which
-``_linked_path_query`` walks and the telescope is built; no linked space
-is built.  ``storage`` asks for these rather than deriving them itself,
-and builds the maps only where it needs the objects themselves.
+transitions, ``_level_maps`` builds one map per transition and
+``_linked_index`` the index of the space joined across levels by
+generalisation pairs, made from copies of the space's own adjacency
+lists, on which ``_linked_path_query`` walks and the telescope is built;
+no linked space is built.  ``storage`` asks for these rather than
+deriving them itself.  The two level rules, "surjective" (read off the
+columns, no subspace built) and "monotonic" (``check_map`` on each level
+map), are consistency rules registered with ``versioning.register_rule``
+beside "t0" and "linear-dag", so ``merge`` and ``validate`` run them as
+they run any other.
 """
 from __future__ import annotations
 
@@ -57,7 +60,7 @@ from .topology import (
     _positions,
     _require_keys,
 )
-from .versioning import reconstruct_version
+from .versioning import ConsistencyConflict, reconstruct_version, register_rule
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .storage import VersionStore
@@ -648,19 +651,6 @@ def _levels(space: Space) -> dict[int, list[ElementId]]:
     return by_level
 
 
-def _missed_targets(space: Space) -> list[tuple[tuple[int, int], set[ElementId]]]:
-    """For each level transition ``(a, b)`` that ``_level_maps`` maps, in
-    sorted order, the keys of level ``b`` that no level-``a`` element
-    generalises onto, read off the generalisation columns: no subspace is
-    built."""
-    by_level = _levels(space)
-    return [
-        ((a, b), set(by_level[b]).difference(targets.values()))
-        for (a, b), targets in _transitions(space).items()
-        if all(t in space for t in targets.values())
-    ]
-
-
 def _level_maps(space: Space) -> dict[tuple[int, int], SpaceMap]:
     """One generalisation map per observed level transition ``(a, b)``, in
     sorted order: from the subspace of the level-``a`` elements that target
@@ -676,3 +666,45 @@ def _level_maps(space: Space) -> dict[tuple[int, int], SpaceMap]:
             source = level(a) if whole else select_subspace(space, targets)
             maps[a, b] = SpaceMap(source, level(b), targets)
     return maps
+
+
+# ---------------------------------------------------------------------------
+# consistency rules on the level maps
+
+
+def _rule_surjective(space: Space) -> list[ConsistencyConflict]:
+    """For each level transition ``(a, b)`` that ``_level_maps`` maps, in
+    sorted order, the keys of level ``b`` that no level-``a`` element
+    generalises onto, read off the generalisation columns: no subspace is
+    built."""
+    by_level = _levels(space)
+    missed = {
+        t: set(by_level[t[1]]).difference(targets.values())
+        for t, targets in _transitions(space).items()
+        if all(map(space.__contains__, targets.values()))
+    }
+    return [_level_conflict("surjective", t, "targets missed:", m) for t, m in missed.items() if m]
+
+
+def _rule_monotonic(space: Space) -> list[ConsistencyConflict]:
+    """The witness of each level map that ``check_map`` finds not
+    monotonic, by transition.  Nothing on a cyclic space: monotonicity is
+    undefined there, and the "t0" rule names the cycle."""
+    if space.index.order is None:
+        return []
+    reports = {t: check_map(g) for t, g in _level_maps(space).items()}
+    return [
+        _level_conflict("monotonic", t, "disconnected preimage of", r.monotonicity_witness)
+        for t, r in reports.items()
+        if not r.monotonic
+    ]
+
+
+def _level_conflict(rule: str, transition: tuple[int, int], what: str, keys) -> ConsistencyConflict:
+    a, b = transition
+    detail = f"levels {a}->{b}: {what} {sorted(str(k) for k in keys)}"
+    return ConsistencyConflict(rule, tuple(sorted(keys)), detail)
+
+
+register_rule("surjective", _rule_surjective)
+register_rule("monotonic", _rule_monotonic)

@@ -368,7 +368,6 @@ class MergeValue:
 @dataclass(frozen=True)
 class EvalContext:
     base_dir: Path = Path(".")
-    store: storage.VersionStore | None = None
     version: str | None = None
     rules: tuple[str, ...] = ()
 
@@ -650,12 +649,10 @@ class _Eval:
         return SpaceValue(_telescope(value.value.space), version=value.version)
 
 
-def resolve_region(name: str, *spaces: Space) -> frozenset[ElementId]:
-    """Keys of the elements whose ``region`` attribute equals ``name``, in
-    any of ``spaces``; ``NotFoundError`` when there are none."""
-    keys = frozenset(
-        k for s in spaces for k, e in s.elements.items() if e.attributes.get("region") == name
-    )
+def resolve_region(name: str, space: Space) -> frozenset[ElementId]:
+    """Keys of the elements of ``space`` whose ``region`` attribute equals
+    ``name``; ``NotFoundError`` when there are none."""
+    keys = frozenset(k for k, e in space.elements.items() if e.attributes.get("region") == name)
     if not keys:
         raise NotFoundError(f"no elements carry region={name!r}")
     return keys

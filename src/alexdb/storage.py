@@ -47,12 +47,14 @@ with one derived from its parent's, holding its newest space, itself
 derived from the parent's space (``versioning.apply_changeset``).
 
 The generalisation columns (``gid``, ``glod``) are read and written here as
-rows only.  ``validate`` reads its continuity and missed-target checks off
-each version's space, with ``lod``'s helpers, and only the "monotonic"
-rule builds the level maps; ``versions_with_path`` answers on each
+rows only.  ``validate`` reads its continuity check off each version's
+space and runs every named rule, through one loop, from the
+consistency-rule registry, where ``lod`` registers the level rules
+"surjective" and "monotonic"; ``versions_with_path`` answers on each
 version's space, through the monotone filter's stages or a path query
 walked on a view of its index linked by its generalisation pairs
-(``lod._linked_path_query``), which builds no second space.
+(``lod._linked_path_query``), which builds no second space, over a
+region that ``region_elements`` reads off the history index.
 
 Attribute values are typed by shape on load: a field that reads back as a
 canonical integer or float literal becomes that number, anything else stays
@@ -94,14 +96,8 @@ from .versioning import (
     reconstruct_version,
     _apply,
 )
-from .algebra import check_map, _restricted_continuity_witness
-from .lod import (
-    _filter_stages,
-    _level_maps,
-    _linked_path_query,
-    _missed_targets,
-    _transitions,
-)
+from .algebra import _restricted_continuity_witness
+from .lod import _filter_stages, _linked_path_query, _transitions
 
 
 # ---------------------------------------------------------------------------
@@ -872,14 +868,16 @@ def validate(store: VersionStore, rules: Sequence[str] = ()) -> list[ValidationI
     graph, per-version reconstructability and T0, and on every
     version that each generalisation target exists and that the
     generalisation map is continuous on the rest (the continuous-foreign-key
-    condition).  ``rules`` adds optional checks per version: "surjective"
-    and "monotonic" for the generalisation map per level transition (the
-    exact monotonicity check of ``check_map`` runs only under "monotonic",
-    once per transition however often it is named), any other name is
-    looked up in the consistency-rule registry.  The continuity witness
-    and the missed targets are read off the version space and its
-    generalisation columns; only "monotonic" builds the level maps.
+    condition), read off the version space and its generalisation
+    columns.  ``rules`` names optional checks from the consistency-rule
+    registry ("t0", "linear-dag", the level rules "surjective" and
+    "monotonic", or any registered one), each run on every version space.
+    Every name is looked up before the store is read, so an unknown one
+    raises ``NotFoundError`` whatever the store holds.  A rule runs once
+    per version however often it is named, and its findings are reported
+    each time it is named, in the order of the names.
     """
+    named = {name.lower(): consistency_rule(name) for name in rules}
     issues = _key_issues(store, _columns(store))
     issues += [
         ValidationIssue("geometry", "Point", f"vertex {p.key} has time coordinate nan", (p.key,))
@@ -898,7 +896,6 @@ def validate(store: VersionStore, rules: Sequence[str] = ()) -> list[ValidationI
         issues.append(ValidationIssue("foreign-key", "VR", str(exc)))
         return issues
 
-    low_rules = {name.lower() for name in rules}
     for v in sorted(vs.versions):
         try:
             space = reconstruct_version(store, v)
@@ -924,41 +921,31 @@ def validate(store: VersionStore, rules: Sequence[str] = ()) -> list[ValidationI
                         witness,
                     )
                 )
-        missed = _missed_targets(space) if "surjective" in low_rules else []
-        reports = (
-            {t: check_map(g) for t, g in _level_maps(space).items()}
-            if "monotonic" in low_rules
-            else {}
-        )
-        for name in rules:
-            low = name.lower()
-            if low == "surjective":
-                issues += [_map_issue(low, v, t, "targets missed:", m) for t, m in missed if m]
-            elif low == "monotonic":
-                issues += [
-                    _map_issue(low, v, t, "disconnected preimage of", r.monotonicity_witness)
-                    for t, r in reports.items()
-                    if not r.monotonic
-                ]
-            else:
-                for conflict in consistency_rule(name)(space):
-                    issues.append(
-                        ValidationIssue(
-                            conflict.rule, f"version {v}", conflict.detail, conflict.witnesses
-                        )
-                    )
+        found = {low: rule(space) for low, rule in named.items()}
+        issues += [
+            ValidationIssue(c.rule, f"version {v}", c.detail, c.witnesses)
+            for name in rules
+            for c in found[name.lower()]
+        ]
     return issues
-
-
-def _map_issue(rule: str, v: str, transition, what: str, keys) -> ValidationIssue:
-    """A finding of an optional rule on the level map of ``transition``."""
-    a, b = transition
-    detail = f"levels {a}->{b}: {what} {sorted(str(k) for k in keys)}"
-    return ValidationIssue(rule, f"version {v}", detail, tuple(sorted(keys)))
 
 
 # ---------------------------------------------------------------------------
 # cross-version queries
+
+
+def region_elements(store: VersionStore, name: str | None = None) -> frozenset[ElementId]:
+    """The elements some row of ``store`` creates, read off the key and
+    attribute columns of its history index, so no version is read: all of
+    them, or only those whose ``region`` attribute equals ``name``.
+    Raises ``NotFoundError`` when no element carries that region."""
+    keys, _, _, attributes = store.history.elements
+    if name is None:
+        return frozenset(keys)
+    found = frozenset(k for k, atts in zip(keys, attributes) if ("region", name) in atts)
+    if not found:
+        raise NotFoundError(f"no elements carry region={name!r}")
+    return found
 
 
 def versions_with_path(
@@ -967,7 +954,6 @@ def versions_with_path(
     b: ElementId,
     region: Iterable[ElementId],
     rules: Sequence[str] = (),
-    spaces: Mapping[str, Space] | None = None,
 ) -> frozenset[str]:
     """All versions in which ``a`` reaches ``b`` inside ``region``.
 
@@ -985,10 +971,9 @@ def versions_with_path(
     alive is read off each version's row in the store's history index, so
     a version where one is dead is skipped and not reconstructed: a fault
     only such a version holds (a pair naming a key it lacks, say) is not
-    raised, though ``reconstruct_version`` raises it there.  ``spaces``,
-    when given, maps every version to its reconstructed space, so a caller
-    that already holds them (to look a region up) does not reconstruct
-    them twice.
+    raised, though ``reconstruct_version`` raises it there.
+    ``region_elements`` reads a region off the store without reading a
+    version.
     """
     unknown = [r for r in rules if r.lower() != "monotonic"]
     if unknown:
@@ -1003,7 +988,7 @@ def versions_with_path(
     for v in sorted(store.version_space().versions):
         if not (index.alive(v, a) and index.alive(v, b)):
             continue
-        space = spaces[v] if spaces is not None else reconstruct_version(store, v)
+        space = reconstruct_version(store, v)
         sub = region_keys & space.keys()
         answer = _filtered_region_answer(space, sub, a, b) if monotonic else None
         if answer is None:

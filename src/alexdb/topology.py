@@ -69,6 +69,7 @@ Conventions used throughout:
 """
 from __future__ import annotations
 
+import os
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -83,11 +84,13 @@ from .errors import (
     DuplicateKeyError,
     EmptySpaceError,
     NotFoundError,
+    SizeGuardError,
     T0ViolationError,
 )
-from .limits import OPEN_SET_GUARD, check_guard
 
 Scalar = Union[str, int, float]
+
+OPEN_SET_GUARD = 20  # the most elements ``enumerate_open_sets`` takes by default
 
 
 class ElementId(NamedTuple):
@@ -880,11 +883,21 @@ def star(space: Space, a_set: Iterable[ElementId]) -> frozenset[ElementId]:
 def enumerate_open_sets(space: Space) -> frozenset[frozenset[ElementId]]:
     """The full family of open sets, by brute force over all subsets.
 
-    Guarded: 2^n subsets are checked, so spaces beyond the bound are
-    refused rather than silently slow.
+    Guarded: 2^n subsets are checked, so spaces over ``OPEN_SET_GUARD``
+    elements, or ``ALEXDB_SIZE_GUARD`` when that is set, are refused with
+    ``SizeGuardError`` rather than silently slow.
     """
     n = len(space.elements)
-    check_guard(n, OPEN_SET_GUARD, "enumerate_open_sets")
+    raw = os.environ.get("ALEXDB_SIZE_GUARD")
+    try:
+        bound = OPEN_SET_GUARD if raw is None else int(raw)
+    except ValueError:
+        raise SizeGuardError(f"ALEXDB_SIZE_GUARD must be an integer, got {raw!r}")
+    if n > bound:
+        raise SizeGuardError(
+            f"enumerate_open_sets: input has {n} elements, exceeding the bound {bound} "
+            f"(set ALEXDB_SIZE_GUARD to override)"
+        )
     # bit i stands for position i of the index; bound_mask[j]: bits of all a
     # with (a, keys[j]) in R — they must accompany j
     keys = space.index.keys

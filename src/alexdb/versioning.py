@@ -901,7 +901,11 @@ _RULES: dict[str, RuleFn] = {}
 
 
 def register_rule(name: str, fn: RuleFn) -> None:
-    """Register a named consistency predicate usable by merge and validate."""
+    """Register a named consistency predicate usable by merge and validate.
+
+    Names are case-blind, and a name registered again runs the newer
+    function.  Four rules are built in: "t0" and "linear-dag" here, and
+    the level rules "surjective" and "monotonic" in ``lod``."""
     _RULES[name.lower()] = fn
 
 

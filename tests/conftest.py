@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
 from alexdb import BoundedByPair, Element, ElementId, Space, build_space, new_store, save, simple_space
+from alexdb import versioning
 from alexdb.cli import _write_space_csv
 from alexdb.lod import telescope_fiber
 
@@ -25,6 +26,14 @@ settings.load_profile("suite")
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xA1EC5)
+
+
+@pytest.fixture
+def rule_registry(monkeypatch) -> dict:
+    """The consistency-rule registry, as a copy that the test may register
+    rules into; the registry is as it was once the test ends."""
+    monkeypatch.setattr(versioning, "_RULES", dict(versioning._RULES))
+    return versioning._RULES
 
 
 @st.composite

@@ -52,13 +52,14 @@ from alexdb.storage import (
     validate,
     versions_with_path,
 )
-from alexdb.versioning import changeset, reconstruct_version, text_space
+from alexdb.versioning import ConsistencyConflict, changeset, merge, reconstruct_version, text_space
 from alexdb.topology import (
     BoundedByPair,
     Element,
     ElementId,
     Space,
     build_space,
+    find_cycle,
     krull_dimension,
     simple_space,
 )
@@ -92,6 +93,23 @@ def test_chain_from_store_requires_generalisation_targets():
     store = new_store("v1", build_space([fine, coarse], []))
     with pytest.raises(NotFoundError):
         chain_from_store(store, "v1")
+
+
+def test_chain_from_store_of_one_level_is_that_level_alone():
+    store = new_store("v1", simple_space(["a", "b"], [("a", "b")]))
+    chain = chain_from_store(store, "v1")
+    assert (chain.levels, chain.gens) == ((0,), ())
+    (only,) = chain.spaces
+    assert ids(only.keys()) == {"a", "b"}
+    assert only.relation == reconstruct_version(store, "v1").relation
+
+
+def test_chain_from_store_refuses_a_target_off_the_next_level():
+    # a skips level 1 and generalises straight onto level 2
+    store = builders.level_store(pairs=[], gen={"a": "T:2", "b": "P:1", "P:1": "T:2"})
+    with pytest.raises(NotFoundError) as err:
+        chain_from_store(store, "v1")
+    assert str(err.value) == "mapping image not in target: ['T:2']"
 
 
 def test_chain_validation_rejects_malformed_chains():
@@ -148,6 +166,14 @@ def test_filtered_query_coarse_no_is_final():
     assert trace == type(trace)(
         answer=False, coarse_answer=False, preimage_saturated=None, used_fallback=False
     )
+
+
+def test_filtered_query_refuses_an_endpoint_outside_the_region():
+    g = regions_chain().gens[0]
+    A, B = ElementId("A"), ElementId("B")
+    with pytest.raises(NotFoundError) as err:
+        filtered_path_query(g, [A], A, B)
+    assert str(err.value) == "query endpoints must lie in the region: A, B"
 
 
 def test_filtered_query_saturated_yes_is_final():
@@ -530,6 +556,54 @@ def check_store_against_level_maps(store, rules, a, b, region):
         got = outcome(lambda: versions_with_path(store, a, b, region, rule))
         old = outcome(lambda: oracles.versions_with_path_by_level_maps(store, a, b, region, monotonic))
         assert got == old
+
+
+def level_space(**spec) -> Space:
+    return reconstruct_version(builders.level_store(**spec), "v1")
+
+
+@given(level_spaces(total=True))
+def test_merge_reports_the_level_rules_as_validate_does(space):
+    # a store holds no pair across levels
+    pairs = [p for p in space.relation if p.ida.lod == p.idb.lod]
+    within = build_space(space.elements.values(), pairs)
+    rules = ["monotonic", "surjective"]
+    _, report = merge(within, within, rules)
+    found = [i for i in validate(new_store("v1", within), rules) if i.rule in rules]
+    assert report.consistency == tuple(
+        ConsistencyConflict(i.rule, i.witnesses, i.detail) for i in found
+    )
+
+
+def test_merge_of_two_level_spaces_reports_the_level_findings():
+    # level 0 of the one maps onto P:1 alone, missing Q:1; the preimage
+    # {x, y} of X:1 in the other is disconnected
+    a = level_space(pairs=[("ab", "a"), ("ab", "b")], gen={"a": "P:1", "b": "P:1", "ab": "P:1"},
+                    extra=("Q:1",))
+    b = level_space(pairs=[], gen={"x": "X:1", "y": "X:1"})
+    merged, report = merge(a, b, ["surjective", "monotonic"])
+    missed = ConsistencyConflict(
+        "surjective", (ElementId("Q", 1),), "levels 0->1: targets missed: ['Q:1']"
+    )
+    split = ConsistencyConflict(
+        "monotonic", (ElementId("X", 1),), "levels 0->1: disconnected preimage of ['X:1']"
+    )
+    assert (report.inherent, report.consistency) == ((), (missed, split))
+    issues = validate(new_store("v1", merged), ["surjective", "monotonic"])
+    assert [(i.rule, i.witnesses, i.detail) for i in issues] == [
+        (c.rule, c.witnesses, c.detail) for c in (missed, split)
+    ]
+
+
+def test_merge_into_a_cycle_reports_it_under_t0_beside_the_level_rules():
+    spec = dict(gen={"a": "P:1", "b": "P:1"}, extra=("Q:1",))
+    a, b = level_space(pairs=[("a", "b")], **spec), level_space(pairs=[("b", "a")], **spec)
+    merged, report = merge(a, b, ["t0", "surjective", "monotonic"])
+    assert find_cycle(merged) is not None
+    assert [(c.rule, c.detail) for c in report.consistency] == [
+        ("t0", "relation has a cycle"),
+        ("surjective", "levels 0->1: targets missed: ['Q:1']"),
+    ]
 
 
 @given(level_spaces(), st.data())

@@ -50,7 +50,7 @@ from alexdb.query import (
     print_expr,
 )
 from alexdb.storage import (
-    DelXRow, RRow, VersionStore, XRow, load, reconstruct_version, save
+    AttRow, DelXRow, RRow, VersionStore, XRow, load, reconstruct_version, save
 )
 from alexdb.topology import ElementId
 
@@ -319,6 +319,32 @@ def test_cli_validate_flags_a_disconnected_pair_preimage_among_16_targets(tmp_pa
     assert (code, out) == (0, f"{line}\n")
 
 
+def test_cli_validate_names_every_rule_it_accepts_when_refusing_one(demo_dir, capsys):
+    code, out, err = run_cli(capsys, "validate", str(demo_dir / "regions"), "--rule", "bogus")
+    want = "error: unknown consistency rule 'bogus'; known: linear-dag, monotonic, surjective, t0\n"
+    assert (code, out, err) == (1, "", want)
+
+
+def test_cli_merge_runs_the_level_rules(demo_dir, tmp_path, capsys):
+    for rule in ("surjective", "monotonic"):
+        code, out, err = run_cli(
+            capsys, "merge", str(demo_dir / "help"), str(demo_dir / "halo"), "--rule", rule
+        )
+        assert (code, out, err) == (0, "no conflicts\n", "")
+    # Z:1 is missed and the preimage {x, y} of X:1 is disconnected
+    store = builders.level_store(pairs=[], gen={"x": "X:1", "y": "X:1"}, extra=("Z:1",))
+    save(store, tmp_path / "store")
+    code, out, err = run_cli(
+        capsys, "merge", str(tmp_path / "store"), str(tmp_path / "store"),
+        "--rule", "surjective", "--rule", "monotonic",
+    )
+    assert (code, err) == (0, "")
+    assert out == (
+        "consistency[surjective]: levels 0->1: targets missed: ['Z:1']\n"
+        "consistency[monotonic]: levels 0->1: disconnected preimage of ['X:1']\n"
+    )
+
+
 @pytest.mark.parametrize(
     "text, where",
     [
@@ -459,7 +485,6 @@ def counting(monkeypatch, counts, targets):
 
 
 LEVEL_MAP_ROUTES = [
-    (alexdb.storage, "_level_maps"),
     (alexdb.lod, "_level_maps"),
     (alexdb.storage, "_linked_path_query"),
     (alexdb.lod, "_linked_index"),
@@ -567,6 +592,30 @@ def test_cli_versions_with_path_without_a_region_reports_no_fault_of_a_version_i
     assert (code, out, err) == (0, "v0\n", "")
     code, out, err = run_cli(capsys, "versions-with-path", str(tmp_path / "S"), "1", "1")
     assert (code, out) == (1, "") and err.startswith("error: ")
+
+
+def test_cli_versions_with_path_looks_a_region_up_without_reading_a_version(tmp_path, capsys):
+    # 1 and 2 lie in region R; v1 deletes 2 but keeps the pair (1, 2), so
+    # reading v1 fails; the region is read off the store's rows, and the
+    # query skips v1, where 2 is dead
+    store = VersionStore(
+        x=(XRow("1", 0, None, None, "v0"), XRow("2", 0, None, None, "v0")),
+        r=(RRow("1", "2", 0, "v0"),),
+        delx=(DelXRow("2", 0, "v1"),),
+        vx=("v0", "v1"),
+        vr=(("v0", "v1"),),
+        atts=(AttRow("1", 0, "region", "R"), AttRow("2", 0, "region", "R")),
+    )
+    save(store, tmp_path / "S")
+    path = str(tmp_path / "S")
+    code, out, err = run_cli(capsys, "versions-with-path", path, "1", "2", "--region", "R")
+    assert (code, out, err) == (0, "v0\n", "")
+    code, out, err = run_cli(capsys, "versions-with-path", path, "1", "2", "--region", "Q")
+    assert (code, out, err) == (1, "", "error: no elements carry region='Q'\n")
+    # no row creates zz, so no version holds it
+    assert not load(path).history.alive("v0", ElementId("zz"))
+    code, out, err = run_cli(capsys, "versions-with-path", path, "1", "zz")
+    assert (code, out, err) == (0, "(none)\n", "")
 
 
 def test_cli_versions_with_path_takes_a_region_missing_from_some_versions(tmp_path, capsys):

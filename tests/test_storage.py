@@ -30,6 +30,7 @@ from alexdb.storage import (
     DelRRow,
     DelXRow,
     RRow,
+    ValidationIssue,
     VersionStore,
     XRow,
     canonicalize,
@@ -43,7 +44,7 @@ from alexdb.storage import (
     versions_with_path,
 )
 from alexdb.topology import BoundedByPair, Element, ElementId, build_space, simple_space
-from alexdb.versioning import changeset
+from alexdb.versioning import ConsistencyConflict, changeset, register_rule
 
 
 def read_text(store_dir, name):
@@ -919,7 +920,7 @@ def test_validate_checks_each_level_transition_once_per_version(monkeypatch, rul
 
         return wrapper
 
-    monkeypatch.setattr(alexdb.storage, "check_map", counting("check_map", alexdb.storage.check_map))
+    monkeypatch.setattr(alexdb.lod, "check_map", counting("check_map", alexdb.lod.check_map))
     monkeypatch.setattr(
         alexdb.algebra, "is_connected", counting("is_connected", alexdb.algebra.is_connected)
     )
@@ -928,6 +929,64 @@ def test_validate_checks_each_level_transition_once_per_version(monkeypatch, rul
     assert counted["check_map"] == calls
     if not calls:
         assert counted["is_connected"] == 0
+
+
+@pytest.mark.parametrize(
+    "store",
+    [
+        VersionStore(vx=("v0", "v1"), vr=(("v0", "v1"), ("v1", "v0"))),
+        VersionStore(x=(XRow("1", 0, None, None, "v0"),), r=(RRow("1", "2", 0, "v0"),), vx=("v0",)),
+        VersionStore(),
+    ],
+    ids=["cyclic-versions", "no-version-reads", "no-versions"],
+)
+def test_validate_refuses_an_unknown_rule_before_reading_the_store(store):
+    with pytest.raises(NotFoundError, match="unknown consistency rule 'bogus'"):
+        validate(store, ["bogus"])
+
+
+def counted_rule(calls: list, finding=None):
+    """A rule that records the size of each space it runs on and reports
+    ``finding``, when given, on every one."""
+
+    def rule(space):
+        calls.append(len(space.elements))
+        return [] if finding is None else [finding]
+
+    return rule
+
+
+def test_validate_runs_a_rule_once_per_version_and_reports_it_each_time_it_is_named(
+    rule_registry,
+):
+    store = three_level_history()
+    calls = []
+    finding = ConsistencyConflict("x", (ElementId("a"),), "a is flagged")
+    register_rule("x", counted_rule(calls, finding))
+    issues = validate(store, ["x", "X", "x"])
+    assert sorted(calls) == [5, 6]  # v1 and v2, once each
+    v1, v2 = (
+        ValidationIssue("x", f"version {v}", "a is flagged", (ElementId("a"),)) for v in ("v1", "v2")
+    )
+    assert issues == [v1, v1, v1, v2, v2, v2]
+
+
+def test_validate_runs_a_registry_rule_named_twice_once_per_version(rule_registry):
+    calls = []
+    register_rule("t0", counted_rule(calls))
+    assert validate(three_level_history(), ["t0", "T0"]) == []
+    assert len(calls) == 2
+
+
+def test_validate_runs_a_rule_registered_under_a_level_rule_name(rule_registry):
+    calls = []
+    finding = ConsistencyConflict("surjective", (), "replaced")
+    register_rule("surjective", counted_rule(calls, finding))
+    store = builders.level_store(**MISSED_STORE)
+    assert validate(store, ["surjective"]) == [
+        ValidationIssue("surjective", "version v1", "replaced", ())
+    ]
+    assert calls == [5]
 
 
 def test_faulty_regions_store_breaks_generalisation_continuity():

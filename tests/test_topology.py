@@ -292,6 +292,25 @@ def test_preorder_matches_closure_membership(space):
         assert order.ancestors(x) == star(space, [x])
 
 
+@given(spaces(max_elements=8))
+def test_preorder_holds_and_comparable_follow_closure(space):
+    order = preorder(space)
+    keys = sorted(space.keys())
+    for x in keys:
+        for y in keys:
+            below = y in closure(space, [x])
+            assert order.holds(x, y) == below
+            assert order.comparable(x, y) == (below or x in closure(space, [y]))
+
+
+def test_element_of_a_missing_key_is_refused():
+    space = simple_space(["a"])
+    assert space.element(ElementId("a")).key == ElementId("a")
+    with pytest.raises(NotFoundError) as err:
+        space.element(ElementId("b", 1))
+    assert str(err.value) == "no element b:1 in space"
+
+
 @given(spaces(max_elements=10))
 def test_dimension_equals_exhaustive_longest_chain(space):
     pairs = [(p.ida, p.idb) for p in space.relation]

@@ -52,6 +52,7 @@ from alexdb.topology import (
 )
 from alexdb.versioning import (
     ConsistencyConflict,
+    InherentConflict,
     apply_changeset,
     changeset,
     consistency_rule,
@@ -1434,7 +1435,31 @@ def test_two_document_merge_golden():
     ]
 
 
-def test_unknown_rules_are_rejected_and_custom_rules_run():
+def test_linear_dag_reports_a_cycle_and_a_split_into_components():
+    a, b = ElementId("a"), ElementId("b")
+    cyclic = build_space(
+        [Element(a), Element(b)], [BoundedByPair(a, b), BoundedByPair(b, a)], t0_check=False
+    )
+    assert consistency_rule("linear-dag")(cyclic) == [
+        ConsistencyConflict("linear-dag", (b, a), "relation has a cycle")
+    ]
+    # the smallest of three components is the witness
+    apart = simple_space(["a", "b", "c", "d", "e"], [("a", "b"), ("c", "d")])
+    assert consistency_rule("linear-dag")(apart) == [
+        ConsistencyConflict("linear-dag", (ElementId("e"),), "3 components, not one chain")
+    ]
+
+
+def test_merge_reports_a_key_generalising_to_two_targets():
+    p, q = ElementId("p", 1), ElementId("q", 1)
+    left = build_space([Element(ElementId("a"), gen_target=p), Element(p), Element(q)], [])
+    right = build_space([Element(ElementId("a"), gen_target=q), Element(p), Element(q)], [])
+    merged, report = merge(left, right)
+    assert report.inherent == (InherentConflict(ElementId("a"), "gen_target", p, q),)
+    assert merged.elements[ElementId("a")].gen_target == p
+
+
+def test_unknown_rules_are_rejected_and_custom_rules_run(rule_registry):
     with pytest.raises(NotFoundError):
         consistency_rule("no-such-rule")
 
