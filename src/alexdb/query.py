@@ -233,8 +233,8 @@ class _Parser:
         if not (self.peek().kind == "punct" and self.peek().text == ")"):
             while True:
                 tok = self.peek()
-                nxt = self.tokens[self.i + 1]
-                if tok.kind == "ident" and nxt.kind == "punct" and nxt.text == "=":
+                # an identifier is never the last token, which is ``eof``
+                if tok.kind == "ident" and self.tokens[self.i + 1].text == "=":
                     name = self.take().text
                     self.take()  # '='
                     if any(k == name for k, _ in kwargs):
@@ -671,6 +671,7 @@ def _kind(value) -> str:
         int: "a number",
         float: "a number",
         str: "a string",
+        tuple: "a pair",
     }
     return names.get(type(value), type(value).__name__)
 

@@ -43,8 +43,10 @@ cached on the store, which relies on that contract: never change a store's
 row tuples, build a new store instead.  A loaded store builds the index on
 first use, in one pass over its tables' columns (so a command that reads no
 version, such as ``export --out``, builds none); a committed store arrives
-with one derived from its parent's, holding its newest space, itself
-derived from the parent's space (``versioning.apply_changeset``).
+with one derived from its parent's, holding its newest space: the
+changeset applied to the parent's space, with the neighbours of each
+removed element and the T0 proof read off the parent's index, whose slots
+are the only slot numbering.
 
 The generalisation columns (``gid``, ``glod``) are read and written here as
 rows only.  ``validate`` reads its continuity check off each version's
@@ -72,7 +74,7 @@ import stat
 import tempfile
 from bisect import bisect_left
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import islice
 from operator import add, attrgetter, eq, ge, itemgetter, not_
 from pathlib import Path
@@ -95,6 +97,7 @@ from .versioning import (
     consistency_rule,
     reconstruct_version,
     _apply,
+    _refuse_cycle,
 )
 from .algebra import _restricted_continuity_witness
 from .lod import _filter_stages, _linked_path_query, _transitions
@@ -415,9 +418,13 @@ def commit(
     parent store's without reading a row, and holding the new version's
     space: committing again from the new version, or reconstructing it,
     reads no rows.  A parent the index does not hold is reconstructed
-    from its row of live columns.  That space and its index are derived
-    from the parent space's, its tables are the parent's with the new rows
-    put in place, and it keeps the CSV lines of its files, derived from the
+    from its row of live columns, and its own index is not built: the
+    neighbours of each removed element are read off the history index
+    (``HistoryIndex.near``), and the store's one topological order, kept
+    under the commit by ``derive``, proves the new space T0.  Only when no
+    such order is kept does the new space run Kahn's algorithm itself.
+    The new store's tables are the parent's with the new rows put in
+    place, and it keeps the CSV lines of its files, derived from the
     parent's, which ``save`` writes.  A boolean attribute value, or a field that
     ``load`` could not read back (see ``_element_rows``), is rejected
     with ``StoreFormatError``.
@@ -435,11 +442,18 @@ def commit(
         replace(el, attributes=dict(sorted({**recorded[el.key], **el.attributes}.items())))
         for el in changes.add_elements
     ))
-    new_space, dropped, linked = _apply(reconstruct_version(store, parent), merged)
-    _check_generalisation(new_space, changes)
+    parent_space = reconstruct_version(store, parent)
+    new_space, dropped, linked = _apply(parent_space, merged, partial(index.near, parent))
     removed = sorted(changes.remove_elements)
     created = sorted(changes.add_elements, key=attrgetter("key"))
     added = [el.key for el in created]
+    # what ``history`` would build from the rows, without reading them; the
+    # union's order, kept under the commit, proves the new space T0
+    index.union_order()
+    history = index.derive(parent, v, new_space, removed, added, dropped, linked)
+    if type(history.order) is not list:  # no such order: the new space checks itself
+        _refuse_cycle(new_space, parent_space, merged)
+    _check_generalisation(new_space, changes)
 
     # rows of the values the changeset brings; one already recorded is skipped
     new_x, new_atts = _element_rows(created, v)
@@ -480,8 +494,7 @@ def commit(
         )
     child = _stored(**tables)
     vars(child)["_lines"] = kept
-    # what ``history`` would build from the rows, without reading them
-    vars(child)["history"] = index.derive(parent, v, new_space, removed, added, dropped, linked)
+    vars(child)["history"] = history
     return child
 
 
@@ -966,8 +979,11 @@ def versions_with_path(
     saturation test, then the region itself only when the filter is
     inconclusive.  Every stage queries the version space, and the direct
     query walks a view of its index with the generalisation pairs added,
-    so neither the level maps nor a linked space is built; any other rule
-    name is refused with ``NotFoundError``.  Whether the endpoints are
+    so neither the level maps nor a linked space is built.  Every rule
+    name is looked up in the consistency-rule registry first, as
+    ``validate`` does, so an unknown one is refused with its
+    ``NotFoundError``; a registered rule other than "monotonic" leaves the
+    route unchanged.  Whether the endpoints are
     alive is read off each version's row in the store's history index, so
     a version where one is dead is skipped and not reconstructed: a fault
     only such a version holds (a pair naming a key it lacks, say) is not
@@ -975,14 +991,13 @@ def versions_with_path(
     ``region_elements`` reads a region off the store without reading a
     version.
     """
-    unknown = [r for r in rules if r.lower() != "monotonic"]
-    if unknown:
-        raise NotFoundError(f"unknown rule {unknown[0]!r}; known: monotonic")
+    for name in rules:  # an unknown name is refused before a version is read
+        consistency_rule(name)
     region_keys = frozenset(region)
     if a not in region_keys or b not in region_keys:
         raise NotFoundError(f"query endpoints must lie in the region: {a}, {b}")
     index = store.history
-    monotonic = bool(rules)
+    monotonic = "monotonic" in map(str.lower, rules)
 
     hits = []
     for v in sorted(store.version_space().versions):

@@ -27,16 +27,12 @@ order.
 ``versioning`` hands it a topological order as well, its store's one
 order restricted to the version, which proves T0; the space then fills
 its index in from the positions and that order on the first query that
-needs it.  ``versioning.apply_changeset`` derives its result from its
-input instead (``_derive``): the adjacency is kept by slot, so that
-positions shift without a list being renumbered, and the topological
-order is kept valid under the edit by ``_ordered``, which keeps the
-store's order too, rather than found again.  Such a space fills its
-index in from the slots on the first query that needs it.  The index is
-cached on the space.  The cache relies on a contract: a ``Space`` is
-immutable.  Never mutate its ``elements`` mapping or its relation; build
-a new space instead.  The contract covers each ``Element`` and its
-attribute dict too, since spaces share them:
+needs it.  A bare ``Space``, such as ``versioning.apply_changeset``
+returns, fills its index in from its elements and relation, looking each
+pair end up once.  The index is cached on the space.  The cache relies
+on a contract: a ``Space`` is immutable.  Never mutate its ``elements``
+mapping or its relation; build a new space instead.  The contract covers
+each ``Element`` and its attribute dict too, since spaces share them:
 ``versioning.apply_changeset`` keeps its input's, and every space read
 from one store shares those the store's history index has built.  The
 index also keeps each element's chain length (its dimension), computed
@@ -46,10 +42,9 @@ Subspaces (``algebra.select_subspace`` and ``spacetime.time_slice``) work
 on index positions too.  They list their keys in key order by sorting
 positions by a rank kept on the index, and take the pairs they share with
 the ambient relation from the index, which keeps them by target position:
-the relation's own pair objects, or equal ones built from the keys for a
-space derived by an edit.  Only the pairs that pass through dropped elements are built;
-when the candidate pairs must be reduced, the reduction builds the pairs
-it keeps.
+the relation's own pair objects.  Only the pairs that pass through
+dropped elements are built; when the candidate pairs must be reduced,
+the reduction builds the pairs it keeps.
 
 Connectivity of a subspace is one component walk.  From each kept element
 found, it walks down and up through dropped elements to the nearest kept
@@ -70,7 +65,6 @@ Conventions used throughout:
 from __future__ import annotations
 
 import os
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
@@ -157,13 +151,9 @@ class Space:
     def index(self) -> SpaceIndex:
         """Integer-indexed adjacency of the relation, built on the first
         query that needs it and kept for the life of this (immutable)
-        space: from the lineage of a space ``_derive`` made, from the
-        positions (and order, when known) ``_assemble`` kept, or else from
-        the elements and relation.  Its order is found on first read
-        unless it was known."""
-        lineage = vars(self).get("_lineage")
-        if lineage is not None:  # a space made by ``_derive``
-            return lineage.index()
+        space: from the positions (and order, when known) ``_assemble``
+        kept, or else from the elements and relation.  Its order is found
+        on first read unless it was known."""
         known = vars(self).pop("_positions", None)
         if known is None:  # a bare ``Space``, or a relation given a pair twice
             keys = list(self.elements)
@@ -551,194 +541,6 @@ def _filled(
 def _one_depth(depth: list[int], below: Collection[int]) -> bool:
     """Whether the positions ``below`` share one depth."""
     return len(below) < 2 or len(set(map(depth.__getitem__, below))) == 1
-
-
-# ---------------------------------------------------------------------------
-# spaces derived by an edit
-
-
-class _Lineage(NamedTuple):
-    """A space's adjacency kept by slot, from which the spaces derived from
-    it by an edit (``_derive``) take theirs without renumbering a position.
-
-    A slot is a number given to a key, which keeps it in every space
-    derived from the one that gave it, while positions shift as keys come
-    and go; a key that comes back takes a new slot.  ``keys`` and ``pos``
-    are the space's index positions.  ``slot_keys[t]`` is the key of slot
-    ``t``, ``of[i]`` the slot of position ``i``, and ``out[t]`` and
-    ``inn[t]`` list the slots ``t`` is bounded by and those bounded by
-    ``t``: a pair is its two slots, so an edit drops one from the few
-    slots next to each of its ends.  ``order`` lists the slots in a
-    topological order, by rising ``labels[t]`` (both None on a cycle),
-    which ``_ordered`` keeps under an edit.  The lists of a slot whose key
-    is gone are stale, and no live list names it; it stays in ``order``,
-    and ``index`` leaves it out.  Lineages share these lists and their
-    entries; none is changed once made."""
-
-    keys: list[ElementId]
-    pos: dict[ElementId, int]
-    slot_keys: list[ElementId]
-    of: list[int]
-    out: list[list[int]]
-    inn: list[list[int]]
-    order: list[int] | None
-    labels: list | None
-
-    def near(self, key: ElementId) -> tuple[list[ElementId], list[ElementId]]:
-        """The keys bounded by ``key`` and those it is bounded by, one
-        relation step each."""
-        t = self.of[self.pos[key]]
-        key_of = self.slot_keys.__getitem__
-        return list(map(key_of, self.inn[t])), list(map(key_of, self.out[t]))
-
-    def index(self) -> SpaceIndex:
-        """The space's index: each slot replaced by its position, and the
-        slots whose key is gone (position -1) left out of the order, in C;
-        with no order kept, the index finds one on first read.  Its
-        ``inn_pairs`` are built from its keys on first use."""
-        at = dict(zip(self.of, self.pos.values())).get  # the position objects of ``pos``
-        position = list(map(at, range(len(self.slot_keys)), repeat(-1))).__getitem__
-
-        def by_position(adj: list[list[int]]) -> list[list[int]]:
-            return list(map(list, map(map, repeat(position), map(adj.__getitem__, self.of))))
-
-        order = self.order and list(filter((-1).__ne__, map(position, self.order)))
-        return SpaceIndex(self.keys, self.pos, by_position(self.out), by_position(self.inn), order)
-
-
-def _labels(order: list[int], n: int) -> list[int]:
-    """Labels of the slots below ``n``: each one's place in ``order``."""
-    labels = [0] * n
-    for place, t in enumerate(order):
-        labels[t] = place
-    return labels
-
-
-def _ordered(
-    order: list[int], labels: list, fresh: Sequence[int], linked: Sequence[tuple[int, int]]
-) -> bool:
-    """Put the slots ``fresh`` of one edit, which links the pairs of slots
-    ``linked``, into ``order`` and its ``labels``, in place; False when the
-    order does not hold for the linked pairs, and must be found anew.
-
-    The order lists slots by rising label, one label per slot, so the
-    fresh slots number on from ``len(labels)``.  Each goes just before the
-    first slot it is bounded by that is already placed, found by bisecting
-    the labels, with a label halfway to that slot's predecessor; or last."""
-    below: dict[int, list[int]] = {}
-    for a, b in linked:
-        below.setdefault(a, []).append(b)
-    for t in fresh:  # rising, so ``labels`` holds a label per placed slot
-        bounds = [labels[u] for u in below.get(t, ()) if u < len(labels)]
-        if bounds:
-            high = min(bounds)
-            place = bisect_left(order, high, key=labels.__getitem__)
-            low = labels[order[place - 1]] if place else high - 1
-            label = (low + high) / 2
-            if not low < label < high:  # no label is left between them
-                return False
-        else:
-            place, label = len(order), labels[order[-1]] + 1 if order else 0
-        order.insert(place, t)
-        labels.append(label)
-    return all(labels[a] < labels[b] for a, b in linked)
-
-
-def _lineage(space: Space) -> _Lineage:
-    """The lineage of ``space``: the one it was derived with, unless its
-    slots outnumber its keys twice over, else one read off its index with
-    slot ``i`` for position ``i``, which is kept on the space.  So slots
-    stay in proportion to keys along a chain of derivations."""
-    found = vars(space).get("_lineage")
-    if found is None or len(found.slot_keys) > 2 * len(found.keys):
-        idx = space.index
-        ids = list(range(len(idx.keys)))
-        found = vars(space)["_lineage"] = _Lineage(
-            idx.keys, idx.pos, idx.keys, ids, idx.out, idx.inn, idx.order,
-            idx.order and _labels(idx.order, len(ids)),
-        )
-    return found
-
-
-def _derive(
-    space: Space,
-    elements: dict[ElementId, Element],
-    gone: Collection[ElementId],
-    fresh: Collection[ElementId],
-    dropped: Sequence[BoundedByPair],
-    linked: Sequence[BoundedByPair],
-) -> Space | None:
-    """The space on ``elements`` whose relation is that of ``space`` without
-    the pairs ``dropped`` and with the pairs ``linked``; None when that
-    relation has a cycle.  ``elements`` holds the keys of ``space``
-    without those ``gone`` and with those ``fresh``, each pair of a gone
-    key is among ``dropped``, and ``linked`` joins keys of ``elements``.
-
-    Python work follows the edit: the new space's lineage copies the lists
-    of slots of ``space``'s in C, and only those of the slots the edit
-    touches are copied again and changed; the lineage keeps no pair
-    objects, so a dropped pair is found only in the lists of its two
-    slots.  Its index is filled in from the lineage on first use.  The
-    topological order is kept rather than found again: a gone key's slot
-    stays in it, and ``_ordered`` puts the fresh keys' slots in.  Only
-    when it fails is the index filled in now, and its order, read to
-    check for a cycle, found anew by Kahn's algorithm.
-    """
-    s = _lineage(space)
-    keys = list(elements)
-    pos = dict(zip(keys, range(len(keys))))
-    slot = s.of.__getitem__
-    old = s.pos.__getitem__
-    of = s.of.copy()
-    for i in sorted(map(old, gone), reverse=True):
-        del of[i]
-    slot_keys, out, inn = s.slot_keys.copy(), s.out.copy(), s.inn.copy()
-    new_slots = []
-    for k in sorted(fresh, key=pos.__getitem__):
-        t = len(slot_keys)
-        of.insert(pos[k], t)
-        slot_keys.append(k)
-        out.append([])
-        inn.append([])
-        new_slots.append(t)
-    owned = set(new_slots), set(new_slots)  # slots whose lists are this space's own
-
-    def own(adj: list[list[int]], t: int, mine: set[int]) -> list[int]:
-        if t not in mine:
-            adj[t] = adj[t].copy()
-            mine.add(t)
-        return adj[t]
-
-    for p in dropped:
-        ta, tb = slot(old(p[0])), slot(old(p[1]))
-        if p[0] in pos:
-            own(out, ta, owned[0]).remove(tb)
-        if p[1] in pos:
-            own(inn, tb, owned[1]).remove(ta)
-    linked_slots = []
-    for p in linked:
-        ta, tb = of[pos[p[0]]], of[pos[p[1]]]
-        own(out, ta, owned[0]).append(tb)
-        own(inn, tb, owned[1]).append(ta)
-        linked_slots.append((ta, tb))
-
-    order, labels = s.order, s.labels
-    if order is not None:
-        order, labels = order.copy(), labels.copy()
-        if not _ordered(order, labels, new_slots, linked_slots):
-            order = None
-
-    new = Space(elements, space.relation.difference(dropped).union(linked))
-    lineage = _Lineage(keys, pos, slot_keys, of, out, inn, order, labels)
-    if order is None:
-        idx = lineage.index()
-        if idx.order is None:
-            return None
-        vars(new)["index"] = idx
-        order = list(map(of.__getitem__, idx.order))
-        lineage = lineage._replace(order=order, labels=_labels(order, len(slot_keys)))
-    vars(new)["_lineage"] = lineage
-    return new
 
 
 def find_cycle(space: Space) -> list[ElementId] | None:

@@ -58,10 +58,6 @@ from .topology import (
     _assemble,
     _bits,
     _dangling_error,
-    _derive,
-    _labels,
-    _lineage,
-    _ordered,
     _rank_masks,
     _topological_order,
     _tuples,
@@ -202,28 +198,56 @@ def apply_changeset(space: Space, changes: ChangeSet) -> Space:
     Reflexive pairs are dropped.  The new space keeps the elements of
     ``space`` in their order and puts each added one where key order
     places it, so a space in key order gives one in key order.
+
+    The neighbours of a removed element are read off the index of
+    ``space``, which is filled in if it was not, and the T0 check runs
+    Kahn's algorithm over the new space, as ``build_space`` would: each
+    call costs a pass over the whole space, so a chain of edits costs the
+    chain's length times the space's size.  ``storage.commit`` applies a
+    changeset with neither pass, reading both off its store's history
+    index.
     """
-    return _apply(space, changes)[0]
+    new = _apply(space, changes, _steps(space))[0]
+    _refuse_cycle(new, space, changes)
+    return new
 
 
-def _apply(space: Space, changes: ChangeSet) -> tuple[Space, list, list]:
-    """``apply_changeset``, with the pairs it drops from the relation and
-    those it links into it, each in pair order.
+def _steps(space: Space) -> Callable[[ElementId], tuple[list[ElementId], list[ElementId]]]:
+    """The lookup of the keys bounded by a key of ``space`` and those it is
+    bounded by, one relation step each, read off ``space.index``."""
 
-    The work follows the changeset, not the space: the neighbours of a
-    removed element are read from the lineage of ``space``, which the new
-    space is derived from (``topology._derive``), and only the pairs that
-    change are kept as sets.  Errors are those of applying the changes one
-    by one to copies and building the space anew: a cycle is named as
-    ``build_space`` would name it, searched over the elements of ``space``
-    in their order and then the added ones in changeset order.
+    def near(key: ElementId) -> tuple[list[ElementId], list[ElementId]]:
+        idx = space.index
+        i, key_of = idx.pos[key], idx.keys.__getitem__
+        return list(map(key_of, idx.inn[i])), list(map(key_of, idx.out[i]))
+
+    return near
+
+
+def _apply(
+    space: Space,
+    changes: ChangeSet,
+    near: Callable[[ElementId], tuple[list[ElementId], list[ElementId]]],
+) -> tuple[Space, list, list]:
+    """``apply_changeset`` without its T0 check, with the pairs it drops
+    from the relation and those it links into it, each in pair order.
+
+    The work follows the changeset, not the space: ``near`` gives the keys
+    bounded by a key of ``space`` and those it is bounded by, one relation
+    step each, and is asked only about the keys a removal touches; only
+    the pairs that change are kept as sets.  The removed keys are left out
+    of the element order by one filter in C, not one search per key, which
+    would be quadratic on a mass removal.  The new space is a plain
+    ``Space``, which fills its index in on first read.  Errors are those of
+    applying the changes one by one to copies, in the same precedence;
+    the caller proves the result T0, or names its cycle with
+    ``_refuse_cycle``.
     """
     gone = changes.remove_elements
     elements = space.elements
     missing = [k for k in gone if k not in elements]
     if missing:
         raise NotFoundError(f"cannot remove unknown elements: {sorted(str(k) for k in missing)}")
-    lineage = _lineage(space)
     relation = space.relation
     dropped: set[BoundedByPair] = set()  # pairs of ``relation`` the changes take out
     linked: set[BoundedByPair] = set()  # pairs not in ``relation`` they put in
@@ -240,19 +264,19 @@ def _apply(space: Space, changes: ChangeSet) -> tuple[Space, list, list]:
         elif p not in relation:
             linked.add(p)
 
-    # the one-step neighbours of each key a removal touches, read from the
-    # lineage on first touch and kept up to date as bypass pairs go in
-    near: dict[ElementId, tuple[set[ElementId], set[ElementId]]] = {}
+    # the one-step neighbours of each key a removal touches, read with
+    # ``near`` on first touch and kept up to date as bypass pairs go in
+    found: dict[ElementId, tuple[set[ElementId], set[ElementId]]] = {}
 
     def sides(k: ElementId) -> tuple[set[ElementId], set[ElementId]]:
-        if k not in near:
-            above, below = lineage.near(k)
-            near[k] = set(above), set(below)
-        return near[k]
+        if k not in found:
+            above, below = near(k)
+            found[k] = set(above), set(below)
+        return found[k]
 
     for x in sorted(gone):
         above, below = sides(x)
-        del near[x]
+        del found[x]
         for y in above:
             sides(y)[1].discard(x)
             unlink(BoundedByPair(y, x))
@@ -270,10 +294,8 @@ def _apply(space: Space, changes: ChangeSet) -> tuple[Space, list, list]:
         else:
             raise NotFoundError(f"cannot remove pair not in relation: {p}")
 
-    keys = list(lineage.keys)
-    values = list(elements.values())
-    for i in sorted(map(lineage.pos.__getitem__, gone), reverse=True):
-        del keys[i], values[i]
+    keys = list(filterfalse(gone.__contains__, elements))
+    values = list(map(elements.__getitem__, keys))
     added: dict[ElementId, Element] = {}
     for el in changes.add_elements:
         if el.key in added or (el.key in elements and el.key not in gone):
@@ -295,13 +317,21 @@ def _apply(space: Space, changes: ChangeSet) -> tuple[Space, list, list]:
     for p in pairs:
         link(p)
 
-    dropped_pairs, linked_pairs = sorted(dropped), sorted(linked)
-    new = _derive(space, new_elements, gone, added, dropped_pairs, linked_pairs)
-    if new is None:
-        # the cycle ``build_space`` names, found in the order it searched
-        as_built = {k: e for k, e in elements.items() if k not in gone}
-        _topological_order(Space({**as_built, **added}, relation.difference(dropped) | linked))
-    return new, dropped_pairs, linked_pairs
+    new = Space(new_elements, relation.difference(dropped).union(linked))
+    return new, sorted(dropped), sorted(linked)
+
+
+def _refuse_cycle(new: Space, space: Space, changes: ChangeSet) -> None:
+    """Raise ``T0ViolationError`` when ``new``, the space ``_apply`` made
+    from ``space`` and ``changes``, has a cycle: Kahn's algorithm runs over
+    the index of ``new``, and a cycle is named as ``build_space`` would name
+    it, searched over the elements of ``space`` in their order and then the
+    added ones in changeset order."""
+    if new.index.order is None:
+        gone = changes.remove_elements
+        as_built = {k: e for k, e in space.elements.items() if k not in gone}
+        as_built.update((el.key, new.elements[el.key]) for el in changes.add_elements)
+        _topological_order(Space(as_built, new.relation))
 
 
 # ---------------------------------------------------------------------------
@@ -407,16 +437,9 @@ def _rows(
     for j in versions.order:
         parents = versions.inn[j]
         if len(parents) > 1:
-            row = bytearray(width)
-            for i in _live(created, deleted, ancestry[j], descendants):
-                row[i] = 1
+            rows[j] = _edited(b"", width, _live(created, deleted, ancestry[j], descendants), [])
         else:
-            row = bytearray(rows[parents[0]] if parents else width)
-            for i in made[j]:
-                row[i] = 1
-            for i in gone[j]:
-                row[i] = 0
-        rows[j] = bytes(row)
+            rows[j] = _edited(rows[parents[0]] if parents else b"", width, made[j], gone[j])
     return rows
 
 
@@ -430,6 +453,44 @@ def _edited(row: bytes, width: int, born: list[int], died: list[int]) -> bytes:
     for t in died:
         edited[t] = 0
     return bytes(edited)
+
+
+def _labels(order: list[int], n: int) -> list[int]:
+    """Labels of the slots below ``n``: each one's place in ``order``."""
+    labels = [0] * n
+    for place, t in enumerate(order):
+        labels[t] = place
+    return labels
+
+
+def _ordered(
+    order: list[int], labels: list, fresh: Sequence[int], linked: Sequence[tuple[int, int]]
+) -> bool:
+    """Put the slots ``fresh`` of one edit, which links the pairs of slots
+    ``linked``, into ``order`` and its ``labels``, in place; False when the
+    order does not hold for the linked pairs, and must be found anew.
+
+    The order lists slots by rising label, one label per slot, so the
+    fresh slots number on from ``len(labels)``.  Each goes just before the
+    first slot it is bounded by that is already placed, found by bisecting
+    the labels, with a label halfway to that slot's predecessor; or last."""
+    below: dict[int, list[int]] = {}
+    for a, b in linked:
+        below.setdefault(a, []).append(b)
+    for t in fresh:  # rising, so ``labels`` holds a label per placed slot
+        bounds = [labels[u] for u in below.get(t, ()) if u < len(labels)]
+        if bounds:
+            high = min(bounds)
+            place = bisect_left(order, high, key=labels.__getitem__)
+            low = labels[order[place - 1]] if place else high - 1
+            label = (low + high) / 2
+            if not low < label < high:  # no label is left between them
+                return False
+        else:
+            place, label = len(order), labels[order[-1]] + 1 if order else 0
+        order.insert(place, t)
+        labels.append(label)
+    return all(labels[a] < labels[b] for a, b in linked)
 
 
 class HistoryIndex:
@@ -471,8 +532,12 @@ class HistoryIndex:
     algorithm on first use (``union_order``), and False when the union
     has a cycle; a version then checks T0 by itself.  ``labels`` numbers
     the slots along the order, so that a slot's place in it is found by
-    bisection; ``derive`` keeps both with ``topology._ordered``, the
-    routine that keeps a derived space's order too.
+    bisection; ``derive`` keeps both with ``_ordered``, so the order kept
+    also proves each committed version's space T0.  ``by_end`` is None
+    until ``near`` first reads it, and then lists, by element slot, each
+    pair column with an end there as its ``(pair slot, pair)``, leaving
+    out reflexive pairs and ends no row creates: a commit reads the
+    neighbours of the keys it removes off it and the parent's row.
     Columns of plain ints and tuples, rather than a container per element,
     keep the index small and mostly outside the garbage collector's reach.
     ``broken`` lists, in row order, each element or pair with the mask of
@@ -499,7 +564,7 @@ class HistoryIndex:
     """
 
     __slots__ = ("names", "bit", "ancestry", "elements", "stray", "slots", "pairs", "pair_slots",
-                 "rows", "ends", "loose", "order", "labels", "broken", "held", "built")
+                 "rows", "ends", "loose", "order", "labels", "by_end", "broken", "held", "built")
 
     def __init__(self, store: "VersionStore"):
         versions = store.version_space().as_space()
@@ -545,6 +610,7 @@ class HistoryIndex:
         self.pair_slots = range(len(p_created))
         self.ends = ends_a, ends_b
         self.loose = -1 in ends_a or -1 in ends_b
+        self.by_end = None
         self.rows = list(zip(
             _rows(versions.index, self.ancestry, descendants, created,
                   list(map(el_deleted.get, keys, repeat(0))), made),
@@ -579,6 +645,29 @@ class HistoryIndex:
             else:
                 self.order, self.labels = order, _labels(order, len(order))
         return self.order if self.order is not False else None
+
+    def near(self, v: str, key: ElementId) -> tuple[list[ElementId], list[ElementId]]:
+        """The keys bounded by ``key`` at version ``v`` and those it is
+        bounded by, one relation step each, with no space read: the pair
+        columns with an end at the slot of ``key`` that are alive in the
+        pair row of ``v``.  ``key`` must be alive at ``v``."""
+        if self.by_end is None:
+            by_end: list[list[tuple[int, BoundedByPair]]] = [[] for _ in self.slots]
+            for t, p, a, b in zip(self.pair_slots, self.pairs, *self.ends):
+                if a != b:  # a reflexive pair is in no version's relation
+                    for end in (a, b):
+                        if end >= 0:
+                            by_end[end].append((t, p))
+            self.by_end = by_end
+        row = self.rows[self.bit[v]][1]
+        above, below = [], []
+        for t, p in self.by_end[self.slots[bisect_left(self.elements[0], key)]]:
+            if t < len(row) and row[t]:
+                if p[1] == key:
+                    above.append(p[0])
+                else:
+                    below.append(p[1])
+        return above, below
 
     def attributes(self, key: ElementId) -> dict:
         """The attributes recorded for ``key``, by name, whether or not a
@@ -630,9 +719,11 @@ class HistoryIndex:
         The slots, ``ends``, ``order`` and ``labels`` are copied and kept up
         to date, with no Kahn order: ``_ordered`` puts the new keys' slots
         into the order, and an order not yet found, or a cyclic union,
-        passes on as it is.  When some pair names a key no row created
-        (``loose``), a new key may complete it: its ends take the new slots,
-        and the order is found again on first use.  ``built`` carries over,
+        passes on as it is.  ``by_end`` is copied with the new pair columns
+        added to the lists of their ends.  When some pair names a key no
+        row created (``loose``), a new key may complete it: its ends take
+        the new slots, and the order and ``by_end`` are found again on
+        first use.  ``built`` carries over,
         with a new key's entry the element ``space`` holds, except for a key
         created again: its column gains a creation and may gain attributes,
         which every version then reads.  The derived index holds ``space``,
@@ -684,6 +775,7 @@ class HistoryIndex:
         ends = self.ends[0].copy(), self.ends[1].copy()
         p_died = [pair_slots[bisect_left(pairs, _row_order(p), key=_row_order)] for p in dropped]
         p_born = []
+        p_made = []  # the slot, pair and end slots of each new pair column
         at = [(slots[bisect_left(keys, a)], slots[bisect_left(keys, b)]) for a, b in linked]
         for p, (a, b) in zip(linked, at):
             i = bisect_left(pairs, _row_order(p), key=_row_order)
@@ -691,6 +783,7 @@ class HistoryIndex:
                 p_born.append(pair_slots[i])
             else:  # a new column
                 p_born.append(len(pair_slots))
+                p_made.append((p_born[-1], p, a, b))
                 pairs.insert(i, p)
                 pair_slots.insert(i, p_born[-1])
                 ends[0].insert(i, a)
@@ -700,18 +793,23 @@ class HistoryIndex:
             _edited(row, len(slots), born, died), _edited(pair_row, len(pair_slots), p_born, p_died)
         )]
 
-        loose, order, labels = self.loose, self.order, self.labels
+        loose, order, labels, by_end = self.loose, self.order, self.labels, self.by_end
         if made and loose:  # a new key may complete a pair that named it
             for end, column in enumerate(ends):
                 for i in compress(count(), map(eq, column, repeat(-1))):
                     column[i] = made.get(pairs[i][end], -1)
             loose = -1 in ends[0] or -1 in ends[1]
-            order, labels = False if order is False else None, None
+            order, labels, by_end = False if order is False else None, None, None
         elif type(order) is list:
             order, labels = order.copy(), labels.copy()
             if not _ordered(order, labels, range(len(self.slots), len(slots)), at):
                 order = labels = None
-        new.pairs, new.pair_slots = pairs, pair_slots
+        if by_end is not None:  # each new pair column joins the lists of its ends
+            by_end = by_end + [[] for _ in range(len(slots) - len(self.slots))]
+            for t, p, a, b in p_made:
+                by_end[a] = by_end[a] + [(t, p)]
+                by_end[b] = by_end[b] + [(t, p)]
+        new.pairs, new.pair_slots, new.by_end = pairs, pair_slots, by_end
         new.slots, new.ends, new.loose, new.order, new.labels = slots, ends, loose, order, labels
         return new
 

@@ -459,9 +459,18 @@ def test_cli_versions_with_path(demo_dir, capsys):
 def test_cli_versions_with_path_refuses_an_unknown_rule(demo_dir, capsys):
     store = str(demo_dir / "pathdemo")
     code, out, err = run_cli(capsys, "versions-with-path", store, "a", "b", "--rule", "bogus")
-    assert (code, out, err) == (1, "", "error: unknown rule 'bogus'; known: monotonic\n")
+    assert (code, out, err) == (1, "", "error: unknown consistency rule 'bogus'; "
+                                       "known: linear-dag, monotonic, surjective, t0\n")
     code, out, err = run_cli(capsys, "versions-with-path", store, "a", "b", "--rule", "monotonic")
     assert (code, out.split(), err) == (0, ["v1", "v3"], "")
+
+
+def test_cli_versions_with_path_takes_every_rule_the_registry_knows(demo_dir, capsys):
+    # a level rule other than monotonic leaves the route, and the answer, as it is
+    store = str(demo_dir / "regions")
+    for rules in ([], ["--rule", "surjective"], ["--rule", "T0", "--rule", "linear-dag"]):
+        code, out, err = run_cli(capsys, "versions-with-path", store, "A", "B", *rules)
+        assert (code, out, err) == (0, "v1\n", "")
 
 
 def test_cli_versions_with_path_documents_its_rule_option(capsys):
@@ -706,6 +715,57 @@ def test_cli_query_parse_errors_point_at_the_spot(demo_dir, capsys):
     lines = err.splitlines()
     assert lines[0].startswith("parse error at 9")
     assert lines[2] == " " * 9 + "^"
+
+
+# query text, exit code, and the first line it prints (stdout on success,
+# stderr on failure); ``{demo}`` stands for the store directory
+QUERY_OUTCOMES = [
+    # refusals of the evaluator, each a typed error
+    ('slice(load("lineland"))', 1, "error: slice: slice requires t=<time>"),
+    ('slice(load("lineland"), t=a)', 1, "error: slice: t must be a number"),
+    ("telescope(space({a}))", 1, "error: telescope: telescope expects a loaded store"),
+    ("load(a)", 1, "error: load: load expects a quoted store path"),
+    ('load("lineland", version={a})', 1, "error: load: version must be a string"),
+    ("space(a)", 1, "error: space: space expects a set of elements"),
+    ("quotient(space({a}), a)", 1, "error: quotient: quotient expects a set of class sets"),
+    ("quotient(space({a}), {a})", 1, "error: quotient: quotient classes must be sets"),
+    ("merge(space({a}), space({b}), rules={1})", 1,
+     "error: merge: rules must be a set of rule-name strings"),
+    ("closure(space({a}), {x -> y})", 1, "error: closure: expected an element, got a pair"),
+    ("closure(space({a}), {{a}})", 1, "error: closure: expected an element, got a set"),
+    ("closure(space({a}), a)", 1, "error: closure: expected an element set, got an element"),
+    ("image(space({a}))", 1, "error: image: expected a mapping, got a space"),
+    ("space({a}, a)", 1, "error: space: expected a set of pairs, got an element"),
+    # values the evaluator accepts
+    ("dim(merge(space({a}), space({b})))", 0, "0"),  # a merge result used as a space
+    ("closure(space({1, a}), {1})", 0, "1"),  # a number as an element
+    ('dim(load("textstore", version=v1))', 0, "3"),  # an unquoted version name
+    # string escapes, and the parse errors of ``expect``, ``atom`` and level tags
+    ('load("a\\"b")', 1, 'error: no store directory {demo}/a"b'),
+    ('load("a\\q")', 1, "parse error at 7: bad escape in string literal (at position 7)"),
+    ("dim(load(x", 1, "parse error at 10: expected ')', found 'end of input' (at position 10)"),
+    ("dim(", 1, "parse error at 4: expected a value, found 'end of input' (at position 4)"),
+    ("x:a", 1, "parse error at 2: expected 'num', found 'a' (at position 2)"),
+    ('"s":x', 1, "parse error at 4: expected 'num', found 'x' (at position 4)"),
+    ("x:-1", 1, "parse error at 2: level tag must be non-negative (at position 2)"),
+    ("x:1.5", 1, "parse error at 2: level tag must be an integer (at position 2)"),
+]
+
+
+@pytest.mark.parametrize("text, code, line", QUERY_OUTCOMES)
+def test_cli_query_refuses_or_answers_each_form_with_its_exit_code_and_line(
+    demo_dir, capsys, text, code, line
+):
+    got, out, err = run_cli(capsys, "query", text, "--store", str(demo_dir))
+    assert got == code
+    assert (err if code else out).splitlines()[0] == line.format(demo=demo_dir)
+    assert not (out if code else err)
+
+
+def test_a_node_that_is_no_expression_cannot_be_evaluated():
+    with pytest.raises(QueryEvalError) as err:
+        evaluate(42)
+    assert str(err.value) == "<root>: cannot evaluate 42"
 
 
 def test_cli_query_rejects_deep_nesting_with_a_parse_error(demo_dir, capsys):

@@ -505,11 +505,48 @@ def test_one_element_commits_build_no_index_and_reconstruct_no_parent(monkeypatc
                                 add_pairs=[(a, f"n{i}"), (f"n{i}", b)], remove_pairs=[(a, b)])
         store = commit(store, parent, changes)
         parent = version
-    # v0 alone, which no commit made, is read from the columns, and its
-    # space's index built
-    assert counts == Counter({"rows": 1, "space index": 1, "kahn": 1})
+    # v0 alone, which no commit made, is read from the columns, with the
+    # union's order found once; no space's index is built, since each
+    # commit reads its neighbours off the history index
+    assert counts == Counter({"rows": 1, "kahn": 1})
     assert len(reconstruct_version(store, parent)) == 1000
-    assert counts == Counter({"rows": 1, "space index": 1, "kahn": 1})
+    assert counts == Counter({"rows": 1, "kahn": 1})
+
+
+def test_commits_from_older_parents_fill_no_index_of_the_parent(monkeypatch):
+    # each commit starts from a version drawn at random, which the index
+    # does not hold, so it reads that parent from the columns; the
+    # neighbours of the key it removes come off the history index, and
+    # the union's order proves the new space T0, so no space's index is
+    # filled in, the parent's or the child's
+    rng = random.Random(11)
+    store = new_store("v0", text_space("ab" * 200))
+    store.history  # noqa: B018 - build the index, and the version space's, before counting
+    filled = Counter()
+    real = topology._filled
+
+    def counted(*args):
+        filled["index"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(topology, "_filled", counted)
+    for i in range(1, 121):
+        parent = rng.choice(store.vx)
+        space = reconstruct_version(store, parent)
+        version = f"v{i}"
+        if i % 2:
+            changes = changeset(version, remove_elements=[rng.choice(sorted(space.elements))])
+        else:  # a letter between two neighbours
+            a, b = rng.choice(sorted(space.relation))
+            letter = Element(ElementId(f"n{i}"), attributes={"letter": "z"})
+            changes = changeset(version, add_elements=[letter],
+                                add_pairs=[(a, f"n{i}"), (f"n{i}", b)], remove_pairs=[(a, b)])
+        store = commit(store, parent, changes)
+    assert filled == Counter()
+    for v in rng.sample(store.vx, 10):
+        assert outcome(reconstruct_version(store, v)) == outcome(
+            oracles.reconstruct_version_by_hulls(store, v)
+        )
 
 
 def _counted(monkeypatch, counts: Counter, owner, name: str, label: str) -> None:

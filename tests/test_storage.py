@@ -1248,12 +1248,14 @@ def test_versions_with_path_requires_endpoints_in_region():
 def test_versions_with_path_refuses_unknown_rules():
     store = demos.path_store()
     a, b = ElementId("a"), ElementId("b")
-    for rules in (["bogus"], ["monotonic", "bogus"], ["t0"]):
+    for rules in (["bogus"], ["monotonic", "bogus"], ["t0", "Bogus"]):
         with pytest.raises(NotFoundError) as err:
             versions_with_path(store, a, b, [a, b], rules=rules)
-        assert str(err.value) == f"unknown rule {rules[-1]!r}; known: monotonic"
-    # the one known name, in any case
-    assert versions_with_path(store, a, b, [a, b], rules=["Monotonic"]) == {"v1", "v3"}
+        assert str(err.value) == (f"unknown consistency rule {rules[-1]!r}; "
+                                  "known: linear-dag, monotonic, surjective, t0")
+    # every name the registry knows, in any case
+    for rules in (["Monotonic"], ["t0"], ["surjective", "LINEAR-DAG"]):
+        assert versions_with_path(store, a, b, [a, b], rules=rules) == {"v1", "v3"}
 
 
 def test_filtered_and_direct_region_queries_agree():

@@ -200,6 +200,26 @@ def test_apply_changeset_matches_the_rescanning_reference(space_subset, rnd):
     assert outcome(apply_changeset, space, changes) == want
 
 
+@given(spaces_with_subset(), st.randoms(use_true_random=False))
+def test_apply_changeset_refuses_a_cycle_it_closes_as_the_rebuilding_reference_does(
+    space_subset, rnd
+):
+    # a fresh key bounded by the upper end of a surviving pair and bounding
+    # its lower end closes a cycle through both, after the removals
+    space, removed = space_subset
+    pairs = sorted(apply_changeset(space, changeset("w", remove_elements=removed)).relation)
+    if not pairs:
+        return
+    a, b = rnd.choice(pairs)
+    changes = changeset("v", add_elements=[Element(ElementId("new"))],
+                        remove_elements=removed, add_pairs=[(b, "new"), ("new", a)])
+    with pytest.raises(T0ViolationError) as want:
+        oracles.apply_changeset_by_rebuild(space, changes)
+    with pytest.raises(T0ViolationError) as got:
+        apply_changeset(space, changes)
+    assert (str(got.value), got.value.cycle) == (str(want.value), want.value.cycle)
+
+
 def test_added_elements_are_stamped_with_the_target_version():
     space = simple_space(["a"])
     out = apply_changeset(
@@ -909,9 +929,8 @@ def test_every_route_to_a_space_index_builds_the_same_one(seed):
     assert "order" not in vars(unchecked.index)
     assert _index_facts(unchecked) == _index_facts(_lazy(unchecked))
 
-    # derived by an edit: the index is filled in from the lineage, with
-    # the order kept under the edit or, when a new pair runs against it,
-    # found on first read
+    # derived by an edit: a plain space, whose index is filled in from its
+    # elements and relation
     derived = _edited(space, rnd)
     if derived is not None:
         assert _index_facts(derived) == _index_facts(_lazy(derived))
@@ -1199,29 +1218,14 @@ def test_keys_put_in_one_gap_again_and_again_run_out_of_labels_and_find_the_orde
     assert len(reconstruct_version(store, "v79")) == 81
 
 
-def test_a_chain_of_edits_with_no_store_keeps_its_order_past_the_labels_and_the_rebuild(
-    monkeypatch,
-):
+def test_a_chain_of_edits_with_no_store_indexes_each_space_as_build_space_does():
     # 80 keys put into one gap, each between the key put in before it and
-    # "2", then most keys removed, so that the lineage's slots outnumber
-    # its keys twice over and it is read off the index again; each space is
-    # derived from the one before
-    kahn = Counter()
-
-    def counted(out):
-        kahn["runs"] += 1
-        return real(out)
-
-    real = topology._kahn
+    # "2", then most keys removed; each space is derived from the one before
     space = text_space("ab")
-    sizes = []  # the lineage's slots and keys after each edit
 
     def edit(changes):
-        monkeypatch.setattr(topology, "_kahn", counted)
         new = apply_changeset(space, changes)
-        monkeypatch.setattr(topology, "_kahn", real)
         assert _index_facts(new) == _index_facts(build_space(new.elements.values(), new.relation))
-        sizes.append((len(vars(new)["_lineage"].slot_keys), len(new)))
         return new
 
     above = ElementId("1")
@@ -1233,11 +1237,112 @@ def test_a_chain_of_edits_with_no_store_keeps_its_order_past_the_labels_and_the_
     for i in range(1, 61):
         space = edit(changeset(f"w{i}", remove_elements=[f"1.{i:02d}"]))
     assert [k.id for k in space.elements] == ["1", *(f"1.{i}" for i in range(61, 81)), "2"]
-    # rebuilt when the slots outnumber the keys twice over, and only then
-    assert all(slots <= 2 * keys + 2 for slots, keys in sizes)
-    assert [b < a for (a, _), (b, _) in zip(sizes, sizes[1:])].count(True) == 1
-    # the labels of one gap run out once; the order found anew is labelled again
-    assert 1 <= kahn["runs"] <= 3
+
+
+def _near_reads_each_version_index(store: VersionStore) -> None:
+    """``HistoryIndex.near`` gives, for every key of every version that
+    reads, the keys one relation step above and below it that the
+    version's own index holds."""
+    index = store.history
+    for v in sorted(store.vx):
+        try:
+            idx = reconstruct_version(store, v).index
+        except AlexdbError:  # a version that does not read is never a parent
+            continue
+        for k, i in idx.pos.items():
+            above, below = index.near(v, k)
+            assert sorted(above) == sorted(map(idx.keys.__getitem__, idx.inn[i])), (v, k)
+            assert sorted(below) == sorted(map(idx.keys.__getitem__, idx.out[i])), (v, k)
+
+
+def test_the_history_reads_each_key_s_neighbours_as_the_version_index_holds_them(tmp_path):
+    # branching histories with keys created again, then a join of two
+    # versions, whose row is read off the masks, and commits from it;
+    # ``near`` is read after each commit, so the next one carries its lists
+    joins = 0
+    for seed in range(8):
+        rnd = random.Random(seed)
+        stores = builders.committed_history(rnd, max_commits=6)
+        for store in stores:
+            _near_reads_each_version_index(store)
+        store = stores[-1]
+        for a, b in sorted((a, b) for a in store.vx for b in store.vx if a < b):
+            joined = dataclasses.replace(store, vx=store.vx + ("join",),
+                                         vr=store.vr + ((a, "join"), (b, "join")))
+            try:
+                reconstruct_version(joined, "join")
+            except AlexdbError:
+                continue
+            store, joins = joined, joins + 1
+            break
+        parents = sorted(store.vx)
+        for i in range(6):
+            parent = rnd.choice(parents)
+            version = f"w{i}"
+            changes = _random_edit(rnd, store, reconstruct_version(store, parent), version)
+            try:
+                store = commit(store, parent, changes)
+            except AlexdbError:
+                continue
+            parents.append(version)
+            _near_reads_each_version_index(store)
+        _near_reads_each_version_index(load(save(store, tmp_path / str(seed))))
+    assert joins >= 4
+
+
+def test_the_history_reads_neighbours_past_a_pair_that_named_an_uncreated_key(tmp_path):
+    # v0 holds the pair (1, ghost) before any row creates ghost, so v0 does
+    # not read; v3 creates ghost, which completes the pair's end, v4 links
+    # the pair again and v5 removes 1, bridging 2 onto ghost
+    store = VersionStore(
+        x=(XRow("1", 0, None, None, "v0"),),
+        r=(RRow("1", "ghost", 0, "v0"),),
+        delr=(DelRRow("1", "ghost", 0, "v1"),),
+        vx=("v0", "v1"),
+        vr=(("v0", "v1"),),
+    )
+    for parent, changes in (
+        ("v1", changeset("v2", [Element(ElementId("2"))], add_pairs=[("2", "1")])),
+        ("v2", changeset("v3", [Element(ElementId("ghost"))])),
+        ("v3", changeset("v4", add_pairs=[("1", "ghost")])),
+        ("v4", changeset("v5", remove_elements=["1"])),
+    ):
+        _near_reads_each_version_index(store)
+        store = commit(store, parent, changes)
+    _near_reads_each_version_index(store)
+    assert store.history.held[1].relation == {(ElementId("2"), ElementId("ghost"))}
+    _near_reads_each_version_index(load(save(store, tmp_path / "ghost")))
+
+
+def test_a_commit_on_a_store_whose_union_has_a_cycle_checks_the_new_space_itself():
+    # sibling versions hold a -> b -> c and c -> a, so no one order of the
+    # union orders every version
+    store = new_store("v0", simple_space(["a", "b", "c"]))
+    store = commit(store, "v0", changeset("v1", add_pairs=[("a", "b"), ("b", "c")]))
+    store = commit(store, "v0", changeset("v2", add_pairs=[("c", "a")]))
+    assert store.history.union_order() is None
+    for parent, changes in (
+        ("v1", changeset("v3", [Element(ElementId("d"))], add_pairs=[("c", "d")])),
+        ("v2", changeset("v3", remove_elements=["a"], add_pairs=[("b", "c")])),
+    ):
+        got = commit(store, parent, changes)
+        want = oracles.commit_by_rebuild(canonicalize(store), parent, changes)
+        assert outcome(reconstruct_version, got, "v3") == outcome(reconstruct_version, want, "v3")
+    # a cyclic new space is refused with the text and cycle ``build_space`` gives
+    for parent, changes, cycle in (
+        ("v1", changeset("v3", add_pairs=[("c", "a")]), ["b", "c", "a"]),
+        ("v1", changeset("v3", [Element(ElementId("d"))], remove_elements=["b"],
+                         add_pairs=[("c", "d"), ("d", "a")]), ["c", "d", "a"]),
+        ("v2", changeset("v3", [Element(ElementId("0"))], add_pairs=[("a", "0"), ("0", "c")]),
+         ["0", "c", "a"]),
+    ):
+        with pytest.raises(T0ViolationError) as err:
+            commit(store, parent, changes)
+        assert str(err.value) == f"relation has a cycle, space is not T0: {cycle}"
+        assert err.value.cycle == [ElementId(k) for k in cycle]
+        assert _committed(oracles.commit_by_rebuild, canonicalize(store), parent, changes) == (
+            T0ViolationError, str(err.value)
+        )
 
 
 def test_a_checkout_runs_no_kahn_and_builds_no_index_until_its_first_query(monkeypatch):
