@@ -420,9 +420,9 @@ def commit(
     reads no rows.  A parent the index does not hold is reconstructed
     from its row of live columns, and its own index is not built: the
     neighbours of each removed element are read off the history index
-    (``HistoryIndex.near``), and the store's one topological order, kept
-    under the commit by ``derive``, proves the new space T0.  Only when no
-    such order is kept does the new space run Kahn's algorithm itself.
+    (``HistoryIndex.near``), and the index's topological order, kept
+    under the commit by ``derive``, proves the new space T0; failing that,
+    one found over the new version's pair columns (``order_for``) does.
     The new store's tables are the parent's with the new rows put in
     place, and it keeps the CSV lines of its files, derived from the
     parent's, which ``save`` writes.  A boolean attribute value, or a field that
@@ -448,10 +448,9 @@ def commit(
     created = sorted(changes.add_elements, key=attrgetter("key"))
     added = [el.key for el in created]
     # what ``history`` would build from the rows, without reading them; the
-    # union's order, kept under the commit, proves the new space T0
-    index.union_order()
+    # order kept under the commit proves the new space T0
     history = index.derive(parent, v, new_space, removed, added, dropped, linked)
-    if type(history.order) is not list:  # no such order: the new space checks itself
+    if history.order_for(v) is None:  # the new space checks itself, and names a cycle
         _refuse_cycle(new_space, parent_space, merged)
     _check_generalisation(new_space, changes)
 

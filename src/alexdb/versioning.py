@@ -21,11 +21,12 @@ the rows are filled.  Reconstructing a version then reads one byte per
 column.  The versions share one space too, the union of every element and
 pair the history creates: each version's space is a subspace of it, so one
 topological order of the union, kept on the index, orders every version.
-A child version's ancestry is its parent's plus itself and its row is its
-parent's row edited by the changeset, so a commit derives the child
-store's index, that order and row included, from the parent's, in time
-linear in the changeset, the number of versions and the number of columns
-(copied in C), with no row read again.
+When the union has a cycle, though no version has one, the index keeps
+one version's order instead.  A child version's ancestry is its parent's
+plus itself and its row is its parent's row edited by the changeset, so a
+commit derives the child store's index, that order and row included, from
+the parent's, in time linear in the changeset, the number of versions and
+the number of columns (copied in C), with no row read again.
 """
 from __future__ import annotations
 
@@ -470,15 +471,19 @@ def _ordered(
     ``linked``, into ``order`` and its ``labels``, in place; False when the
     order does not hold for the linked pairs, and must be found anew.
 
-    The order lists slots by rising label, one label per slot, so the
-    fresh slots number on from ``len(labels)``.  Each goes just before the
-    first slot it is bounded by that is already placed, found by bisecting
-    the labels, with a label halfway to that slot's predecessor; or last."""
+    The order lists slots by rising label, one label per slot.  A fresh
+    slot is one the order lacks: a new one, numbering on from
+    ``len(labels)``, or one taken out of the order to be placed again.
+    Each goes just before the first slot it is bounded by that is already
+    placed, found by bisecting the labels, with a label halfway to that
+    slot's predecessor; or last."""
     below: dict[int, list[int]] = {}
     for a, b in linked:
         below.setdefault(a, []).append(b)
-    for t in fresh:  # rising, so ``labels`` holds a label per placed slot
-        bounds = [labels[u] for u in below.get(t, ()) if u < len(labels)]
+    waiting = set(fresh)
+    for t in fresh:  # rising, so a new slot's label is appended
+        waiting.discard(t)
+        bounds = [labels[u] for u in below.get(t, ()) if u not in waiting]
         if bounds:
             high = min(bounds)
             place = bisect_left(order, high, key=labels.__getitem__)
@@ -489,7 +494,10 @@ def _ordered(
         else:
             place, label = len(order), labels[order[-1]] + 1 if order else 0
         order.insert(place, t)
-        labels.append(label)
+        if t < len(labels):
+            labels[t] = label
+        else:
+            labels.append(label)
     return all(labels[a] < labels[b] for a, b in linked)
 
 
@@ -529,8 +537,12 @@ class HistoryIndex:
     pairs with an end no row creates.  Each version's space is a subspace
     of that union, so the order restricted to its live elements orders it,
     and proves it T0.  ``order`` is None until it is found, by Kahn's
-    algorithm on first use (``union_order``), and False when the union
-    has a cycle; a version then checks T0 by itself.  ``labels`` numbers
+    algorithm on first use (``union_order``).  ``ordered`` is the mask of
+    the versions whose spaces it orders: -1, every one, for the union's.
+    When the union has a cycle, ``order`` is one version's instead, found
+    over the pair columns alive there (``order_for``), and ``ordered``
+    names the versions it holds for; any other version finds its own.
+    ``labels`` numbers
     the slots along the order, so that a slot's place in it is found by
     bisection; ``derive`` keeps both with ``_ordered``, so the order kept
     also proves each committed version's space T0.  ``by_end`` is None
@@ -564,7 +576,8 @@ class HistoryIndex:
     """
 
     __slots__ = ("names", "bit", "ancestry", "elements", "stray", "slots", "pairs", "pair_slots",
-                 "rows", "ends", "loose", "order", "labels", "by_end", "broken", "held", "built")
+                 "rows", "ends", "loose", "order", "labels", "ordered", "by_end", "broken", "held",
+                 "built")
 
     def __init__(self, store: "VersionStore"):
         versions = store.version_space().as_space()
@@ -600,6 +613,7 @@ class HistoryIndex:
         self.built: list[Element | None] = [None] * len(keys)
         self.slots = range(len(keys))
         self.order = self.labels = None
+        self.ordered = -1
 
         _, _, (idas, idbs, lods), p_created, p_made = _creations(store.r, 4, 3, bit)
         ka, ends_a = _interned(idas, lods, place, keys)
@@ -632,19 +646,41 @@ class HistoryIndex:
                     self.broken.append((subject(*columns), bad))
 
     def union_order(self) -> list[int] | None:
-        """``order``, found by Kahn's algorithm on first use; None when the
-        union of every version's space has a cycle."""
-        if self.order is None:
-            out: list[list[int]] = [[] for _ in self.slots]
-            for a, b in zip(*self.ends):
-                if a != b and a >= 0 and b >= 0:  # reflexive and dangling pairs are left out
-                    out[a].append(b)
-            order = topology._kahn(out)
-            if len(order) < len(out):
-                self.order = False
+        """``order`` when it is the union's, found by Kahn's algorithm on
+        first use; None when the union of every version's space has a
+        cycle."""
+        if self.order is None and self.ordered == -1:
+            order = self._sorted(zip(*self.ends))
+            if order is None:
+                self.ordered = 0
             else:
                 self.order, self.labels = order, _labels(order, len(order))
-        return self.order if self.order is not False else None
+        return self.order if self.ordered == -1 else None
+
+    def order_for(self, v: str) -> list[int] | None:
+        """``order`` when it orders the space of ``v``, else one found by
+        Kahn's algorithm over the pair columns alive at ``v``, and kept
+        for ``v`` when the union has a cycle; None when those columns have
+        one."""
+        b = self.bit[v]
+        if self.order is None or not self.ordered >> b & 1:
+            pair_row = self.rows[b][1].ljust(len(self.pair_slots), b"\0")
+            order = self._sorted(compress(zip(*self.ends), _by_slot(pair_row, self.pair_slots)))
+            if order is None or self.ordered == -1:
+                return order
+            self.order, self.labels, self.ordered = order, _labels(order, len(order)), 1 << b
+        return self.order
+
+    def _sorted(self, ends: Iterable[tuple[int, int]]) -> list[int] | None:
+        """Every element slot in a topological order of the pairs of slots
+        ``ends``, leaving out reflexive pairs and ends no row creates; None
+        when those pairs have a cycle."""
+        out: list[list[int]] = [[] for _ in self.slots]
+        for a, b in ends:
+            if a != b and a >= 0 and b >= 0:
+                out[a].append(b)
+        order = topology._kahn(out)
+        return order if len(order) == len(out) else None
 
     def near(self, v: str, key: ElementId) -> tuple[list[ElementId], list[ElementId]]:
         """The keys bounded by ``key`` at version ``v`` and those it is
@@ -717,9 +753,12 @@ class HistoryIndex:
         parent.  The rows carry over, and the new version's is its parent's
         with the slots the commit creates set and those it deletes cleared.
         The slots, ``ends``, ``order`` and ``labels`` are copied and kept up
-        to date, with no Kahn order: ``_ordered`` puts the new keys' slots
-        into the order, and an order not yet found, or a cyclic union,
-        passes on as it is.  ``by_end`` is copied with the new pair columns
+        to date: ``_ordered`` puts the new keys' slots into the order (the
+        union's is found first), which then orders the child if it ordered
+        the parent.  A version's order also places a key created again
+        anew, and then holds for no version where that key was alive.  An
+        order a new pair runs against, or with no label left, is found
+        again on first use.  ``by_end`` is copied with the new pair columns
         added to the lists of their ends.  When some pair names a key no
         row created (``loose``), a new key may complete it: its ends take
         the new slots, and the order and ``by_end`` are found again on
@@ -793,17 +832,32 @@ class HistoryIndex:
             _edited(row, len(slots), born, died), _edited(pair_row, len(pair_slots), p_born, p_died)
         )]
 
-        loose, order, labels, by_end = self.loose, self.order, self.labels, self.by_end
+        loose, completed = self.loose, False
         if made and loose:  # a new key may complete a pair that named it
             for end, column in enumerate(ends):
                 for i in compress(count(), map(eq, column, repeat(-1))):
                     column[i] = made.get(pairs[i][end], -1)
+                    completed = completed or column[i] >= 0
             loose = -1 in ends[0] or -1 in ends[1]
-            order, labels, by_end = False if order is False else None, None, None
-        elif type(order) is list:
+        if not completed:
+            self.union_order()  # found on first use
+        order, labels, ordered, by_end = self.order, self.labels, self.ordered, self.by_end
+        if completed:  # the order and ``by_end`` are found again on first use
+            order = by_end = None
+        elif order is not None:
             order, labels = order.copy(), labels.copy()
-            if not _ordered(order, labels, range(len(self.slots), len(slots)), at):
-                order = labels = None
+            # a version's order places a key created again anew, and then
+            # holds for no version where that key was alive
+            moved = [] if ordered == -1 else sorted(set(born).intersection(range(len(labels))))
+            for t in moved:
+                order.remove(t)
+                ordered &= ~sum(1 << i for i in _bits(ordered) if self.rows[i][0][t:t + 1] == b"\1")
+            if not _ordered(order, labels, moved + list(range(len(self.slots), len(slots))), at):
+                order = None
+            elif ordered >> self.bit[parent] & 1:  # it held for the parent, so for the child
+                ordered |= bit
+        if order is None:  # the union's is found again; a version's when ``order_for`` asks
+            labels, ordered = None, min(ordered, 0)
         if by_end is not None:  # each new pair column joins the lists of its ends
             by_end = by_end + [[] for _ in range(len(slots) - len(self.slots))]
             for t, p, a, b in p_made:
@@ -811,6 +865,7 @@ class HistoryIndex:
                 by_end[b] = by_end[b] + [(t, p)]
         new.pairs, new.pair_slots, new.by_end = pairs, pair_slots, by_end
         new.slots, new.ends, new.loose, new.order, new.labels = slots, ends, loose, order, labels
+        new.ordered = ordered
         return new
 
 
@@ -863,8 +918,10 @@ def reconstruct_version(store: "VersionStore", v: str) -> Space:
     restricted to the live elements, orders the space, so no Kahn order or
     T0 search runs per version: the space keeps the positions and that
     order, and fills its index in from them on the first query that needs
-    it.  Only when the union of every version's space has a cycle does
-    each version check T0 by itself, with the errors it always raised.  An
+    it.  When that union has a cycle, the order is found over the pair
+    columns alive at ``v`` and kept (``HistoryIndex.order_for``); only when
+    those have a cycle does the version check T0 by itself, with the
+    errors it always raised.  An
     element alive and unchanged in several versions is one ``Element``
     object, with one attribute dict, in every space read from the store;
     like the spaces, neither may be mutated.  Raises ``IntegrityError``
@@ -935,8 +992,9 @@ def _reconstruct(index: HistoryIndex, v: str) -> Space:
     for t, p in zip(_pick(slots, live), pos.values()):
         at[t] = p
     kept = list(compress(count(), _by_slot(pair_row, pair_slots)))
-    order = index.union_order()
-    if order is not None:  # the union's order restricted to the live slots
+    index.union_order()
+    order = index.order_for(v)
+    if order is not None:  # the store's order restricted to the live slots
         order = list(map(at.__getitem__, compress(order, map(row.__getitem__, order))))
     return _assemble(
         elements,

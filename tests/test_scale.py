@@ -61,7 +61,7 @@ import alexdb
 from alexdb import algebra, demos, lod, spacetime, storage, topology, versioning
 from alexdb.algebra import PRODUCT_SEPARATOR
 from alexdb.cli import main
-from alexdb.storage import VersionStore
+from alexdb.storage import VersionStore, canonicalize
 from alexdb.topology import SpaceIndex
 from alexdb.lod import as_level
 from alexdb.versioning import HistoryIndex
@@ -544,6 +544,61 @@ def test_commits_from_older_parents_fill_no_index_of_the_parent(monkeypatch):
         store = commit(store, parent, changes)
     assert filled == Counter()
     for v in rng.sample(store.vx, 10):
+        assert outcome(reconstruct_version(store, v)) == outcome(
+            oracles.reconstruct_version_by_hulls(store, v)
+        )
+
+
+def test_commits_on_a_text_whose_union_has_a_cycle_keep_a_version_s_order(monkeypatch):
+    # "5" is removed, then created again between "300" and "301", so the
+    # union holds 5 -> 6 -> ... -> 300 -> 5, though no version has a cycle
+    store = new_store("v0", text_space("ab" * 200))
+    store = commit(store, "v0", changeset("v1", remove_elements=["5"]))
+    store = commit(store, "v1", changeset("v2", [Element(ElementId("5"))],
+                                          add_pairs=[("300", "5"), ("5", "301")],
+                                          remove_pairs=[("300", "301")]))
+    store = commit(store, "v2", changeset("v3", remove_elements=["9"]))
+    assert store.history.union_order() is None
+    ids = [str(n) for n in range(1, 401)]
+    texts = {"v3": [k for k in ids[:300] if k not in ("5", "9")] + ["5"] + ids[300:]}
+    counts: Counter = Counter()
+    _counted(monkeypatch, counts, topology, "_kahn", "kahn")
+    _counted(monkeypatch, counts, topology, "_filled", "index")
+    rng = random.Random(5)
+    made = []
+    for i in range(4, 124):
+        # each commit starts from the version the one before made, and
+        # removes a letter, puts a new one in, or brings a removed one back
+        # at another place: the order kept for the parent, with that letter
+        # placed anew, orders the child, and no Kahn order is found
+        parent, version = f"v{i - 1}", f"v{i}"
+        old = texts[parent]
+        j = rng.randrange(1, len(old) - 1)
+        gone = sorted(set(ids).union(k for t in texts.values() for k in t) - set(old))
+        roll = rng.random()
+        if roll < 0.4:
+            changes = changeset(version, remove_elements=[old[j]])
+            texts[version] = old[:j] + old[j + 1:]
+        else:
+            new = rng.choice(gone) if roll < 0.7 else f"n{i}"
+            changes = changeset(version, [Element(ElementId(new))],
+                                add_pairs=[(old[j - 1], new), (new, old[j])],
+                                remove_pairs=[(old[j - 1], old[j])])
+            texts[version] = old[:j] + [new] + old[j:]
+        made.append((store, parent, changes))
+        store = commit(store, parent, changes)
+        made[-1] += (store.history.held[1],)
+    assert counts == Counter()
+    # a commit from an older parent reads it from the columns, with at most
+    # one Kahn order, over its live pair columns, and fills no space's index
+    for i in range(124, 134):
+        parent = f"v{rng.randrange(4, 100)}"
+        store = commit(store, parent, changeset(f"v{i}", remove_elements=[texts[parent][1]]))
+    assert counts["kahn"] <= 10 and counts["index"] == 0
+    for before, parent, changes, got in made:
+        want = oracles.commit_by_rebuild(canonicalize(before), parent, changes)
+        assert outcome(got) == outcome(reconstruct_version(want, changes.version))
+    for v in rng.sample(sorted(store.vx), 10):
         assert outcome(reconstruct_version(store, v)) == outcome(
             oracles.reconstruct_version_by_hulls(store, v)
         )

@@ -1290,6 +1290,43 @@ def test_the_history_reads_each_key_s_neighbours_as_the_version_index_holds_them
     assert joins >= 4
 
 
+def test_a_key_created_on_a_loose_store_keeps_the_order_unless_it_completes_a_pair(monkeypatch):
+    # the pairs (1, ghost) and (1, wraith) name keys no row creates; keys
+    # 2, 3 and 4 complete no pair, so each commit creating one derives the
+    # order found once; ghost and then wraith each complete a pair, so the
+    # child checks itself over its live pair columns, with no order of the
+    # union found only to be dropped, and the next commit finds it again
+    store = VersionStore(
+        x=(XRow("1", 0, None, None, "v0"),),
+        r=(RRow("1", "ghost", 0, "v0"), RRow("1", "wraith", 0, "v0")),
+        delr=(DelRRow("1", "ghost", 0, "v1"), DelRRow("1", "wraith", 0, "v1")),
+        vx=("v0", "v1"),
+        vr=(("v0", "v1"),),
+    )
+    store.history  # noqa: B018 - build the index, and the version space's, before counting
+    counts = Counter()
+    real = topology._kahn
+
+    def counted(out):
+        counts["kahn"] += 1
+        return real(out)
+
+    monkeypatch.setattr(topology, "_kahn", counted)
+    found = []
+    for i, key in enumerate(["2", "3", "4", "ghost", "wraith", "5", "6"], 2):
+        counts.clear()
+        store = commit(store, f"v{i - 1}", changeset(f"v{i}", [Element(ElementId(key))],
+                                                     add_pairs=[("1", key)]))
+        found.append(counts["kahn"])
+    assert found == [1, 0, 0, 1, 1, 1, 0]
+    assert not store.history.loose
+    _union_order_is_valid(store.history)
+    for v in sorted(store.vx):
+        assert outcome(reconstruct_version, store, v) == outcome(
+            oracles.reconstruct_version_by_hulls, store, v
+        )
+
+
 def test_the_history_reads_neighbours_past_a_pair_that_named_an_uncreated_key(tmp_path):
     # v0 holds the pair (1, ghost) before any row creates ghost, so v0 does
     # not read; v3 creates ghost, which completes the pair's end, v4 links
@@ -1343,6 +1380,77 @@ def test_a_commit_on_a_store_whose_union_has_a_cycle_checks_the_new_space_itself
         assert _committed(oracles.commit_by_rebuild, canonicalize(store), parent, changes) == (
             T0ViolationError, str(err.value)
         )
+
+
+def _kept_order_holds(store: VersionStore) -> None:
+    """The order the history index keeps lists every element slot with
+    labels rising along it, and orders the space of every version that
+    ``ordered`` names (every one, for the union's order)."""
+    index = store.history
+    order, labels, ordered = index.order, index.labels, index.ordered
+    if type(order) is not list:
+        return
+    assert sorted(order) == list(range(len(index.slots)))
+    assert all(labels[a] < labels[b] for a, b in zip(order, order[1:]))
+    keys = index.elements[0]
+    for v in sorted(store.vx):
+        if ordered >> index.bit[v] & 1:
+            space = reconstruct_version(store, v)
+            slot = {k: index.slots[keys.index(k)] for k in space.elements}
+            assert all(labels[slot[a]] < labels[slot[b]] for a, b in space.relation), v
+    assert (index.order, index.ordered) == (order, ordered)  # the reads kept it
+
+
+def test_the_order_a_history_keeps_orders_every_version_it_names(tmp_path):
+    # text histories whose commits start from any version and remove a
+    # letter, put a new one in, bring a removed one back at another place
+    # or turn a pair round, so the union soon has a cycle; after each
+    # commit the order kept holds for the versions it names, and every
+    # commit gives the space the rebuilding reference gives
+    cyclic = 0
+    for seed in range(12):
+        rnd = random.Random(seed)
+        ids = [f"t{i:02d}" for i in range(12)]
+        store = new_store("v0", text_space("ab" * 6, ids=ids))
+        texts, newest = {"v0": ids}, "v0"
+        for i in range(1, 30):
+            parent = newest if rnd.random() < 0.7 else rnd.choice(sorted(texts))
+            old, version = texts[parent], f"v{i}"
+            j = rnd.randrange(1, len(old) - 1)
+            gone = sorted(set().union(*texts.values()) - set(old))
+            kind = rnd.choice(["remove", "insert", "again", "turn"])
+            if kind == "remove" and len(old) > 4:
+                changes = changeset(version, remove_elements=[old[j]])
+                texts[version] = old[:j] + old[j + 1:]
+            elif kind == "turn":  # the text is no longer a chain, and is not read as one
+                changes = changeset(version, remove_pairs=[(old[j - 1], old[j])],
+                                    add_pairs=[(old[j], old[j - 1])])
+                texts[version] = old
+            else:
+                new = rnd.choice(gone) if kind == "again" and gone else f"n{i:02d}"
+                changes = changeset(version, [Element(ElementId(new))],
+                                    add_pairs=[(old[j - 1], new), (new, old[j])],
+                                    remove_pairs=[(old[j - 1], old[j])])
+                texts[version] = old[:j] + [new] + old[j:]
+            want = _committed(oracles.commit_by_rebuild, canonicalize(store), parent, changes)
+            got = _committed(commit, store, parent, changes)
+            assert got == want
+            if type(got) is tuple:  # refused: a turned pair closed a cycle
+                del texts[version]
+                continue
+            store, newest = got, version
+            assert outcome(reconstruct_version, store, version) == outcome(
+                reconstruct_version, want, version
+            )
+            _kept_order_holds(store)
+        cyclic += store.history.union_order() is None
+        loaded = load(save(store, tmp_path / str(seed)))
+        for v in sorted(store.vx):
+            want = outcome(oracles.reconstruct_version_by_hulls, store, v)
+            assert outcome(reconstruct_version, store, v) == want
+            assert outcome(reconstruct_version, loaded, v) == want
+        _kept_order_holds(store)
+    assert cyclic >= 6
 
 
 def test_a_checkout_runs_no_kahn_and_builds_no_index_until_its_first_query(monkeypatch):
