@@ -6,13 +6,17 @@ one element per character, chained in reading order.  Each commit inserts
 or deletes one character, mostly on the newest version and now and then on
 an older one, so the history branches.  Now and then an insert brings back
 a character that the parent lacks, under the id and letter it had before,
-so some keys are created by several rows.  After the last commit the saved
-store is loaded back and every version's text is checked against the text
-the script kept.  Every version is also read from the last committed store,
-whose history index each commit derived, and compared with the version read
-from the loaded store's rows: the same space, and the same dimension for
-each element, which each index finds along its store's topological order.
-The exit code is 1 on a mismatch.
+so some keys are created by several rows.  Before each commit a random
+version is checked out and its text compared with the text the script
+kept; those picks come from a generator of their own, seeded with
+``--seed`` plus one, so the history and the saved store do not depend on
+them.  After the last commit the saved store is loaded back and every
+version's text is checked against the text the script kept.  Every
+version is also read from the last committed store, whose history index
+each commit derived, and compared with the version read from the loaded
+store's rows: the same space, and the same dimension for each element,
+which each index finds along its store's topological order.  The exit
+code is 1 on a mismatch.
 
 A store made by ``commit`` writes the CSV lines it derived from its
 parent's, so the directory should hold exactly what ``alexdb export --out``
@@ -61,12 +65,17 @@ def main() -> int:
     args = parser.parse_args()
 
     rng = random.Random(args.seed)
+    checkouts = random.Random(args.seed + 1)
     text = [(str(i), rng.choice(ALPHABET)) for i in range(1, args.letters + 1)]
     store = new_store("v000", text_space("".join(c for _, c in text), ids=[i for i, _ in text]))
     texts = {"v000": text}
     letters = dict(text)  # every character the history has held, by id
     newest = "v000"
+    wrong = set()
     for n in range(1, args.commits + 1):
+        v = checkouts.choice(sorted(texts))
+        if chain(reconstruct_version(store, v)) != texts[v]:
+            wrong.add(v)
         parent = newest if rng.random() < 0.8 else rng.choice(sorted(texts))
         old, version = texts[parent], f"v{n:03d}"
         j = rng.randrange(1, len(old) - 1)  # neither end of the chain moves
@@ -92,10 +101,10 @@ def main() -> int:
         newest = version
 
     loaded = load(args.out)
-    wrong = [
-        v for v in sorted(texts)
+    wrong.update(
+        v for v in texts
         if chain(reconstruct_version(loaded, v)) != texts[v] or read(store, v) != read(loaded, v)
-    ]
+    )
     print(f"wrote {args.out}: {len(loaded.vx)} versions, {len(wrong)} read back wrong")
     return 1 if wrong else 0
 

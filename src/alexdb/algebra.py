@@ -23,10 +23,10 @@ from .topology import (
     Space,
     SpaceIndex,
     build_space,
-    find_cycle_in,
     is_connected,
     _bits,
     _chain_lengths,
+    _cycle_of,
     _kahn,
     _nearest_kept,
     _one_depth,
@@ -78,8 +78,7 @@ def _reduction(nodes: list[ElementId], succ: list[list[int]]) -> frozenset[Bound
     no repeats) generates over ``nodes``."""
     order = _kahn(succ)
     if len(order) < len(nodes):
-        adj = {nodes[i]: {nodes[j] for j in succ[i]} for i in range(len(nodes))}
-        cycle = find_cycle_in({k: adj[k] for k in sorted(adj)})
+        cycle = _cycle_of(succ, sorted(range(len(nodes)), key=nodes.__getitem__), nodes)
         raise T0ViolationError(
             f"cannot reduce a cyclic relation: {[str(k) for k in cycle]}",
             cycle=cycle,

@@ -37,13 +37,13 @@ lists in C.
 Stores are immutable snapshots: ``commit`` applies a changeset against a
 parent version and returns a new store — a single-writer discipline with no
 in-place mutation anywhere.  A store's ``history`` index (ancestry bitsets,
-columns of the elements and pairs some row creates, and one row of live
-columns per version) and its CSV lines are
-cached on the store, which relies on that contract: never change a store's
-row tuples, build a new store instead.  A loaded store builds the index on
-first use, in one pass over its tables' columns (so a command that reads no
-version, such as ``export --out``, builds none); a committed store arrives
-with one derived from its parent's, holding its newest space: the
+a column per key and pair some row names, and one row of live columns per
+version; only a hand-built store names a key no row creates) and its CSV
+lines are cached on the store, which relies on that contract: never change
+a store's row tuples, build a new store instead.  A loaded store builds the
+index on first use, in one pass over its tables' columns (so a command that
+reads no version, such as ``export --out``, builds none); a committed store
+arrives with one derived from its parent's, holding its newest space: the
 changeset applied to the parent's space, with the neighbours of each
 removed element and the T0 proof read off the parent's index, whose slots
 are the only slot numbering.
@@ -75,7 +75,7 @@ import tempfile
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
-from itertools import islice
+from itertools import compress, islice
 from operator import add, attrgetter, eq, ge, itemgetter, not_
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
@@ -947,14 +947,15 @@ def validate(store: VersionStore, rules: Sequence[str] = ()) -> list[ValidationI
 
 
 def region_elements(store: VersionStore, name: str | None = None) -> frozenset[ElementId]:
-    """The elements some row of ``store`` creates, read off the key and
-    attribute columns of its history index, so no version is read: all of
-    them, or only those whose ``region`` attribute equals ``name``.
+    """The elements some row of ``store`` creates, read off the columns of
+    its history index that some version creates, so no version is read:
+    all of them, or only those whose ``region`` attribute equals ``name``.
     Raises ``NotFoundError`` when no element carries that region."""
-    keys, _, _, attributes = store.history.elements
+    keys, created, _, attributes = store.history.elements
+    made = list(compress(zip(keys, attributes), created))
     if name is None:
-        return frozenset(keys)
-    found = frozenset(k for k, atts in zip(keys, attributes) if ("region", name) in atts)
+        return frozenset(k for k, _ in made)
+    found = frozenset(k for k, atts in made if ("region", name) in atts)
     if not found:
         raise NotFoundError(f"no elements carry region={name!r}")
     return found

@@ -548,46 +548,40 @@ def find_cycle(space: Space) -> list[ElementId] | None:
     return _cycle(space.index)
 
 
-def _cycle(idx: SpaceIndex) -> list[ElementId] | None:
-    """One directed cycle of the index's relation, or None when acyclic."""
+def _cycle(idx: SpaceIndex, roots: Iterable[int] | None = None) -> list[ElementId] | None:
+    """One directed cycle of the index's relation, or None when acyclic;
+    the search starts from ``roots`` in turn, every position in order by
+    default."""
     if idx.order is not None:
         return None
-    keys = idx.keys
-    return find_cycle_in({k: {keys[j] for j in idx.out[i]} for i, k in enumerate(keys)})
+    return _cycle_of(idx.out, range(len(idx.keys)) if roots is None else roots, idx.keys)
 
 
-def find_cycle_in(adj: Mapping[ElementId, set[ElementId]]) -> list[ElementId] | None:
-    """Cycle search over a bare adjacency mapping (key -> successors)."""
-    WHITE, GREY, BLACK = 0, 1, 2
-    colour = {k: WHITE for k in adj}
-    parent: dict[ElementId, ElementId] = {}
-    for root in adj:
-        if colour[root] != WHITE:
+def _cycle_of(out: list[list[int]], roots: Iterable[int], keys: Sequence) -> list | None:
+    """One directed cycle of ``out`` as ``keys``, by position, or None when
+    acyclic: a depth-first search from each of ``roots`` in turn not yet
+    reached, taking the successors of each position in key order.  The
+    first step back onto the search path closes the cycle, listed from the
+    position after that step's target round to the target."""
+    key = keys.__getitem__
+    seen = [0] * len(out)  # 1 on the search path, 2 done
+    for root in roots:
+        if seen[root]:
             continue
-        stack = [(root, iter(sorted(adj[root])))]
-        colour[root] = GREY
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if colour[nxt] == WHITE:
-                    colour[nxt] = GREY
-                    parent[nxt] = node
-                    stack.append((nxt, iter(sorted(adj[nxt]))))
-                    advanced = True
+        seen[root] = 1
+        path, steps = [root], [iter(sorted(out[root], key=key))]
+        while steps:
+            for j in steps[-1]:
+                if not seen[j]:
+                    seen[j] = 1
+                    path.append(j)
+                    steps.append(iter(sorted(out[j], key=key)))
                     break
-                if colour[nxt] == GREY:
-                    # back edge: unwind the grey chain into a cycle
-                    cycle = [nxt]
-                    cur = node
-                    while cur != nxt:
-                        cycle.append(cur)
-                        cur = parent[cur]
-                    cycle.reverse()
-                    return cycle
-            if not advanced:
-                colour[node] = BLACK
-                stack.pop()
+                if seen[j] == 1:
+                    return list(map(key, path[path.index(j) + 1:] + [j]))
+            else:
+                seen[path.pop()] = 2
+                steps.pop()
     return None
 
 
@@ -596,11 +590,12 @@ def _topological_order(space: Space) -> list[int]:
     return _checked_order(space.index)
 
 
-def _checked_order(idx: SpaceIndex) -> list[int]:
-    """``idx.order``; raises ``T0ViolationError`` when it is cyclic."""
+def _checked_order(idx: SpaceIndex, roots: Iterable[int] | None = None) -> list[int]:
+    """``idx.order``; raises ``T0ViolationError`` when it is cyclic, naming
+    the cycle ``_cycle`` finds from ``roots``."""
     order = idx.order
     if order is None:
-        cycle = _cycle(idx)
+        cycle = _cycle(idx, roots)
         raise T0ViolationError(
             f"relation has a cycle, space is not T0: {[str(k) for k in cycle]}",
             cycle=cycle,

@@ -58,9 +58,9 @@ from .topology import (
     star,
     _assemble,
     _bits,
+    _checked_order,
     _dangling_error,
     _rank_masks,
-    _topological_order,
     _tuples,
 )
 
@@ -326,13 +326,13 @@ def _refuse_cycle(new: Space, space: Space, changes: ChangeSet) -> None:
     """Raise ``T0ViolationError`` when ``new``, the space ``_apply`` made
     from ``space`` and ``changes``, has a cycle: Kahn's algorithm runs over
     the index of ``new``, and a cycle is named as ``build_space`` would name
-    it, searched over the elements of ``space`` in their order and then the
+    it, searched from the elements of ``space`` in their order and then the
     added ones in changeset order."""
-    if new.index.order is None:
-        gone = changes.remove_elements
-        as_built = {k: e for k, e in space.elements.items() if k not in gone}
-        as_built.update((el.key, new.elements[el.key]) for el in changes.add_elements)
-        _topological_order(Space(as_built, new.relation))
+    idx = new.index
+    if idx.order is None:
+        pos, gone = idx.pos, changes.remove_elements
+        roots = [pos[k] for k in space.elements if k not in gone]
+        _checked_order(idx, roots + [pos[el.key] for el in changes.add_elements])
 
 
 # ---------------------------------------------------------------------------
@@ -395,18 +395,14 @@ def _creations(rows: Sequence[tuple], width: int, subject: int, bit: Mapping[str
     return columns, bits, list(zip(*place)), created, made
 
 
-def _interned(ids: Sequence, lods: Sequence, place: Mapping[tuple, int], keys: list[ElementId]):
-    """The key of each ``(id, lod)`` of the columns ``ids`` and ``lods``
-    and its place among ``keys``: -1 when it is not one of them, and the
-    key is then built (None for an empty id)."""
-    at = list(map(place.get, zip(ids, lods), repeat(-1)))
-    found = list(map((keys + [None]).__getitem__, at))
-    if at.count(-1) > ids.count(None):
-        found = [
-            ElementId(i, lod) if k is None and i is not None else k
-            for k, i, lod in zip(found, ids, lods)
-        ]
-    return found, at
+def _new_column(elements: tuple, built: list, slots: list[int], key: ElementId, atts=()) -> int:
+    """Put a column for ``key``, which no version creates yet, into the
+    element columns ``elements`` and ``built`` at its place in key order,
+    with the attributes ``atts`` and the next free slot; returns the place."""
+    i = bisect_left(elements[0], key)
+    for column, entry in zip((*elements, built, slots), (key, 0, None, atts, None, len(slots))):
+        column.insert(i, entry)
+    return i
 
 
 def _rows(
@@ -511,45 +507,47 @@ class HistoryIndex:
     free bit, so bit order is not name order, and every tie between
     versions is broken by comparing names.  ``ancestry[i]`` is the mask of
     the minimal neighbourhood of version ``i``, itself included.
-    ``elements`` holds four parallel columns with one entry per element
-    some row creates, in key order: the key, the mask of the versions
+    ``elements`` holds four parallel columns with one entry per key that
+    some row names, in key order: the key, the mask of the versions
     creating it, its generalisation target (a dict from creation bit to
     target when several rows create it) and its attributes as ``(name,
-    value)`` pairs in name order.  ``stray`` holds, by ``(id, lod)``, the
-    attributes of each key that attribute rows name but no row creates: a
-    commit that creates such a key takes them into its column.  ``slots``
+    value)`` pairs in name order.  A key that an X row's generalisation
+    target, an R row's end or an attribute row names but no X row creates
+    has a column too, with a creation mask of 0 and no target, until a
+    commit creates it; a store ``load`` accepts has no such key.  ``slots``
     gives each element column a number that it keeps in every index
     derived from this one, while its place shifts as columns are put in: a
-    fresh index numbers its columns in order, with a ``range``, and a
-    derived one gives a new key the next free slot.  ``pairs`` lists the
-    pairs some row creates, in row order; ``pair_slots`` numbers them as
-    ``slots`` numbers the element columns.  ``rows[i]`` holds two
-    ``bytes`` objects for version ``i``, with a 1 at each slot of an
-    element column and at each slot of a pair column alive there; a slot
-    past a row's end came after that version, and is not alive there.  The
-    rows are the index's one record of liveness: a row is never changed
-    once made, and a derived index shares its parent's.  ``ends`` holds
-    the slots of each pair's ends (-1 for a key no row creates), so a
-    reconstruction fills in its space's index without looking a key up;
-    ``loose`` says whether some end is -1.  ``order`` lists every slot in
-    a topological order of the union of every version's space: the
-    element columns over the pair columns, leaving out reflexive pairs and
-    pairs with an end no row creates.  Each version's space is a subspace
-    of that union, so the order restricted to its live elements orders it,
-    and proves it T0.  ``order`` is None until it is found, by Kahn's
-    algorithm on first use (``union_order``).  ``ordered`` is the mask of
-    the versions whose spaces it orders: -1, every one, for the union's.
-    When the union has a cycle, ``order`` is one version's instead, found
-    over the pair columns alive there (``order_for``), and ``ordered``
-    names the versions it holds for; any other version finds its own.
-    ``labels`` numbers
-    the slots along the order, so that a slot's place in it is found by
-    bisection; ``derive`` keeps both with ``_ordered``, so the order kept
-    also proves each committed version's space T0.  ``by_end`` is None
-    until ``near`` first reads it, and then lists, by element slot, each
-    pair column with an end there as its ``(pair slot, pair)``, leaving
-    out reflexive pairs and ends no row creates: a commit reads the
-    neighbours of the keys it removes off it and the parent's row.
+    fresh index numbers the columns some row creates in order, with a
+    ``range``, then gives each key created in no version the next free
+    slot, and a derived one does the same for a new key (``_new_column``).
+    ``pairs`` lists the pairs some row creates, in row order;
+    ``pair_slots`` numbers them as ``slots`` numbers the element columns.
+    ``rows[i]`` holds two ``bytes`` objects for version ``i``, with a 1 at
+    each slot of an element column and at each slot of a pair column alive
+    there; a slot past a row's end came after that version, and is not
+    alive there.  The rows are the index's one record of liveness: a row is
+    never changed once made, and a derived index shares its parent's.
+    ``ends`` holds the slots of each pair's ends, so a reconstruction fills
+    in its space's index without looking a key up.  ``order`` lists every
+    slot in a topological order of the union of every version's space: the
+    element columns over the pair columns, leaving out reflexive pairs.
+    Each version's space is a subspace of that union, so the order
+    restricted to its live elements orders it, and proves it T0.  ``order``
+    is None until it is found, by Kahn's algorithm on first use
+    (``union_order``).  ``ordered`` is the mask of the versions whose
+    spaces it orders: -1, every one, for the union's.  When the union has a
+    cycle, ``order`` is one version's instead, found over the pair columns
+    alive there (``order_for``), and ``ordered`` names the versions it
+    holds for; any other version finds its own, and ``found`` keeps the
+    last one found, as ``(bit, order)``, so that a commit from that version
+    derives its child's order from it.  ``labels`` numbers the slots along
+    the order, so that a slot's place in it is found by bisection;
+    ``derive`` keeps both with ``_ordered``, so the order kept also proves
+    each committed version's space T0.  ``by_end`` is None until ``near``
+    first reads it, and then lists, by element slot, each pair column with
+    an end there as its ``(pair slot, pair)``, leaving out reflexive pairs:
+    a commit reads the neighbours of the keys it removes off it and the
+    parent's row.
     Columns of plain ints and tuples, rather than a container per element,
     keep the index small and mostly outside the garbage collector's reach.
     ``broken`` lists, in row order, each element or pair with the mask of
@@ -568,16 +566,16 @@ class HistoryIndex:
     The columns are built from the table columns in one pass each: every
     key is built once, shared by the element, pair and generalisation
     columns, and a creation or attribute row costs no Python call unless
-    its subject has several creation rows or it names a key no row
-    creates.  ``ends`` comes from the same pass.  The deletion masks and
-    the descendants of each version are read only to fill the rows, in one
-    walk of the version space (``_rows``), and ``broken``, and are not
-    kept.
+    its subject has several creation rows.  ``ends`` comes from the same
+    pass, whose lookups also show, in C, whether some row names a key no
+    row creates; only then are those keys gathered, and their columns put
+    in after the rows are filled.  The deletion masks and the descendants
+    of each version are read only to fill the rows, in one walk of the
+    version space (``_rows``), and ``broken``, and are not kept.
     """
 
-    __slots__ = ("names", "bit", "ancestry", "elements", "stray", "slots", "pairs", "pair_slots",
-                 "rows", "ends", "loose", "order", "labels", "ordered", "by_end", "broken", "held",
-                 "built")
+    __slots__ = ("names", "bit", "ancestry", "elements", "slots", "pairs", "pair_slots", "rows",
+                 "ends", "order", "labels", "ordered", "found", "by_end", "broken", "held", "built")
 
     def __init__(self, store: "VersionStore"):
         versions = store.version_space().as_space()
@@ -590,13 +588,7 @@ class HistoryIndex:
         # (ida, idb, lod), first appear in key order
         (ids, lods, gids, glods, _), bits, subjects, created, made = _creations(store.x, 5, 2, bit)
         keys = _tuples(ElementId, zip(*subjects))
-        place = dict(zip(keys, count()))
-        gens: list = _interned(gids, glods, place, keys)[0]
-        if len(created) < len(bits):  # elements created by several rows
-            by_bit: list[dict] = [{} for _ in keys]
-            for subject, b, gen in zip(zip(ids, lods), bits, gens):
-                by_bit[place[subject]][b] = gen
-            gens = [next(iter(g.values())) if len(g) == 1 else g for g in by_bit]
+        place = dict(zip(keys, count()))  # the slot of each key
         aids, alods, names, values = list(zip(*store.atts)) or [()] * 4
         # each element's attribute rows are one run, which ends after the
         # key's last row; a run naming an attribute twice keeps the last
@@ -606,44 +598,62 @@ class HistoryIndex:
         if any(map(eq, zip(aids, alods, names), zip(aids[1:], alods[1:], names[1:]))):
             runs = map(dict.items, map(dict, runs))
         recorded = dict(zip(stops, map(tuple, runs)))
-        self.stray = {k: recorded[k] for k in recorded.keys() - place.keys()}
         dx = list(zip(*store.delx)) or [()] * 3
         el_deleted = _masks(zip(zip(dx[0], dx[1]), dx[2]), bit)
-        self.elements = keys, created, gens, list(map(recorded.get, keys, repeat(())))
-        self.built: list[Element | None] = [None] * len(keys)
-        self.slots = range(len(keys))
-        self.order = self.labels = None
-        self.ordered = -1
-
-        _, _, (idas, idbs, lods), p_created, p_made = _creations(store.r, 4, 3, bit)
-        ka, ends_a = _interned(idas, lods, place, keys)
-        kb, ends_b = _interned(idbs, lods, place, keys)
+        _, _, (idas, idbs, plods), p_created, p_made = _creations(store.r, 4, 3, bit)
         dr = list(zip(*store.delr)) or [()] * 4
         pr_deleted = _masks(zip(zip(dr[0], dr[1], dr[2]), dr[3]), bit)
-        self.pairs = _tuples(BoundedByPair, zip(ka, kb))
-        self.pair_slots = range(len(p_created))
-        self.ends = ends_a, ends_b
-        self.loose = -1 in ends_a or -1 in ends_b
-        self.by_end = None
         self.rows = list(zip(
             _rows(versions.index, self.ancestry, descendants, created,
                   list(map(el_deleted.get, keys, repeat(0))), made),
             _rows(versions.index, self.ancestry, descendants, p_created,
-                  list(map(pr_deleted.get, zip(idas, idbs, lods), repeat(0))), p_made),
+                  list(map(pr_deleted.get, zip(idas, idbs, plods), repeat(0))), p_made),
         ))
 
-        pair_place = dict(zip(zip(idas, idbs, lods), count())) if pr_deleted else {}
+        pair_place = dict(zip(zip(idas, idbs, plods), count())) if pr_deleted else {}
         self.broken: list[tuple[str, int]] = []
-        for subjects, created, deleted, subject in (
+        for subjects, masks, deleted, subject in (
             (place, created, el_deleted, lambda i, lod: f"element {ElementId(i, lod)}"),
             (pair_place, p_created, pr_deleted,
              lambda a, b, lod: f"pair {BoundedByPair(ElementId(a, lod), ElementId(b, lod))}"),
         ):
             for columns, mask in deleted.items():
                 i = subjects.get(columns)
-                bad = _uncreated(0 if i is None else created[i], mask, self.ancestry)
+                bad = _uncreated(0 if i is None else masks[i], mask, self.ancestry)
                 if bad:
                     self.broken.append((subject(*columns), bad))
+
+        # the slot of each generalisation target and pair end, -1 for none;
+        # a key that some row names and none creates, which a store ``load``
+        # accepts never has, takes the next free slot
+        targets = ((gids, glods), (idas, plods), (idbs, plods))
+        at = [list(map(place.get, zip(*c), repeat(-1))) for c in targets]
+        uncreated: list[ElementId] = []
+        if (at[0].count(-1) > gids.count(None) or -1 in at[1] or -1 in at[2]
+                or not recorded.keys() <= place.keys()):
+            missing = set(recorded).union(*(zip(*c) for c in targets)) - place.keys()
+            uncreated = sorted(_tuples(ElementId, (k for k in missing if k[0] is not None)))
+            place.update(zip(uncreated, count(len(keys))))
+            at = [list(map(place.get, zip(*c), repeat(-1))) for c in targets]
+        by_slot = keys + uncreated + [None]
+        gens = list(map(by_slot.__getitem__, at[0]))
+        if len(created) < len(bits):  # elements created by several rows
+            by_bit: list[dict] = [{} for _ in keys]
+            for subject, b, gen in zip(zip(ids, lods), bits, gens):
+                by_bit[place[subject]][b] = gen
+            gens = [next(iter(g.values())) if len(g) == 1 else g for g in by_bit]
+        self.pairs = _tuples(BoundedByPair, zip(*(map(by_slot.__getitem__, a) for a in at[1:])))
+        self.ends = at[1], at[2]
+        self.pair_slots = range(len(p_created))
+        self.elements = keys, created, gens, list(map(recorded.get, keys, repeat(())))
+        self.built: list[Element | None] = [None] * len(keys)
+        self.slots = range(len(keys))
+        if uncreated:
+            self.slots = list(self.slots)
+            for k in uncreated:
+                _new_column(self.elements, self.built, self.slots, k, recorded.get(k, ()))
+        self.order = self.labels = self.by_end = self.found = None
+        self.ordered = -1
 
     def union_order(self) -> list[int] | None:
         """``order`` when it is the union's, found by Kahn's algorithm on
@@ -659,25 +669,32 @@ class HistoryIndex:
 
     def order_for(self, v: str) -> list[int] | None:
         """``order`` when it orders the space of ``v``, else one found by
-        Kahn's algorithm over the pair columns alive at ``v``, and kept
-        for ``v`` when the union has a cycle; None when those columns have
-        one."""
+        Kahn's algorithm over the pair columns alive at ``v``; None when
+        those columns have a cycle.  In a union with a cycle, the order
+        found replaces ``order`` if that holds for no version or ``v`` is
+        the one a commit just made (``held``), and is ``found`` otherwise."""
         b = self.bit[v]
-        if self.order is None or not self.ordered >> b & 1:
-            pair_row = self.rows[b][1].ljust(len(self.pair_slots), b"\0")
-            order = self._sorted(compress(zip(*self.ends), _by_slot(pair_row, self.pair_slots)))
-            if order is None or self.ordered == -1:
-                return order
+        if self.order is not None and self.ordered >> b & 1:
+            return self.order
+        if self.found is not None and self.found[0] == b:
+            return self.found[1]
+        pair_row = self.rows[b][1].ljust(len(self.pair_slots), b"\0")
+        order = self._sorted(compress(zip(*self.ends), _by_slot(pair_row, self.pair_slots)))
+        if order is None or self.ordered == -1:
+            return order
+        if not self.ordered or self.held is not None and self.held[0] == v:
             self.order, self.labels, self.ordered = order, _labels(order, len(order)), 1 << b
-        return self.order
+        else:
+            self.found = b, order
+        return order
 
     def _sorted(self, ends: Iterable[tuple[int, int]]) -> list[int] | None:
         """Every element slot in a topological order of the pairs of slots
-        ``ends``, leaving out reflexive pairs and ends no row creates; None
-        when those pairs have a cycle."""
+        ``ends``, leaving out reflexive pairs; None when those pairs have a
+        cycle."""
         out: list[list[int]] = [[] for _ in self.slots]
         for a, b in ends:
-            if a != b and a >= 0 and b >= 0:
+            if a != b:
                 out[a].append(b)
         order = topology._kahn(out)
         return order if len(order) == len(out) else None
@@ -691,9 +708,8 @@ class HistoryIndex:
             by_end: list[list[tuple[int, BoundedByPair]]] = [[] for _ in self.slots]
             for t, p, a, b in zip(self.pair_slots, self.pairs, *self.ends):
                 if a != b:  # a reflexive pair is in no version's relation
-                    for end in (a, b):
-                        if end >= 0:
-                            by_end[end].append((t, p))
+                    by_end[a].append((t, p))
+                    by_end[b].append((t, p))
             self.by_end = by_end
         row = self.rows[self.bit[v]][1]
         above, below = [], []
@@ -710,8 +726,7 @@ class HistoryIndex:
         row creates it."""
         keys = self.elements[0]
         i = bisect_left(keys, key)
-        found = i < len(keys) and keys[i] == key
-        return dict(self.elements[3][i] if found else self.stray.get(key, ()))
+        return dict(self.elements[3][i]) if i < len(keys) and keys[i] == key else {}
 
     def alive(self, v: str, key: ElementId) -> bool:
         """Whether ``key`` is alive at version ``v``, read off the row of
@@ -747,67 +762,58 @@ class HistoryIndex:
         creates, ``dropped`` and ``linked`` the pairs.  The new version
         takes the next free bit, and its ancestry is ``parent``'s plus
         itself.  The columns are copied and only the keys the commit
-        creates change, so this index stays valid for its own store; a new
-        column takes the next free slot, and its key leaves ``stray``.
-        ``broken`` carries over: a commit deletes only what is alive in its
-        parent.  The rows carry over, and the new version's is its parent's
-        with the slots the commit creates set and those it deletes cleared.
-        The slots, ``ends``, ``order`` and ``labels`` are copied and kept up
-        to date: ``_ordered`` puts the new keys' slots into the order (the
-        union's is found first), which then orders the child if it ordered
-        the parent.  A version's order also places a key created again
-        anew, and then holds for no version where that key was alive.  An
-        order a new pair runs against, or with no label left, is found
-        again on first use.  ``by_end`` is copied with the new pair columns
-        added to the lists of their ends.  When some pair names a key no
-        row created (``loose``), a new key may complete it: its ends take
-        the new slots, and the order and ``by_end`` are found again on
-        first use.  ``built`` carries over,
-        with a new key's entry the element ``space`` holds, except for a key
-        created again: its column gains a creation and may gain attributes,
-        which every version then reads.  The derived index holds ``space``,
-        so the next commit from it or a checkout of it reads no column.
+        creates change, so this index stays valid for its own store.  A key
+        no row names first takes a column with no creation and the next free
+        slot, as a key some row only names already has; either then gets its
+        first creation, its generalisation target and its element in
+        ``built``.  A key created again gains a creation and may gain
+        attributes, which every version then reads, so its element is built
+        on each read.  ``broken`` carries over: a commit deletes only what
+        is alive in its parent.  The rows carry over, and the new version's
+        is its parent's with the slots the commit creates set and those it
+        deletes cleared.  The slots, ``ends``, ``order`` and ``labels`` are
+        copied and kept up to date: ``_ordered`` puts the new keys' slots
+        into the order (the union's is found first), which then orders the
+        child if it ordered the parent; when the union has a cycle and the
+        order kept does not hold for the parent, the order ``found`` for
+        the parent, if any, is the one extended.  A version's order also
+        places anew a key the commit creates that it already holds, and then
+        holds for no version where that key was alive.  An order a new pair
+        runs against, or with no label left, is found again on first use.
+        ``by_end`` is copied with the new pair columns added to the lists of
+        their ends.  The derived index holds ``space``, so the next commit
+        from it or a checkout of it reads no column.
         """
-        n = len(self.names)
+        n, pb = len(self.names), self.bit[parent]
         bit = 1 << n
         new = HistoryIndex.__new__(HistoryIndex)
         new.names = self.names + [version]
         new.bit = {**self.bit, version: n}
-        new.ancestry = self.ancestry + [self.ancestry[self.bit[parent]] | bit]
+        new.ancestry = self.ancestry + [self.ancestry[pb] | bit]
         new.broken = self.broken
         new.held = version, space
 
-        keys, created, gens, atts = (list(c) for c in self.elements)
-        stray = dict(self.stray)
-        built = list(self.built)
+        keys, created, gens, atts = new.elements = tuple(list(c) for c in self.elements)
+        built = new.built = list(self.built)
         slots = list(self.slots)
         died = [slots[bisect_left(keys, k)] for k in removed]
         born = []  # the slots of the element columns the commit creates
-        made = {}  # the slot of each new column, by key
         for k in added:
             e = space.elements[k]
             i = bisect_left(keys, k)
-            if i < len(keys) and keys[i] == k:  # created again
+            if i == len(keys) or keys[i] != k:  # a key no row names takes the next free slot
+                _new_column(new.elements, built, slots, k)
+            if created[i]:  # created again
                 gen = gens[i]
                 if type(gen) is not dict:
                     gen = {created[i].bit_length() - 1: gen}
                 gens[i] = {**gen, n: e.gen_target}
-                created[i] |= bit
-                atts[i] = tuple(e.attributes.items())
                 built[i] = None
-                born.append(slots[i])
-            else:  # a new column, which takes the next free slot
-                born.append(len(slots))
-                made[k] = len(slots)
-                keys.insert(i, k)
-                created.insert(i, bit)
-                gens.insert(i, e.gen_target)
-                atts.insert(i, tuple(e.attributes.items()))
-                stray.pop(k, None)
-                built.insert(i, e)
-                slots.insert(i, born[-1])
-        new.elements = keys, created, gens, atts
-        new.stray, new.built = stray, built
+            else:
+                gens[i], built[i] = e.gen_target, e
+            created[i] |= bit
+            atts[i] = tuple(e.attributes.items())
+            born.append(slots[i])
 
         pairs = self.pairs.copy()
         pair_slots = list(self.pair_slots)
@@ -827,24 +833,16 @@ class HistoryIndex:
                 pair_slots.insert(i, p_born[-1])
                 ends[0].insert(i, a)
                 ends[1].insert(i, b)
-        row, pair_row = self.rows[self.bit[parent]]
+        row, pair_row = self.rows[pb]
         new.rows = self.rows + [(
             _edited(row, len(slots), born, died), _edited(pair_row, len(pair_slots), p_born, p_died)
         )]
 
-        loose, completed = self.loose, False
-        if made and loose:  # a new key may complete a pair that named it
-            for end, column in enumerate(ends):
-                for i in compress(count(), map(eq, column, repeat(-1))):
-                    column[i] = made.get(pairs[i][end], -1)
-                    completed = completed or column[i] >= 0
-            loose = -1 in ends[0] or -1 in ends[1]
-        if not completed:
-            self.union_order()  # found on first use
+        self.union_order()  # found on first use
         order, labels, ordered, by_end = self.order, self.labels, self.ordered, self.by_end
-        if completed:  # the order and ``by_end`` are found again on first use
-            order = by_end = None
-        elif order is not None:
+        if self.found is not None and self.found[0] == pb:  # a checkout found the parent's
+            order, labels, ordered = self.found[1], _labels(self.found[1], len(self.slots)), 1 << pb
+        if order is not None:
             order, labels = order.copy(), labels.copy()
             # a version's order places a key created again anew, and then
             # holds for no version where that key was alive
@@ -854,7 +852,7 @@ class HistoryIndex:
                 ordered &= ~sum(1 << i for i in _bits(ordered) if self.rows[i][0][t:t + 1] == b"\1")
             if not _ordered(order, labels, moved + list(range(len(self.slots), len(slots))), at):
                 order = None
-            elif ordered >> self.bit[parent] & 1:  # it held for the parent, so for the child
+            elif ordered >> pb & 1:  # it held for the parent, so for the child
                 ordered |= bit
         if order is None:  # the union's is found again; a version's when ``order_for`` asks
             labels, ordered = None, min(ordered, 0)
@@ -864,8 +862,8 @@ class HistoryIndex:
                 by_end[a] = by_end[a] + [(t, p)]
                 by_end[b] = by_end[b] + [(t, p)]
         new.pairs, new.pair_slots, new.by_end = pairs, pair_slots, by_end
-        new.slots, new.ends, new.loose, new.order, new.labels = slots, ends, loose, order, labels
-        new.ordered = ordered
+        new.slots, new.ends, new.order, new.labels = slots, ends, order, labels
+        new.ordered, new.found = ordered, None
         return new
 
 
@@ -919,10 +917,12 @@ def reconstruct_version(store: "VersionStore", v: str) -> Space:
     T0 search runs per version: the space keeps the positions and that
     order, and fills its index in from them on the first query that needs
     it.  When that union has a cycle, the order is found over the pair
-    columns alive at ``v`` and kept (``HistoryIndex.order_for``); only when
-    those have a cycle does the version check T0 by itself, with the
-    errors it always raised.  An
-    element alive and unchanged in several versions is one ``Element``
+    columns alive at ``v`` (``HistoryIndex.order_for``), unless the order
+    the index keeps holds for ``v``; it replaces that order only when that
+    one holds for no version, so a checkout does not undo the order the
+    commits keep.  Only when those columns have a cycle does the version
+    check T0 by itself, with the errors it always raised.  An element
+    alive and unchanged in several versions is one ``Element``
     object, with one attribute dict, in every space read from the store;
     like the spaces, neither may be mutated.  Raises ``IntegrityError``
     when a relevant deletion has no creation on any path before it — the
@@ -986,9 +986,9 @@ def _reconstruct(index: HistoryIndex, v: str) -> Space:
     elements = dict(zip(_pick(keys, live), els))
     pos = dict(zip(elements, count()))
     # each element column's position in the space, by slot, None when it
-    # is not alive; the last entry stands for a key no row creates (-1)
+    # is not alive
     ends_a, ends_b = index.ends
-    at = [None] * (len(slots) + 1)
+    at = [None] * len(slots)
     for t, p in zip(_pick(slots, live), pos.values()):
         at[t] = p
     kept = list(compress(count(), _by_slot(pair_row, pair_slots)))

@@ -41,6 +41,7 @@ from alexdb import (
     closure,
     commit,
     components_within,
+    find_cycle,
     is_connected,
     krull_dimension,
     load,
@@ -291,6 +292,62 @@ def test_open_reduction_matches_networkx():
     reduced = open_reduction(space.relation)
     assert len(reduced) < len(space.relation)  # the skip pairs are redundant
     assert pair_set(reduced) == frozenset(nx.transitive_reduction(graph).edges())
+
+
+def _random_digraph(n: int, rnd: random.Random, cycles: int) -> nx.DiGraph:
+    """A seeded digraph on ``n`` nodes: ``2 n`` pairs drawn along a random
+    order of the nodes, so acyclic, and ``cycles`` pairs back from the end
+    of a random walk of 1 to 200 steps to its start, each closing a
+    cycle."""
+    order = [f"k{i:04d}" for i in range(n)]
+    rnd.shuffle(order)
+    graph = nx.DiGraph()
+    graph.add_nodes_from(order)
+    for _ in range(2 * n):
+        i, j = sorted(rnd.sample(range(n), 2))
+        graph.add_edge(order[i], order[j])
+    for _ in range(cycles):
+        start = end = rnd.choice([k for k in order if graph.out_degree(k)])
+        for _ in range(rnd.randint(1, 200)):
+            below = sorted(graph.successors(end))
+            if not below:
+                break
+            end = rnd.choice(below)
+        graph.add_edge(end, start)
+    return graph
+
+
+def _is_cycle(graph: nx.DiGraph, keys: list[ElementId]) -> bool:
+    """Whether ``keys`` is a directed cycle of ``graph``, each node once."""
+    ids = [k.id for k in keys]
+    return len(set(ids)) == len(ids) > 0 and all(
+        graph.has_edge(a, b) for a, b in zip(ids, ids[1:] + ids[:1])
+    )
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_the_cycle_search_matches_networkx(seed):
+    rnd = random.Random(seed)
+    graph = _random_digraph(rnd.randint(1000, 2000), rnd, cycles=seed % 4)
+    space = simple_space(graph.nodes, graph.edges, t0_check=False)
+    cycle = find_cycle(space)
+    assert (cycle is None) == nx.is_directed_acyclic_graph(graph)
+    if cycle is not None:
+        assert _is_cycle(graph, cycle)
+        # the transitive reduction names a cycle of its own search
+        with pytest.raises(T0ViolationError) as err:
+            open_reduction(space.relation)
+        assert _is_cycle(graph, err.value.cycle)
+
+
+def test_a_2000_element_space_with_a_cycle_names_a_real_one():
+    graph = _random_digraph(2000, random.Random(1), cycles=1)
+    with pytest.raises(T0ViolationError) as err:
+        simple_space(graph.nodes, graph.edges)
+    assert _is_cycle(graph, err.value.cycle)
+    assert str(err.value) == (
+        f"relation has a cycle, space is not T0: {[k.id for k in err.value.cycle]}"
+    )
 
 
 def test_dimension_matches_the_longest_path():
@@ -602,6 +659,53 @@ def test_commits_on_a_text_whose_union_has_a_cycle_keep_a_version_s_order(monkey
         assert outcome(reconstruct_version(store, v)) == outcome(
             oracles.reconstruct_version_by_hulls(store, v)
         )
+
+
+def test_checkouts_between_commits_leave_the_order_the_commits_keep(monkeypatch):
+    # as above, the union holds 5 -> 6 -> ... -> 300 -> 5; before each
+    # commit from the newest version a random older version is checked
+    # out, which finds an order of its own over its live pair columns, and
+    # the order kept for the commits stays: only the first commit, which
+    # has none kept for its parent, runs Kahn's algorithm
+    store = new_store("v0", text_space("ab" * 200))
+    store = commit(store, "v0", changeset("v1", remove_elements=["5"]))
+    store = commit(store, "v1", changeset("v2", [Element(ElementId("5"))],
+                                          add_pairs=[("300", "5"), ("5", "301")],
+                                          remove_pairs=[("300", "301")]))
+    assert store.history.union_order() is None
+    ids = [str(n) for n in range(1, 401)]
+    texts = {"v2": [k for k in ids[:300] if k != "5"] + ["5"] + ids[300:]}
+    counts: Counter = Counter()
+    _counted(monkeypatch, counts, topology, "_kahn", "kahn")
+    rng = random.Random(3)
+    in_checkouts, in_commits = [], []
+    for i in range(3, 63):
+        parent, version = f"v{i - 1}", f"v{i}"
+        older = rng.choice(sorted(store.vx, key=lambda v: int(v[1:]))[:-1])
+        before = counts["kahn"]
+        got = reconstruct_version(store, older)
+        in_checkouts.append(counts["kahn"] - before)
+        assert outcome(got) == outcome(oracles.reconstruct_version_by_hulls(store, older))
+        old = texts[parent]
+        j = rng.randrange(1, len(old) - 1)
+        gone = sorted(set(ids).union(k for t in texts.values() for k in t) - set(old))
+        roll = rng.random()
+        if roll < 0.4:
+            changes = changeset(version, remove_elements=[old[j]])
+            texts[version] = old[:j] + old[j + 1:]
+        else:  # a letter brought back at another place, or a new one
+            new = rng.choice(gone) if roll < 0.7 and gone else f"n{i}"
+            changes = changeset(version, [Element(ElementId(new))],
+                                add_pairs=[(old[j - 1], new), (new, old[j])],
+                                remove_pairs=[(old[j - 1], old[j])])
+            texts[version] = old[:j] + [new] + old[j:]
+        want = oracles.commit_by_rebuild(canonicalize(store), parent, changes)
+        before = counts["kahn"]
+        store = commit(store, parent, changes)
+        in_commits.append(counts["kahn"] - before)
+        assert outcome(store.history.held[1]) == outcome(reconstruct_version(want, version))
+    assert in_commits[1:] == [0] * 59
+    assert sum(in_checkouts) >= 30  # half the checkouts or more found an order of their own
 
 
 def _counted(monkeypatch, counts: Counter, owner, name: str, label: str) -> None:

@@ -40,6 +40,7 @@ from alexdb.storage import (
     new_store,
     reconstruct_version,
     save,
+    region_elements,
     validate,
     versions_with_path,
 )
@@ -326,7 +327,7 @@ def test_a_store_puts_rows_given_in_any_order_in_canonical_order(rnd, tmp_path_f
     shuffled = VersionStore(**tables)
     assert shuffled == store
     fresh = canonicalize(store).history  # built from the canonical rows
-    for column in ("names", "ancestry", "elements", "stray", "pairs", "broken"):
+    for column in ("names", "ancestry", "elements", "pairs", "broken"):
         assert getattr(shuffled.history, column) == getattr(fresh, column)
     assert _saved_bytes(shuffled, tmp_path_factory.mktemp("shuffled")) == _saved_bytes(
         store, tmp_path_factory.mktemp("canonical")
@@ -1236,6 +1237,34 @@ def test_versions_with_path_tracks_link_history():
     a, b = ElementId("a"), ElementId("b")
     region = [a, b]
     assert versions_with_path(store, a, b, region) == {"v1", "v3"}
+
+
+def test_a_key_that_only_a_pair_or_an_attribute_row_names_is_in_no_region():
+    # ghost is a pair end, deleted in v1, and carries a region, wraith
+    # only carries one, and the generalisation target G is created by no
+    # row; each has an index column that no version creates, so none is a
+    # region element
+    store = VersionStore(
+        x=(XRow("a", 0, "G", 1, "v0"), XRow("b", 0, None, None, "v0")),
+        r=(RRow("a", "ghost", 0, "v0"),),
+        delr=(DelRRow("a", "ghost", 0, "v1"),),
+        atts=(AttRow("a", 0, "region", "west"), AttRow("ghost", 0, "region", "west"),
+              AttRow("wraith", 0, "region", "east")),
+        vx=("v0", "v1"),
+        vr=(("v0", "v1"),),
+    )
+    a, b = ElementId("a"), ElementId("b")
+    assert {ElementId("ghost"), ElementId("wraith"), ElementId("G", 1)} <= set(
+        store.history.elements[0]
+    )
+    assert region_elements(store) == {a, b}
+    assert region_elements(store, "west") == {a}
+    with pytest.raises(NotFoundError) as err:
+        region_elements(store, "east")
+    assert str(err.value) == "no elements carry region='east'"
+    # a commit that creates ghost makes it a member
+    store = commit(store, "v1", changeset("v2", [Element(ElementId("ghost"))]))
+    assert region_elements(store, "west") == {a, ElementId("ghost")}
 
 
 def test_versions_with_path_requires_endpoints_in_region():

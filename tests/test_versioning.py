@@ -764,22 +764,29 @@ def _with_stray_rows(store: VersionStore, rnd: random.Random) -> VersionStore:
 def _index_columns_match_the_row_built_ones(store: VersionStore) -> None:
     """The columns the store's index keeps are the row-built oracle's,
     which also has the deletion masks and the descendants that only the
-    index's build reads; each pair end names its key's slot, or -1 for a
-    key no row creates."""
+    index's build reads: the element columns some row creates are its
+    ``elements``, and those created in no version are the keys that only
+    attribute rows (its ``stray``), pair ends or generalisation targets
+    name, with the attributes recorded for them.  Every pair end is its
+    key's slot."""
     index = store.history
     want = oracles.history_columns_by_rows(store)
     keys, created, _, gens, atts = want.pop("elements")
-    want.update(elements=(keys, created, gens, atts), pairs=want["pairs"][0])
+    stray = {ElementId(*k): a for k, a in want.pop("stray").items()}
+    want.update(pairs=want["pairs"][0])
     del want["descendants"]
     for column, columns in want.items():
         assert getattr(index, column) == columns, column
-    keys = index.elements[0]
-    assert sorted(index.slots) == list(range(len(keys)))
-    assert index.loose == (-1 in index.ends[0] or -1 in index.ends[1])
-    key_of = dict(zip(index.slots, keys))
+    columns = list(zip(*index.elements))
+    assert [c for c in columns if c[1]] == list(zip(keys, created, gens, atts))
+    targets = {g for gen in gens for g in (gen.values() if type(gen) is dict else [gen])}
+    named = set(stray).union(*want["pairs"], targets - {None}) - set(keys)
+    uncreated = [(k, 0, None, stray.get(k, ())) for k in sorted(named)]
+    assert [c for c in columns if not c[1]] == uncreated
+    assert sorted(index.slots) == list(range(len(columns)))
+    key_of = dict(zip(index.slots, index.elements[0]))
     for pair, *at in zip(index.pairs, *index.ends, strict=True):
-        for end, i in zip(pair, at):
-            assert key_of[i] == end if i >= 0 else end not in keys
+        assert tuple(map(key_of.__getitem__, at)) == pair
 
 
 @given(st.integers(0, 2**32), st.booleans())
@@ -986,14 +993,14 @@ def test_every_route_to_a_space_index_builds_the_same_one(seed):
 
 def _union_order_is_valid(index) -> None:
     """``index.union_order()`` lists every element column's slot, each before
-    those it is bounded by in some pair column, leaving out reflexive pairs
-    and pairs onto a key no row creates; it is None exactly when those pairs
-    form a cycle.  Labels, when kept, rise along the order."""
+    those it is bounded by in some pair column, leaving out reflexive pairs;
+    it is None exactly when those pairs form a cycle.  Labels, when kept,
+    rise along the order."""
     order = index.union_order()
     n = len(index.slots)
     union = nx.DiGraph()
     union.add_nodes_from(range(n))
-    union.add_edges_from((a, b) for a, b in zip(*index.ends) if a != b and min(a, b) >= 0)
+    union.add_edges_from((a, b) for a, b in zip(*index.ends) if a != b)
     assert (order is None) == (not nx.is_directed_acyclic_graph(union))
     if order is not None:
         assert sorted(order) == list(range(n))
@@ -1154,7 +1161,7 @@ def test_a_key_created_for_a_pair_that_named_it_joins_the_ends_and_the_order():
         vx=("v0", "v1"),
         vr=(("v0", "v1"),),
     )
-    assert store.history.union_order() == [0]  # ghost has no column, the pair no place
+    assert store.history.union_order() == [0, 1]  # ghost's column, created in no version
     store = commit(store, "v1", changeset("v2", [Element(ElementId("ghost"))]))
     store = commit(store, "v2", changeset("v3", add_pairs=[("1", "ghost")]))
     store = commit(store, "v3", changeset("v4", remove_pairs=[("1", "ghost")],
@@ -1169,9 +1176,9 @@ def test_a_key_created_for_a_pair_that_named_it_joins_the_ends_and_the_order():
 
 
 def test_a_pair_naming_no_created_key_is_found_again_after_a_commit_forgets_the_ends():
-    # v2 creates another key, and the pair (1, ghost) still has no column
-    # for ghost; v3 creates ghost, which completes the pair's end, v4 links
-    # the pair again and v5 creates one more key
+    # v2 creates another key, and ghost's column, which the pair (1, ghost)
+    # names, is still created in no version; v3 creates ghost in that
+    # column, v4 links the pair again and v5 creates one more key
     store = VersionStore(
         x=(XRow("1", 0, None, None, "v0"),),
         r=(RRow("1", "ghost", 0, "v0"),),
@@ -1179,14 +1186,15 @@ def test_a_pair_naming_no_created_key_is_found_again_after_a_commit_forgets_the_
         vx=("v0", "v1"),
         vr=(("v0", "v1"),),
     )
-    for parent, changes, loose in (
-        ("v1", changeset("v2", [Element(ElementId("2"))]), True),
-        ("v2", changeset("v3", [Element(ElementId("ghost"))]), False),
-        ("v3", changeset("v4", add_pairs=[("1", "ghost")]), False),
-        ("v4", changeset("v5", [Element(ElementId("3"))]), False),
+    for parent, changes, ghost_made in (
+        ("v1", changeset("v2", [Element(ElementId("2"))]), False),
+        ("v2", changeset("v3", [Element(ElementId("ghost"))]), True),
+        ("v3", changeset("v4", add_pairs=[("1", "ghost")]), True),
+        ("v4", changeset("v5", [Element(ElementId("3"))]), True),
     ):
         store = commit(store, parent, changes)
-        assert store.history.loose is loose
+        keys, created = store.history.elements[:2]
+        assert bool(created[keys.index(ElementId("ghost"))]) is ghost_made
         _index_columns_match_the_row_built_ones(store)
     for v in sorted(store.vx):
         assert outcome(reconstruct_version, store, v) == outcome(
@@ -1290,12 +1298,10 @@ def test_the_history_reads_each_key_s_neighbours_as_the_version_index_holds_them
     assert joins >= 4
 
 
-def test_a_key_created_on_a_loose_store_keeps_the_order_unless_it_completes_a_pair(monkeypatch):
-    # the pairs (1, ghost) and (1, wraith) name keys no row creates; keys
-    # 2, 3 and 4 complete no pair, so each commit creating one derives the
-    # order found once; ghost and then wraith each complete a pair, so the
-    # child checks itself over its live pair columns, with no order of the
-    # union found only to be dropped, and the next commit finds it again
+def test_a_key_created_on_a_store_naming_uncreated_keys_keeps_the_order(monkeypatch):
+    # the pairs (1, ghost) and (1, wraith) name keys no row creates, which
+    # have columns in the union's order; each commit derives the order
+    # found once, whether it creates a new key or one of those two
     store = VersionStore(
         x=(XRow("1", 0, None, None, "v0"),),
         r=(RRow("1", "ghost", 0, "v0"), RRow("1", "wraith", 0, "v0")),
@@ -1318,8 +1324,8 @@ def test_a_key_created_on_a_loose_store_keeps_the_order_unless_it_completes_a_pa
         store = commit(store, f"v{i - 1}", changeset(f"v{i}", [Element(ElementId(key))],
                                                      add_pairs=[("1", key)]))
         found.append(counts["kahn"])
-    assert found == [1, 0, 0, 1, 1, 1, 0]
-    assert not store.history.loose
+    assert found == [1, 0, 0, 0, 0, 0, 0]
+    assert all(store.history.elements[1])
     _union_order_is_valid(store.history)
     for v in sorted(store.vx):
         assert outcome(reconstruct_version, store, v) == outcome(
