@@ -6,7 +6,9 @@ query: each builds the expression tree from its arguments and evaluates it
 the same way.  ``validate``, ``versions-with-path`` and ``export`` call the
 library directly.  Exit codes: 0 on success (reports with findings still
 exit 0 — the run itself succeeded), 1 on a domain error (bad store, unknown
-element, discontinuous map, ...), 2 on usage errors.  The argument parser is
+element, discontinuous map, ...), 2 on usage errors; a reader that closes
+standard output early leaves the code as it was, 0 unless a domain error
+was already reported.  The argument parser is
 built once per process, so ``main`` may be called again and again in one;
 each call runs with the cyclic garbage collector paused and leaves it as
 it found it (see ``main``).
@@ -17,6 +19,7 @@ import argparse
 import csv
 import functools
 import gc
+import os
 import sys
 from operator import attrgetter
 from pathlib import Path
@@ -182,8 +185,11 @@ def _cmd_export(args) -> int:
         f"{len(store.r)} pair rows, {len(store.point)} coordinate rows"
     )
     for v in store.vx:
-        space = reconstruct_version(store, v)
-        print(f"  {v}: {len(space.elements)} elements, {len(space.relation)} pairs")
+        counts = store.history.counts(v)
+        if counts is None:  # read, or refused, as a checkout reads it
+            space = reconstruct_version(store, v)
+            counts = len(space.elements), len(space.relation)
+        print(f"  {v}: {counts[0]} elements, {counts[1]} pairs")
     return 0
 
 
@@ -329,6 +335,10 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one command; its exit code, or ``SystemExit`` from argparse.
 
+    A reader that closes standard output early ends the command quietly:
+    it writes no more, and exits with the code it had, 0 unless it had
+    already reported a domain error.
+
     The whole command, from argument parsing to rendering, runs with the
     cyclic garbage collector paused: what a command builds (store rows,
     history index, spaces) holds no reference cycle and dies by reference
@@ -338,16 +348,27 @@ def main(argv=None) -> int:
     """
     enabled = gc.isenabled()
     gc.disable()
+    code = 0
     try:
-        args = _parser().parse_args(argv)
         try:
-            return args.func(args)
-        except AlexdbError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+            args = _parser().parse_args(argv)
+            try:
+                code = args.func(args)
+            except AlexdbError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                code = 1
+        finally:
+            sys.stdout.flush()  # so that a reader gone shows here, not at exit
+    except BrokenPipeError:
+        # the reader closed standard output: what is left of it, and the
+        # flush at exit, go to os.devnull, so the command ends quietly
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     finally:
         if enabled:
             gc.enable()
+    return code
 
 
 if __name__ == "__main__":

@@ -15,11 +15,15 @@ it, by column.  ``load``, ``save`` and the key checks (``_key_issues``) are
 each one loop over these declarations.
 
 Rows are ``typing.NamedTuple``s: each equals, hashes and sorts like the plain
-tuple of its fields.  ``load`` parses each file a column at a time, builds
-its rows from the columns, and checks the order, duplicate and foreign keys
-on the columns with ``zip``, with no Python call per row and no key tuple
-per referring row; ``validate`` transposes a store's rows into the same
-columns once and runs the same check.  Every table is kept
+tuple of its fields.  ``load`` splits each file as ``save`` writes it into
+columns in C (any other text goes through ``csv.reader``), parses it a
+column at a time, builds its rows from the columns, and checks the order,
+duplicate and foreign keys on the columns with ``zip``, with no Python
+call per row.  Each reference to an element key is looked up once, in the
+slots the history index keeps (``versioning._key_slots``), and the index
+takes the columns ``load`` parsed; only a store that breaks a key is
+scanned row by row (``_key_issues``).  ``validate`` transposes a store's
+rows into the same columns once and runs ``_key_issues`` on them.  Every table is kept
 in canonical order, sorted by its key in ``_TABLES``, so ``save`` writes the
 rows as they stand.  Constructing a ``VersionStore`` sorts each table once.
 ``commit`` sorts nothing: it puts each new row into the parent's table where
@@ -41,8 +45,9 @@ a column per key and pair some row names, and one row of live columns per
 version; only a hand-built store names a key no row creates) and its CSV
 lines are cached on the store, which relies on that contract: never change
 a store's row tuples, build a new store instead.  A loaded store builds the
-index on first use, in one pass over its tables' columns (so a command that
-reads no version, such as ``export --out``, builds none); a committed store
+index on first use, in one pass over the columns ``load`` parsed, which it
+drops then (so a command that reads no version, such as ``export --out``,
+builds none); any other store transposes its rows once; a committed store
 arrives with one derived from its parent's, holding its newest space: the
 changeset applied to the parent's space, with the neighbours of each
 removed element and the T0 proof read off the parent's index, whose slots
@@ -97,6 +102,7 @@ from .versioning import (
     consistency_rule,
     reconstruct_version,
     _apply,
+    _key_slots,
     _refuse_cycle,
 )
 from .algebra import _restricted_continuity_witness
@@ -233,6 +239,9 @@ _TABLES = {
 #: a store with faults in several files.
 _LOAD_ORDER = ("X", "R", "Point", "DelX", "DelR", "Atts", "VX", "VR")
 
+#: The tables the history index is built from.
+_INDEXED = ("X", "R", "DelX", "DelR", "Atts")
+
 
 class _ForeignKey(NamedTuple):
     """A reference of the schema: the ``columns`` of each row of ``table``
@@ -303,10 +312,14 @@ class VersionStore:
 
     @cached_property
     def history(self) -> HistoryIndex:
-        """The versions and rows indexed for reconstruction: built from the
-        rows on first use and kept for the life of this (immutable) store;
-        a store made by ``commit`` arrives with it."""
-        return HistoryIndex(self)
+        """The versions and rows indexed for reconstruction: built on first
+        use and kept for the life of this (immutable) store.  A store made
+        by ``load`` hands over the columns it parsed and the slots its key
+        check looked up, and drops them; any other store's rows are
+        transposed into columns once (``_columns``).  A store made by
+        ``commit`` arrives with its index."""
+        columns, slots = vars(self).pop("_indexed", None) or (_columns(self, _INDEXED), None)
+        return HistoryIndex(self, columns, slots)
 
     @cached_property
     def _lines(self) -> dict[str, list[str]]:
@@ -680,19 +693,82 @@ def _settle_swap(real: str, old: str) -> None:
 
 def _read_table(directory: Path, name: str) -> list[Sequence]:
     """The parsed columns of table ``name``, in header order, read from its
-    CSV file.  Each column is parsed whole; only when that fails are the
-    rows scanned, in order, for the first fault.  A file that cannot be read
-    as CSV text is a ``StoreFormatError`` naming it."""
+    CSV file.  A plain text, as ``save`` writes one, is split into columns
+    in C (``_split``); any other is read by ``csv.reader``
+    (``_csv_columns``), which names its first fault.  Each column is parsed
+    whole; only when that fails are the rows scanned, in order, for the
+    first fault.  A file that cannot be read as CSV text is a
+    ``StoreFormatError`` naming it."""
     t = _TABLES[name]
     fpath = directory / t.file
     try:
-        with open(fpath, encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            rows = list(reader)
+        with open(fpath, "rb") as fh:
+            data = fh.read()
     except FileNotFoundError:
         raise StoreFormatError(f"missing store file {fpath}") from None
     except IsADirectoryError:
         raise StoreFormatError(f"{fpath}: a directory, not a table file") from None
+    columns = _split(data, t) or _csv_columns(data, fpath, t)
+    try:
+        if name == "X" and list(map(not_, columns[2])) != list(map(not_, columns[3])):
+            raise ValueError("an X row sets both generalisation columns (gid, glod) or neither")
+        return [
+            _parsed(t.parse[c], col) if c in t.parse else col for c, col in zip(t.header, columns)
+        ]
+    except ValueError:
+        raise _first_fault(name, list(map(list, zip(*columns)))) from None
+
+
+#: The bytes other than a comma and a line end, which ``_split`` deletes to
+#: see the shape of a table's lines.
+_NOT_COMMA_OR_LINE_END = bytes(b for b in range(256) if b not in b",\n")
+
+
+def _split(data: bytes, t: _Table) -> list[list[str]] | None:
+    """The columns of table ``t`` in the file bytes ``data``, split with
+    ``str.split``: the text, its line ends made commas, split once on
+    commas and sliced per column after the header.  None unless the text
+    is plain, as ``save`` writes it: no ``"``, carriage return or NUL, the
+    header and a line end first, no blank line, the header's width on
+    every line (the bytes left once all but commas and line ends are
+    deleted show it: a UTF-8 sequence holds neither), UTF-8 and no line
+    longer than ``csv.field_size_limit()``.  ``csv.reader`` reads the same
+    fields from a plain text."""
+    header = ",".join(t.header).encode()
+    width, ends = len(t.header), data.endswith(b"\n")
+    lines = data.count(b"\n") + (not ends)
+    shape = (b"," * (width - 1) + b"\n") * lines
+    if (
+        b'"' in data or b"\r" in data or b"\0" in data or b"\n\n" in data
+        or not data.startswith(header + b"\n")
+        or data.translate(None, _NOT_COMMA_OR_LINE_END) != (shape if ends else shape[:-1])
+    ):
+        return None
+    try:
+        text = data.decode()
+    except UnicodeDecodeError:
+        return None
+    limit = csv.field_size_limit()
+    if len(data) > limit and max(map(len, text.split("\n"))) > limit:
+        return None
+    if lines == 1:
+        return [()] * width
+    fields = text.replace("\n", ",").split(",")
+    if ends:
+        del fields[-1]  # after the last line end
+    return [fields[i::width] for i in range(width, 2 * width)]
+
+
+def _csv_columns(data: bytes, fpath: Path, t: _Table) -> list[Sequence[str]]:
+    """The columns of table ``t`` in the bytes ``data`` of file ``fpath``,
+    decoded and read line by line by ``csv.reader``, as the file would be;
+    a ``StoreFormatError`` names the file and the first fault: text that
+    is not UTF-8 or not CSV (a field longer than
+    ``csv.field_size_limit()``, say), a wrong header, then a row of a
+    wrong width."""
+    try:
+        reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
+        rows = list(reader)
     except UnicodeDecodeError as exc:
         raise StoreFormatError(f"{fpath}: not UTF-8 text ({exc.reason})") from None
     except csv.Error as exc:
@@ -705,16 +781,7 @@ def _read_table(directory: Path, name: str) -> list[Sequence]:
         for i, row in enumerate(rows[1:], start=2):
             if len(row) != width:
                 raise StoreFormatError(f"{fpath}:{i}: expected {width} fields, got {len(row)}")
-    rows = rows[1:]
-    columns = list(zip(*rows)) or [()] * width
-    try:
-        if name == "X" and list(map(not_, columns[2])) != list(map(not_, columns[3])):
-            raise ValueError("an X row sets both generalisation columns (gid, glod) or neither")
-        return [
-            _parsed(t.parse[c], col) if c in t.parse else col for c, col in zip(t.header, columns)
-        ]
-    except ValueError:
-        raise _first_fault(name, rows) from None
+    return list(zip(*rows[1:])) or [()] * width
 
 
 def _parsed(parse: Callable, column: Sequence[str]) -> list:
@@ -747,11 +814,18 @@ def load(path: str | Path) -> VersionStore:
     keys, and raises ``StoreFormatError``, ``DuplicateKeyError`` or
     ``ForeignKeyError`` naming the first fault found.
 
-    Each file is parsed a column at a time, and the keys are checked on the
-    parsed columns (``_key_issues``).  Files in canonical order, as ``save``
-    writes them, are not sorted again: their keys rising strictly shows
-    both the order and that no two rows share a key.  A table file that is
-    a directory, is not UTF-8 text or is not CSV that ``csv.reader`` takes
+    Each file is split into columns (in C when it is plain, as ``save``
+    writes it; else by ``csv.reader``) and parsed a column at a time, and
+    the keys are checked on the parsed columns.  Files in canonical order,
+    as ``save`` writes them, are not sorted again: their keys rising
+    strictly shows both the order and that no two rows share a key.  Their
+    foreign keys are checked by ``_held_keys``, which looks each reference
+    to an element key up once; the store keeps those slots and the
+    columns the history index is built from until it builds it.  Only a
+    store that breaks a key, or whose files are out of order, takes
+    ``_key_issues``, which names every fault.  A store whose version graph
+    has a cycle loads (``validate`` reports it).  A table file that is a
+    directory, is not UTF-8 text or is not CSV that ``csv.reader`` takes
     (a field longer than ``csv.field_size_limit()``, say) is a
     ``StoreFormatError`` naming the file.
 
@@ -768,17 +842,54 @@ def load(path: str | Path) -> VersionStore:
     columns = {n: _read_table(directory, n) for n in _LOAD_ORDER}
     rows = {_TABLES[n].field: _TABLES[n].rows(c) for n, c in columns.items()}
     ordered = not any(_neighbours(_TABLES[n], c, ge) for n, c in columns.items())
+    slots = None
     if ordered:
         store = _stored(**{field: tuple(r) for field, r in rows.items()})
+        slots = _held_keys(columns)
     else:
         store = VersionStore(**rows)
         columns = _columns(store)
-    issues = _key_issues(store, columns, duplicates=not ordered)
-    for rule, error in (("duplicate-row", DuplicateKeyError), ("foreign-key", ForeignKeyError)):
-        details = [i.detail for i in issues if i.rule == rule]
-        if details:
-            raise error("; ".join(details))
+    if slots is None:
+        issues = _key_issues(store, columns, duplicates=not ordered)
+        for rule, error in (("duplicate-row", DuplicateKeyError), ("foreign-key", ForeignKeyError)):
+            details = [i.detail for i in issues if i.rule == rule]
+            if details:
+                raise error("; ".join(details))
+    vars(store)["_indexed"] = {n: columns[n] for n in _INDEXED}, slots
     return store
+
+
+#: The foreign keys onto X whose references ``versioning._key_slots`` looks up.
+_SLOTTED = {"X.(gid,glod)→X", "R.ida→X", "R.idb→X", "Atts.id→X"}
+
+
+def _held_keys(columns: Mapping[str, Sequence]) -> tuple | None:
+    """The element-key slots of a store's tables, as ``columns`` in
+    canonical order (``versioning._key_slots``), when the store keeps every
+    foreign key; else None, and ``_key_issues`` names the broken ones.  The
+    references to versions are checked first: when each names a known
+    version, the history index reads every X row, so it numbers the keys
+    as these slots do.  Then each reference to an element key is looked up
+    once: the generalisation targets, pair ends and attribute rows in the
+    slots, which the index keeps, and the other references in the dict of
+    slots."""
+    versions = set(columns["VX"][0])
+    for fk in _FOREIGN_KEYS:
+        t = _TABLES[fk.table]
+        if fk.refs == "VX" and not versions.issuperset(_values(t, columns[fk.table], fk.columns)):
+            return None
+    slots = _key_slots(columns["X"], columns["R"], columns["Atts"])
+    place, (gens, ends_a, ends_b), stops = slots
+    # an element that generalises to none names (None, None), which no slot holds
+    if (gens.count(-1) != columns["X"][2].count(None) or -1 in ends_a or -1 in ends_b
+            or not stops.keys() <= place.keys()):
+        return None
+    for fk in _FOREIGN_KEYS:
+        t = _TABLES[fk.table]
+        if fk.refs == "X" and fk.subject not in _SLOTTED:
+            if not all(map(place.__contains__, _values(t, columns[fk.table], fk.columns))):
+                return None
+    return slots
 
 
 # ---------------------------------------------------------------------------
@@ -795,13 +906,17 @@ class ValidationIssue:
     witnesses: tuple = ()
 
 
-def _columns(store: VersionStore) -> dict[str, list]:
-    """By table name, the store's table as columns in header order, as
-    ``load`` parses them: the rows transposed once."""
-    return {
-        name: list(zip(*_fields(t, getattr(store, t.field)))) or [()] * len(t.header)
-        for name, t in _TABLES.items()
-    }
+def _columns(store: VersionStore, names: Iterable[str] = _TABLES) -> dict[str, list]:
+    """By table name, the store's tables ``names`` as columns in header
+    order, as ``load`` parses them: the rows transposed once, with an
+    attribute value as it stands, typed."""
+    columns = {}
+    for name in names:
+        t = _TABLES[name]
+        rows = getattr(store, t.field)
+        columns[name] = list(zip(*(rows if name == "Atts" else _fields(t, rows))))
+        columns[name] = columns[name] or [()] * len(t.header)
+    return columns
 
 
 def _values(t: _Table, columns: Sequence, names: Sequence[str], start: int = 0) -> Iterable:

@@ -34,7 +34,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, count, filterfalse, repeat
-from operator import and_, eq, is_, is_not, itemgetter, lshift
+from operator import and_, eq, is_, is_not, itemgetter, lshift, ne
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from . import topology
@@ -366,15 +366,15 @@ def _row_order(pair: BoundedByPair) -> tuple[str, str, int]:
     return pair[0][0], pair[1][0], pair[0][1]
 
 
-def _creations(rows: Sequence[tuple], width: int, subject: int, bit: Mapping[str, int]):
-    """Of the creation ``rows`` (``width`` columns, version last, in
-    canonical order) that name a version in ``bit``: their columns and
+def _creations(columns: Sequence[Sequence], subject: int, bit: Mapping[str, int]):
+    """Of the creation rows, as ``columns`` in canonical order with the
+    version last, that name a version in ``bit``: their columns and
     version bits, the subjects they create (a subject is a row's first
     ``subject`` columns) as columns in row order, the mask of the versions
-    creating each subject, and by version bit the places of the subjects
-    created there.  Rows sharing a subject are neighbours; most subjects
-    have one row, and their masks are read straight off the bits."""
-    columns = list(zip(*rows)) or [()] * width
+    creating each subject, by version bit the places of the subjects
+    created there, and which rows start a subject (None: every row).  Rows
+    sharing a subject are neighbours; most subjects have one row, and
+    their masks are read straight off the bits."""
     bits = list(map(bit.get, columns[-1]))
     if None in bits:
         keep = list(map(is_not, bits, repeat(None)))
@@ -385,14 +385,34 @@ def _creations(rows: Sequence[tuple], width: int, subject: int, bit: Mapping[str
     if not any(map(eq, zip(*subjects), zip(*(c[1:] for c in subjects)))):
         for i, b in enumerate(bits):
             made[b].append(i)
-        return columns, bits, subjects, list(map(lshift, repeat(1), bits)), made
-    place = dict(zip(dict.fromkeys(zip(*subjects)), count()))
+        return columns, bits, subjects, list(map(lshift, repeat(1), bits)), made, None
+    starts = [True, *map(ne, zip(*subjects), zip(*(c[1:] for c in subjects)))]
+    place = dict(zip(compress(zip(*subjects), starts), count()))
     created = [0] * len(place)
     for s, b in zip(zip(*subjects), bits):
         i = place[s]
         created[i] |= 1 << b
         made[b].append(i)
-    return columns, bits, list(zip(*place)), created, made
+    return columns, bits, list(zip(*place)), created, made, starts
+
+
+def _key_slots(x: Sequence[Sequence], r: Sequence[Sequence], atts: Sequence[Sequence]):
+    """The slot of each element key that the X rows, as columns ``x``,
+    create, numbered in row order; row by row, the slots of the X rows'
+    generalisation targets and of the ends of the R rows, as columns ``r``,
+    with -1 for a key no X row creates and for the target of an element
+    that generalises to none; and by the key of each run of attribute
+    rows, as columns ``atts`` in canonical order, the end of the run.  Each
+    reference is looked up once: ``storage.load`` checks the foreign keys
+    onto X with these, and the history index keeps them."""
+    ids, lods, gids, glods = x[:4]
+    place = dict(zip(zip(ids, lods), count()))
+    if len(place) < len(ids):  # keys created by several rows, each numbered once
+        place = dict(zip(place, count()))
+    idas, idbs, plods = r[:3]
+    targets = ((gids, glods), (idas, plods), (idbs, plods))
+    at = [list(map(place.get, zip(*c), repeat(-1))) for c in targets]
+    return place, at, dict(zip(zip(atts[0], atts[1]), count(1)))
 
 
 def _new_column(elements: tuple, built: list, slots: list[int], key: ElementId, atts=()) -> int:
@@ -563,13 +583,19 @@ class HistoryIndex:
     objects and their attribute dicts, with each other and with the held
     space.
 
-    The columns are built from the table columns in one pass each: every
-    key is built once, shared by the element, pair and generalisation
-    columns, and a creation or attribute row costs no Python call unless
-    its subject has several creation rows.  ``ends`` comes from the same
-    pass, whose lookups also show, in C, whether some row names a key no
-    row creates; only then are those keys gathered, and their columns put
-    in after the rows are filled.  The deletion masks and the descendants
+    The index is built from the store's tables as ``columns`` in header
+    order, by table name: those ``load`` parsed, or the rows transposed
+    once.  Its columns are built from them in one pass each: every key is
+    built once, shared by the element, pair and generalisation columns,
+    and a creation or attribute row costs no Python call unless its
+    subject has several creation rows.  The slots of the keys, the
+    generalisation targets, the pair ends and the runs of attribute rows
+    come from one pass of lookups (``_key_slots``), whose results also
+    show, in C, whether some row names a key no row creates; only then are
+    those keys gathered, and their columns put in after the rows are
+    filled.  ``slots``, when given, is that pass already made on the same
+    columns, which name no unknown version: ``load`` made it to check the
+    foreign keys, and the index takes it as it stands.  The deletion masks and the descendants
     of each version are read only to fill the rows, in one walk of the
     version space (``_rows``), and ``broken``, and are not kept.
     """
@@ -577,7 +603,12 @@ class HistoryIndex:
     __slots__ = ("names", "bit", "ancestry", "elements", "slots", "pairs", "pair_slots", "rows",
                  "ends", "order", "labels", "ordered", "found", "by_end", "broken", "held", "built")
 
-    def __init__(self, store: "VersionStore"):
+    def __init__(
+        self,
+        store: "VersionStore",
+        columns: Mapping[str, Sequence[Sequence]],
+        slots: tuple[dict, list[list[int]], dict] | None = None,
+    ):
         versions = store.version_space().as_space()
         self.names = [k.id for k in versions.index.keys]
         self.bit = bit = {name: i for i, name in enumerate(self.names)}
@@ -586,22 +617,27 @@ class HistoryIndex:
 
         # rows arrive in canonical order, so their subjects, (id, lod) and
         # (ida, idb, lod), first appear in key order
-        (ids, lods, gids, glods, _), bits, subjects, created, made = _creations(store.x, 5, 2, bit)
-        keys = _tuples(ElementId, zip(*subjects))
-        place = dict(zip(keys, count()))  # the slot of each key
-        aids, alods, names, values = list(zip(*store.atts)) or [()] * 4
-        # each element's attribute rows are one run, which ends after the
-        # key's last row; a run naming an attribute twice keeps the last
-        stops = dict(zip(zip(aids, alods), count(1)))
+        x, bits, _, created, made, _ = _creations(columns["X"], 2, bit)
+        ids, lods, gids, glods, _ = x
+        r, _, (idas, idbs, plods), p_created, p_made, p_starts = _creations(columns["R"], 3, bit)
+        # the slot of each key some X row creates and of each generalisation
+        # target and pair end, and where each key's run of attribute rows
+        # ends; a key that some row names and none creates, which a store
+        # ``load`` accepts never has, takes the next free slot below
+        place, at, stops = slots or _key_slots(x, r, columns["Atts"])
+        if p_starts is not None:  # a pair created by several rows has one column
+            at = [at[0], *(list(compress(a, p_starts)) for a in at[1:])]
+        keys = _tuples(ElementId, place)
+        # a run naming an attribute twice keeps the last
+        aids, alods, names, values = columns["Atts"]
         named = list(zip(names, values))
         runs = map(named.__getitem__, map(slice, [0, *stops.values()], stops.values()))
         if any(map(eq, zip(aids, alods, names), zip(aids[1:], alods[1:], names[1:]))):
             runs = map(dict.items, map(dict, runs))
         recorded = dict(zip(stops, map(tuple, runs)))
-        dx = list(zip(*store.delx)) or [()] * 3
+        dx = columns["DelX"]
         el_deleted = _masks(zip(zip(dx[0], dx[1]), dx[2]), bit)
-        _, _, (idas, idbs, plods), p_created, p_made = _creations(store.r, 4, 3, bit)
-        dr = list(zip(*store.delr)) or [()] * 4
+        dr = columns["DelR"]
         pr_deleted = _masks(zip(zip(dr[0], dr[1], dr[2]), dr[3]), bit)
         self.rows = list(zip(
             _rows(versions.index, self.ancestry, descendants, created,
@@ -617,17 +653,13 @@ class HistoryIndex:
             (pair_place, p_created, pr_deleted,
              lambda a, b, lod: f"pair {BoundedByPair(ElementId(a, lod), ElementId(b, lod))}"),
         ):
-            for columns, mask in deleted.items():
-                i = subjects.get(columns)
+            for key, mask in deleted.items():
+                i = subjects.get(key)
                 bad = _uncreated(0 if i is None else masks[i], mask, self.ancestry)
                 if bad:
-                    self.broken.append((subject(*columns), bad))
+                    self.broken.append((subject(*key), bad))
 
-        # the slot of each generalisation target and pair end, -1 for none;
-        # a key that some row names and none creates, which a store ``load``
-        # accepts never has, takes the next free slot
         targets = ((gids, glods), (idas, plods), (idbs, plods))
-        at = [list(map(place.get, zip(*c), repeat(-1))) for c in targets]
         uncreated: list[ElementId] = []
         if (at[0].count(-1) > gids.count(None) or -1 in at[1] or -1 in at[2]
                 or not recorded.keys() <= place.keys()):
@@ -698,6 +730,30 @@ class HistoryIndex:
                 out[a].append(b)
         order = topology._kahn(out)
         return order if len(order) == len(out) else None
+
+    def counts(self, v: str) -> tuple[int, int] | None:
+        """The number of elements and of pairs in the space of ``v``, read
+        off its rows with no space built: the live element columns, and
+        the live pair columns that are not reflexive.  None when the rows
+        cannot vouch for that space, which ``reconstruct_version`` then
+        reads or refuses: ``v`` is unknown or its ancestry deletes
+        something it never created, a live pair has a dead end, or the
+        live pairs have a cycle.  The union's order, or one found for
+        ``v`` (``order_for``), proves the space T0, as in a checkout."""
+        b = self.bit.get(v)
+        if b is None or any(bad & self.ancestry[b] for _, bad in self.broken):
+            return None
+        row, pair_row = self.rows[b]
+        # a slot past a row's end came after ``v``
+        row = row.ljust(len(self.slots), b"\0")
+        live = bytes(_by_slot(pair_row.ljust(len(self.pair_slots), b"\0"), self.pair_slots))
+        ends_a, ends_b = (list(compress(e, live)) for e in self.ends)
+        if 0 in _pick(row, ends_a) or 0 in _pick(row, ends_b):
+            return None
+        self.union_order()
+        if self.order_for(v) is None:
+            return None
+        return row.count(1), len(ends_a) - sum(map(eq, ends_a, ends_b))
 
     def near(self, v: str, key: ElementId) -> tuple[list[ElementId], list[ElementId]]:
         """The keys bounded by ``key`` at version ``v`` and those it is

@@ -25,6 +25,12 @@ took before it read the version space's own index: they build the level
 subspaces, maps and domain subspaces with the library.
 ``linked_by_assembly`` is the linked space ``lod`` built before it read
 a view of the space's index, assembled by the library's ``_assemble``.
+``read_table_by_csv_reader`` is the table reader ``storage`` used for
+every file before it split plain ones with ``str.split``; it takes the
+schema from the library's ``_TABLES``.  ``export_summary_by_checkouts``
+is the CLI's ``export`` summary as it was before it read its counts off
+the history rows: it loads the store and reconstructs every version with
+the library.
 """
 from __future__ import annotations
 
@@ -1100,3 +1106,94 @@ def load_key_error_by_rows(tables: dict):
         if details:
             return error, "; ".join(details)
     return None
+
+
+# ---------------------------------------------------------------------------
+# reading a table, and the export summary
+
+
+def read_table_by_csv_reader(directory, name: str) -> list:
+    """The parsed columns of table ``name``, in header order, from its CSV
+    file in ``directory``, read by ``csv.reader`` row by row, as
+    ``storage._read_table`` read every file before it split plain ones
+    with ``str.split``; or the ``StoreFormatError`` it raised: a missing or
+    unreadable file, text that is not UTF-8 or not CSV, a wrong header, a
+    row of a wrong width, then the first field its column's parser
+    rejects, row by row."""
+    import csv
+    from operator import not_
+
+    from alexdb import StoreFormatError
+    from alexdb.storage import _EXPECTED, _TABLES
+
+    t = _TABLES[name]
+    fpath = directory / t.file
+    try:
+        with open(fpath, encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            rows = list(reader)
+    except FileNotFoundError:
+        raise StoreFormatError(f"missing store file {fpath}") from None
+    except IsADirectoryError:
+        raise StoreFormatError(f"{fpath}: a directory, not a table file") from None
+    except UnicodeDecodeError as exc:
+        raise StoreFormatError(f"{fpath}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise StoreFormatError(f"{fpath}:{reader.line_num}: {exc}") from None
+    if not rows or rows[0] != t.header:
+        got = rows[0] if rows else []
+        raise StoreFormatError(f"{fpath}: expected header {t.header}, got {got}")
+    width = len(t.header)
+    for i, row in enumerate(rows[1:], start=2):
+        if len(row) != width:
+            raise StoreFormatError(f"{fpath}:{i}: expected {width} fields, got {len(row)}")
+    rows = rows[1:]
+    columns = list(zip(*rows)) or [()] * width
+    try:
+        if name == "X" and list(map(not_, columns[2])) != list(map(not_, columns[3])):
+            raise ValueError
+        return [
+            [t.parse[c](raw) for raw in col] if c in t.parse else col
+            for c, col in zip(t.header, columns)
+        ]
+    except ValueError:
+        pass
+    for row in rows:
+        if name == "X" and (row[2] == "") != (row[3] == ""):
+            raise StoreFormatError(
+                f"X.csv: generalisation columns must be both set or both empty in {row}"
+            )
+        for column, raw in zip(t.header, row):
+            try:
+                t.parse.get(column, str)(raw)
+            except ValueError:
+                expected = _EXPECTED[t.parse[column]]
+                raise StoreFormatError(
+                    f"{name}.{column}: expected {expected}, got {raw!r}"
+                ) from None
+    raise AssertionError("a column failed to parse, but no field does")
+
+
+def export_summary_by_checkouts(path) -> tuple[int, str, str]:
+    """What ``alexdb export PATH`` wrote before it read its counts off the
+    history rows, as ``(exit code, stdout, stderr)``: the store's row
+    counts, then each version in name order with the number of elements
+    and pairs of its space, reconstructed with the library's
+    ``reconstruct_version``; a domain error ends the output with one
+    ``error:`` line on stderr and exit code 1."""
+    from alexdb import AlexdbError, load
+    from alexdb.versioning import reconstruct_version
+
+    out = []
+    try:
+        store = load(path)
+        out.append(
+            f"store: {len(store.vx)} versions, {len(store.x)} element rows, "
+            f"{len(store.r)} pair rows, {len(store.point)} coordinate rows\n"
+        )
+        for v in store.vx:
+            space = reconstruct_version(store, v)
+            out.append(f"  {v}: {len(space.elements)} elements, {len(space.relation)} pairs\n")
+    except AlexdbError as exc:
+        return 1, "".join(out), f"error: {exc}\n"
+    return 0, "".join(out), ""

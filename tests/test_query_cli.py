@@ -25,6 +25,7 @@ import alexdb.lod
 import alexdb.storage
 import alexdb.topology
 import builders
+import oracles
 from alexdb import (
     Element, PointRow, build_space, changeset, commit, demos, new_store, simple_space, text_space
 )
@@ -50,7 +51,7 @@ from alexdb.query import (
     print_expr,
 )
 from alexdb.storage import (
-    AttRow, DelXRow, RRow, VersionStore, XRow, load, reconstruct_version, save
+    AttRow, DelRRow, DelXRow, RRow, VersionStore, XRow, load, reconstruct_version, save
 )
 from alexdb.topology import ElementId
 
@@ -672,6 +673,126 @@ def test_cli_export_onto_a_file_prints_one_error_line(demo_dir, tmp_path, capsys
         want = f"error: cannot save a store into {target}: it or a directory above it is a file\n"
         assert (code, out, err) == (1, "", want)
     assert blocker.read_text(encoding="utf-8") == "keep me"
+
+
+@pytest.mark.parametrize("name", sorted(demos.demo_stores()))
+def test_an_export_summary_matches_the_checkout_route_on_every_demo_store(
+    name, demo_dir, capsys
+):
+    path = demo_dir / name
+    assert run_cli(capsys, "export", str(path)) == oracles.export_summary_by_checkouts(path)
+
+
+def _edited_text_history(rng: random.Random, letters: int, commits: int):
+    """A store of a chain of letters grown by commits from versions drawn
+    at random.  Each commit removes a letter, puts a new one between two
+    neighbours, or brings a letter its parent lacks back between two
+    others, so the union of some histories' versions has a cycle."""
+    ids = [str(i) for i in range(letters)]
+    store = new_store("v00", text_space("x" * letters, ids=ids))
+    texts = {"v00": ids}
+    for n in range(1, commits + 1):
+        parent, version = rng.choice(sorted(texts)), f"v{n:02d}"
+        old = texts[parent]
+        roll = rng.random()
+        if roll < 0.35 and len(old) > 2:
+            gone = rng.choice(old)
+            changes = changeset(version, remove_elements=[gone])
+            texts[version] = [k for k in old if k != gone]
+        else:
+            lacking = sorted({k for t in texts.values() for k in t} - set(old))
+            new = rng.choice(lacking) if lacking and roll < 0.7 else f"n{n}"
+            j = rng.randrange(1, len(old))
+            changes = changeset(version, [Element(ElementId(new))],
+                                add_pairs=[(old[j - 1], new), (new, old[j])],
+                                remove_pairs=[(old[j - 1], old[j])])
+            texts[version] = old[:j] + [new] + old[j:]
+        store = commit(store, parent, changes)
+    return store
+
+
+def test_an_export_summary_matches_the_checkout_route_on_random_histories(tmp_path, capsys):
+    cyclic = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        store = _edited_text_history(rng, rng.randint(3, 8), rng.randint(1, 14))
+        path = save(store, tmp_path / f"history-{seed}")
+        cyclic += load(path).history.union_order() is None
+        assert run_cli(capsys, "export", str(path)) == oracles.export_summary_by_checkouts(path)
+    assert cyclic >= 5  # some versions are read through an order of their own
+
+
+#: Stores the rows of some version contradict, which ``load`` takes:
+#: by fault, the store and the error that ends its export summary (None:
+#: a version the rows cannot vouch for reads as a checkout reads it).
+_FAULTY = {
+    "a live pair with a dead end": (VersionStore(
+        x=(XRow("a", 0, None, None, "v0"), XRow("b", 0, None, None, "v0")),
+        r=(RRow("a", "b", 0, "v0"),), delx=(DelXRow("b", 0, "v1"),),
+        vx=("v0", "v1"), vr=(("v0", "v1"),),
+    ), "error: pair BoundedByPair(ida=ElementId(id='a', lod=0), idb=ElementId(id='b', lod=0))"
+       " references unknown element b\n"),
+    "a deletion before its creation": (VersionStore(
+        x=(XRow("a", 0, None, None, "v0"), XRow("b", 0, None, None, "v1")),
+        delx=(DelXRow("b", 0, "v0"),), vx=("v0", "v1"), vr=(("v0", "v1"),),
+    ), "error: element b is deleted in 'v0' but created on no path before it\n"),
+    "a version with a cycle": (VersionStore(
+        x=(XRow("a", 0, None, None, "v0"), XRow("b", 0, None, None, "v0")),
+        r=(RRow("a", "b", 0, "v1"), RRow("b", "a", 0, "v1")),
+        vx=("v0", "v1"), vr=(("v0", "v1"),),
+    ), "error: relation has a cycle, space is not T0: "),
+    "a version graph with a cycle": (VersionStore(
+        x=(XRow("a", 0, None, None, "v0"),), vx=("v0", "v1"), vr=(("v0", "v1"), ("v1", "v0")),
+    ), "error: version transitions form a cycle: "),
+    "a reflexive pair with a dead end": (VersionStore(
+        x=(XRow("a", 0, None, None, "v0"), XRow("b", 0, None, None, "v0")),
+        r=(RRow("a", "a", 0, "v0"), RRow("a", "b", 0, "v0")), delx=(DelXRow("a", 0, "v1"),),
+        delr=(DelRRow("a", "b", 0, "v1"),), vx=("v0", "v1"), vr=(("v0", "v1"),),
+    ), None),
+}
+
+
+@pytest.mark.parametrize("fault", list(_FAULTY))
+def test_an_export_summary_of_a_faulty_store_ends_as_the_checkout_route_ends(
+    fault, tmp_path, capsys
+):
+    store, error = _FAULTY[fault]
+    path = save(store, tmp_path / "store")
+    got = run_cli(capsys, "export", str(path))
+    assert got == oracles.export_summary_by_checkouts(path)
+    if error is None:
+        assert got[0] == 0
+    else:
+        assert got[0] == 1 and got[2].startswith(error)
+
+
+def test_a_closed_standard_output_ends_a_command_quietly(demo_dir, tmp_path):
+    # the read end of the pipe is closed before the command starts, so its
+    # first write finds no reader; a large space is written in several
+    # writes, and a faulty store's summary fails after its first line,
+    # which a buffered stdout writes only at the end
+    save(new_store("v0", text_space("ab" * 2000)), tmp_path / "long")
+    store, error = _FAULTY["a live pair with a dead end"]
+    save(store, tmp_path / "faulty")
+    src = str(Path(alexdb.cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for argv, buffered, unbuffered in [
+        (["export", str(demo_dir / "textstore")], (0, ""), (0, "")),
+        (["reconstruct", str(tmp_path / "long"), "--format", "csv"], (0, ""), (0, "")),
+        (["export", str(tmp_path / "faulty")], (1, error), (0, "")),
+    ]:
+        for extra, want in (({}, buffered), ({"PYTHONUNBUFFERED": "1"}, unbuffered)):
+            read, write = os.pipe()
+            os.close(read)
+            try:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "alexdb.cli", *argv], env={**env, **extra},
+                    stdout=write, stderr=subprocess.PIPE, text=True, check=False,
+                )
+            finally:
+                os.close(write)
+            assert (proc.returncode, proc.stderr) == want
 
 
 @pytest.mark.parametrize(

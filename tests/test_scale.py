@@ -719,6 +719,52 @@ def _counted(monkeypatch, counts: Counter, owner, name: str, label: str) -> None
     monkeypatch.setattr(owner, name, wrapper)
 
 
+def test_an_export_summary_reconstructs_no_version_and_builds_no_element(
+    tmp_path, monkeypatch, capsys
+):
+    # each version's counts are read off its rows; its T0 proof is the
+    # union's order or one found over its live pair columns
+    store, _ = branching_history(120, seed=3)
+    path = save(store, tmp_path / "history")
+    want = oracles.export_summary_by_checkouts(path)
+    counts: Counter = Counter()
+    _counted(monkeypatch, counts, versioning, "_reconstruct", "reconstruct")
+    _counted(monkeypatch, counts, Element, "__init__", "element")
+    assert main(["export", str(path)]) == 0
+    assert (0, capsys.readouterr().out, "") == want
+    # the only elements are the version space's own, one per version
+    assert counts == Counter({"element": len(store.vx)})
+
+
+def test_a_loaded_store_s_index_takes_the_columns_and_slots_that_load_read(
+    tmp_path, monkeypatch
+):
+    # load looks each reference to an element key up once, in the slots it
+    # hands to the history index with the columns it parsed; the index
+    # transposes no row table and looks no key up again
+    store, _ = branching_history(60, seed=5)
+    path = save(store, tmp_path / "history")
+    counts: Counter = Counter()
+    _counted(monkeypatch, counts, storage, "_columns", "transposed")
+    _counted(monkeypatch, counts, storage, "_key_issues", "key issues")
+    _counted(monkeypatch, counts, storage, "_key_slots", "slots in load")
+    _counted(monkeypatch, counts, versioning, "_key_slots", "slots in the index")
+    loaded = load(path)
+    loaded.history  # noqa: B018 - build the index
+    assert counts == Counter({"slots in load": 1})
+    assert "_indexed" not in vars(loaded)  # dropped once the index took them
+    # any other store's rows are transposed once, and the index numbers them
+    fresh = canonicalize(loaded)
+    fresh.history  # noqa: B018 - build the index
+    assert counts == Counter({"slots in load": 1, "transposed": 1, "slots in the index": 1})
+    for column in HistoryIndex.__slots__:
+        assert getattr(loaded.history, column) == getattr(fresh.history, column), column
+    for v in loaded.vx[::7]:
+        assert outcome(reconstruct_version(loaded, v)) == outcome(
+            oracles.reconstruct_version_by_hulls(store, v)
+        )
+
+
 @pytest.mark.parametrize("source", ["demo regions", "side-8 pyramid"])
 def test_a_telescope_orders_no_elements_builds_one_index_and_makes_no_element(
     source, tmp_path, monkeypatch

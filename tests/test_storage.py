@@ -3,14 +3,17 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import math
 import os
 import random
 import sys
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import alexdb.storage
@@ -622,6 +625,113 @@ def test_an_unreadable_table_file_is_a_format_error_naming_it(
     assert main(["validate", str(tmp_path)]) == 1
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: {err.value}\n")
+
+
+#: Texts of a field that a table text is drawn from, with every character
+#: that makes the text one ``csv.reader`` must read: a comma, a quote, a
+#: carriage return, a line end and NUL; and empty fields.
+_FIELD_TEXTS = st.text(st.sampled_from('a1é ,"\r\n\0'), max_size=5)
+
+#: Fields each typed column parses, by parser; any other column takes text.
+_PARSED = {
+    int: ["0", "1", "-3"],
+    float: ["0.5", "-2.25", "1e+16", "nan", "inf", "3"],
+}
+
+
+@st.composite
+def table_texts(draw):
+    """A table's name, the bytes of a file for it, and a
+    ``csv.field_size_limit()`` to read it under (None: as it is).  Most
+    rows parse, and are written as ``save`` writes them or joined by bare
+    commas; then a field may take any text, a row may be a field short or
+    long, a blank line may come between rows, the line ends may be CRLF or
+    missing after the last line, the header may be wrong or start with a
+    BOM, and a byte that is not UTF-8 may come anywhere."""
+    name = draw(st.sampled_from(sorted(alexdb.storage._TABLES)))
+    t = alexdb.storage._TABLES[name]
+    width = len(t.header)
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        row = [draw(st.sampled_from(_PARSED.get(t.parse.get(c), ["a", "v0", "é", "1"])))
+               for c in t.header]
+        if name == "X":
+            row[2:4] = draw(st.sampled_from([["", ""], ["g", "1"]]))
+        if draw(st.sampled_from([False, False, True])):
+            row[draw(st.integers(0, width - 1))] = draw(_FIELD_TEXTS)
+        row = draw(st.sampled_from([row] * 6 + [row[:-1], row + ["x"]]))
+        rows.append(row)
+    header = list(t.header)
+    kind = draw(st.sampled_from(["as saved"] * 5 + ["BOM", "short", "renamed"]))
+    if kind == "BOM":
+        header[0] = "\ufeff" + header[0]
+    elif kind == "short":
+        header = header[:-1]
+    elif kind == "renamed":
+        header[-1] += "s"
+    if draw(st.booleans()):
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerows([header, *rows])
+        lines = buffer.getvalue().split("\n")[:-1]
+    else:
+        lines = [",".join(row) for row in [header, *rows]]
+    if draw(st.sampled_from([False] * 5 + [True])):
+        lines.insert(draw(st.integers(1, len(lines))), "")
+    end = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    data = (end.join(lines) + draw(st.sampled_from([end, end, ""]))).encode()
+    if draw(st.sampled_from([False] * 7 + [True])):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return name, data, draw(st.sampled_from([None] * 4 + [4, 8]))
+
+
+def _read_outcome(read, directory, name) -> tuple:
+    """The columns ``read`` gives for table ``name``, each as a list and
+    shown with ``repr`` (so NaN equals NaN and 1 differs from 1.0), or
+    the text of the ``StoreFormatError`` it raises."""
+    try:
+        return "columns", repr([list(c) for c in read(directory, name)])
+    except StoreFormatError as exc:
+        return "error", str(exc)
+
+
+@settings(max_examples=300)
+@given(table_texts())
+def test_a_table_reads_as_the_csv_reader_reads_it(table):
+    # a plain text is split with str.split, any other read by csv.reader;
+    # either way the columns, or the error, are the reference reader's
+    name, data, limit = table
+    before = csv.field_size_limit()
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        (directory / alexdb.storage._TABLES[name].file).write_bytes(data)
+        try:
+            if limit is not None:
+                csv.field_size_limit(limit)
+            got = _read_outcome(alexdb.storage._read_table, directory, name)
+            want = _read_outcome(oracles.read_table_by_csv_reader, directory, name)
+        finally:
+            csv.field_size_limit(before)
+    assert got == want
+
+
+def test_the_files_save_writes_are_split_without_the_csv_reader(tmp_path, monkeypatch):
+    # save writes every table of these stores plainly; a text with a quote,
+    # a comma or a line end in a field is quoted, and read by csv.reader
+    read = Counter()
+    real = alexdb.storage._csv_columns
+
+    def counted(data, fpath, t):
+        read[fpath.name] += 1
+        return real(data, fpath, t)
+
+    monkeypatch.setattr(alexdb.storage, "_csv_columns", counted)
+    for name, store in sorted(demos.demo_stores().items()):
+        assert load(save(store, tmp_path / name)) == canonicalize(store)
+    assert read == Counter()
+    quoted = new_store("v0", simple_space(["a", "b"], [("a", "b")], {"a": {"note": 'x, "y"'}}))
+    assert load(save(quoted, tmp_path / "quoted")) == quoted
+    assert read == Counter({"Atts.csv": 1})
 
 
 def test_fields_longer_than_the_csv_limit_are_refused_where_rows_are_built(tmp_path):
